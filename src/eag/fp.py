@@ -66,7 +66,8 @@ class FpVector:
         return len(self.coords)
 
     def __add__(self, other: "FpVector") -> "FpVector":
-        assert self.p == other.p and len(self) == len(other)
+        if self.p != other.p or len(self) != len(other):
+            raise PreconditionError("vectors must share the prime and the length")
         return FpVector(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FpVector") -> "FpVector":
@@ -119,7 +120,8 @@ class FpMatrix:
         return FpMatrix(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __mul__(self, other: "FpMatrix") -> "FpMatrix":
-        assert self.p == other.p and self.ncols == other.nrows
+        if self.p != other.p or self.ncols != other.nrows:
+            raise PreconditionError("matrix product needs a shared prime and matching sizes")
         p = self.p
         cols = tuple(zip(*other.rows))
         return FpMatrix(p, tuple(
@@ -128,7 +130,8 @@ class FpMatrix:
 
     def apply(self, v: FpVector) -> FpVector:
         """Matrix acting on a column vector."""
-        assert self.p == v.p and self.ncols == len(v)
+        if self.p != v.p or self.ncols != len(v):
+            raise PreconditionError("matrix and vector need a shared prime and matching sizes")
         return FpVector(self.p, tuple(
             sum(a * b for a, b in zip(row, v.coords)) % self.p for row in self.rows))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import orbits
 from .errors import CapExceededError, OutOfDomainError, PreconditionError
-from .fp import FpVector, check_prime, vector_span_rank
+from .fp import FpVector, check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
 
@@ -102,7 +102,7 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
 # class counts
 
 
-def count_pure_classes(p: int, k: int, r: int, method: str = "auto") -> int:
+def count_pure_classes(p: int, k: int, r: int) -> int:
     """Number of classes of (0; p^r)-generating vectors of C_p^k.
 
     Conventions: the count is 1 for k = 0 only when r = 0, and 0 for k < 0.
@@ -114,14 +114,10 @@ def count_pure_classes(p: int, k: int, r: int, method: str = "auto") -> int:
     check_prime(p)
     if r == 0 or k > r - 1:
         return 0
-    if method in ("auto", "bfs"):
-        return orbits.count_pure_orbits_bfs(p, k, r)
-    if method == "canonical":
-        return orbits.count_pure_orbits_canonical(p, k, r)
-    raise PreconditionError(f"unknown method {method!r}")
+    return orbits.count_pure_orbits_bfs(p, k, r)
 
 
-def count_unramified_classes(p: int, k: int, rho: int, method: str = "auto") -> int:
+def count_unramified_classes(p: int, k: int, rho: int) -> int:
     """Number of classes of (rho; -)-generating vectors of C_p^k."""
     if k < 0:
         return 0
@@ -132,13 +128,7 @@ def count_unramified_classes(p: int, k: int, rho: int, method: str = "auto") -> 
         raise PreconditionError("rho must be >= 0")
     if k > 2 * rho:
         return 0
-    if method in ("auto", "bfs"):
-        return orbits.count_kernel_orbits_bfs(p, k, rho)
-    if method == "canonical":
-        return orbits.count_kernel_orbits_canonical(p, k, rho)
-    if method == "formula":
-        return orbits.witt_kernel_orbit_count(rho, k)
-    raise PreconditionError(f"unknown method {method!r}")
+    return orbits.count_kernel_orbits_bfs(p, k, rho)
 
 
 #: ranks with a unique unramified class, as classically stated (adjudicated

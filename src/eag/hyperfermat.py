@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cx import (DEFAULT_TOL, GaussianRational, Mobius, ProjPoint, cross_det,
-                 exactify, is_exact_scalar, scalar_is_zero)
+from .cx import (DEFAULT_TOL, Mobius, ProjPoint, cross_det, exactify,
+                 is_exact_scalar, scalar_is_zero)
 from .errors import PreconditionError
 from .fp import is_prime
 

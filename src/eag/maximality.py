@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .fp import FpVector, rref, vector_span_rank
+from .fp import FpVector, vector_span_rank
 from .genvec import (GeneratingVector, is_unique_action, make_vector,
                      require_admissible_genus, validate)
-from .surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
-                       subgroup_signature)
+from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,26 @@
 """Orbit-counting engines used by the class-counting operations.
 
-Two deliberately different implementations are provided wherever counts
-matter:
+Both class counts are orbit counts of subspaces over F_p:
 
-* a BFS that partitions canonical subspace keys under a set of moves
-  (coordinate transpositions for the purely ramified count, symplectic
-  generators for the unramified one), and
-* a canonical-form count that enumerates raw objects and minimises over the
-  fully enumerated acting group.
+* purely ramified: admissible k-subspaces of the zero-sum hyperplane of
+  F_p^r under S_r permuting coordinates;
+* unramified: kernels in F_p^{2 rho} under Sp(2 rho, p).
 
-They are cross-checked in the test suite; production calls use the BFS,
-which scales much further.
+Production calls run one engine, ``_subspace_orbit_count``: it enumerates
+every subspace as a reduced basis, packs each into one integer key, applies
+each generator of the acting group to the whole batch, looks the images up
+among the sorted keys and counts connected components.
+
+Sp(2 rho, p) preserves the symplectic form, so W -> W^perp (the complement
+under the form) is an equivariant bijection between d- and
+(2 rho - d)-subspaces.  The kernel count therefore enumerates the smaller
+of the two dimensions; that keeps the enumeration small and the packed
+keys within 64 bits (a 5-dimensional kernel in F_5^6 would need 30 base-5
+digits).
+
+Independent canonical-form oracles (minimising over the fully enumerated
+acting group) and the Witt closed form cross-check the engine in the test
+suite.
 """
 
 from __future__ import annotations
@@ -108,10 +118,13 @@ def _zero_sum_hyperplane_basis(p: int, r: int) -> np.ndarray:
     return B
 
 
-def _enumerate_zero_sum_subspaces(p: int, r: int, k: int) -> np.ndarray:
-    """Ambient RREFs of all k-subspaces of the zero-sum hyperplane of F_p^r."""
-    W = _zero_sum_hyperplane_basis(p, r)
-    d = r - 1
+def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
+    """Ambient RREFs of all k-subspaces of the row space of ``W``.
+
+    ``W`` (shape (d, n)) must have independent rows; the result has shape
+    (gaussian_binomial(d, k, p), k, n).
+    """
+    d = W.shape[0]
     chunks = []
     for pivots in itertools.combinations(range(d), k):
         free = [(i, j) for i in range(k) for j in range(d)
@@ -129,26 +142,31 @@ def _enumerate_zero_sum_subspaces(p: int, r: int, k: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _connected_component_count(n_nodes: int, src: np.ndarray, dst: np.ndarray) -> int:
-    try:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        parent = list(range(n_nodes))
+def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) -> int:
+    """Number of orbits of the subspaces in ``M`` under the group the moves generate.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    ``M`` holds the RREF of every subspace of one orbit-closed family, one
+    per row; each move maps such a batch to (unreduced) bases of its
+    images.  Rows become graph nodes, each move adds an edge from every
+    subspace to its image, and the orbits are the connected components.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-        for a, b in zip(src.tolist(), dst.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(n_nodes)})
-    g = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                   shape=(n_nodes, n_nodes))
+    B = len(M)
+    keys = _pack_keys(M, p, drop_first_col)
+    U = np.sort(keys)
+    src = np.searchsorted(U, keys)
+    all_dst = []
+    for move in moves:
+        nk = _pack_keys(batch_rref(move(M), p), p, drop_first_col)
+        ids = np.searchsorted(U, nk)
+        if not (U[np.minimum(ids, B - 1)] == nk).all():
+            raise AssertionError("neighbour subspace missing from enumeration")
+        all_dst.append(ids)
+    g = coo_matrix((np.ones(B * len(all_dst), dtype=np.int8),
+                    (np.tile(src, len(all_dst)), np.concatenate(all_dst))),
+                   shape=(B, B))
     return int(connected_components(g, directed=False)[0])
 
 
@@ -181,29 +199,22 @@ def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
     check_pure_caps(p, k, r)
     if k < 1 or k > r - 1:
         return 0
-    M = _enumerate_zero_sum_subspaces(p, r, k)
-    admissible = (M != 0).any(axis=1).all(axis=1)
-    M = M[admissible]
-    B = len(M)
-    if B == 0:
+    M = _enumerate_subspaces(p, _zero_sum_hyperplane_basis(p, r), k)
+    M = M[(M != 0).any(axis=1).all(axis=1)]
+    if len(M) == 0:
         return 0
+
+    def swap(c):
+        def move(batch):
+            # copy-then-swap keeps the batch C-contiguous for batch_rref
+            S = batch.copy()
+            S[:, :, [c, c + 1]] = S[:, :, [c + 1, c]]
+            return S
+        return move
+
     # admissible matrices always pivot in column 0, so the key may drop it
-    keys = _pack_keys(M, p, drop_first_col=True)
-    order = np.argsort(keys)
-    U = keys[order]
-    M = M[order]
-    src = np.arange(B, dtype=np.int64)
-    all_src, all_dst = [], []
-    for c in range(r - 1):
-        S = M.copy()
-        S[:, :, [c, c + 1]] = S[:, :, [c + 1, c]]
-        nk = _pack_keys(batch_rref(S, p), p, drop_first_col=True)
-        ids = np.searchsorted(U, nk)
-        if not (U[ids] == nk).all():
-            raise AssertionError("neighbour subspace missing from enumeration")
-        all_src.append(src)
-        all_dst.append(ids)
-    return _connected_component_count(B, np.concatenate(all_src), np.concatenate(all_dst))
+    return _subspace_orbit_count(M, p, [swap(c) for c in range(r - 1)],
+                                 drop_first_col=True)
 
 
 # canonical-form route: enumerate zero-sum spanning multisets of nonzero
@@ -305,54 +316,22 @@ def check_unramified_caps(p: int, k: int, rho: int) -> None:
             f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
 
 
-def _all_subspaces(p: int, n: int, d: int):
-    """RREF keys of all d-dimensional subspaces of F_p^n (python path)."""
-    if d == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(n), d):
-        free = [(i, j) for i in range(d) for j in range(n)
-                if j > pivots[i] and j not in pivots]
-        for vals in itertools.product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(d)]
-            for i, c in enumerate(pivots):
-                rows[i][c] = 1
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
-
-
 @lru_cache(maxsize=None)
 def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     """Orbit count of codimension-k subspaces of F_p^{2 rho} under Sp."""
     check_unramified_caps(p, k, rho)
     if k < 0 or k > 2 * rho:
         return 0
-    d = 2 * rho - k
-    if d == 0:
-        return 1
     n = 2 * rho
-    gens = [g.rows for g in fp.sp_generators(rho, p)]
-    keys = {}
-    for key in _all_subspaces(p, n, d):
-        keys[key] = len(keys)
-    parent = list(range(len(keys)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for key, idx in keys.items():
-        for g in gens:
-            moved = [tuple(sum(row[t] * g[t][j] for t in range(n)) % p
-                           for j in range(n)) for row in key]
-            nid = keys[fp.rref(moved, p)]
-            ra, rb = find(idx), find(nid)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(len(keys))})
+    # W -> W^perp is Sp-equivariant, so the (n - k)-dimensional kernels and
+    # the k-subspaces have equally many orbits
+    e = min(n - k, k)
+    if e == 0:
+        return 1
+    M = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), e)
+    gens = [np.array(g.rows, dtype=np.int64) for g in fp.sp_generators(rho, p)]
+    return _subspace_orbit_count(M, p, [lambda batch, g=g: (batch @ g) % p for g in gens],
+                                 drop_first_col=False)
 
 
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
@@ -400,9 +379,8 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     n = 2 * rho
     group = _sp_closure_array(p, rho)
     canon = set()
-    for key in _all_subspaces(p, n, d):
-        rows = np.array(key, dtype=np.int64)
-        moved = np.einsum("di,gij->gdj", rows, group) % p
+    for rows in _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d):
+        moved = np.einsum("di,gij->gdj", rows.astype(np.int64), group) % p
         keys = _pack_keys(batch_rref(moved, p), p, drop_first_col=False)
         canon.add(int(keys.min()))
     return len(canon)

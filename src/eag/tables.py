@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import genvec, maximality
-from .surfaces import EAActionSpec, ea_genus
+from .surfaces import EAActionSpec
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,12 @@ def _maximal_check(p, n, rho, r) -> str:
     verdict = maximality.is_maximal(spec)
     search = maximality.search_extension_witness(spec)
     tag = "maximal" if verdict.maximal else "non-maximal"
-    agree = (verdict.maximal and search.status == "none") or \
-            (not verdict.maximal and search.status in ("found", "none", "capped"))
+    # a non-maximal verdict needs a witness search that found (or capped),
+    # except in the corner where no witness can exist
+    if verdict.maximal or verdict.rule == maximality.FROBENIUS_CORNER_RULE:
+        agree = search.status == "none"
+    else:
+        agree = search.status in ("found", "capped")
     extra = f"; search={search.status}"
     inst = f"(p={p},n={n},rho={rho},r={r})"
     return f"{inst}: {tag}{extra}{'' if agree else ' DISAGREES'}"

@@ -134,3 +134,30 @@ def test_vector_arithmetic():
     assert v.scale(2).coords == (2, 4, 1)
     assert FpVector.zero(5, 3).is_zero()
     assert FpVector.unit(5, 3, 1).coords == (0, 1, 0)
+
+
+@pytest.mark.parametrize("a,b", [
+    (FpVector(2, (1, 0, 1)), FpVector(2, (1, 1))),  # lengths differ
+    (FpVector(2, (1, 0)), FpVector(3, (1, 0))),  # primes differ
+])
+def test_vector_add_rejects_mismatch(a, b):
+    with pytest.raises(PreconditionError):
+        a + b
+
+
+@pytest.mark.parametrize("a,b", [
+    (FpMatrix.identity(2, 2), FpMatrix(2, ((1, 0, 1),))),  # 2x2 times 1x3
+    (FpMatrix.identity(2, 2), FpMatrix.identity(2, 3)),  # primes differ
+])
+def test_matrix_product_rejects_mismatch(a, b):
+    with pytest.raises(PreconditionError):
+        a * b
+
+
+@pytest.mark.parametrize("m,v", [
+    (FpMatrix.identity(2, 3), FpVector(3, (1, 2, 0))),  # lengths differ
+    (FpMatrix.identity(2, 3), FpVector(5, (1, 2))),  # primes differ
+])
+def test_matrix_apply_rejects_mismatch(m, v):
+    with pytest.raises(PreconditionError):
+        m.apply(v)

@@ -24,6 +24,23 @@ def test_batch_rref_matches_exact_rref():
             assert got_rows == want
 
 
+@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 4, 1), (3, 4, 3), (5, 3, 2), (2, 6, 0)])
+@pytest.mark.parametrize("basis", ["identity", "zero-sum"])
+def test_enumerate_subspaces(p, n, k, basis):
+    if basis == "identity":
+        W = np.eye(n, dtype=np.int64)
+    else:
+        W = orbits._zero_sum_hyperplane_basis(p, n + 1)
+    M = orbits._enumerate_subspaces(p, W, k)
+    assert M.shape == (orbits.gaussian_binomial(n, k, p), k, W.shape[1])
+    assert (orbits.batch_rref(M, p) == M).all()
+    keys = orbits._pack_keys(M, p, drop_first_col=False)
+    assert len(np.unique(keys)) == len(keys)
+    # every row spans a subspace of the row space of W
+    stacked = np.concatenate([M, np.broadcast_to(W, (len(M),) + W.shape)], axis=1)
+    assert (orbits.batch_rref(stacked, p)[:, n:] == 0).all()
+
+
 # hand-derived counts: the (p=3, k=1, r=6) value comes from the two line
 # types (all-equal vs balanced) and (p=2, k=2, r=6) from the two coordinate
 # partitions {4,2,0} and {2,2,2}
@@ -78,10 +95,18 @@ def test_kernel_orbits_three_ways():
 
 
 def test_kernel_orbits_rho3():
-    for p in (2, 3):
+    checked = 0
+    for p in (2, 3, 5):
         for k in range(0, 7):
+            try:
+                orbits.check_unramified_caps(p, k, 3)
+            except CapExceededError:
+                continue
             assert orbits.count_kernel_orbits_bfs(p, k, 3) == \
                 orbits.witt_kernel_orbit_count(3, k), (p, k)
+            checked += 1
+    # p = 5 keeps k in {0, 1, 5, 6}; k = 1 and k = 5 rely on the complement
+    assert checked == 18
 
 
 def test_kernel_caps():
