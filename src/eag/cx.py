@@ -120,12 +120,6 @@ def scalar_is_zero(x, tol: float, scale: float = 1.0) -> bool:
     return abs(x) <= tol * max(scale, 1.0)
 
 
-def scalar_abs(x) -> float:
-    if isinstance(x, GaussianRational):
-        return abs(complex(x))
-    return abs(complex(x))
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """Point of the projective line as a homogeneous pair (num : den)."""

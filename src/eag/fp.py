@@ -3,13 +3,15 @@
 Scalars are plain int residues in [0, p).  Only small primes are accepted
 (p <= 13); everything in the classification lives there and the bound keeps
 multiplicative closures enumerable.  Vectors and matrices are immutable and
-hash by content, so closures and orbit searches deduplicate exactly.
+hash by content.  Closures run on numpy arrays and deduplicate by packed
+integer keys (``_pack_keys``, shared with the orbit engines).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 
@@ -255,15 +257,35 @@ def sp_generators(rho: int, p: int) -> list[FpMatrix]:
     return [symplectic_transvection(v, J) for v in directions]
 
 
-def group_closure(gens, cap: int | None = None) -> set[FpMatrix]:
+def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """Encode each item of a batch as one integer key.
+
+    Item i is ``digits[i]`` read as base-``base`` digits in C order, most
+    significant first, so keys sort like the items do.  Raises
+    CapExceededError when a key would not fit in 63 bits.
+    """
+    flat = digits.reshape(len(digits), -1)
+    nd = flat.shape[1]
+    if base ** nd >= 2 ** 63:
+        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
+    # Horner over the digit columns keeps one uint64 array, not a widened batch
+    keys = np.zeros(len(flat), dtype=np.uint64)
+    for j in range(nd):
+        keys *= np.uint64(base)
+        keys += flat[:, j].astype(np.uint64)
+    return keys
+
+
+def group_closure(gens, cap: int | None = None) -> np.ndarray:
     """Full multiplicative closure of a set of invertible matrices.
 
+    Returns the elements as an (N, n, n) int64 array in lexicographic order.
     Raises CapExceededError once the closure grows past ``cap`` (the global
     default if unset).
     """
     gens = list(gens)
     if not gens:
-        return set()
+        return np.zeros((0, 0, 0), dtype=np.int64)
     cap = DEFAULT_ELEMENT_CAP if cap is None else cap
     n, p = gens[0].nrows, gens[0].p
     for g in gens:
@@ -271,18 +293,24 @@ def group_closure(gens, cap: int | None = None) -> set[FpMatrix]:
             raise PreconditionError("generators must be square matrices of equal size")
         if not g.is_invertible():
             raise PreconditionError("generators must be invertible")
-    els = set(gens)
-    els.add(FpMatrix.identity(n, p))
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a, b in itertools.product(gens, frontier):
-            c = a * b
-            if c not in els:
-                els.add(c)
-                new.append(c)
-                if len(els) > cap:
-                    raise CapExceededError(
-                        f"matrix closure exceeded the cap of {cap} elements")
-        frontier = new
-    return els
+    # int16 holds every product entry: n (p - 1)^2 stays small for any n, p
+    # whose matrices pack into 63-bit keys (checked on the identity first)
+    G = np.array([g.rows for g in gens], dtype=np.int16)
+    frontier = np.eye(n, dtype=np.int16)[None]
+    levels = [frontier]
+    seen = _pack_keys(frontier, p)
+    # breadth-first by left multiplication; in a finite group the monoid the
+    # generators span is already the group
+    while len(frontier):
+        cand = np.matmul(G[:, None], frontier[None]).reshape(-1, n, n)
+        cand %= p
+        keys, first = np.unique(_pack_keys(cand, p), return_index=True)
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        fresh = seen[pos] != keys
+        frontier = cand[first[fresh]]
+        levels.append(frontier)
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        if len(seen) > cap:
+            raise CapExceededError(f"matrix closure exceeded the cap of {cap} elements")
+    els = np.concatenate(levels)
+    return els[np.argsort(_pack_keys(els, p))].astype(np.int64)

@@ -8,11 +8,16 @@ criteria for sphere quotients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapExceededError, PreconditionError
+from .fp import _pack_keys
+from .orbits import orbit_components
 from .surfaces import Signature, riemann_hurwitz_genus
 
 AUTOMORPHISM_ORDER_CAP = 60
@@ -77,13 +82,16 @@ class GroupTable:
         return out
 
     def closure(self, elements) -> frozenset:
-        seen = set(elements) | {0}
-        frontier = list(seen)
+        """Subgroup generated by ``elements``: breadth-first from the identity
+        by right multiplication (in a finite group the monoid is the group)."""
+        gens = set(elements)
+        seen = {0}
+        frontier = [0]
         while frontier:
             new = []
-            for a in list(seen):
-                for b in frontier:
-                    c = self.mul(a, b)
+            for a in frontier:
+                for b in gens:
+                    c = self.table[a][b]
                     if c not in seen:
                         seen.add(c)
                         new.append(c)
@@ -366,39 +374,33 @@ def generating_vector_orbits(g: GroupTable, sig: Signature,
 
     Genus-0 signatures only: the braid moves at every position generate the
     whole induced action there (the cyclic rotation is their composite).
+    Tuples are keyed as base-|G| integers, which must fit in 63 bits.
     """
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
-    states = _enumerate_tuples(g, sig.periods, cap)
+    states = list(_enumerate_tuples(g, sig.periods, cap))
     if not states:
         return ()
-    autos = automorphisms(g)
-    states = sorted(states)
-    index = {s: i for i, s in enumerate(states)}
-    parent = list(range(len(states)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    r = len(sig.periods)
-    for s, idx in index.items():
-        v = TableVector(g, s)
-        for i in range(1, r):
-            union(idx, index[braid_move(v, i).elliptic])
-        for alpha in autos:
-            union(idx, index[tuple(alpha[c] for c in s)])
-    groups: dict[int, list] = {}
-    for s, idx in index.items():
-        groups.setdefault(find(idx), []).append(s)
-    return tuple(frozenset(v) for _, v in sorted(groups.items()))
+    dtype = np.min_scalar_type(g.order)  # uint8 for most tables keeps the copies small
+    S = np.array(states, dtype=dtype)
+    T = np.array(g.table, dtype=dtype)
+    inv = np.array(g.inverse, dtype=dtype)
+    images = []
+    for i in range(1, len(sig.periods)):
+        # braid_move at position i: (a, b) -> (b, b^-1 a b)
+        a, b = S[:, i - 1], S[:, i]
+        moved = S.copy()
+        moved[:, i - 1], moved[:, i] = b, T[T[inv[b], a], b]
+        images.append(_pack_keys(moved, g.order))
+    # one edge to the least key of each Aut-orbit joins what Aut(G) joins
+    autos = np.array(automorphisms(g), dtype=dtype)
+    images.append(functools.reduce(np.minimum,
+                                   (_pack_keys(alpha[S], g.order) for alpha in autos)))
+    count, labels = orbit_components(_pack_keys(S, g.order), images)
+    orbits: list[list] = [[] for _ in range(count)]
+    for s, label in zip(states, labels.tolist()):
+        orbits[label].append(s)
+    return tuple(frozenset(o) for o in orbits)
 
 
 def count_orbits(g: GroupTable, sig: Signature, cap: int = ORBIT_STATE_CAP) -> int:

@@ -17,8 +17,13 @@ from fractions import Fraction
 
 from .cx import (DEFAULT_TOL, Mobius, ProjPoint, cross_det, exactify,
                  is_exact_scalar, scalar_is_zero)
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
+
+#: draws allowed per requested smoothness sample before the sampler gives up
+#: (a line whose intersection coordinates span many orders of magnitude
+#: leaves no point clear of the branch points)
+SAMPLE_ATTEMPTS_PER_POINT = 100
 
 
 def _coerce_entries(entries):
@@ -439,6 +444,8 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     """
     import numpy as np
 
+    if count < 1:
+        raise PreconditionError(f"smoothness sampling needs at least one sample, not {count}")
     rng = random.Random(seed)
     p, n = spec.p, spec.n
     cmat = np.array([[complex(c) for c in row] for row in spec.line.rows])
@@ -450,7 +457,12 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     min_rank = n - 1
     max_minor = 0.0
     done = 0
+    draws = 0
     while done < count:
+        if draws == SAMPLE_ATTEMPTS_PER_POINT * count:
+            raise CapExceededError(
+                f"only {done} of {count} samples lay clear of the branch points in {draws} draws")
+        draws += 1
         t = complex(rng.gauss(0, 1), rng.gauss(0, 1))
         pt = q0 + t * q1
         scale = float(np.max(np.abs(pt)))

@@ -115,21 +115,6 @@ def _zero_pairs(p: int, n: int, tau: int):
     return tuple((z, z) for _ in range(tau))
 
 
-def build_extension_witness(spec: EAActionSpec) -> ExtensionWitness | None:
-    """Explicit extension for a non-maximal unique action.
-
-    Emits the generating vector of the constructive proof branch matching the
-    parameters, after checking that it validates and that the designated
-    subgroup's signature round-trips.  Returns None only in the unramified
-    cyclic corner where every representation of rho forces the inadmissible
-    single-period overgroup signature.
-    """
-    verdict = is_maximal(spec)
-    if verdict.maximal:
-        raise PreconditionError(f"{spec} is maximal; no extension witness exists")
-    return verdict.witness
-
-
 def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     # C_2 with (rho;-) inside C_2 x C_2 with (1; 2^(2 rho - 2))
     rho = spec.rho

@@ -1,15 +1,16 @@
 """Orbit-counting engines used by the class-counting operations.
 
-Both class counts are orbit counts of subspaces over F_p:
+Every production orbit count runs on one engine, ``orbit_components``:
+objects become distinct integer keys, each move maps every object to the
+key of its image, and the orbits are the connected components.  It counts
 
 * purely ramified: admissible k-subspaces of the zero-sum hyperplane of
   F_p^r under S_r permuting coordinates;
-* unramified: kernels in F_p^{2 rho} under Sp(2 rho, p).
-
-Production calls run one engine, ``_subspace_orbit_count``: it enumerates
-every subspace as a reduced basis, packs each into one integer key, applies
-each generator of the acting group to the whole batch, looks the images up
-among the sorted keys and counts connected components.
+* unramified: kernels in F_p^{2 rho} under Sp(2 rho, p);
+* Cayley-table orbits (``grouptable.generating_vector_orbits``): genus-0
+  generating tuples under the braid moves and Aut(G).  Aut(G) adds one
+  edge per tuple, to the least key of its Aut-orbit; t and alpha(t) share
+  that key, so this one edge joins what |Aut(G)| edges per tuple would.
 
 Sp(2 rho, p) preserves the symplectic form, so W -> W^perp (the complement
 under the form) is an equivariant bijection between d- and
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from . import fp
-from .fp import FpVector
+from .fp import _pack_keys
 
 #: brute-force feasibility box for the purely ramified count
 PURE_BRUTE_PRIMES = (2, 3, 5)
@@ -98,18 +99,6 @@ def batch_rref(mats: np.ndarray, p: int) -> np.ndarray:
     return M.astype(np.uint8)
 
 
-def _pack_keys(M: np.ndarray, p: int, drop_first_col: bool) -> np.ndarray:
-    """Encode each matrix of the batch as one base-p integer key."""
-    B = M.shape[0]
-    D = M[:, :, 1:] if drop_first_col else M
-    flat = D.reshape(B, -1).astype(np.uint64)
-    nd = flat.shape[1]
-    if p ** nd >= 2 ** 63:
-        raise CapExceededError(f"subspace key of {nd} base-{p} digits does not pack")
-    pows = np.uint64(p) ** np.arange(nd, dtype=np.uint64)
-    return (flat * pows[None, :]).sum(axis=1, dtype=np.uint64)
-
-
 def _zero_sum_hyperplane_basis(p: int, r: int) -> np.ndarray:
     B = np.zeros((r - 1, r), dtype=np.int64)
     for i in range(r - 1):
@@ -142,32 +131,43 @@ def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) -> int:
-    """Number of orbits of the subspaces in ``M`` under the group the moves generate.
+def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
+    """Orbits of a finite set closed under some moves, as graph components.
 
-    ``M`` holds the RREF of every subspace of one orbit-closed family, one
-    per row; each move maps such a batch to (unreduced) bases of its
-    images.  Rows become graph nodes, each move adds an edge from every
-    subspace to its image, and the orbits are the connected components.
+    ``keys`` holds one distinct integer key per object; each array of
+    ``image_keys`` holds, for every object in the same order, the key of its
+    image under one move.  Returns the number of orbits and each object's
+    orbit label in ``range(count)``.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    B = len(M)
-    keys = _pack_keys(M, p, drop_first_col)
+    B = len(keys)
     U = np.sort(keys)
     src = np.searchsorted(U, keys)
-    all_dst = []
-    for move in moves:
-        nk = _pack_keys(batch_rref(move(M), p), p, drop_first_col)
+    dst = []
+    for nk in image_keys:
         ids = np.searchsorted(U, nk)
         if not (U[np.minimum(ids, B - 1)] == nk).all():
-            raise AssertionError("neighbour subspace missing from enumeration")
-        all_dst.append(ids)
-    g = coo_matrix((np.ones(B * len(all_dst), dtype=np.int8),
-                    (np.tile(src, len(all_dst)), np.concatenate(all_dst))),
-                   shape=(B, B))
-    return int(connected_components(g, directed=False)[0])
+            raise AssertionError("neighbour missing from enumeration")
+        dst.append(ids)
+    g = coo_matrix((np.ones(B * len(dst), dtype=np.int8),
+                    (np.tile(src, len(dst)), np.concatenate(dst))), shape=(B, B))
+    count, labels = connected_components(g, directed=False)
+    return int(count), labels[src]
+
+
+def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) -> int:
+    """Number of orbits of the subspaces in ``M`` under the group the moves generate.
+
+    ``M`` holds the RREF of every subspace of one orbit-closed family, one
+    per row; each move maps such a batch to (unreduced) bases of its images.
+    """
+    def pack(batch):
+        return _pack_keys(batch[:, :, 1:] if drop_first_col else batch, p)
+
+    images = (pack(batch_rref(move(M), p)) for move in moves)
+    return orbit_components(pack(M), images)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +224,6 @@ CANONICAL_MAX_GROUP = 600
 CANONICAL_MAX_RAW = 200_000
 
 
-def _gl_permutations(k: int, p: int) -> list[tuple[int, ...]]:
-    """Each element of GL(k, p) as a permutation of packed vector codes."""
-    codes = []
-    for code in range(p ** k):
-        v, x = [], code
-        for _ in range(k):
-            v.append(x % p)
-            x //= p
-        codes.append(tuple(v))
-    group = fp.group_closure(fp.gl_generators(k, p))
-    perms = []
-    for g in group:
-        perm = []
-        for v in codes:
-            w = g.apply(FpVector(p, v)).coords
-            perm.append(sum(c * p ** i for i, c in enumerate(w)))
-        perms.append(tuple(perm))
-    return perms
-
-
 def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
     order = 1
     for i in range(k):
@@ -265,12 +245,10 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     if not pure_canonical_feasible(p, k, r):
         raise CapExceededError(f"canonical-form count infeasible for (p={p}, k={k}, r={r})")
     n = p ** k
-    decode = [tuple((code // p ** i) % p for i in range(k)) for code in range(n)]
-    add = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            add[a][b] = sum(((x + y) % p) * p ** i
-                            for i, (x, y) in enumerate(zip(decode[a], decode[b])))
+    digits = p ** np.arange(k)
+    vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
+    decode = [tuple(v) for v in vecs.tolist()]
+    add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
     span_cache: dict[frozenset[int], bool] = {}
 
     def spans(codes: frozenset[int]) -> bool:
@@ -280,7 +258,10 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
             span_cache[codes] = got
         return got
 
-    perms = _gl_permutations(k, p)
+    # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
+    # is the code of g applied to the column vector with code c
+    group = fp.group_closure(fp.gl_generators(k, p))
+    perms = (np.einsum("gij,vj->gvi", group, vecs) % p @ digits).tolist()
     canon = set()
     for multiset in itertools.combinations_with_replacement(range(1, n), r):
         total = 0
@@ -361,12 +342,6 @@ def kernel_canonical_feasible(p: int, rho: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sp_closure_array(p: int, rho: int) -> np.ndarray:
-    group = fp.group_closure(fp.sp_generators(rho, p))
-    return np.array(sorted(g.rows for g in group), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
 def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     """Independent count: minimise subspace keys over the full Sp closure."""
     if not kernel_canonical_feasible(p, rho):
@@ -377,10 +352,10 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     if d == 0:
         return 1
     n = 2 * rho
-    group = _sp_closure_array(p, rho)
+    group = fp.group_closure(fp.sp_generators(rho, p))
     canon = set()
     for rows in _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d):
         moved = np.einsum("di,gij->gdj", rows.astype(np.int64), group) % p
-        keys = _pack_keys(batch_rref(moved, p), p, drop_first_col=False)
+        keys = _pack_keys(batch_rref(moved, p), p)
         canon.add(int(keys.min()))
     return len(canon)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from eag import cli, grouptable
@@ -104,6 +105,14 @@ def test_orbits_positive_genus_exit_3(capsys):
     assert code == cli.EXIT_PRECONDITION
 
 
+def test_orbits_key_too_wide_exit_4(capsys):
+    # 2^64 tuples of C2 entries do not pack into 63-bit keys
+    sig = "(0;" + ",".join(["2"] * 64) + ")"
+    code, _, err = run(["orbits", "--group", "C2", "--sig", sig], capsys)
+    assert code == cli.EXIT_CAP
+    assert "pack" in err
+
+
 def test_tables_match_golden_files(capsys):
     for which in (1, 2, 3, 4):
         code, out, err = run(["tables", "--which", str(which), "--format", "csv"],
@@ -132,6 +141,24 @@ def test_fermat_vandermonde(capsys):
     payload = run_json(["fermat", "--p", "3", "--n", "3", "--w", "0,1,2,3"], capsys)
     assert payload["lambdas"] == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
     assert all(check["residual"] == 0 for check in payload["residue_checks"])
+
+
+def test_fermat_rejects_nonpositive_samples(capsys):
+    for samples in ("-1", "0"):
+        code, _, err = run(["fermat", "--p", "3", "--n", "3", "--w=0,1,2,3",
+                            "--samples", samples], capsys)
+        assert code == cli.EXIT_PRECONDITION
+        assert "sample" in err
+
+
+def test_fermat_unsamplable_line_exit_4(capsys):
+    # the intersection coordinates span so many orders of magnitude that no
+    # draw lies clear of the branch points; the sampler must give up, not hang
+    start = time.perf_counter()
+    code, _, err = run(["fermat", "--p", "7", "--n", "6",
+                        "--w=11/5,37/5,-12/5,0,-19/10,-29/12,-13/5"], capsys)
+    assert code == cli.EXIT_CAP
+    assert time.perf_counter() - start < 2.0
 
 
 def test_fermat_c_file_and_pins(capsys, tmp_path):

@@ -63,6 +63,19 @@ def test_automorphism_cap():
         gt.automorphisms(gt.by_name("C2xC2xC4xC4"))
 
 
+def test_closure_matches_product_closure():
+    # closure walks from the identity by the given elements only; the
+    # reference multiplies every pair of elements seen until nothing is new
+    rng = random.Random(8)
+    for g in (gt.symmetric(4), gt.alternating(4), gt.dihedral(6), gt.by_name("C2xC4")):
+        for _ in range(50):
+            elements = rng.sample(range(g.order), rng.randint(0, 3))
+            want = set(elements) | {0}
+            while more := {g.mul(a, b) for a in want for b in want} - want:
+                want |= more
+            assert g.closure(elements) == want
+
+
 def test_braid_move_abelian_is_transposition():
     c6 = gt.cyclic(6)
     v = gt.TableVector(c6, (2, 3, 1))
@@ -117,6 +130,50 @@ def test_count_orbits_matches_elementary_abelian_counter():
         got = gt.count_orbits(table, Signature(0, (p,) * r))
         want = genvec.count_pure_classes(p, n, r)
         assert got == want, (p, n, r)
+
+
+def _naive_orbits(g, sig):
+    """Reference partition: a python BFS applying every braid move and every
+    automorphism to each enumerated tuple."""
+    states = gt._enumerate_tuples(g, sig.periods, 10 ** 6)
+    autos = gt.automorphisms(g)
+    orbits, seen = [], set()
+    for start in sorted(states):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            s = frontier.pop()
+            v = gt.TableVector(g, s)
+            images = [gt.braid_move(v, i).elliptic for i in range(1, len(s))]
+            images += [tuple(alpha[c] for c in s) for alpha in autos]
+            for t in images:
+                assert t in states
+                if t not in orbit:
+                    orbit.add(t)
+                    frontier.append(t)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("name,sig,count", [
+    ("S3", (2, 2, 2, 2), 1),
+    ("D4", (2, 2, 2, 4), 1),
+    ("C2xC4", (2, 2, 4, 4), 3),
+    ("A4", (2, 3, 3), 1),
+])
+def test_orbit_partition_matches_naive_bfs(name, sig, count):
+    g = gt.by_name(name)
+    want = _naive_orbits(g, Signature(0, sig))
+    got = gt.generating_vector_orbits(g, Signature(0, sig))
+    assert len(want) == count
+    assert sorted(got, key=min) == want
+
+
+def test_count_orbits_state_cap():
+    with pytest.raises(CapExceededError):
+        gt.count_orbits(gt.by_name("C2xC2xC2"), Signature(0, (2,) * 6), cap=100)
 
 
 def test_count_orbits_invariant_under_relabeling():

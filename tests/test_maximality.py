@@ -130,12 +130,9 @@ def test_search_witness_differs_but_roundtrips():
     _verify_witness(spec, found)
 
 
-def test_build_extension_witness_entry_point():
+def test_is_maximal_witness_entry_point():
     spec = EAActionSpec(3, 1, 2, 3)
-    w = mx.build_extension_witness(spec)
-    _verify_witness(spec, w)
-    with pytest.raises(PreconditionError):
-        mx.build_extension_witness(EAActionSpec(2, 4, 0, 5))
+    _verify_witness(spec, mx.is_maximal(spec).witness)
 
 
 def test_unramified_cyclic_p2_small_genus():

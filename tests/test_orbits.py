@@ -34,7 +34,7 @@ def test_enumerate_subspaces(p, n, k, basis):
     M = orbits._enumerate_subspaces(p, W, k)
     assert M.shape == (orbits.gaussian_binomial(n, k, p), k, W.shape[1])
     assert (orbits.batch_rref(M, p) == M).all()
-    keys = orbits._pack_keys(M, p, drop_first_col=False)
+    keys = fp._pack_keys(M, p)
     assert len(np.unique(keys)) == len(keys)
     # every row spans a subspace of the row space of W
     stacked = np.concatenate([M, np.broadcast_to(W, (len(M),) + W.shape)], axis=1)
