@@ -10,6 +10,7 @@ failure, 4 feasibility cap exceeded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -115,7 +116,7 @@ def cmd_orbits(args, out) -> int:
         g = grouptable.by_name(args.group)
         name = args.group
     else:
-        g = grouptable.GroupTable.load(args.table)
+        g = grouptable.GroupTable.loads(_read_input(args.table, "--table"))
         name = str(Path(args.table).name)
     sig = Signature.parse(args.sig)
     orbits_found = grouptable.count_orbits(g, sig)
@@ -151,14 +152,40 @@ def cmd_tables(args, out) -> int:
     return EXIT_OK
 
 
+def _read_input(path: str, option: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot read {option} {path!r}: {exc}") from exc
+
+
 def _parse_scalar(tok: str):
     tok = tok.strip()
     if tok in ("inf", "oo", "infinity"):
         return "inf"
     try:
         return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        z = complex(tok)
+        if cmath.isfinite(z):
+            return z
     except ValueError:
-        return complex(tok)
+        pass
+    raise UsageError(f"{tok!r} is not a finite rational or complex number")
+
+
+def _load_c_rows(path: str) -> list:
+    try:
+        data = json.loads(_read_input(path, "--c-file"))
+        rows = [[complex(re, im) for re, im in row] for row in data["C"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise UsageError(
+            f'--c-file must hold {{"C": [[[re, im], ...], ...]}}: {exc!r}') from exc
+    if not all(cmath.isfinite(z) for row in rows for z in row):
+        raise UsageError("--c-file entries must be finite")
+    return rows
 
 
 def _parse_scalar_list(text: str) -> list:
@@ -179,9 +206,7 @@ def cmd_fermat(args, out) -> int:
         line = hyperfermat.vandermonde_line(w)
         default_pins = tuple(w[:3])
     else:
-        data = json.loads(Path(args.c_file).read_text(encoding="utf-8"))
-        rows = [[complex(re, im) for re, im in row] for row in data["C"]]
-        line = hyperfermat.LineMatrix.of(rows)
+        line = hyperfermat.LineMatrix.of(_load_c_rows(args.c_file))
         default_pins = (0, 1, "inf")
     if line.n != args.n:
         raise UsageError(f"line matrix has ambient dimension {line.n}, not {args.n}")

@@ -6,8 +6,9 @@ of order exactly p, and satisfies the long product relation (for an abelian
 target: the elliptic images sum to zero).  Topological classes of actions
 correspond to orbits of such vectors under target automorphisms together
 with the canonical-generator moves, which for an abelian target reduce to
-GL(n, p) x S_r in the purely ramified case and GL(n, p) x Sp(2 rho, p)
-through homology in the unramified case.
+GL(n, p) x S_r in the purely ramified case, GL(n, p) x Sp(2 rho, p)
+through homology in the unramified case, and both plus the point-push
+shears in the mixed case (see ``count_classes``).
 """
 
 from __future__ import annotations
@@ -209,77 +210,43 @@ def no_actions_exist(n: int, rho: int, r: int) -> bool:
     return n > 2 * rho + r - 1
 
 
-MIXED_SUM_FLAG = (
-    "mixed-signature total evaluates the classical combination sum "
-    "sum_k h_k * e_(r-(k+1)) as printed; its index bookkeeping is "
-    "internally inconsistent, so uniqueness decisions never rely on it "
-    "(use is_unique_action)")
-
-
 def count_classes(spec: EAActionSpec) -> ClassCountReport:
-    """Total number of topological classes for the given parameters.
+    """Total number of topological classes: sum_k h(p,k,rho) * e(p,n-k,r).
 
-    Purely ramified and unramified totals are genuine orbit counts; a mixed
-    signature is evaluated with the classical combination formula and
-    flagged, since that formula's index convention does not close.
+    The point-push shears (x, z) -> (x + Lz, z) carry the row space R of a
+    vector in F_p^{2 rho} + Z_r to U + (0 x Z'), with U = R meet F_p^{2 rho}
+    of dimension k (up to Sp) and Z' the projection of R to Z_r (up to S_r).
+    As h(p,k,0) = [k=0] and e(p,j,0) = [j=0], the same sum is the pure and
+    the unramified count.
     """
     p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
     if no_actions_exist(n, rho, r):
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
                                 flags=("no-actions-for-these-parameters",))
-    if rho == 0:
+    e_used, h_used, flags, total = [], [], [], 0
+    for k in range(min(n, 2 * rho) + 1):
         try:
-            e = count_pure_classes(p, n, r)
-            return ClassCountReport(p, n, rho, r, e, "brute-force", e_used=((n, e),))
+            e = count_pure_classes(p, n - k, r)
         except CapExceededError:
-            if pure_unique_row(p, n, r) is not None:
-                return ClassCountReport(p, n, rho, r, 1, "closed-form",
-                                        e_used=(), flags=("beyond-caps-closed-form",))
-            raise
-    if r == 0:
+            if pure_unique_row(p, n - k, r) is None:
+                raise
+            e = 1
+            flags.append("beyond-caps-closed-form")
+        if e == 0:
+            continue
         try:
-            h = count_unramified_classes(p, n, rho)
-            return ClassCountReport(p, n, rho, r, h, "brute-force", h_used=((n, h),))
+            h = count_unramified_classes(p, k, rho)
         except CapExceededError:
-            h = orbits.witt_kernel_orbit_count(rho, n)
-            return ClassCountReport(p, n, rho, r, h, "formula",
-                                    h_used=((n, h),),
-                                    flags=("beyond-caps-symplectic-orbit-formula",))
-    e_used, h_used, total = [], [], 0
-    flags = [MIXED_SUM_FLAG]
-    for k in range(0, n + 1):
-        h_k = _unramified_ingredient(p, k, rho, flags)
-        j = r - (k + 1)
-        e_j = _pure_ingredient(p, j, r, flags)
-        h_used.append((k, h_k))
-        e_used.append((j, e_j))
-        total += h_k * e_j
-    return ClassCountReport(p, n, rho, r, total, "formula",
-                            e_used=tuple(e_used), h_used=tuple(h_used),
-                            flags=tuple(flags))
-
-
-def _pure_ingredient(p: int, j: int, r: int, flags: list[str]) -> int:
-    """Purely ramified ingredient count, with closed-form fallbacks."""
-    try:
-        return count_pure_classes(p, j, r)
-    except CapExceededError:
-        if pure_unique_row(p, j, r) is not None:
-            flag = "beyond-caps-closed-form"
-            if flag not in flags:
-                flags.append(flag)
-            return 1
-        raise
-
-
-def _unramified_ingredient(p: int, k: int, rho: int, flags: list[str]) -> int:
-    try:
-        return count_unramified_classes(p, k, rho)
-    except CapExceededError:
-        flag = "beyond-caps-symplectic-orbit-formula"
-        if flag not in flags:
-            flags.append(flag)
-        return orbits.witt_kernel_orbit_count(rho, k)
+            h = orbits.witt_kernel_orbit_count(rho, k)
+            flags.append("beyond-caps-symplectic-orbit-formula")
+        e_used.append((n - k, e))
+        h_used.append((k, h))
+        total += h * e
+    flags = tuple(dict.fromkeys(flags))
+    method = ("formula" if "beyond-caps-symplectic-orbit-formula" in flags else
+              "closed-form" if flags else "brute-force")
+    return ClassCountReport(p, n, rho, r, total, method, e_used=tuple(e_used),
+                            h_used=tuple(h_used), flags=flags)
 
 
 # ---------------------------------------------------------------------------

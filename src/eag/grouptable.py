@@ -130,16 +130,13 @@ class GroupTable:
         toks = text.split()
         if not toks:
             raise PreconditionError("empty table file")
-        n = int(toks[0])
-        if len(toks) != 1 + n * n:
+        try:
+            n, *vals = (int(t) for t in toks)
+        except ValueError as exc:
+            raise PreconditionError(f"table file holds a non-integer token: {exc}") from None
+        if len(vals) != n * n:
             raise PreconditionError(f"expected {n * n} entries after the order line")
-        vals = [int(t) for t in toks[1:]]
         return GroupTable([vals[i * n:(i + 1) * n] for i in range(n)])
-
-    @staticmethod
-    def load(path) -> "GroupTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return GroupTable.loads(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ of the two dimensions; that keeps the enumeration small and the packed
 keys within 64 bits (a 5-dimensional kernel in F_5^6 would need 30 base-5
 digits).
 
-Independent canonical-form oracles (minimising over the fully enumerated
-acting group) and the Witt closed form cross-check the engine in the test
-suite.
+Independent canonical-form oracles (each unseen object marks its whole orbit
+under the fully enumerated acting group, with no generators and no graph)
+and the Witt closed form cross-check the engine in the test suite.
 """
 
 from __future__ import annotations
@@ -218,7 +218,8 @@ def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
 
 
 # canonical-form route: enumerate zero-sum spanning multisets of nonzero
-# vectors and minimise the sorted tuple over the fully enumerated GL(k, p).
+# vectors and mark the orbit of each unseen one under the fully enumerated
+# GL(k, p).
 
 CANONICAL_MAX_GROUP = 600
 CANONICAL_MAX_RAW = 200_000
@@ -239,7 +240,7 @@ def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
 
 @lru_cache(maxsize=None)
 def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
-    """Independent count: canonical forms of vector multisets under GL x S_r."""
+    """Independent count: orbits of vector multisets under GL x S_r."""
     if k < 1 or k > r - 1:
         return 0
     if not pure_canonical_feasible(p, k, r):
@@ -249,31 +250,25 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
     decode = [tuple(v) for v in vecs.tolist()]
     add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
-    span_cache: dict[frozenset[int], bool] = {}
-
-    def spans(codes: frozenset[int]) -> bool:
-        got = span_cache.get(codes)
-        if got is None:
-            got = len(fp.rref([decode[c] for c in codes], p)) == k
-            span_cache[codes] = got
-        return got
-
     # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
     # is the code of g applied to the column vector with code c
     group = fp.group_closure(fp.gl_generators(k, p))
     perms = (np.einsum("gij,vj->gvi", group, vecs) % p @ digits).tolist()
-    canon = set()
+    # a multiset not yet seen starts a new orbit; all its images under
+    # GL x S_r (sorting absorbs S_r) are then marked seen
+    seen = set()
+    count = 0
     for multiset in itertools.combinations_with_replacement(range(1, n), r):
+        if multiset in seen:
+            continue
         total = 0
         for c in multiset:
             total = add[total][c]
-        if total != 0:
+        if total != 0 or len(fp.rref([decode[c] for c in set(multiset)], p)) != k:
             continue
-        if not spans(frozenset(multiset)):
-            continue
-        best = min(tuple(sorted(perm[c] for c in multiset)) for perm in perms)
-        canon.add(best)
-    return len(canon)
+        count += 1
+        seen.update(tuple(sorted(perm[c] for c in multiset)) for perm in perms)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +338,7 @@ def kernel_canonical_feasible(p: int, rho: int) -> bool:
 
 @lru_cache(maxsize=None)
 def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
-    """Independent count: minimise subspace keys over the full Sp closure."""
+    """Independent count: orbits marked whole by the full Sp closure."""
     if not kernel_canonical_feasible(p, rho):
         raise CapExceededError(f"canonical Sp count infeasible for (p={p}, rho={rho})")
     if k < 0 or k > 2 * rho:
@@ -353,9 +348,15 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
         return 1
     n = 2 * rho
     group = fp.group_closure(fp.sp_generators(rho, p))
-    canon = set()
-    for rows in _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d):
+    subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
+    # a subspace not yet seen starts a new orbit; its whole orbit is then
+    # marked seen by applying every group element to it
+    seen = set()
+    count = 0
+    for rows, key in zip(subspaces, _pack_keys(subspaces, p).tolist()):
+        if key in seen:
+            continue
+        count += 1
         moved = np.einsum("di,gij->gdj", rows.astype(np.int64), group) % p
-        keys = _pack_keys(batch_rref(moved, p), p)
-        canon.add(int(keys.min()))
-    return len(canon)
+        seen.update(_pack_keys(batch_rref(moved, p), p).tolist())
+    return count

@@ -41,6 +41,10 @@ def _h(p, n, rho):
     return genvec.count_unramified_classes(p, n, rho)
 
 
+def _count(p, n, rho, r):
+    return genvec.count_classes(EAActionSpec(p, n, rho, r)).total
+
+
 def _unique(p, n, rho, r):
     return genvec.is_unique_action(EAActionSpec(p, n, rho, r))
 
@@ -83,14 +87,13 @@ def table1() -> tuple[TableRow, ...]:
 def table2() -> tuple[TableRow, ...]:
     rows = [
         ("1", "(0;p^r)", "n=r-1",
-         f"count(2,4,0,5)={genvec.count_classes(EAActionSpec(2, 4, 0, 5)).total}, "
-         f"unique={_unique(2, 4, 0, 5)}", ""),
+         f"count(2,4,0,5)={_count(2, 4, 0, 5)}, unique={_unique(2, 4, 0, 5)}", ""),
         ("2", "(rho;-)", "n=1", f"h(2,1,rho=2)={_h(2, 1, 2)}, unique={_unique(2, 1, 2, 0)}", ""),
         ("3", "(rho;-)", "n=2*rho", f"h(2,4,rho=2)={_h(2, 4, 2)}, unique={_unique(2, 4, 2, 0)}", ""),
         ("4", "(rho;p^2)", "n=1, rho>=1",
-         f"unique={_unique(3, 1, 1, 2)} (closed form; mixed signature)", ""),
+         f"count(3,1,1,2)={_count(3, 1, 1, 2)}, unique={_unique(3, 1, 1, 2)}", ""),
         ("5", "(rho;p^r)", "n=r+2*rho-1",
-         f"unique={_unique(3, 4, 1, 3)} (closed form; mixed signature)", ""),
+         f"count(3,4,1,3)={_count(3, 4, 1, 3)}, unique={_unique(3, 4, 1, 3)}", ""),
         ("6", "(rho;5^3)", "n=1", f"e(5,1,3)={_e(5, 1, 3)}, unique={_unique(5, 1, 0, 3)}", ""),
         ("7", "(rho;2^r)", "n=1, r even", f"e(2,1,6)={_e(2, 1, 6)}, unique={_unique(2, 1, 0, 6)}", ""),
         ("8", "(rho;3^3)", "n=1",

@@ -1,6 +1,11 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eag import cli, grouptable
 
@@ -63,9 +68,13 @@ def test_count_reports(capsys):
     payload = run_json(["count", "--p", "2", "--n", "1", "--rho", "0", "--r", "1"],
                        capsys)
     assert payload["total"] == 0
-    payload = run_json(["count", "--p", "2", "--n", "2", "--rho", "1", "--r", "5"],
-                       capsys)
-    assert payload["method"] == "formula" and payload["flags"]
+    # mixed signatures are genuine counts that agree with `unique`
+    for argv in (["--p", "2", "--n", "2", "--rho", "1", "--r", "5"],
+                 ["--p", "2", "--n", "1", "--rho", "1", "--r", "4"]):
+        payload = run_json(["count", *argv], capsys)
+        assert payload["total"] == 1 and payload["method"] == "brute-force"
+        assert payload["flags"] == []
+        assert run_json(["unique", *argv], capsys)["unique"] is True
 
 
 def test_count_unramified_includes_adjudication(capsys):
@@ -182,6 +191,26 @@ def test_fermat_non_generic_exit_3(capsys, tmp_path):
     assert "generic" in err
 
 
+def test_malformed_outside_input_exit_codes(capsys, tmp_path):
+    pairs = tmp_path / "scalars.json"
+    pairs.write_text(json.dumps({"C": [[1, 2, 3, 4]]}), encoding="utf-8")
+    table = tmp_path / "word.tab"
+    table.write_text("2\n0 1\n1 x\n", encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    fermat = ["fermat", "--p", "3", "--n", "2"]
+    cases = [
+        (fermat + ["--w=a,1,2"], cli.EXIT_USAGE),
+        (fermat + ["--w=0,1,2", "--pins", "0,1,x"], cli.EXIT_USAGE),
+        (fermat + ["--c-file", missing], cli.EXIT_USAGE),
+        (fermat + ["--c-file", str(pairs)], cli.EXIT_USAGE),
+        (["orbits", "--table", missing, "--sig", "(0;2,2)"], cli.EXIT_USAGE),
+        (["orbits", "--table", str(table), "--sig", "(0;2,2)"], cli.EXIT_PRECONDITION),
+    ]
+    for argv, want in cases:
+        code, _, err = run(argv, capsys)
+        assert code == want, (argv, err)
+
+
 def test_json_output_roundtrips(capsys):
     payload = run_json(["maximal", "--p", "2", "--n", "1", "--rho", "3", "--r", "2"],
                        capsys)
@@ -199,3 +228,101 @@ def test_markdown_and_csv_formats(capsys):
     code, out, _ = run(["unique", "--p", "2", "--n", "2", "--rho", "1", "--r", "5",
                         "--format", "csv"], capsys)
     assert code == 0 and out.splitlines()[0].startswith("command,")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argument vector exits 0-4 and raises nothing
+
+JUNK = ["x", "", "-1", "2.5", "1/0", "nan", "inf", "1j"]
+
+
+def _mostly(true_in=8):
+    """True except one draw in ``true_in`` (shrinks towards True)."""
+    return st.sampled_from([True] * (true_in - 1) + [False])
+
+
+def _or_junk(valid):
+    """Mostly ``valid``; one draw in eight is a malformed token."""
+    return _mostly().flatmap(lambda ok: valid if ok else st.sampled_from(JUNK))
+
+
+SMALL = _or_junk(st.integers(0, 6).map(str))
+RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6).map(str)
+GROUP_NAMES = ["C1", "C2", "C3", "C5", "C12", "D1", "D3", "D6", "S3", "A4", "C2xC2",
+               "C2xC6", "C3xC3", "C2xC2xC2", "Q8", "Cx"]
+SIGNATURE = st.lists(st.integers(1, 12), min_size=1, max_size=6).map(
+    lambda periods: "(0;" + ",".join(map(str, periods)) + ")")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "c3.tab": grouptable.cyclic(3).dumps(),
+        "word.tab": "3\n0 1 2\n1 2 x\n2 0 1\n",
+        "short.tab": "3\n0 1 2\n",
+        "line.json": json.dumps({"C": [[[1, 0], [1, 0], [1, 0], [1, 0]],
+                                       [[0, 0], [1, 0], [2, 0], [5, 0]]]}),
+        "scalars.json": json.dumps({"C": [[1, 2, 3, 4]]}),
+        "nan.json": '{"C": [[[NaN, 0], [1, 0], [2, 0]]]}',
+        "broken.json": "{",
+        "list.json": "[1, 2]",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return [str(root / name) for name in files] + [str(root / "missing"), str(root)]
+
+
+def _argv(paths):
+    fmt = [("--format", _or_junk(st.sampled_from(["json", "markdown", "csv"])))]
+    path = st.sampled_from(paths)
+    spec = [("--p", SMALL), ("--n", SMALL), ("--rho", SMALL), ("--r", SMALL)]
+
+    def options(draw, command):
+        if command in ("unique", "count", "maximal"):
+            return spec + fmt + ([("--search", None)] if command == "maximal" else [])
+        if command == "orbits":
+            group = (("--group", _or_junk(st.sampled_from(GROUP_NAMES)))
+                     if draw(_mostly(4)) else ("--table", path))
+            return [group, ("--sig", _or_junk(SIGNATURE))] + fmt
+        if command == "tables":
+            return [("--which", _or_junk(st.integers(1, 4).map(str))),
+                    ("--write-golden", st.just(paths[-1]))] + fmt
+        if command == "fermat":
+            n = draw(st.integers(1, 6))
+            w = st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True)
+            line = (("--w", _or_junk(w.map(",".join))) if draw(_mostly(4)) else
+                    ("--c-file", path))
+            return [("--p", SMALL), ("--n", st.just(str(n))), line,
+                    ("--pins", _or_junk(st.lists(RATIONAL, min_size=3, max_size=3)
+                                        .map(",".join))),
+                    ("--samples", SMALL), ("--seed", SMALL)] + fmt
+        return []
+
+    @st.composite
+    def build(draw):
+        command = draw(st.sampled_from(
+            ["unique", "count", "maximal", "orbits", "tables", "fermat", "bogus"]))
+        argv = [command]
+        for opt, values in options(draw, command):
+            if not draw(_mostly(12)):
+                continue
+            argv.append(opt if values is None else f"{opt}={draw(values)}")
+        if not draw(_mostly(12)):
+            argv.insert(draw(st.integers(0, len(argv))),
+                        draw(st.sampled_from(["--p", "-x", "extra", "--n=1"])))
+        return argv
+
+    return build()
+
+
+def test_cli_fuzz_exit_codes(fuzz_files):
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv(fuzz_files))
+    def check(argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in range(5), (argv, code)
+
+    check()

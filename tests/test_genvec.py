@@ -1,15 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from eag import genvec
+from eag import fp, genvec, orbits
 from eag.errors import CapExceededError, OutOfDomainError, PreconditionError
 from eag.fp import FpMatrix, FpVector
 from eag.genvec import (GeneratingVector, build_inequivalent_pair, count_classes,
                         count_pure_classes, count_unramified_classes,
                         is_unique_action, make_vector, multiset_character,
                         unique_action_rules, unramified_adjudication, validate)
-from eag.surfaces import EAActionSpec
+from eag.surfaces import EAActionSpec, ea_genus
 
 
 def test_validate_examples():
@@ -121,23 +122,119 @@ def test_count_classes_unramified_full_rank():
     assert report.total == 1 and report.method == "brute-force"
 
 
-def test_count_classes_mixed_is_flagged():
+def test_count_classes_mixed_is_exact():
+    # (1; 2^5) at rank 2: h(2,0,1) e(2,2,5) + h(2,1,1) e(2,1,5) + h(2,2,1) e(2,0,5)
+    # = 1*1 + 1*0 + 1*0, one genuine class, as the closed form says
     report = count_classes(EAActionSpec(2, 2, 1, 5))
-    assert report.method == "formula"
-    assert any("printed" in f or "sum" in f for f in report.flags)
-    # the classical combination evaluates to 3 here even though the closed
-    # form says unique: exactly why the flag exists
-    assert report.total == 3
+    assert report.total == 1
+    assert report.method == "brute-force" and report.flags == ()
+    assert report.e_used == ((2, 1),) and report.h_used == ((0, 1),)
     assert is_unique_action(EAActionSpec(2, 2, 1, 5))
 
 
 def test_count_classes_mixed_ingredient_beyond_rank_cap():
-    # the k = 0 term needs the maximal-rank ingredient e_(r-1), which sits
-    # outside the brute-force box but is closed-form (always one class)
-    report = count_classes(EAActionSpec(3, 1, 1, 6))
-    assert report.total == 6
-    assert (5, 1) in report.e_used and (4, 5) in report.e_used
-    assert "beyond-caps-closed-form" in report.flags
+    assert count_classes(EAActionSpec(3, 1, 1, 6)).total == 2
+    # only the k = 2 term is nonzero, and its e(3,8,9) is the maximal-rank
+    # ingredient: outside the brute-force box but closed-form (one class)
+    report = count_classes(EAActionSpec(3, 10, 1, 9))
+    assert report.total == 1
+    assert report.e_used == ((8, 1),) and report.h_used == ((2, 1),)
+    assert report.flags == ("beyond-caps-closed-form",)
+    assert report.method == "closed-form"
+
+
+def test_count_classes_pure_and_unramified_payloads():
+    report = count_classes(EAActionSpec(3, 1, 0, 6))
+    assert (report.total, report.method, report.flags) == (2, "brute-force", ())
+    report = count_classes(EAActionSpec(3, 6, 0, 7))
+    assert (report.total, report.method, report.flags) == (
+        1, "closed-form", ("beyond-caps-closed-form",))
+    report = count_classes(EAActionSpec(2, 3, 2, 0))
+    assert (report.total, report.method, report.flags) == (1, "brute-force", ())
+    report = count_classes(EAActionSpec(7, 2, 2, 0))
+    assert (report.total, report.method, report.flags) == (
+        2, "formula", ("beyond-caps-symplectic-orbit-formula",))
+    with pytest.raises(CapExceededError):
+        count_classes(EAActionSpec(5, 3, 0, 9))
+
+
+def _mixed_orbit_count(p, n, rho, r):
+    """Direct enumeration: orbits of admissible n-dimensional row spaces of
+    F_p^{2 rho} + Z_r under Sp on the handle columns, adjacent swaps of the
+    period columns and the point-push shear a_1 -> a_1 + c_1."""
+    h = 2 * rho
+    W = np.zeros((h + r - 1, h + r), dtype=np.int64)
+    W[:h, :h] = np.eye(h, dtype=np.int64)
+    W[h:, h:] = orbits._zero_sum_hyperplane_basis(p, r)
+    M = orbits._enumerate_subspaces(p, W, n)
+    M = M[(M[:, :, h:] != 0).any(axis=1).all(axis=1)]
+    if len(M) == 0:
+        return 0
+
+    def sp(g):
+        def move(batch):
+            S = batch.astype(np.int64)
+            S[:, :, :h] = (S[:, :, :h] @ g) % p
+            return S
+        return move
+
+    def swap(c):
+        def move(batch):
+            S = batch.copy()
+            S[:, :, [c, c + 1]] = S[:, :, [c + 1, c]]
+            return S
+        return move
+
+    def shear(batch):
+        S = batch.astype(np.int64)
+        S[:, :, 0] = (S[:, :, 0] + S[:, :, h]) % p
+        return S
+
+    def keys(batch):
+        # whole RREF rows as byte strings: n * (2 rho + r) base-p digits
+        # outgrow the 63-bit packed keys
+        R = np.ascontiguousarray(orbits.batch_rref(batch, p).reshape(len(batch), -1))
+        return R.view(np.dtype((np.void, R.shape[1])))[:, 0]
+
+    moves = [sp(np.array(g.rows, dtype=np.int64)) for g in fp.sp_generators(rho, p)]
+    moves += [swap(c) for c in range(h, h + r - 1)] + [shear]
+    return orbits.orbit_components(keys(M), (keys(move(M)) for move in moves))[0]
+
+
+MIXED_BOX = [(p, n, rho, r) for p in (2, 3, 5) for rho in (1, 2) for r in range(2, 7)
+             for n in range(1, 2 * rho + r)]
+
+
+def test_count_classes_matches_direct_enumeration():
+    ran = 0
+    for p, n, rho, r in MIXED_BOX:
+        if orbits.gaussian_binomial(2 * rho + r - 1, n, p) > 20_000:
+            continue
+        want = _mixed_orbit_count(p, n, rho, r)
+        assert count_classes(EAActionSpec(p, n, rho, r)).total == want, (p, n, rho, r)
+        ran += 1
+    assert ran == 117
+
+
+#: unique counts without a closed-form row: (rho; p^2) with n in {2, 2 rho}
+#: and (rho; 2^3) with n in {2, 3, 2 rho + 1}
+UNIQUE_WITHOUT_ROW = {
+    (p, n, rho, 2) for p in (2, 3, 5) for rho in (1, 2) for n in {2, 2 * rho}
+} | {(2, n, rho, 3) for rho in (1, 2) for n in {2, 3, 2 * rho + 1}}
+
+
+def test_count_classes_agrees_with_is_unique_action():
+    exceptions, ran = set(), 0
+    for p, n, rho, r in MIXED_BOX:
+        spec = EAActionSpec(p, n, rho, r)
+        genus = ea_genus(spec)
+        if genus.denominator != 1 or genus < 2:
+            continue
+        ran += 1
+        if (count_classes(spec).total == 1) != is_unique_action(spec):
+            exceptions.add((p, n, rho, r))
+    assert ran == 176
+    assert exceptions == UNIQUE_WITHOUT_ROW
 
 
 def test_is_unique_action_examples():

@@ -311,9 +311,11 @@ def test_table_file_roundtrip(tmp_path):
     g = gt.dihedral(5)
     path = tmp_path / "d5.tab"
     path.write_text(g.dumps(), encoding="utf-8")
-    back = gt.GroupTable.load(path)
+    back = gt.GroupTable.loads(path.read_text(encoding="utf-8"))
     assert back.table == g.table
     with pytest.raises(PreconditionError):
         gt.GroupTable.loads("3\n0 1 2\n1 2 0\n")   # wrong entry count
+    with pytest.raises(PreconditionError):
+        gt.GroupTable.loads("2\n0 1\n1 x\n")       # non-integer token
     with pytest.raises(PreconditionError):
         gt.GroupTable.loads("2\n0 1\n1 1\n")       # not a latin square
