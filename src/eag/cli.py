@@ -210,13 +210,10 @@ def cmd_fermat(args, out) -> int:
         default_pins = (0, 1, "inf")
     if line.n != args.n:
         raise UsageError(f"line matrix has ambient dimension {line.n}, not {args.n}")
-    if not hyperfermat.is_generic_line(line):
-        raise PreconditionError("the line is not generic "
-                                "(some two-column deletion of C is singular)")
+    spec = hyperfermat.HyperFermatSpec(args.p, args.n, line)
     pins = tuple(_parse_scalar_list(args.pins)) if args.pins else default_pins
     if len(pins) != 3:
         raise UsageError("--pins needs exactly three values")
-    spec = hyperfermat.HyperFermatSpec(args.p, args.n, line)
     branch = hyperfermat.branch_points(line, pins)
     residue_checks = []
     if args.w:

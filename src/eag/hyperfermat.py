@@ -93,60 +93,88 @@ def vandermonde_line(w) -> LineMatrix:
     return LineMatrix(tuple(rows), exact)
 
 
-def _det(rows, exact: bool, tol: float):
-    """Determinant by elimination; returns (value, hadamard_scale)."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    scale = 1.0
-    for row in m:
-        norm = sum(abs(complex(x)) ** 2 for x in row) ** 0.5
-        scale *= max(norm, 1e-300)
-    det = exactify(1) if exact else complex(1)
-    sign = 1
-    for c in range(size):
-        piv = None
+def _kernel_basis(line: LineMatrix, tol: float):
+    """Reduce C once: a kernel basis (A, B) and the determinant of C's pivot block.
+
+    Gauss-Jordan elimination picks the first nonzero pivot (exact) or the
+    largest one above tol times the largest entry (floating).  On the two
+    free columns A is (1, 0) and B is (0, 1); the basis is None when C has
+    rank below n - 1.  The determinant is the product of the pivots with
+    the sign of the row swaps.
+    """
+    n, exact = line.n, line.exact
+    zero, one = (exactify(0), exactify(1)) if exact else (complex(0), complex(1))
+    m = [list(r) for r in line.rows]
+    floor = 0.0 if exact else tol * max(abs(x) for r in m for x in r)
+    det = one
+    pivots = []
+    for c in range(n + 1):
+        top = len(pivots)
+        if top == n - 1:
+            break
         if exact:
-            for i in range(c, size):
-                if not m[i][c].is_zero():
-                    piv = i
-                    break
+            piv = next((i for i in range(top, n - 1) if not m[i][c].is_zero()), None)
         else:
-            mags = [(abs(m[i][c]), i) for i in range(c, size)]
-            best = max(mags)
-            if best[0] > 0:
-                piv = best[1]
+            piv = max(range(top, n - 1), key=lambda i: abs(m[i][c]))
+            if abs(m[piv][c]) <= floor:
+                piv = None
         if piv is None:
-            return (exactify(0) if exact else complex(0)), scale
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        det = det * m[c][c]
-        invp = 1 / m[c][c]
-        for i in range(c + 1, size):
-            f = m[i][c] * invp
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det * sign, scale
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            det = -det
+        det = det * m[top][c]
+        inv = 1 / m[top][c]
+        m[top] = [x * inv for x in m[top]]
+        for i in range(n - 1):
+            f = m[i][c]
+            if i != top and not scalar_is_zero(f, 0.0):
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(c)
+    if len(pivots) < n - 1:
+        return None, det
+    basis = []
+    for free in (c for c in range(n + 1) if c not in pivots):
+        v = [zero] * (n + 1)
+        v[free] = one
+        for row, c in zip(m, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return tuple(basis), det
+
+
+def _plucker_rows(line: LineMatrix, tol: float):
+    """The rows Q_i = A_i B - B_i A of the kernel basis, or None if T is not generic.
+
+    Q_i(j) = A_i B_j - A_j B_i is the Pluecker coordinate p_ij of T, and
+    det(C_pivots) p_ij is, up to sign, the minor of C with columns i and j
+    deleted.  Each minor is tested against the Hadamard bound of that
+    deletion: the product of C's row norms over the kept columns.
+    """
+    basis, det = _kernel_basis(line, tol)
+    if basis is None:
+        return None
+    a, b = basis
+    q = [[a[i] * y - b[i] * x for x, y in zip(a, b)] for i in range(line.n + 1)]
+    for i, j in itertools.combinations(range(line.n + 1), 2):
+        scale = 1.0
+        if not line.exact:
+            for row in line.rows:
+                norm = sum(abs(x) ** 2 for k, x in enumerate(row) if k not in (i, j))
+                scale *= max(norm ** 0.5, 1e-300)
+        if scalar_is_zero(det * q[i][j], tol, scale):
+            return None
+    return q
 
 
 def is_generic_line(line: LineMatrix, tol: float = DEFAULT_TOL) -> bool:
     """True iff every two-column deletion of C leaves an invertible matrix.
 
     Equivalently, the line misses all pairwise intersections of coordinate
-    hyperplanes and lies in none of them.
+    hyperplanes and lies in none of them: every Pluecker coordinate of T is
+    nonzero.
     """
-    n = line.n
-    if n == 2:
-        # a single 1 x 3 row: the three 1 x 1 minors are its entries
-        return all(not scalar_is_zero(x, tol, max(abs(complex(y))
-                                                  for y in line.rows[0]))
-                   for x in line.rows[0])
-    for drop in itertools.combinations(range(n + 1), 2):
-        sub = [[row[j] for j in range(n + 1) if j not in drop]
-               for row in line.rows]
-        det, scale = _det(sub, line.exact, tol)
-        if scalar_is_zero(det, tol, scale):
-            return False
-    return True
+    return _plucker_rows(line, tol) is not None
 
 
 def hyper_fermat_genus(p: int, n: int) -> Fraction:
@@ -168,79 +196,18 @@ def hyper_fermat_genus(p: int, n: int) -> Fraction:
 def intersection_points(line: LineMatrix, tol: float = DEFAULT_TOL) -> list[list]:
     """For each i, the point Q_i spanning T meet {x_i = 0}.
 
-    Q_i solves C Q = 0 with i-th coordinate zero; genericity makes it unique
-    up to scale and keeps every other coordinate nonzero.  Scale is fixed by
-    setting the first nonzero coordinate to 1.
+    Q_i = A_i B - B_i A for a kernel basis (A, B) of C; genericity keeps
+    every coordinate but the i-th nonzero.  Scale is fixed by setting the
+    first nonzero coordinate to 1.
     """
-    if not is_generic_line(line, tol):
+    q = _plucker_rows(line, tol)
+    if q is None:
         raise PreconditionError("line is not generic")
-    n = line.n
     out = []
-    for i in range(n + 1):
-        cols = [j for j in range(n + 1) if j != i]
-        rows = [[row[j] for j in cols] for row in line.rows]
-        sol = _nullspace_vector(rows, line.exact, tol)
-        q = [None] * (n + 1)
-        q[i] = exactify(0) if line.exact else complex(0)
-        for idx, j in enumerate(cols):
-            q[j] = sol[idx]
-        first = next(j for j in range(n + 1)
-                     if not scalar_is_zero(q[j], tol, _vec_scale(q)))
-        inv = 1 / q[first]
-        q = [x * inv for x in q]
-        for j in range(n + 1):
-            if j != i and scalar_is_zero(q[j], tol, _vec_scale(q)):
-                raise PreconditionError(
-                    f"intersection point {i} has an unexpected zero coordinate {j}")
-        out.append(q)
+    for i, row in enumerate(q):
+        inv = 1 / row[1 if i == 0 else 0]
+        out.append([x * inv for x in row])
     return out
-
-
-def _vec_scale(vec) -> float:
-    return max((abs(complex(x)) for x in vec if x is not None), default=1.0)
-
-
-def _nullspace_vector(rows, exact: bool, tol: float):
-    """One nonzero kernel vector of a k x (k+1) system of full row rank."""
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    assert ncols == nrows + 1
-    scale = max((abs(complex(x)) for r in m for x in r), default=1.0)
-    pivots = []
-    prow = 0
-    for c in range(ncols):
-        piv = None
-        if exact:
-            for i in range(prow, nrows):
-                if not m[i][c].is_zero():
-                    piv = i
-                    break
-        else:
-            mags = [(abs(m[i][c]), i) for i in range(prow, nrows)]
-            if mags:
-                best = max(mags)
-                if best[0] > tol * max(scale, 1e-300):
-                    piv = best[1]
-        if piv is None:
-            continue
-        m[prow], m[piv] = m[piv], m[prow]
-        invp = 1 / m[prow][c]
-        m[prow] = [a * invp for a in m[prow]]
-        for i in range(nrows):
-            if i != prow:
-                f = m[i][c]
-                if not scalar_is_zero(f, 0.0 if exact else 1e-300, 1.0):
-                    m[i] = [a - f * b for a, b in zip(m[i], m[prow])]
-        pivots.append(c)
-        prow += 1
-    if prow != nrows:
-        raise PreconditionError("system is rank deficient; line is not generic")
-    free = next(c for c in range(ncols) if c not in pivots)
-    sol = [exactify(0) if exact else complex(0)] * ncols
-    sol[free] = exactify(1) if exact else complex(1)
-    for rowi, c in enumerate(pivots):
-        sol[c] = -m[rowi][free]
-    return sol
 
 
 def as_proj_point(x, exact: bool) -> ProjPoint:
@@ -393,7 +360,8 @@ class HyperFermatSpec:
             raise PreconditionError(
                 f"line matrix is for ambient dimension {self.line.n}, not {self.n}")
         if not is_generic_line(self.line):
-            raise PreconditionError("line is not generic")
+            raise PreconditionError(
+                "line is not generic (some two-column deletion of C is singular)")
 
     @property
     def genus(self) -> Fraction:

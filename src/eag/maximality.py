@@ -82,14 +82,18 @@ def frobenius_representable(p: int, rho: int) -> tuple[int, int] | None:
         raise PreconditionError("the representability criterion applies to odd p")
     if rho < 2:
         raise PreconditionError("rho must be >= 2")
+    return next(_frobenius_pairs(p, rho), None)
+
+
+def _frobenius_pairs(p: int, rho: int):
+    """Every pair (a, b) with rho = a p + b (p-1)/2 + 1, a >= -1, b >= 0, by rising a."""
     half = (p - 1) // 2
     a = -1
     while a * p <= rho - 1:
         rem = rho - 1 - a * p
         if rem >= 0 and rem % half == 0:
-            return (a, rem // half)
+            yield a, rem // half
         a += 1
-    return None
 
 
 def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector,
@@ -129,16 +133,10 @@ def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
 def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | None:
     p, rho = spec.p, spec.rho
     x, y = _units(p, 2)
-    a = -1
-    half = (p - 1) // 2
-    while a * p <= rho - 1:
-        rem = rho - 1 - a * p
-        if rem >= 0 and rem % half == 0:
-            tau, k = a + 1, rem // half
-            found = _try_unramified_extension(spec, tau, k, x, y)
-            if found is not None:
-                return found
-        a += 1
+    for a, b in _frobenius_pairs(p, rho):
+        found = _try_unramified_extension(spec, a + 1, b, x, y)
+        if found is not None:
+            return found
     return None
 
 

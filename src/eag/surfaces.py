@@ -144,8 +144,8 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
     rho - 1 = (|N|/|A|)(tau - 1) + (|N| / 2|A|) * l * (1 - 1/p).
     """
     p = n_spec.p
-    basis_rows = [v.coords for v in subgroup_basis]
-    a_rank = len(rref(basis_rows, p))
+    reduced = rref([v.coords for v in subgroup_basis], p)
+    a_rank = len(reduced)
     if a_rank != len(subgroup_basis):
         raise PreconditionError("subgroup basis is not independent")
     if a_rank > n_spec.n:
@@ -153,7 +153,8 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
     if not validate_vector_for(n_spec, gen_vec):
         raise PreconditionError("generating vector is not valid for the overgroup")
     index = p ** (n_spec.n - a_rank)
-    m = sum(1 for c in gen_vec.elliptic if _in_span(c, basis_rows, p))
+    m = sum(1 for c in gen_vec.elliptic
+            if len(rref(list(reduced) + [c.coords], p)) == a_rank)
     l = n_spec.r - m
     rho_minus_1 = (index * (n_spec.rho - 1)
                    + Fraction(index, 2) * l * (1 - Fraction(1, p)))
@@ -162,14 +163,6 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
         raise PreconditionError(
             f"inconsistent input: subgroup orbit genus comes out as {rho}")
     return Signature(int(rho), (p,) * (index * m))
-
-
-def _in_span(v: FpVector, basis_rows, p: int) -> bool:
-    if not basis_rows:
-        return v.is_zero()
-    before = rref(basis_rows, p)
-    after = rref(list(basis_rows) + [v.coords], p)
-    return len(after) == len(before)
 
 
 def validate_vector_for(n_spec: EAActionSpec, gen_vec) -> bool:

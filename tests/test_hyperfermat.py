@@ -40,6 +40,25 @@ def test_vandermonde_line_shapes():
         hf.vandermonde_line([0, 1, 1, 3])
 
 
+def _leibniz_det(rows):
+    """Determinant as the signed sum over permutations (small sizes only)."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def _deletions(rows):
+    """(kept columns, square submatrix) for every two-column deletion of C."""
+    width = len(rows[0])
+    for drop in itertools.combinations(range(width), 2):
+        keep = [j for j in range(width) if j not in drop]
+        yield keep, [[row[j] for j in keep] for row in rows]
+
+
 def test_vandermonde_always_generic_with_det_oracle():
     rng = random.Random(13)
     for n in (2, 3, 4, 5, 6):
@@ -48,20 +67,70 @@ def test_vandermonde_always_generic_with_det_oracle():
         assert hf.is_generic_line(line)
         # oracle: every two-column deletion is a square Vandermonde matrix,
         # whose determinant is the product of the differences
-        for drop in itertools.combinations(range(n + 1), 2):
-            keep = [j for j in range(n + 1) if j not in drop]
-            sub = [[line.rows[i][j] for j in keep] for i in range(n - 1)]
-            det, _ = hf._det(sub, True, DEFAULT_TOL)
+        for keep, sub in _deletions(line.rows):
             want = GaussianRational.of(1)
             for a, b in itertools.combinations(keep, 2):
                 want = want * GaussianRational.of(w[b] - w[a])
-            assert det == want
+            assert _leibniz_det(sub) == want
+
+
+def test_is_generic_line_matches_minor_oracle_exact():
+    # entries in {-1, 0, 1} make vanishing minors, and so non-generic lines,
+    # common; rank-deficient matrices turn up too
+    rng = random.Random(17)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-1, 1) for _ in range(n + 1)] for _ in range(n - 1)]
+        want = all(_leibniz_det(sub) != 0 for _, sub in _deletions(rows))
+        assert hf.is_generic_line(hf.LineMatrix.of(rows)) == want, rows
+        verdicts.append(want)
+    assert 30 < sum(verdicts) < 270
+
+
+def test_is_generic_line_matches_minor_oracle_float():
+    # a minor counts as zero below tol times the Hadamard bound of its
+    # deletion: the product of C's row norms over the kept columns; the
+    # scaling puts rounding-size minors of large matrices above tol itself
+    rng = np.random.default_rng(19)
+    verdicts = []
+    for trial in range(200):
+        n = int(rng.integers(2, 6))
+        c = rng.normal(size=(n - 1, n + 1)) + 1j * rng.normal(size=(n - 1, n + 1))
+        kind = trial % 4
+        if kind == 1:
+            c[:, rng.integers(n + 1)] = 0
+        elif kind == 2:
+            i, j = rng.choice(n + 1, size=2, replace=False)
+            c[:, j] = 0.3 * c[:, i]
+        elif kind == 3:
+            c = rng.integers(-1, 2, size=(n - 1, n + 1)) + 0.5 * np.eye(n - 1, n + 1)
+        c = c * 10.0 ** (3 * (trial % 3))
+        want = all(
+            abs(np.linalg.det(np.array(sub))) >
+            DEFAULT_TOL * max(np.prod(np.linalg.norm(np.array(sub), axis=1)), 1.0)
+            for _, sub in _deletions(c.tolist()))
+        assert hf.is_generic_line(hf.LineMatrix.of(c.tolist())) == want, c
+        verdicts.append(want)
+    assert 40 < sum(verdicts) < 160
 
 
 def test_is_generic_line_examples():
     assert hf.is_generic_line(hf.LineMatrix.of([[1, 1, 1]]))
     assert not hf.is_generic_line(hf.LineMatrix.of([[1, 1, 0]]))
     assert not hf.is_generic_line(hf.LineMatrix.of([[1, 1, 1, 1], [0, 0, 1, 1]]))
+    # a near-singular floating row: its last 1 x 1 minor is at rounding scale
+    assert not hf.is_generic_line(hf.LineMatrix.of([[1.0, 1.0, 1e-12]]))
+
+
+def test_rank_deficient_line_is_not_generic():
+    for rows in ([[1, 2, 3, 4], [1, 2, 3, 4]],
+                 [[1.5, 2, 3, 4], [1.5, 2, 3, 4]],
+                 [[1, 2, 3, 4, 5], [2, 3, 5, 7, 11], [1, 2, 3, 4, 5]]):
+        line = hf.LineMatrix.of(rows)
+        assert not hf.is_generic_line(line)
+        with pytest.raises(PreconditionError):
+            hf.intersection_points(line)
 
 
 def test_hyper_fermat_genus_values():
