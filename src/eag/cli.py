@@ -14,6 +14,7 @@ import cmath
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import genvec, grouptable, hyperfermat, maximality, tables
@@ -282,10 +283,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    # argparse keeps no state between parses, so one parser serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -107,28 +107,41 @@ def _zero_sum_hyperplane_basis(p: int, r: int) -> np.ndarray:
     return B
 
 
+#: most rows of unreduced bases that ``_subspace_blocks`` builds at once
+SUBSPACE_BLOCK = 1024
+
+
+def _subspace_blocks(p: int, W: np.ndarray, k: int):
+    """Unreduced ambient bases of all k-subspaces of the row space of ``W``.
+
+    ``W`` (shape (d, n)) must have independent rows.  Yields int64 arrays of
+    shape (B, k, n) with B <= SUBSPACE_BLOCK, one subspace per row: the RREF
+    coordinates of each k-subspace of F_p^d, by pivot pattern, times ``W``.
+    """
+    d = W.shape[0]
+    for pivots in itertools.combinations(range(d), k):
+        free = [(i, j) for i in range(k) for j in range(d)
+                if j > pivots[i] and j not in pivots]
+        base = np.zeros((k, d), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            base[i, c] = 1
+        total = p ** len(free)
+        for start in range(0, total, SUBSPACE_BLOCK):
+            vals = np.arange(start, min(start + SUBSPACE_BLOCK, total), dtype=np.int64)
+            mats = np.broadcast_to(base, (len(vals), k, d)).copy()
+            for i, j in free:
+                mats[:, i, j] = vals % p
+                vals //= p
+            yield np.einsum("bkd,dr->bkr", mats, W) % p
+
+
 def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
     """Ambient RREFs of all k-subspaces of the row space of ``W``.
 
     ``W`` (shape (d, n)) must have independent rows; the result has shape
     (gaussian_binomial(d, k, p), k, n).
     """
-    d = W.shape[0]
-    chunks = []
-    for pivots in itertools.combinations(range(d), k):
-        free = [(i, j) for i in range(k) for j in range(d)
-                if j > pivots[i] and j not in pivots]
-        total = p ** len(free)
-        base = np.zeros((k, d), dtype=np.uint8)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        mats = np.broadcast_to(base, (total, k, d)).copy()
-        vals = np.arange(total, dtype=np.int64)
-        for idx, (i, j) in enumerate(free):
-            mats[:, i, j] = (vals // p ** idx) % p
-        amb = np.einsum("bkd,dr->bkr", mats.astype(np.int64), W) % p
-        chunks.append(batch_rref(amb, p))
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([batch_rref(block, p) for block in _subspace_blocks(p, W, k)])
 
 
 def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:

@@ -54,12 +54,10 @@ def _maximal_check(p, n, rho, r) -> str:
     verdict = maximality.is_maximal(spec)
     search = maximality.search_extension_witness(spec)
     tag = "maximal" if verdict.maximal else "non-maximal"
-    # a non-maximal verdict needs a witness search that found (or capped),
-    # except in the corner where no witness can exist
-    if verdict.maximal or verdict.rule == maximality.FROBENIUS_CORNER_RULE:
-        agree = search.status == "none"
-    else:
-        agree = search.status in ("found", "capped")
+    # a maximal verdict pairs with an empty search, a non-maximal one with a
+    # found witness, except in the corner where no witness can exist
+    empty = verdict.maximal or verdict.rule == maximality.FROBENIUS_CORNER_RULE
+    agree = search.status == ("none" if empty else "found")
     extra = f"; search={search.status}"
     inst = f"(p={p},n={n},rho={rho},r={r})"
     return f"{inst}: {tag}{extra}{'' if agree else ' DISAGREES'}"

@@ -26,6 +26,28 @@ def run_json(argv, capsys):
     return payload
 
 
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    spec = ["--p", "2", "--n", "1", "--rho", "1", "--r", "4"]
+    calls = [
+        ["unique"] + spec,
+        ["count"] + spec + ["--format", "markdown"],
+        ["maximal"] + spec + ["--search", "--format", "csv"],
+        ["count", "--p", "2", "--format", "xml"],
+        ["orbits", "--group", "C10", "--sig", "(0;2,5,10)"],
+        ["unique", "--p", "2", "--n", "2", "--rho", "1", "--r", "5", "--format", "csv"],
+        ["tables", "--which", "1", "--format", "csv"],
+        ["fermat", "--p", "3", "--n", "2", "--w", "0,1,2", "--samples", "3"],
+        ["maximal"] + spec,
+    ]
+    cli._parser.cache_clear()
+    shared = [run(argv, capsys) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(argv, capsys) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, cli.EXIT_USAGE, 0, 0, 0, 0, 0]
+
+
 def test_unique_accepts_unique_row(capsys):
     payload = run_json(["unique", "--p", "2", "--n", "2", "--rho", "1", "--r", "5"],
                        capsys)

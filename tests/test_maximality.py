@@ -3,7 +3,7 @@ import pytest
 from eag import maximality as mx
 from eag.errors import PreconditionError
 from eag.genvec import is_unique_action, validate
-from eag.surfaces import EAActionSpec, ea_genus, subgroup_signature
+from eag.surfaces import EAActionSpec, Signature, ea_genus, subgroup_signature
 
 
 def _verify_witness(spec, witness):
@@ -120,6 +120,14 @@ def test_search_agrees_with_closed_form():
             _verify_witness(spec, outcome.witness)
 
 
+def test_search_raises_when_an_admissible_row_space_fails_the_round_trip(monkeypatch):
+    # every admissible row space is a witness; a failed round trip is a bug
+    # the search must report, not a candidate to skip
+    monkeypatch.setattr(mx, "subgroup_signature", lambda *args: Signature(0, ()))
+    with pytest.raises(AssertionError, match="round-trip"):
+        mx.search_extension_witness(EAActionSpec(2, 1, 3, 2))
+
+
 def test_search_witness_differs_but_roundtrips():
     # the search may settle on a different overgroup signature than the
     # construction; both must round-trip
@@ -166,7 +174,27 @@ def test_dispatch_covers_every_unique_action():
                             assert "no witness" in verdict.rule, spec
                         else:
                             _verify_witness(spec, verdict.witness)
+                    # the independent search finds nothing exactly when the
+                    # verdict is maximal or falls in the Frobenius corner
+                    outcome = mx.search_extension_witness(spec)
+                    corner = verdict.rule == mx.FROBENIUS_CORNER_RULE
+                    assert (outcome.status == "none") == (verdict.maximal or corner), spec
+                    if outcome.status == "found":
+                        _verify_witness(spec, outcome.witness)
     assert checked >= 400
+
+
+def test_search_finds_the_large_p2_extensions():
+    # (rho;-) with n in {2 rho - 1, 2 rho} and (rho;2^2) with n = 2 rho + 1:
+    # one overgroup signature each, with up to 3.7e80 elliptic multisets
+    specs = [EAActionSpec(2, n, rho, 0) for rho in range(3, 9)
+             for n in (2 * rho - 1, 2 * rho)]
+    specs += [EAActionSpec(2, 2 * rho + 1, rho, 2) for rho in range(2, 9)]
+    assert len(specs) == 19
+    for spec in specs:
+        outcome = mx.search_extension_witness(spec)
+        assert outcome.status == "found", spec
+        _verify_witness(spec, outcome.witness)
 
 
 def test_verdict_json_roundtrip():

@@ -24,7 +24,9 @@ def test_batch_rref_matches_exact_rref():
             assert got_rows == want
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 4, 1), (3, 4, 3), (5, 3, 2), (2, 6, 0)])
+# (2, 12, 1): the pivot pattern (0,) alone holds 2^11 subspaces, two blocks
+@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 4, 1), (3, 4, 3), (5, 3, 2), (2, 6, 0),
+                                   (2, 12, 1)])
 @pytest.mark.parametrize("basis", ["identity", "zero-sum"])
 def test_enumerate_subspaces(p, n, k, basis):
     if basis == "identity":
@@ -33,6 +35,7 @@ def test_enumerate_subspaces(p, n, k, basis):
         W = orbits._zero_sum_hyperplane_basis(p, n + 1)
     M = orbits._enumerate_subspaces(p, W, k)
     assert M.shape == (orbits.gaussian_binomial(n, k, p), k, W.shape[1])
+    assert max(len(b) for b in orbits._subspace_blocks(p, W, k)) <= orbits.SUBSPACE_BLOCK
     assert (orbits.batch_rref(M, p) == M).all()
     keys = fp._pack_keys(M, p)
     assert len(np.unique(keys)) == len(keys)

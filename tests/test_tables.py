@@ -9,7 +9,7 @@ def _search_returns(monkeypatch, status):
                         lambda spec: SearchOutcome(status, None, ()))
 
 
-@pytest.mark.parametrize("status", ["found", "capped"])
+@pytest.mark.parametrize("status", ["found"])
 def test_maximal_check_accepts_non_maximal_with_witness_search(monkeypatch, status):
     _search_returns(monkeypatch, status)
     assert "DISAGREES" not in tables._maximal_check(2, 1, 1, 4)
