@@ -15,28 +15,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import orbits
 from .errors import CapExceededError, OutOfDomainError, PreconditionError
-from .fp import FpVector, check_prime
+from .fp import check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Images of the canonical generators in C_p^n (coordinates over F_p)."""
+    """Images of the canonical generators in C_p^n.
+
+    Each image is a tuple of n ints in [0, p); the constructor accepts any
+    integer sequences (numpy rows included) and reduces them mod p.
+    """
 
     p: int
     n: int
-    hyperbolic: tuple[tuple[FpVector, FpVector], ...]
-    elliptic: tuple[FpVector, ...]
+    hyperbolic: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    elliptic: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         check_prime(self.p)
-        object.__setattr__(self, "hyperbolic", tuple((a, b) for a, b in self.hyperbolic))
-        object.__setattr__(self, "elliptic", tuple(self.elliptic))
-        for v in self.all_entries():
-            if v.p != self.p or len(v) != self.n:
+
+        def entry(v) -> tuple[int, ...]:
+            v = tuple(int(a) % self.p for a in v)
+            if len(v) != self.n:
                 raise PreconditionError("vector entries must live in F_p^n")
+            return v
+
+        object.__setattr__(self, "hyperbolic",
+                           tuple((entry(a), entry(b)) for a, b in self.hyperbolic))
+        object.__setattr__(self, "elliptic", tuple(entry(c) for c in self.elliptic))
 
     @property
     def rho(self) -> int:
@@ -46,12 +57,6 @@ class GeneratingVector:
     def r(self) -> int:
         return len(self.elliptic)
 
-    def all_entries(self):
-        for a, b in self.hyperbolic:
-            yield a
-            yield b
-        yield from self.elliptic
-
     def spec(self) -> EAActionSpec:
         return EAActionSpec(self.p, self.n, self.rho, self.r)
 
@@ -60,26 +65,18 @@ class GeneratingVector:
             "p": self.p,
             "n": self.n,
             "rho": self.rho,
-            "hyperbolic": [[list(a.coords), list(b.coords)] for a, b in self.hyperbolic],
-            "elliptic": [list(c.coords) for c in self.elliptic],
+            "hyperbolic": [[list(a), list(b)] for a, b in self.hyperbolic],
+            "elliptic": [list(c) for c in self.elliptic],
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "GeneratingVector":
-        p, n = d["p"], d["n"]
-        hyp = tuple((FpVector(p, tuple(a)), FpVector(p, tuple(b)))
-                    for a, b in d["hyperbolic"])
-        ell = tuple(FpVector(p, tuple(c)) for c in d["elliptic"])
-        return GeneratingVector(p, n, hyp, ell)
+        return GeneratingVector(d["p"], d["n"], d["hyperbolic"], d["elliptic"])
 
 
 def make_vector(p: int, n: int, elliptic, hyperbolic=()) -> GeneratingVector:
-    """Build a vector from coordinate tuples instead of FpVector objects."""
-    ell = tuple(c if isinstance(c, FpVector) else FpVector(p, tuple(c)) for c in elliptic)
-    hyp = tuple((a if isinstance(a, FpVector) else FpVector(p, tuple(a)),
-                 b if isinstance(b, FpVector) else FpVector(p, tuple(b)))
-                for a, b in hyperbolic)
-    return GeneratingVector(p, n, hyp, ell)
+    """Build a vector, elliptic images first."""
+    return GeneratingVector(p, n, hyperbolic, elliptic)
 
 
 def validate(v: GeneratingVector) -> bool:
@@ -95,7 +92,7 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
     """
     counts: dict[tuple[int, ...], int] = {}
     for c in v.elliptic:
-        counts[c.coords] = counts.get(c.coords, 0) + 1
+        counts[c] = counts.get(c, 0) + 1
     return tuple(sorted(counts.values()))
 
 
@@ -352,35 +349,29 @@ def build_inequivalent_pair(p: int, n: int, r: int):
         # r odd here (even r is a unique row): the images sum to X != 0
         raise PreconditionError(f"(p=2, n=1, r={r}) admits no vectors at all")
 
-    X = [FpVector.unit(p, n, i) for i in range(n)]
-
-    def neg_sum(*terms):
-        total = FpVector.zero(p, n)
-        for t in terms:
-            total = total + t
-        return -total
+    X = list(np.eye(n, dtype=np.int64))
 
     if n >= 3:
         first = X[:n] + [X[0]] * (r - n - 1)
-        first.append(neg_sum(*( [X[0].scale(r - n)] + X[1:n] )))
+        first.append(-sum([(r - n) * X[0]] + X[1:n]))
         x01 = X[0] + X[1]
         second = X[:n] + [x01] * (r - n - 1)
-        second.append(neg_sum(*( [x01.scale(r - n)] + X[2:n] )))
+        second.append(-sum([(r - n) * x01] + X[2:n]))
         return _pair_from_image_lists(p, n, first, second)
 
     if n == 2 and p != 2:
         x0, x1 = X
         x01 = x0 + x1
-        first = [x0, x1] + [x0] * (r - 3) + [neg_sum(x0.scale(r - 2), x1)]
+        first = [x0, x1] + [x0] * (r - 3) + [-((r - 2) * x0 + x1)]
         if (r - 2) % p and (r - 1) % p:
-            second = [x0, x1] + [x01] * (r - 3) + [neg_sum(x01.scale(r - 2))]
+            second = [x0, x1] + [x01] * (r - 3) + [-(r - 2) * x01]
         elif (r - 2) % p == 0:
-            second = [x0, x1] + [x01.scale(2)] * (r - 3) + [x01]
+            second = [x0, x1] + [2 * x01] * (r - 3) + [x01]
         else:  # p divides r - 1
             if r == 4:
                 second = [x0, x1, -x0, -x1]
             else:
-                second = [x0, x1] + [x01] * (r - 4) + [x0, x0 + x1.scale(2)]
+                second = [x0, x1] + [x01] * (r - 4) + [x0, x0 + 2 * x1]
         return _pair_from_image_lists(p, n, first, second)
 
     if n == 2 and p == 2:
@@ -394,32 +385,34 @@ def build_inequivalent_pair(p: int, n: int, r: int):
             second = [x0, x1] + [x01] * (r - 2)
         return _pair_from_image_lists(p, n, first, second)
 
-    assert n == 1
+    if n != 1:
+        raise AssertionError(f"rank {n} escaped the constructive case analysis")
     x = X[0]
     if p == 3:
         m = r % 3
         if m == 0:
             first = [x] * r
-            second = [x.scale(2)] * (r - 3) + [x] * 3
+            second = [2 * x] * (r - 3) + [x] * 3
         elif m == 1:
-            first = [x] * (r - 2) + [x.scale(2)] * 2
-            second = [x] * (r - 5) + [x.scale(2)] * 5
+            first = [x] * (r - 2) + [2 * x] * 2
+            second = [x] * (r - 5) + [2 * x] * 5
         else:
-            first = [x] * (r - 1) + [x.scale(2)]
-            second = [x] * (r - 4) + [x.scale(2)] * 4
+            first = [x] * (r - 1) + [2 * x]
+            second = [x] * (r - 4) + [2 * x] * 4
         return _pair_from_image_lists(p, n, first, second)
 
-    assert p > 3
+    if p <= 3:
+        raise AssertionError(f"C_{p} escaped the constructive case analysis")
     if (r - 1) % p == 0:
-        first = [x] * (r - 3) + [x.scale(2)] * 2 + [x.scale(-2)]
-        second = [x] * (r - 2) + [x.scale(2), x.scale(-r)]
+        first = [x] * (r - 3) + [2 * x] * 2 + [-2 * x]
+        second = [x] * (r - 2) + [2 * x, -r * x]
     elif r % p == 0:
-        first = [x] * (r - 1) + [x.scale(-(r - 1))]
-        second = [x] * (r - 2) + [x.scale(4), x.scale(-2)]
+        first = [x] * (r - 1) + [-(r - 1) * x]
+        second = [x] * (r - 2) + [4 * x, -2 * x]
     elif (r + 1) % p == 0:
-        first = [x] * (r - 1) + [x.scale(-(r - 1))]
-        second = [x] * (r - 2) + [x.scale(4), x.scale(-(r + 2))]
+        first = [x] * (r - 1) + [-(r - 1) * x]
+        second = [x] * (r - 2) + [4 * x, -(r + 2) * x]
     else:
-        first = [x] * (r - 1) + [x.scale(-(r - 1))]
-        second = [x] * (r - 2) + [x.scale(2), x.scale(-r)]
+        first = [x] * (r - 1) + [-(r - 1) * x]
+        second = [x] * (r - 2) + [2 * x, -r * x]
     return _pair_from_image_lists(p, n, first, second)

@@ -310,7 +310,8 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
                     words[y] = words[x] + (gi,)
                     new.append(y)
         frontier = new
-    assert len(words) == g.order
+    if len(words) != g.order:
+        raise AssertionError("the chosen generators do not reach every element")
 
     by_order: dict[int, list[int]] = {}
     for a in range(g.order):

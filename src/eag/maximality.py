@@ -17,7 +17,7 @@ import numpy as np
 
 from . import orbits
 from .errors import PreconditionError
-from .fp import FpVector, vector_span_rank
+from .fp import vector_span_rank
 from .genvec import (GeneratingVector, is_unique_action, make_vector,
                      require_admissible_genus, validate)
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
@@ -29,14 +29,14 @@ class ExtensionWitness:
 
     n_spec: EAActionSpec
     vector: GeneratingVector
-    subgroup_basis: tuple[FpVector, ...]
+    subgroup_basis: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
             "n_spec": {"p": self.n_spec.p, "n": self.n_spec.n,
                        "rho": self.n_spec.rho, "r": self.n_spec.r},
             "vector": self.vector.to_json_dict(),
-            "subgroup_basis": [list(v.coords) for v in self.subgroup_basis],
+            "subgroup_basis": [list(v) for v in self.subgroup_basis],
         }
 
     @staticmethod
@@ -44,7 +44,7 @@ class ExtensionWitness:
         ns = d["n_spec"]
         n_spec = EAActionSpec(ns["p"], ns["n"], ns["rho"], ns["r"])
         vec = GeneratingVector.from_json_dict(d["vector"])
-        basis = tuple(FpVector(n_spec.p, tuple(c)) for c in d["subgroup_basis"])
+        basis = tuple(tuple(c) for c in d["subgroup_basis"])
         return ExtensionWitness(n_spec, vec, basis)
 
 
@@ -99,7 +99,8 @@ def _frobenius_pairs(p: int, rho: int):
 
 
 def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector,
-              basis: tuple[FpVector, ...]) -> ExtensionWitness:
+              basis) -> ExtensionWitness:
+    basis = tuple(tuple(b) for b in (np.asarray(basis) % spec.p).tolist())
     if not validate(vector):
         raise AssertionError(f"witness vector invalid for {spec}")
     if vector_span_rank(basis, spec.p) != spec.n:
@@ -109,32 +110,31 @@ def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector
         raise AssertionError(f"witness round-trip failed for {spec}: got {got}")
     if ea_genus(n_spec) != ea_genus(spec):
         raise AssertionError(f"witness genus mismatch for {spec}")
-    return ExtensionWitness(n_spec, vector, tuple(basis))
+    return ExtensionWitness(n_spec, vector, basis)
 
 
-def _units(p: int, n: int) -> list[FpVector]:
-    return [FpVector.unit(p, n, i) for i in range(n)]
+def _units(n: int) -> list[np.ndarray]:
+    return list(np.eye(n, dtype=np.int64))
 
 
-def _zero_pairs(p: int, n: int, tau: int):
-    z = FpVector.zero(p, n)
-    return tuple((z, z) for _ in range(tau))
+def _zero_pairs(n: int, tau: int):
+    return (((0,) * n, (0,) * n),) * tau
 
 
 def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     # C_2 with (rho;-) inside C_2 x C_2 with (1; 2^(2 rho - 2))
     rho = spec.rho
     k = 2 * (rho - 1)
-    x, y = _units(2, 2)
+    x, y = _units(2)
     elliptic = [y, y, y, y] + [x] * (k - 4) if k >= 4 else [y, y]
     n_spec = EAActionSpec(2, 2, 1, k)
-    vec = make_vector(2, 2, elliptic, hyperbolic=((x, FpVector.zero(2, 2)),))
+    vec = make_vector(2, 2, elliptic, hyperbolic=((x, 0 * x),))
     return _verified(spec, n_spec, vec, (x + y,))
 
 
 def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | None:
     p, rho = spec.p, spec.rho
-    x, y = _units(p, 2)
+    x, y = _units(2)
     for a, b in _frobenius_pairs(p, rho):
         found = _try_unramified_extension(spec, a + 1, b, x, y)
         if found is not None:
@@ -144,11 +144,10 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
 
 def _try_unramified_extension(spec, tau, k, x, y):
     p = spec.p
-    zero = FpVector.zero(p, 2)
     if k == 0:
         if tau < 1:
             return None
-        hyp = ((x, y),) + _zero_pairs(p, 2, tau - 1)
+        hyp = ((x, y),) + _zero_pairs(2, tau - 1)
         vec = GeneratingVector(p, 2, hyp, ())
     elif k == 1:
         return None  # a single elliptic image cannot satisfy the product relation
@@ -160,12 +159,12 @@ def _try_unramified_extension(spec, tau, k, x, y):
                                (x, -x))
     else:
         candidates = (
-            [x] * (k - 2) + [-x + y, x.scale(2) - y],
-            [x] * (k - 2) + [x + y, -(x.scale(k - 1) + y)],
+            [x] * (k - 2) + [-x + y, 2 * x - y],
+            [x] * (k - 2) + [x + y, -((k - 1) * x + y)],
         )
         vec = None
         for cand in candidates:
-            trial = make_vector(p, 2, cand, hyperbolic=_zero_pairs(p, 2, tau))
+            trial = make_vector(p, 2, cand, hyperbolic=_zero_pairs(2, tau))
             if validate(trial):
                 try:
                     ok = subgroup_signature(EAActionSpec(p, 2, tau, k), trial, (y,)) == spec.sig
@@ -184,8 +183,8 @@ def _try_unramified_extension(spec, tau, k, x, y):
 
 
 def _witness_even_weight_p2(spec: EAActionSpec, big_rank: int, elliptic) -> ExtensionWitness:
-    units = _units(2, big_rank)
-    basis = tuple(units[0] + units[i] for i in range(1, big_rank))
+    units = _units(big_rank)
+    basis = [units[0] + units[i] for i in range(1, big_rank)]
     n_spec = EAActionSpec(2, big_rank, 0, len(elliptic))
     vec = make_vector(2, big_rank, elliptic)
     return _verified(spec, n_spec, vec, basis)
@@ -194,22 +193,16 @@ def _witness_even_weight_p2(spec: EAActionSpec, big_rank: int, elliptic) -> Exte
 def _witness_unramified_full_rank_p2(spec: EAActionSpec) -> ExtensionWitness:
     # (rho;-) with n = 2 rho, p = 2: overgroup of rank 2 rho + 1, (0; 2^(2 rho + 2))
     rho = spec.rho
-    units = _units(2, 2 * rho + 1)
-    total = units[0]
-    for u in units[1:]:
-        total = total + u
-    elliptic = units + [total]
+    units = _units(2 * rho + 1)
+    elliptic = units + [sum(units)]
     return _witness_even_weight_p2(spec, 2 * rho + 1, elliptic)
 
 
 def _witness_unramified_corank_p2(spec: EAActionSpec) -> ExtensionWitness:
     # (rho;-) with n = 2 rho - 1, p = 2: overgroup of rank 2 rho, (0; 2^(2 rho + 2))
     rho = spec.rho
-    units = _units(2, 2 * rho)
-    tail = units[1]
-    for u in units[2:]:
-        tail = tail + u
-    elliptic = units + [units[0], tail]
+    units = _units(2 * rho)
+    elliptic = units + [units[0], sum(units[1:])]
     return _witness_even_weight_p2(spec, 2 * rho, elliptic)
 
 
@@ -217,31 +210,28 @@ def _witness_two_periods_high_rank_p2(spec: EAActionSpec) -> ExtensionWitness:
     # (rho; 2^2) with n = 2 rho + 1: overgroup of rank 2 rho + 2, (0; 2^(2 rho + 3))
     rho = spec.rho
     big = 2 * rho + 2
-    units = _units(2, big)
-    even_tail = units[2]
-    for u in units[3:]:
-        even_tail = even_tail + u
-    elliptic = units[:big - 1] + [units[0] + units[1] + units[big - 1], even_tail]
+    units = _units(big)
+    elliptic = units[:big - 1] + [units[0] + units[1] + units[big - 1], sum(units[2:])]
     return _witness_even_weight_p2(spec, big, elliptic)
 
 
 def _witness_two_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     # (rho; 2^2) with n = 1: quotient genus halves
     rho = spec.rho
-    x, y = _units(2, 2)
+    x, y = _units(2)
     if rho % 2 == 1:
         tau, elliptic = (rho - 1) // 2, [x, x, x, x + y, y]
     else:
         tau, elliptic = rho // 2, [x, x + y, y]
     n_spec = EAActionSpec(2, 2, tau, len(elliptic))
-    vec = make_vector(2, 2, elliptic, hyperbolic=_zero_pairs(2, 2, tau))
+    vec = make_vector(2, 2, elliptic, hyperbolic=_zero_pairs(2, tau))
     return _verified(spec, n_spec, vec, (y,))
 
 
 def _witness_even_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     # (rho; 2^r) with n = 1, r >= 4 even
     rho, k = spec.rho, spec.r // 2
-    x, y = _units(2, 2)
+    x, y = _units(2)
     if k % 2 == 1:
         elliptic = [y] * k + [x, x + y] + [x] * (2 * rho)
     else:
@@ -254,7 +244,7 @@ def _witness_even_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
 def _witness_three_periods_cyclic_p3(spec: EAActionSpec) -> ExtensionWitness:
     # (rho; 3^3) with n = 1
     rho = spec.rho
-    x, y = _units(3, 2)
+    x, y = _units(2)
     if rho % 3 == 0:
         head = [y, x - y, -x]
     elif rho % 3 == 1:
@@ -307,7 +297,8 @@ def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
                     "non-maximal: (rho;-) n=2*rho, p=2")
             return MaximalityVerdict(
                 spec, True, None, "maximal: (rho;-) n=2*rho, p odd (rank bound)")
-        assert n == 2 * rho - 1
+        if n != 2 * rho - 1:
+            raise AssertionError(f"unique action {spec} escaped the maximality dispatch")
         if p == 2:
             return MaximalityVerdict(
                 spec, False, _witness_unramified_corank_p2(spec),
@@ -442,9 +433,9 @@ def _admissible_rows(p: int, tau: int, s: int, n: int, v: np.ndarray):
 
 def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows: np.ndarray):
     p, tau = spec.p, n_spec.rho
-    cols = [tuple(c) for c in rows.T.tolist()]
+    cols = rows.T
     vec = make_vector(p, spec.n + 1, cols[2 * tau:],
                       hyperbolic=[(cols[2 * i], cols[2 * i + 1]) for i in range(tau)])
     # the identity above makes every admissible R a witness: a failed round
     # trip is a bug, and _verified raises on it
-    return _verified(spec, n_spec, vec, tuple(_units(p, spec.n + 1)[:spec.n]))
+    return _verified(spec, n_spec, vec, _units(spec.n + 1)[:spec.n])

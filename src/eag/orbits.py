@@ -53,7 +53,8 @@ def gaussian_binomial(m: int, k: int, p: int) -> int:
     for i in range(k):
         num *= p ** (m - i) - 1
         den *= p ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{m} {k}]_{p} is not an integer")
     return num // den
 
 
@@ -150,7 +151,10 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     ``keys`` holds one distinct integer key per object; each array of
     ``image_keys`` holds, for every object in the same order, the key of its
     image under one move.  Returns the number of orbits and each object's
-    orbit label in ``range(count)``.
+    orbit label in ``range(count)``, labels numbered by least key.
+
+    The graph is contracted one move at a time: each move's edges join the
+    components found so far, so no graph holds more than one move's edges.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -158,16 +162,20 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     B = len(keys)
     U = np.sort(keys)
     src = np.searchsorted(U, keys)
-    dst = []
+    count, labels = B, np.arange(B)  # labels[node]: its component so far
     for nk in image_keys:
         ids = np.searchsorted(U, nk)
         if not (U[np.minimum(ids, B - 1)] == nk).all():
             raise AssertionError("neighbour missing from enumeration")
-        dst.append(ids)
-    g = coo_matrix((np.ones(B * len(dst), dtype=np.int8),
-                    (np.tile(src, len(dst)), np.concatenate(dst))), shape=(B, B))
-    count, labels = connected_components(g, directed=False)
+        g = coo_matrix((np.ones(B, dtype=np.int8), (labels[src], labels[ids])),
+                       shape=(count, count))
+        count, merged = connected_components(g, directed=False)
+        labels = merged[labels]
     return int(count), labels[src]
+
+
+#: most subspaces whose move images ``_subspace_orbit_count`` reduces at once
+MOVE_BLOCK = 65_536
 
 
 def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) -> int:
@@ -175,12 +183,17 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
 
     ``M`` holds the RREF of every subspace of one orbit-closed family, one
     per row; each move maps such a batch to (unreduced) bases of its images.
+    The images are reduced and packed in blocks of MOVE_BLOCK subspaces, so
+    the temporaries of ``batch_rref`` stay small next to ``M``.
     """
     def pack(batch):
         return _pack_keys(batch[:, :, 1:] if drop_first_col else batch, p)
 
-    images = (pack(batch_rref(move(M), p)) for move in moves)
-    return orbit_components(pack(M), images)[0]
+    def image_keys(move):
+        return np.concatenate([pack(batch_rref(move(M[i:i + MOVE_BLOCK]), p))
+                               for i in range(0, len(M), MOVE_BLOCK)])
+
+    return orbit_components(pack(M), (image_keys(move) for move in moves))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +278,7 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
     # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
     # is the code of g applied to the column vector with code c
-    group = fp.group_closure(fp.gl_generators(k, p))
+    group = fp.group_closure(fp.gl_generators(k, p), p)
     perms = (np.einsum("gij,vj->gvi", group, vecs) % p @ digits).tolist()
     # a multiset not yet seen starts a new orbit; all its images under
     # GL x S_r (sorting absorbs S_r) are then marked seen
@@ -318,9 +331,8 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     if e == 0:
         return 1
     M = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), e)
-    gens = [np.array(g.rows, dtype=np.int64) for g in fp.sp_generators(rho, p)]
-    return _subspace_orbit_count(M, p, [lambda batch, g=g: (batch @ g) % p for g in gens],
-                                 drop_first_col=False)
+    moves = [lambda batch, g=g: (batch @ g) % p for g in fp.sp_generators(rho, p)]
+    return _subspace_orbit_count(M, p, moves, drop_first_col=False)
 
 
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
@@ -360,7 +372,7 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     if d == 0:
         return 1
     n = 2 * rho
-    group = fp.group_closure(fp.sp_generators(rho, p))
+    group = fp.group_closure(fp.sp_generators(rho, p), p)
     subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
     # a subspace not yet seen starts a new orbit; its whole orbit is then
     # marked seen by applying every group element to it

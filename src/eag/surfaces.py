@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .fp import FpVector, check_prime, rref, vector_span_rank
+from .fp import check_prime, rref, vector_span_rank
 
 _SIG_RE = re.compile(r"^\(\s*(\d+)\s*;\s*(-|\d+(?:\s*,\s*\d+)*)\s*\)$")
 
@@ -144,7 +144,7 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
     rho - 1 = (|N|/|A|)(tau - 1) + (|N| / 2|A|) * l * (1 - 1/p).
     """
     p = n_spec.p
-    reduced = rref([v.coords for v in subgroup_basis], p)
+    reduced = rref(subgroup_basis, p)
     a_rank = len(reduced)
     if a_rank != len(subgroup_basis):
         raise PreconditionError("subgroup basis is not independent")
@@ -154,7 +154,7 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
         raise PreconditionError("generating vector is not valid for the overgroup")
     index = p ** (n_spec.n - a_rank)
     m = sum(1 for c in gen_vec.elliptic
-            if len(rref(list(reduced) + [c.coords], p)) == a_rank)
+            if len(rref(reduced + (c,), p)) == a_rank)
     l = n_spec.r - m
     rho_minus_1 = (index * (n_spec.rho - 1)
                    + Fraction(index, 2) * l * (1 - Fraction(1, p)))
@@ -172,14 +172,11 @@ def validate_vector_for(n_spec: EAActionSpec, gen_vec) -> bool:
         return False
     if len(gen_vec.hyperbolic) != n_spec.rho or len(gen_vec.elliptic) != n_spec.r:
         return False
-    if any(c.is_zero() for c in gen_vec.elliptic):
+    if not all(any(c) for c in gen_vec.elliptic):
         return False
-    total = FpVector.zero(p, n)
-    for c in gen_vec.elliptic:
-        total = total + c
-    if not total.is_zero():
+    if any(sum(col) % p for col in zip(*gen_vec.elliptic)):
         return False
-    everything = [c for c in gen_vec.elliptic]
+    everything = list(gen_vec.elliptic)
     for a, b in gen_vec.hyperbolic:
         everything.extend((a, b))
     return vector_span_rank(everything, p) == n

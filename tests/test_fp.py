@@ -5,14 +5,15 @@ import pytest
 
 from eag import fp
 from eag.errors import CapExceededError, PreconditionError
-from eag.fp import FpMatrix, FpVector
+from eag.genvec import make_vector
 
 
 def test_rank_examples():
-    assert fp.rank(FpMatrix(3, ((0, 0), (0, 0)))) == 0
-    assert fp.rank(FpMatrix.identity(3, 2)) == 3
+    assert fp.vector_span_rank([(0, 0), (0, 0)], 3) == 0
+    assert fp.vector_span_rank(np.eye(3, dtype=np.int64), 2) == 3
     # second row is twice the first
-    assert fp.rank(FpMatrix(3, ((1, 1), (2, 2)))) == 1
+    assert fp.vector_span_rank([(1, 1), (2, 2)], 3) == 1
+    assert fp.vector_span_rank([], 5) == 0
 
 
 def test_rank_bounds_and_invariance():
@@ -21,32 +22,41 @@ def test_rank_bounds_and_invariance():
         p = rng.choice((2, 3, 5))
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
-        m = FpMatrix(p, tuple(tuple(rng.randrange(p) for _ in range(cols))
-                              for _ in range(rows)))
-        rk = fp.rank(m)
+        m = _random_matrix(rng, rows, cols, p)
+        rk = fp.vector_span_rank(m, p)
         assert 0 <= rk <= min(rows, cols)
-        shuffled = list(m.rows)
+        shuffled = list(m)
         rng.shuffle(shuffled)
-        assert fp.rank(FpMatrix(p, tuple(shuffled))) == rk
+        assert fp.vector_span_rank(shuffled, p) == rk
         g = _random_invertible(rng, rows, p)
-        assert fp.rank(g * m) == rk
+        assert fp.vector_span_rank(g @ m % p, p) == rk
         h = _random_invertible(rng, cols, p)
-        assert fp.rank(m * h) == rk
+        assert fp.vector_span_rank(m @ h % p, p) == rk
+
+
+def _random_matrix(rng, rows, cols, p):
+    return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
 
 
 def _random_invertible(rng, n, p):
     while True:
-        m = FpMatrix(p, tuple(tuple(rng.randrange(p) for _ in range(n))
-                              for _ in range(n)))
-        if m.is_invertible():
+        m = _random_matrix(rng, n, n, p)
+        if fp.vector_span_rank(m, p) == n:
             return m
+
+
+def test_rref_takes_numpy_integers():
+    # pow(x, -1, p) rejects numpy integers, so rref must read Python ints
+    rows = np.array([[2, 1], [1, 0]], dtype=np.int64)
+    assert fp.rref(rows, 3) == ((1, 0), (0, 1))
+    assert all(type(a) is int for row in fp.rref(rows, 3) for a in row)
 
 
 def test_prime_gate():
     with pytest.raises(PreconditionError):
-        FpMatrix(4, ((1,),))
+        fp.group_closure([np.eye(1, dtype=np.int64)], 4)
     with pytest.raises(PreconditionError):
-        FpVector(17, (1, 2))
+        make_vector(17, 2, [(1, 2)])
     with pytest.raises(PreconditionError):
         fp.gl_generators(2, 6)
 
@@ -56,10 +66,10 @@ def test_gl_generators_mult_group():
     powers = set()
     x = gen
     for _ in range(4):
-        powers.add(x.rows[0][0])
-        x = x * gen
+        powers.add(int(x[0, 0]))
+        x = x @ gen % 5
     assert powers == {1, 2, 3, 4}
-    assert len(fp.group_closure(fp.gl_generators(1, 2))) == 1
+    assert len(fp.group_closure(fp.gl_generators(1, 2), 2)) == 1
 
 
 @pytest.mark.parametrize("n,p,order", [
@@ -68,7 +78,7 @@ def test_gl_generators_mult_group():
     (3, 2, 168),
 ])
 def test_gl_closure_orders(n, p, order):
-    assert len(fp.group_closure(fp.gl_generators(n, p))) == order
+    assert len(fp.group_closure(fp.gl_generators(n, p), p)) == order
 
 
 @pytest.mark.parametrize("rho,p,order", [
@@ -77,7 +87,7 @@ def test_gl_closure_orders(n, p, order):
     (2, 3, 51840),
 ])
 def test_sp_closure_orders(rho, p, order):
-    assert len(fp.group_closure(fp.sp_generators(rho, p))) == order
+    assert len(fp.group_closure(fp.sp_generators(rho, p), p)) == order
 
 
 @pytest.mark.parametrize("rho,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3),
@@ -85,7 +95,7 @@ def test_sp_closure_orders(rho, p, order):
 def test_sp_generators_preserve_form(rho, p):
     J = fp.standard_symplectic_form(rho, p)
     for g in fp.sp_generators(rho, p):
-        assert g.transpose() * J * g == J
+        assert (g.T @ J @ g % p == J).all()
 
 
 @pytest.mark.parametrize("rho,p", [(3, 2), (3, 3)])
@@ -93,16 +103,16 @@ def test_sp_transitive_on_nonzero_vectors(rho, p):
     # orbit of a unit vector hits every nonzero vector (Witt transitivity);
     # proves the generators do not sit inside a smaller reducible group
     gens = fp.sp_generators(rho, p)
-    start = FpVector.unit(p, 2 * rho, 0)
-    seen = {start.coords}
+    start = tuple(np.eye(2 * rho, dtype=np.int64)[0].tolist())
+    seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for v in frontier:
             for g in gens:
-                w = g.apply(v)
-                if w.coords not in seen:
-                    seen.add(w.coords)
+                w = tuple((g @ v % p).tolist())
+                if w not in seen:
+                    seen.add(w)
                     new.append(w)
         frontier = new
     assert len(seen) == p ** (2 * rho) - 1
@@ -110,55 +120,63 @@ def test_sp_transitive_on_nonzero_vectors(rho, p):
 
 @pytest.mark.parametrize("rho,p", [(1, 3), (1, 5), (2, 2)])
 def test_sp_closure_preserves_form(rho, p):
-    J = np.array(fp.standard_symplectic_form(rho, p).rows)
-    group = fp.group_closure(fp.sp_generators(rho, p))
+    J = fp.standard_symplectic_form(rho, p)
+    group = fp.group_closure(fp.sp_generators(rho, p), p)
     assert ((group.transpose(0, 2, 1) @ J @ group) % p == J).all()
 
 
 def test_group_closure_identity_and_order_independence():
-    ident = FpMatrix.identity(2, 3)
-    assert np.array_equal(fp.group_closure([ident]), np.eye(2, dtype=np.int64)[None])
+    ident = np.eye(2, dtype=np.int64)
+    assert np.array_equal(fp.group_closure([ident], 3), ident[None])
     gens = fp.sp_generators(1, 3)
-    assert np.array_equal(fp.group_closure(gens), fp.group_closure(list(reversed(gens))))
+    assert np.array_equal(fp.group_closure(gens, 3),
+                          fp.group_closure(list(reversed(gens)), 3))
 
 
 def test_group_closure_cap():
     with pytest.raises(CapExceededError):
-        fp.group_closure(fp.gl_generators(2, 3), cap=10)
+        fp.group_closure(fp.gl_generators(2, 3), 3, cap=10)
 
 
 def test_vector_arithmetic():
-    v = FpVector(5, (1, 2, 3))
-    w = FpVector(5, (4, 4, 4))
-    assert (v + w).coords == (0, 1, 2)
-    assert (-v).coords == (4, 3, 2)
-    assert v.scale(2).coords == (2, 4, 1)
-    assert FpVector.zero(5, 3).is_zero()
-    assert FpVector.unit(5, 3, 1).coords == (0, 1, 0)
+    # vectors are numpy rows while they are computed with, and int tuples in
+    # [0, p) once stored in a generating vector
+    v, w = np.array([1, 2, 3]), np.array([4, 4, 4])
+    e1 = np.eye(3, dtype=np.int64)[1]
+    vec = make_vector(5, 3, [v + w, -v, 2 * v], hyperbolic=[(e1, 0 * v)])
+    assert vec.elliptic == ((0, 1, 2), (4, 3, 2), (2, 4, 1))
+    assert vec.hyperbolic == (((0, 1, 0), (0, 0, 0)),)
+    assert all(type(a) is int for c in vec.elliptic + vec.hyperbolic[0] for a in c)
+    assert vec == make_vector(5, 3, [(0, 1, 2), (4, 3, 2), (2, 4, 1)],
+                              hyperbolic=[((0, 1, 0), (0, 0, 0))])
 
 
 @pytest.mark.parametrize("a,b", [
-    (FpVector(2, (1, 0, 1)), FpVector(2, (1, 1))),  # lengths differ
-    (FpVector(2, (1, 0)), FpVector(3, (1, 0))),  # primes differ
+    ((1, 0, 1), (1, 1)),  # lengths differ
+    ((1,), (1, 1)),  # lengths differ the other way
 ])
 def test_vector_add_rejects_mismatch(a, b):
+    # entries of one generating vector live in one F_p^n
     with pytest.raises(PreconditionError):
-        a + b
+        make_vector(3, 2, [a, b])
+    with pytest.raises(PreconditionError):
+        make_vector(3, 2, [], hyperbolic=[(a, b)])
 
 
 @pytest.mark.parametrize("a,b", [
-    (FpMatrix.identity(2, 2), FpMatrix(2, ((1, 0, 1),))),  # 2x2 times 1x3
-    (FpMatrix.identity(2, 2), FpMatrix.identity(2, 3)),  # primes differ
+    (np.eye(2, dtype=np.int64), np.array([[1, 0, 1]])),  # 2x2 and 1x3
+    (np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)),  # sizes differ
 ])
 def test_matrix_product_rejects_mismatch(a, b):
+    # the closure multiplies its generators, so they must be square and of one size
     with pytest.raises(PreconditionError):
-        a * b
+        fp.group_closure([a, b], 3)
 
 
-@pytest.mark.parametrize("m,v", [
-    (FpMatrix.identity(2, 3), FpVector(3, (1, 2, 0))),  # lengths differ
-    (FpMatrix.identity(2, 3), FpVector(5, (1, 2))),  # primes differ
+@pytest.mark.parametrize("gens", [
+    [np.array([[1, 1], [1, 1]])],  # singular over every F_p
+    [np.eye(2, dtype=np.int64), np.array([[1, 2], [2, 1]])],  # singular mod 3 only
 ])
-def test_matrix_apply_rejects_mismatch(m, v):
+def test_group_closure_rejects_singular_generators(gens):
     with pytest.raises(PreconditionError):
-        m.apply(v)
+        fp.group_closure(gens, 3)

@@ -31,7 +31,7 @@ def test_known_verdict_examples():
     assert not v.maximal
     # odd rho: quotient signature ((rho-1)/2; 2^5) with images (x,x,x,xy,y)
     assert v.witness.n_spec == EAActionSpec(2, 2, 1, 5)
-    assert [c.coords for c in v.witness.vector.elliptic] == \
+    assert list(v.witness.vector.elliptic) == \
         [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1)]
     assert mx.is_maximal(EAActionSpec(7, 1, 2, 0)).maximal
 
@@ -45,13 +45,13 @@ def test_witness_shapes_match_the_constructions():
     # (rho;3^3) n=1 with rho = 1 mod 3: images (y, xy, xy, x, ..., x)
     w = mx.is_maximal(EAActionSpec(3, 1, 4, 3)).witness
     assert w.n_spec == EAActionSpec(3, 2, 0, 7)
-    assert [c.coords for c in w.vector.elliptic] == \
+    assert list(w.vector.elliptic) == \
         [(0, 1), (1, 1), (1, 1)] + [(1, 0)] * 4
     # rho = 0 mod 3 and rho = 2 mod 3 branches
     w = mx.is_maximal(EAActionSpec(3, 1, 3, 3)).witness
-    assert [c.coords for c in w.vector.elliptic][:3] == [(0, 1), (1, 2), (2, 0)]
+    assert list(w.vector.elliptic)[:3] == [(0, 1), (1, 2), (2, 0)]
     w = mx.is_maximal(EAActionSpec(3, 1, 2, 3)).witness
-    assert [c.coords for c in w.vector.elliptic][:3] == [(0, 1), (2, 1), (2, 1)]
+    assert list(w.vector.elliptic)[:3] == [(0, 1), (2, 1), (2, 1)]
     # (rho;2^2) n=2*rho+1 extends inside (0; 2^(2*rho+3))
     for rho in (1, 2, 3):
         w = mx.is_maximal(EAActionSpec(2, 2 * rho + 1, rho, 2)).witness
@@ -59,15 +59,15 @@ def test_witness_shapes_match_the_constructions():
     # (rho;2^r) n=1, r even: overgroup (0; 2^(r/2 + 2*rho + 2)), both parities
     w = mx.is_maximal(EAActionSpec(2, 1, 1, 6)).witness      # k = 3 odd
     assert w.n_spec == EAActionSpec(2, 2, 0, 7)
-    assert [c.coords for c in w.vector.elliptic] == \
+    assert list(w.vector.elliptic) == \
         [(0, 1)] * 3 + [(1, 0), (1, 1)] + [(1, 0)] * 2
     w = mx.is_maximal(EAActionSpec(2, 1, 1, 4)).witness      # k = 2 even
     assert w.n_spec == EAActionSpec(2, 2, 0, 6)
-    assert [c.coords for c in w.vector.elliptic] == [(0, 1)] * 2 + [(1, 0)] * 4
+    assert list(w.vector.elliptic) == [(0, 1)] * 2 + [(1, 0)] * 4
     # even rho for (rho;2^2) n=1: quotient (rho/2; 2^3) with images (x, xy, y)
     w = mx.is_maximal(EAActionSpec(2, 1, 4, 2)).witness
     assert w.n_spec == EAActionSpec(2, 2, 2, 3)
-    assert [c.coords for c in w.vector.elliptic] == [(1, 0), (1, 1), (0, 1)]
+    assert list(w.vector.elliptic) == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_every_nonmaximal_verdict_ships_a_valid_witness():

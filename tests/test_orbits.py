@@ -117,3 +117,51 @@ def test_kernel_caps():
         orbits.count_kernel_orbits_bfs(2, 2, 4)
     with pytest.raises(CapExceededError):
         orbits.count_kernel_orbits_canonical(3, 2, 3)
+
+
+def _one_shot_components(keys, image_keys):
+    """Reference: one scipy graph holding the edges of every move at once."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    U = np.sort(keys)
+    src = np.searchsorted(U, keys)
+    dst = np.concatenate([src] + [np.searchsorted(U, nk) for nk in image_keys])
+    g = coo_matrix((np.ones(len(dst), dtype=np.int8),
+                    (np.tile(src, len(image_keys) + 1), dst)), shape=(len(U), len(U)))
+    count, labels = connected_components(g, directed=False)
+    return count, labels[src]
+
+
+def test_orbit_components_matches_one_shot_graph():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        B = int(rng.integers(1, 80))
+        keys = rng.choice(10 ** 6, size=B, replace=False).astype(np.uint64)
+        images = []
+        for _ in range(int(rng.integers(0, 5))):
+            # a move that fixes most objects and sends the rest anywhere
+            image = keys.copy()
+            moved = rng.random(B) < rng.random() * 0.3
+            image[moved] = keys[rng.integers(0, B, size=int(moved.sum()))]
+            images.append(image)
+        count, labels = orbits.orbit_components(keys, iter(images))
+        want_count, want_labels = _one_shot_components(keys, images)
+        assert count == want_count
+        # the same labels, not just the same partition
+        assert np.array_equal(labels, want_labels)
+
+
+def test_move_blocks_leave_counts_unchanged(monkeypatch):
+    pure = [(3, 2, 5), (2, 3, 6), (5, 1, 5)]
+    kernel = [(2, 2, 2), (3, 1, 2), (3, 2, 2)]
+
+    def counts():
+        return ([orbits.count_pure_orbits_bfs.__wrapped__(*c) for c in pure],
+                [orbits.count_kernel_orbits_bfs.__wrapped__(*c) for c in kernel])
+
+    whole = counts()
+    monkeypatch.setattr(orbits, "MOVE_BLOCK", 7)
+    assert counts() == whole
+    assert whole == ([orbits.count_pure_orbits_canonical(*c) for c in pure],
+                     [orbits.witt_kernel_orbit_count(rho, k) for p, k, rho in kernel])

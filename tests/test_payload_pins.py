@@ -1,0 +1,86 @@
+"""CLI payloads pinned byte for byte.
+
+Each file under ``tests/data/payloads`` is the exact stdout of one ``eag``
+call, named after its arguments.  The calls cover every constructive
+witness family of ``eag maximal --search`` (found and none), the markdown
+and csv renderings of a witness, and a few ``eag count`` reports.  To
+re-record after an intended payload change, write ``cli.main(argv)``'s
+stdout to ``_path(argv)`` for each call and review the diff.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from eag import cli
+from eag.genvec import GeneratingVector, make_vector
+from eag.maximality import ExtensionWitness, is_maximal, search_extension_witness
+from eag.surfaces import EAActionSpec
+
+DATA = Path(__file__).resolve().parent / "data" / "payloads"
+
+
+def _spec_args(p, n, rho, r):
+    return ["--p", str(p), "--n", str(n), "--rho", str(rho), "--r", str(r)]
+
+
+CALLS = [
+    # one spec per constructive witness family; the search finds a witness too
+    ["maximal", *_spec_args(2, 1, 2, 0), "--search"],  # unramified cyclic, p = 2
+    ["maximal", *_spec_args(3, 1, 2, 0), "--search"],  # unramified cyclic, p odd
+    ["maximal", *_spec_args(2, 4, 2, 0), "--search"],  # unramified full rank, p = 2
+    ["maximal", *_spec_args(2, 3, 2, 0), "--search"],  # unramified corank 1, p = 2
+    ["maximal", *_spec_args(2, 3, 1, 2), "--search"],  # two periods, high rank
+    ["maximal", *_spec_args(2, 1, 1, 2), "--search"],  # two periods, cyclic
+    ["maximal", *_spec_args(2, 1, 1, 4), "--search"],  # even periods, cyclic
+    ["maximal", *_spec_args(3, 1, 1, 3), "--search"],  # three periods, p = 3
+    # further searches that find a witness
+    ["maximal", *_spec_args(5, 1, 2, 0), "--search"],
+    ["maximal", *_spec_args(2, 1, 2, 2), "--search"],
+    ["maximal", *_spec_args(2, 5, 3, 0), "--search"],
+    # searches that find none: a maximal action and the Frobenius corner
+    ["maximal", *_spec_args(5, 1, 2, 3), "--search"],
+    ["maximal", *_spec_args(7, 1, 4, 0), "--search"],
+    # the text renderings print the entries through str()
+    ["maximal", *_spec_args(2, 3, 1, 2), "--search", "--format", "markdown"],
+    ["maximal", *_spec_args(3, 1, 1, 3), "--search", "--format", "csv"],
+    ["count", *_spec_args(3, 2, 0, 5)],
+    ["count", *_spec_args(2, 2, 1, 3)],
+    ["count", *_spec_args(3, 2, 2, 0)],
+    ["count", *_spec_args(5, 2, 1, 3), "--format", "csv"],
+]
+
+
+def _path(argv) -> Path:
+    return DATA / ("_".join(a.lstrip("-") for a in argv) + ".txt")
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == cli.EXIT_OK
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=lambda argv: _path(argv).stem)
+def test_payload_is_pinned(argv):
+    assert _stdout(argv) == _path(argv).read_text(encoding="utf-8")
+
+
+def test_every_pin_file_has_a_call():
+    assert sorted(DATA.iterdir()) == sorted(_path(argv) for argv in CALLS)
+
+
+def test_generating_vector_json_round_trip():
+    vec = make_vector(3, 2, [(1, 0), (2, 1), (0, 2)], hyperbolic=[((1, 1), (0, 0))])
+    back = GeneratingVector.from_json_dict(vec.to_json_dict())
+    assert back == vec
+    assert back.to_json_dict() == vec.to_json_dict()
+
+
+@pytest.mark.parametrize("spec", [EAActionSpec(2, 3, 1, 2), EAActionSpec(3, 1, 1, 3)])
+def test_extension_witness_json_round_trip(spec):
+    for witness in (is_maximal(spec).witness, search_extension_witness(spec).witness):
+        assert ExtensionWitness.from_json_dict(witness.to_json_dict()) == witness

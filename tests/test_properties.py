@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from eag import fp, grouptable as gt
 from eag.cx import GaussianRational, Mobius, ProjPoint, cross_ratio
-from eag.fp import FpMatrix, FpVector
 from eag.genvec import make_vector, multiset_character, validate
 from eag.surfaces import EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus
 
@@ -21,19 +21,18 @@ def fp_matrices(draw):
     cols = draw(st.integers(1, 5))
     entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
                             max_size=rows * cols))
-    it = iter(entries)
-    return FpMatrix(p, tuple(tuple(next(it) for _ in range(cols))
-                             for _ in range(rows)))
+    return p, np.array(entries).reshape(rows, cols)
 
 
 @given(fp_matrices(), st.integers(0, 10**6))
-def test_rank_invariants(m, seed):
+def test_rank_invariants(pm, seed):
+    p, m = pm
     rng = random.Random(seed)
-    rk = fp.rank(m)
-    assert 0 <= rk <= min(m.nrows, m.ncols)
-    rows = list(m.rows)
+    rk = fp.vector_span_rank(m, p)
+    assert 0 <= rk <= min(m.shape)
+    rows = list(m)
     rng.shuffle(rows)
-    assert fp.rank(FpMatrix(m.p, tuple(rows))) == rk
+    assert fp.vector_span_rank(rows, p) == rk
 
 
 @given(primes, st.integers(0, 3), st.integers(0, 3), st.integers(0, 8))
@@ -44,17 +43,16 @@ def test_genus_formulas_agree(p, n, rho, r):
 
 def _zero_sum_vector(p, n, r, raw):
     entries = []
-    total = FpVector.zero(p, n)
     it = iter(raw)
     for _ in range(r - 1):
-        v = FpVector(p, tuple(next(it) for _ in range(n)))
-        if v.is_zero():
-            v = FpVector.unit(p, n, 0)
+        v = np.array([next(it) for _ in range(n)])
+        if not v.any():
+            v[0] = 1
         entries.append(v)
-        total = total + v
-    if total.is_zero():
-        entries[-1] = entries[-1] + FpVector.unit(p, n, 0)
-        total = total + FpVector.unit(p, n, 0)
+    total = sum(entries) % p
+    if not total.any():
+        entries[-1][0] += 1
+        total[0] += 1
     entries.append(-total)
     return make_vector(p, n, entries)
 
@@ -70,11 +68,10 @@ def test_multiset_character_is_an_invariant(p, n, extra, raw, seed):
     entries = list(vec.elliptic)
     rng.shuffle(entries)
     while True:
-        g = FpMatrix(vec.p, tuple(tuple(rng.randrange(vec.p) for _ in range(vec.n))
-                                  for _ in range(vec.n)))
-        if g.is_invertible():
+        g = np.array([[rng.randrange(vec.p) for _ in range(vec.n)] for _ in range(vec.n)])
+        if fp.vector_span_rank(g, vec.p) == vec.n:
             break
-    moved = make_vector(vec.p, vec.n, [g.apply(v) for v in entries])
+    moved = make_vector(vec.p, vec.n, [g @ v for v in entries])
     assert multiset_character(moved) == chi
     assert validate(moved) == validate(vec)
 
