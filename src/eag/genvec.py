@@ -74,11 +74,6 @@ class GeneratingVector:
         return GeneratingVector(d["p"], d["n"], d["hyperbolic"], d["elliptic"])
 
 
-def make_vector(p: int, n: int, elliptic, hyperbolic=()) -> GeneratingVector:
-    """Build a vector, elliptic images first."""
-    return GeneratingVector(p, n, hyperbolic, elliptic)
-
-
 def validate(v: GeneratingVector) -> bool:
     """True iff generation, order and product conditions all hold."""
     return validate_vector_for(v.spec(), v)
@@ -321,8 +316,8 @@ def is_unique_action(spec: EAActionSpec) -> bool:
 
 
 def _pair_from_image_lists(p: int, n: int, first, second):
-    v1 = make_vector(p, n, first)
-    v2 = make_vector(p, n, second)
+    v1 = GeneratingVector(p, n, hyperbolic=(), elliptic=first)
+    v2 = GeneratingVector(p, n, hyperbolic=(), elliptic=second)
     if not (validate(v1) and validate(v2)):
         raise AssertionError("constructed pair fails validation")
     if multiset_character(v1) == multiset_character(v2):

@@ -18,8 +18,7 @@ import numpy as np
 from . import orbits
 from .errors import PreconditionError
 from .fp import vector_span_rank
-from .genvec import (GeneratingVector, is_unique_action, make_vector,
-                     require_admissible_genus, validate)
+from .genvec import GeneratingVector, is_unique_action, require_admissible_genus, validate
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
 
 
@@ -128,7 +127,7 @@ def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     x, y = _units(2)
     elliptic = [y, y, y, y] + [x] * (k - 4) if k >= 4 else [y, y]
     n_spec = EAActionSpec(2, 2, 1, k)
-    vec = make_vector(2, 2, elliptic, hyperbolic=((x, 0 * x),))
+    vec = GeneratingVector(2, 2, hyperbolic=((x, 0 * x),), elliptic=elliptic)
     return _verified(spec, n_spec, vec, (x + y,))
 
 
@@ -164,7 +163,7 @@ def _try_unramified_extension(spec, tau, k, x, y):
         )
         vec = None
         for cand in candidates:
-            trial = make_vector(p, 2, cand, hyperbolic=_zero_pairs(2, tau))
+            trial = GeneratingVector(p, 2, hyperbolic=_zero_pairs(2, tau), elliptic=cand)
             if validate(trial):
                 try:
                     ok = subgroup_signature(EAActionSpec(p, 2, tau, k), trial, (y,)) == spec.sig
@@ -186,7 +185,7 @@ def _witness_even_weight_p2(spec: EAActionSpec, big_rank: int, elliptic) -> Exte
     units = _units(big_rank)
     basis = [units[0] + units[i] for i in range(1, big_rank)]
     n_spec = EAActionSpec(2, big_rank, 0, len(elliptic))
-    vec = make_vector(2, big_rank, elliptic)
+    vec = GeneratingVector(2, big_rank, hyperbolic=(), elliptic=elliptic)
     return _verified(spec, n_spec, vec, basis)
 
 
@@ -224,7 +223,7 @@ def _witness_two_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     else:
         tau, elliptic = rho // 2, [x, x + y, y]
     n_spec = EAActionSpec(2, 2, tau, len(elliptic))
-    vec = make_vector(2, 2, elliptic, hyperbolic=_zero_pairs(2, tau))
+    vec = GeneratingVector(2, 2, hyperbolic=_zero_pairs(2, tau), elliptic=elliptic)
     return _verified(spec, n_spec, vec, (y,))
 
 
@@ -237,7 +236,7 @@ def _witness_even_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
     else:
         elliptic = [y] * k + [x] * (2 * rho + 2)
     n_spec = EAActionSpec(2, 2, 0, len(elliptic))
-    vec = make_vector(2, 2, elliptic)
+    vec = GeneratingVector(2, 2, hyperbolic=(), elliptic=elliptic)
     return _verified(spec, n_spec, vec, (y,))
 
 
@@ -253,7 +252,7 @@ def _witness_three_periods_cyclic_p3(spec: EAActionSpec) -> ExtensionWitness:
         head = [y, -x + y, -x + y]
     elliptic = head + [x] * rho
     n_spec = EAActionSpec(3, 2, 0, len(elliptic))
-    vec = make_vector(3, 2, elliptic)
+    vec = GeneratingVector(3, 2, hyperbolic=(), elliptic=elliptic)
     return _verified(spec, n_spec, vec, (y,))
 
 
@@ -434,8 +433,9 @@ def _admissible_rows(p: int, tau: int, s: int, n: int, v: np.ndarray):
 def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows: np.ndarray):
     p, tau = spec.p, n_spec.rho
     cols = rows.T
-    vec = make_vector(p, spec.n + 1, cols[2 * tau:],
-                      hyperbolic=[(cols[2 * i], cols[2 * i + 1]) for i in range(tau)])
+    vec = GeneratingVector(p, spec.n + 1,
+                           hyperbolic=[(cols[2 * i], cols[2 * i + 1]) for i in range(tau)],
+                           elliptic=cols[2 * tau:])
     # the identity above makes every admissible R a witness: a failed round
     # trip is a bug, and _verified raises on it
     return _verified(spec, n_spec, vec, _units(spec.n + 1)[:spec.n])

@@ -5,7 +5,9 @@ objects become distinct integer keys, each move maps every object to the
 key of its image, and the orbits are the connected components.  It counts
 
 * purely ramified: admissible k-subspaces of the zero-sum hyperplane of
-  F_p^r under S_r permuting coordinates;
+  F_p^r under S_r permuting coordinates.  S_r is generated by the
+  transposition (0 1) and the r-cycle, and the RREF of each image is
+  written in closed form, with no row reduction;
 * unramified: kernels in F_p^{2 rho} under Sp(2 rho, p);
 * Cayley-table orbits (``grouptable.generating_vector_orbits``): genus-0
   generating tuples under the braid moves and Aut(G).  Aut(G) adds one
@@ -174,7 +176,7 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     return int(count), labels[src]
 
 
-#: most subspaces whose move images ``_subspace_orbit_count`` reduces at once
+#: most subspaces whose move images ``_subspace_orbit_count`` builds at once
 MOVE_BLOCK = 65_536
 
 
@@ -182,15 +184,15 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
     """Number of orbits of the subspaces in ``M`` under the group the moves generate.
 
     ``M`` holds the RREF of every subspace of one orbit-closed family, one
-    per row; each move maps such a batch to (unreduced) bases of its images.
-    The images are reduced and packed in blocks of MOVE_BLOCK subspaces, so
-    the temporaries of ``batch_rref`` stay small next to ``M``.
+    per row; each move maps such a batch to the RREFs of its images.  The
+    images are built and packed in blocks of MOVE_BLOCK subspaces, so the
+    temporaries of a move stay small next to ``M``.
     """
     def pack(batch):
         return _pack_keys(batch[:, :, 1:] if drop_first_col else batch, p)
 
     def image_keys(move):
-        return np.concatenate([pack(batch_rref(move(M[i:i + MOVE_BLOCK]), p))
+        return np.concatenate([pack(move(M[i:i + MOVE_BLOCK]))
                                for i in range(0, len(M), MOVE_BLOCK)])
 
     return orbit_components(pack(M), (image_keys(move) for move in moves))[0]
@@ -219,9 +221,55 @@ def check_pure_caps(p: int, k: int, r: int, cap: int | None = None) -> None:
             f"(p={p}, k={k}, r={r}) needs {est} subspaces, above the cap {cap}")
 
 
+def _swap01_rref(M: np.ndarray, p: int) -> np.ndarray:
+    """RREF of every subspace in ``M`` after swapping coordinates 0 and 1.
+
+    Precondition: each row of ``M`` (shape (B, k, r), uint8) is the RREF of
+    an admissible subspace of the zero-sum hyperplane.  Column 0 is then
+    e_0, and column 1 is either e_1 (row 1 pivots there) or a*e_0 with
+    a != 0.  In the first case swapping rows 0 and 1 restores the RREF; in
+    the second, scaling row 0 by 1/a does.
+    """
+    k, r = M.shape[1:]
+    S = M[:, :, [1, 0] + list(range(2, r))]
+    pivot = np.zeros(len(M), dtype=bool)
+    if k >= 2:
+        pivot = M[:, 1, 1] == 1
+        S[pivot, 0], S[pivot, 1] = S[pivot, 1], S[pivot, 0]
+    scaled = ~pivot
+    inv = _inverse_table(p)[M[scaled, 0, 1]]
+    S[scaled, 0] = (S[scaled, 0] * inv[:, None]) % p
+    return S
+
+
+def _cycle_rref(M: np.ndarray, p: int) -> np.ndarray:
+    """RREF of every subspace in ``M`` after the r-cycle i -> i + 1 (mod r).
+
+    Precondition: each row of ``M`` (shape (B, k, r), uint8) is the RREF of
+    an admissible subspace of the zero-sum hyperplane.  Dropping the last
+    coordinate is injective on the hyperplane, so all pivots lie in the
+    first r - 1 columns and the image is ``[c | A]`` with A in RREF and
+    c != 0.  With i0 the last row where c is nonzero, the RREF is row i0
+    divided by c[i0], followed by every other row j, in order, minus
+    c[j] / c[i0] times row i0.
+    """
+    B, k = M.shape[:2]
+    R = np.roll(M, 1, axis=2).astype(np.int16)
+    c = R[:, :, 0]
+    i0 = k - 1 - (c[:, ::-1] != 0).argmax(axis=1)
+    top = R[np.arange(B), i0]
+    top = (top * _inverse_table(p)[top[:, 0]][:, None]) % p
+    rest = (R - c[:, :, None] * top[:, None, :]) % p  # row i0 becomes zero
+    out = np.empty(M.shape, dtype=np.uint8)
+    out[:, 0] = top
+    before = (np.arange(k - 1)[None, :] < i0[:, None])[:, :, None]
+    out[:, 1:] = np.where(before, rest[:, :-1], rest[:, 1:])
+    return out
+
+
 @lru_cache(maxsize=None)
 def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
-    """S_r-orbit count of admissible k-subspaces, by transposition BFS."""
+    """S_r-orbit count of admissible k-subspaces, by BFS over (0 1) and the r-cycle."""
     check_pure_caps(p, k, r)
     if k < 1 or k > r - 1:
         return 0
@@ -229,18 +277,9 @@ def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
     M = M[(M != 0).any(axis=1).all(axis=1)]
     if len(M) == 0:
         return 0
-
-    def swap(c):
-        def move(batch):
-            # copy-then-swap keeps the batch C-contiguous for batch_rref
-            S = batch.copy()
-            S[:, :, [c, c + 1]] = S[:, :, [c + 1, c]]
-            return S
-        return move
-
     # admissible matrices always pivot in column 0, so the key may drop it
-    return _subspace_orbit_count(M, p, [swap(c) for c in range(r - 1)],
-                                 drop_first_col=True)
+    moves = [lambda batch: _swap01_rref(batch, p), lambda batch: _cycle_rref(batch, p)]
+    return _subspace_orbit_count(M, p, moves, drop_first_col=True)
 
 
 # canonical-form route: enumerate zero-sum spanning multisets of nonzero
@@ -331,7 +370,7 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     if e == 0:
         return 1
     M = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), e)
-    moves = [lambda batch, g=g: (batch @ g) % p for g in fp.sp_generators(rho, p)]
+    moves = [lambda batch, g=g: batch_rref(batch @ g, p) for g in fp.sp_generators(rho, p)]
     return _subspace_orbit_count(M, p, moves, drop_first_col=False)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from eag import fp
 from eag.errors import CapExceededError, PreconditionError
-from eag.genvec import make_vector
+from eag.genvec import GeneratingVector
 
 
 def test_rank_examples():
@@ -56,7 +56,7 @@ def test_prime_gate():
     with pytest.raises(PreconditionError):
         fp.group_closure([np.eye(1, dtype=np.int64)], 4)
     with pytest.raises(PreconditionError):
-        make_vector(17, 2, [(1, 2)])
+        GeneratingVector(17, 2, hyperbolic=(), elliptic=[(1, 2)])
     with pytest.raises(PreconditionError):
         fp.gl_generators(2, 6)
 
@@ -143,12 +143,12 @@ def test_vector_arithmetic():
     # [0, p) once stored in a generating vector
     v, w = np.array([1, 2, 3]), np.array([4, 4, 4])
     e1 = np.eye(3, dtype=np.int64)[1]
-    vec = make_vector(5, 3, [v + w, -v, 2 * v], hyperbolic=[(e1, 0 * v)])
+    vec = GeneratingVector(5, 3, hyperbolic=[(e1, 0 * v)], elliptic=[v + w, -v, 2 * v])
     assert vec.elliptic == ((0, 1, 2), (4, 3, 2), (2, 4, 1))
     assert vec.hyperbolic == (((0, 1, 0), (0, 0, 0)),)
     assert all(type(a) is int for c in vec.elliptic + vec.hyperbolic[0] for a in c)
-    assert vec == make_vector(5, 3, [(0, 1, 2), (4, 3, 2), (2, 4, 1)],
-                              hyperbolic=[((0, 1, 0), (0, 0, 0))])
+    assert vec == GeneratingVector(5, 3, hyperbolic=[((0, 1, 0), (0, 0, 0))],
+                                   elliptic=[(0, 1, 2), (4, 3, 2), (2, 4, 1)])
 
 
 @pytest.mark.parametrize("a,b", [
@@ -158,9 +158,9 @@ def test_vector_arithmetic():
 def test_vector_add_rejects_mismatch(a, b):
     # entries of one generating vector live in one F_p^n
     with pytest.raises(PreconditionError):
-        make_vector(3, 2, [a, b])
+        GeneratingVector(3, 2, hyperbolic=(), elliptic=[a, b])
     with pytest.raises(PreconditionError):
-        make_vector(3, 2, [], hyperbolic=[(a, b)])
+        GeneratingVector(3, 2, hyperbolic=[(a, b)], elliptic=[])
 
 
 @pytest.mark.parametrize("a,b", [

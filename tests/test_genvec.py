@@ -7,30 +7,30 @@ from eag import fp, genvec, orbits
 from eag.errors import CapExceededError, OutOfDomainError, PreconditionError
 from eag.genvec import (GeneratingVector, build_inequivalent_pair, count_classes,
                         count_pure_classes, count_unramified_classes,
-                        is_unique_action, make_vector, multiset_character,
-                        unique_action_rules, unramified_adjudication, validate)
+                        is_unique_action, multiset_character, unique_action_rules,
+                        unramified_adjudication, validate)
 from eag.surfaces import EAActionSpec, ea_genus
 
 
 def test_validate_examples():
-    assert validate(make_vector(2, 1, [(1,)] * 4))
-    assert validate(make_vector(3, 1, [(1,)] * 3))
+    assert validate(GeneratingVector(2, 1, hyperbolic=(), elliptic=[(1,)] * 4))
+    assert validate(GeneratingVector(3, 1, hyperbolic=(), elliptic=[(1,)] * 3))
     # rank-2 target is not generated by a single repeated image
-    assert not validate(make_vector(3, 2, [(1, 0)] * 3))
+    assert not validate(GeneratingVector(3, 2, hyperbolic=(), elliptic=[(1, 0)] * 3))
     # nonzero sum
-    assert not validate(make_vector(3, 1, [(1,)] * 4))
+    assert not validate(GeneratingVector(3, 1, hyperbolic=(), elliptic=[(1,)] * 4))
     # a zero elliptic entry breaks the order condition
-    assert not validate(make_vector(3, 1, [(1,), (2,), (0,)]))
+    assert not validate(GeneratingVector(3, 1, hyperbolic=(), elliptic=[(1,), (2,), (0,)]))
 
 
 def test_multiset_character_examples():
     # three repeats of one generator, the second generator, and the forced
     # closing entry: profile (1, 1, 3)
-    v = make_vector(3, 2, [(1, 0), (0, 1), (1, 0), (1, 0), (0, 2)])
+    v = GeneratingVector(3, 2, hyperbolic=(), elliptic=[(1, 0), (0, 1), (1, 0), (1, 0), (0, 2)])
     assert validate(v)
     assert multiset_character(v) == (1, 1, 3)
-    assert multiset_character(make_vector(2, 1, [(1,)] * 4)) == (4,)
-    v = make_vector(5, 1, [(1,), (2,), (3,), (4,)])
+    assert multiset_character(GeneratingVector(2, 1, hyperbolic=(), elliptic=[(1,)] * 4)) == (4,)
+    v = GeneratingVector(5, 1, hyperbolic=(), elliptic=[(1,), (2,), (3,), (4,)])
     assert multiset_character(v) == (1, 1, 1, 1)
 
 
@@ -50,7 +50,7 @@ def test_multiset_character_invariance():
         if not total.any():
             continue
         entries.append(-total)
-        vec = make_vector(p, n, entries)
+        vec = GeneratingVector(p, n, hyperbolic=(), elliptic=entries)
         chi = multiset_character(vec)
         # permuting entries and acting by any invertible matrix fixes chi
         perm = list(range(r))
@@ -59,7 +59,7 @@ def test_multiset_character_invariance():
             g = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             if fp.vector_span_rank(g, p) == n:
                 break
-        moved = make_vector(p, n, [g @ entries[i] for i in perm])
+        moved = GeneratingVector(p, n, hyperbolic=(), elliptic=[g @ entries[i] for i in perm])
         assert multiset_character(moved) == chi
 
 
@@ -301,7 +301,7 @@ def test_pair_larger_primes_and_ranks():
 
 
 def test_generating_vector_json_roundtrip():
-    vec = make_vector(3, 2, [(1, 0), (0, 1), (2, 2)], hyperbolic=(((1, 1), (0, 2)),))
+    vec = GeneratingVector(3, 2, hyperbolic=(((1, 1), (0, 2)),), elliptic=[(1, 0), (0, 1), (2, 2)])
     back = GeneratingVector.from_json_dict(vec.to_json_dict())
     assert back == vec
 

@@ -60,6 +60,72 @@ def test_pure_orbit_counts_hand_checked(pkr, value):
     assert orbits.count_pure_orbits_bfs(p, k, r) == value
 
 
+# count_pure_orbits_bfs on every admissible instance of the pure box (p in
+# {2, 3, 5}, 1 <= k <= 4, k < r <= 7, genus >= 2), as the adjacent-
+# transposition BFS with row-reduced images counted them
+PURE_BOX_COUNTS = [
+    (2, 1, 6, 1), (2, 2, 5, 1), (2, 2, 6, 2), (2, 2, 7, 2), (2, 3, 5, 1), (2, 3, 6, 3),
+    (2, 3, 7, 4), (2, 4, 5, 1), (2, 4, 6, 2), (2, 4, 7, 4), (3, 1, 4, 1), (3, 1, 5, 1),
+    (3, 1, 6, 2), (3, 1, 7, 1), (3, 2, 4, 2), (3, 2, 5, 4), (3, 2, 6, 9), (3, 2, 7, 13),
+    (3, 3, 4, 1), (3, 3, 5, 3), (3, 3, 6, 12), (3, 3, 7, 34), (3, 4, 5, 1), (3, 4, 6, 5),
+    (3, 4, 7, 23), (5, 1, 3, 1), (5, 1, 4, 3), (5, 1, 5, 3), (5, 1, 6, 5), (5, 1, 7, 6),
+    (5, 2, 3, 1), (5, 2, 4, 4), (5, 2, 5, 14), (5, 2, 6, 58), (5, 2, 7, 204), (5, 3, 4, 1),
+    (5, 3, 5, 7), (5, 3, 6, 69), (5, 3, 7, 789), (5, 4, 5, 1), (5, 4, 6, 12), (5, 4, 7, 268),
+]
+
+
+@pytest.mark.parametrize("p,k,r,count", PURE_BOX_COUNTS)
+def test_pure_box_counts_pinned(p, k, r, count):
+    # the cached call is the one acceptance criterion 01 makes
+    assert orbits.count_pure_orbits_bfs(p, k, r) == count
+
+
+def _closed_form_mismatches():
+    """Check both closed-form moves against ``batch_rref`` of the moved batch.
+
+    Runs every (p, k, r) with p in {2, 3, 5}, 2 <= r <= 7, 1 <= k < r and at
+    most 20,000 k-subspaces of the zero-sum hyperplane that has admissible
+    subspaces; returns those instances and the (move, p, k, r) that differ.
+    """
+    checked, bad = [], []
+    for p in (2, 3, 5):
+        for r in range(2, 8):
+            for k in range(1, r):
+                if orbits.gaussian_binomial(r - 1, k, p) > 20_000:
+                    continue
+                M = orbits._enumerate_subspaces(p, orbits._zero_sum_hyperplane_basis(p, r), k)
+                M = M[(M != 0).any(axis=1).all(axis=1)]
+                if len(M) == 0:
+                    continue
+                checked.append((p, k, r))
+                swapped = M.copy()
+                swapped[:, :, [0, 1]] = swapped[:, :, [1, 0]]
+                if not np.array_equal(orbits._swap01_rref(M, p),
+                                      orbits.batch_rref(swapped, p)):
+                    bad.append(("swap", p, k, r))
+                if not np.array_equal(orbits._cycle_rref(M, p),
+                                      orbits.batch_rref(np.roll(M, 1, axis=2), p)):
+                    bad.append(("cycle", p, k, r))
+    return checked, bad
+
+
+def test_closed_form_moves_match_batch_rref():
+    checked, bad = _closed_form_mismatches()
+    assert bad == []
+    assert {(2, 1, 2), (3, 1, 2), (5, 1, 2)} <= set(checked)
+    assert {(p, r - 1, r) for p in (2, 3) for r in range(2, 8)} <= set(checked)
+    assert len(checked) == 54
+
+
+def test_closed_form_oracle_catches_a_wrong_scale(monkeypatch):
+    # a mutant that scales by c[i0] in place of its inverse; only p = 5 has
+    # a unit that is not its own inverse, so only p = 5 can show it
+    monkeypatch.setattr(orbits, "_inverse_table", lambda p: np.arange(p, dtype=np.int16))
+    checked, bad = _closed_form_mismatches()
+    assert any(move == "cycle" for move, *_ in bad)
+    assert all(p == 5 for _, p, k, r in bad)
+
+
 def test_pure_canonical_agrees_with_bfs():
     grid = [(2, k, r) for k in (1, 2, 3) for r in range(2, 8)] + \
            [(3, k, r) for k in (1, 2) for r in range(2, 8)] + \

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from eag import cli
-from eag.genvec import GeneratingVector, make_vector
+from eag.genvec import GeneratingVector
 from eag.maximality import ExtensionWitness, is_maximal, search_extension_witness
 from eag.surfaces import EAActionSpec
 
@@ -74,7 +74,7 @@ def test_every_pin_file_has_a_call():
 
 
 def test_generating_vector_json_round_trip():
-    vec = make_vector(3, 2, [(1, 0), (2, 1), (0, 2)], hyperbolic=[((1, 1), (0, 0))])
+    vec = GeneratingVector(3, 2, hyperbolic=[((1, 1), (0, 0))], elliptic=[(1, 0), (2, 1), (0, 2)])
     back = GeneratingVector.from_json_dict(vec.to_json_dict())
     assert back == vec
     assert back.to_json_dict() == vec.to_json_dict()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eag import fp, grouptable as gt
 from eag.cx import GaussianRational, Mobius, ProjPoint, cross_ratio
-from eag.genvec import make_vector, multiset_character, validate
+from eag.genvec import GeneratingVector, multiset_character, validate
 from eag.surfaces import EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus
 
 primes = st.sampled_from((2, 3, 5))
@@ -54,7 +54,7 @@ def _zero_sum_vector(p, n, r, raw):
         entries[-1][0] += 1
         total[0] += 1
     entries.append(-total)
-    return make_vector(p, n, entries)
+    return GeneratingVector(p, n, hyperbolic=(), elliptic=entries)
 
 
 @given(primes, st.integers(1, 2), st.integers(2, 6),
@@ -71,7 +71,7 @@ def test_multiset_character_is_an_invariant(p, n, extra, raw, seed):
         g = np.array([[rng.randrange(vec.p) for _ in range(vec.n)] for _ in range(vec.n)])
         if fp.vector_span_rank(g, vec.p) == vec.n:
             break
-    moved = make_vector(vec.p, vec.n, [g @ v for v in entries])
+    moved = GeneratingVector(vec.p, vec.n, hyperbolic=(), elliptic=[g @ v for v in entries])
     assert multiset_character(moved) == chi
     assert validate(moved) == validate(vec)
 

@@ -5,7 +5,7 @@ import pytest
 
 from eag import surfaces
 from eag.errors import PreconditionError
-from eag.genvec import make_vector
+from eag.genvec import GeneratingVector
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus,
                           solve_extension_params, subgroup_signature)
 
@@ -50,7 +50,7 @@ def test_signature_multiset_semantics():
 
 def _c2c2_vector(rho, elliptic):
     zero = (0, 0)
-    return make_vector(2, 2, elliptic, hyperbolic=((zero, zero),) * rho)
+    return GeneratingVector(2, 2, hyperbolic=((zero, zero),) * rho, elliptic=elliptic)
 
 
 def test_subgroup_signature_worked_example():
@@ -119,7 +119,7 @@ def test_subgroup_signature_against_coset_oracle():
         hyperbolic = tuple(
             ((rng.randrange(p), rng.randrange(p)), (rng.randrange(p), rng.randrange(p)))
             for _ in range(rho))
-        vec = make_vector(p, n, elliptic, hyperbolic=hyperbolic)
+        vec = GeneratingVector(p, n, hyperbolic=hyperbolic, elliptic=elliptic)
         spec = EAActionSpec(p, n, rho, r)
         from eag.surfaces import validate_vector_for
         if not validate_vector_for(spec, vec):
@@ -132,7 +132,7 @@ def test_subgroup_signature_genus_two_cover():
     # C_2 x C_2 with (0; 2^5) on a genus-2 surface: the subgroup <x> keeps
     # the three entries it contains and picks up six branch points
     n_spec = EAActionSpec(2, 2, 0, 5)
-    vec = make_vector(2, 2, [(1, 0), (1, 0), (1, 0), (0, 1), (1, 1)])
+    vec = GeneratingVector(2, 2, hyperbolic=(), elliptic=[(1, 0), (1, 0), (1, 0), (0, 1), (1, 1)])
     basis = ((1, 0),)
     sig = subgroup_signature(n_spec, vec, basis)
     assert sig == Signature(0, (2,) * 6)
