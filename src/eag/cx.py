@@ -31,23 +31,35 @@ class GaussianRational:
             return GaussianRational(Fraction(x))
         raise PreconditionError(f"cannot coerce {x!r} to an exact complex number")
 
+    # With rational input every imaginary part is 0; a real operand pair then
+    # takes one Fraction operation, with the general formula's exact result.
+
     def __add__(self, other):
         o = GaussianRational.of(other)
+        if not self.im and not o.im:
+            return GaussianRational(self.re + o.re)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return GaussianRational(-self.re)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        o = GaussianRational.of(other)
+        if not self.im and not o.im:
+            return GaussianRational(self.re - o.re)
+        return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other) - self
 
     def __mul__(self, other):
         o = GaussianRational.of(other)
+        if not self.im and not o.im:
+            return GaussianRational(self.re * o.re)
         return GaussianRational(self.re * o.re - self.im * o.im,
                                 self.re * o.im + self.im * o.re)
 
@@ -55,9 +67,11 @@ class GaussianRational:
 
     def __truediv__(self, other):
         o = GaussianRational.of(other)
-        n2 = o.norm2()
-        if n2 == 0:
+        if o.is_zero():
             raise ZeroDivisionError("division by exact zero")
+        if not self.im and not o.im:
+            return GaussianRational(self.re / o.re)
+        n2 = o.norm2()
         return self * GaussianRational(o.re / n2, -o.im / n2)
 
     def __rtruediv__(self, other):

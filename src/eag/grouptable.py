@@ -327,8 +327,10 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
             mapped.append(y)
         if len(set(mapped)) != g.order:
             continue
-        ok = all(mapped[g.mul(a, b)] == g.mul(mapped[a], mapped[b])
-                 for a in range(g.order) for b in range(g.order))
+        # every element is a product of generators, so f(x a) = f(x) f(a) for
+        # all x and every generator a makes f a homomorphism
+        ok = all(mapped[g.mul(x, a)] == g.mul(mapped[x], images[gi])
+                 for gi, a in enumerate(gens) for x in range(g.order))
         if ok:
             autos.append(tuple(mapped))
     return autos

@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cx import (DEFAULT_TOL, Mobius, ProjPoint, cross_det, exactify,
                  is_exact_scalar, scalar_is_zero)
@@ -21,8 +22,6 @@ from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
 
 #: draws allowed per requested smoothness sample before the sampler gives up
-#: (a line whose intersection coordinates span many orders of magnitude
-#: leaves no point clear of the branch points)
 SAMPLE_ATTEMPTS_PER_POINT = 100
 
 
@@ -143,6 +142,7 @@ def _kernel_basis(line: LineMatrix, tol: float):
     return tuple(basis), det
 
 
+@lru_cache(maxsize=8)
 def _plucker_rows(line: LineMatrix, tol: float):
     """The rows Q_i = A_i B - B_i A of the kernel basis, or None if T is not generic.
 
@@ -150,12 +150,17 @@ def _plucker_rows(line: LineMatrix, tol: float):
     det(C_pivots) p_ij is, up to sign, the minor of C with columns i and j
     deleted.  Each minor is tested against the Hadamard bound of that
     deletion: the product of C's row norms over the kept columns.
+
+    The genericity test, the branch points and the sampler all ask for the
+    same (line, tol), so the result is cached; it is a tuple of tuples, so
+    no caller can change the cached rows.
     """
     basis, det = _kernel_basis(line, tol)
     if basis is None:
         return None
     a, b = basis
-    q = [[a[i] * y - b[i] * x for x, y in zip(a, b)] for i in range(line.n + 1)]
+    q = tuple(tuple(a[i] * y - b[i] * x for x, y in zip(a, b))
+              for i in range(line.n + 1))
     for i, j in itertools.combinations(range(line.n + 1), 2):
         scale = 1.0
         if not line.exact:
@@ -409,6 +414,16 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     the checks are that the residuals stay at rounding scale, that the
     gradient matrix has full rank n - 1, and that its two-column-deleted
     minors factor as p^(n-1) (prod x_j^(p-1)) det(C'').
+
+    A draw is the point pt = Q_0 + t Q_1 of T for a standard complex normal
+    t.  It is rejected, as too close to a branch point for a clean lift,
+    when some coordinate has |pt_j| < 1e-6 (|Q_0(j)| + |t| |Q_1(j)|); the
+    rule is per coordinate, so rescaling a coordinate of the line does not
+    change it.  The draws and the choice of p-th root per coordinate run in
+    Python, in the order the seed fixes; the lifts, residuals, gradient
+    ranks (one stacked SVD) and minor identities (two stacked
+    determinants) are then computed for all samples at once, and the
+    failures are listed in sample order.
     """
     import numpy as np
 
@@ -418,48 +433,47 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     p, n = spec.p, spec.n
     cmat = np.array([[complex(c) for c in row] for row in spec.line.rows])
     q = intersection_points(spec.line)
-    q0 = np.array([complex(v) for v in q[0]])
-    q1 = np.array([complex(v) for v in q[1]])
-    failures = []
-    max_res = 0.0
-    min_rank = n - 1
-    max_minor = 0.0
-    done = 0
+    q0 = [complex(v) for v in q[0]]
+    q1 = [complex(v) for v in q[1]]
+    a0 = [abs(v) for v in q0]
+    a1 = [abs(v) for v in q1]
+    pts = []
+    branches = []
     draws = 0
-    while done < count:
+    while len(pts) < count:
         if draws == SAMPLE_ATTEMPTS_PER_POINT * count:
             raise CapExceededError(
-                f"only {done} of {count} samples lay clear of the branch points in {draws} draws")
+                f"only {len(pts)} of {count} samples lay clear of the branch points"
+                f" in {draws} draws")
         draws += 1
         t = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        pt = q0 + t * q1
-        scale = float(np.max(np.abs(pt)))
-        if scale < 1e-12 or float(np.min(np.abs(pt))) < 1e-6 * scale:
+        at = abs(t)
+        pt = [u + t * v for u, v in zip(q0, q1)]
+        if any(abs(x) < 1e-6 * (u + at * v) for x, u, v in zip(pt, a0, a1)):
             continue  # too close to a branch point for a clean lift
-        roots = np.array([
-            v ** (1.0 / p) * np.exp(2j * np.pi * rng.randrange(p) / p)
-            for v in pt])
-        done += 1
-        f = cmat @ (roots ** p)
-        res = float(np.max(np.abs(f)) / max(scale, 1e-300))
-        max_res = max(max_res, res)
-        if res > tol:
-            failures.append(f"sample {done}: equation residual {res:.3e}")
-        g = p * cmat * (roots ** (p - 1))[None, :]
-        svals = np.linalg.svd(g, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
-        min_rank = min(min_rank, rank)
-        if rank < n - 1:
-            failures.append(f"sample {done}: gradient rank {rank} < {n - 1}")
-        keep = sorted(np.argsort(np.abs(roots))[2:])
-        gsub = g[:, keep]
-        csub = cmat[:, keep]
-        lhs = np.linalg.det(gsub)
-        rhs = p ** (n - 1) * np.prod(roots[keep] ** (p - 1)) * np.linalg.det(csub)
-        denom = max(abs(lhs), abs(rhs), 1e-300)
-        err = float(abs(lhs - rhs) / denom)
-        max_minor = max(max_minor, err)
-        if err > tol:
-            failures.append(f"sample {done}: minor identity error {err:.3e}")
-    return SmoothnessReport(p, n, done, max_res, min_rank, max_minor,
-                            tuple(failures), seed)
+        pts.append(pt)
+        branches.append([rng.randrange(p) for _ in pt])
+    pts = np.array(pts)
+    roots = pts ** (1.0 / p) * np.exp(2j * np.pi * np.array(branches) / p)
+    scale = np.max(np.abs(pts), axis=1)
+    res = np.max(np.abs((roots ** p) @ cmat.T), axis=1) / np.maximum(scale, 1e-300)
+    g = p * cmat[None, :, :] * (roots ** (p - 1))[:, None, :]
+    svals = np.linalg.svd(g, compute_uv=False)
+    ranks = np.sum(svals > tol * svals[:, :1], axis=1)
+    keep = np.sort(np.argsort(np.abs(roots), axis=1)[:, 2:], axis=1)
+    lhs = np.linalg.det(np.take_along_axis(g, keep[:, None, :], axis=2))
+    kept_roots = np.take_along_axis(roots, keep, axis=1)
+    rhs = (p ** (n - 1) * np.prod(kept_roots ** (p - 1), axis=1)
+           * np.linalg.det(cmat[:, keep].transpose(1, 0, 2)))
+    errs = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    failures = []
+    for i in range(count):
+        if res[i] > tol:
+            failures.append(f"sample {i + 1}: equation residual {res[i]:.3e}")
+        if ranks[i] < n - 1:
+            failures.append(f"sample {i + 1}: gradient rank {ranks[i]} < {n - 1}")
+        if errs[i] > tol:
+            failures.append(f"sample {i + 1}: minor identity error {errs[i]:.3e}")
+    return SmoothnessReport(p, n, count, max(0.0, *res.tolist()),
+                            min(n - 1, *ranks.tolist()),
+                            max(0.0, *errs.tolist()), tuple(failures), seed)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eag import cli, grouptable
+from eag import cli, grouptable, hyperfermat
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -182,13 +182,24 @@ def test_fermat_rejects_nonpositive_samples(capsys):
         assert "sample" in err
 
 
-def test_fermat_unsamplable_line_exit_4(capsys):
-    # the intersection coordinates span so many orders of magnitude that no
-    # draw lies clear of the branch points; the sampler must give up, not hang
-    start = time.perf_counter()
-    code, _, err = run(["fermat", "--p", "7", "--n", "6",
+def test_fermat_wide_scale_line_samples(capsys):
+    # the intersection coordinates span more than six orders of magnitude;
+    # the per-coordinate rejection rule still finds every sample
+    payload = run_json(["fermat", "--p", "7", "--n", "6",
                         "--w=11/5,37/5,-12/5,0,-19/10,-29/12,-13/5"], capsys)
+    assert payload["smoothness"]["passed"]
+    assert payload["smoothness"]["samples"] == 50
+
+
+def test_fermat_sampler_gives_up_exit_4(capsys, monkeypatch):
+    # a sampler that may take no draw must give up cleanly, not hang or crash
+    monkeypatch.setattr(hyperfermat, "SAMPLE_ATTEMPTS_PER_POINT", 0)
+    start = time.perf_counter()
+    code, out, err = run(["fermat", "--p", "5", "--n", "2", "--w", "0,1,2"], capsys)
     assert code == cli.EXIT_CAP
+    assert out == ""
+    assert "samples lay clear of the branch points" in err
+    assert "Traceback" not in err
     assert time.perf_counter() - start < 2.0
 
 

@@ -319,3 +319,46 @@ def test_table_file_roundtrip(tmp_path):
         gt.GroupTable.loads("2\n0 1\n1 x\n")       # non-integer token
     with pytest.raises(PreconditionError):
         gt.GroupTable.loads("2\n0 1\n1 1\n")       # not a latin square
+
+
+def _automorphisms_all_pairs(g):
+    """Brute force: every map fixed by order-preserving images of a generating
+    set, kept when it is a bijection that respects all |G|^2 products."""
+    gens, span = [], g.closure([])
+    for a in range(g.order):
+        if a not in span:
+            gens.append(a)
+            span = g.closure(gens)
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for i, a in enumerate(gens):
+                y = g.mul(x, a)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    new.append(y)
+        frontier = new
+    out = []
+    same_order = [[b for b in range(g.order) if g.element_orders[b] == g.element_orders[a]]
+                  for a in gens]
+    for images in itertools.product(*same_order):
+        mapped = []
+        for x in range(g.order):
+            y = 0
+            for i in words[x]:
+                y = g.mul(y, images[i])
+            mapped.append(y)
+        if len(set(mapped)) == g.order and all(
+                mapped[g.mul(a, b)] == g.mul(mapped[a], mapped[b])
+                for a in range(g.order) for b in range(g.order)):
+            out.append(tuple(mapped))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["C2", "C10", "S3", "S4", "A4", "A5", "D4", "D6",
+                                  "C2xC4", "C2xC2xC2", "C3xC3"])
+def test_automorphisms_match_all_pairs_oracle(name):
+    g = gt.by_name(name)
+    assert sorted(gt.automorphisms(g)) == _automorphisms_all_pairs(g)

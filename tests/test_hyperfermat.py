@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eag import hyperfermat as hf
+from eag import cli, hyperfermat as hf
 from eag.cx import DEFAULT_TOL, GaussianRational, Mobius, ProjPoint, cross_ratio
 from eag.errors import PreconditionError
 from eag.surfaces import Signature, riemann_hurwitz_genus
@@ -28,6 +30,49 @@ def test_gaussian_rational_arithmetic():
     assert a * a.conjugate() == GaussianRational(a.norm2())
     assert (a ** 3) == a * a * a
     assert complex(GaussianRational(Fraction(1), Fraction(2))) == 1 + 2j
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+
+
+def _gaussians(real):
+    if real:
+        return st.builds(GaussianRational, fractions)
+    return st.builds(GaussianRational, fractions, fractions.filter(bool))
+
+
+def _general(op, x, y):
+    """The textbook formula for each operation on (re, im) pairs."""
+    a, b, c, d = x.re, x.im, y.re, y.im
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n2 = c * c + d * d
+    return (a * c + b * d) / n2, (b * c - a * d) / n2
+
+
+@pytest.mark.parametrize("x_real,y_real", [(True, True), (True, False),
+                                           (False, True), (False, False)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gaussian_ops_match_general_formula(x_real, y_real, data):
+    # the real-operand fast paths must agree with the formula for complex data
+    x = data.draw(_gaussians(x_real))
+    y = data.draw(_gaussians(y_real))
+    results = {"+": x + y, "-": x - y, "*": x * y}
+    if not y.is_zero():
+        results["/"] = x / y
+    for op, got in results.items():
+        assert (got.re, got.im) == _general(op, x, y), op
+    assert ((-x).re, (-x).im) == (-x.re, -x.im)
+    assert (3 - y) == GaussianRational(3 - y.re, -y.im)
+    if not y.is_zero():
+        assert (2 / y) == GaussianRational(*_general("/", GaussianRational.of(2), y))
+    with pytest.raises(ZeroDivisionError):
+        x / GaussianRational(Fraction(0))
 
 
 def test_vandermonde_line_shapes():
@@ -380,3 +425,120 @@ def test_cross_ratio_helper():
     cr = cross_ratio(pts[0], pts[1], pts[2], pts[3])
     # (0,1;3,inf) = (0-3)/(1-3) = 3/2
     assert cr.same_point(ProjPoint.finite(Fraction(3, 2)))
+
+
+def _smoothness_by_loop(spec, count, seed, tol=1e-7):
+    """The sampler one draw at a time: the reference for the batched checks.
+
+    Returns (max residual, min rank, max minor error, failure labels), the
+    labels being "sample i: <check>" without the printed value.
+    """
+    rng = random.Random(seed)
+    p, n = spec.p, spec.n
+    cmat = np.array([[complex(c) for c in row] for row in spec.line.rows])
+    q = hf.intersection_points(spec.line)
+    q0 = np.array([complex(v) for v in q[0]])
+    q1 = np.array([complex(v) for v in q[1]])
+    max_res, min_rank, max_minor, labels = 0.0, n - 1, 0.0, []
+    done = 0
+    while done < count:
+        t = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        pt = q0 + t * q1
+        if np.any(np.abs(pt) < 1e-6 * (np.abs(q0) + abs(t) * np.abs(q1))):
+            continue
+        roots = np.array([v ** (1.0 / p) * np.exp(2j * np.pi * rng.randrange(p) / p)
+                          for v in pt])
+        done += 1
+        res = float(np.max(np.abs(cmat @ (roots ** p))) / np.max(np.abs(pt)))
+        g = p * cmat * (roots ** (p - 1))[None, :]
+        svals = np.linalg.svd(g, compute_uv=False)
+        rank = int(np.sum(svals > tol * svals[0]))
+        keep = sorted(np.argsort(np.abs(roots))[2:])
+        lhs = np.linalg.det(g[:, keep])
+        rhs = p ** (n - 1) * np.prod(roots[keep] ** (p - 1)) * np.linalg.det(cmat[:, keep])
+        err = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        for bad, label in ((res > tol, "equation residual"), (rank < n - 1, "gradient rank"),
+                           (err > tol, "minor identity error")):
+            if bad:
+                labels.append(f"sample {done}: {label}")
+        max_res, min_rank, max_minor = max(max_res, res), min(min_rank, rank), max(max_minor, err)
+    return max_res, min_rank, max_minor, labels
+
+
+def _move_points_off_the_line(monkeypatch):
+    """Shift every intersection point by (1, ..., 1); the first row of a
+    Vandermonde C is all ones, so C (pt + 1) != C pt = 0 and pt + 1 is off T."""
+    on_line = hf.intersection_points
+    monkeypatch.setattr(hf, "intersection_points",
+                        lambda line, tol=DEFAULT_TOL: [[x + 1 for x in q]
+                                                       for q in on_line(line, tol)])
+
+
+@pytest.mark.parametrize("p,w,off_line", [
+    (3, [0, 1, 2, 3], False),
+    (7, [Fraction(11, 5), Fraction(37, 5), Fraction(-12, 5), 0, Fraction(-19, 10),
+         Fraction(-29, 12), Fraction(-13, 5)], False),
+    (5, [1, -2, Fraction(1, 3), 4, Fraction(-5, 2)], True),
+])
+def test_batched_sampler_matches_loop_reference(monkeypatch, p, w, off_line):
+    spec = hf.HyperFermatSpec(p, len(w) - 1, hf.vandermonde_line(w))
+    if off_line:
+        _move_points_off_the_line(monkeypatch)
+    report = hf.sample_and_check_smoothness(spec, count=30, seed=5)
+    max_res, min_rank, max_minor, labels = _smoothness_by_loop(spec, 30, 5)
+    assert report.samples == 30
+    assert report.min_jacobian_rank == min_rank
+    # "sample 3: gradient rank 4 < 5" -> "sample 3: gradient rank"
+    assert [f.split(":")[0] + ": " + " ".join(x for x in f.split(":")[1].split() if x.isalpha())
+            for f in report.failures] == labels
+    # stacked and per-sample linear algebra round differently, and on a clean
+    # line both diagnostics are rounding errors themselves (about 1e-11 here)
+    assert report.max_equation_residual == pytest.approx(max_res, rel=1e-6, abs=1e-9)
+    assert report.max_minor_identity_error == pytest.approx(max_minor, rel=1e-6, abs=1e-9)
+
+
+def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
+    calls = []
+    reduce = hf._kernel_basis
+
+    def counted(line, tol):
+        calls.append(line)
+        return reduce(line, tol)
+
+    monkeypatch.setattr(hf, "_kernel_basis", counted)
+    hf._plucker_rows.cache_clear()
+    assert cli.main(["fermat", "--p", "5", "--n", "4", "--w=1/2,-3,7/3,0,5"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["lambdas"]) == 5
+    assert len(calls) == 1
+
+
+def test_batched_checks_flag_points_off_the_line(monkeypatch):
+    spec = hf.HyperFermatSpec(3, 3, hf.vandermonde_line([0, 1, 2, 3]))
+    _move_points_off_the_line(monkeypatch)
+    report = hf.sample_and_check_smoothness(spec, count=6, seed=2)
+    assert not report.passed
+    residual = [f for f in report.failures if "equation residual" in f]
+    assert [f.split(":")[0] for f in residual] == [f"sample {i}" for i in range(1, 7)]
+    assert report.max_equation_residual > 1e-3
+    numbers = [int(f.split(":")[0].split()[1]) for f in report.failures]
+    assert numbers == sorted(numbers)
+
+
+def test_fermat_sweep_of_random_lines(capsys):
+    # 200 n = 6 Vandermonde lines whose parameters a/b have |a| <= 40 and
+    # b <= 12; some have intersection coordinates spanning more than six
+    # orders of magnitude, which a rejection rule comparing coordinates of
+    # different scales cannot sample
+    rng = random.Random(1)
+    for k in range(200):
+        p = (3, 5, 7)[k % 3]
+        w = []
+        while len(w) < 7:
+            f = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            if f not in w:
+                w.append(f)
+        argv = ["fermat", "--p", str(p), "--n", "6", "--w=" + ",".join(map(str, w))]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+        assert json.loads(out)["smoothness"]["passed"], argv
