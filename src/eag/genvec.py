@@ -124,12 +124,6 @@ def count_unramified_classes(p: int, k: int, rho: int) -> int:
     return orbits.count_kernel_orbits_bfs(p, k, rho)
 
 
-#: ranks with a unique unramified class, as classically stated (adjudicated
-#: below against the computed counts, which put the boundary at 2*rho - 1
-#: and 2*rho instead of rho - 1 and rho)
-STATED_UNRAMIFIED_UNIQUE_RANKS = ("0", "1", "rho-1", "rho")
-
-
 @dataclass(frozen=True)
 class UnramifiedAdjudication:
     p: int

@@ -413,7 +413,10 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     Each sample point X satisfies the defining equations by construction;
     the checks are that the residuals stay at rounding scale, that the
     gradient matrix has full rank n - 1, and that its two-column-deleted
-    minors factor as p^(n-1) (prod x_j^(p-1)) det(C'').
+    minors factor as p^(n-1) (prod x_j^(p-1)) det(C'').  Each equation's
+    residual is relative to its row scale sum_j |c_ij| |pt_j|, and the rank
+    is counted with every gradient column divided by its largest entry, so
+    neither check depends on the scale of a coordinate.
 
     A draw is the point pt = Q_0 + t Q_1 of T for a standard complex normal
     t.  It is rejected, as too close to a branch point for a clean lift,
@@ -455,10 +458,11 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
         branches.append([rng.randrange(p) for _ in pt])
     pts = np.array(pts)
     roots = pts ** (1.0 / p) * np.exp(2j * np.pi * np.array(branches) / p)
-    scale = np.max(np.abs(pts), axis=1)
-    res = np.max(np.abs((roots ** p) @ cmat.T), axis=1) / np.maximum(scale, 1e-300)
+    row_scale = np.abs(pts) @ np.abs(cmat).T
+    res = np.max(np.abs((roots ** p) @ cmat.T) / np.maximum(row_scale, 1e-300), axis=1)
     g = p * cmat[None, :, :] * (roots ** (p - 1))[:, None, :]
-    svals = np.linalg.svd(g, compute_uv=False)
+    col_scale = np.max(np.abs(g), axis=1, keepdims=True)
+    svals = np.linalg.svd(g / np.maximum(col_scale, 1e-300), compute_uv=False)
     ranks = np.sum(svals > tol * svals[:, :1], axis=1)
     keep = np.sort(np.argsort(np.abs(roots), axis=1)[:, 2:], axis=1)
     lhs = np.linalg.det(np.take_along_axis(g, keep[:, None, :], axis=2))

@@ -132,53 +132,27 @@ def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
 
 
 def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | None:
-    p, rho = spec.p, spec.rho
-    x, y = _units(2)
-    for a, b in _frobenius_pairs(p, rho):
-        found = _try_unramified_extension(spec, a + 1, b, x, y)
-        if found is not None:
-            return found
-    return None
-
-
-def _try_unramified_extension(spec, tau, k, x, y):
+    # (rho;-) with n = 1, p odd: overgroup C_p^2 with (a+1; p^b) for the first
+    # pair of _frobenius_pairs that admits a vector, subgroup <y> holding no
+    # elliptic entry.  b = 1 never does (one entry cannot have product 1);
+    # b in {0, 2} needs a hyperbolic pair to reach y.
     p = spec.p
-    if k == 0:
-        if tau < 1:
-            return None
-        hyp = ((x, y),) + _zero_pairs(2, tau - 1)
-        vec = GeneratingVector(p, 2, hyp, ())
-    elif k == 1:
-        return None  # a single elliptic image cannot satisfy the product relation
-    elif k == 2:
-        if tau < 1:
-            return None
-        xy = x + y
-        vec = GeneratingVector(p, 2, tuple((xy, xy) for _ in range(tau)),
-                               (x, -x))
-    else:
-        candidates = (
-            [x] * (k - 2) + [-x + y, 2 * x - y],
-            [x] * (k - 2) + [x + y, -((k - 1) * x + y)],
-        )
-        vec = None
-        for cand in candidates:
-            trial = GeneratingVector(p, 2, hyperbolic=_zero_pairs(2, tau), elliptic=cand)
-            if validate(trial):
-                try:
-                    ok = subgroup_signature(EAActionSpec(p, 2, tau, k), trial, (y,)) == spec.sig
-                except PreconditionError:
-                    ok = False
-                if ok:
-                    vec = trial
-                    break
-        if vec is None:
-            return None
-    n_spec = EAActionSpec(p, 2, tau, len(vec.elliptic))
-    try:
-        return _verified(spec, n_spec, vec, (y,))
-    except AssertionError:
-        return None
+    x, y = _units(2)
+    for a, b in _frobenius_pairs(p, spec.rho):
+        tau = a + 1
+        if b == 1 or (b < 3 and tau < 1):
+            continue
+        if b == 0:
+            hyperbolic, elliptic = ((x, y),) + _zero_pairs(2, tau - 1), ()
+        elif b == 2:
+            hyperbolic, elliptic = ((x + y, x + y),) * tau, (x, -x)
+        else:
+            # b - 2 copies of x, closed by two entries outside <y>
+            tail = [-x + y, 2 * x - y] if (b - 1) % p == 0 else [x + y, -((b - 1) * x + y)]
+            hyperbolic, elliptic = _zero_pairs(2, tau), [x] * (b - 2) + tail
+        vec = GeneratingVector(p, 2, hyperbolic, elliptic)
+        return _verified(spec, EAActionSpec(p, 2, tau, b), vec, (y,))
+    return None
 
 
 def _witness_even_weight_p2(spec: EAActionSpec, big_rank: int, elliptic) -> ExtensionWitness:
@@ -265,78 +239,65 @@ FROBENIUS_CORNER_RULE = (
 def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     """Closed-form maximality verdict for a unique action (genus >= 2).
 
-    Rules follow the obstruction/construction split: divisibility and rank
-    bounds prove maximality, explicit extensions disprove it, and the
-    unramified cyclic case for odd p is decided by representability of rho.
+    Constructions come first: seven explicit extension families, each with
+    p | r, then the unramified cyclic case for odd p, decided by
+    representability of rho.  Every other unique action is maximal by one of
+    three obstructions, the strongest first:
+
+    1. p does not divide r.  The subgroup of an index-p overgroup holding m
+       of its elliptic entries has p m branch points, so no extension
+       parameters exist.
+    2. The rank bound n = 2 rho + max(r - 1, 0).  Every extension signature
+       (tau; p^s) then has 2 tau + max(s - 1, 0) <= n, too few generators
+       for rank n + 1.  Only p = 2 with r in {0, 2} escapes it, and those
+       full-rank families are constructions.
+    3. (rho;-) with n = 2 rho - 1 and p odd.  The same count gives
+       2 tau + max(s - 1, 0) < 2 rho = n + 1 for every extension signature.
     """
     require_admissible_genus(spec)
     if not is_unique_action(spec):
         raise PreconditionError(f"{spec} is not a unique action; maximality undefined")
     p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
 
-    if r == 0:
-        if n == 1:
-            if p == 2:
-                return MaximalityVerdict(
-                    spec, False, _witness_unramified_cyclic_p2(spec),
-                    "non-maximal: unramified C_2 always extends to C_2 x C_2")
-            rep = frobenius_representable(p, rho)
-            if rep is None:
-                return MaximalityVerdict(
-                    spec, True, None,
-                    "maximal: rho is not representable as a*p + b*(p-1)/2 + 1")
-            witness = _witness_unramified_cyclic_odd(spec)
-            rule = (f"non-maximal: rho representable with (a, b) = {rep}"
-                    if witness is not None else FROBENIUS_CORNER_RULE)
-            return MaximalityVerdict(spec, False, witness, rule)
-        if n == 2 * rho:
-            if p == 2:
-                return MaximalityVerdict(
-                    spec, False, _witness_unramified_full_rank_p2(spec),
-                    "non-maximal: (rho;-) n=2*rho, p=2")
-            return MaximalityVerdict(
-                spec, True, None, "maximal: (rho;-) n=2*rho, p odd (rank bound)")
-        if n != 2 * rho - 1:
-            raise AssertionError(f"unique action {spec} escaped the maximality dispatch")
-        if p == 2:
-            return MaximalityVerdict(
-                spec, False, _witness_unramified_corank_p2(spec),
-                "non-maximal: (rho;-) n=2*rho-1, p=2")
-        return MaximalityVerdict(
-            spec, True, None, "maximal: (rho;-) n=2*rho-1, p odd (rank bound)")
+    def extends(witness, rule):
+        return MaximalityVerdict(spec, False, witness, rule)
 
+    def obstructed(rule):
+        return MaximalityVerdict(spec, True, None, rule)
+
+    if p == 2 and r == 0 and n == 1:
+        return extends(_witness_unramified_cyclic_p2(spec),
+                       "non-maximal: unramified C_2 always extends to C_2 x C_2")
+    if p == 2 and r == 0 and n == 2 * rho:
+        return extends(_witness_unramified_full_rank_p2(spec),
+                       "non-maximal: (rho;-) n=2*rho, p=2")
+    if p == 2 and r == 0 and n == 2 * rho - 1:
+        return extends(_witness_unramified_corank_p2(spec),
+                       "non-maximal: (rho;-) n=2*rho-1, p=2")
     if p == 2 and r == 2 and n == 1:
-        return MaximalityVerdict(spec, False, _witness_two_periods_cyclic_p2(spec),
-                                 "non-maximal: (rho;2^2) n=1")
-    if p == 2 and n == 1 and r % 2 == 0:
-        return MaximalityVerdict(spec, False, _witness_even_periods_cyclic_p2(spec),
-                                 "non-maximal: (rho;2^r) n=1, r even")
+        return extends(_witness_two_periods_cyclic_p2(spec), "non-maximal: (rho;2^2) n=1")
+    if p == 2 and r % 2 == 0 and n == 1:
+        return extends(_witness_even_periods_cyclic_p2(spec),
+                       "non-maximal: (rho;2^r) n=1, r even")
     if p == 3 and r == 3 and n == 1:
-        return MaximalityVerdict(spec, False, _witness_three_periods_cyclic_p3(spec),
-                                 "non-maximal: (rho;3^3) n=1")
+        return extends(_witness_three_periods_cyclic_p3(spec), "non-maximal: (rho;3^3) n=1")
     if p == 2 and r == 2 and n == 2 * rho + 1:
-        return MaximalityVerdict(spec, False, _witness_two_periods_high_rank_p2(spec),
-                                 "non-maximal: (rho;2^2) n=2*rho+1")
-    if rho == 0 and n == r - 1:
-        return MaximalityVerdict(
-            spec, True, None,
-            "maximal: (0;p^r) n=r-1 (an extension would need more periods than it has)")
-    if p == 5 and r == 3 and n == 1:
-        return MaximalityVerdict(spec, True, None, "maximal: (rho;5^3) n=1, 5 does not divide r")
-    if p == 3 and n == 1 and r in (4, 5, 7):
-        return MaximalityVerdict(spec, True, None,
-                                 f"maximal: (rho;3^{r}) n=1, 3 does not divide r")
-    if p == 2 and rho == 0 and r == 5 and n == 3:
-        return MaximalityVerdict(spec, True, None, "maximal: (0;2^5) n=3, 2 does not divide r")
-    if p == 2 and r == 5 and n == 2:
-        return MaximalityVerdict(spec, True, None, "maximal: (rho;2^5) n=2, 2 does not divide r")
-    if r >= 2 and n == r + 2 * rho - 1:
-        return MaximalityVerdict(
-            spec, True, None,
-            "maximal: (rho;p^r) n=r+2*rho-1 with p*r != 4 (rank bound)")
-    if r == 2 and n == 1:
-        return MaximalityVerdict(spec, True, None,
-                                 "maximal: (rho;p^2) n=1, p odd does not divide r")
+        return extends(_witness_two_periods_high_rank_p2(spec),
+                       "non-maximal: (rho;2^2) n=2*rho+1")
+    if r == 0 and n == 1:
+        rep = frobenius_representable(p, rho)
+        if rep is None:
+            return obstructed("maximal: rho is not representable as a*p + b*(p-1)/2 + 1")
+        witness = _witness_unramified_cyclic_odd(spec)
+        return extends(witness, f"non-maximal: rho representable with (a, b) = {rep}"
+                       if witness is not None else FROBENIUS_CORNER_RULE)
+    if r % p:
+        return obstructed("maximal: p does not divide r (an index-p overgroup "
+                          "gives its subgroup p*m branch points)")
+    if n == 2 * rho + max(r - 1, 0):
+        return obstructed("maximal: n=2*rho+max(r-1,0) is full rank (rank bound)")
+    if r == 0 and n == 2 * rho - 1:
+        return obstructed("maximal: (rho;-) n=2*rho-1, p odd (rank bound)")
     raise AssertionError(f"unique action {spec} escaped the maximality dispatch")
 
 
@@ -365,7 +326,6 @@ class SearchOutcome:
 
     status: str
     witness: ExtensionWitness | None
-    params_tried: tuple
 
 
 def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
@@ -378,10 +338,8 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
     """
     sigma = require_admissible_genus(spec)
     p, n = spec.p, spec.n
-    tried = []
     for ep in solve_extension_params(p, spec.rho, spec.r):
         tau, s = ep.tau, ep.s
-        tried.append((tau, s, ep.l, ep.m))
         if s == 1 or n + 1 > 2 * tau + max(s - 1, 0):
             continue
         n_spec = EAActionSpec(p, n + 1, tau, s)
@@ -390,9 +348,8 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
         for v in _codewords(p, tau, ep.l, ep.m):
             rows = _admissible_rows(p, tau, s, n, v)
             if rows is not None:
-                return SearchOutcome("found", _row_space_witness(spec, n_spec, rows),
-                                     tuple(tried))
-    return SearchOutcome("none", None, tuple(tried))
+                return SearchOutcome("found", _row_space_witness(spec, n_spec, rows))
+    return SearchOutcome("none", None)
 
 
 def _codewords(p: int, tau: int, l: int, m: int):

@@ -209,16 +209,15 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
 # orbit counting of admissible subspaces under S_r.
 
 
-def check_pure_caps(p: int, k: int, r: int, cap: int | None = None) -> None:
-    cap = fp.DEFAULT_ELEMENT_CAP if cap is None else cap
+def check_pure_caps(p: int, k: int, r: int) -> None:
     if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
         raise CapExceededError(
             f"(p={p}, k={k}, r={r}) is outside the brute-force box "
             f"p in {PURE_BRUTE_PRIMES}, k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
     est = gaussian_binomial(r - 1, k, p)
-    if est > cap:
-        raise CapExceededError(
-            f"(p={p}, k={k}, r={r}) needs {est} subspaces, above the cap {cap}")
+    if est > fp.DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(f"(p={p}, k={k}, r={r}) needs {est} subspaces, "
+                               f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
 
 
 def _swap01_rref(M: np.ndarray, p: int) -> np.ndarray:

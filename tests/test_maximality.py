@@ -3,7 +3,8 @@ import pytest
 from eag import maximality as mx
 from eag.errors import PreconditionError
 from eag.genvec import is_unique_action, validate
-from eag.surfaces import EAActionSpec, Signature, ea_genus, subgroup_signature
+from eag.surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
+                          subgroup_signature)
 
 
 def _verify_witness(spec, witness):
@@ -128,6 +129,35 @@ def test_search_raises_when_an_admissible_row_space_fails_the_round_trip(monkeyp
         mx.search_extension_witness(EAActionSpec(2, 1, 3, 2))
 
 
+def test_witness_round_trip_failure_raises(monkeypatch):
+    # a construction whose round trip fails is a bug, never a reason to fall
+    # back to "no witness can exist"
+    monkeypatch.setattr(mx, "subgroup_signature", lambda *args: Signature(0, ()))
+    with pytest.raises(AssertionError, match="round-trip"):
+        mx.is_maximal(EAActionSpec(3, 1, 2, 0))
+
+
+def test_unramified_cyclic_odd_closed_form():
+    # a witness exists iff some pair (a, b) of rho = a p + b (p-1)/2 + 1 has
+    # b != 1 and either b >= 3 or a >= 0 (a hyperbolic pair in the overgroup)
+    witnessed = corners = 0
+    for p in (3, 5, 7, 11, 13):
+        for rho in range(2, 61):
+            spec = EAActionSpec(p, 1, rho, 0)
+            pairs = list(mx._frobenius_pairs(p, rho))
+            admits = any(b != 1 and (b >= 3 or a >= 0) for a, b in pairs)
+            verdict = mx.is_maximal(spec)
+            assert verdict.maximal == (not pairs), spec
+            assert (verdict.witness is not None) == admits, spec
+            assert (verdict.rule == mx.FROBENIUS_CORNER_RULE) == (bool(pairs) and not admits), spec
+            if admits:
+                _verify_witness(spec, verdict.witness)
+                witnessed += 1
+            else:
+                corners += bool(pairs)
+    assert witnessed > 200 and corners >= 2
+
+
 def test_search_witness_differs_but_roundtrips():
     # the search may settle on a different overgroup signature than the
     # construction; both must round-trip
@@ -169,6 +199,10 @@ def test_dispatch_covers_every_unique_action():
                         continue
                     verdict = mx.is_maximal(spec)
                     checked += 1
+                    if r % p:
+                        # obstruction 1: no index-p extension parameters at all
+                        assert verdict.maximal and "p does not divide r" in verdict.rule, spec
+                        assert solve_extension_params(p, rho, r) == [], spec
                     if not verdict.maximal:
                         if verdict.witness is None:
                             assert "no witness" in verdict.rule, spec

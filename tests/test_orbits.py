@@ -4,6 +4,8 @@ import pytest
 from eag import fp, orbits
 from eag.errors import CapExceededError
 
+from box_pins import PURE_BOX_COUNTS
+
 
 def test_gaussian_binomial():
     assert orbits.gaussian_binomial(4, 2, 2) == 35
@@ -58,20 +60,6 @@ HAND_VALUES = [
 def test_pure_orbit_counts_hand_checked(pkr, value):
     p, k, r = pkr
     assert orbits.count_pure_orbits_bfs(p, k, r) == value
-
-
-# count_pure_orbits_bfs on every admissible instance of the pure box (p in
-# {2, 3, 5}, 1 <= k <= 4, k < r <= 7, genus >= 2), as the adjacent-
-# transposition BFS with row-reduced images counted them
-PURE_BOX_COUNTS = [
-    (2, 1, 6, 1), (2, 2, 5, 1), (2, 2, 6, 2), (2, 2, 7, 2), (2, 3, 5, 1), (2, 3, 6, 3),
-    (2, 3, 7, 4), (2, 4, 5, 1), (2, 4, 6, 2), (2, 4, 7, 4), (3, 1, 4, 1), (3, 1, 5, 1),
-    (3, 1, 6, 2), (3, 1, 7, 1), (3, 2, 4, 2), (3, 2, 5, 4), (3, 2, 6, 9), (3, 2, 7, 13),
-    (3, 3, 4, 1), (3, 3, 5, 3), (3, 3, 6, 12), (3, 3, 7, 34), (3, 4, 5, 1), (3, 4, 6, 5),
-    (3, 4, 7, 23), (5, 1, 3, 1), (5, 1, 4, 3), (5, 1, 5, 3), (5, 1, 6, 5), (5, 1, 7, 6),
-    (5, 2, 3, 1), (5, 2, 4, 4), (5, 2, 5, 14), (5, 2, 6, 58), (5, 2, 7, 204), (5, 3, 4, 1),
-    (5, 3, 5, 7), (5, 3, 6, 69), (5, 3, 7, 789), (5, 4, 5, 1), (5, 4, 6, 12), (5, 4, 7, 268),
-]
 
 
 @pytest.mark.parametrize("p,k,r,count", PURE_BOX_COUNTS)

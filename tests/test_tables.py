@@ -6,7 +6,7 @@ from eag.maximality import SearchOutcome
 
 def _search_returns(monkeypatch, status):
     monkeypatch.setattr(maximality, "search_extension_witness",
-                        lambda spec: SearchOutcome(status, None, ()))
+                        lambda spec: SearchOutcome(status, None))
 
 
 @pytest.mark.parametrize("status", ["found"])
