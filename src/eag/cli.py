@@ -40,18 +40,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _render(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, default=str)
-    if fmt == "markdown":
-        lines = []
-        for key in sorted(payload):
-            lines.append(f"- **{key}**: {payload[key]}")
-        return "\n".join(lines)
-    if fmt == "csv":
-        keys = sorted(payload)
-        head = ",".join(keys)
-        row = ",".join('"' + str(payload[k]).replace('"', '""') + '"' for k in keys)
-        return head + "\n" + row
+    keys = sorted(payload)
+    try:
+        if fmt == "json":
+            return json.dumps(payload, sort_keys=True, indent=2, default=str)
+        if fmt == "markdown":
+            return "\n".join(f"- **{key}**: {payload[key]}" for key in keys)
+        if fmt == "csv":
+            row = ",".join('"' + str(payload[k]).replace('"', '""') + '"' for k in keys)
+            return ",".join(keys) + "\n" + row
+    except ValueError as exc:
+        # an int past Python's int-to-str digit limit, such as a huge genus
+        raise CapExceededError(f"payload cannot be printed: {exc}") from exc
     raise UsageError(f"unknown format {fmt!r}")
 
 
@@ -86,12 +86,9 @@ def cmd_count(args, out) -> int:
     report = genvec.count_classes(spec)
     payload = {"schema": SCHEMA, "command": "count", **report.to_json_dict()}
     if spec.r == 0 and spec.n >= 1:
-        try:
-            adj = genvec.unramified_adjudication(spec.p, spec.rho)
-            payload["unramified_unique_ranks"] = list(adj.computed_unique_ranks)
-            payload["unramified_note"] = adj.note
-        except CapExceededError:
-            pass
+        adj = genvec.unramified_adjudication(spec.p, spec.rho)
+        payload["unramified_unique_ranks"] = list(adj.computed_unique_ranks)
+        payload["unramified_note"] = adj.note
     print(_render(payload, args.format), file=out)
     return EXIT_OK
 

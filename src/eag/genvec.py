@@ -100,14 +100,22 @@ def count_pure_classes(p: int, k: int, r: int) -> int:
 
     Conventions: the count is 1 for k = 0 only when r = 0, and 0 for k < 0.
     """
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1 if r == 0 else 0
+    if k < 1:
+        return int(k == 0 and r == 0)
     check_prime(p)
-    if r == 0 or k > r - 1:
+    if no_pure_vectors(p, k, r):
         return 0
     return orbits.count_pure_orbits_bfs(p, k, r)
+
+
+def no_pure_vectors(p: int, j: int, r: int) -> bool:
+    """e(p, j, r) = 0: no r nonzero vectors of F_p^j sum to 0 and span it.
+
+    Rank j >= 2 needs only r >= j + 1; rank 1 over F_2 also needs r even.
+    """
+    if j <= 0:
+        return j < 0 or r != 0
+    return r < j + 1 or (p == 2 and j == 1 and r % 2 == 1)
 
 
 def count_unramified_classes(p: int, k: int, rho: int) -> int:
@@ -137,11 +145,13 @@ class UnramifiedAdjudication:
 def unramified_adjudication(p: int, rho: int) -> UnramifiedAdjudication:
     """Compare the computed unique-rank set against the classical statement.
 
-    The computed answer is authoritative; the note records the discrepancy
-    whenever the two differ (they do for every rho >= 2).
+    The computed answer, Witt's closed form for the orbit counts, is
+    authoritative; the note records the discrepancy whenever the two differ
+    (they do for every rho >= 2).
     """
+    check_prime(p)
     computed = tuple(k for k in range(0, 2 * rho + 1)
-                     if count_unramified_classes(p, k, rho) == 1)
+                     if orbits.witt_kernel_orbit_count(rho, k) == 1)
     stated = tuple(sorted({0, 1, rho - 1, rho} & set(range(0, 2 * rho + 1))))
     agrees = computed == stated
     note = ("computed unique ranks match the stated ones" if agrees else
@@ -259,34 +269,24 @@ def pure_unique_row(p: int, n: int, r: int) -> str | None:
 
 
 def unique_action_rules(spec: EAActionSpec) -> tuple[str, ...]:
-    """All unique-action rows matching the parameters (empty if none)."""
+    """The rank split that makes the action unique, as one label (empty if none).
+
+    count_classes sums h(p,k,rho) * e(p,n-k,r) >= 0 over 0 <= k <= 2 rho,
+    and h >= 1 on that whole range.  So the count is 1 iff exactly one rank
+    j = n - k has e(p,j,r) != 0, and there e = 1 (pure_unique_row, or
+    j = r = 0) and h = 1 (Witt's closed form).
+    """
     p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
-    if n < 1 or no_actions_exist(n, rho, r):
+    # e(p,j,r) = 0 once j >= r, so the scan stops there
+    live = [j for j in range(max(0, n - 2 * rho), min(n, r) + 1)
+            if not no_pure_vectors(p, j, r)]
+    if n < 1 or len(live) != 1:
         return ()
-    rules = []
-    if rho == 0 and n == r - 1:
-        rules.append("unique-1: (0;p^r), n=r-1")
-    if r == 0 and n == 1:
-        rules.append("unique-2: (rho;-), n=1")
-    if r == 0 and rho >= 1 and n == 2 * rho:
-        rules.append("unique-3: (rho;-), n=2*rho")
-    if r == 2 and n == 1 and rho >= 1:
-        rules.append("unique-4: (rho;p^2), n=1, rho>=1")
-    if r >= 2 and n == r + 2 * rho - 1:
-        rules.append("unique-5: (rho;p^r), n=r+2*rho-1")
-    if p == 5 and r == 3 and n == 1:
-        rules.append("unique-6: (rho;5^3), n=1")
-    if p == 2 and n == 1 and r >= 2 and r % 2 == 0:
-        rules.append("unique-7: (rho;2^r), n=1, r even")
-    if p == 3 and n == 1 and r in (3, 4, 5, 7):
-        rules.append(f"unique-{ {3: 8, 4: 9, 5: 10, 7: 11}[r] }: (rho;3^{r}), n=1")
-    if r == 0 and rho >= 1 and n == 2 * rho - 1:
-        rules.append("unique-12: (rho;-), n=2*rho-1")
-    if p == 2 and rho == 0 and r == 5 and n == 3:
-        rules.append("unique-13: (0;2^5), n=3")
-    if p == 2 and r == 5 and n == 2:
-        rules.append("unique-14: (rho;2^5), n=2")
-    return tuple(rules)
+    j = live[0]
+    row = "j=r=0" if j == 0 else pure_unique_row(p, j, r)
+    if row is None or orbits.witt_kernel_orbit_count(rho, n - j) != 1:
+        return ()
+    return (f"unique: h(k={n - j})=1, e(j={j})=1 ({row})",)
 
 
 def require_admissible_genus(spec: EAActionSpec):

@@ -120,15 +120,21 @@ def _zero_pairs(n: int, tau: int):
     return (((0,) * n, (0,) * n),) * tau
 
 
-def _witness_unramified_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # C_2 with (rho;-) inside C_2 x C_2 with (1; 2^(2 rho - 2))
-    rho = spec.rho
-    k = 2 * (rho - 1)
-    x, y = _units(2)
-    elliptic = [y, y, y, y] + [x] * (k - 4) if k >= 4 else [y, y]
-    n_spec = EAActionSpec(2, 2, 1, k)
-    vec = GeneratingVector(2, 2, hyperbolic=((x, 0 * x),), elliptic=elliptic)
-    return _verified(spec, n_spec, vec, (x + y,))
+def _witness_p2(spec: EAActionSpec) -> ExtensionWitness:
+    # p = 2, r even, n <= 2 rho + r/2: overgroup C_2^(n+1) with
+    # (0; 2^(2 rho + 2 + r/2)), subgroup H = <first n units>, z the last unit.
+    # The r/2 entries in H give H its r branch points.  The 2 rho + 2 entries
+    # h + z outside H are the branch points of the double cover X/H -> X/G of
+    # the sphere, so X/H has genus rho.  The last h closes the sum (-x = x).
+    n, rho, half = spec.n, spec.rho, spec.r // 2
+    units = _units(n + 1)
+    H, z = units[:n], units[n]
+    inside = (H + [H[0]] * half)[:half]
+    hs = [0 * z] + H[half:]
+    hs += [0 * z] * (2 * rho + 1 - len(hs))
+    hs.append(sum(inside + hs))
+    vec = GeneratingVector(2, n + 1, hyperbolic=(), elliptic=inside + [h + z for h in hs])
+    return _verified(spec, EAActionSpec(2, n + 1, 0, len(vec.elliptic)), vec, H)
 
 
 def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | None:
@@ -153,65 +159,6 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
         vec = GeneratingVector(p, 2, hyperbolic, elliptic)
         return _verified(spec, EAActionSpec(p, 2, tau, b), vec, (y,))
     return None
-
-
-def _witness_even_weight_p2(spec: EAActionSpec, big_rank: int, elliptic) -> ExtensionWitness:
-    units = _units(big_rank)
-    basis = [units[0] + units[i] for i in range(1, big_rank)]
-    n_spec = EAActionSpec(2, big_rank, 0, len(elliptic))
-    vec = GeneratingVector(2, big_rank, hyperbolic=(), elliptic=elliptic)
-    return _verified(spec, n_spec, vec, basis)
-
-
-def _witness_unramified_full_rank_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho;-) with n = 2 rho, p = 2: overgroup of rank 2 rho + 1, (0; 2^(2 rho + 2))
-    rho = spec.rho
-    units = _units(2 * rho + 1)
-    elliptic = units + [sum(units)]
-    return _witness_even_weight_p2(spec, 2 * rho + 1, elliptic)
-
-
-def _witness_unramified_corank_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho;-) with n = 2 rho - 1, p = 2: overgroup of rank 2 rho, (0; 2^(2 rho + 2))
-    rho = spec.rho
-    units = _units(2 * rho)
-    elliptic = units + [units[0], sum(units[1:])]
-    return _witness_even_weight_p2(spec, 2 * rho, elliptic)
-
-
-def _witness_two_periods_high_rank_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho; 2^2) with n = 2 rho + 1: overgroup of rank 2 rho + 2, (0; 2^(2 rho + 3))
-    rho = spec.rho
-    big = 2 * rho + 2
-    units = _units(big)
-    elliptic = units[:big - 1] + [units[0] + units[1] + units[big - 1], sum(units[2:])]
-    return _witness_even_weight_p2(spec, big, elliptic)
-
-
-def _witness_two_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho; 2^2) with n = 1: quotient genus halves
-    rho = spec.rho
-    x, y = _units(2)
-    if rho % 2 == 1:
-        tau, elliptic = (rho - 1) // 2, [x, x, x, x + y, y]
-    else:
-        tau, elliptic = rho // 2, [x, x + y, y]
-    n_spec = EAActionSpec(2, 2, tau, len(elliptic))
-    vec = GeneratingVector(2, 2, hyperbolic=_zero_pairs(2, tau), elliptic=elliptic)
-    return _verified(spec, n_spec, vec, (y,))
-
-
-def _witness_even_periods_cyclic_p2(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho; 2^r) with n = 1, r >= 4 even
-    rho, k = spec.rho, spec.r // 2
-    x, y = _units(2)
-    if k % 2 == 1:
-        elliptic = [y] * k + [x, x + y] + [x] * (2 * rho)
-    else:
-        elliptic = [y] * k + [x] * (2 * rho + 2)
-    n_spec = EAActionSpec(2, 2, 0, len(elliptic))
-    vec = GeneratingVector(2, 2, hyperbolic=(), elliptic=elliptic)
-    return _verified(spec, n_spec, vec, (y,))
 
 
 def _witness_three_periods_cyclic_p3(spec: EAActionSpec) -> ExtensionWitness:
@@ -239,18 +186,18 @@ FROBENIUS_CORNER_RULE = (
 def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     """Closed-form maximality verdict for a unique action (genus >= 2).
 
-    Constructions come first: seven explicit extension families, each with
-    p | r, then the unramified cyclic case for odd p, decided by
-    representability of rho.  Every other unique action is maximal by one of
-    three obstructions, the strongest first:
+    Constructions come first: one p = 2 family (r even, n <= 2 rho + r/2)
+    and (rho;3^3) with n = 1, each with p | r, then the unramified cyclic
+    case for odd p, decided by representability of rho.  Every other unique
+    action is maximal by one of three obstructions, the strongest first:
 
     1. p does not divide r.  The subgroup of an index-p overgroup holding m
        of its elliptic entries has p m branch points, so no extension
        parameters exist.
     2. The rank bound n = 2 rho + max(r - 1, 0).  Every extension signature
        (tau; p^s) then has 2 tau + max(s - 1, 0) <= n, too few generators
-       for rank n + 1.  Only p = 2 with r in {0, 2} escapes it, and those
-       full-rank families are constructions.
+       for rank n + 1.  Only p = 2 with r in {0, 2} escapes it, and there
+       n <= 2 rho + r/2, so the p = 2 construction has already extended it.
     3. (rho;-) with n = 2 rho - 1 and p odd.  The same count gives
        2 tau + max(s - 1, 0) < 2 rho = n + 1 for every extension signature.
     """
@@ -265,25 +212,10 @@ def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     def obstructed(rule):
         return MaximalityVerdict(spec, True, None, rule)
 
-    if p == 2 and r == 0 and n == 1:
-        return extends(_witness_unramified_cyclic_p2(spec),
-                       "non-maximal: unramified C_2 always extends to C_2 x C_2")
-    if p == 2 and r == 0 and n == 2 * rho:
-        return extends(_witness_unramified_full_rank_p2(spec),
-                       "non-maximal: (rho;-) n=2*rho, p=2")
-    if p == 2 and r == 0 and n == 2 * rho - 1:
-        return extends(_witness_unramified_corank_p2(spec),
-                       "non-maximal: (rho;-) n=2*rho-1, p=2")
-    if p == 2 and r == 2 and n == 1:
-        return extends(_witness_two_periods_cyclic_p2(spec), "non-maximal: (rho;2^2) n=1")
-    if p == 2 and r % 2 == 0 and n == 1:
-        return extends(_witness_even_periods_cyclic_p2(spec),
-                       "non-maximal: (rho;2^r) n=1, r even")
+    if p == 2 and r % 2 == 0 and n <= 2 * rho + r // 2:
+        return extends(_witness_p2(spec), "non-maximal: p=2, r even, n<=2*rho+r/2")
     if p == 3 and r == 3 and n == 1:
         return extends(_witness_three_periods_cyclic_p3(spec), "non-maximal: (rho;3^3) n=1")
-    if p == 2 and r == 2 and n == 2 * rho + 1:
-        return extends(_witness_two_periods_high_rank_p2(spec),
-                       "non-maximal: (rho;2^2) n=2*rho+1")
     if r == 0 and n == 1:
         rep = frobenius_representable(p, rho)
         if rep is None:

@@ -102,6 +102,15 @@ def table2() -> tuple[TableRow, ...]:
         ("12", "(rho;-)", "n=2*rho-1", f"h(2,3,rho=2)={_h(2, 3, 2)}, unique={_unique(2, 3, 2, 0)}", ""),
         ("13", "(0;2^5)", "n=3", f"e(2,3,5)={_e(2, 3, 5)}, unique={_unique(2, 3, 0, 5)}", ""),
         ("14", "(rho;2^5)", "n=2", f"e(2,2,5)={_e(2, 2, 5)}, unique={_unique(2, 2, 0, 5)}", ""),
+        ("15", "(rho;p^2)", "n in {2,2*rho}, rho>=1",
+         f"count(3,2,2,2)={_count(3, 2, 2, 2)}, count(3,4,2,2)={_count(3, 4, 2, 2)}, "
+         f"unique={_unique(3, 2, 2, 2) and _unique(3, 4, 2, 2)}",
+         "h(p,n-1,rho)=1 times e(p,1,2)=1 is the only nonzero term of the rank split"),
+        ("16", "(rho;2^3)", "n in {2,3,2*rho+1}, rho>=1",
+         f"count(2,2,2,3)={_count(2, 2, 2, 3)}, count(2,3,2,3)={_count(2, 3, 2, 3)}, "
+         f"count(2,5,2,3)={_count(2, 5, 2, 3)}, "
+         f"unique={_unique(2, 2, 2, 3) and _unique(2, 3, 2, 3) and _unique(2, 5, 2, 3)}",
+         "h(2,n-2,rho)=1 times e(2,2,3)=1 is the only nonzero term of the rank split"),
     ]
     return tuple(TableRow(c, s, cond, chk, note) for c, s, cond, chk, note in rows)
 
@@ -121,6 +130,11 @@ def table3() -> tuple[TableRow, ...]:
         ("9", "(rho;3^7)", "n=1", _maximal_check(3, 1, 1, 7), ""),
         ("10", "(0;2^5)", "n=3", _maximal_check(2, 3, 0, 5), ""),
         ("11", "(rho;2^5)", "n=2", _maximal_check(2, 2, 1, 5), ""),
+        ("12", "(rho;p^2)", "n in {2,2*rho}, p!=2",
+         f"{_maximal_check(3, 2, 2, 2)}; {_maximal_check(5, 4, 2, 2)}", ""),
+        ("13", "(rho;2^3)", "n in {2,3,2*rho+1}",
+         f"{_maximal_check(2, 2, 2, 3)}; {_maximal_check(2, 3, 2, 3)}; "
+         f"{_maximal_check(2, 5, 2, 3)}", ""),
     ]
     return tuple(TableRow(c, s, cond, chk, note) for c, s, cond, chk, note in rows)
 
@@ -136,6 +150,8 @@ def table4() -> tuple[TableRow, ...]:
         ("4", "(rho;2^r)", "n=1, r even", _maximal_check(2, 1, 1, 4), ""),
         ("5", "(rho;3^3)", "n=1", _maximal_check(3, 1, 1, 3), ""),
         ("6", "(rho;-)", "n=2*rho-1, p=2", _maximal_check(2, 3, 2, 0), ""),
+        ("7", "(rho;2^2)", "n in {2,2*rho}",
+         f"{_maximal_check(2, 2, 2, 2)}; {_maximal_check(2, 4, 2, 2)}", ""),
     ]
     return tuple(TableRow(c, s, cond, chk, note) for c, s, cond, chk, note in rows)
 

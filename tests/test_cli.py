@@ -68,6 +68,25 @@ def test_unique_non_row(capsys):
     assert payload["unique"] is False and payload["rules"] == []
 
 
+def test_unique_agrees_with_count_beyond_the_printed_rows(capsys):
+    # (rho; 2^2) with n = 2: count 1, unique by the rank split
+    argv = ["--p", "2", "--n", "2", "--rho", "1", "--r", "2"]
+    assert run_json(["count", *argv], capsys)["total"] == 1
+    payload = run_json(["unique", *argv], capsys)
+    assert payload["unique"] is True and payload["rules"] == [
+        "unique: h(k=1)=1, e(j=1)=1 (pure-1: p=2, n=1, r even)"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_unique_huge_genus_exit_4(capsys, fmt):
+    # the genus has more digits than Python will turn into a string
+    code, out, err = run(["unique", "--p", "13", "--n", "4000", "--rho", "4000",
+                          "--r", "0", "--format", fmt], capsys)
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert "cannot be printed" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = run(["orbits", "--sig", "(0;2,2)"], capsys)
     assert code == cli.EXIT_USAGE
@@ -105,6 +124,11 @@ def test_count_unramified_includes_adjudication(capsys):
     assert payload["total"] == 1
     assert payload["unramified_unique_ranks"] == [0, 1, 3, 4]
     assert "disagree" in payload["unramified_note"]
+    # the rank set is Witt's closed form, so p = 7 (beyond the BFS caps)
+    # carries it too
+    payload = run_json(["count", "--p", "7", "--n", "1", "--rho", "2", "--r", "0"],
+                       capsys)
+    assert payload["unramified_unique_ranks"] == [0, 1, 3, 4]
 
 
 def test_maximal_with_search(capsys):

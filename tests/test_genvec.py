@@ -215,25 +215,74 @@ def test_count_classes_matches_direct_enumeration():
     assert ran == 117
 
 
-#: unique counts without a closed-form row: (rho; p^2) with n in {2, 2 rho}
-#: and (rho; 2^3) with n in {2, 3, 2 rho + 1}
-UNIQUE_WITHOUT_ROW = {
-    (p, n, rho, 2) for p in (2, 3, 5) for rho in (1, 2) for n in {2, 2 * rho}
-} | {(2, n, rho, 3) for rho in (1, 2) for n in {2, 3, 2 * rho + 1}}
-
-
 def test_count_classes_agrees_with_is_unique_action():
-    exceptions, ran = set(), 0
+    ran = 0
     for p, n, rho, r in MIXED_BOX:
         spec = EAActionSpec(p, n, rho, r)
         genus = ea_genus(spec)
         if genus.denominator != 1 or genus < 2:
             continue
         ran += 1
-        if (count_classes(spec).total == 1) != is_unique_action(spec):
-            exceptions.add((p, n, rho, r))
+        assert (count_classes(spec).total == 1) == is_unique_action(spec), spec
     assert ran == 176
-    assert exceptions == UNIQUE_WITHOUT_ROW
+
+
+#: the printed uniqueness rows (table 2 cases 1-14), each a condition on
+#: (p, n, rho, r) that applies when actions exist at all
+PRINTED_UNIQUE_ROWS = (
+    lambda p, n, rho, r: rho == 0 and n == r - 1,
+    lambda p, n, rho, r: r == 0 and n == 1,
+    lambda p, n, rho, r: r == 0 and rho >= 1 and n == 2 * rho,
+    lambda p, n, rho, r: r == 2 and n == 1 and rho >= 1,
+    lambda p, n, rho, r: r >= 2 and n == r + 2 * rho - 1,
+    lambda p, n, rho, r: p == 5 and r == 3 and n == 1,
+    lambda p, n, rho, r: p == 2 and n == 1 and r >= 2 and r % 2 == 0,
+    lambda p, n, rho, r: p == 3 and n == 1 and r == 3,
+    lambda p, n, rho, r: p == 3 and n == 1 and r == 4,
+    lambda p, n, rho, r: p == 3 and n == 1 and r == 5,
+    lambda p, n, rho, r: p == 3 and n == 1 and r == 7,
+    lambda p, n, rho, r: r == 0 and rho >= 1 and n == 2 * rho - 1,
+    lambda p, n, rho, r: p == 2 and rho == 0 and r == 5 and n == 3,
+    lambda p, n, rho, r: p == 2 and r == 5 and n == 2,
+)
+
+
+def _unique_grid():
+    for p in (2, 3, 5, 7, 11, 13):
+        for rho in range(9):
+            for r in range(11):
+                for n in range(1, 2 * rho + r + 1):
+                    genus = ea_genus(EAActionSpec(p, n, rho, r))
+                    if genus.denominator == 1 and genus >= 2:
+                        yield p, n, rho, r
+
+
+def test_rank_split_extends_the_printed_rows_by_two_families():
+    printed, derived, families = set(), set(), set()
+    for p, n, rho, r in _unique_grid():
+        if not genvec.no_actions_exist(n, rho, r) and any(
+                row(p, n, rho, r) for row in PRINTED_UNIQUE_ROWS):
+            printed.add((p, n, rho, r))
+        if is_unique_action(EAActionSpec(p, n, rho, r)):
+            derived.add((p, n, rho, r))
+        # (rho; p^2) with n in {2, 2 rho}, (rho; 2^3) with n in {2, 3, 2 rho + 1}
+        if (r == 2 and n in (2, 2 * rho)) or (p == 2 and r == 3 and n in (2, 3, 2 * rho + 1)):
+            families.add((p, n, rho, r))
+    assert len(printed) == 740
+    assert printed <= derived
+    assert derived - printed == families
+    assert len(families) == 113
+
+
+def test_no_pure_vectors_matches_the_bfs():
+    for p in (2, 3, 5):
+        for k in range(1, 4):
+            for r in range(7):
+                zero = orbits.count_pure_orbits_bfs(p, k, r) == 0
+                assert genvec.no_pure_vectors(p, k, r) == zero, (p, k, r)
+    assert not genvec.no_pure_vectors(2, 0, 0) and genvec.no_pure_vectors(2, 0, 2)
+    assert genvec.no_pure_vectors(3, -1, 0)
+    assert genvec.no_pure_vectors(2, 1, 5) and not genvec.no_pure_vectors(3, 1, 5)
 
 
 def test_is_unique_action_examples():
@@ -248,9 +297,14 @@ def test_is_unique_action_examples():
 
 
 def test_unique_rules_report():
-    rules = unique_action_rules(EAActionSpec(2, 1, 2, 2))
-    assert any("unique-4" in rule for rule in rules)
-    assert any("unique-7" in rule for rule in rules)
+    # one label naming the surviving rank split and the pure row behind it
+    assert unique_action_rules(EAActionSpec(2, 1, 2, 2)) == (
+        "unique: h(k=0)=1, e(j=1)=1 (pure-1: p=2, n=1, r even)",)
+    assert unique_action_rules(EAActionSpec(3, 4, 2, 2)) == (
+        "unique: h(k=3)=1, e(j=1)=1 (pure-6: n=1, r=2)",)
+    assert unique_action_rules(EAActionSpec(2, 3, 2, 0)) == (
+        "unique: h(k=3)=1, e(j=0)=1 (j=r=0)",)
+    assert unique_action_rules(EAActionSpec(3, 1, 1, 6)) == ()
 
 
 def test_build_pair_worked_cases():

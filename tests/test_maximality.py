@@ -30,10 +30,10 @@ def test_known_verdict_examples():
     assert mx.is_maximal(EAActionSpec(2, 3, 0, 5)).maximal
     v = mx.is_maximal(EAActionSpec(2, 1, 3, 2))
     assert not v.maximal
-    # odd rho: quotient signature ((rho-1)/2; 2^5) with images (x,x,x,xy,y)
-    assert v.witness.n_spec == EAActionSpec(2, 2, 1, 5)
-    assert list(v.witness.vector.elliptic) == \
-        [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1)]
+    # the p = 2 construction: one entry x in H = <x>, then the 2 rho + 2
+    # entries h + y with h = 0, ..., 0 and a closing h = x
+    assert v.witness.n_spec == EAActionSpec(2, 2, 0, 9)
+    assert list(v.witness.vector.elliptic) == [(1, 0)] + [(0, 1)] * 7 + [(1, 1)]
     assert mx.is_maximal(EAActionSpec(7, 1, 2, 0)).maximal
 
 
@@ -53,22 +53,24 @@ def test_witness_shapes_match_the_constructions():
     assert list(w.vector.elliptic)[:3] == [(0, 1), (1, 2), (2, 0)]
     w = mx.is_maximal(EAActionSpec(3, 1, 2, 3)).witness
     assert list(w.vector.elliptic)[:3] == [(0, 1), (2, 1), (2, 1)]
-    # (rho;2^2) n=2*rho+1 extends inside (0; 2^(2*rho+3))
+    # the p = 2 construction: overgroup (0; 2^(2*rho + 2 + r/2)) of rank n + 1
     for rho in (1, 2, 3):
         w = mx.is_maximal(EAActionSpec(2, 2 * rho + 1, rho, 2)).witness
         assert w.n_spec == EAActionSpec(2, 2 * rho + 2, 0, 2 * rho + 3)
-    # (rho;2^r) n=1, r even: overgroup (0; 2^(r/2 + 2*rho + 2)), both parities
-    w = mx.is_maximal(EAActionSpec(2, 1, 1, 6)).witness      # k = 3 odd
+    # r/2 > n: the entries in H pad with its first unit x, and the closing
+    # h is their sum
+    w = mx.is_maximal(EAActionSpec(2, 1, 1, 6)).witness
     assert w.n_spec == EAActionSpec(2, 2, 0, 7)
-    assert list(w.vector.elliptic) == \
-        [(0, 1)] * 3 + [(1, 0), (1, 1)] + [(1, 0)] * 2
-    w = mx.is_maximal(EAActionSpec(2, 1, 1, 4)).witness      # k = 2 even
+    assert list(w.vector.elliptic) == [(1, 0)] * 3 + [(0, 1)] * 3 + [(1, 1)]
+    w = mx.is_maximal(EAActionSpec(2, 1, 1, 4)).witness
     assert w.n_spec == EAActionSpec(2, 2, 0, 6)
-    assert list(w.vector.elliptic) == [(0, 1)] * 2 + [(1, 0)] * 4
-    # even rho for (rho;2^2) n=1: quotient (rho/2; 2^3) with images (x, xy, y)
-    w = mx.is_maximal(EAActionSpec(2, 1, 4, 2)).witness
-    assert w.n_spec == EAActionSpec(2, 2, 2, 3)
-    assert list(w.vector.elliptic) == [(1, 0), (1, 1), (0, 1)]
+    assert list(w.vector.elliptic) == [(1, 0)] * 2 + [(0, 1)] * 4
+    # n > r/2: the units left over sit in the entries h + z
+    w = mx.is_maximal(EAActionSpec(2, 3, 1, 2)).witness
+    assert w.n_spec == EAActionSpec(2, 4, 0, 5)
+    assert list(w.vector.elliptic) == [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1),
+                                       (0, 0, 1, 1), (1, 1, 1, 1)]
+    assert w.subgroup_basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def test_every_nonmaximal_verdict_ships_a_valid_witness():
@@ -80,6 +82,7 @@ def test_every_nonmaximal_verdict_ships_a_valid_witness():
         EAActionSpec(2, 3, 2, 0), EAActionSpec(2, 5, 3, 0),
         EAActionSpec(2, 3, 1, 2), EAActionSpec(2, 5, 2, 2), EAActionSpec(2, 7, 3, 2),
         EAActionSpec(2, 1, 2, 0), EAActionSpec(2, 1, 5, 0),
+        EAActionSpec(2, 2, 1, 2), EAActionSpec(2, 2, 3, 2), EAActionSpec(2, 6, 3, 2),
         EAActionSpec(3, 1, 3, 0), EAActionSpec(3, 1, 6, 0),
         EAActionSpec(5, 1, 5, 0), EAActionSpec(7, 1, 7, 0), EAActionSpec(13, 1, 13, 0),
     ]
@@ -174,11 +177,68 @@ def test_is_maximal_witness_entry_point():
 
 
 def test_unramified_cyclic_p2_small_genus():
-    # rho = 2 exercises the short witness with no repeated filler
+    # r = 0: the unit x of H sits in the second entry x + y, then zeros, and
+    # the closing entry is x + y again
     spec = EAActionSpec(2, 1, 2, 0)
     v = mx.is_maximal(spec)
     _verify_witness(spec, v.witness)
-    assert v.witness.n_spec == EAActionSpec(2, 2, 1, 2)
+    assert v.witness.n_spec == EAActionSpec(2, 2, 0, 6)
+    assert list(v.witness.vector.elliptic) == [(0, 1), (1, 1), (0, 1), (0, 1), (0, 1), (1, 1)]
+
+
+def _unique_specs(primes, rs=range(11)):
+    # every unique spec with rho <= 8 and the given primes and branch counts
+    for p in primes:
+        for rho in range(9):
+            for r in rs:
+                for n in range(1, 2 * rho + r + 1):
+                    spec = EAActionSpec(p, n, rho, r)
+                    genus = ea_genus(spec)
+                    if genus.denominator == 1 and genus >= 2 and is_unique_action(spec):
+                        yield spec
+
+
+def test_p2_even_r_non_maximal_iff_within_the_construction():
+    # the p = 2 construction reaches every n <= 2 rho + r/2; every other
+    # p = 2 unique action with r even sits at the rank bound n = 2 rho + r - 1
+    extended = maximal = 0
+    for spec in _unique_specs((2,), range(0, 11, 2)):
+        n, rho, r = spec.n, spec.rho, spec.r
+        verdict = mx.is_maximal(spec)
+        outcome = mx.search_extension_witness(spec)
+        if n <= 2 * rho + r // 2:
+            assert not verdict.maximal, spec
+            assert verdict.witness.n_spec == EAActionSpec(2, n + 1, 0, 2 * rho + 2 + r // 2)
+            _verify_witness(spec, verdict.witness)
+            assert outcome.status == "found", spec
+            extended += 1
+        else:
+            assert verdict.maximal and n == 2 * rho + r - 1, spec
+            assert outcome.status == "none", spec
+            maximal += 1
+    assert (extended, maximal) == (87, 35)
+
+
+def test_rank_split_families_are_decided():
+    # (rho; p^2) with n in {2, 2 rho} and (rho; 2^3) with n in {2, 3, 2 rho + 1},
+    # unique by the rank split but in none of the printed rows
+    extended = maximal = 0
+    for spec in _unique_specs((2, 3, 5, 7, 11, 13), (2, 3)):
+        p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
+        if n not in ((2, 2 * rho) if r == 2 else (2, 3, 2 * rho + 1) if p == 2 else ()):
+            continue
+        verdict = mx.is_maximal(spec)
+        outcome = mx.search_extension_witness(spec)
+        if verdict.maximal:
+            assert "p does not divide r" in verdict.rule, spec
+            assert outcome.status == "none", spec
+            maximal += 1
+        else:
+            assert p == 2 and r == 2, spec
+            _verify_witness(spec, verdict.witness)
+            assert outcome.status == "found", spec
+            extended += 1
+    assert (maximal, extended) == (98, 15)
 
 
 def test_dispatch_covers_every_unique_action():

@@ -1,8 +1,8 @@
 """CLI payloads pinned byte for byte.
 
 Each file under ``tests/data/payloads`` is the exact stdout of one ``eag``
-call, named after its arguments.  The calls cover every constructive
-witness family of ``eag maximal --search`` (found and none), the markdown
+call, named after its arguments.  The calls cover every witness
+construction of ``eag maximal --search`` (found and none), the markdown
 and csv renderings of a witness, and a few ``eag count`` reports.  To
 re-record after an intended payload change, write ``cli.main(argv)``'s
 stdout to ``_path(argv)`` for each call and review the diff.
@@ -27,14 +27,15 @@ def _spec_args(p, n, rho, r):
 
 
 CALLS = [
-    # one spec per constructive witness family; the search finds a witness too
-    ["maximal", *_spec_args(2, 1, 2, 0), "--search"],  # unramified cyclic, p = 2
+    # the p = 2 construction (r even, n <= 2 rho + r/2) on each family it
+    # replaced, and the other constructions; the search finds a witness too
+    ["maximal", *_spec_args(2, 1, 2, 0), "--search"],  # p = 2: (rho;-), n = 1
     ["maximal", *_spec_args(3, 1, 2, 0), "--search"],  # unramified cyclic, p odd
-    ["maximal", *_spec_args(2, 4, 2, 0), "--search"],  # unramified full rank, p = 2
-    ["maximal", *_spec_args(2, 3, 2, 0), "--search"],  # unramified corank 1, p = 2
-    ["maximal", *_spec_args(2, 3, 1, 2), "--search"],  # two periods, high rank
-    ["maximal", *_spec_args(2, 1, 1, 2), "--search"],  # two periods, cyclic
-    ["maximal", *_spec_args(2, 1, 1, 4), "--search"],  # even periods, cyclic
+    ["maximal", *_spec_args(2, 4, 2, 0), "--search"],  # p = 2: (rho;-), n = 2 rho
+    ["maximal", *_spec_args(2, 3, 2, 0), "--search"],  # p = 2: (rho;-), n = 2 rho - 1
+    ["maximal", *_spec_args(2, 3, 1, 2), "--search"],  # p = 2: (rho;2^2), n = 2 rho + 1
+    ["maximal", *_spec_args(2, 1, 1, 2), "--search"],  # p = 2: (rho;2^2), n = 1
+    ["maximal", *_spec_args(2, 1, 1, 4), "--search"],  # p = 2: (rho;2^r), n = 1, r/2 > n
     ["maximal", *_spec_args(3, 1, 1, 3), "--search"],  # three periods, p = 3
     # further searches that find a witness
     ["maximal", *_spec_args(5, 1, 2, 0), "--search"],
