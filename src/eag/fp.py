@@ -9,6 +9,8 @@ packed integer keys (``_pack_keys``, shared with the orbit engines).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
@@ -110,6 +112,120 @@ def gl_generators(n: int, p: int) -> list[np.ndarray]:
     diag = np.eye(n, dtype=np.int64)
     diag[0, 0] = g
     return [trans, cyc] + ([diag] if g != 1 else [])
+
+
+def gl_order(n: int, p: int) -> int:
+    """|GL(n, p)| = prod_{i < n} (p^n - p^i)."""
+    order = 1
+    for i in range(n):
+        order *= p ** n - p ** i
+    return order
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Product over F_p of two polynomials given as coefficients, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _monic_irreducibles(d: int, p: int) -> list[tuple[int, ...]]:
+    """Monic irreducible polynomials of degree d over F_p other than x, by a sieve."""
+    def monic(deg):
+        return [tuple(c // p ** i % p for i in range(deg)) + (1,) for c in range(p ** deg)]
+
+    reducible = {_poly_mul(a, b, p) for e in range(1, d // 2 + 1)
+                 for a in monic(e) for b in monic(d - e)}
+    return [f for f in monic(d) if f not in reducible and f != (0, 1)]
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts <= largest, parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _centraliser_order(part: tuple[int, ...], q: int) -> int:
+    """c_lambda(q) = q^{sum lambda'_i^2} prod_i phi_{m_i}(1/q), as an integer.
+
+    phi_m(t) = (1 - t)(1 - t^2)...(1 - t^m); each factor 1 - q^-j is
+    written (q^j - 1) / q^j, and sum lambda'_i^2 >= sum m_i (m_i + 1) / 2
+    keeps the power of q whole.
+    """
+    conj = [sum(1 for x in part if x > i) for i in range(part[0])]
+    mults = [part.count(m) for m in set(part)]
+    order = q ** (sum(c * c for c in conj) - sum(m * (m + 1) // 2 for m in mults))
+    for m in mults:
+        for j in range(1, m + 1):
+            order *= q ** j - 1
+    return order
+
+
+def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
+    """Companion matrix over F_p of the monic polynomial f (constant term first)."""
+    d = len(f) - 1
+    C = np.zeros((d, d), dtype=np.int64)
+    C[np.arange(1, d), np.arange(d - 1)] = 1
+    C[:, d - 1] = [-c % p for c in f[:d]]
+    return C
+
+
+@lru_cache(maxsize=None)
+def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int], ...]:
+    """Every conjugacy class of GL(n, p) as a (representative, size) pair.
+
+    A class is a map f -> lambda_f from the monic irreducible polynomials
+    f != x to partitions with sum deg f * |lambda_f| = n (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, ch. IV; Green 1955).  Its
+    representative is the block-diagonal matrix of the companion matrices
+    of f^m for every part m of every lambda_f, and its size is
+    |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see ``_centraliser_order``).
+    The representatives are read-only; the sizes are checked to sum to
+    |GL(n, p)|.
+    """
+    check_prime(p)
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    irreducibles = [f for d in range(1, n + 1) for f in _monic_irreducibles(d, p)]
+    order = gl_order(n, p)
+    classes = []
+
+    def extend(start, budget, blocks, centraliser):
+        if budget == 0:
+            rep = np.zeros((n, n), dtype=np.int64)
+            at = 0
+            for B in blocks:
+                rep[at:at + len(B), at:at + len(B)] = B
+                at += len(B)
+            rep.flags.writeable = False
+            classes.append((rep, order // centraliser))
+            return
+        for i in range(start, len(irreducibles)):
+            f = irreducibles[i]
+            d = len(f) - 1
+            if d > budget:
+                break  # irreducibles are listed by degree
+            for size in range(1, budget // d + 1):
+                for part in _partitions(size, size):
+                    powers = []
+                    for m in part:
+                        g = f
+                        for _ in range(m - 1):
+                            g = _poly_mul(g, f, p)
+                        powers.append(_companion(g, p))
+                    extend(i + 1, budget - d * size, blocks + powers,
+                           centraliser * _centraliser_order(part, p ** d))
+
+    extend(0, n, [], 1)
+    if sum(size for _, size in classes) != order:
+        raise AssertionError(f"class sizes of GL({n}, {p}) do not sum to its order")
+    return tuple(classes)
 
 
 def standard_symplectic_form(rho: int, p: int) -> np.ndarray:

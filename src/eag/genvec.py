@@ -98,14 +98,18 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
 def count_pure_classes(p: int, k: int, r: int) -> int:
     """Number of classes of (0; p^r)-generating vectors of C_p^k.
 
-    Conventions: the count is 1 for k = 0 only when r = 0, and 0 for k < 0.
+    Counted by ``orbits.count_pure_orbits_burnside`` inside the enumeration
+    box of ``orbits.check_pure_caps``, where the subspace BFS and the
+    canonical-form oracles pin every value.  Conventions: the count is 1 for
+    k = 0 only when r = 0, and 0 for k < 0.
     """
     if k < 1:
         return int(k == 0 and r == 0)
     check_prime(p)
     if no_pure_vectors(p, k, r):
         return 0
-    return orbits.count_pure_orbits_bfs(p, k, r)
+    orbits.check_pure_caps(p, k, r)
+    return orbits.count_pure_orbits_burnside(p, k, r)
 
 
 def no_pure_vectors(p: int, j: int, r: int) -> bool:
@@ -169,7 +173,9 @@ class ClassCountReport:
     rho: int
     r: int
     total: int
-    method: str  # "brute-force" | "closed-form" | "formula"
+    # "brute-force" | "closed-form" | "formula"; "brute-force" means an exact
+    # orbit count inside the enumeration box, where the oracles pin every value
+    method: str
     e_used: tuple[tuple[int, int], ...] = ()
     h_used: tuple[tuple[int, int], ...] = ()
     flags: tuple[str, ...] = ()

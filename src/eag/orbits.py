@@ -1,13 +1,14 @@
-"""Orbit-counting engines used by the class-counting operations.
+"""Orbit counts used by the class-counting operations.
 
-Every production orbit count runs on one engine, ``orbit_components``:
+The purely ramified count is a Burnside sum (``count_pure_orbits_burnside``):
+the classes of (0; p^r)-generating vectors of C_p^k are the GL(k, p)-orbits
+of spanning zero-sum r-multisets of nonzero vectors, counted as a difference
+of two sums over the conjugacy classes of GL(k, p) (``fp.gl_conjugacy_classes``).
+
+Every other production orbit count runs on one engine, ``orbit_components``:
 objects become distinct integer keys, each move maps every object to the
 key of its image, and the orbits are the connected components.  It counts
 
-* purely ramified: admissible k-subspaces of the zero-sum hyperplane of
-  F_p^r under S_r permuting coordinates.  S_r is generated by the
-  transposition (0 1) and the r-cycle, and the RREF of each image is
-  written in closed form, with no row reduction;
 * unramified: kernels in F_p^{2 rho} under Sp(2 rho, p);
 * Cayley-table orbits (``grouptable.generating_vector_orbits``): genus-0
   generating tuples under the braid moves and Aut(G).  Aut(G) adds one
@@ -21,9 +22,15 @@ of the two dimensions; that keeps the enumeration small and the packed
 keys within 64 bits (a 5-dimensional kernel in F_5^6 would need 30 base-5
 digits).
 
-Independent canonical-form oracles (each unseen object marks its whole orbit
-under the fully enumerated acting group, with no generators and no graph)
-and the Witt closed form cross-check the engine in the test suite.
+The test suite cross-checks them with independent oracles:
+
+* ``count_pure_orbits_bfs``, the same engine on admissible k-subspaces of
+  the zero-sum hyperplane of F_p^r under S_r permuting coordinates.  S_r
+  is generated by the transposition (0 1) and the r-cycle, and the RREF of
+  each image is written in closed form, with no row reduction;
+* canonical-form counts: each unseen object marks its whole orbit under the
+  fully enumerated acting group, with no generators and no graph;
+* the Witt closed form for the kernel count.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, PreconditionError
 from . import fp
 from .fp import _pack_keys
 
@@ -103,19 +110,17 @@ def batch_rref(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def _zero_sum_hyperplane_basis(p: int, r: int) -> np.ndarray:
-    B = np.zeros((r - 1, r), dtype=np.int64)
-    for i in range(r - 1):
-        B[i, i] = 1
-        B[i, i + 1] = p - 1
-    return B
+    """The basis [I_{r-1} | -1] of the zero-sum hyperplane of F_p^r, in RREF."""
+    return np.concatenate([np.eye(r - 1, dtype=np.int64),
+                           np.full((r - 1, 1), p - 1, dtype=np.int64)], axis=1)
 
 
-#: most rows of unreduced bases that ``_subspace_blocks`` builds at once
+#: most subspaces that ``_subspace_blocks`` yields at once
 SUBSPACE_BLOCK = 1024
 
 
 def _subspace_blocks(p: int, W: np.ndarray, k: int):
-    """Unreduced ambient bases of all k-subspaces of the row space of ``W``.
+    """Ambient bases of all k-subspaces of the row space of ``W``.
 
     ``W`` (shape (d, n)) must have independent rows.  Yields int64 arrays of
     shape (B, k, n) with B <= SUBSPACE_BLOCK, one subspace per row: the RREF
@@ -139,12 +144,16 @@ def _subspace_blocks(p: int, W: np.ndarray, k: int):
 
 
 def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
-    """Ambient RREFs of all k-subspaces of the row space of ``W``.
+    """Ambient RREFs of all k-subspaces of the row space of ``W = [I_d | X]``.
 
-    ``W`` (shape (d, n)) must have independent rows; the result has shape
-    (gaussian_binomial(d, k, p), k, n).
+    The result is uint8 of shape (gaussian_binomial(d, k, p), k, n).  Each
+    subspace is C W for its RREF coordinates C, and C W = [C | C X] is
+    already in RREF, so nothing is row-reduced; any other ``W`` raises.
     """
-    return np.concatenate([batch_rref(block, p) for block in _subspace_blocks(p, W, k)])
+    d = W.shape[0]
+    if not np.array_equal(W[:, :d], np.eye(d, dtype=W.dtype)):
+        raise PreconditionError("subspace enumeration needs a basis of the form [I | X]")
+    return np.concatenate([block.astype(np.uint8) for block in _subspace_blocks(p, W, k)])
 
 
 def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
@@ -220,6 +229,128 @@ def check_pure_caps(p: int, k: int, r: int) -> None:
                                f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
 
 
+def _multiset_count(m: int, t: int) -> int:
+    """C(m + t - 1, t): the number of t-multisets drawn from m kinds."""
+    count = 1
+    for i in range(t):
+        count = count * (m + i) // (i + 1)
+    return count
+
+
+def _fixed_point_ways(p: int, f: int, r: int) -> tuple[list[int], list[int]]:
+    """t-multisets of nonzero vectors of F_p^f, for t <= r, by their sum.
+
+    Returns (zero, each): ``zero[t]`` of them sum to 0 and ``each[t]`` sum to
+    any one given nonzero vector, as GL(f, p) is transitive on those.  By
+    characters: a nonzero functional takes each value p^(f-1) times on
+    F_p^f, so it weights the nonzero vectors as (1 - x)(1 - x^p)^(-p^(f-1));
+    zero[t] is [x^t] of (1 - x)^(-(p^f - 1)) plus p^f - 1 times that, over p^f.
+    """
+    if f == 0:
+        return [int(t == 0) for t in range(r + 1)], [0] * (r + 1)
+    q = p ** f
+    pushed = [_multiset_count(q // p, u // p) if u % p == 0 else 0 for u in range(r + 1)]
+    zero, each = [], []
+    for t in range(r + 1):
+        total = _multiset_count(q - 1, t)
+        twisted = pushed[t] - (pushed[t - 1] if t else 0)
+        zero.append((total + (q - 1) * twisted) // q)
+        each.append((total - zero[t]) // (q - 1))
+    return zero, each
+
+
+def _fixed_multisets(perm: np.ndarray, vecs: np.ndarray, p: int, r: int, dtype) -> int:
+    """Zero-sum r-multisets of nonzero vectors fixed by one element g of GL(k, p).
+
+    ``perm[c]`` is the code of g applied to the vector ``vecs[c]`` (code 0 is
+    the zero vector).  A fixed multiset has constant multiplicity on each
+    g-cycle, so only cycles of length <= r can carry it.  Iterating ``perm``
+    r times gives every short cycle with its length and the code of its
+    vector sum.  A knapsack over (size <= r, sum in F_p^k) then counts the
+    choices of multiplicities: it starts from the multisets of fixed vectors
+    (``_fixed_point_ways`` on the fixed subspace), and the longer cycles
+    enter grouped by (length, sum), as n cycles of one group can carry T
+    copies in all in C(n + T - 1, T) ways.
+    """
+    n, k = vecs.shape
+    digits = p ** np.arange(k)
+    codes = np.arange(n)
+    pos, least = codes.copy(), codes.copy()
+    acc = np.zeros_like(vecs)
+    length = np.zeros(n, dtype=np.int64)
+    cycle_sum = np.zeros(n, dtype=np.int64)
+    for L in range(1, r + 1):
+        acc = (acc + vecs[pos]) % p
+        least = np.minimum(least, pos)
+        pos = perm[pos]
+        closed = (pos == codes) & (length == 0)
+        length[closed] = L
+        cycle_sum[closed] = acc[closed] @ digits
+    fixed = length == 1
+    f = 0
+    while p ** f < fixed.sum():
+        f += 1
+    zero, each = _fixed_point_ways(p, f, r)
+    # ways[t, c]: multiplicities on the cycles so far with size t and sum code c
+    ways = np.zeros((r + 1, n), dtype=dtype)
+    ways[:, fixed] = np.array(each, dtype=dtype)[:, None]
+    ways[:, 0] = zero
+    leaders = (length > 1) & (least == codes)  # one code per longer short cycle
+    groups, sizes = np.unique(length[leaders] * n + cycle_sum[leaders], return_counts=True)
+    for group, count in zip(groups.tolist(), sizes.tolist()):
+        L, s = divmod(group, n)
+        back = step = (vecs - vecs[s]) % p @ digits  # step[c]: the code of c - s
+        new = ways.copy()
+        coef = 1
+        for T in range(1, r // L + 1):
+            coef = coef * (count + T - 1) // T
+            new[T * L:] += coef * ways[:r + 1 - T * L, back]
+            back = step[back]
+        ways = new
+    return int(ways[r, 0])
+
+
+@lru_cache(maxsize=None)
+def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
+    """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
+
+    Burnside over the conjugacy classes: the class-size-weighted sum of the
+    fixed-multiset counts, divided by |GL(k, p)|.  Counts stay int64 while
+    every one of them, at most C(p^k + r - 2, r), fits.
+    """
+    if k == 0:
+        return int(r == 0)
+    n = p ** k
+    digits = p ** np.arange(k)
+    vecs = (np.arange(n)[:, None] // digits) % p
+    dtype = np.int64 if _multiset_count(n - 1, r) < 2 ** 63 else object
+    total = 0
+    for g, size in fp.gl_conjugacy_classes(k, p):
+        perm = (vecs @ g.T) % p @ digits
+        total += size * _fixed_multisets(perm, vecs, p, r, dtype)
+    order = fp.gl_order(k, p)
+    if total % order:
+        raise AssertionError(f"Burnside sum for (p={p}, k={k}, r={r}) is not a multiple of "
+                             f"|GL({k}, {p})|")
+    return total // order
+
+
+def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
+    """e(p, k, r) = M(p, k, r) - M(p, k - 1, r), both by Burnside.
+
+    e counts GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors that
+    span F_p^k; a multiset absorbs S_r, so these are the classes of
+    (0; p^r)-generating vectors of C_p^k.  Grouping the multisets counted by
+    M(p, k, r) by their span W of dimension j: GL(k, p) is transitive on the
+    j-subspaces, and the stabiliser of W induces all of GL(j, p) on it, so
+    the orbits with span of dimension j are e(p, j, r) many, and
+    M(p, k, r) = sum_{j <= k} e(p, j, r).
+    """
+    if k < 1 or k > r - 1:
+        return 0
+    return _zero_sum_multiset_orbits(p, k, r) - _zero_sum_multiset_orbits(p, k - 1, r)
+
+
 def _swap01_rref(M: np.ndarray, p: int) -> np.ndarray:
     """RREF of every subspace in ``M`` after swapping coordinates 0 and 1.
 
@@ -290,16 +421,8 @@ CANONICAL_MAX_RAW = 200_000
 
 
 def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
-    order = 1
-    for i in range(k):
-        order *= p ** k - p ** i
-    if order > CANONICAL_MAX_GROUP:
-        return False
-    raw = 1
-    nvec = p ** k - 1
-    for i in range(r):
-        raw = raw * (nvec + i) // (i + 1)
-    return raw <= CANONICAL_MAX_RAW
+    return (fp.gl_order(k, p) <= CANONICAL_MAX_GROUP
+            and _multiset_count(p ** k - 1, r) <= CANONICAL_MAX_RAW)
 
 
 @lru_cache(maxsize=None)

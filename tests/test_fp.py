@@ -81,6 +81,40 @@ def test_gl_closure_orders(n, p, order):
     assert len(fp.group_closure(fp.gl_generators(n, p), p)) == order
 
 
+@pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)]
+                         + [(4, 2), (4, 3), (4, 5)])
+def test_gl_class_sizes_sum_to_the_order(n, p):
+    classes = fp.gl_conjugacy_classes(n, p)
+    assert sum(size for _, size in classes) == fp.gl_order(n, p)
+    assert all(rep.shape == (n, n) and not rep.flags.writeable for rep, _ in classes)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_gl_classes_match_brute_force_conjugacy(n, p):
+    group = fp.group_closure(fp.gl_generators(n, p), p)
+    products = np.einsum("aij,bjk->abik", group, group) % p
+    inverses = group[(products == np.eye(n, dtype=np.int64)).all(axis=(2, 3)).argmax(axis=1)]
+    keys = fp._pack_keys(group, p)
+    # label[key]: the least key in the conjugacy class of that element
+    label = {}
+    for g, key in zip(group, keys.tolist()):
+        if key in label:
+            continue
+        conj = np.einsum("hij,jk,hkl->hil", group, g, inverses) % p
+        members = fp._pack_keys(conj, p).tolist()
+        least = min(members)
+        for m in members:
+            label[m] = least
+    sizes = {}
+    for least in label.values():
+        sizes[least] = sizes.get(least, 0) + 1
+    classes = fp.gl_conjugacy_classes(n, p)
+    assert len(classes) == len(sizes)
+    reps = [label[int(fp._pack_keys(rep[None] % p, p)[0])] for rep, _ in classes]
+    assert len(set(reps)) == len(classes)
+    assert all(sizes[least] == size for least, (_, size) in zip(reps, classes))
+
+
 @pytest.mark.parametrize("rho,p,order", [
     (1, 2, 6), (1, 3, 24), (1, 5, 120),   # p (p^2 - 1)
     (2, 2, 720),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eag import fp, orbits
-from eag.errors import CapExceededError
+from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
 
@@ -46,6 +46,13 @@ def test_enumerate_subspaces(p, n, k, basis):
     assert (orbits.batch_rref(stacked, p)[:, n:] == 0).all()
 
 
+def test_enumerate_subspaces_needs_an_identity_block():
+    # the zero-sum basis e_i - e_(i+1) spans the same plane but is not [I | X]
+    W = np.array([[1, 2, 0], [0, 1, 2]], dtype=np.int64)
+    with pytest.raises(PreconditionError):
+        orbits._enumerate_subspaces(3, W, 1)
+
+
 # hand-derived counts: the (p=3, k=1, r=6) value comes from the two line
 # types (all-equal vs balanced) and (p=2, k=2, r=6) from the two coordinate
 # partitions {4,2,0} and {2,2,2}
@@ -66,6 +73,59 @@ def test_pure_orbit_counts_hand_checked(pkr, value):
 def test_pure_box_counts_pinned(p, k, r, count):
     # the cached call is the one acceptance criterion 01 makes
     assert orbits.count_pure_orbits_bfs(p, k, r) == count
+
+
+@pytest.mark.parametrize("p,k,r,count", PURE_BOX_COUNTS)
+def test_pure_box_counts_burnside(p, k, r, count):
+    assert orbits.count_pure_orbits_burnside(p, k, r) == count
+
+
+def _canonical_instances_outside_the_box():
+    """(p, k, r) with p <= 13, k <= 3, r <= 10 that only the canonical oracle reaches."""
+    found = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in (1, 2, 3):
+            for r in range(k + 1, 11):
+                if not orbits.pure_canonical_feasible(p, k, r):
+                    continue
+                try:
+                    orbits.check_pure_caps(p, k, r)
+                except CapExceededError:
+                    found.append((p, k, r))
+    return found
+
+
+def test_burnside_matches_canonical_outside_the_box():
+    instances = _canonical_instances_outside_the_box()
+    assert {(2, 3, 10), (3, 2, 10), (13, 1, 9)} <= set(instances)
+    assert len(instances) == 38
+    for p, k, r in instances:
+        assert orbits.count_pure_orbits_burnside(p, k, r) == \
+            orbits.count_pure_orbits_canonical(p, k, r), (p, k, r)
+
+
+def test_fixed_multisets_python_ints_match_int64():
+    # the object-dtype knapsack runs where C(p^k + r - 2, r) leaves int64
+    for p, k, r in [(5, 2, 7), (3, 3, 6), (2, 4, 8)]:
+        vecs = (np.arange(p ** k)[:, None] // p ** np.arange(k)) % p
+        for g, _ in fp.gl_conjugacy_classes(k, p):
+            perm = (vecs @ g.T) % p @ p ** np.arange(k)
+            assert orbits._fixed_multisets(perm, vecs, p, r, object) == \
+                orbits._fixed_multisets(perm, vecs, p, r, np.int64)
+
+
+def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
+    real = fp.gl_conjugacy_classes
+    classes = real(2, 3)
+    wrong = ((classes[0][0], classes[0][1] + 1),) + classes[1:]
+    monkeypatch.setattr(fp, "gl_conjugacy_classes",
+                        lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
+    orbits._zero_sum_multiset_orbits.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not a multiple"):
+            orbits.count_pure_orbits_burnside(3, 2, 5)
+    finally:
+        orbits._zero_sum_multiset_orbits.cache_clear()
 
 
 def _closed_form_mismatches():
