@@ -4,6 +4,10 @@ The purely ramified count is a Burnside sum (``count_pure_orbits_burnside``):
 the classes of (0; p^r)-generating vectors of C_p^k are the GL(k, p)-orbits
 of spanning zero-sum r-multisets of nonzero vectors, counted as a difference
 of two sums over the conjugacy classes of GL(k, p) (``fp.gl_conjugacy_classes``).
+A g-fixed multiset sums into the fixed space ker(g - 1), as each of its
+g-cycles does, so the knapsack behind each fixed-point count runs over that
+space only; and one pass over the classes, cut at r, gives the whole row of
+sums for every t <= r, kept per (p, k).
 
 Every other production orbit count runs on one engine, ``orbit_components``:
 objects become distinct integer keys, each move maps every object to the
@@ -259,80 +263,124 @@ def _fixed_point_ways(p: int, f: int, r: int) -> tuple[list[int], list[int]]:
     return zero, each
 
 
-def _fixed_multisets(perm: np.ndarray, vecs: np.ndarray, p: int, r: int, dtype) -> int:
-    """Zero-sum r-multisets of nonzero vectors fixed by one element g of GL(k, p).
+#: most (class, code) cells that one cycle walk of ``_fixed_multiset_rows`` holds
+WALK_BLOCK = 2 ** 14
 
-    ``perm[c]`` is the code of g applied to the vector ``vecs[c]`` (code 0 is
-    the zero vector).  A fixed multiset has constant multiplicity on each
-    g-cycle, so only cycles of length <= r can carry it.  Iterating ``perm``
-    r times gives every short cycle with its length and the code of its
-    vector sum.  A knapsack over (size <= r, sum in F_p^k) then counts the
-    choices of multiplicities: it starts from the multisets of fixed vectors
-    (``_fixed_point_ways`` on the fixed subspace), and the longer cycles
-    enter grouped by (length, sum), as n cycles of one group can carry T
-    copies in all in C(n + T - 1, T) ways.
+
+def _fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
+    """Zero-sum t-multisets of nonzero vectors fixed by g, for each g in ``reps`` and t <= r.
+
+    ``reps`` is a stack of C elements of GL(k, p); entry [c, t] of the
+    (C, r + 1) result is Fix_g(t) for g = reps[c].  A fixed multiset has
+    constant multiplicity on each g-cycle of vectors, so only cycles of
+    length <= r can carry it.  One walk of r steps over the (C, p^k) block
+    of codes (code 0 is the zero vector) gives every short cycle with its
+    length and least code; a second walk over those least codes alone
+    gives the code of each cycle's vector sum.
+
+    If g^L v = v, the cycle sum S = sum_{i<L} g^i v has gS = S, so every
+    cycle sum, and every sum of a fixed multiset, lies in the fixed space
+    F = ker(g - 1): the codes the walk gives length 1.  A knapsack over
+    (size <= r, sum in F) then counts the choices of multiplicities: it
+    starts from the multisets of fixed vectors (``_fixed_point_ways`` on F),
+    and the longer cycles enter grouped by (length, sum), as n cycles of one
+    group can carry T copies in all in C(n + T - 1, T) ways.  A cycle longer
+    than t cannot enter size t, so the knapsack cut at r holds every t <= r.
     """
-    n, k = vecs.shape
+    C, k = reps.shape[:2]
+    n = p ** k
     digits = p ** np.arange(k)
-    codes = np.arange(n)
-    pos, least = codes.copy(), codes.copy()
-    acc = np.zeros_like(vecs)
-    length = np.zeros(n, dtype=np.int64)
-    cycle_sum = np.zeros(n, dtype=np.int64)
+    codes = np.arange(n, dtype=np.int32)
+    vecs = (codes[:, None] // digits) % p
+    perms = np.zeros((C, n), dtype=np.int32)  # perms[c, v]: the code of reps[c] v
+    for i in range(k):
+        perms += (reps[:, i] @ vecs.T % p * digits[i]).astype(np.int32)
+    pos, least = np.tile(codes, (C, 1)), np.tile(codes, (C, 1))
+    length = np.zeros((C, n), dtype=np.int32)
     for L in range(1, r + 1):
-        acc = (acc + vecs[pos]) % p
-        least = np.minimum(least, pos)
-        pos = perm[pos]
-        closed = (pos == codes) & (length == 0)
-        length[closed] = L
-        cycle_sum[closed] = acc[closed] @ digits
-    fixed = length == 1
-    f = 0
-    while p ** f < fixed.sum():
-        f += 1
-    zero, each = _fixed_point_ways(p, f, r)
-    # ways[t, c]: multiplicities on the cycles so far with size t and sum code c
-    ways = np.zeros((r + 1, n), dtype=dtype)
-    ways[:, fixed] = np.array(each, dtype=dtype)[:, None]
-    ways[:, 0] = zero
-    leaders = (length > 1) & (least == codes)  # one code per longer short cycle
-    groups, sizes = np.unique(length[leaders] * n + cycle_sum[leaders], return_counts=True)
-    for group, count in zip(groups.tolist(), sizes.tolist()):
-        L, s = divmod(group, n)
-        back = step = (vecs - vecs[s]) % p @ digits  # step[c]: the code of c - s
-        new = ways.copy()
-        coef = 1
-        for T in range(1, r // L + 1):
-            coef = coef * (count + T - 1) // T
-            new[T * L:] += coef * ways[:r + 1 - T * L, back]
-            back = step[back]
-        ways = new
-    return int(ways[r, 0])
+        np.minimum(least, pos, out=least)
+        pos = np.take_along_axis(perms, pos, axis=1)
+        length[(pos == codes) & (length == 0)] = L
+    # one code per cycle of length 2..r: its least, walked once more for the sum
+    cls, at = np.nonzero((length > 1) & (least == codes))
+    lens = length[cls, at]
+    acc = np.zeros((len(at), k), dtype=np.int64)
+    for L in range(r):
+        acc += vecs[at] * (L < lens)[:, None]
+        at = perms[cls, at]
+    # the cycles of class c, grouped by (length, sum), are groups[bounds[c]:bounds[c + 1]]
+    groups, sizes = np.unique((cls * (r + 1) + lens) * n + acc % p @ digits, return_counts=True)
+    bounds = np.searchsorted(groups, np.arange(C + 1) * (r + 1) * n)
+    fixed_cls, fixed_codes = np.nonzero(length == 1)
+    fixed_bounds = np.searchsorted(fixed_cls, np.arange(C + 1))
+    seeds = {}  # _fixed_point_ways by |F|
+    out = np.empty((C, r + 1), dtype=dtype)
+    for c in range(C):
+        fixed = fixed_codes[fixed_bounds[c]:fixed_bounds[c + 1]]  # F, ascending from 0
+        if len(fixed) not in seeds:
+            f = 0
+            while p ** f < len(fixed):
+                f += 1
+            seeds[len(fixed)] = _fixed_point_ways(p, f, r)
+        zero, each = seeds[len(fixed)]
+        # ways[t, i]: multiplicities on the cycles so far with size t and sum fixed[i]
+        ways = np.empty((r + 1, len(fixed)), dtype=dtype)
+        ways[:, 1:] = np.array(each, dtype=dtype)[:, None]
+        ways[:, 0] = zero
+        for group, count in zip(groups[bounds[c]:bounds[c + 1]].tolist(),
+                                sizes[bounds[c]:bounds[c + 1]].tolist()):
+            L, s = divmod(group % ((r + 1) * n), n)
+            i = np.searchsorted(fixed, s)
+            if i == len(fixed) or fixed[i] != s:
+                raise AssertionError("cycle sum outside the fixed space")
+            # step[i]: the index of fixed[i] - s, which F holds with s
+            back = step = np.searchsorted(fixed, (vecs[fixed] - vecs[s]) % p @ digits)
+            new = ways.copy()
+            coef = 1
+            for T in range(1, r // L + 1):
+                coef = coef * (count + T - 1) // T
+                new[T * L:] += coef * ways[:r + 1 - T * L, back]
+                back = step[back]
+            ways = new
+        out[c] = ways[:, 0]
+    return out
 
 
-@lru_cache(maxsize=None)
+#: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
+_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
     """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
 
     Burnside over the conjugacy classes: the class-size-weighted sum of the
-    fixed-multiset counts, divided by |GL(k, p)|.  Counts stay int64 while
-    every one of them, at most C(p^k + r - 2, r), fits.
+    fixed-multiset counts, divided by |GL(k, p)|.  One pass over the classes
+    gives the whole row M(p, k, 0..r), as ``_fixed_multiset_rows`` cut at r
+    holds every t <= r; each entry is checked for divisibility.  The
+    longest row per (p, k) is kept in ``_ROWS``, and a request past it
+    builds the row again at the new r.  Counts stay int64 while every one
+    of them, at most C(p^k + r - 2, r), fits.
     """
     if k == 0:
         return int(r == 0)
-    n = p ** k
-    digits = p ** np.arange(k)
-    vecs = (np.arange(n)[:, None] // digits) % p
-    dtype = np.int64 if _multiset_count(n - 1, r) < 2 ** 63 else object
-    total = 0
-    for g, size in fp.gl_conjugacy_classes(k, p):
-        perm = (vecs @ g.T) % p @ digits
-        total += size * _fixed_multisets(perm, vecs, p, r, dtype)
+    row = _ROWS.get((p, k), ())
+    if len(row) > r:
+        return row[r]
+    dtype = np.int64 if _multiset_count(p ** k - 1, r) < 2 ** 63 else object
+    classes = fp.gl_conjugacy_classes(k, p)
+    chunk = max(1, WALK_BLOCK // p ** k)
+    totals = np.zeros(r + 1, dtype=object)
+    for start in range(0, len(classes), chunk):
+        part = classes[start:start + chunk]
+        fixes = _fixed_multiset_rows(np.stack([g for g, _ in part]), p, r, dtype)
+        totals += np.array([size for _, size in part], dtype=object) @ fixes.astype(object)
     order = fp.gl_order(k, p)
-    if total % order:
-        raise AssertionError(f"Burnside sum for (p={p}, k={k}, r={r}) is not a multiple of "
-                             f"|GL({k}, {p})|")
-    return total // order
+    bad = [t for t in range(r + 1) if totals[t] % order]
+    if bad:
+        raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
+                             f"multiples of |GL({k}, {p})|")
+    row = _ROWS[(p, k)] = tuple(int(total) // order for total in totals)
+    return row[r]
 
 
 def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,14 +106,60 @@ def test_burnside_matches_canonical_outside_the_box():
             orbits.count_pure_orbits_canonical(p, k, r), (p, k, r)
 
 
+def _class_reps(k, p):
+    return np.stack([g for g, _ in fp.gl_conjugacy_classes(k, p)])
+
+
 def test_fixed_multisets_python_ints_match_int64():
     # the object-dtype knapsack runs where C(p^k + r - 2, r) leaves int64
     for p, k, r in [(5, 2, 7), (3, 3, 6), (2, 4, 8)]:
-        vecs = (np.arange(p ** k)[:, None] // p ** np.arange(k)) % p
-        for g, _ in fp.gl_conjugacy_classes(k, p):
-            perm = (vecs @ g.T) % p @ p ** np.arange(k)
-            assert orbits._fixed_multisets(perm, vecs, p, r, object) == \
-                orbits._fixed_multisets(perm, vecs, p, r, np.int64)
+        reps = _class_reps(k, p)
+        wide = orbits._fixed_multiset_rows(reps, p, r, object)
+        assert wide.shape == (len(reps), r + 1)
+        assert (wide == orbits._fixed_multiset_rows(reps, p, r, np.int64)).all()
+
+
+def _fixed_by_enumeration(g, p, t):
+    """Zero-sum t-multisets of nonzero vectors that g maps to themselves, counted one by one."""
+    k = len(g)
+    digits = p ** np.arange(k)
+    vecs = (np.arange(p ** k)[:, None] // digits) % p
+    image = ((vecs @ g.T) % p @ digits).tolist()
+    count = 0
+    for multiset in itertools.combinations_with_replacement(range(1, p ** k), t):
+        if (vecs[list(multiset)].sum(axis=0) % p == 0).all() and \
+                tuple(sorted(image[c] for c in multiset)) == multiset:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("k,p", [(1, 5), (2, 2), (2, 3), (3, 2)])
+def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
+    # pins the knapsack over the fixed space for each class, not just the
+    # class-size-weighted totals
+    reps = _class_reps(k, p)
+    rows = orbits._fixed_multiset_rows(reps, p, 6, np.int64)
+    for g, row in zip(reps, rows):
+        assert row.tolist() == [_fixed_by_enumeration(g, p, t) for t in range(7)], g.tolist()
+
+
+def test_pure_box_counts_do_not_depend_on_request_order():
+    # rows are kept per (p, k) and rebuilt for a longer r, in either order
+    saved = dict(orbits._ROWS)
+    try:
+        for reverse in (False, True):
+            orbits._ROWS.clear()
+            for p, k, r, count in sorted(PURE_BOX_COUNTS, key=lambda pin: pin[2],
+                                         reverse=reverse):
+                assert orbits.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+    finally:
+        orbits._ROWS.clear()
+        orbits._ROWS.update(saved)
+
+
+def test_large_object_dtype_burnside_sum():
+    # C(13^3 + 8, 10) leaves int64, so every count of the row is a Python int
+    assert orbits.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
 
 
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
@@ -120,12 +168,18 @@ def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
     wrong = ((classes[0][0], classes[0][1] + 1),) + classes[1:]
     monkeypatch.setattr(fp, "gl_conjugacy_classes",
                         lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
-    orbits._zero_sum_multiset_orbits.cache_clear()
+    saved = dict(orbits._ROWS)
+    orbits._ROWS.clear()
     try:
-        with pytest.raises(AssertionError, match="not a multiple"):
+        # the row built for r = 7 checks every t <= 7, r = 5 among them
+        with pytest.raises(AssertionError, match=r"t = \[.*\b5\b.*\] are not multiples"):
+            orbits.count_pure_orbits_burnside(3, 2, 7)
+        assert (3, 2) not in orbits._ROWS
+        with pytest.raises(AssertionError, match="not multiples"):
             orbits.count_pure_orbits_burnside(3, 2, 5)
     finally:
-        orbits._zero_sum_multiset_orbits.cache_clear()
+        orbits._ROWS.clear()
+        orbits._ROWS.update(saved)
 
 
 def _closed_form_mismatches():
