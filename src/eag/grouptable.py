@@ -8,8 +8,10 @@ criteria for sphere quotients.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,49 +23,53 @@ from .orbits import orbit_components
 from .surfaces import Signature, riemann_hurwitz_genus
 
 AUTOMORPHISM_ORDER_CAP = 60
+#: most candidate image tuples the automorphism search builds
+AUTOMORPHISM_CANDIDATE_CAP = 2 ** 16
 ORBIT_STATE_CAP = 2_000_000
+#: most candidate tuples ``_enumerate_tuples`` builds at once
+TUPLE_BLOCK = 2 ** 16
+#: most products (ab)c that one associativity check compares
+ASSOCIATIVITY_BLOCK = 2 ** 20
 
 
 class GroupTable:
     """A finite group as a multiplication table; index 0 is the identity.
 
     Associativity, identity and inverses are all verified at construction,
-    so downstream code can trust the table blindly.
+    so downstream code can trust the table blindly.  ``table`` holds the
+    rows as tuples of ints for scalar lookups, and ``array`` the same table
+    as a numpy array of the smallest unsigned dtype for batched ones.
     """
 
     def __init__(self, table, names=None):
-        table = tuple(tuple(row) for row in table)
-        n = len(table)
+        rows = [list(row) for row in table]
+        n = len(rows)
         if n == 0:
             raise PreconditionError("empty table")
-        for row in table:
+        for row in rows:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise PreconditionError("table is not square over valid indices")
-        for i in range(n):
-            if table[0][i] != i or table[i][0] != i:
-                raise PreconditionError("index 0 is not an identity")
-        for i in range(n):
-            if sorted(table[i]) != list(range(n)) or \
-               sorted(table[j][i] for j in range(n)) != list(range(n)):
-                raise PreconditionError("table rows/columns are not permutations")
-        for a in range(n):
-            for b in range(n):
-                tab = table[a][b]
-                for c in range(n):
-                    if table[tab][c] != table[a][table[b][c]]:
-                        raise PreconditionError("table is not associative")
-        self.table = table
+        T = np.array(rows, dtype=np.min_scalar_type(n))
+        elems = np.arange(n)
+        if (T[0] != elems).any() or (T[:, 0] != elems).any():
+            raise PreconditionError("index 0 is not an identity")
+        if (np.sort(T, axis=1) != elems).any() or (np.sort(T, axis=0) != elems[:, None]).any():
+            raise PreconditionError("table rows/columns are not permutations")
+        # (ab)c against a(bc), for a block of a at a time
+        step = max(1, ASSOCIATIVITY_BLOCK // (n * n))
+        for a in range(0, n, step):
+            if not np.array_equal(T[T[a:a + step]], T[a:a + step][:, T]):
+                raise PreconditionError("table is not associative")
+        self.array = T
+        self.table = tuple(map(tuple, T.tolist()))
         self.order = n
         self.names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
-        self.inverse = tuple(table[a].index(0) for a in range(n))
-        orders = []
-        for a in range(n):
-            k, x = 1, a
-            while x != 0:
-                x = table[x][a]
-                k += 1
-            orders.append(k if a else 1)
-        self.element_orders = tuple(orders)
+        self.inverse = tuple(np.argmin(T, axis=1).tolist())
+        orders, power, k = np.zeros(n, dtype=np.int64), elems, 1
+        while not orders.all():
+            orders[(power == 0) & (orders == 0)] = k
+            power, k = T[power, elems], k + 1
+        self.element_orders = tuple(orders.tolist())
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -100,6 +106,33 @@ class GroupTable:
 
     def generates(self, elements) -> bool:
         return len(self.closure(elements)) == self.order
+
+    def generates_each(self, rows) -> np.ndarray:
+        """Whether each row of an (S, k) batch of elements generates the group.
+
+        ``closure`` run on one boolean mask M per row: y lies in M c exactly
+        when y c^-1 lies in M, so each right multiplication is a gather.  A
+        row leaves the loop once its mask is the whole group or a sweep over
+        its entries adds nothing.
+        """
+        n = self.order
+        rows = np.asarray(rows)
+        divide = self.array[:, np.array(self.inverse)].T  # divide[c, y] = y c^-1
+        full = np.zeros(len(rows), dtype=bool)
+        live = np.arange(len(rows))
+        mask = np.zeros((len(rows), n), dtype=bool)
+        mask[:, 0] = True
+        while len(live):
+            # offset + divide[c] indexes the flattened masks, one row of n each
+            offset = np.arange(len(live))[:, None] * n
+            before = mask.sum(axis=1)
+            for c in rows[live].T:
+                mask |= mask.ravel().take(offset + divide[c])
+            size = mask.sum(axis=1)
+            full[live[size == n]] = True
+            grew = (size != before) & (size != n)
+            live, mask = live[grew], mask[grew]
+        return full
 
     def center(self) -> tuple[int, ...]:
         return tuple(a for a in range(self.order)
@@ -164,14 +197,12 @@ def dihedral(n: int) -> GroupTable:
 
 
 def _perm_group(perms) -> GroupTable:
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-
-    def compose(p, q):  # apply q, then p
-        return tuple(p[q[i]] for i in range(len(p)))
-
-    table = [[index[compose(p, q)] for q in perms] for p in perms]
-    return GroupTable(table, names=[str(list(p)) for p in perms])
+    """The permutations in sorted order, p q applying q first."""
+    P = np.array(sorted(perms))
+    m, d = P.shape
+    composed = P[np.arange(m)[:, None, None], P[None, :, :]]  # [a, b, i] = P[a, P[b, i]]
+    table = np.searchsorted(_pack_keys(P, d), _pack_keys(composed.reshape(-1, d), d))
+    return GroupTable(table.reshape(m, m).tolist(), names=[str(p) for p in P.tolist()])
 
 
 def symmetric(m: int) -> GroupTable:
@@ -196,12 +227,11 @@ def alternating(m: int) -> GroupTable:
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
-    index = {ab: i for i, ab in enumerate(pairs)}
-    table = [[index[(g.mul(a1, a2), h.mul(b1, b2))] for (a2, b2) in pairs]
-             for (a1, b1) in pairs]
-    names = [f"({g.names[a]},{h.names[b]})" for (a, b) in pairs]
-    return GroupTable(table, names)
+    """G x H, with the pair (a, b) at index a |H| + b."""
+    m = h.order
+    table = g.array.astype(np.int64)[:, None, :, None] * m + h.array[None, :, None, :]
+    names = [f"({a},{b})" for a in g.names for b in h.names]
+    return GroupTable(table.reshape(g.order * m, g.order * m).tolist(), names)
 
 
 def elementary_abelian(p: int, n: int) -> GroupTable:
@@ -278,94 +308,148 @@ def braid_move(v: TableVector, i: int) -> TableVector:
     return TableVector(g, tuple(c))
 
 
-def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
-    """All automorphisms, as permutations of element indices.
+def _cartesian(arrays, dtype) -> np.ndarray:
+    """Rows of the cartesian product of 1-d arrays, in lexicographic order."""
+    total = math.prod(len(a) for a in arrays)
+    out = np.empty((total, len(arrays)), dtype=dtype)
+    repeat = total
+    for j, a in enumerate(arrays):
+        repeat //= len(a)
+        out[:, j] = np.tile(np.repeat(a, repeat), total // (len(a) * repeat))
+    return out
 
-    Backtracking over images of a minimal generating sequence, with element
-    orders as the pruning invariant.
+
+def _automorphism_generators(g: GroupTable) -> list[int]:
+    """A generating sequence with few candidate images.
+
+    An automorphism sends each generator to an element of the same order, so
+    the candidates number the product of those class sizes.  The cheapest
+    single generator or generating pair wins, the first in index order on a
+    tie; a group that needs more generators takes them greedily, each the
+    first element outside the span so far.
     """
-    if g.order > AUTOMORPHISM_ORDER_CAP:
-        raise CapExceededError(
-            f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}")
+    counts = collections.Counter(g.element_orders)
+
+    def cost(gens):
+        return math.prod(counts[g.element_orders[a]] for a in gens)
+
+    for size in (1, 2):
+        tuples = np.array(list(itertools.combinations(range(1, g.order), size)),
+                          dtype=np.int64).reshape(-1, size)
+        found = tuples[g.generates_each(tuples)].tolist()
+        if found:
+            return min(found, key=cost)
     gens: list[int] = []
     span = g.closure(gens)
     for a in range(g.order):
         if a not in span:
             gens.append(a)
             span = g.closure(gens)
-            if len(span) == g.order:
-                break
-    if not gens:  # trivial group
-        return [(0,)]
+    return gens
 
-    # express every element as a fixed word in the generators
-    words: dict[int, tuple[int, ...]] = {0: ()}
-    frontier = [0]
+
+def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
+    """All automorphisms, as permutations of element indices, in sorted order.
+
+    Every tuple of images of a generating sequence, with element orders
+    preserved, is one candidate row.  Each element is a fixed word in the
+    generators, evaluated on all rows at once by table lookups; the rows
+    that are bijective homomorphisms are kept.  Raises CapExceededError
+    above AUTOMORPHISM_ORDER_CAP elements, or before any candidate is built
+    when there would be more than AUTOMORPHISM_CANDIDATE_CAP of them.
+    """
+    if g.order > AUTOMORPHISM_ORDER_CAP:
+        raise CapExceededError(
+            f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}")
+    if g.order == 1:
+        return [(0,)]
+    gens = _automorphism_generators(g)
+    orders = np.array(g.element_orders)
+    choices = [np.flatnonzero(orders == orders[a]) for a in gens]
+    candidates = math.prod(len(c) for c in choices)
+    if candidates > AUTOMORPHISM_CANDIDATE_CAP:
+        raise CapExceededError(
+            f"automorphism search needs {candidates} candidate images, "
+            f"above the cap {AUTOMORPHISM_CANDIDATE_CAP}")
+    T = g.array
+    images = _cartesian(choices, T.dtype)
+    # mapped[:, x]: the image of x, by its word x = y gens[i] with y reached first
+    mapped = np.zeros((len(images), g.order), dtype=T.dtype)
+    reached, frontier = {0}, [0]
     while frontier:
         new = []
-        for x in frontier:
-            for gi, a in enumerate(gens):
-                y = g.mul(x, a)
-                if y not in words:
-                    words[y] = words[x] + (gi,)
-                    new.append(y)
+        for y in frontier:
+            for i, a in enumerate(gens):
+                x = g.mul(y, a)
+                if x not in reached:
+                    reached.add(x)
+                    mapped[:, x] = T[mapped[:, y], images[:, i]]
+                    new.append(x)
         frontier = new
-    if len(words) != g.order:
+    if len(reached) != g.order:
         raise AssertionError("the chosen generators do not reach every element")
-
-    by_order: dict[int, list[int]] = {}
-    for a in range(g.order):
-        by_order.setdefault(g.element_orders[a], []).append(a)
-
-    autos = []
-    for images in itertools.product(*(by_order[g.element_orders[a]] for a in gens)):
-        mapped = []
-        for x in range(g.order):
-            y = 0
-            for gi in words[x]:
-                y = g.mul(y, images[gi])
-            mapped.append(y)
-        if len(set(mapped)) != g.order:
-            continue
-        # every element is a product of generators, so f(x a) = f(x) f(a) for
-        # all x and every generator a makes f a homomorphism
-        ok = all(mapped[g.mul(x, a)] == g.mul(mapped[x], images[gi])
-                 for gi, a in enumerate(gens) for x in range(g.order))
-        if ok:
-            autos.append(tuple(mapped))
-    return autos
+    keep = (np.sort(mapped, axis=1) == np.arange(g.order)).all(axis=1)
+    # every element is a product of generators, so f(x a) = f(x) f(a) for
+    # all x and every generator a makes f a homomorphism
+    for i, a in enumerate(gens):
+        keep &= (mapped[:, T[:, a]] == T[mapped, images[:, i, None]]).all(axis=1)
+    return sorted(map(tuple, mapped[keep].tolist()))
 
 
-def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...], cap: int):
+def _arrangements(periods):
+    """The distinct orderings of a multiset, in lexicographic order."""
+    if not periods:
+        yield ()
+        return
+    for o in sorted(set(periods)):
+        rest = list(periods)
+        rest.remove(o)
+        for tail in _arrangements(rest):
+            yield (o,) + tail
+
+
+def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...], cap: int) -> np.ndarray:
     """All valid ordered tuples whose period sequence is any arrangement of
-    the given multiset."""
+    the given multiset, as an (S, r) array of the smallest dtype.
+
+    Per arrangement, the first r - 1 entries run over the elements of their
+    orders and the last is forced: the inverse of their product, kept when
+    its order is the last period.  The trailing entries form one block of
+    at most TUPLE_BLOCK rows, built once and reused under each choice of the
+    leading ones; each block's survivors pass ``generates_each`` at once,
+    and the state cap is checked after every block.
+    """
     r = len(periods)
-    by_order: dict[int, list[int]] = {}
-    for a in range(1, g.order):
-        by_order.setdefault(g.element_orders[a], []).append(a)
-    want = sorted(periods)
-    for o in set(want):
-        if o not in by_order:
-            return set()
-    states: set[tuple[int, ...]] = set()
-
-    def extend(prefix, remaining, prod):
-        if len(states) > cap:
-            raise CapExceededError(f"tuple enumeration exceeded {cap} states")
-        if len(prefix) == r - 1:
-            last = g.inv(prod)
-            if last != 0 and g.element_orders[last] in remaining and \
-               g.generates(prefix + (last,)):
-                states.add(prefix + (last,))
-            return
-        for o in sorted(set(remaining)):
-            rest = list(remaining)
-            rest.remove(o)
-            for c in by_order[o]:
-                extend(prefix + (c,), rest, g.mul(prod, c))
-
-    extend((), want, 0)
-    return states
+    T = g.array
+    orders = np.array(g.element_orders)
+    by_order = {o: np.flatnonzero(orders[1:] == o) + 1 for o in set(periods)}
+    if r < 2 or not all(len(c) for c in by_order.values()):
+        return np.zeros((0, r), dtype=T.dtype)
+    inverse = np.array(g.inverse, dtype=T.dtype)
+    blocks, total = [], 0
+    for arrangement in _arrangements(periods):
+        choices = [by_order[o] for o in arrangement[:-1]]
+        split, size = len(choices), 1
+        while split and size * len(choices[split - 1]) <= TUPLE_BLOCK:
+            split -= 1
+            size *= len(choices[split])
+        tail = _cartesian(choices[split:], T.dtype)
+        tail_product = np.zeros(len(tail), dtype=T.dtype)
+        for column in tail.T:
+            tail_product = T[tail_product, column]
+        for head in itertools.product(*choices[:split]):
+            last = inverse[T[g.product(head), tail_product]]
+            ok = orders[last] == arrangement[-1]
+            rows = np.empty((int(ok.sum()), r), dtype=T.dtype)
+            rows[:, :split] = head
+            rows[:, split:-1] = tail[ok]
+            rows[:, -1] = last[ok]
+            rows = rows[g.generates_each(rows)]
+            total += len(rows)
+            if total > cap:
+                raise CapExceededError(f"tuple enumeration exceeded {cap} states")
+            blocks.append(rows)
+    return np.concatenate(blocks)
 
 
 def generating_vector_orbits(g: GroupTable, sig: Signature,
@@ -378,13 +462,11 @@ def generating_vector_orbits(g: GroupTable, sig: Signature,
     """
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
-    states = list(_enumerate_tuples(g, sig.periods, cap))
-    if not states:
+    S = _enumerate_tuples(g, sig.periods, cap)
+    if not len(S):
         return ()
-    dtype = np.min_scalar_type(g.order)  # uint8 for most tables keeps the copies small
-    S = np.array(states, dtype=dtype)
-    T = np.array(g.table, dtype=dtype)
-    inv = np.array(g.inverse, dtype=dtype)
+    T = g.array
+    inv = np.array(g.inverse, dtype=T.dtype)
     images = []
     for i in range(1, len(sig.periods)):
         # braid_move at position i: (a, b) -> (b, b^-1 a b)
@@ -393,12 +475,12 @@ def generating_vector_orbits(g: GroupTable, sig: Signature,
         moved[:, i - 1], moved[:, i] = b, T[T[inv[b], a], b]
         images.append(_pack_keys(moved, g.order))
     # one edge to the least key of each Aut-orbit joins what Aut(G) joins
-    autos = np.array(automorphisms(g), dtype=dtype)
+    autos = np.array(automorphisms(g), dtype=T.dtype)
     images.append(functools.reduce(np.minimum,
                                    (_pack_keys(alpha[S], g.order) for alpha in autos)))
     count, labels = orbit_components(_pack_keys(S, g.order), images)
     orbits: list[list] = [[] for _ in range(count)]
-    for s, label in zip(states, labels.tolist()):
+    for s, label in zip(map(tuple, S.tolist()), labels.tolist()):
         orbits[label].append(s)
     return tuple(frozenset(o) for o in orbits)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .cx import (DEFAULT_TOL, Mobius, ProjPoint, cross_det, exactify,
                  is_exact_scalar, scalar_is_zero)
 from .errors import CapExceededError, PreconditionError
@@ -428,8 +430,6 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     determinants) are then computed for all samples at once, and the
     failures are listed in sample order.
     """
-    import numpy as np
-
     if count < 1:
         raise PreconditionError(f"smoothness sampling needs at least one sample, not {count}")
     rng = random.Random(seed)

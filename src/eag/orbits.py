@@ -168,25 +168,32 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     image under one move.  Returns the number of orbits and each object's
     orbit label in ``range(count)``, labels numbered by least key.
 
-    The graph is contracted one move at a time: each move's edges join the
-    components found so far, so no graph holds more than one move's edges.
+    Nodes are the ranks of the keys, and the components come from hooking
+    and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), one
+    move's edges at a time.  Throughout, ``root[x] <= x`` and ``root[x]``
+    lies in the same component as ``x``.  Each round hooks the larger root
+    of every edge onto the smaller one, keeping the least candidate, then
+    jumps pointers until ``root[root] == root`` and drops the edges whose
+    ends now share a root.  At the end the root of a component is its least
+    node, which is its least key.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     B = len(keys)
     U = np.sort(keys)
-    src = np.searchsorted(U, keys)
-    count, labels = B, np.arange(B)  # labels[node]: its component so far
+    src = np.searchsorted(U, keys).astype(np.int32)
+    root = np.arange(B, dtype=np.int32)
     for nk in image_keys:
         ids = np.searchsorted(U, nk)
         if not (U[np.minimum(ids, B - 1)] == nk).all():
             raise AssertionError("neighbour missing from enumeration")
-        g = coo_matrix((np.ones(B, dtype=np.int8), (labels[src], labels[ids])),
-                       shape=(count, count))
-        count, merged = connected_components(g, directed=False)
-        labels = merged[labels]
-    return int(count), labels[src]
+        a, b = root[src], root[ids]
+        while (apart := a != b).any():
+            a, b = a[apart], b[apart]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+            a, b = root[a], root[b]
+    is_root = root == np.arange(B, dtype=np.int32)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[src]]
 
 
 #: most subspaces whose move images ``_subspace_orbit_count`` builds at once

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -383,3 +386,19 @@ def test_cli_fuzz_exit_codes(fuzz_files):
         assert code in range(5), (argv, code)
 
     check()
+
+
+def test_cli_path_never_imports_scipy():
+    # the runtime dependencies are numpy alone; the exit code carries the
+    # check, so it also holds under python -O
+    script = (
+        "import contextlib, io, sys\n"
+        "from eag import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['orbits', '--group', 'A5', '--sig', '(0;2,3,5)']),\n"
+        "             cli.main(['count', '--p', '3', '--n', '2', '--rho', '1', '--r', '3'])]\n"
+        "sys.exit(1 if codes != [0, 0] else 2 if 'scipy' in sys.modules else 0)\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
-from eag import genvec, grouptable as gt
+from eag import cli, genvec, grouptable as gt
 from eag.errors import CapExceededError, PreconditionError
 from eag.surfaces import Signature
 
@@ -135,7 +137,7 @@ def test_count_orbits_matches_elementary_abelian_counter():
 def _naive_orbits(g, sig):
     """Reference partition: a python BFS applying every braid move and every
     automorphism to each enumerated tuple."""
-    states = gt._enumerate_tuples(g, sig.periods, 10 ** 6)
+    states = set(map(tuple, gt._enumerate_tuples(g, sig.periods, 10 ** 6).tolist()))
     autos = gt.automorphisms(g)
     orbits, seen = [], set()
     for start in sorted(states):
@@ -265,7 +267,7 @@ def _hyperelliptic_states(g, sig):
     genus-0 quotient."""
     out = []
     involutions = [z for z in g.center() if g.element_orders[z] == 2]
-    for state in gt._enumerate_tuples(g, sig.periods, 10 ** 6):
+    for state in map(tuple, gt._enumerate_tuples(g, sig.periods, 10 ** 6).tolist()):
         ordered_sig = Signature(0, tuple(g.element_orders[c] for c in state))
         for z in involutions:
             sub = gt.normal_subgroup_signature(g, ordered_sig, state, (0, z))
@@ -362,3 +364,64 @@ def _automorphisms_all_pairs(g):
 def test_automorphisms_match_all_pairs_oracle(name):
     g = gt.by_name(name)
     assert sorted(gt.automorphisms(g)) == _automorphisms_all_pairs(g)
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5", "D6", "C2xC4", "C2xC2xC2"])
+def test_generates_each_matches_generates(name):
+    g = gt.by_name(name)
+    rng = random.Random(16)
+    for k in range(5):
+        rows = [[rng.randrange(g.order) for _ in range(k)] for _ in range(200)]
+        want = [g.generates(row) for row in rows]
+        got = g.generates_each(np.array(rows, dtype=np.int64).reshape(len(rows), k))
+        assert got.tolist() == want, (name, k)
+        if k == 4:
+            assert any(want) and not all(want)
+
+
+def _brute_force_tuples(g, periods):
+    """Every r-tuple of elements, kept when its orders are an arrangement of
+    the periods, its product is the identity and it generates."""
+    want = sorted(periods)
+    return {t for t in itertools.product(range(g.order), repeat=len(periods))
+            if sorted(g.element_orders[c] for c in t) == want
+            and g.product(t) == 0 and g.generates(t)}
+
+
+@pytest.mark.parametrize("name,sig", [
+    ("C2xC4", (2, 2, 4, 4)), ("S3", (2, 2, 2, 2)), ("D4", (2, 2, 2, 4)),
+    ("A4", (2, 3, 3)), ("C6", (2, 3, 6)), ("C2xC2", (2, 2, 2)), ("C5", (5,)),
+])
+def test_enumerate_tuples_matches_brute_force(name, sig, monkeypatch):
+    g = gt.by_name(name)
+    want = _brute_force_tuples(g, sig)
+    got = gt._enumerate_tuples(g, sig, 10 ** 6)
+    assert got.dtype == np.uint8 and got.shape == (len(want), len(sig))
+    assert set(map(tuple, got.tolist())) == want
+    # blocks of a few rows, reused under many leading entries, give the same rows
+    monkeypatch.setattr(gt, "TUPLE_BLOCK", 3)
+    assert np.array_equal(gt._enumerate_tuples(g, sig, 10 ** 6), got)
+
+
+def test_automorphism_generators_are_cheap():
+    # A5 is generated by an involution and an element of order 3: 15 x 20
+    # candidate images, where a greedy set of three would cost 4,500
+    g = gt.alternating(5)
+    gens = gt._automorphism_generators(g)
+    assert g.generates(gens)
+    assert sorted(g.element_orders[a] for a in gens) == [2, 3]
+
+
+def test_automorphism_candidate_cap():
+    # Aut(C2^5) = GL(5, 2): 31^5 candidate images of a basis, none built
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="candidate"):
+        gt.automorphisms(gt.elementary_abelian(2, 5))
+    assert time.process_time() - start < 2
+    assert len(gt.automorphisms(gt.elementary_abelian(2, 4))) == 20160
+
+
+def test_automorphism_candidate_cap_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(gt, "AUTOMORPHISM_CANDIDATE_CAP", 10)
+    assert cli.main(["orbits", "--group", "A5", "--sig", "(0;2,3,5)"]) == cli.EXIT_CAP
+    assert "candidate" in capsys.readouterr().err

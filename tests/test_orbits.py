@@ -333,3 +333,28 @@ def test_move_blocks_leave_counts_unchanged(monkeypatch):
     assert counts() == whole
     assert whole == ([orbits.count_pure_orbits_canonical(*c) for c in pure],
                      [orbits.witt_kernel_orbit_count(rho, k) for p, k, rho in kernel])
+
+
+def test_orbit_components_long_chain_and_one_cycle():
+    # a path whose nodes alternate between the two ends of the key range
+    # takes two hooking rounds and a long pointer jump; labels follow the
+    # least key
+    B = 200_000
+    keys = np.arange(B, dtype=np.uint64) * np.uint64(3)
+    order = np.empty(B, dtype=np.int64)
+    order[0::2], order[1::2] = np.arange((B + 1) // 2), B - 1 - np.arange(B // 2)
+    chain = keys.copy()
+    chain[order[:-1]] = keys[order[1:]]
+    count, labels = orbits.orbit_components(keys, [chain])
+    assert count == 1 and not labels.any()
+    # one cycle through all keys in a random order takes 11 rounds
+    perm = np.random.default_rng(16).permutation(B)
+    cycle = np.empty_like(keys)
+    cycle[perm] = keys[np.roll(perm, -1)]
+    count, labels = orbits.orbit_components(keys[::-1].copy(), [cycle[::-1].copy()])
+    assert count == 1 and not labels.any()
+    # two chains, split by key parity, over two moves: labels by least key
+    step = keys.copy()
+    step[:-2] = keys[2:]
+    count, labels = orbits.orbit_components(keys, [step, keys])
+    assert count == 2 and np.array_equal(labels, np.arange(B) % 2)
