@@ -103,9 +103,9 @@ def count_pure_classes(p: int, k: int, r: int) -> int:
     canonical-form oracles pin every value.  Conventions: the count is 1 for
     k = 0 only when r = 0, and 0 for k < 0.
     """
+    check_prime(p)
     if k < 1:
         return int(k == 0 and r == 0)
-    check_prime(p)
     if no_pure_vectors(p, k, r):
         return 0
     orbits.check_pure_caps(p, k, r)
@@ -123,17 +123,15 @@ def no_pure_vectors(p: int, j: int, r: int) -> bool:
 
 
 def count_unramified_classes(p: int, k: int, rho: int) -> int:
-    """Number of classes of (rho; -)-generating vectors of C_p^k."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
+    """h(p, k, rho): classes of (rho; -)-generating vectors of C_p^k.
+
+    Witt's closed form, valid in every characteristic (E. Artin, *Geometric
+    Algebra*, ch. III); the kernel BFS and canonical Sp count are its oracles.
+    """
     check_prime(p)
     if rho < 0:
         raise PreconditionError("rho must be >= 0")
-    if k > 2 * rho:
-        return 0
-    return orbits.count_kernel_orbits_bfs(p, k, rho)
+    return orbits.witt_kernel_orbit_count(rho, k)
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,8 @@ class ClassCountReport:
     rho: int
     r: int
     total: int
-    # "brute-force" | "closed-form" | "formula"; "brute-force" means an exact
-    # orbit count inside the enumeration box, where the oracles pin every value
+    # engines of the nonzero terms, "+"-joined in this order: "burnside" (e),
+    # "closed-form" (e = 1 by pure_unique_row, or no term), "witt" (h if rho >= 1)
     method: str
     e_used: tuple[tuple[int, int], ...] = ()
     h_used: tuple[tuple[int, int], ...] = ()
@@ -225,30 +223,26 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
     if no_actions_exist(n, rho, r):
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
                                 flags=("no-actions-for-these-parameters",))
-    e_used, h_used, flags, total = [], [], [], 0
+    e_used, h_used, engines, total = [], [], set(), 0
     for k in range(min(n, 2 * rho) + 1):
-        try:
-            e = count_pure_classes(p, n - k, r)
+        j = n - k
+        try:  # e(p, 0, 0) = 1 is a convention and names no engine
+            e, engine = count_pure_classes(p, j, r), "burnside" if j else ""
         except CapExceededError:
-            if pure_unique_row(p, n - k, r) is None:
+            if pure_unique_row(p, j, r) is None:
                 raise
-            e = 1
-            flags.append("beyond-caps-closed-form")
+            e, engine = 1, "closed-form"
         if e == 0:
             continue
-        try:
-            h = count_unramified_classes(p, k, rho)
-        except CapExceededError:
-            h = orbits.witt_kernel_orbit_count(rho, k)
-            flags.append("beyond-caps-symplectic-orbit-formula")
-        e_used.append((n - k, e))
+        h = count_unramified_classes(p, k, rho)
+        e_used.append((j, e))
         h_used.append((k, h))
         total += h * e
-    flags = tuple(dict.fromkeys(flags))
-    method = ("formula" if "beyond-caps-symplectic-orbit-formula" in flags else
-              "closed-form" if flags else "brute-force")
+        engines.update({engine, "witt" if rho else ""})
+    method = "+".join(name for name in ("burnside", "closed-form", "witt")
+                      if name in engines) or "closed-form"
     return ClassCountReport(p, n, rho, r, total, method, e_used=tuple(e_used),
-                            h_used=tuple(h_used), flags=flags)
+                            h_used=tuple(h_used))
 
 
 # ---------------------------------------------------------------------------

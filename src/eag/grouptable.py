@@ -1,9 +1,9 @@
 """Generic finite groups given by Cayley tables.
 
 Used for desk-scale verification of results about normal extensions: braid
-moves on genus-0 generating tuples, brute-forced automorphism groups, orbit
-counts of generating vectors, and the quotient-pattern and order-profile
-criteria for sphere quotients.
+moves on genus-0 generating tuples, automorphism groups by exhaustive
+search, orbit counts of generating vectors, and the quotient-pattern and
+order-profile criteria for sphere quotients.
 """
 
 from __future__ import annotations
@@ -241,28 +241,32 @@ def elementary_abelian(p: int, n: int) -> GroupTable:
     return g
 
 
-CATALOG = {
-    "C": cyclic,
-    "D": dihedral,
-}
+#: largest group order whose Cayley table ``by_name`` builds
+BY_NAME_ORDER_CAP = 128
+
+
+def _catalog_entry(name: str) -> tuple:
+    """(order, constructor, argument) of the catalog group ``name``."""
+    m = int(name[1:]) if name[1:].isdigit() else 0
+    if name in ("S3", "S4"):
+        return math.factorial(m), symmetric, m
+    if name in ("A4", "A5"):
+        return math.factorial(m) // 2, alternating, m
+    if name[:1] in ("C", "D") and m >= 1:
+        return (m, cyclic, m) if name[0] == "C" else (2 * m, dihedral, m)
+    raise PreconditionError(f"unknown group name {name!r}")
 
 
 def by_name(name: str) -> GroupTable:
-    """Catalog lookup: C<n>, D<n>, A4, S4, A5, and x-products like C2xC4."""
-    name = name.strip()
-    if "x" in name:
-        parts = name.split("x")
-        g = by_name(parts[0])
-        for part in parts[1:]:
-            g = direct_product(g, by_name(part))
-        return g
-    if name in ("A4", "A5"):
-        return alternating(int(name[1]))
-    if name in ("S3", "S4"):
-        return symmetric(int(name[1]))
-    if name.startswith(("C", "D")) and name[1:].isdigit():
-        return CATALOG[name[0]](int(name[1:]))
-    raise PreconditionError(f"unknown group name {name!r}")
+    """Catalog lookup: C<n>, D<n>, S3, S4, A4, A5, and x-products like C2xC4.
+
+    Raises CapExceededError above BY_NAME_ORDER_CAP before building a table.
+    """
+    entries = [_catalog_entry(part.strip()) for part in name.split("x")]
+    order = math.prod(order for order, _, _ in entries)
+    if order > BY_NAME_ORDER_CAP:
+        raise CapExceededError(f"{name!r} has order {order}, above the cap {BY_NAME_ORDER_CAP}")
+    return functools.reduce(direct_product, (build(m) for _, build, m in entries))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .fp import is_prime
 
 #: draws allowed per requested smoothness sample before the sampler gives up
 SAMPLE_ATTEMPTS_PER_POINT = 100
+#: most smoothness samples one call draws; its memory grows with the count
+SAMPLE_CAP = 10_000
 
 
 def _coerce_entries(entries):
@@ -432,6 +434,8 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     """
     if count < 1:
         raise PreconditionError(f"smoothness sampling needs at least one sample, not {count}")
+    if count > SAMPLE_CAP:
+        raise CapExceededError(f"{count} smoothness samples requested, above the cap {SAMPLE_CAP}")
     rng = random.Random(seed)
     p, n = spec.p, spec.n
     cmat = np.array([[complex(c) for c in row] for row in spec.line.rows])

@@ -9,32 +9,27 @@ g-cycles does, so the knapsack behind each fixed-point count runs over that
 space only; and one pass over the classes, cut at r, gives the whole row of
 sums for every t <= r, kept per (p, k).
 
-Every other production orbit count runs on one engine, ``orbit_components``:
-objects become distinct integer keys, each move maps every object to the
-key of its image, and the orbits are the connected components.  It counts
+The unramified count h is Witt's closed form (``witt_kernel_orbit_count``).
 
-* unramified: kernels in F_p^{2 rho} under Sp(2 rho, p);
-* Cayley-table orbits (``grouptable.generating_vector_orbits``): genus-0
-  generating tuples under the braid moves and Aut(G).  Aut(G) adds one
-  edge per tuple, to the least key of its Aut-orbit; t and alpha(t) share
-  that key, so this one edge joins what |Aut(G)| edges per tuple would.
+The Cayley-table orbit count (``grouptable.generating_vector_orbits``:
+genus-0 generating tuples under the braid moves and Aut(G)) runs on
+``orbit_components``: objects become distinct integer keys, each move maps
+every object to the key of its image, and the orbits are the connected
+components.  Aut(G) adds one edge per tuple, to the least key of its
+Aut-orbit; t and alpha(t) share that key, so this one edge joins what
+|Aut(G)| edges per tuple would.
 
-Sp(2 rho, p) preserves the symplectic form, so W -> W^perp (the complement
-under the form) is an equivariant bijection between d- and
-(2 rho - d)-subspaces.  The kernel count therefore enumerates the smaller
-of the two dimensions; that keeps the enumeration small and the packed
-keys within 64 bits (a 5-dimensional kernel in F_5^6 would need 30 base-5
-digits).
-
-The test suite cross-checks them with independent oracles:
+The test suite cross-checks e and h with independent oracles, which run
+only inside the boxes of ``check_pure_caps`` and ``check_unramified_caps``:
 
 * ``count_pure_orbits_bfs``, the same engine on admissible k-subspaces of
   the zero-sum hyperplane of F_p^r under S_r permuting coordinates.  S_r
   is generated by the transposition (0 1) and the r-cycle, and the RREF of
   each image is written in closed form, with no row reduction;
+* ``count_kernel_orbits_bfs``, the same engine on kernels in F_p^{2 rho}
+  under generators of Sp(2 rho, p);
 * canonical-form counts: each unseen object marks its whole orbit under the
-  fully enumerated acting group, with no generators and no graph;
-* the Witt closed form for the kernel count.
+  fully enumerated acting group, with no generators and no graph.
 """
 
 from __future__ import annotations
@@ -48,12 +43,12 @@ from .errors import CapExceededError, PreconditionError
 from . import fp
 from .fp import _pack_keys
 
-#: brute-force feasibility box for the purely ramified count
+#: enumeration box of the purely ramified oracles
 PURE_BRUTE_PRIMES = (2, 3, 5)
 PURE_BRUTE_MAX_RANK = 4
 PURE_BRUTE_MAX_PERIODS = 8
 
-#: brute-force feasibility box for the unramified count
+#: enumeration box of the kernel-count oracle
 UNRAMIFIED_BRUTE_PRIMES = (2, 3, 5)
 UNRAMIFIED_BRUTE_MAX_GENUS = 3
 UNRAMIFIED_BRUTE_MAX_SUBSPACES = 100_000
@@ -232,7 +227,7 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
 def check_pure_caps(p: int, k: int, r: int) -> None:
     if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
         raise CapExceededError(
-            f"(p={p}, k={k}, r={r}) is outside the brute-force box "
+            f"(p={p}, k={k}, r={r}) is outside the enumeration box "
             f"p in {PURE_BRUTE_PRIMES}, k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
     est = gaussian_binomial(r - 1, k, p)
     if est > fp.DEFAULT_ELEMENT_CAP:
@@ -525,7 +520,7 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
 def check_unramified_caps(p: int, k: int, rho: int) -> None:
     if p not in UNRAMIFIED_BRUTE_PRIMES or rho > UNRAMIFIED_BRUTE_MAX_GENUS:
         raise CapExceededError(
-            f"(p={p}, k={k}, rho={rho}) is outside the brute-force box "
+            f"(p={p}, k={k}, rho={rho}) is outside the enumeration box "
             f"p in {UNRAMIFIED_BRUTE_PRIMES}, rho <= {UNRAMIFIED_BRUTE_MAX_GENUS}")
     est = gaussian_binomial(2 * rho, max(2 * rho - k, 0), p)
     if est > UNRAMIFIED_BRUTE_MAX_SUBSPACES:
@@ -542,7 +537,9 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
         return 0
     n = 2 * rho
     # W -> W^perp is Sp-equivariant, so the (n - k)-dimensional kernels and
-    # the k-subspaces have equally many orbits
+    # the k-subspaces have equally many orbits; the smaller dimension keeps
+    # the packed keys within 64 bits (a 5-dimensional kernel in F_5^6 would
+    # need 30 base-5 digits)
     e = min(n - k, k)
     if e == 0:
         return 1
@@ -552,7 +549,7 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
 
 
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
-    """Closed form for the same orbit count.
+    """h: Sp(2 rho, p)-orbits of codimension-k subspaces of F_p^{2 rho}.
 
     Orbits of d-dimensional subspaces under the symplectic group are
     classified by the rank 2t of the restricted form, with

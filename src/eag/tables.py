@@ -6,8 +6,8 @@ Table 3: unique actions that are always maximal.
 Table 4: unique actions that are never maximal.
 
 Each row carries a deterministic desk check: a small instance run through
-the brute-force counters, the closed-form classifiers, and (for tables 3-4)
-the independent extension search.  Rendering is cached per process.
+the Burnside and Witt counts, the closed-form classifiers, and (for tables
+3-4) the independent extension search.  Rendering is cached per process.
 """
 
 from __future__ import annotations

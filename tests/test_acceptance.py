@@ -13,8 +13,8 @@ import pytest
 from eag import genvec, grouptable as gt, hyperfermat as hf, maximality as mx, orbits
 from eag.cx import DEFAULT_TOL, GaussianRational, Mobius, ProjPoint
 from eag.genvec import (build_inequivalent_pair, count_pure_classes,
-                        count_unramified_classes, is_unique_action,
-                        multiset_character, pure_unique_row, validate)
+                        is_unique_action, multiset_character, pure_unique_row,
+                        validate)
 from eag.surfaces import (EAActionSpec, Signature, ea_genus,
                           riemann_hurwitz_genus, subgroup_signature)
 
@@ -63,7 +63,7 @@ def test_criterion_02_unramified_adjudication():
         for rho in (2, 3):
             unique_ranks = {0, 1, 2 * rho - 1, 2 * rho}
             for k in range(0, 2 * rho + 1):
-                h = count_unramified_classes(p, k, rho)
+                h = orbits.count_kernel_orbits_bfs(p, k, rho)
                 if k in unique_ranks:
                     assert h == 1, (p, k, rho, h)
                 else:
@@ -72,7 +72,7 @@ def test_criterion_02_unramified_adjudication():
             adj = genvec.unramified_adjudication(p, rho)
             assert not adj.agrees and "disagree" in adj.note
     assert checked == 24
-    _ok(2, "unramified counts are 1 exactly at ranks {0, 1, 2rho-1, 2rho}; "
+    _ok(2, "kernel BFS counts are 1 exactly at ranks {0, 1, 2rho-1, 2rho}; "
            "the stated rank set is flagged as discrepant")
 
 
@@ -89,7 +89,7 @@ def test_criterion_03_unique_table_consistency():
                 spec = EAActionSpec(p, n, rho, 0)
                 if not _admissible(spec):
                     continue
-                h = count_unramified_classes(p, n, rho)
+                h = orbits.count_kernel_orbits_bfs(p, n, rho)
                 assert (h == 1) == is_unique_action(spec), (p, n, rho)
                 checked += 1
     assert checked >= 50

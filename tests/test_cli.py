@@ -108,7 +108,7 @@ def test_cap_exit_4(capsys):
 def test_count_reports(capsys):
     payload = run_json(["count", "--p", "5", "--n", "1", "--rho", "0", "--r", "3"],
                        capsys)
-    assert payload["total"] == 1 and payload["method"] == "brute-force"
+    assert payload["total"] == 1 and payload["method"] == "burnside"
     payload = run_json(["count", "--p", "2", "--n", "1", "--rho", "0", "--r", "1"],
                        capsys)
     assert payload["total"] == 0
@@ -116,7 +116,7 @@ def test_count_reports(capsys):
     for argv in (["--p", "2", "--n", "2", "--rho", "1", "--r", "5"],
                  ["--p", "2", "--n", "1", "--rho", "1", "--r", "4"]):
         payload = run_json(["count", *argv], capsys)
-        assert payload["total"] == 1 and payload["method"] == "brute-force"
+        assert payload["total"] == 1 and payload["method"] == "burnside+witt"
         assert payload["flags"] == []
         assert run_json(["unique", *argv], capsys)["unique"] is True
 
@@ -216,6 +216,23 @@ def test_fermat_wide_scale_line_samples(capsys):
                         "--w=11/5,37/5,-12/5,0,-19/10,-29/12,-13/5"], capsys)
     assert payload["smoothness"]["passed"]
     assert payload["smoothness"]["samples"] == 50
+
+
+def test_fermat_sample_cap_exit_4_before_drawing(capsys):
+    start = time.process_time()
+    code, out, err = run(["fermat", "--p", "5", "--n", "2", "--w", "0,1,2",
+                          "--samples", "100000000"], capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert f"above the cap {hyperfermat.SAMPLE_CAP}" in err
+    assert time.process_time() - start < 1.0
+
+
+def test_orbits_group_order_cap_exit_4_before_building(capsys):
+    start = time.process_time()
+    code, out, err = run(["orbits", "--group", "C100000", "--sig", "(0;2,2)"], capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert f"above the cap {grouptable.BY_NAME_ORDER_CAP}" in err
+    assert time.process_time() - start < 1.0
 
 
 def test_fermat_sampler_gives_up_exit_4(capsys, monkeypatch):

@@ -89,7 +89,7 @@ def test_count_pure_classes_examples():
 
 
 def test_count_pure_max_rank_always_unique():
-    # k = r - 1 stays inside the brute-force box up to r = 5
+    # k = r - 1 stays inside the enumeration box up to r = 5
     for p in (2, 3, 5):
         for r in range(2, 6):
             assert count_pure_classes(p, r - 1, r) == 1
@@ -100,6 +100,15 @@ def test_count_unramified_examples():
     assert count_unramified_classes(2, 0, 2) == 1
     assert count_unramified_classes(2, 2, 2) == 2
     assert count_unramified_classes(3, 5, 2) == 0
+
+
+def test_counts_validate_inputs_before_their_shortcuts():
+    with pytest.raises(PreconditionError):
+        count_unramified_classes(2, 0, -1)   # k = 0 would answer 1
+    with pytest.raises(PreconditionError):
+        count_unramified_classes(4, 2, 2)
+    with pytest.raises(PreconditionError):
+        count_pure_classes(4, 0, 0)          # k < 1 would answer 1
 
 
 def test_unramified_adjudication_flags_discrepancy():
@@ -118,7 +127,7 @@ def test_count_classes_no_action_cases():
 
 def test_count_classes_unramified_full_rank():
     report = count_classes(EAActionSpec(2, 4, 2, 0))
-    assert report.total == 1 and report.method == "brute-force"
+    assert report.total == 1 and report.method == "witt"
 
 
 def test_count_classes_mixed_is_exact():
@@ -126,7 +135,7 @@ def test_count_classes_mixed_is_exact():
     # = 1*1 + 1*0 + 1*0, one genuine class, as the closed form says
     report = count_classes(EAActionSpec(2, 2, 1, 5))
     assert report.total == 1
-    assert report.method == "brute-force" and report.flags == ()
+    assert report.method == "burnside+witt" and report.flags == ()
     assert report.e_used == ((2, 1),) and report.h_used == ((0, 1),)
     assert is_unique_action(EAActionSpec(2, 2, 1, 5))
 
@@ -134,25 +143,26 @@ def test_count_classes_mixed_is_exact():
 def test_count_classes_mixed_ingredient_beyond_rank_cap():
     assert count_classes(EAActionSpec(3, 1, 1, 6)).total == 2
     # only the k = 2 term is nonzero, and its e(3,8,9) is the maximal-rank
-    # ingredient: outside the brute-force box but closed-form (one class)
+    # ingredient: outside the enumeration box but closed-form (one class)
     report = count_classes(EAActionSpec(3, 10, 1, 9))
     assert report.total == 1
     assert report.e_used == ((8, 1),) and report.h_used == ((2, 1),)
-    assert report.flags == ("beyond-caps-closed-form",)
-    assert report.method == "closed-form"
+    assert report.flags == ()
+    assert report.method == "closed-form+witt"
 
 
 def test_count_classes_pure_and_unramified_payloads():
     report = count_classes(EAActionSpec(3, 1, 0, 6))
-    assert (report.total, report.method, report.flags) == (2, "brute-force", ())
+    assert (report.total, report.method, report.flags) == (2, "burnside", ())
     report = count_classes(EAActionSpec(3, 6, 0, 7))
-    assert (report.total, report.method, report.flags) == (
-        1, "closed-form", ("beyond-caps-closed-form",))
+    assert (report.total, report.method, report.flags) == (1, "closed-form", ())
     report = count_classes(EAActionSpec(2, 3, 2, 0))
-    assert (report.total, report.method, report.flags) == (1, "brute-force", ())
+    assert (report.total, report.method, report.flags) == (1, "witt", ())
+    # h beyond the kernel oracle's box is the same closed form, with the same name
     report = count_classes(EAActionSpec(7, 2, 2, 0))
-    assert (report.total, report.method, report.flags) == (
-        2, "formula", ("beyond-caps-symplectic-orbit-formula",))
+    assert (report.total, report.method, report.flags) == (2, "witt", ())
+    report = count_classes(EAActionSpec(2, 1, 0, 3))   # r odd over p = 2: no term
+    assert (report.total, report.method, report.flags) == (0, "closed-form", ())
     with pytest.raises(CapExceededError):
         count_classes(EAActionSpec(5, 3, 0, 9))
 
@@ -350,7 +360,7 @@ def test_build_pair_whole_small_box():
 
 
 def test_pair_larger_primes_and_ranks():
-    # beyond the brute-force box the constructions still validate
+    # beyond the enumeration box the constructions still validate
     for p, n, r in [(7, 1, 3), (7, 1, 8), (11, 1, 12), (7, 2, 9), (11, 3, 6),
                     (13, 4, 7), (7, 1, 15), (13, 1, 14), (11, 1, 23)]:
         v1, v2 = build_inequivalent_pair(p, n, r)
@@ -373,5 +383,6 @@ def test_class_count_report_roundtrip():
 def test_count_caps_raise():
     with pytest.raises(CapExceededError):
         count_pure_classes(7, 2, 5)
-    with pytest.raises(CapExceededError):
-        count_unramified_classes(5, 2, 4)
+    # h is Witt's closed form for every p and rho: no cap
+    assert count_unramified_classes(5, 2, 4) == 2
+    assert count_unramified_classes(13, 5, 9) == orbits.witt_kernel_orbit_count(9, 5)

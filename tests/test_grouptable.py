@@ -35,6 +35,17 @@ def test_catalog_orders():
     assert gt.by_name("S3").order == 6
 
 
+def test_by_name_caps_the_order_before_building():
+    assert gt.by_name("C2xC2xC4xC4").order == 64 <= gt.BY_NAME_ORDER_CAP
+    assert gt.by_name("D3xS3").order == 36
+    for name in ("C100000", "C2xC100000", "A5xA5", f"C{gt.BY_NAME_ORDER_CAP + 1}"):
+        with pytest.raises(CapExceededError):
+            gt.by_name(name)
+    for name in ("C0", "D0", "Q8", "S5", "C2x", ""):
+        with pytest.raises(PreconditionError):
+            gt.by_name(name)
+
+
 def test_element_orders_and_inverses():
     c6 = gt.cyclic(6)
     assert c6.element_orders == (1, 6, 3, 2, 3, 6)
