@@ -3,8 +3,10 @@
 Scalars are plain int residues in [0, p).  Only small primes are accepted
 (p <= 13); everything in the classification lives there and the bound keeps
 multiplicative closures enumerable.  A vector is a tuple of ints, a matrix
-or a list of generators is an int64 numpy array.  Closures deduplicate by
-packed integer keys (``_pack_keys``, shared with the orbit engines).
+or a list of generators is an int64 numpy array.  ``group_closure`` runs on
+permutations of vector codes and deduplicates by packed integer keys
+(``_pack_keys``, shared with the orbit engines); ``gl_group`` and
+``sp_group`` build GL(n, p) and Sp(2 rho, p) once each, read-only.
 """
 
 from __future__ import annotations
@@ -281,7 +283,13 @@ def group_closure(gens, p: int, cap: int | None = None) -> np.ndarray:
 
     Returns the elements as an (N, n, n) int64 array in lexicographic order.
     Raises CapExceededError once the closure grows past ``cap`` (the global
-    default if unset).
+    default if unset), or when p^(n^2) >= 2^63 and keys would not fit in 63 bits.
+
+    The search runs on codes: a vector v is the code sum_j v_j p^(n-1-j),
+    each generator g is the permutation of the p^n codes that v -> v g
+    induces, and a matrix is the codes of its rows, so M g is the lookup
+    perm_g[rows].  Keys read the row codes as base-p^n digits and sort like
+    the matrices; they are decoded once, at the end.
     """
     check_prime(p)
     gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
@@ -294,24 +302,39 @@ def group_closure(gens, p: int, cap: int | None = None) -> np.ndarray:
             raise PreconditionError("generators must be square matrices of equal size")
         if vector_span_rank(g, p) != n:
             raise PreconditionError("generators must be invertible")
-    # int16 holds every product entry: n (p - 1)^2 stays small for any n, p
-    # whose matrices pack into 63-bit keys (checked on the identity first)
-    G = np.array(gens, dtype=np.int16)
-    frontier = np.eye(n, dtype=np.int16)[None]
-    levels = [frontier]
-    seen = _pack_keys(frontier, p)
-    # breadth-first by left multiplication; in a finite group the monoid the
+    q = p ** n
+    weights = p ** np.arange(n - 1, -1, -1)
+    frontier = weights[None]  # the identity: row i is e_i, with code p^(n-1-i)
+    seen = _pack_keys(frontier, q)  # raises before any table when keys overflow
+    vecs = (np.arange(q)[:, None] // weights) % p  # row c: the vector with code c
+    perms = np.stack([vecs @ g % p @ weights for g in gens])  # perms[g, c]: code of v_c g
+    row_weights = np.uint64(q) ** np.arange(n - 1, -1, -1, dtype=np.uint64)
+    # breadth-first by right multiplication; in a finite group the monoid the
     # generators span is already the group
     while len(frontier):
-        cand = np.matmul(G[:, None], frontier[None]).reshape(-1, n, n)
-        cand %= p
-        keys, first = np.unique(_pack_keys(cand, p), return_index=True)
+        keys = np.sort(_pack_keys(perms[:, frontier].reshape(-1, n), q))
         pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        fresh = seen[pos] != keys
-        frontier = cand[first[fresh]]
-        levels.append(frontier)
-        seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        fresh = keys[(seen[pos] != keys) & np.append(True, keys[1:] != keys[:-1])]
+        frontier = (fresh[:, None] // row_weights % np.uint64(q)).astype(np.int64)
+        # two sorted runs: the stable sort merges them
+        seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
         if len(seen) > cap:
             raise CapExceededError(f"matrix closure exceeded the cap of {cap} elements")
-    els = np.concatenate(levels)
-    return els[np.argsort(_pack_keys(els, p))].astype(np.int64)
+    entry_weights = np.uint64(p) ** np.arange(n * n - 1, -1, -1, dtype=np.uint64)
+    return (seen[:, None] // entry_weights % np.uint64(p)).astype(np.int64).reshape(-1, n, n)
+
+
+@lru_cache(maxsize=None)
+def gl_group(n: int, p: int) -> np.ndarray:
+    """GL(n, p), the ``group_closure`` of ``gl_generators``: built once, read-only."""
+    group = group_closure(gl_generators(n, p), p)
+    group.flags.writeable = False
+    return group
+
+
+@lru_cache(maxsize=None)
+def sp_group(rho: int, p: int) -> np.ndarray:
+    """Sp(2 rho, p), the ``group_closure`` of ``sp_generators``: built once, read-only."""
+    group = group_closure(sp_generators(rho, p), p)
+    group.flags.writeable = False
+    return group

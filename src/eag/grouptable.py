@@ -160,11 +160,19 @@ class GroupTable:
 
     @staticmethod
     def loads(text: str) -> "GroupTable":
-        toks = text.split()
+        """Parse ``dumps`` output.
+
+        Raises CapExceededError above BY_NAME_ORDER_CAP from the order token
+        alone, before the entries are read.
+        """
+        toks = text.split(maxsplit=1)
         if not toks:
             raise PreconditionError("empty table file")
         try:
-            n, *vals = (int(t) for t in toks)
+            n = int(toks[0])
+            if n > BY_NAME_ORDER_CAP:
+                raise CapExceededError(f"table of order {n} is above the cap {BY_NAME_ORDER_CAP}")
+            vals = [int(t) for t in toks[1].split()] if len(toks) > 1 else []
         except ValueError as exc:
             raise PreconditionError(f"table file holds a non-integer token: {exc}") from None
         if len(vals) != n * n:
@@ -241,7 +249,7 @@ def elementary_abelian(p: int, n: int) -> GroupTable:
     return g
 
 
-#: largest group order whose Cayley table ``by_name`` builds
+#: largest group order whose Cayley table ``by_name`` builds or ``GroupTable.loads`` reads
 BY_NAME_ORDER_CAP = 128
 
 

@@ -29,7 +29,8 @@ only inside the boxes of ``check_pure_caps`` and ``check_unramified_caps``:
 * ``count_kernel_orbits_bfs``, the same engine on kernels in F_p^{2 rho}
   under generators of Sp(2 rho, p);
 * canonical-form counts: each unseen object marks its whole orbit under the
-  fully enumerated acting group, with no generators and no graph.
+  fully enumerated acting group (``fp.gl_group``, ``fp.sp_group``, built
+  once per group), with no generators and no graph.
 """
 
 from __future__ import annotations
@@ -489,8 +490,7 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
     # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
     # is the code of g applied to the column vector with code c
-    group = fp.group_closure(fp.gl_generators(k, p), p)
-    perms = (np.einsum("gij,vj->gvi", group, vecs) % p @ digits).tolist()
+    perms = (np.einsum("gij,vj->gvi", fp.gl_group(k, p), vecs) % p @ digits).tolist()
     # a multiset not yet seen starts a new orbit; all its images under
     # GL x S_r (sorting absorbs S_r) are then marked seen
     seen = set()
@@ -566,6 +566,9 @@ def witt_kernel_orbit_count(rho: int, k: int) -> int:
 
 CANONICAL_SP_MAX_GROUP = 52_000
 
+#: most group elements that ``count_kernel_orbits_canonical`` applies at once
+ORBIT_MARK_BLOCK = 2 ** 11
+
 
 def kernel_canonical_feasible(p: int, rho: int) -> bool:
     order = p ** (rho * rho)
@@ -576,7 +579,15 @@ def kernel_canonical_feasible(p: int, rho: int) -> bool:
 
 @lru_cache(maxsize=None)
 def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
-    """Independent count: orbits marked whole by the full Sp closure."""
+    """Independent count: orbits marked whole by the full Sp closure.
+
+    A subspace not yet seen starts a new orbit, and every element of
+    ``fp.sp_group`` is applied to it, ORBIT_MARK_BLOCK elements at a time,
+    to mark that orbit seen.  An image that is not an enumerated subspace
+    raises, so once every enumerated subspace is seen no further orbit can
+    start: the marking stops there, and every orbit but the last gets the
+    whole group.
+    """
     if not kernel_canonical_feasible(p, rho):
         raise CapExceededError(f"canonical Sp count infeasible for (p={p}, rho={rho})")
     if k < 0 or k > 2 * rho:
@@ -585,16 +596,26 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     if d == 0:
         return 1
     n = 2 * rho
-    group = fp.group_closure(fp.sp_generators(rho, p), p)
+    group = fp.sp_group(rho, p)
     subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
-    # a subspace not yet seen starts a new orbit; its whole orbit is then
-    # marked seen by applying every group element to it
+    keys = _pack_keys(subspaces, p)
+    enumerated = np.sort(keys)
     seen = set()
     count = 0
-    for rows, key in zip(subspaces, _pack_keys(subspaces, p).tolist()):
+    for rows, key in zip(subspaces, keys.tolist()):
+        if len(seen) == len(subspaces):
+            break
         if key in seen:
             continue
         count += 1
-        moved = np.einsum("di,gij->gdj", rows.astype(np.int64), group) % p
-        seen.update(_pack_keys(batch_rref(moved, p), p).tolist())
+        for start in range(0, len(group), ORBIT_MARK_BLOCK):
+            moved = np.einsum("di,gij->gdj", rows.astype(np.int64),
+                              group[start:start + ORBIT_MARK_BLOCK]) % p
+            images = _pack_keys(batch_rref(moved, p), p)
+            at = np.minimum(np.searchsorted(enumerated, images), len(enumerated) - 1)
+            if not (enumerated[at] == images).all():
+                raise AssertionError("image missing from enumeration")
+            seen.update(images.tolist())
+            if len(seen) == len(subspaces):
+                break
     return count

@@ -235,6 +235,18 @@ def test_orbits_group_order_cap_exit_4_before_building(capsys):
     assert time.process_time() - start < 1.0
 
 
+def test_orbits_table_order_cap_exit_4_before_reading(capsys, tmp_path):
+    n = 1000
+    path = tmp_path / "c1000.tab"
+    path.write_text(f"{n}\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n))
+                                         for i in range(n)) + "\n", encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run(["orbits", "--table", str(path), "--sig", "(0;2,2)"], capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert f"above the cap {grouptable.BY_NAME_ORDER_CAP}" in err
+    assert time.process_time() - start < 1.0
+
+
 def test_fermat_sampler_gives_up_exit_4(capsys, monkeypatch):
     # a sampler that may take no draw must give up cleanly, not hang or crash
     monkeypatch.setattr(hyperfermat, "SAMPLE_ATTEMPTS_PER_POINT", 0)

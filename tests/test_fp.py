@@ -172,6 +172,50 @@ def test_group_closure_cap():
         fp.group_closure(fp.gl_generators(2, 3), 3, cap=10)
 
 
+def _closure_by_matmul(gens, p):
+    """Reference closure: breadth-first by left matrix products, sorted as nested lists."""
+    G = np.array(gens, dtype=np.int64) % p
+    ident = np.eye(G.shape[1], dtype=np.int64)
+    seen = {ident.tobytes(): ident}
+    frontier = ident[None]
+    while len(frontier):
+        fresh = []
+        for m in (G[:, None] @ frontier[None] % p).reshape(-1, *ident.shape):
+            if m.tobytes() not in seen:
+                seen[m.tobytes()] = m
+                fresh.append(m)
+        frontier = np.array(fresh).reshape(-1, *ident.shape)
+    return np.array(sorted(m.tolist() for m in seen.values()), dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind,n,p", [
+    ("gl", 1, 5), ("gl", 2, 3), ("gl", 2, 5), ("gl", 3, 2), ("gl", 3, 3),
+    ("sp", 1, 2), ("sp", 1, 3), ("sp", 1, 5), ("sp", 1, 7), ("sp", 2, 2), ("sp", 2, 3),
+])
+def test_group_closure_matches_matmul_reference(kind, n, p):
+    gens = fp.gl_generators(n, p) if kind == "gl" else fp.sp_generators(n, p)
+    group = fp.group_closure(gens, p)
+    assert group.dtype == np.int64
+    assert np.array_equal(group, _closure_by_matmul(gens, p))
+
+
+@pytest.mark.parametrize("n,p", [(8, 2), (6, 5), (5, 7)])
+def test_group_closure_keys_beyond_63_bits_raise(n, p):
+    # p^(n^2) >= 2^63 here; the raise comes before any code table is built
+    with pytest.raises(CapExceededError, match="63 bits"):
+        fp.group_closure(fp.gl_generators(n, p), p)
+
+
+def test_cached_groups_are_built_once_and_read_only():
+    for build, gens, args in ((fp.gl_group, fp.gl_generators, (2, 5)),
+                              (fp.sp_group, fp.sp_generators, (2, 2))):
+        group = build(*args)
+        assert build(*args) is group
+        assert np.array_equal(group, fp.group_closure(gens(*args), args[1]))
+        with pytest.raises(ValueError):
+            group[0, 0, 0] = 1
+
+
 def test_vector_arithmetic():
     # vectors are numpy rows while they are computed with, and int tuples in
     # [0, p) once stored in a generating vector

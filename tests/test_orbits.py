@@ -280,6 +280,32 @@ def test_kernel_orbits_rho3():
     assert checked == 18
 
 
+@pytest.mark.parametrize("block", [1, 97, 10 ** 9])
+def test_kernel_canonical_marking_stops_exactly(monkeypatch, block):
+    # every feasible (p, k, rho) with p <= 5 and rho <= 2; one element per
+    # block over the 51,840 of Sp(4, 3) takes about 17 s, so block 1 skips it
+    instances = [(p, k, rho) for p in (2, 3, 5) for rho in (1, 2)
+                 if orbits.kernel_canonical_feasible(p, rho)
+                 and (block > 1 or len(fp.sp_group(rho, p)) <= 720)
+                 for k in range(2 * rho + 1)]
+    assert (2, 2, 2) in instances and ((3, 2, 2) in instances) == (block > 1)
+    monkeypatch.setattr(orbits, "ORBIT_MARK_BLOCK", block)
+    orbits.count_kernel_orbits_canonical.cache_clear()
+    try:
+        for p, k, rho in instances:
+            assert orbits.count_kernel_orbits_canonical(p, k, rho) == \
+                orbits.witt_kernel_orbit_count(rho, k), (p, k, rho)
+    finally:
+        orbits.count_kernel_orbits_canonical.cache_clear()
+
+
+def test_kernel_canonical_catches_an_image_outside_the_enumeration(monkeypatch):
+    # a row reduction that leaves a scaled row gives keys no subspace has
+    monkeypatch.setattr(orbits, "batch_rref", lambda mats, p: (2 * mats) % p)
+    with pytest.raises(AssertionError, match="missing from enumeration"):
+        orbits.count_kernel_orbits_canonical.__wrapped__(3, 1, 1)
+
+
 def test_kernel_caps():
     with pytest.raises(CapExceededError):
         orbits.count_kernel_orbits_bfs(2, 2, 4)
