@@ -2,8 +2,9 @@
 
 The curve constructions run over two backends: exact rationals (complex
 numbers with Fraction parts) whenever the input data is rational, and
-floating complex with an explicit tolerance otherwise.  Points at infinity
-are honest projective pairs, never sentinel floats.
+floating complex otherwise; a float or complex operand turns exact
+arithmetic complex.  Points at infinity are honest projective pairs, never
+sentinel floats.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 
+#: relative tolerance of every floating zero test on the projective line
 DEFAULT_TOL = 1e-9
 
 
@@ -31,10 +33,13 @@ class GaussianRational:
             return GaussianRational(Fraction(x))
         raise PreconditionError(f"cannot coerce {x!r} to an exact complex number")
 
-    # With rational input every imaginary part is 0; a real operand pair then
-    # takes one Fraction operation, with the general formula's exact result.
+    # A float or complex operand makes the result complex.  With rational
+    # input every imaginary part is 0; a real operand pair then takes one
+    # Fraction operation, with the general formula's exact result.
 
     def __add__(self, other):
+        if isinstance(other, (float, complex)):
+            return complex(self) + other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re + o.re)
@@ -48,15 +53,21 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
+        if isinstance(other, (float, complex)):
+            return complex(self) - other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re - o.re)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        if isinstance(other, (float, complex)):
+            return other - complex(self)
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (float, complex)):
+            return complex(self) * other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re * o.re)
@@ -66,6 +77,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (float, complex)):
+            return complex(self) / other
         o = GaussianRational.of(other)
         if o.is_zero():
             raise ZeroDivisionError("division by exact zero")
@@ -75,6 +88,8 @@ class GaussianRational:
         return self * GaussianRational(o.re / n2, -o.im / n2)
 
     def __rtruediv__(self, other):
+        if isinstance(other, (float, complex)):
+            return other / complex(self)
         return GaussianRational.of(other) / self
 
     def __pow__(self, k: int):
@@ -122,16 +137,15 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
-def exactify(x):
-    return GaussianRational.of(x) if not isinstance(x, GaussianRational) else x
-
-
-def scalar_is_zero(x, tol: float, scale: float = 1.0) -> bool:
+def scalar_is_zero(x, scale: float = 1.0) -> bool:
+    """Whether x is zero: exactly for an exact scalar, else when
+    |x| <= DEFAULT_TOL * max(scale, 1), so the bound never drops below
+    DEFAULT_TOL however small the scale."""
     if isinstance(x, GaussianRational):
         return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0
-    return abs(x) <= tol * max(scale, 1.0)
+    return abs(x) <= DEFAULT_TOL * max(scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,24 +158,23 @@ class ProjPoint:
     @staticmethod
     def finite(x) -> "ProjPoint":
         if is_exact_scalar(x):
-            return ProjPoint(exactify(x), exactify(1))
+            return ProjPoint(GaussianRational.of(x), GaussianRational.of(1))
         return ProjPoint(complex(x), complex(1))
 
     @staticmethod
-    def infinity(exact: bool = True) -> "ProjPoint":
-        if exact:
-            return ProjPoint(exactify(1), exactify(0))
-        return ProjPoint(complex(1), complex(0))
+    def infinity() -> "ProjPoint":
+        return ProjPoint(GaussianRational.of(1), GaussianRational.of(0))
 
     @property
     def exact(self) -> bool:
-        return is_exact_scalar(self.num)
+        """Whether both coordinates are exact."""
+        return is_exact_scalar(self.num) and is_exact_scalar(self.den)
 
-    def is_infinity(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_infinity(self) -> bool:
         if self.exact:
-            return exactify(self.den).is_zero()
-        scale = max(abs(self.num), abs(self.den), 1e-300)
-        return abs(self.den) <= tol * scale
+            return scalar_is_zero(self.den)
+        num, den = abs(complex(self.num)), abs(complex(self.den))
+        return den <= DEFAULT_TOL * max(num, den, 1e-300)
 
     def value(self):
         """The affine value; undefined at infinity."""
@@ -169,13 +182,13 @@ class ProjPoint:
             raise PreconditionError("point at infinity has no affine value")
         return self.num / self.den
 
-    def same_point(self, other: "ProjPoint", tol: float = DEFAULT_TOL) -> bool:
+    def same_point(self, other: "ProjPoint") -> bool:
         cross = self.num * other.den - self.den * other.num
         if self.exact and other.exact:
-            return exactify(cross).is_zero()
+            return scalar_is_zero(cross)
         scale = (max(abs(complex(self.num)), abs(complex(self.den)))
                  * max(abs(complex(other.num)), abs(complex(other.den))))
-        return abs(complex(cross)) <= tol * max(scale, 1e-300)
+        return abs(complex(cross)) <= DEFAULT_TOL * max(scale, 1e-300)
 
     def to_json(self):
         if self.is_infinity():
@@ -219,31 +232,26 @@ class Mobius:
                       self.c * other.b + self.d * other.d)
 
     @staticmethod
-    def to_standard(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint,
-                    tol: float = DEFAULT_TOL) -> "Mobius":
+    def to_standard(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint) -> "Mobius":
         """The map sending (p0, p1, p2) to (0, 1, infinity)."""
         d12 = cross_det(p1, p2)
         d10 = cross_det(p1, p0)
         m = Mobius(p0.den * d12, -1 * p0.num * d12,
                    p2.den * d10, -1 * p2.num * d10)
-        if scalar_is_zero(m.a * m.d - m.b * m.c, tol,
-                          _mobius_scale(m)):
+        det = m.a * m.d - m.b * m.c
+        scale = 1.0
+        if not is_exact_scalar(det):
+            scale = max(*(abs(complex(x)) for x in (m.a, m.b, m.c, m.d)), 1e-300) ** 2
+        if scalar_is_zero(det, scale):
             raise PreconditionError("degenerate point triple for a fractional linear map")
         return m
 
     @staticmethod
-    def through(src, dst, tol: float = DEFAULT_TOL) -> "Mobius":
+    def through(src, dst) -> "Mobius":
         """The unique map carrying the source triple onto the target triple."""
-        fwd = Mobius.to_standard(*src, tol=tol)
-        back = Mobius.to_standard(*dst, tol=tol).inverse()
+        fwd = Mobius.to_standard(*src)
+        back = Mobius.to_standard(*dst).inverse()
         return back.compose(fwd)
-
-
-def _mobius_scale(m: Mobius) -> float:
-    if is_exact_scalar(m.a):
-        return 1.0
-    return max(abs(complex(m.a)), abs(complex(m.b)),
-               abs(complex(m.c)), abs(complex(m.d)), 1e-300) ** 2
 
 
 def cross_ratio(p: ProjPoint, q: ProjPoint, r: ProjPoint, s: ProjPoint) -> ProjPoint:

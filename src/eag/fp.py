@@ -278,12 +278,12 @@ def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
-def group_closure(gens, p: int, cap: int | None = None) -> np.ndarray:
+def group_closure(gens, p: int) -> np.ndarray:
     """Full multiplicative closure of a set of invertible matrices over F_p.
 
     Returns the elements as an (N, n, n) int64 array in lexicographic order.
-    Raises CapExceededError once the closure grows past ``cap`` (the global
-    default if unset), or when p^(n^2) >= 2^63 and keys would not fit in 63 bits.
+    Raises CapExceededError once the closure grows past DEFAULT_ELEMENT_CAP,
+    or when p^(n^2) >= 2^63 and keys would not fit in 63 bits.
 
     The search runs on codes: a vector v is the code sum_j v_j p^(n-1-j),
     each generator g is the permutation of the p^n codes that v -> v g
@@ -295,7 +295,6 @@ def group_closure(gens, p: int, cap: int | None = None) -> np.ndarray:
     gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
     if not gens:
         return np.zeros((0, 0, 0), dtype=np.int64)
-    cap = DEFAULT_ELEMENT_CAP if cap is None else cap
     n = len(gens[0])
     for g in gens:
         if g.shape != (n, n):
@@ -318,8 +317,9 @@ def group_closure(gens, p: int, cap: int | None = None) -> np.ndarray:
         frontier = (fresh[:, None] // row_weights % np.uint64(q)).astype(np.int64)
         # two sorted runs: the stable sort merges them
         seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
-        if len(seen) > cap:
-            raise CapExceededError(f"matrix closure exceeded the cap of {cap} elements")
+        if len(seen) > DEFAULT_ELEMENT_CAP:
+            raise CapExceededError(
+                f"matrix closure exceeded the cap of {DEFAULT_ELEMENT_CAP} elements")
     entry_weights = np.uint64(p) ** np.arange(n * n - 1, -1, -1, dtype=np.uint64)
     return (seen[:, None] // entry_weights % np.uint64(p)).astype(np.int64).reshape(-1, n, n)
 

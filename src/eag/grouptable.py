@@ -420,7 +420,7 @@ def _arrangements(periods):
             yield (o,) + tail
 
 
-def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...], cap: int) -> np.ndarray:
+def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
     """All valid ordered tuples whose period sequence is any arrangement of
     the given multiset, as an (S, r) array of the smallest dtype.
 
@@ -429,7 +429,7 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...], cap: int) -> np.n
     its order is the last period.  The trailing entries form one block of
     at most TUPLE_BLOCK rows, built once and reused under each choice of the
     leading ones; each block's survivors pass ``generates_each`` at once,
-    and the state cap is checked after every block.
+    and ORBIT_STATE_CAP is checked after every block.
     """
     r = len(periods)
     T = g.array
@@ -458,14 +458,13 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...], cap: int) -> np.n
             rows[:, -1] = last[ok]
             rows = rows[g.generates_each(rows)]
             total += len(rows)
-            if total > cap:
-                raise CapExceededError(f"tuple enumeration exceeded {cap} states")
+            if total > ORBIT_STATE_CAP:
+                raise CapExceededError(f"tuple enumeration exceeded {ORBIT_STATE_CAP} states")
             blocks.append(rows)
     return np.concatenate(blocks)
 
 
-def generating_vector_orbits(g: GroupTable, sig: Signature,
-                             cap: int = ORBIT_STATE_CAP) -> tuple[frozenset, ...]:
+def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, ...]:
     """Orbit partition of valid generating tuples under Aut(G) + braid moves.
 
     Genus-0 signatures only: the braid moves at every position generate the
@@ -474,7 +473,7 @@ def generating_vector_orbits(g: GroupTable, sig: Signature,
     """
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
-    S = _enumerate_tuples(g, sig.periods, cap)
+    S = _enumerate_tuples(g, sig.periods)
     if not len(S):
         return ()
     T = g.array
@@ -497,9 +496,9 @@ def generating_vector_orbits(g: GroupTable, sig: Signature,
     return tuple(frozenset(o) for o in orbits)
 
 
-def count_orbits(g: GroupTable, sig: Signature, cap: int = ORBIT_STATE_CAP) -> int:
+def count_orbits(g: GroupTable, sig: Signature) -> int:
     """Number of orbits of valid generating vectors under Aut(G) + braid moves."""
-    return len(generating_vector_orbits(g, sig, cap))
+    return len(generating_vector_orbits(g, sig))
 
 
 # ---------------------------------------------------------------------------

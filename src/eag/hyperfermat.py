@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cx import (DEFAULT_TOL, Mobius, ProjPoint, cross_det, exactify,
+from .cx import (DEFAULT_TOL, GaussianRational, Mobius, ProjPoint, cross_det,
                  is_exact_scalar, scalar_is_zero)
 from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
@@ -27,13 +27,15 @@ from .fp import is_prime
 SAMPLE_ATTEMPTS_PER_POINT = 100
 #: most smoothness samples one call draws; its memory grows with the count
 SAMPLE_CAP = 10_000
+#: bound on each relative smoothness error, and the gradient rank's singular-value cut
+SMOOTHNESS_TOL = 1e-7
 
 
 def _coerce_entries(entries):
     """Classify input scalars: all-rational data runs exactly, else complex."""
     flat = list(entries)
     if all(is_exact_scalar(x) for x in flat):
-        return [exactify(x) for x in flat], True
+        return [GaussianRational.of(x) for x in flat], True
     return [complex(x) for x in flat], False
 
 
@@ -64,9 +66,6 @@ class LineMatrix:
     def n(self) -> int:
         return len(self.rows) + 1
 
-    def column(self, j: int):
-        return [row[j] for row in self.rows]
-
     def to_json(self):
         out = []
         for row in self.rows:
@@ -87,7 +86,7 @@ def vandermonde_line(w) -> LineMatrix:
     for a, b in itertools.combinations(range(n + 1), 2):
         if vals[a] == vals[b]:
             raise PreconditionError(f"parameters {a} and {b} coincide")
-    one = exactify(1) if exact else complex(1)
+    one = GaussianRational.of(1) if exact else complex(1)
     rows = []
     power = [one] * (n + 1)
     for _ in range(n - 1):
@@ -96,19 +95,19 @@ def vandermonde_line(w) -> LineMatrix:
     return LineMatrix(tuple(rows), exact)
 
 
-def _kernel_basis(line: LineMatrix, tol: float):
+def _kernel_basis(line: LineMatrix):
     """Reduce C once: a kernel basis (A, B) and the determinant of C's pivot block.
 
     Gauss-Jordan elimination picks the first nonzero pivot (exact) or the
-    largest one above tol times the largest entry (floating).  On the two
-    free columns A is (1, 0) and B is (0, 1); the basis is None when C has
-    rank below n - 1.  The determinant is the product of the pivots with
-    the sign of the row swaps.
+    largest one above DEFAULT_TOL times the largest entry of C (floating).
+    On the two free columns A is (1, 0) and B is (0, 1); the basis is None
+    when C has rank below n - 1.  The determinant is the product of the
+    pivots with the sign of the row swaps.
     """
     n, exact = line.n, line.exact
-    zero, one = (exactify(0), exactify(1)) if exact else (complex(0), complex(1))
+    zero, one = map(GaussianRational.of if exact else complex, (0, 1))
     m = [list(r) for r in line.rows]
-    floor = 0.0 if exact else tol * max(abs(x) for r in m for x in r)
+    floor = 0.0 if exact else DEFAULT_TOL * max(abs(x) for r in m for x in r)
     det = one
     pivots = []
     for c in range(n + 1):
@@ -131,7 +130,7 @@ def _kernel_basis(line: LineMatrix, tol: float):
         m[top] = [x * inv for x in m[top]]
         for i in range(n - 1):
             f = m[i][c]
-            if i != top and not scalar_is_zero(f, 0.0):
+            if i != top and f != 0:
                 m[i] = [x - f * y for x, y in zip(m[i], m[top])]
         pivots.append(c)
     if len(pivots) < n - 1:
@@ -147,19 +146,23 @@ def _kernel_basis(line: LineMatrix, tol: float):
 
 
 @lru_cache(maxsize=8)
-def _plucker_rows(line: LineMatrix, tol: float):
+def _plucker_rows(line: LineMatrix):
     """The rows Q_i = A_i B - B_i A of the kernel basis, or None if T is not generic.
 
     Q_i(j) = A_i B_j - A_j B_i is the Pluecker coordinate p_ij of T, and
     det(C_pivots) p_ij is, up to sign, the minor of C with columns i and j
-    deleted.  Each minor is tested against the Hadamard bound of that
-    deletion: the product of C's row norms over the kept columns.
+    deleted.  Exact input tests each minor for zero.  Floating input counts
+    a minor as zero when its modulus is at most DEFAULT_TOL times the larger
+    of 1 and its Hadamard bound (the product of C's row norms over the kept
+    columns), after ``_kernel_basis`` has found no pivot at or below
+    DEFAULT_TOL times the largest entry of C.  Both floors are absolute, so
+    the verdict on floating input depends on the scale of C.
 
     The genericity test, the branch points and the sampler all ask for the
-    same (line, tol), so the result is cached; it is a tuple of tuples, so
-    no caller can change the cached rows.
+    same line, so the result is cached per line; it is a tuple of tuples,
+    so no caller can change the cached rows.
     """
-    basis, det = _kernel_basis(line, tol)
+    basis, det = _kernel_basis(line)
     if basis is None:
         return None
     a, b = basis
@@ -171,19 +174,19 @@ def _plucker_rows(line: LineMatrix, tol: float):
             for row in line.rows:
                 norm = sum(abs(x) ** 2 for k, x in enumerate(row) if k not in (i, j))
                 scale *= max(norm ** 0.5, 1e-300)
-        if scalar_is_zero(det * q[i][j], tol, scale):
+        if scalar_is_zero(det * q[i][j], scale):
             return None
     return q
 
 
-def is_generic_line(line: LineMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_generic_line(line: LineMatrix) -> bool:
     """True iff every two-column deletion of C leaves an invertible matrix.
 
     Equivalently, the line misses all pairwise intersections of coordinate
     hyperplanes and lies in none of them: every Pluecker coordinate of T is
     nonzero.
     """
-    return _plucker_rows(line, tol) is not None
+    return _plucker_rows(line) is not None
 
 
 def hyper_fermat_genus(p: int, n: int) -> Fraction:
@@ -202,14 +205,14 @@ def hyper_fermat_genus(p: int, n: int) -> Fraction:
     return 1 + Fraction(p ** (n - 1) * ((n - 1) * p - (n + 1)), 2)
 
 
-def intersection_points(line: LineMatrix, tol: float = DEFAULT_TOL) -> list[list]:
+def intersection_points(line: LineMatrix) -> list[list]:
     """For each i, the point Q_i spanning T meet {x_i = 0}.
 
     Q_i = A_i B - B_i A for a kernel basis (A, B) of C; genericity keeps
     every coordinate but the i-th nonzero.  Scale is fixed by setting the
     first nonzero coordinate to 1.
     """
-    q = _plucker_rows(line, tol)
+    q = _plucker_rows(line)
     if q is None:
         raise PreconditionError("line is not generic")
     out = []
@@ -219,31 +222,26 @@ def intersection_points(line: LineMatrix, tol: float = DEFAULT_TOL) -> list[list
     return out
 
 
-def as_proj_point(x, exact: bool) -> ProjPoint:
+def as_proj_point(x) -> ProjPoint:
     """Coerce a scalar or the string 'inf' onto the projective line."""
     if isinstance(x, ProjPoint):
         return x
     if isinstance(x, str) and x.strip() in ("inf", "oo", "infinity"):
-        return ProjPoint.infinity(exact=exact)
-    if exact and is_exact_scalar(x):
-        return ProjPoint.finite(exactify(x))
-    return ProjPoint(complex(x), complex(1))
+        return ProjPoint.infinity()
+    return ProjPoint.finite(x)
 
 
 @dataclass(frozen=True)
 class BranchSet:
-    """The n+1 branch parameters of the quotient map, with pin bookkeeping."""
+    """The n+1 branch parameters of the quotient map, the first three being
+    the pins, and the u_1 of the closed formula in ``branch_points``."""
 
     points: tuple[ProjPoint, ...]
-    pins: tuple[ProjPoint, ...]
-    pin_indices: tuple[int, int, int]
     u1: ProjPoint
-    exact: bool
-    tol: float
 
     @property
-    def count(self) -> int:
-        return len(self.points)
+    def pins(self) -> tuple[ProjPoint, ...]:
+        return self.points[:3]
 
     def normalized_invariants(self) -> tuple[ProjPoint, ...]:
         """Images of the unpinned points after sending the pins to 0, 1, inf.
@@ -251,19 +249,11 @@ class BranchSet:
         These n - 2 values are a complete set of cross-ratio coordinates for
         the branch set: the dimension of the family.
         """
-        i0, i1, i2 = self.pin_indices
-        to_std = Mobius.to_standard(self.points[i0], self.points[i1],
-                                    self.points[i2], tol=self.tol)
-        return tuple(to_std.apply(pt) for i, pt in enumerate(self.points)
-                     if i not in self.pin_indices)
-
-    def to_json(self):
-        return {"lambdas": [pt.to_json() for pt in self.points],
-                "pins": [pt.to_json() for pt in self.pins],
-                "pin_indices": list(self.pin_indices)}
+        to_std = Mobius.to_standard(*self.pins)
+        return tuple(to_std.apply(pt) for pt in self.points[3:])
 
 
-def branch_points(line: LineMatrix, pins, tol: float = DEFAULT_TOL) -> BranchSet:
+def branch_points(line: LineMatrix, pins) -> BranchSet:
     """Branch parameters lambda_i with the first three pinned as requested.
 
     Writing Q_2 = c_2 Q_0 + d_2 Q_1, the parameterisation sending Q_0, Q_1,
@@ -272,30 +262,31 @@ def branch_points(line: LineMatrix, pins, tol: float = DEFAULT_TOL) -> BranchSet
     lambda_i = (lambda_1 u_1 Q_0(i) - lambda_0 Q_1(i)) / (u_1 Q_0(i) - Q_1(i))
     with u_1 = c_2 (lambda_0 - lambda_2) / (d_2 (lambda_2 - lambda_1)); pins
     at infinity are the projective limits of the same formula.
+
+    The source triple (inf, 0, c_2 : d_2) is exact, so the result is exact
+    when the line and the pins are, and floating complex otherwise.
     """
     if len(pins) != 3:
         raise PreconditionError("exactly three pin values are required")
-    pin_pts = tuple(as_proj_point(x, line.exact) for x in pins)
+    pin_pts = tuple(as_proj_point(x) for x in pins)
     for a, b in itertools.combinations(pin_pts, 2):
-        if a.same_point(b, tol):
+        if a.same_point(b):
             raise PreconditionError("pin values must be pairwise distinct")
-    q = intersection_points(line, tol)
-    one = exactify(1) if line.exact else complex(1)
-    zero = exactify(0) if line.exact else complex(0)
+    q = intersection_points(line)
     c2 = q[2][1] / q[0][1]
     d2 = q[2][0] / q[1][0]
-    src = (ProjPoint(one, zero), ProjPoint(zero, one), ProjPoint(c2, d2))
-    mob = Mobius.through(src, pin_pts, tol=tol)
+    src = (ProjPoint.infinity(), ProjPoint.finite(0), ProjPoint(c2, d2))
+    mob = Mobius.through(src, pin_pts)
     pts = list(pin_pts)
     for i in range(3, line.n + 1):
         pts.append(mob.apply(ProjPoint(q[1][i], -1 * q[0][i])))
     for a, b in itertools.combinations(pts, 2):
-        if a.same_point(b, tol):
+        if a.same_point(b):
             raise PreconditionError("branch parameters collide; data is degenerate")
     p0, p1, p2 = pin_pts
     u1 = ProjPoint(c2 * cross_det(p0, p2) * p1.den,
                    d2 * cross_det(p2, p1) * p0.den)
-    return BranchSet(tuple(pts), pin_pts, (0, 1, 2), u1, line.exact, tol)
+    return BranchSet(tuple(pts), u1)
 
 
 def residue_identity_check(w, s: int):
@@ -309,7 +300,7 @@ def residue_identity_check(w, s: int):
     n = len(vals) - 1
     if s < 0:
         raise PreconditionError("s must be >= 0")
-    total = exactify(0) if exact else complex(0)
+    total = GaussianRational.of(0) if exact else complex(0)
     for j in range(1, n + 1):
         term = vals[j] ** s
         for k in range(1, n + 1):
@@ -321,28 +312,27 @@ def residue_identity_check(w, s: int):
     return abs(total)
 
 
-def moduli_equivalent(b1: BranchSet, b2: BranchSet, tol: float = DEFAULT_TOL) -> bool:
+def moduli_equivalent(b1: BranchSet, b2: BranchSet) -> bool:
     """Whether some fractional linear map carries one branch set onto the other.
 
     Pins three points of the first set to every ordered triple of the second
     and compares images as sets; n = 2 (three points each) is always
     equivalent, reflecting the zero-dimensional moduli there.
     """
-    if b1.count != b2.count:
+    n = len(b2.points)
+    if len(b1.points) != n:
         return False
-    src = b1.points[:3]
-    rest = b1.points
-    for triple in itertools.permutations(range(b2.count), 3):
+    for triple in itertools.permutations(range(n), 3):
         try:
-            mob = Mobius.through(src, tuple(b2.points[i] for i in triple), tol=tol)
+            mob = Mobius.through(b1.pins, tuple(b2.points[i] for i in triple))
         except PreconditionError:
             continue
-        images = [mob.apply(pt) for pt in rest]
-        used = [False] * b2.count
+        images = [mob.apply(pt) for pt in b1.points]
+        used = [False] * n
         ok = True
         for img in images:
-            hit = next((j for j in range(b2.count)
-                        if not used[j] and img.same_point(b2.points[j], tol)), None)
+            hit = next((j for j in range(n)
+                        if not used[j] and img.same_point(b2.points[j])), None)
             if hit is None:
                 ok = False
                 break
@@ -411,7 +401,7 @@ class SmoothnessReport:
 
 
 def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
-                                seed: int = 0, tol: float = 1e-7) -> SmoothnessReport:
+                                seed: int = 0) -> SmoothnessReport:
     """Sample the curve through p-th root lifts and test the smoothness data.
 
     Each sample point X satisfies the defining equations by construction;
@@ -467,7 +457,7 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     g = p * cmat[None, :, :] * (roots ** (p - 1))[:, None, :]
     col_scale = np.max(np.abs(g), axis=1, keepdims=True)
     svals = np.linalg.svd(g / np.maximum(col_scale, 1e-300), compute_uv=False)
-    ranks = np.sum(svals > tol * svals[:, :1], axis=1)
+    ranks = np.sum(svals > SMOOTHNESS_TOL * svals[:, :1], axis=1)
     keep = np.sort(np.argsort(np.abs(roots), axis=1)[:, 2:], axis=1)
     lhs = np.linalg.det(np.take_along_axis(g, keep[:, None, :], axis=2))
     kept_roots = np.take_along_axis(roots, keep, axis=1)
@@ -476,11 +466,11 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
     errs = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     failures = []
     for i in range(count):
-        if res[i] > tol:
+        if res[i] > SMOOTHNESS_TOL:
             failures.append(f"sample {i + 1}: equation residual {res[i]:.3e}")
         if ranks[i] < n - 1:
             failures.append(f"sample {i + 1}: gradient rank {ranks[i]} < {n - 1}")
-        if errs[i] > tol:
+        if errs[i] > SMOOTHNESS_TOL:
             failures.append(f"sample {i + 1}: minor identity error {errs[i]:.3e}")
     return SmoothnessReport(p, n, count, max(0.0, *res.tolist()),
                             min(n - 1, *ranks.tolist()),

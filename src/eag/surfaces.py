@@ -87,10 +87,6 @@ class EAActionSpec:
     def sig(self) -> Signature:
         return Signature(self.rho, (self.p,) * self.r)
 
-    @property
-    def group_order(self) -> int:
-        return self.p ** self.n
-
     def __str__(self) -> str:
         return f"C_{self.p}^{self.n} acting with {self.sig}"
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from eag import genvec, grouptable as gt, hyperfermat as hf, maximality as mx, orbits
-from eag.cx import DEFAULT_TOL, GaussianRational, Mobius, ProjPoint
+from eag.cx import GaussianRational, Mobius, ProjPoint
 from eag.genvec import (build_inequivalent_pair, count_pure_classes,
                         is_unique_action, multiset_character, pure_unique_row,
                         validate)
@@ -271,29 +271,27 @@ def test_criterion_10_moduli_equivalence():
         params = w if exact else [float(x) for x in w]
         b1 = hf.branch_points(hf.vandermonde_line(params),
                               (params[0], params[1], params[2]))
-        assert hf.moduli_equivalent(b1, b1, tol=1e-9)
+        assert hf.moduli_equivalent(b1, b1)
         coeffs = [rng.randint(-6, 6) for _ in range(4)]
         if coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2] == 0:
             continue
         vals = [GaussianRational.of(x) if exact else complex(x) for x in coeffs]
         mob = Mobius(*vals)
         moved = tuple(mob.apply(pt) for pt in b1.points)
-        b2 = hf.BranchSet(moved, moved[:3], (0, 1, 2), ProjPoint.finite(1),
-                          exact, DEFAULT_TOL)
-        assert hf.moduli_equivalent(b1, b2, tol=1e-9)
-        assert hf.moduli_equivalent(b2, b1, tol=1e-9)
+        b2 = hf.BranchSet(moved, ProjPoint.finite(1))
+        assert hf.moduli_equivalent(b1, b2)
+        assert hf.moduli_equivalent(b2, b1)
     t1 = hf.branch_points(hf.vandermonde_line([0, 1, 4]), (0, 1, 4))
     t2 = hf.branch_points(hf.vandermonde_line([-7, 2, 9]), (-7, 2, 9))
-    assert hf.moduli_equivalent(t1, t2, tol=1e-9)
+    assert hf.moduli_equivalent(t1, t2)
 
     def quadruple(lam):
         pts = (ProjPoint.finite(Fraction(0)), ProjPoint.finite(Fraction(1)),
                ProjPoint.infinity(), ProjPoint.finite(Fraction(lam)))
-        return hf.BranchSet(pts, pts[:3], (0, 1, 2), ProjPoint.finite(1),
-                            True, DEFAULT_TOL)
+        return hf.BranchSet(pts, ProjPoint.finite(1))
 
-    assert hf.moduli_equivalent(quadruple(2), quadruple(Fraction(1, 2)), tol=1e-9)
-    assert not hf.moduli_equivalent(quadruple(2), quadruple(3), tol=1e-9)
+    assert hf.moduli_equivalent(quadruple(2), quadruple(Fraction(1, 2)))
+    assert not hf.moduli_equivalent(quadruple(2), quadruple(3))
     _ok(10, "moduli equivalence is reflexive, symmetric and invariant on 100 "
             "random pairs; triples always match; quadruple classes separate")
 

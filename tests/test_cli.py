@@ -269,6 +269,16 @@ def test_fermat_c_file_and_pins(capsys, tmp_path):
     assert payload["lambdas"][2] == "inf"
 
 
+def test_fermat_mixes_rational_and_complex_input(capsys):
+    # rational --w with complex --pins runs in floating point
+    fermat = ["fermat", "--p", "3", "--n", "3", "--samples", "5"]
+    payload = run_json(fermat + ["--w=1,2,3,4", "--pins=0,1,1j"], capsys)
+    assert payload["lambdas"][:3] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    mixed = run_json(fermat + ["--w=1,2,3,4", "--pins=1j,2j,3j"], capsys)
+    floating = run_json(fermat + ["--w=1+0j,2+0j,3+0j,4+0j", "--pins=1j,2j,3j"], capsys)
+    assert mixed["lambdas"] == floating["lambdas"]
+
+
 def test_fermat_non_generic_exit_3(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(

@@ -167,9 +167,10 @@ def test_group_closure_identity_and_order_independence():
                           fp.group_closure(list(reversed(gens)), 3))
 
 
-def test_group_closure_cap():
+def test_group_closure_cap(monkeypatch):
+    monkeypatch.setattr(fp, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(CapExceededError):
-        fp.group_closure(fp.gl_generators(2, 3), 3, cap=10)
+        fp.group_closure(fp.gl_generators(2, 3), 3)
 
 
 def _closure_by_matmul(gens, p):

@@ -148,7 +148,7 @@ def test_count_orbits_matches_elementary_abelian_counter():
 def _naive_orbits(g, sig):
     """Reference partition: a python BFS applying every braid move and every
     automorphism to each enumerated tuple."""
-    states = set(map(tuple, gt._enumerate_tuples(g, sig.periods, 10 ** 6).tolist()))
+    states = set(map(tuple, gt._enumerate_tuples(g, sig.periods).tolist()))
     autos = gt.automorphisms(g)
     orbits, seen = [], set()
     for start in sorted(states):
@@ -184,9 +184,10 @@ def test_orbit_partition_matches_naive_bfs(name, sig, count):
     assert sorted(got, key=min) == want
 
 
-def test_count_orbits_state_cap():
+def test_count_orbits_state_cap(monkeypatch):
+    monkeypatch.setattr(gt, "ORBIT_STATE_CAP", 100)
     with pytest.raises(CapExceededError):
-        gt.count_orbits(gt.by_name("C2xC2xC2"), Signature(0, (2,) * 6), cap=100)
+        gt.count_orbits(gt.by_name("C2xC2xC2"), Signature(0, (2,) * 6))
 
 
 def test_count_orbits_invariant_under_relabeling():
@@ -278,7 +279,7 @@ def _hyperelliptic_states(g, sig):
     genus-0 quotient."""
     out = []
     involutions = [z for z in g.center() if g.element_orders[z] == 2]
-    for state in map(tuple, gt._enumerate_tuples(g, sig.periods, 10 ** 6).tolist()):
+    for state in map(tuple, gt._enumerate_tuples(g, sig.periods).tolist()):
         ordered_sig = Signature(0, tuple(g.element_orders[c] for c in state))
         for z in involutions:
             sub = gt.normal_subgroup_signature(g, ordered_sig, state, (0, z))
@@ -406,12 +407,12 @@ def _brute_force_tuples(g, periods):
 def test_enumerate_tuples_matches_brute_force(name, sig, monkeypatch):
     g = gt.by_name(name)
     want = _brute_force_tuples(g, sig)
-    got = gt._enumerate_tuples(g, sig, 10 ** 6)
+    got = gt._enumerate_tuples(g, sig)
     assert got.dtype == np.uint8 and got.shape == (len(want), len(sig))
     assert set(map(tuple, got.tolist())) == want
     # blocks of a few rows, reused under many leading entries, give the same rows
     monkeypatch.setattr(gt, "TUPLE_BLOCK", 3)
-    assert np.array_equal(gt._enumerate_tuples(g, sig, 10 ** 6), got)
+    assert np.array_equal(gt._enumerate_tuples(g, sig), got)
 
 
 def test_automorphism_generators_are_cheap():

@@ -348,8 +348,7 @@ def test_residue_identity_float():
 def _quadruple(lam):
     pts = (ProjPoint.finite(Fraction(0)), ProjPoint.finite(Fraction(1)),
            ProjPoint.infinity(), ProjPoint.finite(Fraction(lam)))
-    return hf.BranchSet(pts, pts[:3], (0, 1, 2), ProjPoint.finite(1), True,
-                        DEFAULT_TOL)
+    return hf.BranchSet(pts, ProjPoint.finite(1))
 
 
 def test_moduli_equivalent_cross_ratio_classes():
@@ -378,8 +377,7 @@ def test_moduli_equivalent_properties():
             continue
         mob = Mobius(*(GaussianRational.of(x) for x in (a, b, c, d)))
         moved_pts = tuple(mob.apply(pt) for pt in b1.points)
-        b2 = hf.BranchSet(moved_pts, moved_pts[:3], (0, 1, 2),
-                          ProjPoint.finite(1), True, DEFAULT_TOL)
+        b2 = hf.BranchSet(moved_pts, ProjPoint.finite(1))
         assert hf.moduli_equivalent(b1, b2)
         assert hf.moduli_equivalent(b2, b1)
 
@@ -427,6 +425,25 @@ def test_cross_ratio_helper():
     assert cr.same_point(ProjPoint.finite(Fraction(3, 2)))
 
 
+def test_exact_and_floating_points_mix():
+    # a float or complex operand turns exact arithmetic complex, as under
+    # Python's numeric tower a float turns Fraction arithmetic float
+    assert ProjPoint.finite(Fraction(1)).same_point(ProjPoint.finite(1 + 0j))
+    assert not ProjPoint.finite(Fraction(1)).same_point(ProjPoint.finite(1 + 1e-6j))
+    assert ProjPoint.infinity().same_point(ProjPoint(1 + 0j, 0j))
+    with pytest.raises(PreconditionError):
+        GaussianRational.of(1j)
+
+
+def test_branch_points_exact_line_with_complex_pins():
+    mixed = hf.branch_points(hf.vandermonde_line([1, 2, 3, 4]), (1j, 2j, 3j))
+    floating = hf.branch_points(hf.vandermonde_line([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]),
+                                (1j, 2j, 3j))
+    assert not any(pt.exact for pt in mixed.points)
+    for got, want in zip(mixed.points + (mixed.u1,), floating.points + (floating.u1,)):
+        assert abs(got.value() - want.value()) <= 1e-12 * abs(want.value())
+
+
 def _smoothness_by_loop(spec, count, seed, tol=1e-7):
     """The sampler one draw at a time: the reference for the batched checks.
 
@@ -470,8 +487,7 @@ def _move_points_off_the_line(monkeypatch):
     Vandermonde C is all ones, so C (pt + 1) != C pt = 0 and pt + 1 is off T."""
     on_line = hf.intersection_points
     monkeypatch.setattr(hf, "intersection_points",
-                        lambda line, tol=DEFAULT_TOL: [[x + 1 for x in q]
-                                                       for q in on_line(line, tol)])
+                        lambda line: [[x + 1 for x in q] for q in on_line(line)])
 
 
 @pytest.mark.parametrize("p,w,off_line", [
@@ -501,9 +517,9 @@ def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
     calls = []
     reduce = hf._kernel_basis
 
-    def counted(line, tol):
+    def counted(line):
         calls.append(line)
-        return reduce(line, tol)
+        return reduce(line)
 
     monkeypatch.setattr(hf, "_kernel_basis", counted)
     hf._plucker_rows.cache_clear()

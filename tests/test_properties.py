@@ -113,6 +113,32 @@ def test_cross_ratio_is_mobius_invariant(pts, coeffs):
     assert before.same_point(after)
 
 
+@st.composite
+def gaussian_rationals(draw):
+    parts = [Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**3)))
+             for _ in range(2)]
+    return GaussianRational(*parts)
+
+
+# parts 0 or of modulus in [1e-6, 1e6]: no quotient overflows to inf
+PARTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+FLOATING = st.one_of(PARTS, st.builds(complex, PARTS, PARTS))
+
+
+@given(gaussian_rationals(), FLOATING)
+def test_gaussian_rational_with_floating_operand_is_complex(g, z):
+    c = complex(g)
+    cases = [(g + z, c + z), (z + g, z + c), (g - z, c - z), (z - g, z - c),
+             (g * z, c * z), (z * g, z * c)]
+    if z != 0:
+        cases.append((g / z, c / z))
+    if c != 0:
+        cases.append((z / g, z / c))
+    for got, want in cases:
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @given(st.integers(0, 4), st.lists(st.integers(2, 9), max_size=5),
        st.integers(0, 10**6))
 def test_signature_compares_as_multiset(rho, periods, seed):
