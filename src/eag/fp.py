@@ -133,26 +133,27 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _monic_irreducibles(d: int, p: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _monic_irreducibles(d: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Monic irreducible polynomials of degree d over F_p other than x, by a sieve."""
     def monic(deg):
         return [tuple(c // p ** i % p for i in range(deg)) + (1,) for c in range(p ** deg)]
 
     reducible = {_poly_mul(a, b, p) for e in range(1, d // 2 + 1)
                  for a in monic(e) for b in monic(d - e)}
-    return [f for f in monic(d) if f not in reducible and f != (0, 1)]
+    return tuple(f for f in monic(d) if f not in reducible and f != (0, 1))
 
 
-def _partitions(n: int, largest: int):
+@lru_cache(maxsize=None)
+def _partitions(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of n into parts <= largest, parts in decreasing order."""
     if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest for first in range(min(n, largest), 0, -1)
+                 for rest in _partitions(n - first, first))
 
 
+@lru_cache(maxsize=None)
 def _centraliser_order(part: tuple[int, ...], q: int) -> int:
     """c_lambda(q) = q^{sum lambda'_i^2} prod_i phi_{m_i}(1/q), as an integer.
 
@@ -169,24 +170,40 @@ def _centraliser_order(part: tuple[int, ...], q: int) -> int:
     return order
 
 
-def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
-    """Companion matrix over F_p of the monic polynomial f (constant term first)."""
-    d = len(f) - 1
+@lru_cache(maxsize=None)
+def _companion(f: tuple[int, ...], m: int, p: int) -> np.ndarray:
+    """Companion matrix over F_p of f^m, f monic (constant term first)."""
+    g = f
+    for _ in range(m - 1):
+        g = _poly_mul(g, f, p)
+    d = len(g) - 1
     C = np.zeros((d, d), dtype=np.int64)
     C[np.arange(1, d), np.arange(d - 1)] = 1
-    C[:, d - 1] = [-c % p for c in f[:d]]
+    C[:, d - 1] = [-c % p for c in g[:d]]
+    C.flags.writeable = False
     return C
 
 
+def block_companion(blocks, p: int) -> np.ndarray:
+    """The block-diagonal matrix of the companion matrices of f^m, for (f, m) in ``blocks``."""
+    mats = [_companion(f, m, p) for f, m in blocks]
+    rep = np.zeros((sum(map(len, mats)),) * 2, dtype=np.int64)
+    at = 0
+    for B in mats:
+        rep[at:at + len(B), at:at + len(B)] = B
+        at += len(B)
+    return rep
+
+
 @lru_cache(maxsize=None)
-def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int], ...]:
-    """Every conjugacy class of GL(n, p) as a (representative, size) pair.
+def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int, tuple], ...]:
+    """Every conjugacy class of GL(n, p) as a (representative, size, blocks) triple.
 
     A class is a map f -> lambda_f from the monic irreducible polynomials
     f != x to partitions with sum deg f * |lambda_f| = n (Macdonald,
     *Symmetric Functions and Hall Polynomials*, ch. IV; Green 1955).  Its
-    representative is the block-diagonal matrix of the companion matrices
-    of f^m for every part m of every lambda_f, and its size is
+    blocks are the pairs (f, m), one for every part m of every lambda_f,
+    its representative is their ``block_companion``, and its size is
     |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see ``_centraliser_order``).
     The representatives are read-only; the sizes are checked to sum to
     |GL(n, p)|.
@@ -200,13 +217,9 @@ def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int], ...]:
 
     def extend(start, budget, blocks, centraliser):
         if budget == 0:
-            rep = np.zeros((n, n), dtype=np.int64)
-            at = 0
-            for B in blocks:
-                rep[at:at + len(B), at:at + len(B)] = B
-                at += len(B)
+            rep = block_companion(blocks, p)
             rep.flags.writeable = False
-            classes.append((rep, order // centraliser))
+            classes.append((rep, order // centraliser, blocks))
             return
         for i in range(start, len(irreducibles)):
             f = irreducibles[i]
@@ -215,17 +228,11 @@ def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int], ...]:
                 break  # irreducibles are listed by degree
             for size in range(1, budget // d + 1):
                 for part in _partitions(size, size):
-                    powers = []
-                    for m in part:
-                        g = f
-                        for _ in range(m - 1):
-                            g = _poly_mul(g, f, p)
-                        powers.append(_companion(g, p))
-                    extend(i + 1, budget - d * size, blocks + powers,
+                    extend(i + 1, budget - d * size, blocks + tuple((f, m) for m in part),
                            centraliser * _centraliser_order(part, p ** d))
 
-    extend(0, n, [], 1)
-    if sum(size for _, size in classes) != order:
+    extend(0, n, (), 1)
+    if sum(size for _, size, _ in classes) != order:
         raise AssertionError(f"class sizes of GL({n}, {p}) do not sum to its order")
     return tuple(classes)
 

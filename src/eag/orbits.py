@@ -4,10 +4,12 @@ The purely ramified count is a Burnside sum (``count_pure_orbits_burnside``):
 the classes of (0; p^r)-generating vectors of C_p^k are the GL(k, p)-orbits
 of spanning zero-sum r-multisets of nonzero vectors, counted as a difference
 of two sums over the conjugacy classes of GL(k, p) (``fp.gl_conjugacy_classes``).
-A g-fixed multiset sums into the fixed space ker(g - 1), as each of its
-g-cycles does, so the knapsack behind each fixed-point count runs over that
-space only; and one pass over the classes, cut at r, gives the whole row of
-sums for every t <= r, kept per (p, k).
+A g-fixed multiset of size <= r lies in V_r = sum_{L <= r} ker(g^L - 1), so
+each count is one of g|V_r, read off the class's blocks: classes with
+V_r = 0 need no walk, and classes with conjugate g|V_r share one walk of
+the codes of V_r.  Each count is a knapsack over the fixed space
+ker(g - 1), into which every g-cycle sums, and one pass over the classes,
+cut at r, gives the whole row of sums for every t <= r, kept per (p, k).
 
 The unramified count h is Witt's closed form (``witt_kernel_orbit_count``).
 
@@ -244,8 +246,8 @@ def _multiset_count(m: int, t: int) -> int:
     return count
 
 
-def _fixed_point_ways(p: int, f: int, r: int) -> tuple[list[int], list[int]]:
-    """t-multisets of nonzero vectors of F_p^f, for t <= r, by their sum.
+def _fixed_point_ways(p: int, q: int, r: int) -> tuple[list[int], list[int]]:
+    """t-multisets of nonzero vectors of F_p^f, q = p^f, for t <= r, by their sum.
 
     Returns (zero, each): ``zero[t]`` of them sum to 0 and ``each[t]`` sum to
     any one given nonzero vector, as GL(f, p) is transitive on those.  By
@@ -253,9 +255,8 @@ def _fixed_point_ways(p: int, f: int, r: int) -> tuple[list[int], list[int]]:
     F_p^f, so it weights the nonzero vectors as (1 - x)(1 - x^p)^(-p^(f-1));
     zero[t] is [x^t] of (1 - x)^(-(p^f - 1)) plus p^f - 1 times that, over p^f.
     """
-    if f == 0:
+    if q == 1:
         return [int(t == 0) for t in range(r + 1)], [0] * (r + 1)
-    q = p ** f
     pushed = [_multiset_count(q // p, u // p) if u % p == 0 else 0 for u in range(r + 1)]
     zero, each = [], []
     for t in range(r + 1):
@@ -276,10 +277,11 @@ def _fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
     ``reps`` is a stack of C elements of GL(k, p); entry [c, t] of the
     (C, r + 1) result is Fix_g(t) for g = reps[c].  A fixed multiset has
     constant multiplicity on each g-cycle of vectors, so only cycles of
-    length <= r can carry it.  One walk of r steps over the (C, p^k) block
-    of codes (code 0 is the zero vector) gives every short cycle with its
-    length and least code; a second walk over those least codes alone
-    gives the code of each cycle's vector sum.
+    length <= r can carry it, and they span V_r = sum_{L <= r}
+    ker(g^L - 1), so the row of g is the row of g|V_r.  One walk of r steps
+    over the (C, p^k) block of codes (code 0 is the zero vector) gives
+    every short cycle with its length and least code; a second walk over
+    those least codes alone gives the code of each cycle's vector sum.
 
     If g^L v = v, the cycle sum S = sum_{i<L} g^i v has gS = S, so every
     cycle sum, and every sum of a fixed multiset, lies in the fixed space
@@ -321,10 +323,7 @@ def _fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
     for c in range(C):
         fixed = fixed_codes[fixed_bounds[c]:fixed_bounds[c + 1]]  # F, ascending from 0
         if len(fixed) not in seeds:
-            f = 0
-            while p ** f < len(fixed):
-                f += 1
-            seeds[len(fixed)] = _fixed_point_ways(p, f, r)
+            seeds[len(fixed)] = _fixed_point_ways(p, len(fixed), r)
         zero, each = seeds[len(fixed)]
         # ways[t, i]: multiplicities on the cycles so far with size t and sum fixed[i]
         ways = np.empty((r + 1, len(fixed)), dtype=dtype)
@@ -349,6 +348,36 @@ def _fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _short_cycle_cap(f: tuple[int, ...], p: int, r: int) -> int:
+    """p^a for the largest a with ord(f) p^a <= r, or 0 when ord(f) > r.
+
+    ord(f), the order of x modulo f, is the least L with f | x^L - 1.  As
+    x^(L p^a) - 1 = (x^L - 1)^(p^a) and x^L - 1 is squarefree for p-free L,
+    f^e divides some x^L - 1 with L <= r exactly when e <= the cap.
+    """
+    one = (1,) + (0,) * (len(f) - 2)
+    power = one
+    for L in range(1, r + 1):  # power: x^L modulo f
+        top = power[-1]
+        power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
+        if power == one:
+            return max(p ** a for a in range(r) if L * p ** a <= r)
+    return 0
+
+
+def _short_cycle_blocks(blocks, p: int, r: int) -> tuple:
+    """g|V_r as sorted (f, e) blocks, for g with the ``fp.gl_conjugacy_classes`` ``blocks``.
+
+    On a block F_p[x]/(f^m) the kernels of the powers of f(g) form a chain,
+    so V_r there is ker f(g)^e with e = min(m, ``_short_cycle_cap``): the
+    cyclic module F_p[x]/(f^e).  Equal results mean conjugate g|V_r, and
+    none means V_r = 0.
+    """
+    return tuple(sorted((f, min(m, cap)) for f, m in blocks
+                        if (cap := _short_cycle_cap(f, p, r))))
+
+
 #: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
 _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -357,26 +386,37 @@ def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
     """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
 
     Burnside over the conjugacy classes: the class-size-weighted sum of the
-    fixed-multiset counts, divided by |GL(k, p)|.  One pass over the classes
-    gives the whole row M(p, k, 0..r), as ``_fixed_multiset_rows`` cut at r
-    holds every t <= r; each entry is checked for divisibility.  The
-    longest row per (p, k) is kept in ``_ROWS``, and a request past it
-    builds the row again at the new r.  Counts stay int64 while every one
-    of them, at most C(p^k + r - 2, r), fits.
+    fixed-multiset counts, divided by |GL(k, p)|.  The counts of g for
+    t <= r are those of g|V_r, so the classes are grouped by
+    ``_short_cycle_blocks``: those with V_r = 0 fix the empty multiset
+    alone, and each other group is walked once, over the p^(dim V_r) codes
+    of V_r.  One pass gives the whole row M(p, k, 0..r), each entry checked
+    for divisibility; the longest row per (p, k) is kept in ``_ROWS``, and
+    a request past it builds the row again.  A walk counts in int64 while
+    every count, at most C(p^dim V_r + r - 2, r), fits.
     """
     if k == 0:
         return int(r == 0)
     row = _ROWS.get((p, k), ())
     if len(row) > r:
         return row[r]
-    dtype = np.int64 if _multiset_count(p ** k - 1, r) < 2 ** 63 else object
-    classes = fp.gl_conjugacy_classes(k, p)
-    chunk = max(1, WALK_BLOCK // p ** k)
+    weights = {}  # g|V_r -> the total size of its classes
+    for _, size, blocks in fp.gl_conjugacy_classes(k, p):
+        key = _short_cycle_blocks(blocks, p, r)
+        weights[key] = weights.get(key, 0) + size
     totals = np.zeros(r + 1, dtype=object)
-    for start in range(0, len(classes), chunk):
-        part = classes[start:start + chunk]
-        fixes = _fixed_multiset_rows(np.stack([g for g, _ in part]), p, r, dtype)
-        totals += np.array([size for _, size in part], dtype=object) @ fixes.astype(object)
+    totals[0] = weights.pop((), 0)  # V_r = 0: the row [1, 0, ..., 0]
+    by_dim = {}
+    for key, size in weights.items():
+        by_dim.setdefault(sum((len(f) - 1) * e for f, e in key), []).append((key, size))
+    for d, keyed in by_dim.items():
+        dtype = np.int64 if _multiset_count(p ** d - 1, r) < 2 ** 63 else object
+        chunk = max(1, WALK_BLOCK // p ** d)
+        for start in range(0, len(keyed), chunk):
+            part = keyed[start:start + chunk]
+            reps = np.stack([fp.block_companion(key, p) for key, _ in part])
+            fixes = _fixed_multiset_rows(reps, p, r, dtype)
+            totals += np.array([size for _, size in part], dtype=object) @ fixes.astype(object)
     order = fp.gl_order(k, p)
     bad = [t for t in range(r + 1) if totals[t] % order]
     if bad:

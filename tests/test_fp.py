@@ -85,8 +85,29 @@ def test_gl_closure_orders(n, p, order):
                          + [(4, 2), (4, 3), (4, 5)])
 def test_gl_class_sizes_sum_to_the_order(n, p):
     classes = fp.gl_conjugacy_classes(n, p)
-    assert sum(size for _, size in classes) == fp.gl_order(n, p)
-    assert all(rep.shape == (n, n) and not rep.flags.writeable for rep, _ in classes)
+    assert sum(size for _, size, _ in classes) == fp.gl_order(n, p)
+    assert all(rep.shape == (n, n) and not rep.flags.writeable for rep, _, _ in classes)
+    # each class's blocks rebuild its representative, and the block of (f, m)
+    # is annihilated by f^m but not by f^(m - 1): its minimal polynomial
+    for rep, _, blocks in classes:
+        assert np.array_equal(fp.block_companion(blocks, p), rep)
+        at = 0
+        for f, m in blocks:
+            size = (len(f) - 1) * m
+            B = rep[at:at + size, at:at + size]
+            assert not rep[at:at + size, at + size:].any()
+            assert not rep[at + size:, at:at + size].any()
+            fB = sum(c * _power_mod(B, i, p) for i, c in enumerate(f)) % p
+            assert not _power_mod(fB, m, p).any()
+            assert _power_mod(fB, m - 1, p).any()
+            at += size
+
+
+def _power_mod(A, e, p):
+    out = np.eye(len(A), dtype=np.int64)
+    for _ in range(e):
+        out = out @ A % p
+    return out
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (2, 5)])
@@ -110,9 +131,9 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
         sizes[least] = sizes.get(least, 0) + 1
     classes = fp.gl_conjugacy_classes(n, p)
     assert len(classes) == len(sizes)
-    reps = [label[int(fp._pack_keys(rep[None] % p, p)[0])] for rep, _ in classes]
+    reps = [label[int(fp._pack_keys(rep[None] % p, p)[0])] for rep, _, _ in classes]
     assert len(set(reps)) == len(classes)
-    assert all(sizes[least] == size for least, (_, size) in zip(reps, classes))
+    assert all(sizes[least] == size for least, (_, size, _) in zip(reps, classes))
 
 
 @pytest.mark.parametrize("rho,p,order", [

@@ -107,11 +107,11 @@ def test_burnside_matches_canonical_outside_the_box():
 
 
 def _class_reps(k, p):
-    return np.stack([g for g, _ in fp.gl_conjugacy_classes(k, p)])
+    return np.stack([g for g, _, _ in fp.gl_conjugacy_classes(k, p)])
 
 
 def test_fixed_multisets_python_ints_match_int64():
-    # the object-dtype knapsack runs where C(p^k + r - 2, r) leaves int64
+    # the object-dtype knapsack runs where C(p^dim V_r + r - 2, r) leaves int64
     for p, k, r in [(5, 2, 7), (3, 3, 6), (2, 4, 8)]:
         reps = _class_reps(k, p)
         wide = orbits._fixed_multiset_rows(reps, p, r, object)
@@ -143,6 +143,55 @@ def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
         assert row.tolist() == [_fixed_by_enumeration(g, p, t) for t in range(7)], g.tolist()
 
 
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
+def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
+    # Fix_g(t) for t <= r equals the count of g restricted to V_r, class by class
+    classes = fp.gl_conjugacy_classes(k, p)
+    reps = _class_reps(k, p)
+    for r in range(2, 8):
+        full = orbits._fixed_multiset_rows(reps, p, r, np.int64)
+        for (rep, _, blocks), row in zip(classes, full):
+            key = orbits._short_cycle_blocks(blocks, p, r)
+            if not key:
+                assert row.tolist() == [1] + [0] * r, (rep.tolist(), r)
+                continue
+            restricted = fp.block_companion(key, p)[None]
+            assert len(restricted[0]) < k or key == tuple(sorted(blocks))
+            assert orbits._fixed_multiset_rows(restricted, p, r, np.int64)[0].tolist() == \
+                row.tolist(), (rep.tolist(), r, key)
+
+
+def test_short_cycle_subspace_is_the_kernel_sum():
+    # dim V_r, read from the blocks, against the span of ker(g^L - 1), L <= r
+    for k, p in [(2, 3), (3, 2), (2, 5), (3, 3)]:
+        for rep, _, blocks in fp.gl_conjugacy_classes(k, p):
+            for r in range(1, 8):
+                kernel_rows = []
+                power = np.eye(k, dtype=np.int64)
+                for _ in range(r):
+                    power = power @ rep % p
+                    kernel_rows += _null_space(power - np.eye(k, dtype=np.int64), p)
+                key = orbits._short_cycle_blocks(blocks, p, r)
+                assert sum((len(f) - 1) * e for f, e in key) == \
+                    fp.vector_span_rank(kernel_rows, p), (rep.tolist(), r)
+
+
+def _null_space(A, p):
+    """A basis of {v : A v = 0} over F_p, by enumeration (small k only)."""
+    k = len(A)
+    vecs = (np.arange(p ** k)[:, None] // p ** np.arange(k)) % p
+    return [tuple(v) for v in vecs[(A @ vecs.T % p == 0).all(axis=0)].tolist()]
+
+
+def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
+    # 14,365 of the 28,548 classes of GL(4, 13) have V_6 = 0 and need no walk
+    classes = fp.gl_conjugacy_classes(4, 13)
+    empty = sum(not orbits._short_cycle_blocks(blocks, 13, 6) for _, _, blocks in classes)
+    assert (len(classes), empty) == (28_548, 14_365)
+    assert orbits.count_pure_orbits_burnside(7, 2, 5) == 39
+    assert orbits.count_pure_orbits_burnside(5, 3, 9) == 143_045
+
+
 def test_pure_box_counts_do_not_depend_on_request_order():
     # rows are kept per (p, k) and rebuilt for a longer r, in either order
     saved = dict(orbits._ROWS)
@@ -158,14 +207,17 @@ def test_pure_box_counts_do_not_depend_on_request_order():
 
 
 def test_large_object_dtype_burnside_sum():
-    # C(13^3 + 8, 10) leaves int64, so every count of the row is a Python int
+    # C(13^3 + 8, 10) leaves int64, so the walks over a 3-dimensional V_r
+    # (the identity's, among others) count in Python ints
     assert orbits.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
 
 
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
     real = fp.gl_conjugacy_classes
     classes = real(2, 3)
-    wrong = ((classes[0][0], classes[0][1] + 1),) + classes[1:]
+    rep, size, blocks = classes[0]
+    assert orbits._short_cycle_blocks(blocks, 3, 7)  # the tampered class is walked
+    wrong = ((rep, size + 1, blocks),) + classes[1:]
     monkeypatch.setattr(fp, "gl_conjugacy_classes",
                         lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
     saved = dict(orbits._ROWS)
