@@ -4,12 +4,10 @@ The purely ramified count is a Burnside sum (``count_pure_orbits_burnside``):
 the classes of (0; p^r)-generating vectors of C_p^k are the GL(k, p)-orbits
 of spanning zero-sum r-multisets of nonzero vectors, counted as a difference
 of two sums over the conjugacy classes of GL(k, p) (``fp.gl_conjugacy_classes``).
-A g-fixed multiset of size <= r lies in V_r = sum_{L <= r} ker(g^L - 1), so
-each count is one of g|V_r, read off the class's blocks: classes with
-V_r = 0 need no walk, and classes with conjugate g|V_r share one walk of
-the codes of V_r.  Each count is a knapsack over the fixed space
-ker(g - 1), into which every g-cycle sums, and one pass over the classes,
-cut at r, gives the whole row of sums for every t <= r, kept per (p, k).
+The fixed-multiset counts of a class for every t <= r are a closed form in
+Python ints, read off its blocks (``_class_profile``, ``_fixed_multiset_row``).
+Classes with equal profiles share one row, and one pass over the classes
+gives the whole row of sums for every t <= r, kept per (p, k).
 
 The unramified count h is Witt's closed form (``witt_kernel_orbit_count``).
 
@@ -39,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -246,136 +245,106 @@ def _multiset_count(m: int, t: int) -> int:
     return count
 
 
-def _fixed_point_ways(p: int, q: int, r: int) -> tuple[list[int], list[int]]:
-    """t-multisets of nonzero vectors of F_p^f, q = p^f, for t <= r, by their sum.
-
-    Returns (zero, each): ``zero[t]`` of them sum to 0 and ``each[t]`` sum to
-    any one given nonzero vector, as GL(f, p) is transitive on those.  By
-    characters: a nonzero functional takes each value p^(f-1) times on
-    F_p^f, so it weights the nonzero vectors as (1 - x)(1 - x^p)^(-p^(f-1));
-    zero[t] is [x^t] of (1 - x)^(-(p^f - 1)) plus p^f - 1 times that, over p^f.
-    """
-    if q == 1:
-        return [int(t == 0) for t in range(r + 1)], [0] * (r + 1)
-    pushed = [_multiset_count(q // p, u // p) if u % p == 0 else 0 for u in range(r + 1)]
-    zero, each = [], []
-    for t in range(r + 1):
-        total = _multiset_count(q - 1, t)
-        twisted = pushed[t] - (pushed[t - 1] if t else 0)
-        zero.append((total + (q - 1) * twisted) // q)
-        each.append((total - zero[t]) // (q - 1))
-    return zero, each
-
-
-#: most (class, code) cells that one cycle walk of ``_fixed_multiset_rows`` holds
-WALK_BLOCK = 2 ** 14
-
-
-def _fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
-    """Zero-sum t-multisets of nonzero vectors fixed by g, for each g in ``reps`` and t <= r.
-
-    ``reps`` is a stack of C elements of GL(k, p); entry [c, t] of the
-    (C, r + 1) result is Fix_g(t) for g = reps[c].  A fixed multiset has
-    constant multiplicity on each g-cycle of vectors, so only cycles of
-    length <= r can carry it, and they span V_r = sum_{L <= r}
-    ker(g^L - 1), so the row of g is the row of g|V_r.  One walk of r steps
-    over the (C, p^k) block of codes (code 0 is the zero vector) gives
-    every short cycle with its length and least code; a second walk over
-    those least codes alone gives the code of each cycle's vector sum.
-
-    If g^L v = v, the cycle sum S = sum_{i<L} g^i v has gS = S, so every
-    cycle sum, and every sum of a fixed multiset, lies in the fixed space
-    F = ker(g - 1): the codes the walk gives length 1.  A knapsack over
-    (size <= r, sum in F) then counts the choices of multiplicities: it
-    starts from the multisets of fixed vectors (``_fixed_point_ways`` on F),
-    and the longer cycles enter grouped by (length, sum), as n cycles of one
-    group can carry T copies in all in C(n + T - 1, T) ways.  A cycle longer
-    than t cannot enter size t, so the knapsack cut at r holds every t <= r.
-    """
-    C, k = reps.shape[:2]
-    n = p ** k
-    digits = p ** np.arange(k)
-    codes = np.arange(n, dtype=np.int32)
-    vecs = (codes[:, None] // digits) % p
-    perms = np.zeros((C, n), dtype=np.int32)  # perms[c, v]: the code of reps[c] v
-    for i in range(k):
-        perms += (reps[:, i] @ vecs.T % p * digits[i]).astype(np.int32)
-    pos, least = np.tile(codes, (C, 1)), np.tile(codes, (C, 1))
-    length = np.zeros((C, n), dtype=np.int32)
-    for L in range(1, r + 1):
-        np.minimum(least, pos, out=least)
-        pos = np.take_along_axis(perms, pos, axis=1)
-        length[(pos == codes) & (length == 0)] = L
-    # one code per cycle of length 2..r: its least, walked once more for the sum
-    cls, at = np.nonzero((length > 1) & (least == codes))
-    lens = length[cls, at]
-    acc = np.zeros((len(at), k), dtype=np.int64)
-    for L in range(r):
-        acc += vecs[at] * (L < lens)[:, None]
-        at = perms[cls, at]
-    # the cycles of class c, grouped by (length, sum), are groups[bounds[c]:bounds[c + 1]]
-    groups, sizes = np.unique((cls * (r + 1) + lens) * n + acc % p @ digits, return_counts=True)
-    bounds = np.searchsorted(groups, np.arange(C + 1) * (r + 1) * n)
-    fixed_cls, fixed_codes = np.nonzero(length == 1)
-    fixed_bounds = np.searchsorted(fixed_cls, np.arange(C + 1))
-    seeds = {}  # _fixed_point_ways by |F|
-    out = np.empty((C, r + 1), dtype=dtype)
-    for c in range(C):
-        fixed = fixed_codes[fixed_bounds[c]:fixed_bounds[c + 1]]  # F, ascending from 0
-        if len(fixed) not in seeds:
-            seeds[len(fixed)] = _fixed_point_ways(p, len(fixed), r)
-        zero, each = seeds[len(fixed)]
-        # ways[t, i]: multiplicities on the cycles so far with size t and sum fixed[i]
-        ways = np.empty((r + 1, len(fixed)), dtype=dtype)
-        ways[:, 1:] = np.array(each, dtype=dtype)[:, None]
-        ways[:, 0] = zero
-        for group, count in zip(groups[bounds[c]:bounds[c + 1]].tolist(),
-                                sizes[bounds[c]:bounds[c + 1]].tolist()):
-            L, s = divmod(group % ((r + 1) * n), n)
-            i = np.searchsorted(fixed, s)
-            if i == len(fixed) or fixed[i] != s:
-                raise AssertionError("cycle sum outside the fixed space")
-            # step[i]: the index of fixed[i] - s, which F holds with s
-            back = step = np.searchsorted(fixed, (vecs[fixed] - vecs[s]) % p @ digits)
-            new = ways.copy()
-            coef = 1
-            for T in range(1, r // L + 1):
-                coef = coef * (count + T - 1) // T
-                new[T * L:] += coef * ways[:r + 1 - T * L, back]
-                back = step[back]
-            ways = new
-        out[c] = ways[:, 0]
-    return out
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    return gcd(n, p ** n)
 
 
 @lru_cache(maxsize=None)
-def _short_cycle_cap(f: tuple[int, ...], p: int, r: int) -> int:
-    """p^a for the largest a with ord(f) p^a <= r, or 0 when ord(f) > r.
-
-    ord(f), the order of x modulo f, is the least L with f | x^L - 1.  As
-    x^(L p^a) - 1 = (x^L - 1)^(p^a) and x^L - 1 is squarefree for p-free L,
-    f^e divides some x^L - 1 with L <= r exactly when e <= the cap.
-    """
+def _short_order(f: tuple[int, ...], p: int, r: int) -> int:
+    """ord(f), the least L with f | x^L - 1, when it is at most r; else 0."""
     one = (1,) + (0,) * (len(f) - 2)
     power = one
     for L in range(1, r + 1):  # power: x^L modulo f
         top = power[-1]
         power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
         if power == one:
-            return max(p ** a for a in range(r) if L * p ** a <= r)
+            return L
     return 0
 
 
-def _short_cycle_blocks(blocks, p: int, r: int) -> tuple:
-    """g|V_r as sorted (f, e) blocks, for g with the ``fp.gl_conjugacy_classes`` ``blocks``.
+def _class_profile(blocks, p: int, r: int) -> tuple:
+    """((d_1, ..., d_r), unipotent sizes) of g with the ``fp.gl_conjugacy_classes`` ``blocks``.
 
-    On a block F_p[x]/(f^m) the kernels of the powers of f(g) form a chain,
-    so V_r there is ker f(g)^e with e = min(m, ``_short_cycle_cap``): the
-    cyclic module F_p[x]/(f^e).  Equal results mean conjugate g|V_r, and
-    none means V_r = 0.
+    d_L = dim ker(g^L - 1).  With L = p^a L', p not dividing L',
+    x^L - 1 = (x^L' - 1)^(p^a) and x^L' - 1 is squarefree, so a block
+    F_p[x]/(f^m) adds deg f * min(m, p^a) to d_L if ord(f) (prime to p)
+    divides L'.  A unipotent block (f = x - 1) enters by the largest power
+    of p at most min(m, r), all that ``_fixed_multiset_row`` reads of it.
     """
-    return tuple(sorted((f, min(m, cap)) for f, m in blocks
-                        if (cap := _short_cycle_cap(f, p, r))))
+    dims = [0] * r
+    unipotent = []
+    for f, m in blocks:
+        order = _short_order(f, p, r)
+        if not order:
+            continue
+        if order == 1:
+            unipotent.append(max(p ** a for a in range(r) if p ** a <= min(m, r)))
+        for L in range(order, r + 1, order):
+            dims[L - 1] += (len(f) - 1) * min(m, _p_part(L, p))
+    return tuple(dims), tuple(sorted(unipotent))
+
+
+def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
+    """series * (1 - x^s)^(-n), cut at the length of series, for any integer n."""
+    coefs = [1]  # [x^(js)] (1 - x^s)^(-n) = n (n + 1) ... (n + j - 1) / j!
+    for j in range(1, (len(series) - 1) // s + 1):
+        coefs.append(coefs[-1] * (n + j - 1) // j)
+    return [sum(c * series[t - j * s] for j, c in enumerate(coefs[:t // s + 1]))
+            for t in range(len(series))]
+
+
+def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
+    """Fix_g(t), the zero-sum t-multisets of nonzero vectors fixed by g, for t = 0 .. r.
+
+    Read off g's ``_class_profile``.  A fixed multiset has constant
+    multiplicity on each g-cycle of vectors, and a cycle of length L through
+    v sums to N_L v, N_L = 1 + g + ... + g^(L-1), in F = ker(g - 1), of
+    dimension u = d_1.  Averaging over the characters phi of F,
+    Fix_g(t) = p^(-u) sum_phi [x^t] prod_C (1 - zeta^phi(sum C) x^|C|)^(-1).
+
+    Lucas (L = p^a L', p not dividing L'): on a unipotent block of size m,
+    N_L is (g - 1)^(p^a - 1) times a unit on ker(g^L - 1), so it is nonzero
+    there exactly when m >= p^a, onto the block's line of F; F meets no
+    other block.  So phi(N_L v) is nonzero on ker(g^L - 1) exactly when
+    p^a <= E(phi), the largest size of a block on whose line phi is nonzero
+    (E(0) = 0), and then takes each value p^(d_L - 1) times.  As
+    N_L v = (L / D) N_D v for v of exact period D, Moebius over D | L gives
+    the c_L cycles of length L with each nonzero phi-sum and the c0_L with
+    sum 0 (the zero vector left out), and prod_{j != 0} (1 - zeta^j y) =
+    (1 - y^p) / (1 - y) turns the product into the integer series
+    prod_L (1 - x^L)^(c_L - c0_L) (1 - x^(pL))^(-c_L).  Of the phi,
+    p^#{m <= E} - p^#{m < E} have E(phi) = E > 0.
+    """
+    dims, unipotent = profile
+    exact = [0] * (r + 1)  # vectors of exact period L
+    for L in range(1, r + 1):
+        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in range(1, L) if L % D == 0)
+    row = [0] * (r + 1)
+    for E in (0,) + tuple(sorted(set(unipotent))):
+        weight = 1 if E == 0 else \
+            p ** sum(m <= E for m in unipotent) - p ** sum(m < E for m in unipotent)
+        each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum
+        power = [0] * (r + 1)  # G_phi = prod_s (1 - x^s)^(-power[s])
+        for L in range(1, r + 1):
+            spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
+            each[L] = spread - sum(each[D] for D in range(1, L)
+                                   if L % D == 0 and (L // D) % p)
+            zero = exact[L] - (p - 1) * each[L] - (L == 1)
+            if zero % L or each[L] % L:
+                raise AssertionError(f"vectors of period {L} do not form whole cycles")
+            power[L] += (zero - each[L]) // L
+            if p * L <= r:
+                power[p * L] += each[L] // L
+        series = [1] + [0] * r
+        for s in range(1, r + 1):
+            if power[s]:
+                series = _times_inverse_power(series, s, power[s])
+        row = [total + weight * term for total, term in zip(row, series)]
+    characters = p ** len(unipotent)
+    if any(total % characters for total in row):
+        raise AssertionError(f"character sums {row} are not multiples of |F| = {characters}")
+    return [total // characters for total in row]
 
 
 #: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
@@ -387,42 +356,31 @@ def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
 
     Burnside over the conjugacy classes: the class-size-weighted sum of the
     fixed-multiset counts, divided by |GL(k, p)|.  The counts of g for
-    t <= r are those of g|V_r, so the classes are grouped by
-    ``_short_cycle_blocks``: those with V_r = 0 fix the empty multiset
-    alone, and each other group is walked once, over the p^(dim V_r) codes
-    of V_r.  One pass gives the whole row M(p, k, 0..r), each entry checked
-    for divisibility; the longest row per (p, k) is kept in ``_ROWS``, and
-    a request past it builds the row again.  A walk counts in int64 while
-    every count, at most C(p^dim V_r + r - 2, r), fits.
+    t <= r are read off its ``_class_profile`` in closed form
+    (``_fixed_multiset_row``), once per distinct profile.  One pass gives
+    the whole row M(p, k, 0..r), each entry checked for divisibility; the
+    longest row per (p, k) is kept in ``_ROWS``, and a request past it
+    builds the row again.
     """
     if k == 0:
         return int(r == 0)
     row = _ROWS.get((p, k), ())
     if len(row) > r:
         return row[r]
-    weights = {}  # g|V_r -> the total size of its classes
+    weights = {}  # profile -> the total size of its classes
     for _, size, blocks in fp.gl_conjugacy_classes(k, p):
-        key = _short_cycle_blocks(blocks, p, r)
+        key = _class_profile(blocks, p, r)
         weights[key] = weights.get(key, 0) + size
-    totals = np.zeros(r + 1, dtype=object)
-    totals[0] = weights.pop((), 0)  # V_r = 0: the row [1, 0, ..., 0]
-    by_dim = {}
+    totals = [0] * (r + 1)
     for key, size in weights.items():
-        by_dim.setdefault(sum((len(f) - 1) * e for f, e in key), []).append((key, size))
-    for d, keyed in by_dim.items():
-        dtype = np.int64 if _multiset_count(p ** d - 1, r) < 2 ** 63 else object
-        chunk = max(1, WALK_BLOCK // p ** d)
-        for start in range(0, len(keyed), chunk):
-            part = keyed[start:start + chunk]
-            reps = np.stack([fp.block_companion(key, p) for key, _ in part])
-            fixes = _fixed_multiset_rows(reps, p, r, dtype)
-            totals += np.array([size for _, size in part], dtype=object) @ fixes.astype(object)
+        totals = [total + size * fixed
+                  for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
     order = fp.gl_order(k, p)
     bad = [t for t in range(r + 1) if totals[t] % order]
     if bad:
         raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
                              f"multiples of |GL({k}, {p})|")
-    row = _ROWS[(p, k)] = tuple(int(total) // order for total in totals)
+    row = _ROWS[(p, k)] = tuple(total // order for total in totals)
     return row[r]
 
 

@@ -1,0 +1,108 @@
+"""The cycle walk and knapsack: Fix_g(t) for a stack of matrices, an oracle for the closed form.
+
+``orbits._fixed_multiset_row`` reads each class's fixed-multiset counts off
+its blocks in closed form.  This walk counts them from the matrices
+instead, over the p^k codes of F_p^k, and shares no step with it.
+"""
+
+import numpy as np
+
+from eag.orbits import _multiset_count
+
+
+def _fixed_point_ways(p: int, q: int, r: int) -> tuple[list[int], list[int]]:
+    """t-multisets of nonzero vectors of F_p^f, q = p^f, for t <= r, by their sum.
+
+    Returns (zero, each): ``zero[t]`` of them sum to 0 and ``each[t]`` sum to
+    any one given nonzero vector, as GL(f, p) is transitive on those.  By
+    characters: a nonzero functional takes each value p^(f-1) times on
+    F_p^f, so it weights the nonzero vectors as (1 - x)(1 - x^p)^(-p^(f-1));
+    zero[t] is [x^t] of (1 - x)^(-(p^f - 1)) plus p^f - 1 times that, over p^f.
+    """
+    if q == 1:
+        return [int(t == 0) for t in range(r + 1)], [0] * (r + 1)
+    pushed = [_multiset_count(q // p, u // p) if u % p == 0 else 0 for u in range(r + 1)]
+    zero, each = [], []
+    for t in range(r + 1):
+        total = _multiset_count(q - 1, t)
+        twisted = pushed[t] - (pushed[t - 1] if t else 0)
+        zero.append((total + (q - 1) * twisted) // q)
+        each.append((total - zero[t]) // (q - 1))
+    return zero, each
+
+
+def fixed_multiset_rows(reps: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
+    """Zero-sum t-multisets of nonzero vectors fixed by g, for each g in ``reps`` and t <= r.
+
+    ``reps`` is a stack of C elements of GL(k, p); entry [c, t] of the
+    (C, r + 1) result is Fix_g(t) for g = reps[c], counted in ``dtype``
+    (np.int64, or object for Python ints).  A fixed multiset has constant
+    multiplicity on each g-cycle of vectors, so only cycles of length <= r
+    can carry it.  One walk of r steps over the (C, p^k) block of codes
+    (code 0 is the zero vector) gives every short cycle with its length and
+    least code; a second walk over those least codes alone gives the code
+    of each cycle's vector sum.
+
+    If g^L v = v, the cycle sum S = sum_{i<L} g^i v has gS = S, so every
+    cycle sum, and every sum of a fixed multiset, lies in the fixed space
+    F = ker(g - 1): the codes the walk gives length 1.  A knapsack over
+    (size <= r, sum in F) then counts the choices of multiplicities: it
+    starts from the multisets of fixed vectors (``_fixed_point_ways`` on F),
+    and the longer cycles enter grouped by (length, sum), as n cycles of one
+    group can carry T copies in all in C(n + T - 1, T) ways.  A cycle longer
+    than t cannot enter size t, so the knapsack cut at r holds every t <= r.
+    """
+    C, k = reps.shape[:2]
+    n = p ** k
+    digits = p ** np.arange(k)
+    codes = np.arange(n, dtype=np.int32)
+    vecs = (codes[:, None] // digits) % p
+    perms = np.zeros((C, n), dtype=np.int32)  # perms[c, v]: the code of reps[c] v
+    for i in range(k):
+        perms += (reps[:, i] @ vecs.T % p * digits[i]).astype(np.int32)
+    pos, least = np.tile(codes, (C, 1)), np.tile(codes, (C, 1))
+    length = np.zeros((C, n), dtype=np.int32)
+    for L in range(1, r + 1):
+        np.minimum(least, pos, out=least)
+        pos = np.take_along_axis(perms, pos, axis=1)
+        length[(pos == codes) & (length == 0)] = L
+    # one code per cycle of length 2..r: its least, walked once more for the sum
+    cls, at = np.nonzero((length > 1) & (least == codes))
+    lens = length[cls, at]
+    acc = np.zeros((len(at), k), dtype=np.int64)
+    for L in range(r):
+        acc += vecs[at] * (L < lens)[:, None]
+        at = perms[cls, at]
+    # the cycles of class c, grouped by (length, sum), are groups[bounds[c]:bounds[c + 1]]
+    groups, sizes = np.unique((cls * (r + 1) + lens) * n + acc % p @ digits, return_counts=True)
+    bounds = np.searchsorted(groups, np.arange(C + 1) * (r + 1) * n)
+    fixed_cls, fixed_codes = np.nonzero(length == 1)
+    fixed_bounds = np.searchsorted(fixed_cls, np.arange(C + 1))
+    seeds = {}  # _fixed_point_ways by |F|
+    out = np.empty((C, r + 1), dtype=dtype)
+    for c in range(C):
+        fixed = fixed_codes[fixed_bounds[c]:fixed_bounds[c + 1]]  # F, ascending from 0
+        if len(fixed) not in seeds:
+            seeds[len(fixed)] = _fixed_point_ways(p, len(fixed), r)
+        zero, each = seeds[len(fixed)]
+        # ways[t, i]: multiplicities on the cycles so far with size t and sum fixed[i]
+        ways = np.empty((r + 1, len(fixed)), dtype=dtype)
+        ways[:, 1:] = np.array(each, dtype=dtype)[:, None]
+        ways[:, 0] = zero
+        for group, count in zip(groups[bounds[c]:bounds[c + 1]].tolist(),
+                                sizes[bounds[c]:bounds[c + 1]].tolist()):
+            L, s = divmod(group % ((r + 1) * n), n)
+            i = np.searchsorted(fixed, s)
+            if i == len(fixed) or fixed[i] != s:
+                raise AssertionError("cycle sum outside the fixed space")
+            # step[i]: the index of fixed[i] - s, which F holds with s
+            back = step = np.searchsorted(fixed, (vecs[fixed] - vecs[s]) % p @ digits)
+            new = ways.copy()
+            coef = 1
+            for T in range(1, r // L + 1):
+                coef = coef * (count + T - 1) // T
+                new[T * L:] += coef * ways[:r + 1 - T * L, back]
+                back = step[back]
+            ways = new
+        out[c] = ways[:, 0]
+    return out

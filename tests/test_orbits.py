@@ -7,6 +7,7 @@ from eag import fp, orbits
 from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
+from burnside_walk import fixed_multiset_rows
 
 
 def test_gaussian_binomial():
@@ -110,13 +111,17 @@ def _class_reps(k, p):
     return np.stack([g for g, _, _ in fp.gl_conjugacy_classes(k, p)])
 
 
+def _class_row(blocks, p, r):
+    return orbits._fixed_multiset_row(orbits._class_profile(blocks, p, r), p, r)
+
+
 def test_fixed_multisets_python_ints_match_int64():
-    # the object-dtype knapsack runs where C(p^dim V_r + r - 2, r) leaves int64
+    # the walk counts in Python ints (object dtype) or in int64
     for p, k, r in [(5, 2, 7), (3, 3, 6), (2, 4, 8)]:
         reps = _class_reps(k, p)
-        wide = orbits._fixed_multiset_rows(reps, p, r, object)
+        wide = fixed_multiset_rows(reps, p, r, object)
         assert wide.shape == (len(reps), r + 1)
-        assert (wide == orbits._fixed_multiset_rows(reps, p, r, np.int64)).all()
+        assert (wide == fixed_multiset_rows(reps, p, r, np.int64)).all()
 
 
 def _fixed_by_enumeration(g, p, t):
@@ -135,61 +140,101 @@ def _fixed_by_enumeration(g, p, t):
 
 @pytest.mark.parametrize("k,p", [(1, 5), (2, 2), (2, 3), (3, 2)])
 def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
-    # pins the knapsack over the fixed space for each class, not just the
+    # pins the closed form for each class and each cut r, not just the
     # class-size-weighted totals
-    reps = _class_reps(k, p)
-    rows = orbits._fixed_multiset_rows(reps, p, 6, np.int64)
-    for g, row in zip(reps, rows):
-        assert row.tolist() == [_fixed_by_enumeration(g, p, t) for t in range(7)], g.tolist()
+    for rep, _, blocks in fp.gl_conjugacy_classes(k, p):
+        want = [_fixed_by_enumeration(rep, p, t) for t in range(7)]
+        for r in range(1, 7):
+            assert _class_row(blocks, p, r) == want[:r + 1], (rep.tolist(), r)
+
+
+@pytest.mark.parametrize("k,p", [(4, 5), (3, 7), (2, 13), (5, 3), (6, 2)])
+def test_class_rows_match_the_walk(k, p):
+    walked = fixed_multiset_rows(_class_reps(k, p), p, 8, object)
+    for (rep, _, blocks), row in zip(fp.gl_conjugacy_classes(k, p), walked):
+        for r in range(2, 9):
+            assert _class_row(blocks, p, r) == row[:r + 1].tolist(), (rep.tolist(), r)
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 2), (2, 5), (3, 3), (4, 2)])
 def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
-    # Fix_g(t) for t <= r equals the count of g restricted to V_r, class by class
+    # classes with equal profiles have equal walked rows, and a class
+    # whose d_1 .. d_r are all 0 fixes the empty multiset alone
     classes = fp.gl_conjugacy_classes(k, p)
-    reps = _class_reps(k, p)
+    walked = fixed_multiset_rows(_class_reps(k, p), p, 7, np.int64)
     for r in range(2, 8):
-        full = orbits._fixed_multiset_rows(reps, p, r, np.int64)
-        for (rep, _, blocks), row in zip(classes, full):
-            key = orbits._short_cycle_blocks(blocks, p, r)
-            if not key:
-                assert row.tolist() == [1] + [0] * r, (rep.tolist(), r)
-                continue
-            restricted = fp.block_companion(key, p)[None]
-            assert len(restricted[0]) < k or key == tuple(sorted(blocks))
-            assert orbits._fixed_multiset_rows(restricted, p, r, np.int64)[0].tolist() == \
-                row.tolist(), (rep.tolist(), r, key)
+        rows = {}
+        for (rep, _, blocks), row in zip(classes, walked[:, :r + 1].tolist()):
+            profile = orbits._class_profile(blocks, p, r)
+            assert rows.setdefault(profile, row) == row, (rep.tolist(), r, profile)
+            if not any(profile[0]):
+                assert row == [1] + [0] * r, (rep.tolist(), r)
+        assert len(rows) < len(classes)
 
 
 def test_short_cycle_subspace_is_the_kernel_sum():
-    # dim V_r, read from the blocks, against the span of ker(g^L - 1), L <= r
+    # d_L, read from the blocks, against ker(g^L - 1) found by enumeration
     for k, p in [(2, 3), (3, 2), (2, 5), (3, 3)]:
         for rep, _, blocks in fp.gl_conjugacy_classes(k, p):
             for r in range(1, 8):
-                kernel_rows = []
+                dims, unipotent = orbits._class_profile(blocks, p, r)
+                assert len(unipotent) == dims[0]
                 power = np.eye(k, dtype=np.int64)
-                for _ in range(r):
+                for L in range(1, r + 1):
                     power = power @ rep % p
-                    kernel_rows += _null_space(power - np.eye(k, dtype=np.int64), p)
-                key = orbits._short_cycle_blocks(blocks, p, r)
-                assert sum((len(f) - 1) * e for f, e in key) == \
-                    fp.vector_span_rank(kernel_rows, p), (rep.tolist(), r)
+                    kernel = _null_space(power - np.eye(k, dtype=np.int64), p)
+                    assert len(kernel) == p ** dims[L - 1], (rep.tolist(), r, L)
 
 
 def _null_space(A, p):
-    """A basis of {v : A v = 0} over F_p, by enumeration (small k only)."""
+    """{v : A v = 0} over F_p, by enumeration (small k only)."""
     k = len(A)
     vecs = (np.arange(p ** k)[:, None] // p ** np.arange(k)) % p
     return [tuple(v) for v in vecs[(A @ vecs.T % p == 0).all(axis=0)].tolist()]
 
 
+def _kernel_basis(A, p):
+    """A basis of {v : A v = 0} over F_p, from the reduced row echelon form of A."""
+    reduced = fp.rref(A.tolist(), p)
+    pivots = [row.index(next(a for a in row if a)) for row in reduced]
+    basis = []
+    for free in (c for c in range(A.shape[1]) if c not in pivots):
+        v = [0] * A.shape[1]
+        v[free] = 1
+        for row, pivot in zip(reduced, pivots):
+            v[pivot] = -row[free] % p
+        basis.append(v)
+    return np.array(basis, dtype=np.int64).reshape(-1, A.shape[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lucas_lemma_on_jordan_blocks(p):
+    # N_L = 1 + J + ... + J^(L-1) is nonzero on ker(J^L - 1), J the unipotent
+    # Jordan block of size m, exactly when m >= the p-part of L
+    for m in range(1, 10):
+        J = np.eye(m, dtype=np.int64) + np.eye(m, k=1, dtype=np.int64)
+        power, N = np.eye(m, dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+        for L in range(1, 13):
+            N = (N + power) % p
+            power = power @ J % p
+            kernel = _kernel_basis(power - np.eye(m, dtype=np.int64), p)
+            assert ((power @ kernel.T - kernel.T) % p == 0).all()
+            assert (N @ kernel.T % p).any() == (m >= orbits._p_part(L, p)), (m, L)
+
+
 def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
-    # 14,365 of the 28,548 classes of GL(4, 13) have V_6 = 0 and need no walk
+    # 14,365 of the 28,548 classes of GL(4, 13) have d_1 = ... = d_6 = 0
     classes = fp.gl_conjugacy_classes(4, 13)
-    empty = sum(not orbits._short_cycle_blocks(blocks, 13, 6) for _, _, blocks in classes)
+    empty = sum(not any(orbits._class_profile(blocks, 13, 6)[0]) for _, _, blocks in classes)
     assert (len(classes), empty) == (28_548, 14_365)
     assert orbits.count_pure_orbits_burnside(7, 2, 5) == 39
     assert orbits.count_pure_orbits_burnside(5, 3, 9) == 143_045
+
+
+def test_large_rows_outside_the_box():
+    # each took over 10 s as a cycle walk over the short-cycle subspaces
+    assert orbits.count_pure_orbits_burnside(13, 4, 6) == 128
+    assert orbits._zero_sum_multiset_orbits(7, 5, 6) == 638
 
 
 def test_pure_box_counts_do_not_depend_on_request_order():
@@ -207,8 +252,8 @@ def test_pure_box_counts_do_not_depend_on_request_order():
 
 
 def test_large_object_dtype_burnside_sum():
-    # C(13^3 + 8, 10) leaves int64, so the walks over a 3-dimensional V_r
-    # (the identity's, among others) count in Python ints
+    # the sums pass 2^63 (the identity alone fixes C(13^3 + 8, 10)
+    # multisets of size 10), which Python ints hold exactly
     assert orbits.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
 
 
@@ -216,7 +261,7 @@ def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
     real = fp.gl_conjugacy_classes
     classes = real(2, 3)
     rep, size, blocks = classes[0]
-    assert orbits._short_cycle_blocks(blocks, 3, 7)  # the tampered class is walked
+    assert any(orbits._class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
     wrong = ((rep, size + 1, blocks),) + classes[1:]
     monkeypatch.setattr(fp, "gl_conjugacy_classes",
                         lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
