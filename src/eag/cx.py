@@ -252,9 +252,3 @@ class Mobius:
         fwd = Mobius.to_standard(*src)
         back = Mobius.to_standard(*dst).inverse()
         return back.compose(fwd)
-
-
-def cross_ratio(p: ProjPoint, q: ProjPoint, r: ProjPoint, s: ProjPoint) -> ProjPoint:
-    """(p, q; r, s) as a projective value, infinity included."""
-    return ProjPoint(cross_det(p, r) * cross_det(q, s),
-                     cross_det(p, s) * cross_det(q, r))

@@ -5,8 +5,9 @@ Scalars are plain int residues in [0, p).  Only small primes are accepted
 multiplicative closures enumerable.  A vector is a tuple of ints, a matrix
 or a list of generators is an int64 numpy array.  ``group_closure`` runs on
 permutations of vector codes and deduplicates by packed integer keys
-(``_pack_keys``, shared with the orbit engines); ``gl_group`` and
-``sp_group`` build GL(n, p) and Sp(2 rho, p) once each, read-only.
+(``_pack_keys``, shared with the orbit engines); ``sp_group`` builds
+Sp(2 rho, p) once per argument pair, read-only.  The conjugacy classes of
+GL(n, p) are listed by their blocks, with no matrices.
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ def check_prime(p: int) -> int:
     if p > PRIME_CAP:
         raise PreconditionError(f"modulus {p} exceeds the supported bound {PRIME_CAP}")
     return p
-
-
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of F_p."""
-    check_prime(p)
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise AssertionError("unreachable for prime p")
 
 
 def rref(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -92,28 +78,6 @@ def rref(rows, p: int) -> tuple[tuple[int, ...], ...]:
 def vector_span_rank(rows, p: int) -> int:
     """Dimension of the span of ``rows`` (vectors or matrix rows) over F_p."""
     return len(rref(rows, p))
-
-
-def gl_generators(n: int, p: int) -> list[np.ndarray]:
-    """A small generating set for GL(n, p).
-
-    For n >= 2 this is the classical trio: a transvection, the cyclic
-    coordinate permutation and the diagonal matrix diag(g, 1, ..., 1) with g
-    a primitive root (omitted when it is the identity, i.e. p = 2).  For
-    n = 1 it is the single 1x1 matrix [g].
-    """
-    check_prime(p)
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    g = primitive_root(p)
-    if n == 1:
-        return [np.array([[g]], dtype=np.int64)]
-    trans = np.eye(n, dtype=np.int64)
-    trans[0, 1] = 1
-    cyc = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
-    diag = np.eye(n, dtype=np.int64)
-    diag[0, 0] = g
-    return [trans, cyc] + ([diag] if g != 1 else [])
 
 
 def gl_order(n: int, p: int) -> int:
@@ -171,42 +135,16 @@ def _centraliser_order(part: tuple[int, ...], q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _companion(f: tuple[int, ...], m: int, p: int) -> np.ndarray:
-    """Companion matrix over F_p of f^m, f monic (constant term first)."""
-    g = f
-    for _ in range(m - 1):
-        g = _poly_mul(g, f, p)
-    d = len(g) - 1
-    C = np.zeros((d, d), dtype=np.int64)
-    C[np.arange(1, d), np.arange(d - 1)] = 1
-    C[:, d - 1] = [-c % p for c in g[:d]]
-    C.flags.writeable = False
-    return C
-
-
-def block_companion(blocks, p: int) -> np.ndarray:
-    """The block-diagonal matrix of the companion matrices of f^m, for (f, m) in ``blocks``."""
-    mats = [_companion(f, m, p) for f, m in blocks]
-    rep = np.zeros((sum(map(len, mats)),) * 2, dtype=np.int64)
-    at = 0
-    for B in mats:
-        rep[at:at + len(B), at:at + len(B)] = B
-        at += len(B)
-    return rep
-
-
-@lru_cache(maxsize=None)
-def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int, tuple], ...]:
-    """Every conjugacy class of GL(n, p) as a (representative, size, blocks) triple.
+def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[int, tuple], ...]:
+    """Every conjugacy class of GL(n, p) as a (size, blocks) pair.
 
     A class is a map f -> lambda_f from the monic irreducible polynomials
     f != x to partitions with sum deg f * |lambda_f| = n (Macdonald,
     *Symmetric Functions and Hall Polynomials*, ch. IV; Green 1955).  Its
-    blocks are the pairs (f, m), one for every part m of every lambda_f,
-    its representative is their ``block_companion``, and its size is
-    |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see ``_centraliser_order``).
-    The representatives are read-only; the sizes are checked to sum to
-    |GL(n, p)|.
+    blocks are the pairs (f, m), one for every part m of every lambda_f:
+    the class holds the block-diagonal matrix of the companion matrices of
+    the f^m.  Its size is |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see
+    ``_centraliser_order``), and the sizes are checked to sum to |GL(n, p)|.
     """
     check_prime(p)
     if n < 1:
@@ -217,9 +155,7 @@ def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int, tuple],
 
     def extend(start, budget, blocks, centraliser):
         if budget == 0:
-            rep = block_companion(blocks, p)
-            rep.flags.writeable = False
-            classes.append((rep, order // centraliser, blocks))
+            classes.append((order // centraliser, blocks))
             return
         for i in range(start, len(irreducibles)):
             f = irreducibles[i]
@@ -232,7 +168,7 @@ def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[np.ndarray, int, tuple],
                            centraliser * _centraliser_order(part, p ** d))
 
     extend(0, n, (), 1)
-    if sum(size for _, size, _ in classes) != order:
+    if sum(size for size, _ in classes) != order:
         raise AssertionError(f"class sizes of GL({n}, {p}) do not sum to its order")
     return tuple(classes)
 
@@ -329,14 +265,6 @@ def group_closure(gens, p: int) -> np.ndarray:
                 f"matrix closure exceeded the cap of {DEFAULT_ELEMENT_CAP} elements")
     entry_weights = np.uint64(p) ** np.arange(n * n - 1, -1, -1, dtype=np.uint64)
     return (seen[:, None] // entry_weights % np.uint64(p)).astype(np.int64).reshape(-1, n, n)
-
-
-@lru_cache(maxsize=None)
-def gl_group(n: int, p: int) -> np.ndarray:
-    """GL(n, p), the ``group_closure`` of ``gl_generators``: built once, read-only."""
-    group = group_closure(gl_generators(n, p), p)
-    group.flags.writeable = False
-    return group
 
 
 @lru_cache(maxsize=None)

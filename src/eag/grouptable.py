@@ -2,8 +2,7 @@
 
 Used for desk-scale verification of results about normal extensions: braid
 moves on genus-0 generating tuples, automorphism groups by exhaustive
-search, orbit counts of generating vectors, and the quotient-pattern and
-order-profile criteria for sphere quotients.
+search, and orbit counts of generating vectors.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .fp import _pack_keys
 from .orbits import orbit_components
-from .surfaces import Signature, riemann_hurwitz_genus
+from .surfaces import Signature
 
 AUTOMORPHISM_ORDER_CAP = 60
 #: most candidate image tuples the automorphism search builds
@@ -134,19 +132,6 @@ class GroupTable:
             live, mask = live[grew], mask[grew]
         return full
 
-    def center(self) -> tuple[int, ...]:
-        return tuple(a for a in range(self.order)
-                     if all(self.mul(a, b) == self.mul(b, a) for b in range(self.order)))
-
-    def is_subgroup(self, elements) -> bool:
-        s = set(elements)
-        return 0 in s and all(self.mul(a, self.inv(b)) in s for a in s for b in s)
-
-    def is_normal(self, elements) -> bool:
-        s = set(elements)
-        return self.is_subgroup(s) and all(
-            self.conj(a, g) in s for a in s for g in range(self.order))
-
     def __str__(self) -> str:
         return f"GroupTable(order={self.order})"
 
@@ -240,13 +225,6 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     table = g.array.astype(np.int64)[:, None, :, None] * m + h.array[None, :, None, :]
     names = [f"({a},{b})" for a in g.names for b in h.names]
     return GroupTable(table.reshape(g.order * m, g.order * m).tolist(), names)
-
-
-def elementary_abelian(p: int, n: int) -> GroupTable:
-    g = cyclic(p)
-    for _ in range(n - 1):
-        g = direct_product(g, cyclic(p))
-    return g
 
 
 #: largest group order whose Cayley table ``by_name`` builds or ``GroupTable.loads`` reads
@@ -499,100 +477,3 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, 
 def count_orbits(g: GroupTable, sig: Signature) -> int:
     """Number of orbits of valid generating vectors under Aut(G) + braid moves."""
     return len(generating_vector_orbits(g, sig))
-
-
-# ---------------------------------------------------------------------------
-# sphere-quotient patterns and the order-profile criterion
-
-
-@dataclass(frozen=True)
-class KPattern:
-    """Recognised sphere quotient: cyclic, dihedral, or a Platonic group."""
-
-    kind: str          # "C", "D", "A4", "S4", "A5"
-    n: int | None      # the subscript for C_n / D_n; None otherwise
-    profile: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.n}" if self.n is not None else self.kind
-
-
-def classify_k_pattern(orders) -> KPattern | None:
-    """Match a multiset of nontrivial image orders to a sphere quotient.
-
-    Exactly two nontrivial images of equal order n give C_n; exactly three
-    give D_n (2,2,n), A4 (2,3,3), S4 (2,3,4) or A5 (2,3,5).
-    """
-    prof = tuple(sorted(orders))
-    if any(o < 2 for o in prof):
-        return None
-    if len(prof) == 2 and prof[0] == prof[1]:
-        return KPattern("C", prof[0], prof)
-    if len(prof) == 3:
-        if prof[0] == 2 and prof[1] == 2:
-            return KPattern("D", prof[2], prof)
-        if prof == (2, 3, 3):
-            return KPattern("A4", None, prof)
-        if prof == (2, 3, 4):
-            return KPattern("S4", None, prof)
-        if prof == (2, 3, 5):
-            return KPattern("A5", None, prof)
-    return None
-
-
-def compatible_generator_orders(p: int, image_order: int) -> set[int]:
-    """Possible orders of a canonical generator with the given image order.
-
-    Torsion below the quotient all has order p, so a trivial image forces
-    order p and a nontrivial image of order a forces order a or a*p.
-    """
-    if image_order < 1:
-        raise PreconditionError("image order must be >= 1")
-    if image_order == 1:
-        return {p}
-    return {image_order, image_order * p}
-
-
-def order_profiles_equal_kernels(profile1, profile2) -> bool:
-    """Kernel-equality criterion: equal image-order profiles, componentwise.
-
-    Two epimorphisms onto the same sphere quotient have equal kernels
-    exactly when every canonical generator has the same image order under
-    both; tests confirm this on concrete tables by comparing actual kernels.
-    """
-    p1, p2 = tuple(profile1), tuple(profile2)
-    if len(p1) != len(p2):
-        raise PreconditionError("order profiles have different lengths")
-    return p1 == p2
-
-
-def normal_subgroup_signature(g: GroupTable, sig: Signature, elliptic,
-                              subgroup) -> Signature:
-    """Signature of a normal subgroup's action, from the overgroup's data.
-
-    Each elliptic entry c of order m whose image in G/A has order b
-    contributes [G:A]/b branch points of period m/b (none when m = b).  The
-    subgroup orbit genus is recovered from the shared surface genus.
-    """
-    sub = frozenset(subgroup)
-    if not g.is_normal(sub):
-        raise PreconditionError("subgroup is not normal")
-    if len(elliptic) != sig.r:
-        raise PreconditionError("elliptic entries do not match the signature")
-    index = g.order // len(sub)
-    periods = []
-    for c in elliptic:
-        m = g.element_orders[c]
-        b, x = 1, c
-        while x not in sub:
-            x = g.mul(x, c)
-            b += 1
-        if m != b:
-            periods.extend([m // b] * (index // b))
-    sigma = riemann_hurwitz_genus(g.order, sig)
-    sub_order = len(sub)
-    branch_term = sum(1 - Fraction(1, m) for m in periods)
-    rho = (sigma - 1 - Fraction(sub_order, 2) * branch_term) / sub_order + 1
-    if rho.denominator != 1 or rho < 0:
-        raise PreconditionError(f"inconsistent subgroup data: orbit genus {rho}")
-    return Signature(int(rho), tuple(sorted(periods)))

@@ -367,13 +367,6 @@ class HyperFermatSpec:
         return hyper_fermat_genus(self.p, self.n)
 
 
-def power_map_jacobian(line: LineMatrix, p: int, point) -> list[list[complex]]:
-    """Gradient matrix of the defining equations sum_j c_ij x_j^p at a point."""
-    x = [complex(v) for v in point]
-    return [[p * complex(c) * x[j] ** (p - 1) for j, c in enumerate(row)]
-            for row in line.rows]
-
-
 @dataclass(frozen=True)
 class SmoothnessReport:
     p: int

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import orbits
-from .errors import PreconditionError
+from . import fp, orbits
+from .errors import CapExceededError, PreconditionError
 from .fp import vector_span_rank
 from .genvec import GeneratingVector, is_unique_action, require_admissible_genus, validate
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
@@ -266,10 +266,12 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
     For each candidate overgroup signature, tries every codeword v up to
     symmetry and every admissible row space R through it; the first one is
     built into a witness with v as the last row, so that the subgroup is the
-    hyperplane "last coordinate 0".
+    hyperplane "last coordinate 0".  Raises CapExceededError once the row
+    spaces enumerated, over all codewords, pass ``fp.DEFAULT_ELEMENT_CAP``.
     """
     sigma = require_admissible_genus(spec)
     p, n = spec.p, spec.n
+    enumerated = 0
     for ep in solve_extension_params(p, spec.rho, spec.r):
         tau, s = ep.tau, ep.s
         if s == 1 or n + 1 > 2 * tau + max(s - 1, 0):
@@ -278,9 +280,14 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
         if ea_genus(n_spec) != sigma:
             continue
         for v in _codewords(p, tau, ep.l, ep.m):
-            rows = _admissible_rows(p, tau, s, n, v)
-            if rows is not None:
-                return SearchOutcome("found", _row_space_witness(spec, n_spec, rows))
+            for block, admissible in _row_space_blocks(p, tau, s, n, v):
+                if admissible.any():
+                    rows = np.vstack([block[admissible.argmax()], v])
+                    return SearchOutcome("found", _row_space_witness(spec, n_spec, rows))
+                enumerated += len(block)
+                if enumerated > fp.DEFAULT_ELEMENT_CAP:
+                    raise CapExceededError(f"witness search passed the cap of "
+                                           f"{fp.DEFAULT_ELEMENT_CAP} row spaces")
     return SearchOutcome("none", None)
 
 
@@ -300,8 +307,8 @@ def _codewords(p: int, tau: int, l: int, m: int):
                 yield np.array(head + [0] * m + list(tail), dtype=np.int64)
 
 
-def _admissible_rows(p: int, tau: int, s: int, n: int, v: np.ndarray):
-    """Basis rows (U, v) of the first admissible row space through v, or None."""
+def _row_space_blocks(p: int, tau: int, s: int, n: int, v: np.ndarray):
+    """Blocks of the n-subspaces U of a complement of <v>, and which U + <v> are admissible."""
     d = 2 * tau + s
     # an echelon basis of V whose row i leads at coordinate i: units on the
     # hyperbolic part, e_i - e_(i+1) on Z_s.  v has a nonzero coefficient on
@@ -313,10 +320,7 @@ def _admissible_rows(p: int, tau: int, s: int, n: int, v: np.ndarray):
     complement = np.delete(basis, np.flatnonzero(v)[0], axis=0)
     zero = 2 * tau + np.flatnonzero(v[2 * tau:] == 0)
     for block in orbits._subspace_blocks(p, complement, n):
-        ok = (block[:, :, zero] != 0).any(axis=1).all(axis=1)
-        if ok.any():
-            return np.vstack([block[ok.argmax()], v])
-    return None
+        yield block, (block[:, :, zero] != 0).any(axis=1).all(axis=1)
 
 
 def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows: np.ndarray):

@@ -29,8 +29,9 @@ only inside the boxes of ``check_pure_caps`` and ``check_unramified_caps``:
 * ``count_kernel_orbits_bfs``, the same engine on kernels in F_p^{2 rho}
   under generators of Sp(2 rho, p);
 * canonical-form counts: each unseen object marks its whole orbit under the
-  fully enumerated acting group (``fp.gl_group``, ``fp.sp_group``, built
-  once per group), with no generators and no graph.
+  fully enumerated acting group, with no generators and no graph: GL(k, p)
+  by its definition, every matrix of full rank, and Sp(2 rho, p) as the
+  closure ``fp.sp_group``, built once per group.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
     if len(row) > r:
         return row[r]
     weights = {}  # profile -> the total size of its classes
-    for _, size, blocks in fp.gl_conjugacy_classes(k, p):
+    for size, blocks in fp.gl_conjugacy_classes(k, p):
         key = _class_profile(blocks, p, r)
         weights[key] = weights.get(key, 0) + size
     totals = [0] * (r + 1)
@@ -474,6 +475,14 @@ def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
             and _multiset_count(p ** k - 1, r) <= CANONICAL_MAX_RAW)
 
 
+def _general_linear(k: int, p: int) -> np.ndarray:
+    """GL(k, p) by its definition: the k x k matrices over F_p of full rank, sorted."""
+    fp.check_prime(p)
+    mats = np.arange(p ** (k * k))[:, None] // p ** np.arange(k * k - 1, -1, -1) % p
+    mats = mats.reshape(-1, k, k)
+    return mats[batch_rref(mats, p)[:, -1].any(axis=1)]
+
+
 @lru_cache(maxsize=None)
 def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     """Independent count: orbits of vector multisets under GL x S_r."""
@@ -488,7 +497,7 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
     # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
     # is the code of g applied to the column vector with code c
-    perms = (np.einsum("gij,vj->gvi", fp.gl_group(k, p), vecs) % p @ digits).tolist()
+    perms = (np.einsum("gij,vj->gvi", _general_linear(k, p), vecs) % p @ digits).tolist()
     # a multiset not yet seen starts a new orbit; all its images under
     # GL x S_r (sorting absorbs S_r) are then marked seen
     seen = set()

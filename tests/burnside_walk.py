@@ -2,12 +2,33 @@
 
 ``orbits._fixed_multiset_row`` reads each class's fixed-multiset counts off
 its blocks in closed form.  This walk counts them from the matrices
-instead, over the p^k codes of F_p^k, and shares no step with it.
+instead (``class_matrix`` builds one per class), over the p^k codes of
+F_p^k, and shares no step with it.
 """
 
 import numpy as np
 
+from eag.fp import _poly_mul
 from eag.orbits import _multiset_count
+
+
+def class_matrix(blocks, p: int) -> np.ndarray:
+    """A matrix of the class of GL(k, p) with ``fp.gl_conjugacy_classes`` ``blocks``.
+
+    The block-diagonal matrix of the companion matrices of f^m, for (f, m)
+    in ``blocks`` (f monic, constant term first).
+    """
+    sizes = [(len(f) - 1) * m for f, m in blocks]
+    out = np.zeros((sum(sizes),) * 2, dtype=np.int64)
+    at = 0
+    for (f, m), d in zip(blocks, sizes):
+        g = (1,)
+        for _ in range(m):
+            g = _poly_mul(g, f, p)
+        out[at + np.arange(1, d), at + np.arange(d - 1)] = 1
+        out[at:at + d, at + d - 1] = [-c % p for c in g[:d]]
+        at += d
+    return out
 
 
 def _fixed_point_ways(p: int, q: int, r: int) -> tuple[list[int], list[int]]:

@@ -8,8 +8,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from eag import genvec, grouptable as gt, hyperfermat as hf, maximality as mx, orbits
 from eag.cx import GaussianRational, Mobius, ProjPoint
 from eag.genvec import (build_inequivalent_pair, count_pure_classes,

@@ -3,9 +3,29 @@ import random
 import numpy as np
 import pytest
 
-from eag import fp
+from eag import fp, orbits
 from eag.errors import CapExceededError, PreconditionError
 from eag.genvec import GeneratingVector
+
+from burnside_walk import class_matrix
+
+
+def _gl_generators(n, p):
+    """A generating set of GL(n, p): the classical trio for n >= 2.
+
+    A transvection, the cyclic coordinate permutation and diag(g, 1, ..., 1)
+    with g the least primitive root mod p (left out when it is 1, i.e.
+    p = 2); for n = 1 the single matrix [g].
+    """
+    g = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    if n == 1:
+        return [np.array([[g]], dtype=np.int64)]
+    trans = np.eye(n, dtype=np.int64)
+    trans[0, 1] = 1
+    cyc = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+    diag = np.eye(n, dtype=np.int64)
+    diag[0, 0] = g
+    return [trans, cyc] + ([diag] if g != 1 else [])
 
 
 def test_rank_examples():
@@ -58,18 +78,16 @@ def test_prime_gate():
     with pytest.raises(PreconditionError):
         GeneratingVector(17, 2, hyperbolic=(), elliptic=[(1, 2)])
     with pytest.raises(PreconditionError):
-        fp.gl_generators(2, 6)
+        fp.gl_conjugacy_classes(2, 6)
 
 
-def test_gl_generators_mult_group():
-    (gen,) = fp.gl_generators(1, 5)
-    powers = set()
-    x = gen
-    for _ in range(4):
-        powers.add(int(x[0, 0]))
-        x = x @ gen % 5
-    assert powers == {1, 2, 3, 4}
-    assert len(fp.group_closure(fp.gl_generators(1, 2), 2)) == 1
+@pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)
+                                 if fp.gl_order(n, p) <= orbits.CANONICAL_MAX_GROUP])
+def test_gl_by_definition_is_the_closure_of_its_generators(n, p):
+    # the canonical pure count takes GL(n, p) as every matrix of full rank
+    group = orbits._general_linear(n, p)
+    assert len(group) == fp.gl_order(n, p)
+    assert np.array_equal(group, fp.group_closure(_gl_generators(n, p), p))
 
 
 @pytest.mark.parametrize("n,p,order", [
@@ -78,19 +96,19 @@ def test_gl_generators_mult_group():
     (3, 2, 168),
 ])
 def test_gl_closure_orders(n, p, order):
-    assert len(fp.group_closure(fp.gl_generators(n, p), p)) == order
+    assert len(fp.group_closure(_gl_generators(n, p), p)) == order
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)]
                          + [(4, 2), (4, 3), (4, 5)])
 def test_gl_class_sizes_sum_to_the_order(n, p):
     classes = fp.gl_conjugacy_classes(n, p)
-    assert sum(size for _, size, _ in classes) == fp.gl_order(n, p)
-    assert all(rep.shape == (n, n) and not rep.flags.writeable for rep, _, _ in classes)
-    # each class's blocks rebuild its representative, and the block of (f, m)
-    # is annihilated by f^m but not by f^(m - 1): its minimal polynomial
-    for rep, _, blocks in classes:
-        assert np.array_equal(fp.block_companion(blocks, p), rep)
+    assert sum(size for size, _ in classes) == fp.gl_order(n, p)
+    # in the matrix of a class's blocks, the block of (f, m) is annihilated
+    # by f^m but not by f^(m - 1): its minimal polynomial
+    for _, blocks in classes:
+        rep = class_matrix(blocks, p)
+        assert rep.shape == (n, n)
         at = 0
         for f, m in blocks:
             size = (len(f) - 1) * m
@@ -112,7 +130,7 @@ def _power_mod(A, e, p):
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (2, 5)])
 def test_gl_classes_match_brute_force_conjugacy(n, p):
-    group = fp.group_closure(fp.gl_generators(n, p), p)
+    group = orbits._general_linear(n, p)
     products = np.einsum("aij,bjk->abik", group, group) % p
     inverses = group[(products == np.eye(n, dtype=np.int64)).all(axis=(2, 3)).argmax(axis=1)]
     keys = fp._pack_keys(group, p)
@@ -131,9 +149,10 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
         sizes[least] = sizes.get(least, 0) + 1
     classes = fp.gl_conjugacy_classes(n, p)
     assert len(classes) == len(sizes)
-    reps = [label[int(fp._pack_keys(rep[None] % p, p)[0])] for rep, _, _ in classes]
+    reps = [label[int(fp._pack_keys(class_matrix(blocks, p)[None], p)[0])]
+            for _, blocks in classes]
     assert len(set(reps)) == len(classes)
-    assert all(sizes[least] == size for least, (_, size, _) in zip(reps, classes))
+    assert all(sizes[least] == size for least, (size, _) in zip(reps, classes))
 
 
 @pytest.mark.parametrize("rho,p,order", [
@@ -191,7 +210,7 @@ def test_group_closure_identity_and_order_independence():
 def test_group_closure_cap(monkeypatch):
     monkeypatch.setattr(fp, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(CapExceededError):
-        fp.group_closure(fp.gl_generators(2, 3), 3)
+        fp.group_closure(_gl_generators(2, 3), 3)
 
 
 def _closure_by_matmul(gens, p):
@@ -215,7 +234,7 @@ def _closure_by_matmul(gens, p):
     ("sp", 1, 2), ("sp", 1, 3), ("sp", 1, 5), ("sp", 1, 7), ("sp", 2, 2), ("sp", 2, 3),
 ])
 def test_group_closure_matches_matmul_reference(kind, n, p):
-    gens = fp.gl_generators(n, p) if kind == "gl" else fp.sp_generators(n, p)
+    gens = _gl_generators(n, p) if kind == "gl" else fp.sp_generators(n, p)
     group = fp.group_closure(gens, p)
     assert group.dtype == np.int64
     assert np.array_equal(group, _closure_by_matmul(gens, p))
@@ -225,17 +244,15 @@ def test_group_closure_matches_matmul_reference(kind, n, p):
 def test_group_closure_keys_beyond_63_bits_raise(n, p):
     # p^(n^2) >= 2^63 here; the raise comes before any code table is built
     with pytest.raises(CapExceededError, match="63 bits"):
-        fp.group_closure(fp.gl_generators(n, p), p)
+        fp.group_closure(_gl_generators(n, p), p)
 
 
 def test_cached_groups_are_built_once_and_read_only():
-    for build, gens, args in ((fp.gl_group, fp.gl_generators, (2, 5)),
-                              (fp.sp_group, fp.sp_generators, (2, 2))):
-        group = build(*args)
-        assert build(*args) is group
-        assert np.array_equal(group, fp.group_closure(gens(*args), args[1]))
-        with pytest.raises(ValueError):
-            group[0, 0, 0] = 1
+    group = fp.sp_group(2, 2)
+    assert fp.sp_group(2, 2) is group
+    assert np.array_equal(group, fp.group_closure(fp.sp_generators(2, 2), 2))
+    with pytest.raises(ValueError):
+        group[0, 0, 0] = 1
 
 
 def test_vector_arithmetic():

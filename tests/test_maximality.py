@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
-from eag import maximality as mx
-from eag.errors import PreconditionError
+from eag import cli, fp, maximality as mx
+from eag.errors import CapExceededError, PreconditionError
 from eag.genvec import is_unique_action, validate
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
                           subgroup_signature)
@@ -289,6 +291,24 @@ def test_search_finds_the_large_p2_extensions():
         outcome = mx.search_extension_witness(spec)
         assert outcome.status == "found", spec
         _verify_witness(spec, outcome.witness)
+
+
+def test_search_cap_exits_4_at_once(monkeypatch, capsys):
+    # the row spaces of (0; 2^r) grow about 4x for every 4 added to r, and
+    # r = 200 would run for ages; past a low cap the search stops at once,
+    # while a search that finds its witness in the first block stays found
+    monkeypatch.setattr(fp, "DEFAULT_ELEMENT_CAP", 4096)
+    start = time.process_time()
+    code = cli.main(["maximal", "--p", "2", "--n", "1", "--rho", "0", "--r", "200", "--search"])
+    assert code == cli.EXIT_CAP
+    assert "cap of 4096 row spaces" in capsys.readouterr().err
+    assert time.process_time() - start < 2.0
+    with pytest.raises(CapExceededError):
+        mx.search_extension_witness(EAActionSpec(2, 1, 0, 200))
+    spec = EAActionSpec(2, 1, 3, 2)
+    outcome = mx.search_extension_witness(spec)
+    assert outcome.status == "found"
+    _verify_witness(spec, outcome.witness)
 
 
 def test_verdict_json_roundtrip():

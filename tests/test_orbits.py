@@ -7,7 +7,7 @@ from eag import fp, orbits
 from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
-from burnside_walk import fixed_multiset_rows
+from burnside_walk import class_matrix, fixed_multiset_rows
 
 
 def test_gaussian_binomial():
@@ -108,7 +108,7 @@ def test_burnside_matches_canonical_outside_the_box():
 
 
 def _class_reps(k, p):
-    return np.stack([g for g, _, _ in fp.gl_conjugacy_classes(k, p)])
+    return np.stack([class_matrix(blocks, p) for _, blocks in fp.gl_conjugacy_classes(k, p)])
 
 
 def _class_row(blocks, p, r):
@@ -142,7 +142,8 @@ def _fixed_by_enumeration(g, p, t):
 def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
     # pins the closed form for each class and each cut r, not just the
     # class-size-weighted totals
-    for rep, _, blocks in fp.gl_conjugacy_classes(k, p):
+    for _, blocks in fp.gl_conjugacy_classes(k, p):
+        rep = class_matrix(blocks, p)
         want = [_fixed_by_enumeration(rep, p, t) for t in range(7)]
         for r in range(1, 7):
             assert _class_row(blocks, p, r) == want[:r + 1], (rep.tolist(), r)
@@ -150,8 +151,9 @@ def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
 
 @pytest.mark.parametrize("k,p", [(4, 5), (3, 7), (2, 13), (5, 3), (6, 2)])
 def test_class_rows_match_the_walk(k, p):
-    walked = fixed_multiset_rows(_class_reps(k, p), p, 8, object)
-    for (rep, _, blocks), row in zip(fp.gl_conjugacy_classes(k, p), walked):
+    reps = _class_reps(k, p)
+    walked = fixed_multiset_rows(reps, p, 8, object)
+    for (_, blocks), rep, row in zip(fp.gl_conjugacy_classes(k, p), reps, walked):
         for r in range(2, 9):
             assert _class_row(blocks, p, r) == row[:r + 1].tolist(), (rep.tolist(), r)
 
@@ -161,10 +163,11 @@ def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
     # classes with equal profiles have equal walked rows, and a class
     # whose d_1 .. d_r are all 0 fixes the empty multiset alone
     classes = fp.gl_conjugacy_classes(k, p)
-    walked = fixed_multiset_rows(_class_reps(k, p), p, 7, np.int64)
+    reps = _class_reps(k, p)
+    walked = fixed_multiset_rows(reps, p, 7, np.int64)
     for r in range(2, 8):
         rows = {}
-        for (rep, _, blocks), row in zip(classes, walked[:, :r + 1].tolist()):
+        for (_, blocks), rep, row in zip(classes, reps, walked[:, :r + 1].tolist()):
             profile = orbits._class_profile(blocks, p, r)
             assert rows.setdefault(profile, row) == row, (rep.tolist(), r, profile)
             if not any(profile[0]):
@@ -175,7 +178,8 @@ def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
 def test_short_cycle_subspace_is_the_kernel_sum():
     # d_L, read from the blocks, against ker(g^L - 1) found by enumeration
     for k, p in [(2, 3), (3, 2), (2, 5), (3, 3)]:
-        for rep, _, blocks in fp.gl_conjugacy_classes(k, p):
+        for _, blocks in fp.gl_conjugacy_classes(k, p):
+            rep = class_matrix(blocks, p)
             for r in range(1, 8):
                 dims, unipotent = orbits._class_profile(blocks, p, r)
                 assert len(unipotent) == dims[0]
@@ -225,7 +229,7 @@ def test_lucas_lemma_on_jordan_blocks(p):
 def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
     # 14,365 of the 28,548 classes of GL(4, 13) have d_1 = ... = d_6 = 0
     classes = fp.gl_conjugacy_classes(4, 13)
-    empty = sum(not any(orbits._class_profile(blocks, 13, 6)[0]) for _, _, blocks in classes)
+    empty = sum(not any(orbits._class_profile(blocks, 13, 6)[0]) for _, blocks in classes)
     assert (len(classes), empty) == (28_548, 14_365)
     assert orbits.count_pure_orbits_burnside(7, 2, 5) == 39
     assert orbits.count_pure_orbits_burnside(5, 3, 9) == 143_045
@@ -260,9 +264,9 @@ def test_large_object_dtype_burnside_sum():
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
     real = fp.gl_conjugacy_classes
     classes = real(2, 3)
-    rep, size, blocks = classes[0]
+    size, blocks = classes[0]
     assert any(orbits._class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
-    wrong = ((rep, size + 1, blocks),) + classes[1:]
+    wrong = ((size + 1, blocks),) + classes[1:]
     monkeypatch.setattr(fp, "gl_conjugacy_classes",
                         lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
     saved = dict(orbits._ROWS)

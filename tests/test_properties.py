@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from eag import fp, grouptable as gt
-from eag.cx import GaussianRational, Mobius, ProjPoint, cross_ratio
+from eag.cx import GaussianRational, Mobius, ProjPoint, cross_det
 from eag.genvec import GeneratingVector, multiset_character, validate
 from eag.surfaces import EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus
 
@@ -98,6 +98,18 @@ def test_braid_moves_preserve_tuple_invariants(name, r, seed):
 def rational_points(draw):
     num = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
     return ProjPoint.finite(GaussianRational.of(num))
+
+
+def cross_ratio(p, q, r, s):
+    """(p, q; r, s) as a projective value, infinity included."""
+    return ProjPoint(cross_det(p, r) * cross_det(q, s), cross_det(p, s) * cross_det(q, r))
+
+
+def test_cross_ratio_helper():
+    pts = [ProjPoint.finite(Fraction(x)) for x in (0, 1, 3)] + [ProjPoint.infinity()]
+    cr = cross_ratio(pts[0], pts[1], pts[2], pts[3])
+    # (0,1;3,inf) = (0-3)/(1-3) = 3/2
+    assert cr.same_point(ProjPoint.finite(Fraction(3, 2)))
 
 
 @given(st.lists(rational_points(), min_size=4, max_size=4, unique_by=str),

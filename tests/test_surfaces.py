@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from eag import surfaces
 from eag.errors import PreconditionError
 from eag.genvec import GeneratingVector
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus,
