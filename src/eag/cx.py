@@ -114,9 +114,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

@@ -69,10 +69,6 @@ class GeneratingVector:
             "elliptic": [list(c) for c in self.elliptic],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "GeneratingVector":
-        return GeneratingVector(d["p"], d["n"], d["hyperbolic"], d["elliptic"])
-
 
 def validate(v: GeneratingVector) -> bool:
     """True iff generation, order and product conditions all hold."""
@@ -186,14 +182,6 @@ class ClassCountReport:
             "h_used": [list(t) for t in self.h_used],
             "flags": list(self.flags),
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ClassCountReport":
-        return ClassCountReport(
-            d["p"], d["n"], d["rho"], d["r"], d["total"], d["method"],
-            tuple(tuple(t) for t in d["e_used"]),
-            tuple(tuple(t) for t in d["h_used"]),
-            tuple(d["flags"]))
 
 
 def no_actions_exist(n: int, rho: int, r: int) -> bool:

@@ -5,12 +5,18 @@ the coordinate-wise p-th power map.  It carries a C_p^n action with
 signature (0; p^(n+1)); the branch points of the quotient are the
 intersections of T with the coordinate hyperplanes, and their cross-ratio
 coordinates are the moduli of the family.  The line is encoded by an
-(n-1) x (n+1) matrix C with T = {X : CX = 0}.
+(n-1) x (n+1) matrix C with T = {X : CX = 0}.  It is generic iff every
+Pluecker coordinate, a maximal minor of C, is nonzero; each minor is one
+fraction-free elimination, in integers for rational input.  Floating input
+keeps one floor: a minor is zero at most cx.DEFAULT_TOL times its Hadamard
+bound, and that bound is floored at 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cx import (DEFAULT_TOL, GaussianRational, Mobius, ProjPoint, cross_det,
-                 is_exact_scalar, scalar_is_zero)
+from .cx import (GaussianRational, Mobius, ProjPoint, cross_det, is_exact_scalar,
+                 scalar_is_zero)
 from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
 
@@ -95,88 +101,80 @@ def vandermonde_line(w) -> LineMatrix:
     return LineMatrix(tuple(rows), exact)
 
 
-def _kernel_basis(line: LineMatrix):
-    """Reduce C once: a kernel basis (A, B) and the determinant of C's pivot block.
+def _det(m):
+    """Determinant of a square matrix by fraction-free elimination.
 
-    Gauss-Jordan elimination picks the first nonzero pivot (exact) or the
-    largest one above DEFAULT_TOL times the largest entry of C (floating).
-    On the two free columns A is (1, 0) and B is (0, 1); the basis is None
-    when C has rank below n - 1.  The determinant is the product of the
-    pivots with the sign of the row swaps.
+    Bareiss (Math. Comp. 22 (1968) 565-578): each step divides by the
+    previous pivot, and the division is exact, so integer entries stay
+    integers (divided with //) and small-integer floating entries stay
+    exact.  The entries are all ints, all GaussianRationals or all complex;
+    exact entries pivot on the first nonzero entry of a column, complex ones
+    on the entry of largest modulus.
     """
-    n, exact = line.n, line.exact
-    zero, one = map(GaussianRational.of if exact else complex, (0, 1))
-    m = [list(r) for r in line.rows]
-    floor = 0.0 if exact else DEFAULT_TOL * max(abs(x) for r in m for x in r)
-    det = one
-    pivots = []
-    for c in range(n + 1):
-        top = len(pivots)
-        if top == n - 1:
-            break
-        if exact:
-            piv = next((i for i in range(top, n - 1) if not m[i][c].is_zero()), None)
+    m = [list(row) for row in m]
+    div = operator.floordiv if isinstance(m[0][0], int) else operator.truediv
+    floating = isinstance(m[0][0], complex)
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        rest = range(c, len(m))
+        if floating:
+            piv = max(rest, key=lambda i: abs(m[i][c]))
         else:
-            piv = max(range(top, n - 1), key=lambda i: abs(m[i][c]))
-            if abs(m[piv][c]) <= floor:
-                piv = None
-        if piv is None:
-            continue
-        if piv != top:
-            m[top], m[piv] = m[piv], m[top]
-            det = -det
-        det = det * m[top][c]
-        inv = 1 / m[top][c]
-        m[top] = [x * inv for x in m[top]]
-        for i in range(n - 1):
-            f = m[i][c]
-            if i != top and f != 0:
-                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
-        pivots.append(c)
-    if len(pivots) < n - 1:
-        return None, det
-    basis = []
-    for free in (c for c in range(n + 1) if c not in pivots):
-        v = [zero] * (n + 1)
-        v[free] = one
-        for row, c in zip(m, pivots):
-            v[c] = -row[free]
-        basis.append(v)
-    return tuple(basis), det
+            piv = next((i for i in rest if m[i][c] != 0), c)
+        if m[piv][c] == 0:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top = m[c]
+        for row in m[c + 1:]:
+            for j in range(c + 1, len(m)):
+                row[j] = div(top[c] * row[j] - row[c] * top[j], prev)
+        prev = top[c]
+    return sign * prev
 
 
 @lru_cache(maxsize=8)
 def _plucker_rows(line: LineMatrix):
-    """The rows Q_i = A_i B - B_i A of the kernel basis, or None if T is not generic.
+    """The points Q_i where T meets {x_i = 0}, or None if T is not generic.
 
-    Q_i(j) = A_i B_j - A_j B_i is the Pluecker coordinate p_ij of T, and
-    det(C_pivots) p_ij is, up to sign, the minor of C with columns i and j
-    deleted.  Exact input tests each minor for zero.  Floating input counts
-    a minor as zero when its modulus is at most DEFAULT_TOL times the larger
-    of 1 and its Hadamard bound (the product of C's row norms over the kept
-    columns), after ``_kernel_basis`` has found no pivot at or below
-    DEFAULT_TOL times the largest entry of C.  Both floors are absolute, so
-    the verdict on floating input depends on the scale of C.
+    Q_i spans the kernel of C without column i, so by Cramer's rule Q_i(j)
+    is, up to the sign of j's place among the other columns, the minor of C
+    with columns i and j deleted: the Pluecker coordinate p_ij of T.  An
+    exact real line first has each row multiplied by the lcm of its
+    denominators, which scales every minor alike, so its minors are
+    integers.  Exact input is generic iff every minor is nonzero.  Floating
+    input counts a minor as zero when its modulus is at most cx.DEFAULT_TOL
+    times the larger of 1 and its Hadamard bound (the product of C's row
+    norms over the kept columns); that floor at 1 makes the verdict depend
+    on the scale of C.
 
     The genericity test, the branch points and the sampler all ask for the
     same line, so the result is cached per line; it is a tuple of tuples,
     so no caller can change the cached rows.
     """
-    basis, det = _kernel_basis(line)
-    if basis is None:
-        return None
-    a, b = basis
-    q = tuple(tuple(a[i] * y - b[i] * x for x, y in zip(a, b))
-              for i in range(line.n + 1))
-    for i, j in itertools.combinations(range(line.n + 1), 2):
+    n, rows = line.n, line.rows
+    if line.exact and not any(x.im for row in rows for x in row):
+        cleared = []
+        for row in rows:
+            lcm = math.lcm(*(x.re.denominator for x in row))
+            cleared.append([int(x.re * lcm) for x in row])
+        rows = cleared
+    scalar = GaussianRational.of if line.exact else complex
+    q = [[scalar(0)] * (n + 1) for _ in range(n + 1)]
+    for i, j in itertools.combinations(range(n + 1), 2):
+        keep = [k for k in range(n + 1) if k not in (i, j)]
+        minor = _det([[row[k] for k in keep] for row in rows])
         scale = 1.0
         if not line.exact:
-            for row in line.rows:
-                norm = sum(abs(x) ** 2 for k, x in enumerate(row) if k not in (i, j))
+            for row in rows:
+                norm = sum(abs(row[k]) ** 2 for k in keep)
                 scale *= max(norm ** 0.5, 1e-300)
-        if scalar_is_zero(det * q[i][j], scale):
+        if scalar_is_zero(minor, scale):
             return None
-    return q
+        q[i][j] = scalar((-1) ** (j - 1) * minor)
+        q[j][i] = scalar((-1) ** i * minor)
+    return tuple(map(tuple, q))
 
 
 def is_generic_line(line: LineMatrix) -> bool:
@@ -208,9 +206,9 @@ def hyper_fermat_genus(p: int, n: int) -> Fraction:
 def intersection_points(line: LineMatrix) -> list[list]:
     """For each i, the point Q_i spanning T meet {x_i = 0}.
 
-    Q_i = A_i B - B_i A for a kernel basis (A, B) of C; genericity keeps
-    every coordinate but the i-th nonzero.  Scale is fixed by setting the
-    first nonzero coordinate to 1.
+    Q_i(j) is, up to sign, the minor of C without columns i and j;
+    genericity keeps every coordinate but the i-th nonzero.  Scale is fixed
+    by setting the first nonzero coordinate to 1.
     """
     q = _plucker_rows(line)
     if q is None:
@@ -242,15 +240,6 @@ class BranchSet:
     @property
     def pins(self) -> tuple[ProjPoint, ...]:
         return self.points[:3]
-
-    def normalized_invariants(self) -> tuple[ProjPoint, ...]:
-        """Images of the unpinned points after sending the pins to 0, 1, inf.
-
-        These n - 2 values are a complete set of cross-ratio coordinates for
-        the branch set: the dimension of the family.
-        """
-        to_std = Mobius.to_standard(*self.pins)
-        return tuple(to_std.apply(pt) for pt in self.points[3:])
 
 
 def branch_points(line: LineMatrix, pins) -> BranchSet:

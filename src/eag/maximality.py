@@ -38,14 +38,6 @@ class ExtensionWitness:
             "subgroup_basis": [list(v) for v in self.subgroup_basis],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ExtensionWitness":
-        ns = d["n_spec"]
-        n_spec = EAActionSpec(ns["p"], ns["n"], ns["rho"], ns["r"])
-        vec = GeneratingVector.from_json_dict(d["vector"])
-        basis = tuple(tuple(c) for c in d["subgroup_basis"])
-        return ExtensionWitness(n_spec, vec, basis)
-
 
 @dataclass(frozen=True)
 class MaximalityVerdict:
@@ -62,14 +54,6 @@ class MaximalityVerdict:
             "witness": self.witness.to_json_dict() if self.witness else None,
             "rule": self.rule,
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MaximalityVerdict":
-        s = d["spec"]
-        w = d["witness"]
-        return MaximalityVerdict(
-            EAActionSpec(s["p"], s["n"], s["rho"], s["r"]), d["maximal"],
-            ExtensionWitness.from_json_dict(w) if w else None, d["rule"])
 
 
 def frobenius_representable(p: int, rho: int) -> tuple[int, int] | None:

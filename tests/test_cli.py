@@ -290,6 +290,19 @@ def test_fermat_non_generic_exit_3(capsys, tmp_path):
     assert "generic" in err
 
 
+def test_fermat_scaled_line_with_a_zero_minor_exit_3(capsys, tmp_path):
+    # the minor of this integer C on columns (0, 3, 4, 5) is exactly 0, so
+    # every multiple of it is the same non-generic line
+    rows = [[1, 0, -2, -2, 0, -2], [0, -1, 2, 0, 0, 0], [2, 0, 3, 0, 2, 0],
+            [0, -2, 0, 1, 2, -2]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"C": [[[1e6 * x, 0.0] for x in row] for row in rows]}),
+                    encoding="utf-8")
+    code, _, err = run(["fermat", "--p", "3", "--n", "5", "--c-file", str(path)], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert "not generic" in err
+
+
 def test_malformed_outside_input_exit_codes(capsys, tmp_path):
     pairs = tmp_path / "scalars.json"
     pairs.write_text(json.dumps({"C": [[1, 2, 3, 4]]}), encoding="utf-8")
@@ -313,11 +326,10 @@ def test_malformed_outside_input_exit_codes(capsys, tmp_path):
 def test_json_output_roundtrips(capsys):
     payload = run_json(["maximal", "--p", "2", "--n", "1", "--rho", "3", "--r", "2"],
                        capsys)
-    from eag.maximality import MaximalityVerdict, is_maximal
+    from eag.maximality import is_maximal
     from eag.surfaces import EAActionSpec
-    parsed = MaximalityVerdict.from_json_dict(
-        {k: payload[k] for k in ("spec", "maximal", "witness", "rule")})
-    assert parsed == is_maximal(EAActionSpec(2, 1, 3, 2))
+    want = is_maximal(EAActionSpec(2, 1, 3, 2)).to_json_dict()
+    assert {k: payload[k] for k in want} == want
 
 
 def test_markdown_and_csv_formats(capsys):

@@ -368,18 +368,6 @@ def test_pair_larger_primes_and_ranks():
         assert multiset_character(v1) != multiset_character(v2), (p, n, r)
 
 
-def test_generating_vector_json_roundtrip():
-    vec = GeneratingVector(3, 2, hyperbolic=(((1, 1), (0, 2)),), elliptic=[(1, 0), (0, 1), (2, 2)])
-    back = GeneratingVector.from_json_dict(vec.to_json_dict())
-    assert back == vec
-
-
-def test_class_count_report_roundtrip():
-    report = count_classes(EAActionSpec(2, 2, 1, 5))
-    back = genvec.ClassCountReport.from_json_dict(report.to_json_dict())
-    assert back == report
-
-
 def test_count_caps_raise():
     with pytest.raises(CapExceededError):
         count_pure_classes(7, 2, 5)

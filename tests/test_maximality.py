@@ -309,11 +309,3 @@ def test_search_cap_exits_4_at_once(monkeypatch, capsys):
     outcome = mx.search_extension_witness(spec)
     assert outcome.status == "found"
     _verify_witness(spec, outcome.witness)
-
-
-def test_verdict_json_roundtrip():
-    for spec in (EAActionSpec(2, 1, 3, 2), EAActionSpec(2, 4, 0, 5),
-                 EAActionSpec(5, 1, 3, 0)):
-        verdict = mx.is_maximal(spec)
-        back = mx.MaximalityVerdict.from_json_dict(verdict.to_json_dict())
-        assert back == verdict

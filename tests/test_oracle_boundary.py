@@ -5,14 +5,17 @@ counts, the canonical-form counts, their caps and ``batch_rref``).  Every
 other module of the package may use only the names below, so an oracle
 cannot become a production path unnoticed.
 
-A walk by name over the module-level definitions of ``src/eag``, from
-``cli.main``, finds every definition the CLI can reach.  What it does not
-reach must be reached from ``KEPT``: the oracles, the Sp(2 rho, p)
-closure they use, and the paper's API that the acceptance criteria call.
-A definition that only tests call fails the walk.
+A walk by name over the definitions of ``src/eag``, module-level ones and
+methods alike, from ``cli.main``, finds every definition the CLI can
+reach.  What it does not reach must be reached from ``KEPT``: the oracles,
+the Sp(2 rho, p) closure they use, and the paper's API that the acceptance
+criteria call.  A definition or a method that only tests call fails the
+walk.
 """
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eag"
@@ -80,18 +83,39 @@ def test_the_walk_sees_both_spellings():
         "batch_rref", "count_kernel_orbits_bfs"]
 
 
+def _foreign_base(expr, imports):
+    """The class that a base-class expression names outside the package, or None."""
+    if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+            and expr.value.id in imports):
+        return getattr(importlib.import_module(imports[expr.value.id]), expr.attr, None)
+    return getattr(builtins, expr.id, None) if isinstance(expr, ast.Name) else None
+
+
 def _definitions(sources):
-    """{"module.name": the "module.name"s it names} for every module-level definition.
+    """{"module.name": the definitions it names} for every definition.
 
     ``sources`` maps module names to their source.  A definition is a
-    function, a class (with all its methods) or an assignment to a name;
-    it names what a bare name, ``from .module import name`` or
-    ``module.name`` after ``from . import module`` refers to.
+    module-level function, class or assignment to a name, or a method,
+    keyed "module.Class.name".  It names what a bare name, ``from .module
+    import name`` or ``module.name`` after ``from . import module`` refers
+    to, and ``x.name`` names every method called ``name``.  A class names
+    its base classes, decorators and class-level assignments, its dunder
+    methods, and the methods that override a base class from outside the
+    package (an ``argparse.ArgumentParser`` hook, say), since Python calls
+    those.
     """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    methods = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        methods.setdefault(sub.name, set()).add(
+                            f"{module}.{node.name}.{sub.name}")
     refs = {}
-    for module, text in sources.items():
-        tree = ast.parse(text)
-        modules, imported, defs = {}, {}, {}
+    for module, tree in trees.items():
+        modules, imported, foreign, defs = {}, {}, {}, {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
@@ -99,6 +123,9 @@ def _definitions(sources):
                         modules[alias.asname or alias.name] = alias.name
                     else:
                         imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    foreign[alias.asname or alias.name] = alias.name
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -106,17 +133,33 @@ def _definitions(sources):
                 for target in targets:
                     if isinstance(target, ast.Name) and not target.id.startswith("__"):
                         defs[target.id] = node
-        for name, node in defs.items():
-            named = set()
-            for sub in ast.walk(node):
+
+        def named(nodes):
+            out = set()
+            for sub in (sub for node in nodes for sub in ast.walk(node)):
                 if isinstance(sub, ast.Name) and sub.id in defs:
-                    named.add(f"{module}.{sub.id}")
+                    out.add(f"{module}.{sub.id}")
                 elif isinstance(sub, ast.Name) and sub.id in imported:
-                    named.add(imported[sub.id])
-                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                      and sub.value.id in modules):
-                    named.add(f"{modules[sub.value.id]}.{sub.attr}")
-            refs[f"{module}.{name}"] = named
+                    out.add(imported[sub.id])
+                elif isinstance(sub, ast.Attribute):
+                    out |= methods.get(sub.attr, set())
+                    if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                        out.add(f"{modules[sub.value.id]}.{sub.attr}")
+            return out
+
+        for name, node in defs.items():
+            key = f"{module}.{name}"
+            if not isinstance(node, ast.ClassDef):
+                refs[key] = named([node])
+                continue
+            own = [sub for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            bases = [_foreign_base(base, foreign) for base in node.bases]
+            refs[key] = named([*node.bases, *node.decorator_list,
+                               *(sub for sub in node.body if sub not in own)])
+            for sub in own:
+                refs[f"{key}.{sub.name}"] = named([sub])
+                if sub.name.startswith("__") or any(hasattr(b, sub.name) for b in bases):
+                    refs[key].add(f"{key}.{sub.name}")
     return refs
 
 
@@ -150,3 +193,25 @@ def test_the_reachability_walk_flags_a_definition_only_tests_call():
               "def only_tests():\n    return rref()\n",
     })
     assert _unreached(refs, ["cli.main"]) == {"fp.only_tests"}
+
+
+def test_the_reachability_walk_flags_a_method_only_tests_call():
+    refs = _definitions({
+        "cli": "import argparse\nfrom .cx import Point\n"
+               "class _Parser(argparse.ArgumentParser):\n"
+               "    def error(self, message):\n        raise SystemExit(message)\n"
+               "    def unused_hook(self):\n        pass\n"
+               "def main():\n    return Point(1).value()\n",
+        "cx": "class Point:\n"
+              "    def __init__(self, x):\n        self.x = x\n"
+              "    def value(self):\n        return self._scaled(1)\n"
+              "    def _scaled(self, k):\n        return k * self.x\n"
+              "    def only_tests(self):\n        return self.x\n",
+    })
+    # main names neither _Parser nor its methods; argparse calls error once
+    # the parser is reached, while a method of its own no one calls stays out
+    assert _unreached(refs, ["cli.main"]) == {
+        "cli._Parser", "cli._Parser.error", "cli._Parser.unused_hook",
+        "cx.Point.only_tests"}
+    assert _unreached(refs, ["cli.main", "cli._Parser"]) == {
+        "cli._Parser.unused_hook", "cx.Point.only_tests"}

@@ -15,9 +15,6 @@ from pathlib import Path
 import pytest
 
 from eag import cli
-from eag.genvec import GeneratingVector
-from eag.maximality import ExtensionWitness, is_maximal, search_extension_witness
-from eag.surfaces import EAActionSpec
 
 DATA = Path(__file__).resolve().parent / "data" / "payloads"
 
@@ -72,16 +69,3 @@ def test_payload_is_pinned(argv):
 
 def test_every_pin_file_has_a_call():
     assert sorted(DATA.iterdir()) == sorted(_path(argv) for argv in CALLS)
-
-
-def test_generating_vector_json_round_trip():
-    vec = GeneratingVector(3, 2, hyperbolic=[((1, 1), (0, 0))], elliptic=[(1, 0), (2, 1), (0, 2)])
-    back = GeneratingVector.from_json_dict(vec.to_json_dict())
-    assert back == vec
-    assert back.to_json_dict() == vec.to_json_dict()
-
-
-@pytest.mark.parametrize("spec", [EAActionSpec(2, 3, 1, 2), EAActionSpec(3, 1, 1, 3)])
-def test_extension_witness_json_round_trip(spec):
-    for witness in (is_maximal(spec).witness, search_extension_witness(spec).witness):
-        assert ExtensionWitness.from_json_dict(witness.to_json_dict()) == witness
