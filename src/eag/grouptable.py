@@ -1,8 +1,10 @@
 """Generic finite groups given by Cayley tables.
 
 Used for desk-scale verification of results about normal extensions: braid
-moves on genus-0 generating tuples, automorphism groups by exhaustive
-search, and orbit counts of generating vectors.
+moves on genus-0 generating tuples, automorphism groups from the images of
+a generating sequence, and orbit counts of generating vectors as the
+components of a graph with one edge per braid move and one per generator
+of Aut(G).
 """
 
 from __future__ import annotations
@@ -386,6 +388,36 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
     return sorted(map(tuple, mapped[keep].tolist()))
 
 
+def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
+    """A generating set of Aut(G), as permutations of element indices.
+
+    Walks the sorted automorphisms and keeps each one outside the closure
+    of those kept so far, until the closure is all of Aut(G).  The closure
+    is a breadth-first search over that list: automorphisms compose as
+    permutations of G, and a composite is located by the bytes of its row.
+    """
+    autos = np.array(automorphisms(g), dtype=g.array.dtype)
+    row = np.dtype((np.void, autos.shape[1] * autos.itemsize))
+    keys = autos.view(row).ravel()
+    order = np.argsort(keys)  # rows sort bytewise, as the tuples do only for one-byte entries
+    keys = keys[order]
+    gens: list[np.ndarray] = []
+    reached = np.zeros(len(autos), dtype=bool)
+    reached[0] = True  # the identity sorts first
+    while not reached.all():
+        gens.append(autos[np.argmin(reached)])
+        reached[1:] = False
+        frontier = np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            # alpha[beta] is alpha after beta
+            ids = np.unique(np.concatenate(
+                [order[np.searchsorted(keys, alpha[autos[frontier]].view(row).ravel())]
+                 for alpha in gens]))
+            frontier = ids[~reached[ids]]
+            reached[frontier] = True
+    return gens
+
+
 def _arrangements(periods):
     """The distinct orderings of a multiset, in lexicographic order."""
     if not periods:
@@ -447,6 +479,9 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, 
 
     Genus-0 signatures only: the braid moves at every position generate the
     whole induced action there (the cyclic rotation is their composite).
+    The orbits of a finite group are the components of its Schreier graph
+    on any generating set, so each tuple gets one edge per braid move and
+    one per generator of Aut(G) (``automorphism_group_generators``).
     Tuples are keyed as base-|G| integers, which must fit in 63 bits.
     """
     if sig.orbit_genus != 0:
@@ -456,18 +491,19 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, 
         return ()
     T = g.array
     inv = np.array(g.inverse, dtype=T.dtype)
-    images = []
-    for i in range(1, len(sig.periods)):
+
+    def braid(i):
         # braid_move at position i: (a, b) -> (b, b^-1 a b)
         a, b = S[:, i - 1], S[:, i]
         moved = S.copy()
         moved[:, i - 1], moved[:, i] = b, T[T[inv[b], a], b]
-        images.append(_pack_keys(moved, g.order))
-    # one edge to the least key of each Aut-orbit joins what Aut(G) joins
-    autos = np.array(automorphisms(g), dtype=T.dtype)
-    images.append(functools.reduce(np.minimum,
-                                   (_pack_keys(alpha[S], g.order) for alpha in autos)))
-    count, labels = orbit_components(_pack_keys(S, g.order), images)
+        return moved
+
+    moves = itertools.chain(map(braid, range(1, len(sig.periods))),
+                            (alpha[S] for alpha in automorphism_group_generators(g)))
+    # a generator: orbit_components reads each image once, so one is held at a time
+    count, labels = orbit_components(_pack_keys(S, g.order),
+                                     (_pack_keys(m, g.order) for m in moves))
     orbits: list[list] = [[] for _ in range(count)]
     for s, label in zip(map(tuple, S.tolist()), labels.tolist()):
         orbits[label].append(s)

@@ -14,10 +14,12 @@ bound, and that bound is floored at 1.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,7 +149,8 @@ def _plucker_rows(line: LineMatrix):
     input counts a minor as zero when its modulus is at most cx.DEFAULT_TOL
     times the larger of 1 and its Hadamard bound (the product of C's row
     norms over the kept columns); that floor at 1 makes the verdict depend
-    on the scale of C.
+    on the scale of C.  A minor or bound beyond the floating-point range
+    raises PreconditionError.
 
     The genericity test, the branch points and the sampler all ask for the
     same line, so the result is cached per line; it is a tuple of tuples,
@@ -168,8 +171,12 @@ def _plucker_rows(line: LineMatrix):
         scale = 1.0
         if not line.exact:
             for row in rows:
-                norm = sum(abs(row[k]) ** 2 for k in keep)
-                scale *= max(norm ** 0.5, 1e-300)
+                norm = math.hypot(*(t for k in keep for t in (row[k].real, row[k].imag)))
+                scale *= max(norm, 1e-300)
+            if not (math.isfinite(scale) and cmath.isfinite(minor)):
+                raise PreconditionError(
+                    f"a minor of C or its Hadamard bound leaves the floating-point "
+                    f"range (moduli up to {sys.float_info.max:.3g}); rescale the rows of C")
         if scalar_is_zero(minor, scale):
             return None
         q[i][j] = scalar((-1) ** (j - 1) * minor)
@@ -284,11 +291,23 @@ def residue_identity_check(w, s: int):
     The sum of residues of z^s / prod (z - w_k) vanishes for s <= n - 2; at
     s = n - 1 it is generically 1 (the residue at infinity), which callers
     use as a negative control.  Exact inputs give an exact magnitude.
+
+    Real rational w are scaled once to integers a_j = D w_j, D the lcm of
+    their denominators; term j is then D^(n-1-s) a_j^s / prod_k (a_j - a_k),
+    and the n integer ratios are summed over one running denominator.
     """
     vals, exact = _coerce_entries(w)
     n = len(vals) - 1
     if s < 0:
         raise PreconditionError("s must be >= 0")
+    if exact and not any(v.im for v in vals):
+        scale = math.lcm(*(v.re.denominator for v in vals[1:]))
+        a = [int(v.re * scale) for v in vals[1:]]
+        num, den = 0, 1
+        for j, aj in enumerate(a):
+            d = math.prod(aj - ak for k, ak in enumerate(a) if k != j)
+            num, den = num * d + aj ** s * den, den * d
+        return abs(Fraction(num, den) * Fraction(scale) ** (n - 1 - s))
     total = GaussianRational.of(0) if exact else complex(0)
     for j in range(1, n + 1):
         term = vals[j] ** s

@@ -162,9 +162,10 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     """Orbits of a finite set closed under some moves, as graph components.
 
     ``keys`` holds one distinct integer key per object; each array of
-    ``image_keys`` holds, for every object in the same order, the key of its
-    image under one move.  Returns the number of orbits and each object's
-    orbit label in ``range(count)``, labels numbered by least key.
+    ``image_keys``, an iterable read once, holds, for every object in the
+    same order, the key of its image under one move.  Returns the number of
+    orbits and each object's orbit label in ``range(count)``, labels
+    numbered by least key.
 
     Nodes are the ranks of the keys, and the components come from hooking
     and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), one

@@ -303,6 +303,20 @@ def test_fermat_scaled_line_with_a_zero_minor_exit_3(capsys, tmp_path):
     assert "not generic" in err
 
 
+def test_fermat_c_file_beyond_the_floating_range_exit_3(capsys, tmp_path):
+    # the squares of these entries overflow a float, and so do the products
+    # of the elimination: the call names the range instead of a traceback
+    rows = [[1e200, 2e200, 3e200, 5e200], [1e200, -1e200, 4e200, 2e200]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"C": [[[x, 0] for x in row] for row in rows]}),
+                    encoding="utf-8")
+    code, out, err = run(["fermat", "--p", "3", "--n", "3", "--c-file", str(path)], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert "floating-point range" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_outside_input_exit_codes(capsys, tmp_path):
     pairs = tmp_path / "scalars.json"
     pairs.write_text(json.dumps({"C": [[1, 2, 3, 4]]}), encoding="utf-8")

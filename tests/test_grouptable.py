@@ -186,6 +186,71 @@ def test_orbit_partition_matches_naive_bfs(name, sig, count):
     assert sorted(got, key=min) == want
 
 
+#: the ``eag orbits`` calls of a desk session and more catalog groups
+DESK_ORBIT_CASES = [
+    ("x".join([f"C{p}"] * n), (p,) * r)
+    for p, n, r in [(2, 1, 4), (2, 1, 6), (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 2, 7),
+                    (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (5, 1, 3), (5, 1, 4),
+                    (2, 3, 4), (2, 3, 5), (2, 3, 6), (3, 2, 3), (3, 2, 4), (3, 2, 5)]
+] + [
+    ("A5", (2, 3, 5)), ("A5", (2, 2, 2, 3)), ("S4", (2, 3, 4)), ("D6", (2, 2, 2, 2, 2)),
+    ("C2xC4", (2, 2, 4, 4)), ("C10", (2, 5, 10)), ("S3", (2, 2, 2, 2)),
+    ("D4", (2, 2, 2, 4)), ("A4", (3, 3, 3, 3)), ("D5", (2, 2, 5)), ("C3xC3", (3, 3, 3, 3)),
+    ("A5", (3, 3, 5)), ("S4", (3, 4, 4)), ("C4xC4", (4, 4, 4, 4)), ("C2xC2xC3", (2, 6, 6)),
+]
+
+
+def _all_automorphism_orbits(g, sig):
+    """The partition with one edge per tuple to the least key of its orbit
+    under every automorphism, next to the braid-move edges."""
+    S = gt._enumerate_tuples(g, sig.periods)
+    images = [gt._pack_keys(np.array([gt.braid_move(gt.TableVector(g, tuple(s)), i).elliptic
+                                      for s in S.tolist()]), g.order)
+              for i in range(1, len(sig.periods))]
+    autos = np.array(gt.automorphisms(g))
+    images.append(np.min([gt._pack_keys(alpha[S], g.order) for alpha in autos], axis=0))
+    count, labels = gt.orbit_components(gt._pack_keys(S, g.order), images)
+    return [frozenset(map(tuple, S[labels == c].tolist())) for c in range(count)]
+
+
+@pytest.mark.parametrize("name,sig", DESK_ORBIT_CASES)
+def test_generator_edges_match_every_automorphism(name, sig):
+    g = gt.by_name(name)
+    want = _all_automorphism_orbits(g, Signature(0, sig))
+    assert list(gt.generating_vector_orbits(g, Signature(0, sig))) == want
+
+
+def _closure(perms, n):
+    """Every composite of the permutations of range(n), by a python
+    breadth-first search."""
+    seen = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(gen[x] for x in beta) for beta in frontier for gen in perms} - seen
+        seen |= frontier
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in DESK_ORBIT_CASES}
+                                        | {"C1", "C2xC2xC2xC2", "S3xC3"}))
+def test_automorphism_group_generators_generate_aut(name):
+    g = gt.by_name(name)
+    autos = gt.automorphisms(g)
+    gens = [tuple(alpha.tolist()) for alpha in gt.automorphism_group_generators(g)]
+    assert set(gens) <= set(autos) and len(set(gens)) == len(gens)
+    assert _closure(gens, g.order) == set(autos)
+    if name == "C2xC2xC2xC2":
+        assert len(autos) == 20160
+
+
+def test_count_orbits_c2_to_the_4_by_generator_edges():
+    # 504,000 tuples and |Aut| = 20,160: the bound holds only while Aut(G)
+    # costs a few passes over the tuples, not one per automorphism
+    start = time.process_time()
+    got = gt.count_orbits(elementary_abelian(2, 4), Signature(0, (2,) * 6))
+    assert time.process_time() - start < 30
+    assert got == genvec.count_pure_classes(2, 4, 6) == 2
+
+
 def test_count_orbits_state_cap(monkeypatch):
     monkeypatch.setattr(gt, "ORBIT_STATE_CAP", 100)
     with pytest.raises(CapExceededError):

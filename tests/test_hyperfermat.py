@@ -399,6 +399,22 @@ def test_residue_identity_random_exact():
         assert hf.residue_identity_check(w, n - 1) != 0
 
 
+def test_residue_identity_rational_matches_per_term_sum():
+    # the common-denominator sum against one Fraction quotient per term;
+    # s = n - 1 is the negative control (the residue at infinity, exactly 1)
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        w = _rand_fractions(rng, n + 1, lo=-200, hi=200, maxden=rng.choice([1, 9, 60]))
+        for s in range(n + 2):
+            want = sum(w[j] ** s / math.prod(w[j] - w[k] for k in range(1, n + 1) if k != j)
+                       for j in range(1, n + 1))
+            got = hf.residue_identity_check(w, s)
+            assert isinstance(got, Fraction) and got == abs(want), (w, s)
+        assert hf.residue_identity_check(w, n - 1) == 1
+        assert hf.residue_identity_check(w, n) == abs(sum(w[1:]))
+
+
 def test_residue_identity_float():
     rng = random.Random(67)
     for _ in range(20):
