@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from . import genvec, grouptable, hyperfermat, maximality, tables
+from . import genvec, hyperfermat, maximality, tables
 from .errors import CapExceededError, OutOfDomainError, PreconditionError
 from .surfaces import EAActionSpec, Signature, ea_genus
 
@@ -108,6 +108,7 @@ def cmd_maximal(args, out) -> int:
 
 
 def cmd_orbits(args, out) -> int:
+    from . import grouptable  # it loads numpy, which no other subcommand needs at once
     if bool(args.group) == bool(args.table):
         raise UsageError("provide exactly one of --group or --table")
     if args.group:

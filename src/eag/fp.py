@@ -2,21 +2,23 @@
 
 Scalars are plain int residues in [0, p).  Only small primes are accepted
 (p <= 13); everything in the classification lives there and the bound keeps
-multiplicative closures enumerable.  A vector is a tuple of ints, a matrix
-or a list of generators is an int64 numpy array.  ``group_closure`` runs on
-permutations of vector codes and deduplicates by packed integer keys
-(``_pack_keys``, shared with the orbit engines); ``sp_group`` builds
-Sp(2 rho, p) once per argument pair, read-only.  The conjugacy classes of
-GL(n, p) are listed by their blocks, with no matrices.
+multiplicative closures enumerable.  A vector is a tuple of ints.  The
+conjugacy classes of GL(n, p) are listed by their blocks, with no matrices.
+The Sp(2 rho, p) helpers of the kernel oracles take int64 numpy arrays and
+import numpy in their bodies; ``group_closure`` runs on permutations of
+vector codes and deduplicates by packed keys (``orbits._pack_keys``), and
+``sp_group`` builds Sp(2 rho, p) once per argument pair, read-only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, PreconditionError
+
+if TYPE_CHECKING:  # the oracle helpers import numpy in their bodies
+    import numpy as np
 
 PRIME_CAP = 13
 
@@ -175,6 +177,7 @@ def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[int, tuple], ...]:
 
 def standard_symplectic_form(rho: int, p: int) -> np.ndarray:
     """Alternating form J pairing coordinates (2i, 2i+1) for i < rho."""
+    import numpy as np
     J = np.zeros((2 * rho, 2 * rho), dtype=np.int64)
     even = np.arange(0, 2 * rho, 2)
     J[even, even + 1] = 1
@@ -190,6 +193,7 @@ def sp_generators(rho: int, p: int) -> list[np.ndarray]:
     mapping class group image on mod-p homology: each handle's pair, plus
     the sums linking consecutive handles.
     """
+    import numpy as np
     check_prime(p)
     if rho < 1:
         raise PreconditionError("rho must be >= 1")
@@ -200,25 +204,6 @@ def sp_generators(rho: int, p: int) -> list[np.ndarray]:
     for i in range(rho - 1):
         directions += [e[2 * i] + e[2 * i + 2], e[2 * i + 1] + e[2 * i + 3]]
     return [(e + np.outer(v, J @ v)) % p for v in directions]
-
-
-def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
-    """Encode each item of a batch as one integer key.
-
-    Item i is ``digits[i]`` read as base-``base`` digits in C order, most
-    significant first, so keys sort like the items do.  Raises
-    CapExceededError when a key would not fit in 63 bits.
-    """
-    flat = digits.reshape(len(digits), -1)
-    nd = flat.shape[1]
-    if base ** nd >= 2 ** 63:
-        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
-    # Horner over the digit columns keeps one uint64 array, not a widened batch
-    keys = np.zeros(len(flat), dtype=np.uint64)
-    for j in range(nd):
-        keys *= np.uint64(base)
-        keys += flat[:, j].astype(np.uint64)
-    return keys
 
 
 def group_closure(gens, p: int) -> np.ndarray:
@@ -234,6 +219,8 @@ def group_closure(gens, p: int) -> np.ndarray:
     perm_g[rows].  Keys read the row codes as base-p^n digits and sort like
     the matrices; they are decoded once, at the end.
     """
+    import numpy as np
+    from .orbits import _pack_keys
     check_prime(p)
     gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
     if not gens:

@@ -9,15 +9,23 @@ with the canonical-generator moves, which for an abelian target reduce to
 GL(n, p) x S_r in the purely ramified case, GL(n, p) x Sp(2 rho, p)
 through homology in the unramified case, and both plus the point-push
 shears in the mixed case (see ``count_classes``).
+
+The counts are closed forms in Python ints.  e is a Burnside sum over the
+conjugacy classes of GL(k, p) (``count_pure_orbits_burnside``), each
+class's fixed-multiset counts for every t <= r read off its blocks
+(``_class_profile``, ``_fixed_multiset_row``) and shared by the classes
+with its profile; h is Witt's closed form (``witt_kernel_orbit_count``).
+``check_pure_caps`` and ``check_unramified_caps`` bound the box in which
+the numpy oracles of ``eag.orbits`` cross-check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 
-import numpy as np
-
-from . import orbits
+from . import fp
 from .errors import CapExceededError, OutOfDomainError, PreconditionError
 from .fp import check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
@@ -88,15 +96,245 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# closed forms: the oracles' enumeration boxes, Burnside's e and Witt's h
+
+
+#: enumeration box of the purely ramified oracles
+PURE_BRUTE_PRIMES = (2, 3, 5)
+PURE_BRUTE_MAX_RANK = 4
+PURE_BRUTE_MAX_PERIODS = 8
+
+#: enumeration box of the kernel-count oracle
+UNRAMIFIED_BRUTE_PRIMES = (2, 3, 5)
+UNRAMIFIED_BRUTE_MAX_GENUS = 3
+UNRAMIFIED_BRUTE_MAX_SUBSPACES = 100_000
+
+
+def gaussian_binomial(m: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^m."""
+    if k < 0 or k > m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (m - i) - 1
+        den *= p ** (i + 1) - 1
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{m} {k}]_{p} is not an integer")
+    return num // den
+
+
+def check_pure_caps(p: int, k: int, r: int) -> None:
+    if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
+        raise CapExceededError(
+            f"(p={p}, k={k}, r={r}) is outside the enumeration box "
+            f"p in {PURE_BRUTE_PRIMES}, k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
+    est = gaussian_binomial(r - 1, k, p)
+    if est > fp.DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(f"(p={p}, k={k}, r={r}) needs {est} subspaces, "
+                               f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
+
+
+def _multiset_count(m: int, t: int) -> int:
+    """C(m + t - 1, t): the number of t-multisets drawn from m kinds."""
+    count = 1
+    for i in range(t):
+        count = count * (m + i) // (i + 1)
+    return count
+
+
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    return gcd(n, p ** n)
+
+
+@lru_cache(maxsize=None)
+def _short_order(f: tuple[int, ...], p: int, r: int) -> int:
+    """ord(f), the least L with f | x^L - 1, when it is at most r; else 0."""
+    one = (1,) + (0,) * (len(f) - 2)
+    power = one
+    for L in range(1, r + 1):  # power: x^L modulo f
+        top = power[-1]
+        power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
+        if power == one:
+            return L
+    return 0
+
+
+def _class_profile(blocks, p: int, r: int) -> tuple:
+    """((d_1, ..., d_r), unipotent sizes) of g with the ``fp.gl_conjugacy_classes`` ``blocks``.
+
+    d_L = dim ker(g^L - 1).  With L = p^a L', p not dividing L',
+    x^L - 1 = (x^L' - 1)^(p^a) and x^L' - 1 is squarefree, so a block
+    F_p[x]/(f^m) adds deg f * min(m, p^a) to d_L if ord(f) (prime to p)
+    divides L'.  A unipotent block (f = x - 1) enters by the largest power
+    of p at most min(m, r), all that ``_fixed_multiset_row`` reads of it.
+    """
+    dims = [0] * r
+    unipotent = []
+    for f, m in blocks:
+        order = _short_order(f, p, r)
+        if not order:
+            continue
+        if order == 1:
+            unipotent.append(max(p ** a for a in range(r) if p ** a <= min(m, r)))
+        for L in range(order, r + 1, order):
+            dims[L - 1] += (len(f) - 1) * min(m, _p_part(L, p))
+    return tuple(dims), tuple(sorted(unipotent))
+
+
+def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
+    """series * (1 - x^s)^(-n), cut at the length of series, for any integer n."""
+    coefs = [1]  # [x^(js)] (1 - x^s)^(-n) = n (n + 1) ... (n + j - 1) / j!
+    for j in range(1, (len(series) - 1) // s + 1):
+        coefs.append(coefs[-1] * (n + j - 1) // j)
+    return [sum(c * series[t - j * s] for j, c in enumerate(coefs[:t // s + 1]))
+            for t in range(len(series))]
+
+
+def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
+    """Fix_g(t), the zero-sum t-multisets of nonzero vectors fixed by g, for t = 0 .. r.
+
+    Read off g's ``_class_profile``.  A fixed multiset has constant
+    multiplicity on each g-cycle of vectors, and a cycle of length L through
+    v sums to N_L v, N_L = 1 + g + ... + g^(L-1), in F = ker(g - 1), of
+    dimension u = d_1.  Averaging over the characters phi of F,
+    Fix_g(t) = p^(-u) sum_phi [x^t] prod_C (1 - zeta^phi(sum C) x^|C|)^(-1).
+
+    Lucas (L = p^a L', p not dividing L'): on a unipotent block of size m,
+    N_L is (g - 1)^(p^a - 1) times a unit on ker(g^L - 1), so it is nonzero
+    there exactly when m >= p^a, onto the block's line of F; F meets no
+    other block.  So phi(N_L v) is nonzero on ker(g^L - 1) exactly when
+    p^a <= E(phi), the largest size of a block on whose line phi is nonzero
+    (E(0) = 0), and then takes each value p^(d_L - 1) times.  As
+    N_L v = (L / D) N_D v for v of exact period D, Moebius over D | L gives
+    the c_L cycles of length L with each nonzero phi-sum and the c0_L with
+    sum 0 (the zero vector left out), and prod_{j != 0} (1 - zeta^j y) =
+    (1 - y^p) / (1 - y) turns the product into the integer series
+    prod_L (1 - x^L)^(c_L - c0_L) (1 - x^(pL))^(-c_L).  Of the phi,
+    p^#{m <= E} - p^#{m < E} have E(phi) = E > 0.
+    """
+    dims, unipotent = profile
+    exact = [0] * (r + 1)  # vectors of exact period L
+    for L in range(1, r + 1):
+        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in range(1, L) if L % D == 0)
+    row = [0] * (r + 1)
+    for E in (0,) + tuple(sorted(set(unipotent))):
+        weight = 1 if E == 0 else \
+            p ** sum(m <= E for m in unipotent) - p ** sum(m < E for m in unipotent)
+        each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum
+        power = [0] * (r + 1)  # G_phi = prod_s (1 - x^s)^(-power[s])
+        for L in range(1, r + 1):
+            spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
+            each[L] = spread - sum(each[D] for D in range(1, L)
+                                   if L % D == 0 and (L // D) % p)
+            zero = exact[L] - (p - 1) * each[L] - (L == 1)
+            if zero % L or each[L] % L:
+                raise AssertionError(f"vectors of period {L} do not form whole cycles")
+            power[L] += (zero - each[L]) // L
+            if p * L <= r:
+                power[p * L] += each[L] // L
+        series = [1] + [0] * r
+        for s in range(1, r + 1):
+            if power[s]:
+                series = _times_inverse_power(series, s, power[s])
+        row = [total + weight * term for total, term in zip(row, series)]
+    characters = p ** len(unipotent)
+    if any(total % characters for total in row):
+        raise AssertionError(f"character sums {row} are not multiples of |F| = {characters}")
+    return [total // characters for total in row]
+
+
+#: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
+_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
+    """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
+
+    Burnside over the conjugacy classes: the class-size-weighted sum of the
+    fixed-multiset counts, divided by |GL(k, p)|.  The counts of g for
+    t <= r are read off its ``_class_profile`` in closed form
+    (``_fixed_multiset_row``), once per distinct profile.  One pass gives
+    the whole row M(p, k, 0..r), each entry checked for divisibility; the
+    longest row per (p, k) is kept in ``_ROWS``, and a request past it
+    builds the row again.
+    """
+    if k == 0:
+        return int(r == 0)
+    row = _ROWS.get((p, k), ())
+    if len(row) > r:
+        return row[r]
+    weights = {}  # profile -> the total size of its classes
+    for size, blocks in fp.gl_conjugacy_classes(k, p):
+        key = _class_profile(blocks, p, r)
+        weights[key] = weights.get(key, 0) + size
+    totals = [0] * (r + 1)
+    for key, size in weights.items():
+        totals = [total + size * fixed
+                  for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
+    order = fp.gl_order(k, p)
+    bad = [t for t in range(r + 1) if totals[t] % order]
+    if bad:
+        raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
+                             f"multiples of |GL({k}, {p})|")
+    row = _ROWS[(p, k)] = tuple(total // order for total in totals)
+    return row[r]
+
+
+def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
+    """e(p, k, r) = M(p, k, r) - M(p, k - 1, r), both by Burnside.
+
+    e counts GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors that
+    span F_p^k; a multiset absorbs S_r, so these are the classes of
+    (0; p^r)-generating vectors of C_p^k.  Grouping the multisets counted by
+    M(p, k, r) by their span W of dimension j: GL(k, p) is transitive on the
+    j-subspaces, and the stabiliser of W induces all of GL(j, p) on it, so
+    the orbits with span of dimension j are e(p, j, r) many, and
+    M(p, k, r) = sum_{j <= k} e(p, j, r).
+    """
+    if k < 1 or k > r - 1:
+        return 0
+    return _zero_sum_multiset_orbits(p, k, r) - _zero_sum_multiset_orbits(p, k - 1, r)
+
+
+def check_unramified_caps(p: int, k: int, rho: int) -> None:
+    if p not in UNRAMIFIED_BRUTE_PRIMES or rho > UNRAMIFIED_BRUTE_MAX_GENUS:
+        raise CapExceededError(
+            f"(p={p}, k={k}, rho={rho}) is outside the enumeration box "
+            f"p in {UNRAMIFIED_BRUTE_PRIMES}, rho <= {UNRAMIFIED_BRUTE_MAX_GENUS}")
+    est = gaussian_binomial(2 * rho, max(2 * rho - k, 0), p)
+    if est > UNRAMIFIED_BRUTE_MAX_SUBSPACES:
+        raise CapExceededError(
+            f"(p={p}, k={k}, rho={rho}) needs {est} subspaces, above "
+            f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
+
+
+def witt_kernel_orbit_count(rho: int, k: int) -> int:
+    """h: Sp(2 rho, p)-orbits of codimension-k subspaces of F_p^{2 rho}.
+
+    Orbits of d-dimensional subspaces under the symplectic group are
+    classified by the rank 2t of the restricted form, with
+    max(0, d - rho) <= t <= floor(d / 2); Witt extension gives transitivity
+    within each class.  Independent of p.
+    """
+    if k < 0 or k > 2 * rho:
+        return 0
+    d = 2 * rho - k
+    lo = max(0, d - rho)
+    hi = d // 2
+    return hi - lo + 1
+
+
+# ---------------------------------------------------------------------------
 # class counts
 
 
 def count_pure_classes(p: int, k: int, r: int) -> int:
     """Number of classes of (0; p^r)-generating vectors of C_p^k.
 
-    Counted by ``orbits.count_pure_orbits_burnside`` inside the enumeration
-    box of ``orbits.check_pure_caps``, where the subspace BFS and the
-    canonical-form oracles pin every value.  Conventions: the count is 1 for
+    Counted by ``count_pure_orbits_burnside`` inside the enumeration box of
+    ``check_pure_caps``, where the subspace BFS and the canonical-form
+    oracles of ``eag.orbits`` pin every value.  Conventions: the count is 1 for
     k = 0 only when r = 0, and 0 for k < 0.
     """
     check_prime(p)
@@ -104,8 +342,8 @@ def count_pure_classes(p: int, k: int, r: int) -> int:
         return int(k == 0 and r == 0)
     if no_pure_vectors(p, k, r):
         return 0
-    orbits.check_pure_caps(p, k, r)
-    return orbits.count_pure_orbits_burnside(p, k, r)
+    check_pure_caps(p, k, r)
+    return count_pure_orbits_burnside(p, k, r)
 
 
 def no_pure_vectors(p: int, j: int, r: int) -> bool:
@@ -127,7 +365,7 @@ def count_unramified_classes(p: int, k: int, rho: int) -> int:
     check_prime(p)
     if rho < 0:
         raise PreconditionError("rho must be >= 0")
-    return orbits.witt_kernel_orbit_count(rho, k)
+    return witt_kernel_orbit_count(rho, k)
 
 
 @dataclass(frozen=True)
@@ -149,7 +387,7 @@ def unramified_adjudication(p: int, rho: int) -> UnramifiedAdjudication:
     """
     check_prime(p)
     computed = tuple(k for k in range(0, 2 * rho + 1)
-                     if orbits.witt_kernel_orbit_count(rho, k) == 1)
+                     if witt_kernel_orbit_count(rho, k) == 1)
     stated = tuple(sorted({0, 1, rho - 1, rho} & set(range(0, 2 * rho + 1))))
     agrees = computed == stated
     note = ("computed unique ranks match the stated ones" if agrees else
@@ -272,7 +510,7 @@ def unique_action_rules(spec: EAActionSpec) -> tuple[str, ...]:
         return ()
     j = live[0]
     row = "j=r=0" if j == 0 else pure_unique_row(p, j, r)
-    if row is None or orbits.witt_kernel_orbit_count(rho, n - j) != 1:
+    if row is None or witt_kernel_orbit_count(rho, n - j) != 1:
         return ()
     return (f"unique: h(k={n - j})=1, e(j={j})=1 ({row})",)
 
@@ -326,6 +564,7 @@ def build_inequivalent_pair(p: int, n: int, r: int):
         # r odd here (even r is a unique row): the images sum to X != 0
         raise PreconditionError(f"(p=2, n=1, r={r}) admits no vectors at all")
 
+    import numpy as np  # the unit vectors below; no CLI path builds a pair
     X = list(np.eye(n, dtype=np.int64))
 
     if n >= 3:

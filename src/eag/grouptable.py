@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .fp import _pack_keys
-from .orbits import orbit_components
+from .orbits import _pack_keys, orbit_components
 from .surfaces import Signature
 
 AUTOMORPHISM_ORDER_CAP = 60

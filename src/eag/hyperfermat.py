@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .cx import (GaussianRational, Mobius, ProjPoint, cross_det, is_exact_scalar,
                  scalar_is_zero)
 from .errors import CapExceededError, PreconditionError
@@ -427,6 +425,7 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
         raise PreconditionError(f"smoothness sampling needs at least one sample, not {count}")
     if count > SAMPLE_CAP:
         raise CapExceededError(f"{count} smoothness samples requested, above the cap {SAMPLE_CAP}")
+    import numpy as np
     rng = random.Random(seed)
     p, n = spec.p, spec.n
     cmat = np.array([[complex(c) for c in row] for row in spec.line.rows])

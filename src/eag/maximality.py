@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fp, orbits
+from . import fp
 from .errors import CapExceededError, PreconditionError
 from .fp import vector_span_rank
 from .genvec import GeneratingVector, is_unique_action, require_admissible_genus, validate
@@ -83,7 +81,7 @@ def _frobenius_pairs(p: int, rho: int):
 
 def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector,
               basis) -> ExtensionWitness:
-    basis = tuple(tuple(b) for b in (np.asarray(basis) % spec.p).tolist())
+    basis = tuple(tuple(a % spec.p for a in b) for b in basis)
     if not validate(vector):
         raise AssertionError(f"witness vector invalid for {spec}")
     if vector_span_rank(basis, spec.p) != spec.n:
@@ -96,8 +94,12 @@ def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector
     return ExtensionWitness(n_spec, vector, basis)
 
 
-def _units(n: int) -> list[np.ndarray]:
-    return list(np.eye(n, dtype=np.int64))
+def _units(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _add(*vectors) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*vectors)))
 
 
 def _zero_pairs(n: int, tau: int):
@@ -112,12 +114,12 @@ def _witness_p2(spec: EAActionSpec) -> ExtensionWitness:
     # the sphere, so X/H has genus rho.  The last h closes the sum (-x = x).
     n, rho, half = spec.n, spec.rho, spec.r // 2
     units = _units(n + 1)
-    H, z = units[:n], units[n]
+    H, z, zero = units[:n], units[n], (0,) * (n + 1)
     inside = (H + [H[0]] * half)[:half]
-    hs = [0 * z] + H[half:]
-    hs += [0 * z] * (2 * rho + 1 - len(hs))
-    hs.append(sum(inside + hs))
-    vec = GeneratingVector(2, n + 1, hyperbolic=(), elliptic=inside + [h + z for h in hs])
+    hs = [zero] + H[half:]
+    hs += [zero] * (2 * rho + 1 - len(hs))
+    hs.append(_add(*inside, *hs))
+    vec = GeneratingVector(2, n + 1, hyperbolic=(), elliptic=inside + [_add(h, z) for h in hs])
     return _verified(spec, EAActionSpec(2, n + 1, 0, len(vec.elliptic)), vec, H)
 
 
@@ -127,7 +129,7 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
     # elliptic entry.  b = 1 never does (one entry cannot have product 1);
     # b in {0, 2} needs a hyperbolic pair to reach y.
     p = spec.p
-    x, y = _units(2)
+    x, y = (1, 0), (0, 1)
     for a, b in _frobenius_pairs(p, spec.rho):
         tau = a + 1
         if b == 1 or (b < 3 and tau < 1):
@@ -135,10 +137,10 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
         if b == 0:
             hyperbolic, elliptic = ((x, y),) + _zero_pairs(2, tau - 1), ()
         elif b == 2:
-            hyperbolic, elliptic = ((x + y, x + y),) * tau, (x, -x)
+            hyperbolic, elliptic = (((1, 1), (1, 1)),) * tau, (x, (-1, 0))
         else:
             # b - 2 copies of x, closed by two entries outside <y>
-            tail = [-x + y, 2 * x - y] if (b - 1) % p == 0 else [x + y, -((b - 1) * x + y)]
+            tail = [(-1, 1), (2, -1)] if (b - 1) % p == 0 else [(1, 1), (1 - b, -1)]
             hyperbolic, elliptic = _zero_pairs(2, tau), [x] * (b - 2) + tail
         vec = GeneratingVector(p, 2, hyperbolic, elliptic)
         return _verified(spec, EAActionSpec(p, 2, tau, b), vec, (y,))
@@ -148,14 +150,14 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
 def _witness_three_periods_cyclic_p3(spec: EAActionSpec) -> ExtensionWitness:
     # (rho; 3^3) with n = 1
     rho = spec.rho
-    x, y = _units(2)
+    y = (0, 1)
     if rho % 3 == 0:
-        head = [y, x - y, -x]
+        head = [y, (1, -1), (-1, 0)]
     elif rho % 3 == 1:
-        head = [y, x + y, x + y]
+        head = [y, (1, 1), (1, 1)]
     else:
-        head = [y, -x + y, -x + y]
-    elliptic = head + [x] * rho
+        head = [y, (-1, 1), (-1, 1)]
+    elliptic = head + [(1, 0)] * rho
     n_spec = EAActionSpec(3, 2, 0, len(elliptic))
     vec = GeneratingVector(3, 2, hyperbolic=(), elliptic=elliptic)
     return _verified(spec, n_spec, vec, (y,))
@@ -266,7 +268,7 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
         for v in _codewords(p, tau, ep.l, ep.m):
             for block, admissible in _row_space_blocks(p, tau, s, n, v):
                 if admissible.any():
-                    rows = np.vstack([block[admissible.argmax()], v])
+                    rows = [*block[admissible.argmax()].tolist(), v]
                     return SearchOutcome("found", _row_space_witness(spec, n_spec, rows))
                 enumerated += len(block)
                 if enumerated > fp.DEFAULT_ELEMENT_CAP:
@@ -288,11 +290,14 @@ def _codewords(p: int, tau: int, l: int, m: int):
             continue
         for head in heads:
             if any(head) or tail:
-                yield np.array(head + [0] * m + list(tail), dtype=np.int64)
+                yield tuple(head + [0] * m + list(tail))
 
 
-def _row_space_blocks(p: int, tau: int, s: int, n: int, v: np.ndarray):
+def _row_space_blocks(p: int, tau: int, s: int, n: int, v: tuple[int, ...]):
     """Blocks of the n-subspaces U of a complement of <v>, and which U + <v> are admissible."""
+    import numpy as np
+    from . import orbits
+    v = np.array(v, dtype=np.int64)
     d = 2 * tau + s
     # an echelon basis of V whose row i leads at coordinate i: units on the
     # hyperbolic part, e_i - e_(i+1) on Z_s.  v has a nonzero coefficient on
@@ -307,9 +312,9 @@ def _row_space_blocks(p: int, tau: int, s: int, n: int, v: np.ndarray):
         yield block, (block[:, :, zero] != 0).any(axis=1).all(axis=1)
 
 
-def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows: np.ndarray):
+def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows):
     p, tau = spec.p, n_spec.rho
-    cols = rows.T
+    cols = list(zip(*rows))
     vec = GeneratingVector(p, spec.n + 1,
                            hyperbolic=[(cols[2 * i], cols[2 * i + 1]) for i in range(tau)],
                            elliptic=cols[2 * tau:])

@@ -1,26 +1,16 @@
-"""Orbit counts used by the class-counting operations.
+"""The numpy batch engine, and the test oracles that cross-check e and h.
 
-The purely ramified count is a Burnside sum (``count_pure_orbits_burnside``):
-the classes of (0; p^r)-generating vectors of C_p^k are the GL(k, p)-orbits
-of spanning zero-sum r-multisets of nonzero vectors, counted as a difference
-of two sums over the conjugacy classes of GL(k, p) (``fp.gl_conjugacy_classes``).
-The fixed-multiset counts of a class for every t <= r are a closed form in
-Python ints, read off its blocks (``_class_profile``, ``_fixed_multiset_row``).
-Classes with equal profiles share one row, and one pass over the classes
-gives the whole row of sums for every t <= r, kept per (p, k).
+The engine is what other modules import from here: ``orbit_components``
+counts the orbits of a finite set under some moves, with the objects as
+distinct integer keys (``_pack_keys``), each move mapping every object to
+the key of its image, and the orbits the connected components;
+``_subspace_blocks`` lists the k-subspaces of a row space in blocks.  The
+Cayley-table orbit count (``grouptable``) and the maximality witness search
+run on it.  Only this module and ``grouptable`` import numpy at module
+level.
 
-The unramified count h is Witt's closed form (``witt_kernel_orbit_count``).
-
-The Cayley-table orbit count (``grouptable.generating_vector_orbits``:
-genus-0 generating tuples under the braid moves and Aut(G)) runs on
-``orbit_components``: objects become distinct integer keys, each move maps
-every object to the key of its image, and the orbits are the connected
-components.  Aut(G) adds one edge per tuple, to the least key of its
-Aut-orbit; t and alpha(t) share that key, so this one edge joins what
-|Aut(G)| edges per tuple would.
-
-The test suite cross-checks e and h with independent oracles, which run
-only inside the boxes of ``check_pure_caps`` and ``check_unramified_caps``:
+The counts e and h are closed forms in ``eag.genvec``.  The oracles run
+only inside its boxes, ``check_pure_caps`` and ``check_unramified_caps``:
 
 * ``count_pure_orbits_bfs``, the same engine on admissible k-subspaces of
   the zero-sum hyperplane of F_p^r under S_r permuting coordinates.  S_r
@@ -38,35 +28,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from . import fp
-from .fp import _pack_keys
-
-#: enumeration box of the purely ramified oracles
-PURE_BRUTE_PRIMES = (2, 3, 5)
-PURE_BRUTE_MAX_RANK = 4
-PURE_BRUTE_MAX_PERIODS = 8
-
-#: enumeration box of the kernel-count oracle
-UNRAMIFIED_BRUTE_PRIMES = (2, 3, 5)
-UNRAMIFIED_BRUTE_MAX_GENUS = 3
-UNRAMIFIED_BRUTE_MAX_SUBSPACES = 100_000
-
-def gaussian_binomial(m: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^m."""
-    if k < 0 or k > m:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (m - i) - 1
-        den *= p ** (i + 1) - 1
-    if num % den:
-        raise AssertionError(f"Gaussian binomial [{m} {k}]_{p} is not an integer")
-    return num // den
+from .genvec import _multiset_count, check_pure_caps, check_unramified_caps
+# perfbench reads Witt's count here, as orbits.witt_kernel_orbit_count
+from .genvec import witt_kernel_orbit_count  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +117,33 @@ def _subspace_blocks(p: int, W: np.ndarray, k: int):
 def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
     """Ambient RREFs of all k-subspaces of the row space of ``W = [I_d | X]``.
 
-    The result is uint8 of shape (gaussian_binomial(d, k, p), k, n).  Each
-    subspace is C W for its RREF coordinates C, and C W = [C | C X] is
+    The result is uint8 of shape (genvec.gaussian_binomial(d, k, p), k, n).
+    Each subspace is C W for its RREF coordinates C, and C W = [C | C X] is
     already in RREF, so nothing is row-reduced; any other ``W`` raises.
     """
     d = W.shape[0]
     if not np.array_equal(W[:, :d], np.eye(d, dtype=W.dtype)):
         raise PreconditionError("subspace enumeration needs a basis of the form [I | X]")
     return np.concatenate([block.astype(np.uint8) for block in _subspace_blocks(p, W, k)])
+
+
+def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """Encode each item of a batch as one integer key.
+
+    Item i is ``digits[i]`` read as base-``base`` digits in C order, most
+    significant first, so keys sort like the items do.  Raises
+    CapExceededError when a key would not fit in 63 bits.
+    """
+    flat = digits.reshape(len(digits), -1)
+    nd = flat.shape[1]
+    if base ** nd >= 2 ** 63:
+        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
+    # Horner over the digit columns keeps one uint64 array, not a widened batch
+    keys = np.zeros(len(flat), dtype=np.uint64)
+    for j in range(nd):
+        keys *= np.uint64(base)
+        keys += flat[:, j].astype(np.uint64)
+    return keys
 
 
 def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
@@ -226,180 +214,6 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
 # coordinate (columns of the reduced basis are the tuple entries).  Tuple
 # reordering becomes the S_r action on coordinates, so class counting is
 # orbit counting of admissible subspaces under S_r.
-
-
-def check_pure_caps(p: int, k: int, r: int) -> None:
-    if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
-        raise CapExceededError(
-            f"(p={p}, k={k}, r={r}) is outside the enumeration box "
-            f"p in {PURE_BRUTE_PRIMES}, k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
-    est = gaussian_binomial(r - 1, k, p)
-    if est > fp.DEFAULT_ELEMENT_CAP:
-        raise CapExceededError(f"(p={p}, k={k}, r={r}) needs {est} subspaces, "
-                               f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
-
-
-def _multiset_count(m: int, t: int) -> int:
-    """C(m + t - 1, t): the number of t-multisets drawn from m kinds."""
-    count = 1
-    for i in range(t):
-        count = count * (m + i) // (i + 1)
-    return count
-
-
-def _p_part(n: int, p: int) -> int:
-    """The largest power of p dividing n."""
-    return gcd(n, p ** n)
-
-
-@lru_cache(maxsize=None)
-def _short_order(f: tuple[int, ...], p: int, r: int) -> int:
-    """ord(f), the least L with f | x^L - 1, when it is at most r; else 0."""
-    one = (1,) + (0,) * (len(f) - 2)
-    power = one
-    for L in range(1, r + 1):  # power: x^L modulo f
-        top = power[-1]
-        power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
-        if power == one:
-            return L
-    return 0
-
-
-def _class_profile(blocks, p: int, r: int) -> tuple:
-    """((d_1, ..., d_r), unipotent sizes) of g with the ``fp.gl_conjugacy_classes`` ``blocks``.
-
-    d_L = dim ker(g^L - 1).  With L = p^a L', p not dividing L',
-    x^L - 1 = (x^L' - 1)^(p^a) and x^L' - 1 is squarefree, so a block
-    F_p[x]/(f^m) adds deg f * min(m, p^a) to d_L if ord(f) (prime to p)
-    divides L'.  A unipotent block (f = x - 1) enters by the largest power
-    of p at most min(m, r), all that ``_fixed_multiset_row`` reads of it.
-    """
-    dims = [0] * r
-    unipotent = []
-    for f, m in blocks:
-        order = _short_order(f, p, r)
-        if not order:
-            continue
-        if order == 1:
-            unipotent.append(max(p ** a for a in range(r) if p ** a <= min(m, r)))
-        for L in range(order, r + 1, order):
-            dims[L - 1] += (len(f) - 1) * min(m, _p_part(L, p))
-    return tuple(dims), tuple(sorted(unipotent))
-
-
-def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
-    """series * (1 - x^s)^(-n), cut at the length of series, for any integer n."""
-    coefs = [1]  # [x^(js)] (1 - x^s)^(-n) = n (n + 1) ... (n + j - 1) / j!
-    for j in range(1, (len(series) - 1) // s + 1):
-        coefs.append(coefs[-1] * (n + j - 1) // j)
-    return [sum(c * series[t - j * s] for j, c in enumerate(coefs[:t // s + 1]))
-            for t in range(len(series))]
-
-
-def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
-    """Fix_g(t), the zero-sum t-multisets of nonzero vectors fixed by g, for t = 0 .. r.
-
-    Read off g's ``_class_profile``.  A fixed multiset has constant
-    multiplicity on each g-cycle of vectors, and a cycle of length L through
-    v sums to N_L v, N_L = 1 + g + ... + g^(L-1), in F = ker(g - 1), of
-    dimension u = d_1.  Averaging over the characters phi of F,
-    Fix_g(t) = p^(-u) sum_phi [x^t] prod_C (1 - zeta^phi(sum C) x^|C|)^(-1).
-
-    Lucas (L = p^a L', p not dividing L'): on a unipotent block of size m,
-    N_L is (g - 1)^(p^a - 1) times a unit on ker(g^L - 1), so it is nonzero
-    there exactly when m >= p^a, onto the block's line of F; F meets no
-    other block.  So phi(N_L v) is nonzero on ker(g^L - 1) exactly when
-    p^a <= E(phi), the largest size of a block on whose line phi is nonzero
-    (E(0) = 0), and then takes each value p^(d_L - 1) times.  As
-    N_L v = (L / D) N_D v for v of exact period D, Moebius over D | L gives
-    the c_L cycles of length L with each nonzero phi-sum and the c0_L with
-    sum 0 (the zero vector left out), and prod_{j != 0} (1 - zeta^j y) =
-    (1 - y^p) / (1 - y) turns the product into the integer series
-    prod_L (1 - x^L)^(c_L - c0_L) (1 - x^(pL))^(-c_L).  Of the phi,
-    p^#{m <= E} - p^#{m < E} have E(phi) = E > 0.
-    """
-    dims, unipotent = profile
-    exact = [0] * (r + 1)  # vectors of exact period L
-    for L in range(1, r + 1):
-        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in range(1, L) if L % D == 0)
-    row = [0] * (r + 1)
-    for E in (0,) + tuple(sorted(set(unipotent))):
-        weight = 1 if E == 0 else \
-            p ** sum(m <= E for m in unipotent) - p ** sum(m < E for m in unipotent)
-        each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum
-        power = [0] * (r + 1)  # G_phi = prod_s (1 - x^s)^(-power[s])
-        for L in range(1, r + 1):
-            spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
-            each[L] = spread - sum(each[D] for D in range(1, L)
-                                   if L % D == 0 and (L // D) % p)
-            zero = exact[L] - (p - 1) * each[L] - (L == 1)
-            if zero % L or each[L] % L:
-                raise AssertionError(f"vectors of period {L} do not form whole cycles")
-            power[L] += (zero - each[L]) // L
-            if p * L <= r:
-                power[p * L] += each[L] // L
-        series = [1] + [0] * r
-        for s in range(1, r + 1):
-            if power[s]:
-                series = _times_inverse_power(series, s, power[s])
-        row = [total + weight * term for total, term in zip(row, series)]
-    characters = p ** len(unipotent)
-    if any(total % characters for total in row):
-        raise AssertionError(f"character sums {row} are not multiples of |F| = {characters}")
-    return [total // characters for total in row]
-
-
-#: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
-_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
-    """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
-
-    Burnside over the conjugacy classes: the class-size-weighted sum of the
-    fixed-multiset counts, divided by |GL(k, p)|.  The counts of g for
-    t <= r are read off its ``_class_profile`` in closed form
-    (``_fixed_multiset_row``), once per distinct profile.  One pass gives
-    the whole row M(p, k, 0..r), each entry checked for divisibility; the
-    longest row per (p, k) is kept in ``_ROWS``, and a request past it
-    builds the row again.
-    """
-    if k == 0:
-        return int(r == 0)
-    row = _ROWS.get((p, k), ())
-    if len(row) > r:
-        return row[r]
-    weights = {}  # profile -> the total size of its classes
-    for size, blocks in fp.gl_conjugacy_classes(k, p):
-        key = _class_profile(blocks, p, r)
-        weights[key] = weights.get(key, 0) + size
-    totals = [0] * (r + 1)
-    for key, size in weights.items():
-        totals = [total + size * fixed
-                  for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
-    order = fp.gl_order(k, p)
-    bad = [t for t in range(r + 1) if totals[t] % order]
-    if bad:
-        raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
-                             f"multiples of |GL({k}, {p})|")
-    row = _ROWS[(p, k)] = tuple(total // order for total in totals)
-    return row[r]
-
-
-def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
-    """e(p, k, r) = M(p, k, r) - M(p, k - 1, r), both by Burnside.
-
-    e counts GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors that
-    span F_p^k; a multiset absorbs S_r, so these are the classes of
-    (0; p^r)-generating vectors of C_p^k.  Grouping the multisets counted by
-    M(p, k, r) by their span W of dimension j: GL(k, p) is transitive on the
-    j-subspaces, and the stabiliser of W induces all of GL(j, p) on it, so
-    the orbits with span of dimension j are e(p, j, r) many, and
-    M(p, k, r) = sum_{j <= k} e(p, j, r).
-    """
-    if k < 1 or k > r - 1:
-        return 0
-    return _zero_sum_multiset_orbits(p, k, r) - _zero_sum_multiset_orbits(p, k - 1, r)
 
 
 def _swap01_rref(M: np.ndarray, p: int) -> np.ndarray:
@@ -525,18 +339,6 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
 # image Sp(2 rho, p) on the source.
 
 
-def check_unramified_caps(p: int, k: int, rho: int) -> None:
-    if p not in UNRAMIFIED_BRUTE_PRIMES or rho > UNRAMIFIED_BRUTE_MAX_GENUS:
-        raise CapExceededError(
-            f"(p={p}, k={k}, rho={rho}) is outside the enumeration box "
-            f"p in {UNRAMIFIED_BRUTE_PRIMES}, rho <= {UNRAMIFIED_BRUTE_MAX_GENUS}")
-    est = gaussian_binomial(2 * rho, max(2 * rho - k, 0), p)
-    if est > UNRAMIFIED_BRUTE_MAX_SUBSPACES:
-        raise CapExceededError(
-            f"(p={p}, k={k}, rho={rho}) needs {est} subspaces, above "
-            f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
-
-
 @lru_cache(maxsize=None)
 def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     """Orbit count of codimension-k subspaces of F_p^{2 rho} under Sp."""
@@ -554,22 +356,6 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     M = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), e)
     moves = [lambda batch, g=g: batch_rref(batch @ g, p) for g in fp.sp_generators(rho, p)]
     return _subspace_orbit_count(M, p, moves, drop_first_col=False)
-
-
-def witt_kernel_orbit_count(rho: int, k: int) -> int:
-    """h: Sp(2 rho, p)-orbits of codimension-k subspaces of F_p^{2 rho}.
-
-    Orbits of d-dimensional subspaces under the symplectic group are
-    classified by the rank 2t of the restricted form, with
-    max(0, d - rho) <= t <= floor(d / 2); Witt extension gives transitivity
-    within each class.  Independent of p.
-    """
-    if k < 0 or k > 2 * rho:
-        return 0
-    d = 2 * rho - k
-    lo = max(0, d - rho)
-    hi = d // 2
-    return hi - lo + 1
 
 
 CANONICAL_SP_MAX_GROUP = 52_000

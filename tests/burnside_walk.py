@@ -1,6 +1,6 @@
 """The cycle walk and knapsack: Fix_g(t) for a stack of matrices, an oracle for the closed form.
 
-``orbits._fixed_multiset_row`` reads each class's fixed-multiset counts off
+``genvec._fixed_multiset_row`` reads each class's fixed-multiset counts off
 its blocks in closed form.  This walk counts them from the matrices
 instead (``class_matrix`` builds one per class), over the p^k codes of
 F_p^k, and shares no step with it.
@@ -9,7 +9,7 @@ F_p^k, and shares no step with it.
 import numpy as np
 
 from eag.fp import _poly_mul
-from eag.orbits import _multiset_count
+from eag.genvec import _multiset_count
 
 
 def class_matrix(blocks, p: int) -> np.ndarray:

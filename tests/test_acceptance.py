@@ -313,7 +313,7 @@ def test_criterion_11_oracle_cross_checks():
                     bfs = orbits.count_kernel_orbits_bfs(p, k, rho)
                 except CapExceededError:
                     continue
-                assert bfs == orbits.witt_kernel_orbit_count(rho, k), (p, k, rho)
+                assert bfs == genvec.witt_kernel_orbit_count(rho, k), (p, k, rho)
                 if orbits.kernel_canonical_feasible(p, rho):
                     assert orbits.count_kernel_orbits_canonical(p, k, rho) == bfs
                 checked += 1

@@ -467,3 +467,57 @@ def test_cli_path_never_imports_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+#: calls that batch nothing: with numpy unimportable they must answer as before
+NUMPY_FREE_CALLS = [
+    ["count", "--p", "5", "--n", "3", "--rho", "0", "--r", "7"],
+    ["count", "--p", "7", "--n", "2", "--rho", "3", "--r", "0"],  # Witt's closed form
+    ["unique", "--p", "2", "--n", "3", "--rho", "0", "--r", "5"],
+    ["maximal", "--p", "3", "--n", "4", "--rho", "2", "--r", "0"],  # maximal
+    # non-maximal, one call per witness construction
+    ["maximal", "--p", "2", "--n", "1", "--rho", "1", "--r", "4"],
+    ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "0"],
+    ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "3"],
+    ["tables", "--which", "1"],
+    ["tables", "--which", "2", "--format", "csv"],
+]
+
+NUMPY_BLOCKER = (
+    "import importlib.abc, sys\n"
+    "class Refuse(importlib.abc.MetaPathFinder):\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'numpy':\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, Refuse())\n")
+
+
+def _python(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_numpy():
+    done = _python("import sys\nimport eag.cli\nsys.exit(2 if 'numpy' in sys.modules else 0)\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_numpy_free_calls_answer_alike_with_numpy_blocked(capsys):
+    script = NUMPY_BLOCKER + (
+        "import contextlib, io, json\n"
+        "from eag import cli\n"
+        "answers = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        answers.append([cli.main(argv), out.getvalue()])\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    print(json.dumps(answers))\n")
+    done = _python(script, json.dumps(NUMPY_FREE_CALLS))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout, "the blocker let numpy through"
+    blocked = json.loads(done.stdout)
+    assert blocked == [[*run(argv, capsys)[:2]] for argv in NUMPY_FREE_CALLS]
+    assert all(code == 0 for code, _ in blocked)

@@ -217,7 +217,7 @@ MIXED_BOX = [(p, n, rho, r) for p in (2, 3, 5) for rho in (1, 2) for r in range(
 def test_count_classes_matches_direct_enumeration():
     ran = 0
     for p, n, rho, r in MIXED_BOX:
-        if orbits.gaussian_binomial(2 * rho + r - 1, n, p) > 20_000:
+        if genvec.gaussian_binomial(2 * rho + r - 1, n, p) > 20_000:
             continue
         want = _mixed_orbit_count(p, n, rho, r)
         assert count_classes(EAActionSpec(p, n, rho, r)).total == want, (p, n, rho, r)
@@ -373,4 +373,4 @@ def test_count_caps_raise():
         count_pure_classes(7, 2, 5)
     # h is Witt's closed form for every p and rho: no cap
     assert count_unramified_classes(5, 2, 4) == 2
-    assert count_unramified_classes(13, 5, 9) == orbits.witt_kernel_orbit_count(9, 5)
+    assert count_unramified_classes(13, 5, 9) == genvec.witt_kernel_orbit_count(9, 5)

@@ -9,6 +9,7 @@ import pytest
 
 from eag import cli, genvec, grouptable as gt
 from eag.errors import CapExceededError, PreconditionError
+from eag.orbits import _pack_keys, orbit_components
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
 
@@ -204,12 +205,12 @@ def _all_automorphism_orbits(g, sig):
     """The partition with one edge per tuple to the least key of its orbit
     under every automorphism, next to the braid-move edges."""
     S = gt._enumerate_tuples(g, sig.periods)
-    images = [gt._pack_keys(np.array([gt.braid_move(gt.TableVector(g, tuple(s)), i).elliptic
-                                      for s in S.tolist()]), g.order)
+    images = [_pack_keys(np.array([gt.braid_move(gt.TableVector(g, tuple(s)), i).elliptic
+                                   for s in S.tolist()]), g.order)
               for i in range(1, len(sig.periods))]
     autos = np.array(gt.automorphisms(g))
-    images.append(np.min([gt._pack_keys(alpha[S], g.order) for alpha in autos], axis=0))
-    count, labels = gt.orbit_components(gt._pack_keys(S, g.order), images)
+    images.append(np.min([_pack_keys(alpha[S], g.order) for alpha in autos], axis=0))
+    count, labels = orbit_components(_pack_keys(S, g.order), images)
     return [frozenset(map(tuple, S[labels == c].tolist())) for c in range(count)]
 
 

@@ -1,15 +1,17 @@
 """What production reaches, and what it may not.
 
-``eag.orbits`` also holds the test oracles (the subspace and kernel BFS
-counts, the canonical-form counts, their caps and ``batch_rref``).  Every
-other module of the package may use only the names below, so an oracle
-cannot become a production path unnoticed.
+``eag.orbits`` is the numpy batch engine, and it also holds the test oracles
+(the subspace and kernel BFS counts, the canonical-form counts and
+``batch_rref``).  Every other module of the package may use only its batch
+helpers, the names below, so an oracle cannot become a production path
+unnoticed.  The closed-form counts and the oracles' boxes live in
+``eag.genvec``, which does not import ``eag.orbits``.
 
 A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
-reach.  What it does not reach must be reached from ``KEPT``: the oracles,
-the Sp(2 rho, p) closure they use, and the paper's API that the acceptance
-criteria call.  A definition or a method that only tests call fails the
+reach, imports in function bodies included.  What it does not reach must
+be reached from ``KEPT``: the oracles, the Sp(2 rho, p) closure they use,
+and the paper's API that the acceptance criteria call.  A definition or a method that only tests call fails the
 walk.
 """
 
@@ -23,16 +25,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "eag"
 PRODUCTION_NAMES = {
     "orbit_components",
     "_subspace_blocks",
-    "check_pure_caps",
-    "count_pure_orbits_burnside",
-    "witt_kernel_orbit_count",
+    "_pack_keys",
 }
 
 #: definitions that no CLI path reaches, kept on purpose
 KEPT = {
     # the orbit oracles, which cross-check e and h in the tests and the benchmark
     "orbits.batch_rref",
-    "orbits.check_unramified_caps",
+    "genvec.check_unramified_caps",
     "orbits.count_kernel_orbits_bfs",
     "orbits.count_kernel_orbits_canonical",
     "orbits.count_pure_orbits_bfs",
@@ -98,7 +98,8 @@ def _definitions(sources):
     module-level function, class or assignment to a name, or a method,
     keyed "module.Class.name".  It names what a bare name, ``from .module
     import name`` or ``module.name`` after ``from . import module`` refers
-    to, and ``x.name`` names every method called ``name``.  A class names
+    to, wherever in the module the import stands, and ``x.name`` names every
+    method called ``name``.  A class names
     its base classes, decorators and class-level assignments, its dunder
     methods, and the methods that override a base class from outside the
     package (an ``argparse.ArgumentParser`` hook, say), since Python calls
@@ -116,7 +117,8 @@ def _definitions(sources):
     refs = {}
     for module, tree in trees.items():
         modules, imported, foreign, defs = {}, {}, {}, {}
-        for node in tree.body:
+        # a function that imports in its body binds the name for the whole module
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     if node.module is None:
@@ -126,7 +128,8 @@ def _definitions(sources):
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     foreign[alias.asname or alias.name] = alias.name
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -215,3 +218,13 @@ def test_the_reachability_walk_flags_a_method_only_tests_call():
         "cx.Point.only_tests"}
     assert _unreached(refs, ["cli.main", "cli._Parser"]) == {
         "cli._Parser.unused_hook", "cx.Point.only_tests"}
+
+
+def test_the_reachability_walk_follows_imports_in_function_bodies():
+    refs = _definitions({
+        "cli": "def main():\n    from . import engine\n    return engine.run()\n",
+        "engine": "def run():\n    from .fp import rref\n    return rref()\n"
+                  "def only_tests():\n    return run()\n",
+        "fp": "def rref():\n    return 0\n",
+    })
+    assert _unreached(refs, ["cli.main"]) == {"engine.only_tests"}

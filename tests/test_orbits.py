@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eag import fp, orbits
+from eag import fp, genvec, orbits
 from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
@@ -11,11 +11,11 @@ from burnside_walk import class_matrix, fixed_multiset_rows
 
 
 def test_gaussian_binomial():
-    assert orbits.gaussian_binomial(4, 2, 2) == 35
-    assert orbits.gaussian_binomial(6, 3, 2) == 1395
-    assert orbits.gaussian_binomial(6, 2, 5) == 508431
-    assert orbits.gaussian_binomial(3, 0, 3) == 1
-    assert orbits.gaussian_binomial(3, 4, 3) == 0
+    assert genvec.gaussian_binomial(4, 2, 2) == 35
+    assert genvec.gaussian_binomial(6, 3, 2) == 1395
+    assert genvec.gaussian_binomial(6, 2, 5) == 508431
+    assert genvec.gaussian_binomial(3, 0, 3) == 1
+    assert genvec.gaussian_binomial(3, 4, 3) == 0
 
 
 def test_batch_rref_matches_exact_rref():
@@ -39,10 +39,10 @@ def test_enumerate_subspaces(p, n, k, basis):
     else:
         W = orbits._zero_sum_hyperplane_basis(p, n + 1)
     M = orbits._enumerate_subspaces(p, W, k)
-    assert M.shape == (orbits.gaussian_binomial(n, k, p), k, W.shape[1])
+    assert M.shape == (genvec.gaussian_binomial(n, k, p), k, W.shape[1])
     assert max(len(b) for b in orbits._subspace_blocks(p, W, k)) <= orbits.SUBSPACE_BLOCK
     assert (orbits.batch_rref(M, p) == M).all()
-    keys = fp._pack_keys(M, p)
+    keys = orbits._pack_keys(M, p)
     assert len(np.unique(keys)) == len(keys)
     # every row spans a subspace of the row space of W
     stacked = np.concatenate([M, np.broadcast_to(W, (len(M),) + W.shape)], axis=1)
@@ -80,7 +80,7 @@ def test_pure_box_counts_pinned(p, k, r, count):
 
 @pytest.mark.parametrize("p,k,r,count", PURE_BOX_COUNTS)
 def test_pure_box_counts_burnside(p, k, r, count):
-    assert orbits.count_pure_orbits_burnside(p, k, r) == count
+    assert genvec.count_pure_orbits_burnside(p, k, r) == count
 
 
 def _canonical_instances_outside_the_box():
@@ -92,7 +92,7 @@ def _canonical_instances_outside_the_box():
                 if not orbits.pure_canonical_feasible(p, k, r):
                     continue
                 try:
-                    orbits.check_pure_caps(p, k, r)
+                    genvec.check_pure_caps(p, k, r)
                 except CapExceededError:
                     found.append((p, k, r))
     return found
@@ -103,7 +103,7 @@ def test_burnside_matches_canonical_outside_the_box():
     assert {(2, 3, 10), (3, 2, 10), (13, 1, 9)} <= set(instances)
     assert len(instances) == 38
     for p, k, r in instances:
-        assert orbits.count_pure_orbits_burnside(p, k, r) == \
+        assert genvec.count_pure_orbits_burnside(p, k, r) == \
             orbits.count_pure_orbits_canonical(p, k, r), (p, k, r)
 
 
@@ -112,7 +112,7 @@ def _class_reps(k, p):
 
 
 def _class_row(blocks, p, r):
-    return orbits._fixed_multiset_row(orbits._class_profile(blocks, p, r), p, r)
+    return genvec._fixed_multiset_row(genvec._class_profile(blocks, p, r), p, r)
 
 
 def test_fixed_multisets_python_ints_match_int64():
@@ -168,7 +168,7 @@ def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
     for r in range(2, 8):
         rows = {}
         for (_, blocks), rep, row in zip(classes, reps, walked[:, :r + 1].tolist()):
-            profile = orbits._class_profile(blocks, p, r)
+            profile = genvec._class_profile(blocks, p, r)
             assert rows.setdefault(profile, row) == row, (rep.tolist(), r, profile)
             if not any(profile[0]):
                 assert row == [1] + [0] * r, (rep.tolist(), r)
@@ -181,7 +181,7 @@ def test_short_cycle_subspace_is_the_kernel_sum():
         for _, blocks in fp.gl_conjugacy_classes(k, p):
             rep = class_matrix(blocks, p)
             for r in range(1, 8):
-                dims, unipotent = orbits._class_profile(blocks, p, r)
+                dims, unipotent = genvec._class_profile(blocks, p, r)
                 assert len(unipotent) == dims[0]
                 power = np.eye(k, dtype=np.int64)
                 for L in range(1, r + 1):
@@ -223,64 +223,64 @@ def test_lucas_lemma_on_jordan_blocks(p):
             power = power @ J % p
             kernel = _kernel_basis(power - np.eye(m, dtype=np.int64), p)
             assert ((power @ kernel.T - kernel.T) % p == 0).all()
-            assert (N @ kernel.T % p).any() == (m >= orbits._p_part(L, p)), (m, L)
+            assert (N @ kernel.T % p).any() == (m >= genvec._p_part(L, p)), (m, L)
 
 
 def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
     # 14,365 of the 28,548 classes of GL(4, 13) have d_1 = ... = d_6 = 0
     classes = fp.gl_conjugacy_classes(4, 13)
-    empty = sum(not any(orbits._class_profile(blocks, 13, 6)[0]) for _, blocks in classes)
+    empty = sum(not any(genvec._class_profile(blocks, 13, 6)[0]) for _, blocks in classes)
     assert (len(classes), empty) == (28_548, 14_365)
-    assert orbits.count_pure_orbits_burnside(7, 2, 5) == 39
-    assert orbits.count_pure_orbits_burnside(5, 3, 9) == 143_045
+    assert genvec.count_pure_orbits_burnside(7, 2, 5) == 39
+    assert genvec.count_pure_orbits_burnside(5, 3, 9) == 143_045
 
 
 def test_large_rows_outside_the_box():
     # each took over 10 s as a cycle walk over the short-cycle subspaces
-    assert orbits.count_pure_orbits_burnside(13, 4, 6) == 128
-    assert orbits._zero_sum_multiset_orbits(7, 5, 6) == 638
+    assert genvec.count_pure_orbits_burnside(13, 4, 6) == 128
+    assert genvec._zero_sum_multiset_orbits(7, 5, 6) == 638
 
 
 def test_pure_box_counts_do_not_depend_on_request_order():
     # rows are kept per (p, k) and rebuilt for a longer r, in either order
-    saved = dict(orbits._ROWS)
+    saved = dict(genvec._ROWS)
     try:
         for reverse in (False, True):
-            orbits._ROWS.clear()
+            genvec._ROWS.clear()
             for p, k, r, count in sorted(PURE_BOX_COUNTS, key=lambda pin: pin[2],
                                          reverse=reverse):
-                assert orbits.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+                assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
     finally:
-        orbits._ROWS.clear()
-        orbits._ROWS.update(saved)
+        genvec._ROWS.clear()
+        genvec._ROWS.update(saved)
 
 
 def test_large_object_dtype_burnside_sum():
     # the sums pass 2^63 (the identity alone fixes C(13^3 + 8, 10)
     # multisets of size 10), which Python ints hold exactly
-    assert orbits.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
+    assert genvec.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
 
 
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
     real = fp.gl_conjugacy_classes
     classes = real(2, 3)
     size, blocks = classes[0]
-    assert any(orbits._class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
+    assert any(genvec._class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
     wrong = ((size + 1, blocks),) + classes[1:]
     monkeypatch.setattr(fp, "gl_conjugacy_classes",
                         lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
-    saved = dict(orbits._ROWS)
-    orbits._ROWS.clear()
+    saved = dict(genvec._ROWS)
+    genvec._ROWS.clear()
     try:
         # the row built for r = 7 checks every t <= 7, r = 5 among them
         with pytest.raises(AssertionError, match=r"t = \[.*\b5\b.*\] are not multiples"):
-            orbits.count_pure_orbits_burnside(3, 2, 7)
-        assert (3, 2) not in orbits._ROWS
+            genvec.count_pure_orbits_burnside(3, 2, 7)
+        assert (3, 2) not in genvec._ROWS
         with pytest.raises(AssertionError, match="not multiples"):
-            orbits.count_pure_orbits_burnside(3, 2, 5)
+            genvec.count_pure_orbits_burnside(3, 2, 5)
     finally:
-        orbits._ROWS.clear()
-        orbits._ROWS.update(saved)
+        genvec._ROWS.clear()
+        genvec._ROWS.update(saved)
 
 
 def _closed_form_mismatches():
@@ -294,7 +294,7 @@ def _closed_form_mismatches():
     for p in (2, 3, 5):
         for r in range(2, 8):
             for k in range(1, r):
-                if orbits.gaussian_binomial(r - 1, k, p) > 20_000:
+                if genvec.gaussian_binomial(r - 1, k, p) > 20_000:
                     continue
                 M = orbits._enumerate_subspaces(p, orbits._zero_sum_hyperplane_basis(p, r), k)
                 M = M[(M != 0).any(axis=1).all(axis=1)]
@@ -360,7 +360,7 @@ def test_kernel_orbits_three_ways():
         for rho in (1, 2):
             for k in range(0, 2 * rho + 1):
                 bfs = orbits.count_kernel_orbits_bfs(p, k, rho)
-                witt = orbits.witt_kernel_orbit_count(rho, k)
+                witt = genvec.witt_kernel_orbit_count(rho, k)
                 assert bfs == witt, (p, rho, k)
                 if orbits.kernel_canonical_feasible(p, rho):
                     assert orbits.count_kernel_orbits_canonical(p, k, rho) == witt
@@ -371,11 +371,11 @@ def test_kernel_orbits_rho3():
     for p in (2, 3, 5):
         for k in range(0, 7):
             try:
-                orbits.check_unramified_caps(p, k, 3)
+                genvec.check_unramified_caps(p, k, 3)
             except CapExceededError:
                 continue
             assert orbits.count_kernel_orbits_bfs(p, k, 3) == \
-                orbits.witt_kernel_orbit_count(3, k), (p, k)
+                genvec.witt_kernel_orbit_count(3, k), (p, k)
             checked += 1
     # p = 5 keeps k in {0, 1, 5, 6}; k = 1 and k = 5 rely on the complement
     assert checked == 18
@@ -395,7 +395,7 @@ def test_kernel_canonical_marking_stops_exactly(monkeypatch, block):
     try:
         for p, k, rho in instances:
             assert orbits.count_kernel_orbits_canonical(p, k, rho) == \
-                orbits.witt_kernel_orbit_count(rho, k), (p, k, rho)
+                genvec.witt_kernel_orbit_count(rho, k), (p, k, rho)
     finally:
         orbits.count_kernel_orbits_canonical.cache_clear()
 
@@ -459,7 +459,7 @@ def test_move_blocks_leave_counts_unchanged(monkeypatch):
     monkeypatch.setattr(orbits, "MOVE_BLOCK", 7)
     assert counts() == whole
     assert whole == ([orbits.count_pure_orbits_canonical(*c) for c in pure],
-                     [orbits.witt_kernel_orbit_count(rho, k) for p, k, rho in kernel])
+                     [genvec.witt_kernel_orbit_count(rho, k) for p, k, rho in kernel])
 
 
 def test_orbit_components_long_chain_and_one_cycle():
