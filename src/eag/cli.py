@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -219,8 +220,6 @@ def cmd_fermat(args, out) -> int:
         for s in range(args.n - 1):
             residue_checks.append(
                 {"s": s, "residual": float(hyperfermat.residue_identity_check(w, s))})
-    smooth = hyperfermat.sample_and_check_smoothness(spec, count=args.samples,
-                                                     seed=args.seed)
     payload = {
         "schema": SCHEMA, "command": "fermat",
         "p": args.p, "n": args.n,
@@ -230,7 +229,7 @@ def cmd_fermat(args, out) -> int:
         "lambdas": [pt.to_json() for pt in branch.points],
         "pins": [pt.to_json() for pt in branch.pins],
         "residue_checks": residue_checks,
-        "smoothness": smooth.to_json(),
+        "smoothness": hyperfermat.smoothness_certificate(line),
     }
     print(_render(payload, args.format), file=out)
     return EXIT_OK
@@ -274,10 +273,9 @@ def build_parser() -> _Parser:
     s.add_argument("--w", help="comma-separated distinct parameters (rational or complex)")
     s.add_argument("--c-file", help="JSON file with a C matrix ([[re,im],...] rows)")
     s.add_argument("--pins", help="three pin values, e.g. 0,1,inf")
-    s.add_argument("--samples", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--format", default="json", choices=("json", "markdown", "csv"))
     s.set_defaults(func=cmd_fermat)
+    parser.commands = subs.choices  # subcommand name -> its own parser
     return parser
 
 
@@ -287,10 +285,31 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The full parser's namespace for argv, from one parse.
+
+    A known subcommand's own parser reads the rest of argv, as the full
+    parser would hand it on; anything else (no arguments, -h, an unknown
+    command) goes through the full parser for its messages.
+    """
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args, sys.stdout)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

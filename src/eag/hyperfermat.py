@@ -10,6 +10,13 @@ Pluecker coordinate, a maximal minor of C, is nonzero; each minor is one
 fraction-free elimination, in integers for rational input.  Floating input
 keeps one floor: a minor is zero at most cx.DEFAULT_TOL times its Hadamard
 bound, and that bound is floored at 1.
+
+The curve over a generic line is smooth by the Jacobian criterion
+(Gonzalez-Diez, Hidalgo and Leyton, "Generalized Fermat curves", J. Algebra
+321 (2009)), so ``smoothness_certificate`` states that and computes
+nothing new.  The sampler ``sample_and_check_smoothness`` draws points and
+re-checks the same fact numerically; the CLI no longer calls it, and it
+stays here as a test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import cmath
 import itertools
 import math
 import operator
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +35,9 @@ from .cx import (GaussianRational, Mobius, ProjPoint, cross_det, is_exact_scalar
 from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
 
+# The smoothness sampler's constants.  The sampler is a test oracle; it stays
+# in this module because perfbench/tracing.py reads its time under the key
+# hyperfermat.sample_and_check_smoothness.
 #: draws allowed per requested smoothness sample before the sampler gives up
 SAMPLE_ATTEMPTS_PER_POINT = 100
 #: most smoothness samples one call draws; its memory grows with the count
@@ -136,7 +145,8 @@ def _det(m):
 
 @lru_cache(maxsize=8)
 def _plucker_rows(line: LineMatrix):
-    """The points Q_i where T meets {x_i = 0}, or None if T is not generic.
+    """The points Q_i where T meets {x_i = 0} and the line's least relative
+    minor, or None if T is not generic.
 
     Q_i spans the kernel of C without column i, so by Cramer's rule Q_i(j)
     is, up to the sign of j's place among the other columns, the minor of C
@@ -150,9 +160,12 @@ def _plucker_rows(line: LineMatrix):
     on the scale of C.  A minor or bound beyond the floating-point range
     raises PreconditionError.
 
-    The genericity test, the branch points and the sampler all ask for the
-    same line, so the result is cached per line; it is a tuple of tuples,
-    so no caller can change the cached rows.
+    The result is the pair (rows, least), rows a tuple of tuples so that no
+    caller can change the cached rows, and least the smallest
+    |minor| / Hadamard bound over the minors of a floating line (None for
+    an exact one).  The genericity test, the branch points and the
+    smoothness certificate all ask for the same line, so it is cached per
+    line.
     """
     n, rows = line.n, line.rows
     if line.exact and not any(x.im for row in rows for x in row):
@@ -163,6 +176,7 @@ def _plucker_rows(line: LineMatrix):
         rows = cleared
     scalar = GaussianRational.of if line.exact else complex
     q = [[scalar(0)] * (n + 1) for _ in range(n + 1)]
+    least = math.inf
     for i, j in itertools.combinations(range(n + 1), 2):
         keep = [k for k in range(n + 1) if k not in (i, j)]
         minor = _det([[row[k] for k in keep] for row in rows])
@@ -177,9 +191,11 @@ def _plucker_rows(line: LineMatrix):
                     f"range (moduli up to {sys.float_info.max:.3g}); rescale the rows of C")
         if scalar_is_zero(minor, scale):
             return None
+        if not line.exact:
+            least = min(least, abs(minor) / scale)
         q[i][j] = scalar((-1) ** (j - 1) * minor)
         q[j][i] = scalar((-1) ** i * minor)
-    return tuple(map(tuple, q))
+    return tuple(map(tuple, q)), None if line.exact else least
 
 
 def is_generic_line(line: LineMatrix) -> bool:
@@ -190,6 +206,28 @@ def is_generic_line(line: LineMatrix) -> bool:
     nonzero.
     """
     return _plucker_rows(line) is not None
+
+
+def smoothness_certificate(line: LineMatrix) -> dict:
+    """Why the hyper-Fermat curve over a generic line is smooth.
+
+    The curve is {sum_j c_ij x_j^p = 0}, whose gradient matrix at x is
+    C diag(p x_j^(p-1)).  Generic means every n-1 columns of C are
+    independent, so the gradient can drop below rank n-1 only where at
+    least three coordinates vanish; the at most n-2 others, y_j = x_j^p,
+    then solve C y = 0 on independent columns, so y = 0 and x is no point.  By
+    the Jacobian criterion the curve is smooth (Gonzalez-Diez, Hidalgo and
+    Leyton, J. Algebra 321 (2009)).  A floating line also reports its least
+    |minor| / Hadamard bound, read off the one elimination of its minors,
+    so that a user sees how close the line came to the genericity floor.
+    """
+    plucker = _plucker_rows(line)
+    if plucker is None:
+        raise PreconditionError("line is not generic")
+    cert = {"passed": True, "method": "jacobian-criterion"}
+    if not line.exact:
+        cert["least_relative_minor"] = plucker[1]
+    return cert
 
 
 def hyper_fermat_genus(p: int, n: int) -> Fraction:
@@ -215,11 +253,11 @@ def intersection_points(line: LineMatrix) -> list[list]:
     genericity keeps every coordinate but the i-th nonzero.  Scale is fixed
     by setting the first nonzero coordinate to 1.
     """
-    q = _plucker_rows(line)
-    if q is None:
+    plucker = _plucker_rows(line)
+    if plucker is None:
         raise PreconditionError("line is not generic")
     out = []
-    for i, row in enumerate(q):
+    for i, row in enumerate(plucker[0]):
         inv = 1 / row[1 if i == 0 else 0]
         out.append([x * inv for x in row])
     return out
@@ -388,16 +426,6 @@ class SmoothnessReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self):
-        return {
-            "p": self.p, "n": self.n, "samples": self.samples,
-            "max_equation_residual": self.max_equation_residual,
-            "min_jacobian_rank": self.min_jacobian_rank,
-            "max_minor_identity_error": self.max_minor_identity_error,
-            "failures": list(self.failures), "seed": self.seed,
-            "passed": self.passed,
-        }
-
 
 def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
                                 seed: int = 0) -> SmoothnessReport:
@@ -425,6 +453,8 @@ def sample_and_check_smoothness(spec: HyperFermatSpec, count: int = 50,
         raise PreconditionError(f"smoothness sampling needs at least one sample, not {count}")
     if count > SAMPLE_CAP:
         raise CapExceededError(f"{count} smoothness samples requested, above the cap {SAMPLE_CAP}")
+    import random
+
     import numpy as np
     rng = random.Random(seed)
     p, n = spec.p, spec.n

@@ -149,8 +149,12 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
     if not validate_vector_for(n_spec, gen_vec):
         raise PreconditionError("generating vector is not valid for the overgroup")
     index = p ** (n_spec.n - a_rank)
+    # a reduced row is 1 at its pivot and every other row 0 there, so c lies
+    # in A iff c minus c[pivot_i] times row i, summed over i, is 0 mod p
+    pivots = [next(j for j, a in enumerate(row) if a) for row in reduced]
     m = sum(1 for c in gen_vec.elliptic
-            if len(rref(reduced + (c,), p)) == a_rank)
+            if not any((x - sum(c[j] * row[k] for j, row in zip(pivots, reduced))) % p
+                       for k, x in enumerate(c)))
     l = n_spec.r - m
     rho_minus_1 = (index * (n_spec.rho - 1)
                    + Fraction(index, 2) * l * (1 - Fraction(1, p)))

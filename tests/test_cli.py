@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eag import cli, grouptable, hyperfermat
+from eag import cli, grouptable
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -39,7 +39,7 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
         ["orbits", "--group", "C10", "--sig", "(0;2,5,10)"],
         ["unique", "--p", "2", "--n", "2", "--rho", "1", "--r", "5", "--format", "csv"],
         ["tables", "--which", "1", "--format", "csv"],
-        ["fermat", "--p", "3", "--n", "2", "--w", "0,1,2", "--samples", "3"],
+        ["fermat", "--p", "3", "--n", "2", "--w", "0,1,2"],
         ["maximal"] + spec,
     ]
     cli._parser.cache_clear()
@@ -49,6 +49,61 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     fresh = [run(argv, capsys) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 0, cli.EXIT_USAGE, 0, 0, 0, 0, 0]
+
+
+def _answer(argv, capsys):
+    """(exit code, stdout, stderr) of one call; -h exits through SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_subcommand_parse_matches_the_full_parser(capsys, monkeypatch):
+    spec = ["--p", "2", "--n", "2", "--rho", "1", "--r", "5"]
+    calls = [
+        ["unique"] + spec,
+        ["unique", "--rh", "1", "--p", "2", "--n", "2", "--r", "5"],  # an abbreviation
+        ["count", "--p", "2", "--n", "2"],  # required options missing
+        ["count"] + spec + ["--format", "xml"],  # a bad choice
+        ["maximal"] + spec + ["--bogus"],  # an unknown option
+        ["tables", "--which", "1", "extra"],  # an extra positional
+        ["unique", "--p=x", "--n", "2", "--rho", "1", "--r", "5"],
+        ["unique", "--", "--p", "2"],
+        ["unique", "-h"],
+        ["fermat", "--help"],
+        ["fermat", "--p", "3", "--n", "3", "--w=0,1,2,3", "--samples", "5"],
+        ["fermat", "--p", "3", "--n", "3", "--w=-1,1/2,2,3", "--format", "csv"],
+        ["orbits", "--group", "C10", "--sig", "(0;2,5,10)"],
+        ["orbits", "--sig", "(0;2,5,10)"],
+        ["tables", "--which", "2", "--format", "csv"],
+        [], ["-h"], ["bogus"], ["--p", "2", "unique"],
+    ]
+    one_pass = [_answer(argv, capsys) for argv in calls]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    full = [_answer(argv, capsys) for argv in calls]
+    assert one_pass == full
+    assert [code for code, _, _ in one_pass] == [
+        0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "0", "--search"],
+    ["tables", "--which", "2"],
+    ["fermat", "--p", "3", "--n", "3", "--w=0,1,2,3"],
+])
+def test_closed_pipe_exits_0_without_a_traceback(argv):
+    # the reader closes the pipe before eag writes, as `eag ... | head -c 1`
+    # can; the write then fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "eag.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_unique_accepts_unique_row(capsys):
@@ -201,30 +256,27 @@ def test_fermat_vandermonde(capsys):
     assert all(check["residual"] == 0 for check in payload["residue_checks"])
 
 
-def test_fermat_rejects_nonpositive_samples(capsys):
-    for samples in ("-1", "0"):
-        code, _, err = run(["fermat", "--p", "3", "--n", "3", "--w=0,1,2,3",
-                            "--samples", samples], capsys)
-        assert code == cli.EXIT_PRECONDITION
-        assert "sample" in err
-
-
-def test_fermat_wide_scale_line_samples(capsys):
-    # the intersection coordinates span more than six orders of magnitude;
-    # the per-coordinate rejection rule still finds every sample
+def test_fermat_smoothness_is_the_jacobian_certificate(capsys):
+    # a rational line: the certificate alone; a floating one also gives its
+    # least minor relative to the Hadamard bound, a number in (0, 1]
     payload = run_json(["fermat", "--p", "7", "--n", "6",
                         "--w=11/5,37/5,-12/5,0,-19/10,-29/12,-13/5"], capsys)
-    assert payload["smoothness"]["passed"]
-    assert payload["smoothness"]["samples"] == 50
+    assert payload["smoothness"] == {"passed": True, "method": "jacobian-criterion"}
+    payload = run_json(["fermat", "--p", "3", "--n", "3", "--w=1j,2,3,4"], capsys)
+    least = payload["smoothness"].pop("least_relative_minor")
+    assert 0 < least <= 1
+    assert payload["smoothness"] == {"passed": True, "method": "jacobian-criterion"}
 
 
-def test_fermat_sample_cap_exit_4_before_drawing(capsys):
-    start = time.process_time()
-    code, out, err = run(["fermat", "--p", "5", "--n", "2", "--w", "0,1,2",
-                          "--samples", "100000000"], capsys)
-    assert code == cli.EXIT_CAP and out == ""
-    assert f"above the cap {hyperfermat.SAMPLE_CAP}" in err
-    assert time.process_time() - start < 1.0
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+def test_fermat_sampler_options_are_gone(capsys, option):
+    # the sampler left the CLI, and so did its knobs: old invocations are
+    # usage errors, not options that do nothing
+    for value in ("5", "0", "-1"):
+        code, out, err = run(["fermat", "--p", "3", "--n", "3", "--w=0,1,2,3",
+                              f"{option}={value}"], capsys)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"unrecognized arguments: {option}" in err
 
 
 def test_orbits_group_order_cap_exit_4_before_building(capsys):
@@ -247,18 +299,6 @@ def test_orbits_table_order_cap_exit_4_before_reading(capsys, tmp_path):
     assert time.process_time() - start < 1.0
 
 
-def test_fermat_sampler_gives_up_exit_4(capsys, monkeypatch):
-    # a sampler that may take no draw must give up cleanly, not hang or crash
-    monkeypatch.setattr(hyperfermat, "SAMPLE_ATTEMPTS_PER_POINT", 0)
-    start = time.perf_counter()
-    code, out, err = run(["fermat", "--p", "5", "--n", "2", "--w", "0,1,2"], capsys)
-    assert code == cli.EXIT_CAP
-    assert out == ""
-    assert "samples lay clear of the branch points" in err
-    assert "Traceback" not in err
-    assert time.perf_counter() - start < 2.0
-
-
 def test_fermat_c_file_and_pins(capsys, tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(
@@ -271,7 +311,7 @@ def test_fermat_c_file_and_pins(capsys, tmp_path):
 
 def test_fermat_mixes_rational_and_complex_input(capsys):
     # rational --w with complex --pins runs in floating point
-    fermat = ["fermat", "--p", "3", "--n", "3", "--samples", "5"]
+    fermat = ["fermat", "--p", "3", "--n", "3"]
     payload = run_json(fermat + ["--w=1,2,3,4", "--pins=0,1,1j"], capsys)
     assert payload["lambdas"][:3] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     mixed = run_json(fermat + ["--w=1,2,3,4", "--pins=1j,2j,3j"], capsys)
@@ -420,8 +460,7 @@ def _argv(paths):
                     ("--c-file", path))
             return [("--p", SMALL), ("--n", st.just(str(n))), line,
                     ("--pins", _or_junk(st.lists(RATIONAL, min_size=3, max_size=3)
-                                        .map(",".join))),
-                    ("--samples", SMALL), ("--seed", SMALL)] + fmt
+                                        .map(",".join)))] + fmt
         return []
 
     @st.composite
@@ -481,6 +520,9 @@ NUMPY_FREE_CALLS = [
     ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "3"],
     ["tables", "--which", "1"],
     ["tables", "--which", "2", "--format", "csv"],
+    # smoothness by the Jacobian certificate: a rational line and a complex one
+    ["fermat", "--p", "5", "--n", "6", "--w=1/2,-3,7/3,0,5,2,-1/4"],
+    ["fermat", "--p", "3", "--n", "3", "--w=1j,2,3,4", "--pins=0,1,1j"],
 ]
 
 NUMPY_BLOCKER = (

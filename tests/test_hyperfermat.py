@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from eag import cli, hyperfermat as hf
 from eag.cx import DEFAULT_TOL, GaussianRational, Mobius, ProjPoint
-from eag.errors import PreconditionError
+from eag.errors import CapExceededError, PreconditionError
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
 
@@ -160,12 +161,14 @@ def test_plucker_rows_are_the_signed_minors_exact():
         minors = {drop: _leibniz_det(sub)
                   for drop, (_, sub) in zip(itertools.combinations(range(n + 1), 2),
                                             _deletions(line.rows))}
-        q = hf._plucker_rows(line)
+        plucker = hf._plucker_rows(line)
         generic = all(m != 0 for m in minors.values())
         seen.add((gaussian, generic))
         if not generic:
-            assert q is None, rows
+            assert plucker is None, rows
             continue
+        q, least = plucker
+        assert least is None  # an exact line has no floating margin
         for (i, j), minor in minors.items():
             assert q[i][j] == (-1) ** (j - 1) * scale * minor, (rows, i, j)
             assert q[j][i] == (-1) ** i * scale * minor, (rows, i, j)
@@ -478,6 +481,42 @@ def test_smoothness_sampling_higher_rank():
     assert report.min_jacobian_rank == 2
 
 
+def test_sampler_rejects_nonpositive_samples():
+    spec = hf.HyperFermatSpec(3, 3, hf.vandermonde_line([0, 1, 2, 3]))
+    for count in (-1, 0):
+        with pytest.raises(PreconditionError, match="sample"):
+            hf.sample_and_check_smoothness(spec, count=count)
+
+
+def test_sampler_wide_scale_line():
+    # the intersection coordinates span more than six orders of magnitude;
+    # the per-coordinate rejection rule still finds every sample
+    w = [Fraction(11, 5), Fraction(37, 5), Fraction(-12, 5), 0, Fraction(-19, 10),
+         Fraction(-29, 12), Fraction(-13, 5)]
+    report = hf.sample_and_check_smoothness(hf.HyperFermatSpec(7, 6, hf.vandermonde_line(w)))
+    assert report.passed
+    assert report.samples == 50
+
+
+def test_sampler_cap_raises_before_drawing():
+    spec = hf.HyperFermatSpec(5, 2, hf.vandermonde_line([0, 1, 2]))
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match=f"above the cap {hf.SAMPLE_CAP}"):
+        hf.sample_and_check_smoothness(spec, count=100_000_000)
+    assert time.process_time() - start < 1.0
+
+
+def test_sampler_gives_up_with_a_cap_error(monkeypatch):
+    # a sampler that may take no draw must give up cleanly (CapExceededError,
+    # exit 4 at the CLI), not hang or crash
+    monkeypatch.setattr(hf, "SAMPLE_ATTEMPTS_PER_POINT", 0)
+    spec = hf.HyperFermatSpec(5, 2, hf.vandermonde_line([0, 1, 2]))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="samples lay clear of the branch points"):
+        hf.sample_and_check_smoothness(spec)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_jacobian_rank_drop_on_non_generic_line():
     bad = hf.LineMatrix.of([[1, 1, 0, 0], [0, 0, 1, 1]])
     assert not hf.is_generic_line(bad)
@@ -589,7 +628,7 @@ def test_batched_sampler_matches_loop_reference(monkeypatch, p, w, off_line):
 def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
     # one elimination per minor, and each of the ten minors of the n = 4
     # line once, although the genericity test, the branch points and the
-    # sampler all ask for them
+    # smoothness certificate all ask for them
     calls = []
     det = hf._det
 
@@ -603,6 +642,38 @@ def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)["lambdas"]) == 5
     assert len(calls) == 10
     assert hf._plucker_rows.cache_info().misses == 1
+
+
+def test_floating_certificate_reuses_the_one_elimination(capsys, monkeypatch):
+    # the least relative minor of a floating line comes from the same ten
+    # eliminations as the genericity test and the branch points
+    calls = []
+    det = hf._det
+    monkeypatch.setattr(hf, "_det", lambda m: calls.append(m) or det(m))
+    hf._plucker_rows.cache_clear()
+    assert cli.main(["fermat", "--p", "5", "--n", "4", "--w=1j,-3,7/3,0,5"]) == 0
+    smoothness = json.loads(capsys.readouterr().out)["smoothness"]
+    assert 0 < smoothness["least_relative_minor"] <= 1
+    assert len(calls) == 10
+    assert hf._plucker_rows.cache_info().misses == 1
+
+
+def test_least_relative_minor_is_the_smallest_minor_over_its_bound():
+    # against numpy: each maximal minor of C over the product of the row
+    # norms of its columns (Hadamard's bound), the least over all minors
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        c = rng.normal(size=(n - 1, n + 1)) + 1j * rng.normal(size=(n - 1, n + 1))
+        want = min(abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1))
+                   for sub in (np.delete(c, pair, axis=1)
+                               for pair in itertools.combinations(range(n + 1), 2)))
+        cert = hf.smoothness_certificate(hf.LineMatrix.of(c.tolist()))
+        assert cert["least_relative_minor"] == pytest.approx(want, rel=1e-9)
+    exact = hf.smoothness_certificate(hf.vandermonde_line([0, 1, 2, 3]))
+    assert exact["passed"] and "least_relative_minor" not in exact
+    with pytest.raises(PreconditionError, match="not generic"):
+        hf.smoothness_certificate(hf.LineMatrix.of([[1, 1, 0]]))
 
 
 def test_batched_checks_flag_points_off_the_line(monkeypatch):
@@ -635,6 +706,9 @@ def test_fermat_sweep_of_random_lines(capsys):
         out, err = capsys.readouterr()
         assert code == 0, (argv, err)
         assert json.loads(out)["smoothness"]["passed"], argv
+        # the sampler oracle agrees with the Jacobian certificate
+        spec = hf.HyperFermatSpec(p, 6, hf.vandermonde_line(w))
+        assert hf.sample_and_check_smoothness(spec).passed, argv
 
 
 def test_fermat_sweep_of_wide_scale_lines(capsys):
@@ -654,3 +728,6 @@ def test_fermat_sweep_of_wide_scale_lines(capsys):
         out, err = capsys.readouterr()
         assert code == 0, (argv, err)
         assert json.loads(out)["smoothness"]["passed"], argv
+        # the sampler oracle agrees with the Jacobian certificate
+        spec = hf.HyperFermatSpec(p, n, hf.vandermonde_line(w))
+        assert hf.sample_and_check_smoothness(spec).passed, argv

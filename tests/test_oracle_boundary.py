@@ -11,7 +11,8 @@ A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
 reach, imports in function bodies included.  What it does not reach must
 be reached from ``KEPT``: the oracles, the Sp(2 rho, p) closure they use,
-and the paper's API that the acceptance criteria call.  A definition or a method that only tests call fails the
+the smoothness sampler, and the paper's API that the acceptance criteria
+call.  A definition or a method that only tests call fails the
 walk.
 """
 
@@ -46,6 +47,15 @@ KEPT = {
     "fp.standard_symplectic_form",
     # the benchmark's reference answers filter specs by it
     "surfaces.genus_is_admissible",
+    # the smoothness sampler, a test oracle for the Jacobian certificate; it
+    # stays in src/eag because perfbench/tracing.py reads the traced key
+    # hyperfermat.sample_and_check_smoothness and raises KeyError without it
+    "hyperfermat.sample_and_check_smoothness",
+    "hyperfermat.SmoothnessReport",
+    "hyperfermat.SmoothnessReport.passed",
+    "hyperfermat.SAMPLE_CAP",
+    "hyperfermat.SAMPLE_ATTEMPTS_PER_POINT",
+    "hyperfermat.SMOOTHNESS_TOL",
     # the paper's content, which the acceptance criteria call
     "genvec.build_inequivalent_pair",
     "genvec.multiset_character",
