@@ -2,9 +2,9 @@
 
 Scalars are plain int residues in [0, p).  Only small primes are accepted
 (p <= 13); everything in the classification lives there and the bound keeps
-multiplicative closures enumerable.  A vector is a tuple of ints.  The
-conjugacy classes of GL(n, p) are listed by their blocks, with no matrices.
-The Sp(2 rho, p) helpers of the kernel oracles take int64 numpy arrays and
+multiplicative closures enumerable.  A vector is a tuple of ints.  No class
+of GL(n, p) is listed; ``_centraliser_order`` gives their sizes.  The
+Sp(2 rho, p) helpers of the kernel oracles take int64 numpy arrays and
 import numpy in their bodies; ``group_closure`` runs on permutations of
 vector codes and deduplicates by packed keys (``orbits._pack_keys``), and
 ``sp_group`` builds Sp(2 rho, p) once per argument pair, read-only.
@@ -90,26 +90,6 @@ def gl_order(n: int, p: int) -> int:
     return order
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product over F_p of two polynomials given as coefficients, constant term first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _monic_irreducibles(d: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Monic irreducible polynomials of degree d over F_p other than x, by a sieve."""
-    def monic(deg):
-        return [tuple(c // p ** i % p for i in range(deg)) + (1,) for c in range(p ** deg)]
-
-    reducible = {_poly_mul(a, b, p) for e in range(1, d // 2 + 1)
-                 for a in monic(e) for b in monic(d - e)}
-    return tuple(f for f in monic(d) if f not in reducible and f != (0, 1))
-
-
 @lru_cache(maxsize=None)
 def _partitions(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of n into parts <= largest, parts in decreasing order."""
@@ -134,45 +114,6 @@ def _centraliser_order(part: tuple[int, ...], q: int) -> int:
         for j in range(1, m + 1):
             order *= q ** j - 1
     return order
-
-
-@lru_cache(maxsize=None)
-def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[int, tuple], ...]:
-    """Every conjugacy class of GL(n, p) as a (size, blocks) pair.
-
-    A class is a map f -> lambda_f from the monic irreducible polynomials
-    f != x to partitions with sum deg f * |lambda_f| = n (Macdonald,
-    *Symmetric Functions and Hall Polynomials*, ch. IV; Green 1955).  Its
-    blocks are the pairs (f, m), one for every part m of every lambda_f:
-    the class holds the block-diagonal matrix of the companion matrices of
-    the f^m.  Its size is |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see
-    ``_centraliser_order``), and the sizes are checked to sum to |GL(n, p)|.
-    """
-    check_prime(p)
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    irreducibles = [f for d in range(1, n + 1) for f in _monic_irreducibles(d, p)]
-    order = gl_order(n, p)
-    classes = []
-
-    def extend(start, budget, blocks, centraliser):
-        if budget == 0:
-            classes.append((order // centraliser, blocks))
-            return
-        for i in range(start, len(irreducibles)):
-            f = irreducibles[i]
-            d = len(f) - 1
-            if d > budget:
-                break  # irreducibles are listed by degree
-            for size in range(1, budget // d + 1):
-                for part in _partitions(size, size):
-                    extend(i + 1, budget - d * size, blocks + tuple((f, m) for m in part),
-                           centraliser * _centraliser_order(part, p ** d))
-
-    extend(0, n, (), 1)
-    if sum(size for size, _ in classes) != order:
-        raise AssertionError(f"class sizes of GL({n}, {p}) do not sum to its order")
-    return tuple(classes)
 
 
 def standard_symplectic_form(rho: int, p: int) -> np.ndarray:

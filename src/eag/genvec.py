@@ -11,10 +11,10 @@ through homology in the unramified case, and both plus the point-push
 shears in the mixed case (see ``count_classes``).
 
 The counts are closed forms in Python ints.  e is a Burnside sum over the
-conjugacy classes of GL(k, p) (``count_pure_orbits_burnside``), each
-class's fixed-multiset counts for every t <= r read off its blocks
-(``_class_profile``, ``_fixed_multiset_row``) and shared by the classes
-with its profile; h is Witt's closed form (``witt_kernel_orbit_count``).
+class types of GL(k, p) (``count_pure_orbits_burnside``, ``_type_weights``):
+a class's fixed-multiset counts for every t <= r depend only on its
+profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed;
+h is Witt's closed form (``witt_kernel_orbit_count``).
 ``check_pure_caps`` and ``check_unramified_caps`` bound the box in which
 the numpy oracles of ``eag.orbits`` cross-check them.
 """
@@ -22,7 +22,6 @@ the numpy oracles of ``eag.orbits`` cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from . import fp
@@ -147,39 +146,94 @@ def _p_part(n: int, p: int) -> int:
     return gcd(n, p ** n)
 
 
-@lru_cache(maxsize=None)
-def _short_order(f: tuple[int, ...], p: int, r: int) -> int:
-    """ord(f), the least L with f | x^L - 1, when it is at most r; else 0."""
-    one = (1,) + (0,) * (len(f) - 2)
-    power = one
-    for L in range(1, r + 1):  # power: x^L modulo f
-        top = power[-1]
-        power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
-        if power == one:
-            return L
-    return 0
+def _with_block(profile, d: int, e: int, m: int, p: int, r: int) -> tuple:
+    """The profile of g plus a block F_p[x]/(f^m), f irreducible of degree d and order e <= r.
 
-
-def _class_profile(blocks, p: int, r: int) -> tuple:
-    """((d_1, ..., d_r), unipotent sizes) of g with the ``fp.gl_conjugacy_classes`` ``blocks``.
-
-    d_L = dim ker(g^L - 1).  With L = p^a L', p not dividing L',
-    x^L - 1 = (x^L' - 1)^(p^a) and x^L' - 1 is squarefree, so a block
-    F_p[x]/(f^m) adds deg f * min(m, p^a) to d_L if ord(f) (prime to p)
-    divides L'.  A unipotent block (f = x - 1) enters by the largest power
-    of p at most min(m, r), all that ``_fixed_multiset_row`` reads of it.
+    A profile is ((d_1, ..., d_r), unipotent sizes), d_L = dim ker(g^L - 1).
+    With L = p^a L', p not dividing L', x^L - 1 = (x^L' - 1)^(p^a) and
+    x^L' - 1 is squarefree, so the block adds d * min(m, p^a) to d_L if e
+    divides L'.  A unipotent block (e = 1) enters by the largest power of p
+    at most min(m, r), all that ``_fixed_multiset_row`` reads of it; a block
+    of order above r adds nothing.
     """
-    dims = [0] * r
-    unipotent = []
-    for f, m in blocks:
-        order = _short_order(f, p, r)
-        if not order:
-            continue
-        if order == 1:
-            unipotent.append(max(p ** a for a in range(r) if p ** a <= min(m, r)))
-        for L in range(order, r + 1, order):
-            dims[L - 1] += (len(f) - 1) * min(m, _p_part(L, p))
-    return tuple(dims), tuple(sorted(unipotent))
+    dims, unipotent = profile
+    dims = tuple(n + d * min(m, _p_part(L, p)) * (L % e == 0) for L, n in enumerate(dims, 1))
+    if e == 1:
+        top = max(p ** a for a in range(r) if p ** a <= min(m, r))
+        unipotent = tuple(sorted(unipotent + (top,)))
+    return dims, unipotent
+
+
+def _short_types(p: int, k: int, r: int) -> tuple[tuple[int, int, int], ...]:
+    """(d, e, count) for the monic irreducibles of order e <= r and degree d <= k.
+
+    They are the minimal polynomials of the primitive e-th roots of unity,
+    p not dividing e: phi(e) / d of them, of degree d = ord_e(p) (Lidl and
+    Niederreiter, *Finite Fields*, Thm 3.5).
+    """
+    types = []
+    for e in range(1, r + 1):  # e divides no p^d - 1 when p divides e
+        d = next((d for d in range(1, k + 1) if (p ** d - 1) % e == 0), 0)
+        if d:
+            types.append((d, e, sum(gcd(i, e) == 1 for i in range(1, e + 1)) // d))
+    return tuple(types)
+
+
+def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
+    """{profile: the total size of the classes of GL(k, p) with it}, with no class listed.
+
+    A class maps the monic irreducibles f != x to partitions lambda_f with
+    sum deg f * |lambda_f| = k and has size |GL(k, p)| / prod_f
+    c_{lambda_f}(p^deg f) (Green 1955; ``fp._centraliser_order``): summed
+    over classes, the cycle index of GL(k, p) (J. P. S. Kung, Linear Algebra
+    Appl. 36 (1981); J. Fulman, J. Group Theory 2 (1999)).  A profile reads
+    f only through (deg f, ord f, m) for the parts m, when ord f <= r
+    (``_with_block``).  So a dynamic programme over the ``_short_types``,
+    one f at a time, carries (degree D, profile) to |GL(k, p)| sum 1 / prod c;
+    the long irreducibles count through their degree alone, as one series
+    in z raised to their number by binary powering.  Each division is exact:
+    the centraliser orders of blocks of degree D multiply to a divisor of
+    |GL(D, p)|, and |GL(D, p)| |GL(k - D, p)| divides |GL(k, p)|.
+    """
+    order = fp.gl_order(k, p)
+
+    def times(a, b):  # series in z, scaled by |GL(k, p)|
+        return [sum(a[i] * b[j - i] for i in range(j + 1)) // order for j in range(k + 1)]
+
+    short = _short_types(p, k, r)
+    states = {(0, ((0,) * r, ())): order}
+    for d, e, count in short:
+        for _ in range(count):
+            grown = dict(states)  # f may be absent
+            for (D, profile), weight in states.items():
+                for s in range(1, (k - D) // d + 1):
+                    for part in fp._partitions(s, s):
+                        key = profile
+                        for m in part:
+                            key = _with_block(key, d, e, m, p, r)
+                        grown[D + d * s, key] = grown.get((D + d * s, key), 0) + \
+                            weight // fp._centraliser_order(part, p ** d)
+            states = grown
+    irreducible = [0] * (k + 1)  # monic irreducibles of degree d, x included (Gauss)
+    long = [order] + [0] * k
+    for d in range(1, k + 1):
+        irreducible[d] = (p ** d - sum(j * irreducible[j] for j in range(1, d) if d % j == 0)) // d
+        series = [order] + [0] * k
+        for s in range(1, k // d + 1):
+            for part in fp._partitions(s, s):
+                series[d * s] += order // fp._centraliser_order(part, p ** d)
+        count = irreducible[d] - (d == 1) - sum(n for deg, _, n in short if deg == d)
+        while count > 0:  # below 0, the class equation fails
+            if count & 1:
+                long = times(long, series)
+            series, count = times(series, series), count >> 1
+    weights = {}
+    for (D, profile), weight in states.items():
+        if long[k - D]:  # else no class of GL(k, p) has these short blocks
+            weights[profile] = weights.get(profile, 0) + weight * long[k - D] // order
+    if sum(weights.values()) != order:
+        raise AssertionError(f"class sizes of GL({k}, {p}) do not sum to its order")
+    return weights
 
 
 def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
@@ -194,7 +248,7 @@ def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
 def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     """Fix_g(t), the zero-sum t-multisets of nonzero vectors fixed by g, for t = 0 .. r.
 
-    Read off g's ``_class_profile``.  A fixed multiset has constant
+    Read off g's profile (``_with_block``).  A fixed multiset has constant
     multiplicity on each g-cycle of vectors, and a cycle of length L through
     v sums to N_L v, N_L = 1 + g + ... + g^(L-1), in F = ker(g - 1), of
     dimension u = d_1.  Averaging over the characters phi of F,
@@ -251,25 +305,23 @@ _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
     """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
 
-    Burnside over the conjugacy classes: the class-size-weighted sum of the
-    fixed-multiset counts, divided by |GL(k, p)|.  The counts of g for
-    t <= r are read off its ``_class_profile`` in closed form
-    (``_fixed_multiset_row``), once per distinct profile.  One pass gives
-    the whole row M(p, k, 0..r), each entry checked for divisibility; the
-    longest row per (p, k) is kept in ``_ROWS``, and a request past it
-    builds the row again.
+    Burnside: the class-size-weighted sum of the fixed-multiset counts,
+    divided by |GL(k, p)|.  The counts of g for t <= r are read off its
+    profile in closed form (``_fixed_multiset_row``), once per profile,
+    weighted by the total size of its classes (``_type_weights``).  One pass
+    gives the whole row M(p, k, 0..r), each entry checked for divisibility;
+    the longest row per (p, k) is kept in ``_ROWS``, and a request past it
+    builds the row again.  The class-sum oracle of ``tests/burnside_walk.py``
+    lists the classes, and shares only ``fp._centraliser_order`` and
+    ``_with_block`` with ``_type_weights``; a cycle walk checks the rows.
     """
     if k == 0:
         return int(r == 0)
     row = _ROWS.get((p, k), ())
     if len(row) > r:
         return row[r]
-    weights = {}  # profile -> the total size of its classes
-    for size, blocks in fp.gl_conjugacy_classes(k, p):
-        key = _class_profile(blocks, p, r)
-        weights[key] = weights.get(key, 0) + size
     totals = [0] * (r + 1)
-    for key, size in weights.items():
+    for key, size in _type_weights(p, k, r).items():
         totals = [total + size * fixed
                   for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
     order = fp.gl_order(k, p)

@@ -293,12 +293,18 @@ def _codewords(p: int, tau: int, l: int, m: int):
                 yield tuple(head + [0] * m + list(tail))
 
 
+#: int64 entries a witness search may hold at once: V's basis and one block (80 MB)
+SEARCH_ENTRY_CAP = 10 ** 7
+
+
 def _row_space_blocks(p: int, tau: int, s: int, n: int, v: tuple[int, ...]):
     """Blocks of the n-subspaces U of a complement of <v>, and which U + <v> are admissible."""
     import numpy as np
     from . import orbits
-    v = np.array(v, dtype=np.int64)
     d = 2 * tau + s
+    if d * (d + orbits.SUBSPACE_BLOCK * n) > SEARCH_ENTRY_CAP:
+        raise CapExceededError(f"witness search in dimension {d} passes {SEARCH_ENTRY_CAP} entries")
+    v = np.array(v, dtype=np.int64)
     # an echelon basis of V whose row i leads at coordinate i: units on the
     # hyperbolic part, e_i - e_(i+1) on Z_s.  v has a nonzero coefficient on
     # the row at its first nonzero coordinate, so the other rows span a

@@ -1,19 +1,136 @@
-"""The cycle walk and knapsack: Fix_g(t) for a stack of matrices, an oracle for the closed form.
+"""Oracles for the Burnside sum of ``genvec``: the listed classes of GL(k, p) and a cycle walk.
+
+``genvec._type_weights`` gives the total size of the classes of GL(k, p)
+with each profile without listing any class.  ``gl_conjugacy_classes``
+lists them, by a sieve for the irreducible polynomials, and
+``class_sum_rows`` sums over them: it shares only
+``fp._centraliser_order`` and the per-block formula ``genvec._with_block``
+with the type sum.
 
 ``genvec._fixed_multiset_row`` reads each class's fixed-multiset counts off
-its blocks in closed form.  This walk counts them from the matrices
+its profile in closed form.  The cycle walk counts them from the matrices
 instead (``class_matrix`` builds one per class), over the p^k codes of
 F_p^k, and shares no step with it.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-from eag.fp import _poly_mul
-from eag.genvec import _multiset_count
+from eag.errors import PreconditionError
+from eag.fp import _centraliser_order, _partitions, check_prime, gl_order
+from eag.genvec import _fixed_multiset_row, _multiset_count, _with_block
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Product over F_p of two polynomials given as coefficients, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _monic_irreducibles(d: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Monic irreducible polynomials of degree d over F_p other than x, by a sieve."""
+    def monic(deg):
+        return [tuple(c // p ** i % p for i in range(deg)) + (1,) for c in range(p ** deg)]
+
+    reducible = {_poly_mul(a, b, p) for e in range(1, d // 2 + 1)
+                 for a in monic(e) for b in monic(d - e)}
+    return tuple(f for f in monic(d) if f not in reducible and f != (0, 1))
+
+
+@lru_cache(maxsize=None)
+def gl_conjugacy_classes(n: int, p: int) -> tuple[tuple[int, tuple], ...]:
+    """Every conjugacy class of GL(n, p) as a (size, blocks) pair.
+
+    A class is a map f -> lambda_f from the monic irreducible polynomials
+    f != x to partitions with sum deg f * |lambda_f| = n (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, ch. IV; Green 1955).  Its
+    blocks are the pairs (f, m), one for every part m of every lambda_f:
+    the class holds the block-diagonal matrix of the companion matrices of
+    the f^m.  Its size is |GL(n, p)| / prod_f c_{lambda_f}(p^{deg f}) (see
+    ``fp._centraliser_order``), and the sizes are checked to sum to |GL(n, p)|.
+    """
+    check_prime(p)
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    irreducibles = [f for d in range(1, n + 1) for f in _monic_irreducibles(d, p)]
+    order = gl_order(n, p)
+    classes = []
+
+    def extend(start, budget, blocks, centraliser):
+        if budget == 0:
+            classes.append((order // centraliser, blocks))
+            return
+        for i in range(start, len(irreducibles)):
+            f = irreducibles[i]
+            d = len(f) - 1
+            if d > budget:
+                break  # irreducibles are listed by degree
+            for size in range(1, budget // d + 1):
+                for part in _partitions(size, size):
+                    extend(i + 1, budget - d * size, blocks + tuple((f, m) for m in part),
+                           centraliser * _centraliser_order(part, p ** d))
+
+    extend(0, n, (), 1)
+    if sum(size for size, _ in classes) != order:
+        raise AssertionError(f"class sizes of GL({n}, {p}) do not sum to its order")
+    return tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def _short_order(f: tuple[int, ...], p: int, r: int) -> int:
+    """ord(f), the least L with f | x^L - 1, when it is at most r; else 0."""
+    one = (1,) + (0,) * (len(f) - 2)
+    power = one
+    for L in range(1, r + 1):  # power: x^L modulo f
+        top = power[-1]
+        power = tuple((a - top * c) % p for a, c in zip((0,) + power[:-1], f))
+        if power == one:
+            return L
+    return 0
+
+
+def class_profile(blocks, p: int, r: int) -> tuple:
+    """The profile that ``genvec._fixed_multiset_row`` reads, of the class with ``blocks``.
+
+    Each block (f, m) with ord f <= r, found by powering x modulo f, enters
+    by ``genvec._with_block``.
+    """
+    profile = ((0,) * r, ())
+    for f, m in blocks:
+        order = _short_order(f, p, r)
+        if order:
+            profile = _with_block(profile, len(f) - 1, order, m, p, r)
+    return profile
+
+
+def class_sum_rows(p: int, k: int, r: int) -> list[int]:
+    """M(p, k, t) for t = 0 .. r, by Burnside over the listed classes of GL(k, p).
+
+    Classes with equal profiles share one ``_fixed_multiset_row``; every
+    entry is checked for divisibility by |GL(k, p)|.
+    """
+    weights = {}  # profile -> the total size of its classes
+    for size, blocks in gl_conjugacy_classes(k, p):
+        key = class_profile(blocks, p, r)
+        weights[key] = weights.get(key, 0) + size
+    totals = [0] * (r + 1)
+    for key, size in weights.items():
+        totals = [total + size * fixed for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
+    order = gl_order(k, p)
+    bad = [t for t in range(r + 1) if totals[t] % order]
+    if bad:
+        raise AssertionError(f"class sums for (p={p}, k={k}) at t = {bad} are not "
+                             f"multiples of |GL({k}, {p})|")
+    return [total // order for total in totals]
 
 
 def class_matrix(blocks, p: int) -> np.ndarray:
-    """A matrix of the class of GL(k, p) with ``fp.gl_conjugacy_classes`` ``blocks``.
+    """A matrix of the class of GL(k, p) with ``gl_conjugacy_classes`` ``blocks``.
 
     The block-diagonal matrix of the companion matrices of f^m, for (f, m)
     in ``blocks`` (f monic, constant term first).

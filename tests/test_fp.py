@@ -7,7 +7,7 @@ from eag import fp, orbits
 from eag.errors import CapExceededError, PreconditionError
 from eag.genvec import GeneratingVector
 
-from burnside_walk import class_matrix
+from burnside_walk import class_matrix, gl_conjugacy_classes
 
 
 def _gl_generators(n, p):
@@ -78,7 +78,7 @@ def test_prime_gate():
     with pytest.raises(PreconditionError):
         GeneratingVector(17, 2, hyperbolic=(), elliptic=[(1, 2)])
     with pytest.raises(PreconditionError):
-        fp.gl_conjugacy_classes(2, 6)
+        gl_conjugacy_classes(2, 6)
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)
@@ -102,7 +102,7 @@ def test_gl_closure_orders(n, p, order):
 @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)]
                          + [(4, 2), (4, 3), (4, 5)])
 def test_gl_class_sizes_sum_to_the_order(n, p):
-    classes = fp.gl_conjugacy_classes(n, p)
+    classes = gl_conjugacy_classes(n, p)
     assert sum(size for size, _ in classes) == fp.gl_order(n, p)
     # in the matrix of a class's blocks, the block of (f, m) is annihilated
     # by f^m but not by f^(m - 1): its minimal polynomial
@@ -147,7 +147,7 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
     sizes = {}
     for least in label.values():
         sizes[least] = sizes.get(least, 0) + 1
-    classes = fp.gl_conjugacy_classes(n, p)
+    classes = gl_conjugacy_classes(n, p)
     assert len(classes) == len(sizes)
     reps = [label[int(orbits._pack_keys(class_matrix(blocks, p)[None], p)[0])]
             for _, blocks in classes]

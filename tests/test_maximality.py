@@ -309,3 +309,20 @@ def test_search_cap_exits_4_at_once(monkeypatch, capsys):
     outcome = mx.search_extension_witness(spec)
     assert outcome.status == "found"
     _verify_witness(spec, outcome.witness)
+
+
+def test_search_basis_cap_exits_4_before_allocating(capsys):
+    # at rho = 100,000 the dense basis of V would be a 100,002^2 int64 array
+    # (74.5 GiB); the search refuses it before allocating, while rho = 400
+    # (dimension 402) still finds its witness in the first block
+    start = time.process_time()
+    code = cli.main(["maximal", "--p", "3", "--n", "1", "--rho", "100000", "--r", "0", "--search"])
+    assert code == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("feasibility cap exceeded: witness search in dimension 100002")
+    assert "Traceback" not in err
+    assert time.process_time() - start < 10.0
+    spec = EAActionSpec(3, 1, 400, 0)
+    outcome = mx.search_extension_witness(spec)
+    assert outcome.status == "found"
+    _verify_witness(spec, outcome.witness)

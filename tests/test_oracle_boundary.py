@@ -26,6 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "eag"
 PRODUCTION_NAMES = {
     "orbit_components",
     "_subspace_blocks",
+    "SUBSPACE_BLOCK",  # the block size of _subspace_blocks, which the witness search caps
     "_pack_keys",
 }
 

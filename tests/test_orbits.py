@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from eag import fp, genvec, orbits
 from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
-from burnside_walk import class_matrix, fixed_multiset_rows
+import burnside_walk
+from burnside_walk import (class_matrix, class_profile, class_sum_rows, fixed_multiset_rows,
+                           gl_conjugacy_classes)
 
 
 def test_gaussian_binomial():
@@ -108,11 +111,11 @@ def test_burnside_matches_canonical_outside_the_box():
 
 
 def _class_reps(k, p):
-    return np.stack([class_matrix(blocks, p) for _, blocks in fp.gl_conjugacy_classes(k, p)])
+    return np.stack([class_matrix(blocks, p) for _, blocks in gl_conjugacy_classes(k, p)])
 
 
 def _class_row(blocks, p, r):
-    return genvec._fixed_multiset_row(genvec._class_profile(blocks, p, r), p, r)
+    return genvec._fixed_multiset_row(class_profile(blocks, p, r), p, r)
 
 
 def test_fixed_multisets_python_ints_match_int64():
@@ -142,7 +145,7 @@ def _fixed_by_enumeration(g, p, t):
 def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
     # pins the closed form for each class and each cut r, not just the
     # class-size-weighted totals
-    for _, blocks in fp.gl_conjugacy_classes(k, p):
+    for _, blocks in gl_conjugacy_classes(k, p):
         rep = class_matrix(blocks, p)
         want = [_fixed_by_enumeration(rep, p, t) for t in range(7)]
         for r in range(1, 7):
@@ -153,7 +156,7 @@ def test_fixed_multiset_rows_match_enumeration_class_by_class(k, p):
 def test_class_rows_match_the_walk(k, p):
     reps = _class_reps(k, p)
     walked = fixed_multiset_rows(reps, p, 8, object)
-    for (_, blocks), rep, row in zip(fp.gl_conjugacy_classes(k, p), reps, walked):
+    for (_, blocks), rep, row in zip(gl_conjugacy_classes(k, p), reps, walked):
         for r in range(2, 9):
             assert _class_row(blocks, p, r) == row[:r + 1].tolist(), (rep.tolist(), r)
 
@@ -162,13 +165,13 @@ def test_class_rows_match_the_walk(k, p):
 def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
     # classes with equal profiles have equal walked rows, and a class
     # whose d_1 .. d_r are all 0 fixes the empty multiset alone
-    classes = fp.gl_conjugacy_classes(k, p)
+    classes = gl_conjugacy_classes(k, p)
     reps = _class_reps(k, p)
     walked = fixed_multiset_rows(reps, p, 7, np.int64)
     for r in range(2, 8):
         rows = {}
         for (_, blocks), rep, row in zip(classes, reps, walked[:, :r + 1].tolist()):
-            profile = genvec._class_profile(blocks, p, r)
+            profile = class_profile(blocks, p, r)
             assert rows.setdefault(profile, row) == row, (rep.tolist(), r, profile)
             if not any(profile[0]):
                 assert row == [1] + [0] * r, (rep.tolist(), r)
@@ -178,10 +181,10 @@ def test_fixed_multiset_rows_depend_only_on_the_short_cycle_subspace(k, p):
 def test_short_cycle_subspace_is_the_kernel_sum():
     # d_L, read from the blocks, against ker(g^L - 1) found by enumeration
     for k, p in [(2, 3), (3, 2), (2, 5), (3, 3)]:
-        for _, blocks in fp.gl_conjugacy_classes(k, p):
+        for _, blocks in gl_conjugacy_classes(k, p):
             rep = class_matrix(blocks, p)
             for r in range(1, 8):
-                dims, unipotent = genvec._class_profile(blocks, p, r)
+                dims, unipotent = class_profile(blocks, p, r)
                 assert len(unipotent) == dims[0]
                 power = np.eye(k, dtype=np.int64)
                 for L in range(1, r + 1):
@@ -228,8 +231,8 @@ def test_lucas_lemma_on_jordan_blocks(p):
 
 def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
     # 14,365 of the 28,548 classes of GL(4, 13) have d_1 = ... = d_6 = 0
-    classes = fp.gl_conjugacy_classes(4, 13)
-    empty = sum(not any(genvec._class_profile(blocks, 13, 6)[0]) for _, blocks in classes)
+    classes = gl_conjugacy_classes(4, 13)
+    empty = sum(not any(class_profile(blocks, 13, 6)[0]) for _, blocks in classes)
     assert (len(classes), empty) == (28_548, 14_365)
     assert genvec.count_pure_orbits_burnside(7, 2, 5) == 39
     assert genvec.count_pure_orbits_burnside(5, 3, 9) == 143_045
@@ -261,26 +264,74 @@ def test_large_object_dtype_burnside_sum():
     assert genvec.count_pure_orbits_burnside(13, 3, 10) == 34_330_061_746_244
 
 
-def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
-    real = fp.gl_conjugacy_classes
-    classes = real(2, 3)
-    size, blocks = classes[0]
-    assert any(genvec._class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
-    wrong = ((size + 1, blocks),) + classes[1:]
-    monkeypatch.setattr(fp, "gl_conjugacy_classes",
-                        lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
+def test_e_13_5_7_without_class_enumeration():
+    # GL(5, 13) has 371,112 classes, which took 9 s and 171 MB to list and sum
+    start = time.process_time()
+    assert genvec.count_pure_orbits_burnside(13, 5, 7) == 332
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_type_sum_class_equation(p):
+    # the class sizes, summed type by type, give |GL(k, p)| whatever r
+    # makes short: r = 0 leaves every irreducible long
+    for k in range(1, 7):
+        for r in (0, 4, 10):
+            weights = genvec._type_weights(p, k, r)
+            assert sum(weights.values()) == fp.gl_order(k, p), (k, r)
+
+
+def test_type_rows_match_the_class_sum():
+    # the rows M(p, k, 0..r) of the type sum against the sum over the listed
+    # classes, for every r <= 10 (the row for r = 10 holds every t <= 10)
     saved = dict(genvec._ROWS)
-    genvec._ROWS.clear()
     try:
-        # the row built for r = 7 checks every t <= 7, r = 5 among them
-        with pytest.raises(AssertionError, match=r"t = \[.*\b5\b.*\] are not multiples"):
-            genvec.count_pure_orbits_burnside(3, 2, 7)
-        assert (3, 2) not in genvec._ROWS
-        with pytest.raises(AssertionError, match="not multiples"):
-            genvec.count_pure_orbits_burnside(3, 2, 5)
+        for p in (2, 3, 5, 7, 11, 13):
+            for k in (k for k in range(1, 5) if p ** k <= 30_000):
+                want = class_sum_rows(p, k, 10)
+                for r in range(11):
+                    genvec._ROWS.clear()
+                    genvec._zero_sum_multiset_orbits(p, k, r)
+                    assert list(genvec._ROWS[(p, k)]) == want[:r + 1], (p, k, r)
     finally:
         genvec._ROWS.clear()
         genvec._ROWS.update(saved)
+
+
+def test_burnside_divisibility_catches_a_wrong_short_count(monkeypatch):
+    # (d, e) = (2, 4) is x^2 + 1 over F_3: one more of it leaves one fewer
+    # long quadratic, so the sizes still sum to |GL(2, 3)| and the rows are
+    # wrong at t = 4; one more x + 1 leaves -1 long linear ones
+    real = genvec._short_types
+    assert real(3, 2, 7) == ((1, 1, 1), (1, 2, 1), (2, 4, 1))
+    saved = dict(genvec._ROWS)
+    try:
+        for bumped, match in [((2, 4), r"t = \[4\] are not multiples"),
+                              ((1, 2), "do not sum to its order")]:
+            monkeypatch.setattr(genvec, "_short_types", lambda p, k, r: tuple(
+                (d, e, n + ((d, e) == bumped)) for d, e, n in real(p, k, r)))
+            genvec._ROWS.clear()
+            with pytest.raises(AssertionError, match=match):
+                genvec.count_pure_orbits_burnside(3, 2, 7)
+            assert (3, 2) not in genvec._ROWS
+    finally:
+        genvec._ROWS.clear()
+        genvec._ROWS.update(saved)
+
+
+def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
+    real = gl_conjugacy_classes
+    classes = real(2, 3)
+    size, blocks = classes[0]
+    assert any(class_profile(blocks, 3, 7)[0])  # the tampered class fixes more than {}
+    wrong = ((size + 1, blocks),) + classes[1:]
+    monkeypatch.setattr(burnside_walk, "gl_conjugacy_classes",
+                        lambda k, p: wrong if (k, p) == (2, 3) else real(k, p))
+    # the row built for r = 7 checks every t <= 7, r = 5 among them
+    with pytest.raises(AssertionError, match=r"t = \[.*\b5\b.*\] are not multiples"):
+        class_sum_rows(3, 2, 7)
+    with pytest.raises(AssertionError, match="not multiples"):
+        class_sum_rows(3, 2, 5)
 
 
 def _closed_form_mismatches():
