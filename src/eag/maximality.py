@@ -11,12 +11,12 @@ by the test suite, never resolved silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fp
 from .errors import CapExceededError, PreconditionError
-from .fp import vector_span_rank
-from .genvec import GeneratingVector, is_unique_action, require_admissible_genus, validate
+from .fp import vector_span_rank  # noqa: F401 -- perfbench's tracer tests read it here
+from .genvec import GeneratingVector, is_unique_action, require_admissible_genus
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
 
 
@@ -30,8 +30,7 @@ class ExtensionWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "n_spec": {"p": self.n_spec.p, "n": self.n_spec.n,
-                       "rho": self.n_spec.rho, "r": self.n_spec.r},
+            "n_spec": asdict(self.n_spec),
             "vector": self.vector.to_json_dict(),
             "subgroup_basis": [list(v) for v in self.subgroup_basis],
         }
@@ -46,8 +45,7 @@ class MaximalityVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": {"p": self.spec.p, "n": self.spec.n,
-                     "rho": self.spec.rho, "r": self.spec.r},
+            "spec": asdict(self.spec),
             "maximal": self.maximal,
             "witness": self.witness.to_json_dict() if self.witness else None,
             "rule": self.rule,
@@ -79,14 +77,28 @@ def _frobenius_pairs(p: int, rho: int):
         a += 1
 
 
+#: most ints a witness may hold, checked before any arithmetic: an index-p
+#: extension's overgroup vector has 2 tau + s <= 2 rho + r + 2 entries (the
+#: most at tau = 0) of n + 1 ints.
+WITNESS_INT_CAP = 5 * 10 ** 5
+
+
+def _require_witness_size(spec: EAActionSpec) -> None:
+    size = (spec.n + 1) * (2 * spec.rho + spec.r + 2)
+    if size > WITNESS_INT_CAP:
+        raise CapExceededError(f"a witness of (n + 1)(2 rho + r + 2) = {size} ints "
+                               f"passes the cap of {WITNESS_INT_CAP}")
+
+
 def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector,
               basis) -> ExtensionWitness:
     basis = tuple(tuple(a % spec.p for a in b) for b in basis)
-    if not validate(vector):
-        raise AssertionError(f"witness vector invalid for {spec}")
-    if vector_span_rank(basis, spec.p) != spec.n:
+    if len(basis) != spec.n:
         raise AssertionError(f"witness subgroup has wrong rank for {spec}")
-    got = subgroup_signature(n_spec, vector, basis)
+    try:  # it validates the vector and the basis's independence
+        got = subgroup_signature(n_spec, vector, basis)
+    except PreconditionError as exc:
+        raise AssertionError(f"witness invalid for {spec}: {exc}") from exc
     if got != spec.sig:
         raise AssertionError(f"witness round-trip failed for {spec}: got {got}")
     if ea_genus(n_spec) != ea_genus(spec):
@@ -128,8 +140,7 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
     # pair of _frobenius_pairs that admits a vector, subgroup <y> holding no
     # elliptic entry.  b = 1 never does (one entry cannot have product 1);
     # b in {0, 2} needs a hyperbolic pair to reach y.
-    p = spec.p
-    x, y = (1, 0), (0, 1)
+    p, x, y = spec.p, (1, 0), (0, 1)
     for a, b in _frobenius_pairs(p, spec.rho):
         tau = a + 1
         if b == 1 or (b < 3 and tau < 1):
@@ -148,19 +159,11 @@ def _witness_unramified_cyclic_odd(spec: EAActionSpec) -> ExtensionWitness | Non
 
 
 def _witness_three_periods_cyclic_p3(spec: EAActionSpec) -> ExtensionWitness:
-    # (rho; 3^3) with n = 1
-    rho = spec.rho
-    y = (0, 1)
-    if rho % 3 == 0:
-        head = [y, (1, -1), (-1, 0)]
-    elif rho % 3 == 1:
-        head = [y, (1, 1), (1, 1)]
-    else:
-        head = [y, (-1, 1), (-1, 1)]
-    elliptic = head + [(1, 0)] * rho
-    n_spec = EAActionSpec(3, 2, 0, len(elliptic))
-    vec = GeneratingVector(3, 2, hyperbolic=(), elliptic=elliptic)
-    return _verified(spec, n_spec, vec, (y,))
+    # (rho; 3^3) with n = 1: images (y, c, c', x, ..., x), c + c' = -y - rho x
+    rho, y = spec.rho, (0, 1)
+    pair = ([(1, -1), (-1, 0)], [(1, 1), (1, 1)], [(-1, 1), (-1, 1)])[rho % 3]
+    vec = GeneratingVector(3, 2, hyperbolic=(), elliptic=[y, *pair] + [(1, 0)] * rho)
+    return _verified(spec, EAActionSpec(3, 2, 0, rho + 3), vec, (y,))
 
 
 FROBENIUS_CORNER_RULE = (
@@ -172,6 +175,7 @@ FROBENIUS_CORNER_RULE = (
 def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     """Closed-form maximality verdict for a unique action (genus >= 2).
 
+    Past ``WITNESS_INT_CAP`` it raises CapExceededError at once.
     Constructions come first: one p = 2 family (r even, n <= 2 rho + r/2)
     and (rho;3^3) with n = 1, each with p | r, then the unramified cyclic
     case for odd p, decided by representability of rho.  Every other unique
@@ -187,6 +191,7 @@ def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     3. (rho;-) with n = 2 rho - 1 and p odd.  The same count gives
        2 tau + max(s - 1, 0) < 2 rho = n + 1 for every extension signature.
     """
+    _require_witness_size(spec)
     require_admissible_genus(spec)
     if not is_unique_action(spec):
         raise PreconditionError(f"{spec} is not a unique action; maximality undefined")
@@ -250,14 +255,15 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
     """Exhaustively search for an index-p extension of the given action.
 
     For each candidate overgroup signature, tries every codeword v up to
-    symmetry and every admissible row space R through it; the first one is
-    built into a witness with v as the last row, so that the subgroup is the
-    hyperplane "last coordinate 0".  Raises CapExceededError once the row
-    spaces enumerated, over all codewords, pass ``fp.DEFAULT_ELEMENT_CAP``.
+    symmetry and each row space R through it; the first admissible R is built
+    into a witness with v as the last row, so the subgroup is the hyperplane
+    "last coordinate 0".  Raises CapExceededError past ``WITNESS_INT_CAP`` or
+    once the R rejected, over all codewords, pass ``fp.DEFAULT_ELEMENT_CAP``.
     """
+    _require_witness_size(spec)
     sigma = require_admissible_genus(spec)
     p, n = spec.p, spec.n
-    enumerated = 0
+    rejected = 0
     for ep in solve_extension_params(p, spec.rho, spec.r):
         tau, s = ep.tau, ep.s
         if s == 1 or n + 1 > 2 * tau + max(s - 1, 0):
@@ -266,12 +272,12 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
         if ea_genus(n_spec) != sigma:
             continue
         for v in _codewords(p, tau, ep.l, ep.m):
-            for block, admissible in _row_space_blocks(p, tau, s, n, v):
-                if admissible.any():
-                    rows = [*block[admissible.argmax()].tolist(), v]
-                    return SearchOutcome("found", _row_space_witness(spec, n_spec, rows))
-                enumerated += len(block)
-                if enumerated > fp.DEFAULT_ELEMENT_CAP:
+            for rows in _row_spaces(p, tau, s, n, v):
+                # v's zero Z-coordinates are its m zeros after the hyperbolic part
+                if all(any(row[z] for row in rows) for z in range(2 * tau, 2 * tau + ep.m)):
+                    return SearchOutcome("found", _row_space_witness(spec, n_spec, [*rows, v]))
+                rejected += 1
+                if rejected > fp.DEFAULT_ELEMENT_CAP:
                     raise CapExceededError(f"witness search passed the cap of "
                                            f"{fp.DEFAULT_ELEMENT_CAP} row spaces")
     return SearchOutcome("none", None)
@@ -293,29 +299,24 @@ def _codewords(p: int, tau: int, l: int, m: int):
                 yield tuple(head + [0] * m + list(tail))
 
 
-#: int64 entries a witness search may hold at once: V's basis and one block (80 MB)
-SEARCH_ENTRY_CAP = 10 ** 7
+def _row_spaces(p: int, tau: int, s: int, n: int, v: tuple[int, ...]):
+    """Bases of the n-subspaces U of a complement of <v> in V, one at a time.
 
-
-def _row_space_blocks(p: int, tau: int, s: int, n: int, v: tuple[int, ...]):
-    """Blocks of the n-subspaces U of a complement of <v>, and which U + <v> are admissible."""
-    import numpy as np
-    from . import orbits
-    d = 2 * tau + s
-    if d * (d + orbits.SUBSPACE_BLOCK * n) > SEARCH_ENTRY_CAP:
-        raise CapExceededError(f"witness search in dimension {d} passes {SEARCH_ENTRY_CAP} entries")
-    v = np.array(v, dtype=np.int64)
-    # an echelon basis of V whose row i leads at coordinate i: units on the
-    # hyperbolic part, e_i - e_(i+1) on Z_s.  v has a nonzero coefficient on
-    # the row at its first nonzero coordinate, so the other rows span a
-    # complement of <v>.
-    basis = np.eye(d, dtype=np.int64)[:2 * tau + max(s - 1, 0)]
-    z = np.arange(2 * tau, len(basis))
-    basis[z, z + 1] = p - 1
-    complement = np.delete(basis, np.flatnonzero(v)[0], axis=0)
-    zero = 2 * tau + np.flatnonzero(v[2 * tau:] == 0)
-    for block in orbits._subspace_blocks(p, complement, n):
-        yield block, (block[:, :, zero] != 0).any(axis=1).all(axis=1)
+    V's echelon basis is the units on the hyperbolic part and e_i - e_(i+1)
+    on Z_s; without the row leading at v's first nonzero coordinate it spans
+    a complement of <v>.  U runs over RREF coefficients a on those rows, by
+    pivot pattern, the first free entry least significant, and a row of U is
+    a on the hyperbolic part and a_i - a_(i-1) on Z_s.
+    """
+    h, first = 2 * tau, next(i for i, a in enumerate(v) if a)
+    basis = [i for i in range(h + max(s - 1, 0)) if i != first]
+    for pivots in itertools.combinations(basis, n):
+        free = [(i, k) for i, c in enumerate(pivots) for k in basis if k > c and k not in pivots]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            coeffs = [[0] * c + [1] + [0] * (h + s - 1 - c) for c in pivots]
+            for (i, k), value in zip(free, reversed(vals)):
+                coeffs[i][k] = value
+            yield [a[:h] + [(x - y) % p for x, y in zip(a[h:], [0] + a[h:])] for a in coeffs]
 
 
 def _row_space_witness(spec: EAActionSpec, n_spec: EAActionSpec, rows):

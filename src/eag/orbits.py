@@ -3,14 +3,13 @@
 The engine is what other modules import from here: ``orbit_components``
 counts the orbits of a finite set under some moves, with the objects as
 distinct integer keys (``_pack_keys``), each move mapping every object to
-the key of its image, and the orbits the connected components;
-``_subspace_blocks`` lists the k-subspaces of a row space in blocks.  The
-Cayley-table orbit count (``grouptable``) and the maximality witness search
-run on it.  Only this module and ``grouptable`` import numpy at module
-level.
+the key of its image, and the orbits the connected components.  The
+Cayley-table orbit count (``grouptable``) runs on it.  Only this module and
+``grouptable`` import numpy at module level.
 
 The counts e and h are closed forms in ``eag.genvec``.  The oracles run
-only inside its boxes, ``check_pure_caps`` and ``check_unramified_caps``:
+only inside its boxes, ``check_pure_caps`` and ``check_unramified_caps``,
+on subspaces that ``_subspace_blocks`` lists in blocks:
 
 * ``count_pure_orbits_bfs``, the same engine on admissible k-subspaces of
   the zero-sum hyperplane of F_p^r under S_r permuting coordinates.  S_r

@@ -508,7 +508,8 @@ def test_cli_path_never_imports_scipy():
     assert done.returncode == 0, done.stderr
 
 
-#: calls that batch nothing: with numpy unimportable they must answer as before
+#: calls that batch nothing, every subcommand but orbits: with numpy
+#: unimportable they must answer as before
 NUMPY_FREE_CALLS = [
     ["count", "--p", "5", "--n", "3", "--rho", "0", "--r", "7"],
     ["count", "--p", "7", "--n", "2", "--rho", "3", "--r", "0"],  # Witt's closed form
@@ -518,8 +519,13 @@ NUMPY_FREE_CALLS = [
     ["maximal", "--p", "2", "--n", "1", "--rho", "1", "--r", "4"],
     ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "0"],
     ["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "3"],
+    # the witness search: one that finds a witness, one that finds none
+    ["maximal", "--p", "2", "--n", "1", "--rho", "0", "--r", "10", "--search"],
+    ["maximal", "--p", "5", "--n", "1", "--rho", "2", "--r", "3", "--search"],
     ["tables", "--which", "1"],
     ["tables", "--which", "2", "--format", "csv"],
+    ["tables", "--which", "3"],
+    ["tables", "--which", "4"],
     # smoothness by the Jacobian certificate: a rational line and a complex one
     ["fermat", "--p", "5", "--n", "6", "--w=1/2,-3,7/3,0,5,2,-1/4"],
     ["fermat", "--p", "3", "--n", "3", "--w=1j,2,3,4", "--pins=0,1,1j"],

@@ -1,10 +1,12 @@
+import json
 import time
 
+import numpy as np
 import pytest
 
-from eag import cli, fp, maximality as mx
+from eag import cli, fp, genvec, maximality as mx, orbits
 from eag.errors import CapExceededError, PreconditionError
-from eag.genvec import is_unique_action, validate
+from eag.genvec import GeneratingVector, is_unique_action, validate
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
                           subgroup_signature)
 
@@ -16,6 +18,10 @@ def _verify_witness(spec, witness):
     assert subgroup_signature(witness.n_spec, witness.vector,
                               witness.subgroup_basis) == spec.sig
     assert ea_genus(witness.n_spec) == ea_genus(spec)
+
+
+def _argv(p, n, rho, r):
+    return ["maximal", "--p", str(p), "--n", str(n), "--rho", str(rho), "--r", str(r)]
 
 
 def test_frobenius_representable_examples():
@@ -311,18 +317,92 @@ def test_search_cap_exits_4_at_once(monkeypatch, capsys):
     _verify_witness(spec, outcome.witness)
 
 
-def test_search_basis_cap_exits_4_before_allocating(capsys):
-    # at rho = 100,000 the dense basis of V would be a 100,002^2 int64 array
-    # (74.5 GiB); the search refuses it before allocating, while rho = 400
-    # (dimension 402) still finds its witness in the first block
-    start = time.process_time()
+def _witness_from_json(data):
+    vector = data["vector"]
+    return mx.ExtensionWitness(
+        EAActionSpec(**data["n_spec"]),
+        GeneratingVector(vector["p"], vector["n"], vector["hyperbolic"], vector["elliptic"]),
+        tuple(map(tuple, data["subgroup_basis"])))
+
+
+def test_search_at_rho_100000_finds_its_witness(capsys):
+    # (n + 1)(2 rho + r + 2) = 400,004 ints, within WITNESS_INT_CAP
+    spec = EAActionSpec(3, 1, 100_000, 0)
     code = cli.main(["maximal", "--p", "3", "--n", "1", "--rho", "100000", "--r", "0", "--search"])
-    assert code == cli.EXIT_CAP
+    assert code == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["search"]["status"] == "found"
+    for data in (payload["witness"], payload["search"]["witness"]):
+        _verify_witness(spec, _witness_from_json(data))
+
+
+@pytest.mark.parametrize("argv", [
+    [*_argv(2, 1, 10 ** 8, 0)], [*_argv(2, 1, 10 ** 8, 0), "--search"],
+    [*_argv(3, 1, 10 ** 8, 0)], [*_argv(3, 1, 10 ** 8, 0), "--search"],
+    # maximal by the rank bound, and 3^n would take minutes to compute
+    [*_argv(3, 2 * 10 ** 8 - 1, 10 ** 8, 0), "--search"],
+])
+def test_witness_size_cap_exits_4_at_once(argv, capsys):
+    # at rho = 10^8 the closed-form witness alone would hold 2 * 10^8
+    # entries; the cap refuses before any arithmetic
+    start = time.process_time()
+    assert cli.main(argv) == cli.EXIT_CAP
     err = capsys.readouterr().err
-    assert err.startswith("feasibility cap exceeded: witness search in dimension 100002")
+    assert err.startswith("feasibility cap exceeded: a witness of (n + 1)(2 rho + r + 2)")
     assert "Traceback" not in err
-    assert time.process_time() - start < 10.0
-    spec = EAActionSpec(3, 1, 400, 0)
-    outcome = mx.search_extension_witness(spec)
-    assert outcome.status == "found"
-    _verify_witness(spec, outcome.witness)
+    assert time.process_time() - start < 1.0
+
+
+def test_witness_size_cap_is_the_largest_overgroup_vector():
+    # the p = 2 construction reaches the bound (n + 1)(2 rho + r + 2): at
+    # the cap both tracks run, and two more branch points pass it
+    spec = EAActionSpec(2, 1, (mx.WITNESS_INT_CAP // 2 - 2) // 2, 0)
+    assert (spec.n + 1) * (2 * spec.rho + 2) == mx.WITNESS_INT_CAP
+    witness = mx.is_maximal(spec).witness
+    assert len(witness.vector.elliptic) * (spec.n + 1) == mx.WITNESS_INT_CAP
+    past = EAActionSpec(2, 1, spec.rho, 2)
+    with pytest.raises(CapExceededError):
+        mx.is_maximal(past)
+    with pytest.raises(CapExceededError):
+        mx.search_extension_witness(past)
+
+
+def test_search_at_rho_1500_is_quick(capsys):
+    # the witness is the first row space tried; a dense basis of V
+    # (dimension 1,502) would cost seconds
+    start = time.process_time()
+    assert cli.main([*_argv(3, 1, 1500, 0), "--search"]) == cli.EXIT_OK
+    assert time.process_time() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["search"]["status"] == "found"
+
+
+def test_witness_check_reads_a_bad_witness_as_a_bug(monkeypatch):
+    # subgroup_signature validates the vector and the basis; a construction
+    # that fails either is a bug, also under python -O
+    def refuse(*args):
+        raise PreconditionError("generating vector is not valid for the overgroup")
+
+    monkeypatch.setattr(mx, "subgroup_signature", refuse)
+    for run in (mx.is_maximal, mx.search_extension_witness):
+        with pytest.raises(AssertionError, match="witness invalid"):
+            run(EAActionSpec(2, 1, 3, 2))
+
+
+def _oracle_row_spaces(p, tau, s, n, v):
+    # the dense echelon basis of V times the oracles' RREF coordinates
+    basis = np.eye(2 * tau + s, dtype=np.int64)[:2 * tau + max(s - 1, 0)]
+    z = np.arange(2 * tau, len(basis))
+    basis[z, z + 1] = p - 1
+    complement = np.delete(basis, np.flatnonzero(v)[0], axis=0)
+    return [rows for block in orbits._subspace_blocks(p, complement, n)
+            for rows in block.tolist()]
+
+
+@pytest.mark.parametrize("p,tau,l,m,n", [(2, 0, 6, 1, 1), (2, 1, 4, 0, 2), (3, 0, 3, 2, 2),
+                                         (3, 1, 2, 1, 1), (5, 0, 2, 2, 2), (2, 0, 4, 3, 3)])
+def test_row_spaces_follow_the_oracle_enumeration(p, tau, l, m, n):
+    # every row space, rejected or not, in the order of orbits._subspace_blocks
+    for v in mx._codewords(p, tau, l, m):
+        got = list(mx._row_spaces(p, tau, l + m, n, v))
+        assert got == _oracle_row_spaces(p, tau, l + m, n, v), v
+        assert len(got) == genvec.gaussian_binomial(2 * tau + l + m - 2, n, p)

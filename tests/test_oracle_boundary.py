@@ -1,11 +1,12 @@
 """What production reaches, and what it may not.
 
 ``eag.orbits`` is the numpy batch engine, and it also holds the test oracles
-(the subspace and kernel BFS counts, the canonical-form counts and
-``batch_rref``).  Every other module of the package may use only its batch
-helpers, the names below, so an oracle cannot become a production path
-unnoticed.  The closed-form counts and the oracles' boxes live in
-``eag.genvec``, which does not import ``eag.orbits``.
+(the subspace and kernel BFS counts, the canonical-form counts, their
+subspace enumerator ``_subspace_blocks`` and ``batch_rref``).  Every other
+module of the package may use only its batch helpers, the names below, so
+an oracle cannot become a production path unnoticed.  The closed-form counts
+and the oracles' boxes live in ``eag.genvec``, and the maximality witness
+search in ``eag.maximality``; neither imports ``eag.orbits``.
 
 A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
@@ -23,10 +24,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eag"
 
+#: the batch engine, which grouptable's orbit count and fp.group_closure run on
 PRODUCTION_NAMES = {
     "orbit_components",
-    "_subspace_blocks",
-    "SUBSPACE_BLOCK",  # the block size of _subspace_blocks, which the witness search caps
     "_pack_keys",
 }
 
@@ -84,6 +84,22 @@ def test_production_modules_use_no_orbit_oracle():
              for line, name in _orbits_names(ast.parse(path.read_text(encoding="utf-8")))
              if name not in PRODUCTION_NAMES]
     assert found == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module or "") + "." + alias.name for alias in node.names)
+
+
+def test_the_witness_search_imports_neither_numpy_nor_orbits():
+    # at module level or in a function body: the search runs on Python ints
+    tree = ast.parse((SRC / "maximality.py").read_text(encoding="utf-8"))
+    names = list(_imported_names(tree))
+    assert names and not [name for name in names
+                          if name.partition(".")[0] == "numpy" or "orbits" in name.split(".")]
 
 
 def test_the_walk_sees_both_spellings():

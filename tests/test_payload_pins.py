@@ -38,6 +38,8 @@ CALLS = [
     ["maximal", *_spec_args(5, 1, 2, 0), "--search"],
     ["maximal", *_spec_args(2, 1, 2, 2), "--search"],
     ["maximal", *_spec_args(2, 5, 3, 0), "--search"],
+    # the 11th row space tried, after ten that admissibility rejects
+    ["maximal", *_spec_args(2, 1, 0, 10), "--search"],
     # searches that find none: a maximal action and the Frobenius corner
     ["maximal", *_spec_args(5, 1, 2, 3), "--search"],
     ["maximal", *_spec_args(7, 1, 4, 0), "--search"],
