@@ -157,8 +157,10 @@ def group_closure(gens, p: int) -> np.ndarray:
     The search runs on codes: a vector v is the code sum_j v_j p^(n-1-j),
     each generator g is the permutation of the p^n codes that v -> v g
     induces, and a matrix is the codes of its rows, so M g is the lookup
-    perm_g[rows].  Keys read the row codes as base-p^n digits and sort like
-    the matrices; they are decoded once, at the end.
+    perm_g[rows].  Codes are held in the smallest unsigned dtype for p^n
+    of them.  Keys read the row codes as base-p^n digits and sort like the
+    matrices; at the end they are decoded once to row codes, and those
+    through the code table to the matrices.
     """
     import numpy as np
     from .orbits import _pack_keys
@@ -173,26 +175,31 @@ def group_closure(gens, p: int) -> np.ndarray:
         if vector_span_rank(g, p) != n:
             raise PreconditionError("generators must be invertible")
     q = p ** n
+    code = np.min_scalar_type(q - 1)  # the smallest unsigned dtype for a code
     weights = p ** np.arange(n - 1, -1, -1)
-    frontier = weights[None]  # the identity: row i is e_i, with code p^(n-1-i)
+    frontier = weights[None].astype(code)  # the identity: row i is e_i, with code p^(n-1-i)
     seen = _pack_keys(frontier, q)  # raises before any table when keys overflow
     vecs = (np.arange(q)[:, None] // weights) % p  # row c: the vector with code c
-    perms = np.stack([vecs @ g % p @ weights for g in gens])  # perms[g, c]: code of v_c g
+    # perms[g, c]: the code of v_c g
+    perms = np.stack([(vecs @ g % p @ weights).astype(code) for g in gens])
     row_weights = np.uint64(q) ** np.arange(n - 1, -1, -1, dtype=np.uint64)
+
+    def row_codes(keys):
+        return (keys[:, None] // row_weights % np.uint64(q)).astype(code)
+
     # breadth-first by right multiplication; in a finite group the monoid the
     # generators span is already the group
     while len(frontier):
         keys = np.sort(_pack_keys(perms[:, frontier].reshape(-1, n), q))
         pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
         fresh = keys[(seen[pos] != keys) & np.append(True, keys[1:] != keys[:-1])]
-        frontier = (fresh[:, None] // row_weights % np.uint64(q)).astype(np.int64)
+        frontier = row_codes(fresh)
         # two sorted runs: the stable sort merges them
         seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
         if len(seen) > DEFAULT_ELEMENT_CAP:
             raise CapExceededError(
                 f"matrix closure exceeded the cap of {DEFAULT_ELEMENT_CAP} elements")
-    entry_weights = np.uint64(p) ** np.arange(n * n - 1, -1, -1, dtype=np.uint64)
-    return (seen[:, None] // entry_weights % np.uint64(p)).astype(np.int64).reshape(-1, n, n)
+    return vecs[row_codes(seen)]
 
 
 @lru_cache(maxsize=None)

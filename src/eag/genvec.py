@@ -502,7 +502,8 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
                                 flags=("no-actions-for-these-parameters",))
     e_used, h_used, engines, total = [], [], set(), 0
-    for k in range(min(n, 2 * rho) + 1):
+    # a pure rank j = n - k past max(r - 1, 0) has e = 0 (``no_pure_vectors``)
+    for k in range(max(n - max(r - 1, 0), 0), min(n, 2 * rho) + 1):
         j = n - k
         try:  # e(p, 0, 0) = 1 is a convention and names no engine
             e, engine = count_pure_classes(p, j, r), "burnside" if j else ""

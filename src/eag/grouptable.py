@@ -408,11 +408,12 @@ def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
         reached[1:] = False
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
-            # alpha[beta] is alpha after beta
-            ids = np.unique(np.concatenate(
-                [order[np.searchsorted(keys, alpha[autos[frontier]].view(row).ravel())]
-                 for alpha in gens]))
-            frontier = ids[~reached[ids]]
+            # alpha[beta] is alpha after beta; a hit array dedupes the images
+            hit = np.zeros(len(autos), dtype=bool)
+            for alpha in gens:
+                images = alpha[autos[frontier]].view(row).ravel()
+                hit[order[np.searchsorted(keys, images)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     return gens
 

@@ -20,7 +20,9 @@ on subspaces that ``_subspace_blocks`` lists in blocks:
 * canonical-form counts: each unseen object marks its whole orbit under the
   fully enumerated acting group, with no generators and no graph: GL(k, p)
   by its definition, every matrix of full rank, and Sp(2 rho, p) as the
-  closure ``fp.sp_group``, built once per group.
+  closure ``fp.sp_group``, built once per group.  The pure count walks
+  only the zero-sum multisets (``_zero_sum_multisets``): the last entry of
+  each is forced by the others.
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
     return _subspace_orbit_count(M, p, moves, drop_first_col=True)
 
 
-# canonical-form route: enumerate zero-sum spanning multisets of nonzero
-# vectors and mark the orbit of each unseen one under the fully enumerated
+# canonical-form route: walk the zero-sum multisets of nonzero vectors and
+# mark the orbit of each unseen spanning one under the fully enumerated
 # GL(k, p).
 
 CANONICAL_MAX_GROUP = 600
@@ -297,9 +299,37 @@ def _general_linear(k: int, p: int) -> np.ndarray:
     return mats[batch_rref(mats, p)[:, -1].any(axis=1)]
 
 
+def _zero_sum_multisets(p: int, k: int, r: int):
+    """The r-multisets of nonzero vectors of F_p^k that sum to 0, as sorted codes.
+
+    Vector v has code sum_i v_i p^i.  Each multiset is a sorted
+    (r - 1)-multiset, its head, followed by minus the head's sum, and is
+    kept only when that last code is at least the head's largest, so each
+    zero-sum multiset comes from one head.  Heads run in lexicographic
+    order, and so do the multisets.  Needs r >= 2.
+    """
+    n = p ** k
+    digits = p ** np.arange(k)
+    vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
+    add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
+    minus = (-vecs % p @ digits).tolist()
+    for head in itertools.combinations_with_replacement(range(1, n), r - 1):
+        total = 0
+        for c in head:
+            total = add[total][c]
+        last = minus[total]
+        if last >= head[-1]:  # a zero sum gives last = 0 and fails
+            yield head + (last,)
+
+
 @lru_cache(maxsize=None)
 def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
-    """Independent count: orbits of vector multisets under GL x S_r."""
+    """Independent count: orbits of vector multisets under GL x S_r.
+
+    Walks the zero-sum multisets of ``_zero_sum_multisets`` in order; one
+    that spans F_p^k and is not yet seen starts a new orbit, and all its
+    images under GL(k, p) are then marked seen.
+    """
     if k < 1 or k > r - 1:
         return 0
     if not pure_canonical_feasible(p, k, r):
@@ -308,21 +338,14 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     digits = p ** np.arange(k)
     vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
     decode = [tuple(v) for v in vecs.tolist()]
-    add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
     # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
     # is the code of g applied to the column vector with code c
     perms = (np.einsum("gij,vj->gvi", _general_linear(k, p), vecs) % p @ digits).tolist()
-    # a multiset not yet seen starts a new orbit; all its images under
-    # GL x S_r (sorting absorbs S_r) are then marked seen
+    # sorting the images absorbs S_r
     seen = set()
     count = 0
-    for multiset in itertools.combinations_with_replacement(range(1, n), r):
-        if multiset in seen:
-            continue
-        total = 0
-        for c in multiset:
-            total = add[total][c]
-        if total != 0 or len(fp.rref([decode[c] for c in set(multiset)], p)) != k:
+    for multiset in _zero_sum_multisets(p, k, r):
+        if multiset in seen or len(fp.rref([decode[c] for c in set(multiset)], p)) != k:
             continue
         count += 1
         seen.update(tuple(sorted(perm[c] for c in multiset)) for perm in perms)

@@ -551,6 +551,17 @@ def test_cli_import_loads_no_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_orbits_call_loads_no_numpy_ma():
+    # Aut(G)'s generators dedupe with a hit array: np.unique would import
+    # numpy.ma on its first call in a process
+    done = _python("import contextlib, io, sys\n"
+                   "from eag import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    code = cli.main(['orbits', '--group', 'A5', '--sig', '(0;2,3,5)'])\n"
+                   "sys.exit(1 if code else 2 if 'numpy.ma' in sys.modules else 0)\n")
+    assert done.returncode == 0, done.stderr
+
+
 def test_numpy_free_calls_answer_alike_with_numpy_blocked(capsys):
     script = NUMPY_BLOCKER + (
         "import contextlib, io, json\n"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,20 @@ def test_group_closure_keys_beyond_63_bits_raise(n, p):
     # p^(n^2) >= 2^63 here; the raise comes before any code table is built
     with pytest.raises(CapExceededError, match="63 bits"):
         fp.group_closure(_gl_generators(n, p), p)
+
+
+def test_group_closure_peak_memory_stays_near_its_result():
+    # codes in one byte for Sp(4, 3), decoded once through the code table:
+    # no (N, n^2) uint64 temporaries beside the 51,840 x 4 x 4 int64 result
+    gens = fp.sp_generators(2, 3)
+    tracemalloc.start()
+    try:
+        group = fp.group_closure(gens, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.shape == (51_840, 4, 4)
+    assert peak < 1.75 * group.nbytes
 
 
 def test_cached_groups_are_built_once_and_read_only():

@@ -380,6 +380,26 @@ def test_closed_form_oracle_catches_a_wrong_scale(monkeypatch):
     assert all(p == 5 for _, p, k, r in bad)
 
 
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (1, 2, 3, 4)
+                                 if p ** k <= 25])
+def test_zero_sum_walk_is_the_filtered_multisets(p, k):
+    # the forced-last walk against every r-multiset of nonzero codes, kept
+    # when its vectors sum to 0, in lexicographic order
+    found = 0
+    for r in range(2, 7):
+        multisets = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(1, p ** k), r)),
+            dtype=np.int64).reshape(-1, r)
+        zero = np.ones(len(multisets), dtype=bool)
+        for i in range(k):  # coordinate i of code c is c // p^i mod p
+            zero &= (multisets // p ** i % p).sum(axis=1) % p == 0
+        want = list(map(tuple, multisets[zero].tolist()))
+        assert list(orbits._zero_sum_multisets(p, k, r)) == want, (p, k, r)
+        found += len(want)
+    assert found
+
+
 def test_pure_canonical_agrees_with_bfs():
     grid = [(2, k, r) for k in (1, 2, 3) for r in range(2, 8)] + \
            [(3, k, r) for k in (1, 2) for r in range(2, 8)] + \
