@@ -70,11 +70,12 @@ def _spec(args) -> EAActionSpec:
 
 def cmd_unique(args, out) -> int:
     spec = _spec(args)
+    sig = spec.sig
     unique = genvec.is_unique_action(spec)
     payload = {
         "schema": SCHEMA, "command": "unique",
         "p": spec.p, "n": spec.n, "rho": spec.rho, "r": spec.r,
-        "signature": str(spec.sig), "periods": list(spec.sig.periods),
+        "signature": str(sig), "periods": list(sig.periods),
         "genus": int(ea_genus(spec)),
         "unique": unique, "rules": list(genvec.unique_action_rules(spec)),
     }

@@ -1,13 +1,15 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, and the orbit engine.
 
 Scalars are plain int residues in [0, p).  Only small primes are accepted
 (p <= 13); everything in the classification lives there and the bound keeps
 multiplicative closures enumerable.  A vector is a tuple of ints.  No class
-of GL(n, p) is listed; ``_centraliser_order`` gives their sizes.  The
-Sp(2 rho, p) helpers of the kernel oracles take int64 numpy arrays and
-import numpy in their bodies; ``group_closure`` runs on permutations of
-vector codes and deduplicates by packed keys (``orbits._pack_keys``), and
-``sp_group`` builds Sp(2 rho, p) once per argument pair, read-only.
+of GL(n, p) is listed; ``_centraliser_order`` gives their sizes.
+
+``orbit_components`` is the one orbit engine, under ``grouptable`` and the
+BFS oracles of ``eag.orbits``; ``group_closure``, which gives the kernel
+oracles Sp(2 rho, p) once per argument pair (``sp_group``), dedupes by the
+same packed keys (``_pack_keys``).  These take numpy arrays and import
+numpy in their bodies, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, PreconditionError
 
-if TYPE_CHECKING:  # the oracle helpers import numpy in their bodies
+if TYPE_CHECKING:  # the engine and the oracle helpers import numpy in their bodies
     import numpy as np
 
 PRIME_CAP = 13
@@ -116,6 +118,64 @@ def _centraliser_order(part: tuple[int, ...], q: int) -> int:
     return order
 
 
+def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
+    """Encode each item of a batch as one integer key.
+
+    Item i is ``digits[i]`` read as base-``base`` digits in C order, most
+    significant first, so keys sort like the items do.  Raises
+    CapExceededError when a key would not fit in 63 bits.
+    """
+    import numpy as np
+    flat = digits.reshape(len(digits), -1)
+    nd = flat.shape[1]
+    if base ** nd >= 2 ** 63:
+        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
+    # Horner over the digit columns keeps one uint64 array, not a widened batch
+    keys = np.zeros(len(flat), dtype=np.uint64)
+    for j in range(nd):
+        keys *= np.uint64(base)
+        keys += flat[:, j].astype(np.uint64)
+    return keys
+
+
+def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
+    """Orbits of a finite set closed under some moves, as graph components.
+
+    ``keys`` holds one distinct integer key per object; each array of
+    ``image_keys``, an iterable read once, holds, for every object in the
+    same order, the key of its image under one move.  Returns the number of
+    orbits and each object's orbit label in ``range(count)``, labels
+    numbered by least key.
+
+    Nodes are the ranks of the keys, and the components come from hooking
+    and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), one
+    move's edges at a time.  Throughout, ``root[x] <= x`` and ``root[x]``
+    lies in the same component as ``x``.  Each round hooks the larger root
+    of every edge onto the smaller one, keeping the least candidate, then
+    jumps pointers until ``root[root] == root`` and drops the edges whose
+    ends now share a root.  At the end the root of a component is its least
+    node, which is its least key.
+    """
+    import numpy as np
+    B = len(keys)
+    U = np.sort(keys)
+    src = np.searchsorted(U, keys).astype(np.int32)
+    root = np.arange(B, dtype=np.int32)
+    for nk in image_keys:
+        ids = np.searchsorted(U, nk)
+        if not (U[np.minimum(ids, B - 1)] == nk).all():
+            raise AssertionError("neighbour missing from enumeration")
+        a, b = root[src], root[ids]
+        while (apart := a != b).any():
+            a, b = a[apart], b[apart]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+            a, b = root[a], root[b]
+    is_root = root == np.arange(B, dtype=np.int32)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[src]]
+
+
 def standard_symplectic_form(rho: int, p: int) -> np.ndarray:
     """Alternating form J pairing coordinates (2i, 2i+1) for i < rho."""
     import numpy as np
@@ -163,7 +223,6 @@ def group_closure(gens, p: int) -> np.ndarray:
     through the code table to the matrices.
     """
     import numpy as np
-    from .orbits import _pack_keys
     check_prime(p)
     gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
     if not gens:

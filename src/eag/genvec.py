@@ -14,9 +14,9 @@ The counts are closed forms in Python ints.  e is a Burnside sum over the
 class types of GL(k, p) (``count_pure_orbits_burnside``, ``_type_weights``):
 a class's fixed-multiset counts for every t <= r depend only on its
 profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed;
-h is Witt's closed form (``witt_kernel_orbit_count``).
-``check_pure_caps`` and ``check_unramified_caps`` bound the box in which
-the numpy oracles of ``eag.orbits`` cross-check them.
+h is Witt's closed form (``witt_kernel_orbit_count``), and so are the ranks
+with one class (``unramified_adjudication``).  ``check_pure_caps`` bounds
+the box of e, where the numpy oracles of ``eag.orbits`` cross-check it.
 """
 
 from __future__ import annotations
@@ -95,18 +95,13 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: the oracles' enumeration boxes, Burnside's e and Witt's h
+# closed forms: the purely ramified box, Burnside's e and Witt's h
 
 
-#: enumeration box of the purely ramified oracles
+#: enumeration box of the purely ramified count and oracles
 PURE_BRUTE_PRIMES = (2, 3, 5)
 PURE_BRUTE_MAX_RANK = 4
 PURE_BRUTE_MAX_PERIODS = 8
-
-#: enumeration box of the kernel-count oracle
-UNRAMIFIED_BRUTE_PRIMES = (2, 3, 5)
-UNRAMIFIED_BRUTE_MAX_GENUS = 3
-UNRAMIFIED_BRUTE_MAX_SUBSPACES = 100_000
 
 
 def gaussian_binomial(m: int, k: int, p: int) -> int:
@@ -131,14 +126,6 @@ def check_pure_caps(p: int, k: int, r: int) -> None:
     if est > fp.DEFAULT_ELEMENT_CAP:
         raise CapExceededError(f"(p={p}, k={k}, r={r}) needs {est} subspaces, "
                                f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
-
-
-def _multiset_count(m: int, t: int) -> int:
-    """C(m + t - 1, t): the number of t-multisets drawn from m kinds."""
-    count = 1
-    for i in range(t):
-        count = count * (m + i) // (i + 1)
-    return count
 
 
 def _p_part(n: int, p: int) -> int:
@@ -349,18 +336,6 @@ def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
     return _zero_sum_multiset_orbits(p, k, r) - _zero_sum_multiset_orbits(p, k - 1, r)
 
 
-def check_unramified_caps(p: int, k: int, rho: int) -> None:
-    if p not in UNRAMIFIED_BRUTE_PRIMES or rho > UNRAMIFIED_BRUTE_MAX_GENUS:
-        raise CapExceededError(
-            f"(p={p}, k={k}, rho={rho}) is outside the enumeration box "
-            f"p in {UNRAMIFIED_BRUTE_PRIMES}, rho <= {UNRAMIFIED_BRUTE_MAX_GENUS}")
-    est = gaussian_binomial(2 * rho, max(2 * rho - k, 0), p)
-    if est > UNRAMIFIED_BRUTE_MAX_SUBSPACES:
-        raise CapExceededError(
-            f"(p={p}, k={k}, rho={rho}) needs {est} subspaces, above "
-            f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
-
-
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
     """h: Sp(2 rho, p)-orbits of codimension-k subspaces of F_p^{2 rho}.
 
@@ -433,14 +408,14 @@ class UnramifiedAdjudication:
 def unramified_adjudication(p: int, rho: int) -> UnramifiedAdjudication:
     """Compare the computed unique-rank set against the classical statement.
 
-    The computed answer, Witt's closed form for the orbit counts, is
-    authoritative; the note records the discrepancy whenever the two differ
-    (they do for every rho >= 2).
+    The computed set, where ``witt_kernel_orbit_count`` is 1, is
+    authoritative: k in {0, 1, 2 rho - 1, 2 rho}, where the kernel's form
+    has one possible rank.  The note records the discrepancy whenever the
+    two differ (they do for every rho >= 2).
     """
     check_prime(p)
-    computed = tuple(k for k in range(0, 2 * rho + 1)
-                     if witt_kernel_orbit_count(rho, k) == 1)
-    stated = tuple(sorted({0, 1, rho - 1, rho} & set(range(0, 2 * rho + 1))))
+    computed = tuple(sorted(k for k in {0, 1, 2 * rho - 1, 2 * rho} if 0 <= k <= 2 * rho))
+    stated = tuple(sorted(k for k in {0, 1, rho - 1, rho} if 0 <= k <= 2 * rho))
     agrees = computed == stated
     note = ("computed unique ranks match the stated ones" if agrees else
             f"stated unique ranks {stated} disagree with computed {computed}; "

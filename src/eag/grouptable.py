@@ -4,7 +4,8 @@ Used for desk-scale verification of results about normal extensions: braid
 moves on genus-0 generating tuples, automorphism groups from the images of
 a generating sequence, and orbit counts of generating vectors as the
 components of a graph with one edge per braid move and one per generator
-of Aut(G).
+of Aut(G).  Subgroups come from one boolean mask closure per tuple, and
+the orbits and the generators of Aut(G) from ``fp.orbit_components``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .orbits import _pack_keys, orbit_components
+from .fp import _pack_keys, orbit_components
 from .surfaces import Signature
 
 AUTOMORPHISM_ORDER_CAP = 60
@@ -86,52 +87,45 @@ class GroupTable:
             out = self.mul(out, x)
         return out
 
-    def closure(self, elements) -> frozenset:
-        """Subgroup generated by ``elements``: breadth-first from the identity
-        by right multiplication (in a finite group the monoid is the group)."""
-        gens = set(elements)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in gens:
-                    c = self.table[a][b]
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(seen)
+    def _closure_masks(self, rows) -> np.ndarray:
+        """The subgroup each row of an (S, k) batch of elements generates, as
+        an (S, order) boolean mask.
 
-    def generates(self, elements) -> bool:
-        return len(self.closure(elements)) == self.order
-
-    def generates_each(self, rows) -> np.ndarray:
-        """Whether each row of an (S, k) batch of elements generates the group.
-
-        ``closure`` run on one boolean mask M per row: y lies in M c exactly
-        when y c^-1 lies in M, so each right multiplication is a gather.  A
-        row leaves the loop once its mask is the whole group or a sweep over
-        its entries adds nothing.
+        Breadth-first from the identity by right multiplication (in a finite
+        group the monoid is the group), on one mask M per row: y lies in M c
+        exactly when y c^-1 lies in M, so each right multiplication is a
+        gather.  A row leaves the loop once its mask is the whole group or a
+        sweep over its entries adds nothing.
         """
         n = self.order
         rows = np.asarray(rows)
         divide = self.array[:, np.array(self.inverse)].T  # divide[c, y] = y c^-1
-        full = np.zeros(len(rows), dtype=bool)
-        live = np.arange(len(rows))
-        mask = np.zeros((len(rows), n), dtype=bool)
-        mask[:, 0] = True
+        masks = np.zeros((len(rows), n), dtype=bool)
+        masks[:, 0] = True
+        live, mask = np.arange(len(rows)), masks
         while len(live):
             # offset + divide[c] indexes the flattened masks, one row of n each
             offset = np.arange(len(live))[:, None] * n
             before = mask.sum(axis=1)
             for c in rows[live].T:
                 mask |= mask.ravel().take(offset + divide[c])
+            masks[live] = mask
             size = mask.sum(axis=1)
-            full[live[size == n]] = True
             grew = (size != before) & (size != n)
             live, mask = live[grew], mask[grew]
-        return full
+        return masks
+
+    def closure(self, elements) -> frozenset:
+        """Subgroup generated by ``elements``."""
+        rows = np.array([list(elements)], dtype=np.int64)
+        return frozenset(np.flatnonzero(self._closure_masks(rows)[0]).tolist())
+
+    def generates(self, elements) -> bool:
+        return len(self.closure(elements)) == self.order
+
+    def generates_each(self, rows) -> np.ndarray:
+        """Whether each row of an (S, k) batch of elements generates the group."""
+        return self._closure_masks(rows).all(axis=1)
 
     def __str__(self) -> str:
         return f"GroupTable(order={self.order})"
@@ -390,32 +384,27 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
 def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
     """A generating set of Aut(G), as permutations of element indices.
 
-    Walks the sorted automorphisms and keeps each one outside the closure
-    of those kept so far, until the closure is all of Aut(G).  The closure
-    is a breadth-first search over that list: automorphisms compose as
-    permutations of G, and a composite is located by the bytes of its row.
+    Walks the sorted automorphisms and keeps the first one outside the
+    subgroup that those kept so far generate, until that subgroup is all of
+    Aut(G).  The subgroup is the identity's component of the graph on the
+    ranks of the automorphisms that joins each beta to alpha after beta,
+    alpha[beta], for every kept alpha (``orbit_components``); a composite is
+    ranked by the bytes of its row.
     """
     autos = np.array(automorphisms(g), dtype=g.array.dtype)
     row = np.dtype((np.void, autos.shape[1] * autos.itemsize))
     keys = autos.view(row).ravel()
     order = np.argsort(keys)  # rows sort bytewise, as the tuples do only for one-byte entries
     keys = keys[order]
+    ranks = np.arange(len(autos))
     gens: list[np.ndarray] = []
-    reached = np.zeros(len(autos), dtype=bool)
-    reached[0] = True  # the identity sorts first
-    while not reached.all():
-        gens.append(autos[np.argmin(reached)])
-        reached[1:] = False
-        frontier = np.zeros(1, dtype=np.int64)
-        while len(frontier):
-            # alpha[beta] is alpha after beta; a hit array dedupes the images
-            hit = np.zeros(len(autos), dtype=bool)
-            for alpha in gens:
-                images = alpha[autos[frontier]].view(row).ravel()
-                hit[order[np.searchsorted(keys, images)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached[frontier] = True
-    return gens
+    images: list[np.ndarray] = []  # the rank of alpha[beta] for each beta, per kept alpha
+    while True:
+        count, labels = orbit_components(ranks, images)
+        if count == 1:
+            return gens
+        gens.append(autos[np.argmax(labels != labels[0])])  # the identity sorts first
+        images.append(order[np.searchsorted(keys, gens[-1][autos].view(row).ravel())])
 
 
 def _arrangements(periods):
@@ -474,15 +463,17 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, ...]:
+def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[np.ndarray, ...]:
     """Orbit partition of valid generating tuples under Aut(G) + braid moves.
 
-    Genus-0 signatures only: the braid moves at every position generate the
-    whole induced action there (the cyclic rotation is their composite).
-    The orbits of a finite group are the components of its Schreier graph
-    on any generating set, so each tuple gets one edge per braid move and
-    one per generator of Aut(G) (``automorphism_group_generators``).
-    Tuples are keyed as base-|G| integers, which must fit in 63 bits.
+    Each orbit is an (m, r) array of its tuples, in enumeration order, and
+    the orbits are ordered by their least tuple.  Genus-0 signatures only:
+    the braid moves at every position generate the whole induced action
+    there (the cyclic rotation is their composite).  The orbits of a finite
+    group are the components of its Schreier graph on any generating set,
+    so each tuple gets one edge per braid move and one per generator of
+    Aut(G) (``automorphism_group_generators``).  Tuples are keyed as
+    base-|G| integers, which must fit in 63 bits.
     """
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
@@ -504,10 +495,8 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[frozenset, 
     # a generator: orbit_components reads each image once, so one is held at a time
     count, labels = orbit_components(_pack_keys(S, g.order),
                                      (_pack_keys(m, g.order) for m in moves))
-    orbits: list[list] = [[] for _ in range(count)]
-    for s, label in zip(map(tuple, S.tolist()), labels.tolist()):
-        orbits[label].append(s)
-    return tuple(frozenset(o) for o in orbits)
+    ends = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    return tuple(np.split(S[np.argsort(labels, kind="stable")], ends))
 
 
 def count_orbits(g: GroupTable, sig: Signature) -> int:

@@ -1,20 +1,16 @@
-"""The numpy batch engine, and the test oracles that cross-check e and h.
+"""The test oracles that cross-check e and h, and nothing else.
 
-The engine is what other modules import from here: ``orbit_components``
-counts the orbits of a finite set under some moves, with the objects as
-distinct integer keys (``_pack_keys``), each move mapping every object to
-the key of its image, and the orbits the connected components.  The
-Cayley-table orbit count (``grouptable``) runs on it.  Only this module and
-``grouptable`` import numpy at module level.
+The counts e and h are closed forms in ``eag.genvec``, and no module of
+the package imports this one (``tests/test_oracle_boundary.py``).  The
+oracles run only inside their boxes, ``genvec.check_pure_caps`` and
+``check_unramified_caps`` here, on subspaces that ``_subspace_blocks``
+lists in blocks:
 
-The counts e and h are closed forms in ``eag.genvec``.  The oracles run
-only inside its boxes, ``check_pure_caps`` and ``check_unramified_caps``,
-on subspaces that ``_subspace_blocks`` lists in blocks:
-
-* ``count_pure_orbits_bfs``, the same engine on admissible k-subspaces of
-  the zero-sum hyperplane of F_p^r under S_r permuting coordinates.  S_r
-  is generated by the transposition (0 1) and the r-cycle, and the RREF of
-  each image is written in closed form, with no row reduction;
+* ``count_pure_orbits_bfs``, the orbit engine ``fp.orbit_components`` on
+  admissible k-subspaces of the zero-sum hyperplane of F_p^r under S_r
+  permuting coordinates.  S_r is generated by the transposition (0 1) and
+  the r-cycle, and the RREF of each image is written in closed form, with
+  no row reduction;
 * ``count_kernel_orbits_bfs``, the same engine on kernels in F_p^{2 rho}
   under generators of Sp(2 rho, p);
 * canonical-form counts: each unseen object marks its whole orbit under the
@@ -34,7 +30,7 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from . import fp
-from .genvec import _multiset_count, check_pure_caps, check_unramified_caps
+from .genvec import check_pure_caps, gaussian_binomial
 # perfbench reads Witt's count here, as orbits.witt_kernel_orbit_count
 from .genvec import witt_kernel_orbit_count  # noqa: F401
 
@@ -128,62 +124,6 @@ def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([block.astype(np.uint8) for block in _subspace_blocks(p, W, k)])
 
 
-def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
-    """Encode each item of a batch as one integer key.
-
-    Item i is ``digits[i]`` read as base-``base`` digits in C order, most
-    significant first, so keys sort like the items do.  Raises
-    CapExceededError when a key would not fit in 63 bits.
-    """
-    flat = digits.reshape(len(digits), -1)
-    nd = flat.shape[1]
-    if base ** nd >= 2 ** 63:
-        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
-    # Horner over the digit columns keeps one uint64 array, not a widened batch
-    keys = np.zeros(len(flat), dtype=np.uint64)
-    for j in range(nd):
-        keys *= np.uint64(base)
-        keys += flat[:, j].astype(np.uint64)
-    return keys
-
-
-def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
-    """Orbits of a finite set closed under some moves, as graph components.
-
-    ``keys`` holds one distinct integer key per object; each array of
-    ``image_keys``, an iterable read once, holds, for every object in the
-    same order, the key of its image under one move.  Returns the number of
-    orbits and each object's orbit label in ``range(count)``, labels
-    numbered by least key.
-
-    Nodes are the ranks of the keys, and the components come from hooking
-    and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), one
-    move's edges at a time.  Throughout, ``root[x] <= x`` and ``root[x]``
-    lies in the same component as ``x``.  Each round hooks the larger root
-    of every edge onto the smaller one, keeping the least candidate, then
-    jumps pointers until ``root[root] == root`` and drops the edges whose
-    ends now share a root.  At the end the root of a component is its least
-    node, which is its least key.
-    """
-    B = len(keys)
-    U = np.sort(keys)
-    src = np.searchsorted(U, keys).astype(np.int32)
-    root = np.arange(B, dtype=np.int32)
-    for nk in image_keys:
-        ids = np.searchsorted(U, nk)
-        if not (U[np.minimum(ids, B - 1)] == nk).all():
-            raise AssertionError("neighbour missing from enumeration")
-        a, b = root[src], root[ids]
-        while (apart := a != b).any():
-            a, b = a[apart], b[apart]
-            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-            while not np.array_equal(jumped := root[root], root):
-                root = jumped
-            a, b = root[a], root[b]
-    is_root = root == np.arange(B, dtype=np.int32)
-    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[src]]
-
-
 #: most subspaces whose move images ``_subspace_orbit_count`` builds at once
 MOVE_BLOCK = 65_536
 
@@ -197,13 +137,13 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
     temporaries of a move stay small next to ``M``.
     """
     def pack(batch):
-        return _pack_keys(batch[:, :, 1:] if drop_first_col else batch, p)
+        return fp._pack_keys(batch[:, :, 1:] if drop_first_col else batch, p)
 
     def image_keys(move):
         return np.concatenate([pack(move(M[i:i + MOVE_BLOCK]))
                                for i in range(0, len(M), MOVE_BLOCK)])
 
-    return orbit_components(pack(M), (image_keys(move) for move in moves))[0]
+    return fp.orbit_components(pack(M), (image_keys(move) for move in moves))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +226,14 @@ CANONICAL_MAX_GROUP = 600
 CANONICAL_MAX_RAW = 200_000
 
 
+def _multiset_count(m: int, t: int) -> int:
+    """C(m + t - 1, t): the number of t-multisets drawn from m kinds."""
+    count = 1
+    for i in range(t):
+        count = count * (m + i) // (i + 1)
+    return count
+
+
 def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
     return (fp.gl_order(k, p) <= CANONICAL_MAX_GROUP
             and _multiset_count(p ** k - 1, r) <= CANONICAL_MAX_RAW)
@@ -360,6 +308,23 @@ def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
 # GL(k, p) on the target (i.e. their kernels) and the mapping class group
 # image Sp(2 rho, p) on the source.
 
+#: enumeration box of the kernel-count oracle
+UNRAMIFIED_BRUTE_PRIMES = (2, 3, 5)
+UNRAMIFIED_BRUTE_MAX_GENUS = 3
+UNRAMIFIED_BRUTE_MAX_SUBSPACES = 100_000
+
+
+def check_unramified_caps(p: int, k: int, rho: int) -> None:
+    if p not in UNRAMIFIED_BRUTE_PRIMES or rho > UNRAMIFIED_BRUTE_MAX_GENUS:
+        raise CapExceededError(
+            f"(p={p}, k={k}, rho={rho}) is outside the enumeration box "
+            f"p in {UNRAMIFIED_BRUTE_PRIMES}, rho <= {UNRAMIFIED_BRUTE_MAX_GENUS}")
+    est = gaussian_binomial(2 * rho, max(2 * rho - k, 0), p)
+    if est > UNRAMIFIED_BRUTE_MAX_SUBSPACES:
+        raise CapExceededError(
+            f"(p={p}, k={k}, rho={rho}) needs {est} subspaces, above "
+            f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
+
 
 @lru_cache(maxsize=None)
 def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
@@ -414,7 +379,7 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     n = 2 * rho
     group = fp.sp_group(rho, p)
     subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
-    keys = _pack_keys(subspaces, p)
+    keys = fp._pack_keys(subspaces, p)
     enumerated = np.sort(keys)
     seen = set()
     count = 0
@@ -427,7 +392,7 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
         for start in range(0, len(group), ORBIT_MARK_BLOCK):
             moved = np.einsum("di,gij->gdj", rows.astype(np.int64),
                               group[start:start + ORBIT_MARK_BLOCK]) % p
-            images = _pack_keys(batch_rref(moved, p), p)
+            images = fp._pack_keys(batch_rref(moved, p), p)
             at = np.minimum(np.searchsorted(enumerated, images), len(enumerated) - 1)
             if not (enumerated[at] == images).all():
                 raise AssertionError("image missing from enumeration")

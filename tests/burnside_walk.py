@@ -19,7 +19,8 @@ import numpy as np
 
 from eag.errors import PreconditionError
 from eag.fp import _centraliser_order, _partitions, check_prime, gl_order
-from eag.genvec import _fixed_multiset_row, _multiset_count, _with_block
+from eag.genvec import _fixed_multiset_row, _with_block
+from eag.orbits import _multiset_count
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:

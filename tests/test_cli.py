@@ -189,6 +189,14 @@ def test_count_unramified_includes_adjudication(capsys):
     assert payload["unramified_unique_ranks"] == [0, 1, 3, 4]
 
 
+def test_count_unramified_adjudicates_a_huge_genus_at_once(capsys):
+    rho = 10 ** 9
+    start = time.process_time()
+    payload = run_json(["count", "--p", "2", "--n", "1", "--rho", str(rho), "--r", "0"], capsys)
+    assert time.process_time() - start < 1
+    assert payload["unramified_unique_ranks"] == [0, 1, 2 * rho - 1, 2 * rho]
+
+
 def test_maximal_with_search(capsys):
     payload = run_json(["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "3",
                         "--search"], capsys)
@@ -552,8 +560,7 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_orbits_call_loads_no_numpy_ma():
-    # Aut(G)'s generators dedupe with a hit array: np.unique would import
-    # numpy.ma on its first call in a process
+    # np.unique would import numpy.ma on its first call in a process
     done = _python("import contextlib, io, sys\n"
                    "from eag import cli\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -580,3 +587,17 @@ def test_numpy_free_calls_answer_alike_with_numpy_blocked(capsys):
     blocked = json.loads(done.stdout)
     assert blocked == [[*run(argv, capsys)[:2]] for argv in NUMPY_FREE_CALLS]
     assert all(code == 0 for code, _ in blocked)
+
+
+def test_no_subcommand_loads_the_oracles():
+    # eag.orbits holds the test oracles alone; the orbit engine that the
+    # orbits subcommand runs on lives in fp
+    calls = NUMPY_FREE_CALLS + [["orbits", "--group", "A5", "--sig", "(0;2,3,5)"],
+                                ["orbits", "--group", "C2xC4", "--sig", "(0;2,2,4,4)"]]
+    done = _python("import contextlib, io, json, sys\n"
+                   "from eag import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                   "sys.exit(1 if any(codes) else 2 if 'eag.orbits' in sys.modules else 0)\n",
+                   json.dumps(calls))
+    assert done.returncode == 0, done.stderr

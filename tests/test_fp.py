@@ -134,14 +134,14 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
     group = orbits._general_linear(n, p)
     products = np.einsum("aij,bjk->abik", group, group) % p
     inverses = group[(products == np.eye(n, dtype=np.int64)).all(axis=(2, 3)).argmax(axis=1)]
-    keys = orbits._pack_keys(group, p)
+    keys = fp._pack_keys(group, p)
     # label[key]: the least key in the conjugacy class of that element
     label = {}
     for g, key in zip(group, keys.tolist()):
         if key in label:
             continue
         conj = np.einsum("hij,jk,hkl->hil", group, g, inverses) % p
-        members = orbits._pack_keys(conj, p).tolist()
+        members = fp._pack_keys(conj, p).tolist()
         least = min(members)
         for m in members:
             label[m] = least
@@ -150,7 +150,7 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
         sizes[least] = sizes.get(least, 0) + 1
     classes = gl_conjugacy_classes(n, p)
     assert len(classes) == len(sizes)
-    reps = [label[int(orbits._pack_keys(class_matrix(blocks, p)[None], p)[0])]
+    reps = [label[int(fp._pack_keys(class_matrix(blocks, p)[None], p)[0])]
             for _, blocks in classes]
     assert len(set(reps)) == len(classes)
     assert all(sizes[least] == size for least, (size, _) in zip(reps, classes))

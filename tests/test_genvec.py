@@ -119,6 +119,17 @@ def test_unramified_adjudication_flags_discrepancy():
         assert "disagree" in adj.note
 
 
+def test_unramified_adjudication_matches_the_witt_loop():
+    # the closed-form rank sets against Witt's count at every rank
+    for rho in range(400):
+        adj = unramified_adjudication(2, rho)
+        ranks = range(2 * rho + 1)
+        assert adj.computed_unique_ranks == tuple(
+            k for k in ranks if genvec.witt_kernel_orbit_count(rho, k) == 1), rho
+        assert adj.stated_unique_ranks == tuple(
+            k for k in ranks if k in {0, 1, rho - 1, rho}), rho
+
+
 def test_count_classes_no_action_cases():
     assert count_classes(EAActionSpec(2, 1, 0, 1)).total == 0
     assert count_classes(EAActionSpec(2, 5, 1, 2)).total == 0
@@ -207,7 +218,7 @@ def _mixed_orbit_count(p, n, rho, r):
 
     moves = [sp(g) for g in fp.sp_generators(rho, p)]
     moves += [swap(c) for c in range(h, h + r - 1)] + [shear]
-    return orbits.orbit_components(keys(M), (keys(move(M)) for move in moves))[0]
+    return fp.orbit_components(keys(M), (keys(move(M)) for move in moves))[0]
 
 
 MIXED_BOX = [(p, n, rho, r) for p in (2, 3, 5) for rho in (1, 2) for r in range(2, 7)

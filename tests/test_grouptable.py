@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from eag import cli, genvec, grouptable as gt
 from eag.errors import CapExceededError, PreconditionError
-from eag.orbits import _pack_keys, orbit_components
+from eag.fp import _pack_keys, orbit_components
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
 
@@ -148,6 +149,11 @@ def test_count_orbits_matches_elementary_abelian_counter():
         assert got == want, (p, n, r)
 
 
+def _partition(orbits):
+    """The orbits of ``generating_vector_orbits`` as frozensets of tuples."""
+    return [frozenset(map(tuple, orbit.tolist())) for orbit in orbits]
+
+
 def _naive_orbits(g, sig):
     """Reference partition: a python BFS applying every braid move and every
     automorphism to each enumerated tuple."""
@@ -182,7 +188,7 @@ def _naive_orbits(g, sig):
 def test_orbit_partition_matches_naive_bfs(name, sig, count):
     g = gt.by_name(name)
     want = _naive_orbits(g, Signature(0, sig))
-    got = gt.generating_vector_orbits(g, Signature(0, sig))
+    got = _partition(gt.generating_vector_orbits(g, Signature(0, sig)))
     assert len(want) == count
     assert sorted(got, key=min) == want
 
@@ -218,7 +224,32 @@ def _all_automorphism_orbits(g, sig):
 def test_generator_edges_match_every_automorphism(name, sig):
     g = gt.by_name(name)
     want = _all_automorphism_orbits(g, Signature(0, sig))
-    assert list(gt.generating_vector_orbits(g, Signature(0, sig))) == want
+    assert _partition(gt.generating_vector_orbits(g, Signature(0, sig))) == want
+
+
+def test_orbit_sizes_sum_to_the_enumerated_states():
+    # the sum that perfbench's grouptable.states hook takes
+    for name, sig in DESK_ORBIT_CASES:
+        g = gt.by_name(name)
+        states = gt._enumerate_tuples(g, sig)
+        orbits = gt.generating_vector_orbits(g, Signature(0, sig))
+        assert sum(len(orbit) for orbit in orbits) == len(states), name
+        assert all(orbit.shape[1:] == (len(sig),) for orbit in orbits), name
+
+
+def test_orbit_partition_holds_no_python_tuples():
+    # 99,120 tuples: the partition as frozensets of tuples peaked at about
+    # 250 bytes per tuple, as arrays it peaks at about 80
+    g, sig = gt.by_name("C2xC2xC2"), Signature(0, (2,) * 7)
+    tracemalloc.start()
+    try:
+        orbits = gt.generating_vector_orbits(g, sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = sum(len(orbit) for orbit in orbits)
+    assert (len(orbits), states) == (4, 99_120)
+    assert peak < 120 * states
 
 
 def _closure(perms, n):
@@ -484,7 +515,7 @@ def test_hyperelliptic_actions_form_one_orbit():
     for g, sig in catalog:
         hyper = set(_hyperelliptic_states(g, sig))
         assert hyper, (g, sig)
-        orbits = gt.generating_vector_orbits(g, sig)
+        orbits = _partition(gt.generating_vector_orbits(g, sig))
         touching = [orbit for orbit in orbits if orbit & hyper]
         assert len(touching) == 1, (g, sig)
         # the hyperelliptic states are a union of orbits, hence one full orbit

@@ -1,12 +1,11 @@
 """What production reaches, and what it may not.
 
-``eag.orbits`` is the numpy batch engine, and it also holds the test oracles
-(the subspace and kernel BFS counts, the canonical-form counts, their
-subspace enumerator ``_subspace_blocks`` and ``batch_rref``).  Every other
-module of the package may use only its batch helpers, the names below, so
-an oracle cannot become a production path unnoticed.  The closed-form counts
-and the oracles' boxes live in ``eag.genvec``, and the maximality witness
-search in ``eag.maximality``; neither imports ``eag.orbits``.
+``eag.orbits`` holds the test oracles alone: the subspace and kernel BFS
+counts, the canonical-form counts, their subspace enumerator
+``_subspace_blocks``, ``batch_rref`` and the box of the kernel oracles.  No
+other module of the package imports it, in any spelling, at module level or
+in a function body, so an oracle cannot become a production path unnoticed.
+The orbit engine they share with production is ``fp.orbit_components``.
 
 A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
@@ -24,17 +23,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eag"
 
-#: the batch engine, which grouptable's orbit count and fp.group_closure run on
-PRODUCTION_NAMES = {
-    "orbit_components",
-    "_pack_keys",
-}
-
 #: definitions that no CLI path reaches, kept on purpose
 KEPT = {
     # the orbit oracles, which cross-check e and h in the tests and the benchmark
     "orbits.batch_rref",
-    "genvec.check_unramified_caps",
+    "orbits.check_unramified_caps",
     "orbits.count_kernel_orbits_bfs",
     "orbits.count_kernel_orbits_canonical",
     "orbits.count_pure_orbits_bfs",
@@ -69,23 +62,40 @@ KEPT = {
 }
 
 
-def _orbits_names(tree):
-    """(line, name) for each ``orbits.<name>`` and ``from .orbits import <name>``."""
+def _orbits_imports(tree):
+    """The lines of every import of ``eag.orbits``: relative or absolute, or
+    by a module name in a string, as ``importlib.import_module`` takes it."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "orbits"):
-            yield node.lineno, node.attr
-        elif isinstance(node, ast.ImportFrom) and node.module in ("orbits", "eag.orbits"):
-            for alias in node.names:
-                yield node.lineno, alias.name
+        if isinstance(node, ast.Constant) and node.value in ("eag.orbits", ".orbits"):
+            names = ["eag.orbits"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ("eag." * (node.level == 1) + (node.module or "")).rstrip(".")
+            names = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "eag.orbits" or name.startswith("eag.orbits.") for name in names):
+            yield node.lineno
 
 
 def test_production_modules_use_no_orbit_oracle():
-    found = [f"{path.name}:{line} orbits.{name}"
+    found = [f"{path.name}:{line}"
              for path in sorted(SRC.glob("*.py")) if path.name != "orbits.py"
-             for line, name in _orbits_names(ast.parse(path.read_text(encoding="utf-8")))
-             if name not in PRODUCTION_NAMES]
+             for line in _orbits_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def test_the_import_walk_sees_every_spelling():
+    spellings = ["from .orbits import batch_rref", "from . import fp, orbits",
+                 "from . import orbits as o", "import eag.orbits",
+                 "from eag import orbits", "from eag.orbits import batch_rref",
+                 "def f():\n    from .orbits import batch_rref",
+                 "importlib.import_module('.orbits', 'eag')"]
+    for source in spellings:
+        assert list(_orbits_imports(ast.parse(source))), source
+    assert not list(_orbits_imports(ast.parse(
+        "from .fp import orbit_components\nfrom . import genvec\nimport eag.orbitsx\n")))
 
 
 def _imported_names(tree):
@@ -102,14 +112,6 @@ def test_the_witness_search_imports_neither_numpy_nor_orbits():
     names = list(_imported_names(tree))
     assert names and not [name for name in names
                           if name.partition(".")[0] == "numpy" or "orbits" in name.split(".")]
-
-
-def test_the_walk_sees_both_spellings():
-    tree = ast.parse("from .orbits import count_kernel_orbits_bfs\n"
-                     "from . import orbits\n"
-                     "orbits.batch_rref(m, p)\n")
-    assert sorted(name for _, name in _orbits_names(tree)) == [
-        "batch_rref", "count_kernel_orbits_bfs"]
 
 
 def _foreign_base(expr, imports):
