@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import genvec, hyperfermat, maximality, tables
 from .errors import CapExceededError, OutOfDomainError, PreconditionError
-from .surfaces import EAActionSpec, Signature, ea_genus
+from .surfaces import EAActionSpec, Signature
 
 SCHEMA = "eag/1"
 
@@ -68,16 +69,33 @@ def _spec(args) -> EAActionSpec:
     return EAActionSpec(args.p, args.n, args.rho, args.r)
 
 
+def _require_printable_unique(spec: EAActionSpec) -> None:
+    """Exit 4, before the periods or the genus is built, if the payload could not be printed.
+
+    It lists no more periods than a witness may hold ints, and the genus, whose modulus
+    is at most p^n (rho + r + 2), must fit the int-to-str digit limit (4,300 if it is off).
+    """
+    if spec.r > maximality.WITNESS_INT_CAP:
+        raise CapExceededError(f"r = {spec.r} periods pass the cap of {maximality.WITNESS_INT_CAP}")
+    limit = sys.get_int_max_str_digits() or 4300
+    # an n past 10^300 passes any limit alone, and would overflow a float
+    digits = int(min(spec.n, 10 ** 300) * math.log10(spec.p) + math.log10(spec.rho + spec.r + 2)) + 1
+    if digits > limit:
+        raise CapExceededError(f"the genus of up to {digits} digits cannot be printed: "
+                               f"the limit is {limit} digits")
+
+
 def cmd_unique(args, out) -> int:
     spec = _spec(args)
+    _require_printable_unique(spec)
     sig = spec.sig
-    unique = genvec.is_unique_action(spec)
+    genus = genvec.require_admissible_genus(spec)
+    rules = genvec.unique_action_rules(spec)
     payload = {
         "schema": SCHEMA, "command": "unique",
         "p": spec.p, "n": spec.n, "rho": spec.rho, "r": spec.r,
         "signature": str(sig), "periods": list(sig.periods),
-        "genus": int(ea_genus(spec)),
-        "unique": unique, "rules": list(genvec.unique_action_rules(spec)),
+        "genus": genus, "unique": bool(rules), "rules": list(rules),
     }
     print(_render(payload, args.format), file=out)
     return EXIT_OK

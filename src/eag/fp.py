@@ -6,20 +6,21 @@ multiplicative closures enumerable.  A vector is a tuple of ints.  No class
 of GL(n, p) is listed; ``_centraliser_order`` gives their sizes.
 
 ``orbit_components`` is the one orbit engine, under ``grouptable`` and the
-BFS oracles of ``eag.orbits``; ``group_closure``, which gives the kernel
-oracles Sp(2 rho, p) once per argument pair (``sp_group``), dedupes by the
-same packed keys (``_pack_keys``).  These take numpy arrays and import
-numpy in their bodies, so importing this module loads none.
+BFS oracles of ``eag.orbits``; ``group_closure``, the matrix-group closure
+that gives those oracles Sp(2 rho, p), dedupes by the same packed keys
+(``_pack_keys``).  These take numpy arrays and import numpy in their
+bodies, so importing this module loads none.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, PreconditionError
 
-if TYPE_CHECKING:  # the engine and the oracle helpers import numpy in their bodies
+if TYPE_CHECKING:  # the engine and the closure import numpy in their bodies
     import numpy as np
 
 PRIME_CAP = 13
@@ -29,19 +30,14 @@ PRIME_CAP = 13
 DEFAULT_ELEMENT_CAP = 10 ** 8
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(p ** 0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def check_prime(p: int) -> int:
+    if p > PRIME_CAP:  # first, so that no huge modulus is tested
+        raise PreconditionError(f"modulus {p} exceeds the supported bound {PRIME_CAP}")
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
-    if p > PRIME_CAP:
-        raise PreconditionError(f"modulus {p} exceeds the supported bound {PRIME_CAP}")
     return p
 
 
@@ -176,37 +172,6 @@ def orbit_components(keys: np.ndarray, image_keys) -> tuple[int, np.ndarray]:
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[src]]
 
 
-def standard_symplectic_form(rho: int, p: int) -> np.ndarray:
-    """Alternating form J pairing coordinates (2i, 2i+1) for i < rho."""
-    import numpy as np
-    J = np.zeros((2 * rho, 2 * rho), dtype=np.int64)
-    even = np.arange(0, 2 * rho, 2)
-    J[even, even + 1] = 1
-    J[even + 1, even] = p - 1
-    return J
-
-
-def sp_generators(rho: int, p: int) -> list[np.ndarray]:
-    """Generators of Sp(2*rho, p) for the standard alternating form.
-
-    Symplectic transvections x -> x + <x, v> v with <x, v> = x^T J v, i.e.
-    the matrices I + v (Jv)^T, along the curve classes that generate the
-    mapping class group image on mod-p homology: each handle's pair, plus
-    the sums linking consecutive handles.
-    """
-    import numpy as np
-    check_prime(p)
-    if rho < 1:
-        raise PreconditionError("rho must be >= 1")
-    n = 2 * rho
-    J = standard_symplectic_form(rho, p)
-    e = np.eye(n, dtype=np.int64)
-    directions = list(e)
-    for i in range(rho - 1):
-        directions += [e[2 * i] + e[2 * i + 2], e[2 * i + 1] + e[2 * i + 3]]
-    return [(e + np.outer(v, J @ v)) % p for v in directions]
-
-
 def group_closure(gens, p: int) -> np.ndarray:
     """Full multiplicative closure of a set of invertible matrices over F_p.
 
@@ -259,11 +224,3 @@ def group_closure(gens, p: int) -> np.ndarray:
             raise CapExceededError(
                 f"matrix closure exceeded the cap of {DEFAULT_ELEMENT_CAP} elements")
     return vecs[row_codes(seen)]
-
-
-@lru_cache(maxsize=None)
-def sp_group(rho: int, p: int) -> np.ndarray:
-    """Sp(2 rho, p), the ``group_closure`` of ``sp_generators``: built once, read-only."""
-    group = group_closure(sp_generators(rho, p), p)
-    group.flags.writeable = False
-    return group

@@ -548,8 +548,9 @@ def require_admissible_genus(spec: EAActionSpec):
     if g.denominator != 1:
         raise OutOfDomainError(
             f"{spec} has non-integral genus {g}: no such action exists")
-    if g < 2:
-        raise OutOfDomainError(f"{spec} has genus {g} < 2, outside the classification")
+    if g < 2:  # a negative genus may pass the int-to-str limit, so it is not shown
+        shown = f"genus {g} < 2" if g >= 0 else "a negative genus"
+        raise OutOfDomainError(f"{spec} has {shown}, outside the classification")
     return int(g)
 
 

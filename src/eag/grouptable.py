@@ -36,12 +36,12 @@ class GroupTable:
     """A finite group as a multiplication table; index 0 is the identity.
 
     Associativity, identity and inverses are all verified at construction,
-    so downstream code can trust the table blindly.  ``table`` holds the
-    rows as tuples of ints for scalar lookups, and ``array`` the same table
-    as a numpy array of the smallest unsigned dtype for batched ones.
+    so downstream code can trust the table blindly.  ``array`` holds the
+    table as a numpy array of the smallest unsigned dtype, and ``inverse``
+    each element's inverse in the same dtype.
     """
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         rows = [list(row) for row in table]
         n = len(rows)
         if n == 0:
@@ -61,10 +61,8 @@ class GroupTable:
             if not np.array_equal(T[T[a:a + step]], T[a:a + step][:, T]):
                 raise PreconditionError("table is not associative")
         self.array = T
-        self.table = tuple(map(tuple, T.tolist()))
         self.order = n
-        self.names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
-        self.inverse = tuple(np.argmin(T, axis=1).tolist())
+        self.inverse = np.argmin(T, axis=1).astype(T.dtype)  # a b = 0, the least entry
         orders, power, k = np.zeros(n, dtype=np.int64), elems, 1
         while not orders.all():
             orders[(power == 0) & (orders == 0)] = k
@@ -72,20 +70,17 @@ class GroupTable:
         self.element_orders = tuple(orders.tolist())
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.array[a, b])
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return int(self.inverse[a])
 
     def conj(self, a: int, b: int) -> int:
         """b^-1 a b"""
         return self.mul(self.mul(self.inv(b), a), b)
 
     def product(self, elements) -> int:
-        out = 0
-        for x in elements:
-            out = self.mul(out, x)
-        return out
+        return functools.reduce(self.mul, elements, 0)
 
     def _closure_masks(self, rows) -> np.ndarray:
         """The subgroup each row of an (S, k) batch of elements generates, as
@@ -99,7 +94,7 @@ class GroupTable:
         """
         n = self.order
         rows = np.asarray(rows)
-        divide = self.array[:, np.array(self.inverse)].T  # divide[c, y] = y c^-1
+        divide = self.array[:, self.inverse].T  # divide[c, y] = y c^-1
         masks = np.zeros((len(rows), n), dtype=bool)
         masks[:, 0] = True
         live, mask = np.arange(len(rows)), masks
@@ -127,20 +122,9 @@ class GroupTable:
         """Whether each row of an (S, k) batch of elements generates the group."""
         return self._closure_masks(rows).all(axis=1)
 
-    def __str__(self) -> str:
-        return f"GroupTable(order={self.order})"
-
-    # ------------------------------------------------------------------
-    # serialization: first line the order, then one row of indices per line
-
-    def dumps(self) -> str:
-        lines = [str(self.order)]
-        lines += [" ".join(str(x) for x in row) for row in self.table]
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def loads(text: str) -> "GroupTable":
-        """Parse ``dumps`` output.
+        """Parse a table file: the order, then the n^2 entries, row by row.
 
         Raises CapExceededError above BY_NAME_ORDER_CAP from the order token
         alone, before the entries are read.
@@ -165,8 +149,7 @@ class GroupTable:
 
 
 def cyclic(n: int) -> GroupTable:
-    return GroupTable([[(i + j) % n for j in range(n)] for i in range(n)],
-                      names=[f"r{i}" for i in range(n)])
+    return GroupTable([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def dihedral(n: int) -> GroupTable:
@@ -180,8 +163,7 @@ def dihedral(n: int) -> GroupTable:
         k = (k1 + (k2 if f1 == 0 else -k2)) % n
         return ((f1 + f2) % 2) * n + k
 
-    names = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
-    return GroupTable([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)], names)
+    return GroupTable([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
 
 
 def _perm_group(perms) -> GroupTable:
@@ -190,7 +172,7 @@ def _perm_group(perms) -> GroupTable:
     m, d = P.shape
     composed = P[np.arange(m)[:, None, None], P[None, :, :]]  # [a, b, i] = P[a, P[b, i]]
     table = np.searchsorted(_pack_keys(P, d), _pack_keys(composed.reshape(-1, d), d))
-    return GroupTable(table.reshape(m, m).tolist(), names=[str(p) for p in P.tolist()])
+    return GroupTable(table.reshape(m, m).tolist())
 
 
 def symmetric(m: int) -> GroupTable:
@@ -218,8 +200,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """G x H, with the pair (a, b) at index a |H| + b."""
     m = h.order
     table = g.array.astype(np.int64)[:, None, :, None] * m + h.array[None, :, None, :]
-    names = [f"({a},{b})" for a in g.names for b in h.names]
-    return GroupTable(table.reshape(g.order * m, g.order * m).tolist(), names)
+    return GroupTable(table.reshape(g.order * m, g.order * m).tolist())
 
 
 #: largest group order whose Cayley table ``by_name`` builds or ``GroupTable.loads`` reads
@@ -436,7 +417,6 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
     by_order = {o: np.flatnonzero(orders[1:] == o) + 1 for o in set(periods)}
     if r < 2 or not all(len(c) for c in by_order.values()):
         return np.zeros((0, r), dtype=T.dtype)
-    inverse = np.array(g.inverse, dtype=T.dtype)
     blocks, total = [], 0
     for arrangement in _arrangements(periods):
         choices = [by_order[o] for o in arrangement[:-1]]
@@ -449,7 +429,7 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
         for column in tail.T:
             tail_product = T[tail_product, column]
         for head in itertools.product(*choices[:split]):
-            last = inverse[T[g.product(head), tail_product]]
+            last = g.inverse[T[g.product(head), tail_product]]
             ok = orders[last] == arrangement[-1]
             rows = np.empty((int(ok.sum()), r), dtype=T.dtype)
             rows[:, :split] = head
@@ -472,16 +452,17 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[np.ndarray,
     there (the cyclic rotation is their composite).  The orbits of a finite
     group are the components of its Schreier graph on any generating set,
     so each tuple gets one edge per braid move and one per generator of
-    Aut(G) (``automorphism_group_generators``).  Tuples are keyed as
-    base-|G| integers, which must fit in 63 bits.
+    Aut(G) (``automorphism_group_generators``).  Those generators come
+    first, so Aut(G)'s caps raise before any tuple is built.  Tuples are
+    keyed as base-|G| integers, which must fit in 63 bits.
     """
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
+    automorphism_gens = automorphism_group_generators(g)
     S = _enumerate_tuples(g, sig.periods)
     if not len(S):
         return ()
-    T = g.array
-    inv = np.array(g.inverse, dtype=T.dtype)
+    T, inv = g.array, g.inverse
 
     def braid(i):
         # braid_move at position i: (a, b) -> (b, b^-1 a b)
@@ -491,7 +472,7 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[np.ndarray,
         return moved
 
     moves = itertools.chain(map(braid, range(1, len(sig.periods))),
-                            (alpha[S] for alpha in automorphism_group_generators(g)))
+                            (alpha[S] for alpha in automorphism_gens))
     # a generator: orbit_components reads each image once, so one is held at a time
     count, labels = orbit_components(_pack_keys(S, g.order),
                                      (_pack_keys(m, g.order) for m in moves))

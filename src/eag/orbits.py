@@ -12,11 +12,12 @@ lists in blocks:
   the r-cycle, and the RREF of each image is written in closed form, with
   no row reduction;
 * ``count_kernel_orbits_bfs``, the same engine on kernels in F_p^{2 rho}
-  under generators of Sp(2 rho, p);
+  under generators of Sp(2 rho, p) (``sp_generators``);
 * canonical-form counts: each unseen object marks its whole orbit under the
   fully enumerated acting group, with no generators and no graph: GL(k, p)
   by its definition, every matrix of full rank, and Sp(2 rho, p) as the
-  closure ``fp.sp_group``, built once per group.  The pure count walks
+  closure ``sp_group`` (``fp.group_closure`` of its generators), built once
+  per group.  The pure count walks
   only the zero-sum multisets (``_zero_sum_multisets``): the last entry of
   each is forced by the others.
 """
@@ -326,6 +327,43 @@ def check_unramified_caps(p: int, k: int, rho: int) -> None:
             f"{UNRAMIFIED_BRUTE_MAX_SUBSPACES}")
 
 
+def standard_symplectic_form(rho: int, p: int) -> np.ndarray:
+    """Alternating form J pairing coordinates (2i, 2i+1) for i < rho."""
+    J = np.zeros((2 * rho, 2 * rho), dtype=np.int64)
+    even = np.arange(0, 2 * rho, 2)
+    J[even, even + 1] = 1
+    J[even + 1, even] = p - 1
+    return J
+
+
+def sp_generators(rho: int, p: int) -> list[np.ndarray]:
+    """Generators of Sp(2*rho, p) for the standard alternating form.
+
+    Symplectic transvections x -> x + <x, v> v with <x, v> = x^T J v, i.e.
+    the matrices I + v (Jv)^T, along the curve classes that generate the
+    mapping class group image on mod-p homology: each handle's pair, plus
+    the sums linking consecutive handles.
+    """
+    fp.check_prime(p)
+    if rho < 1:
+        raise PreconditionError("rho must be >= 1")
+    n = 2 * rho
+    J = standard_symplectic_form(rho, p)
+    e = np.eye(n, dtype=np.int64)
+    directions = list(e)
+    for i in range(rho - 1):
+        directions += [e[2 * i] + e[2 * i + 2], e[2 * i + 1] + e[2 * i + 3]]
+    return [(e + np.outer(v, J @ v)) % p for v in directions]
+
+
+@lru_cache(maxsize=None)
+def sp_group(rho: int, p: int) -> np.ndarray:
+    """Sp(2 rho, p), the ``fp.group_closure`` of ``sp_generators``: built once, read-only."""
+    group = fp.group_closure(sp_generators(rho, p), p)
+    group.flags.writeable = False
+    return group
+
+
 @lru_cache(maxsize=None)
 def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     """Orbit count of codimension-k subspaces of F_p^{2 rho} under Sp."""
@@ -341,7 +379,7 @@ def count_kernel_orbits_bfs(p: int, k: int, rho: int) -> int:
     if e == 0:
         return 1
     M = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), e)
-    moves = [lambda batch, g=g: batch_rref(batch @ g, p) for g in fp.sp_generators(rho, p)]
+    moves = [lambda batch, g=g: batch_rref(batch @ g, p) for g in sp_generators(rho, p)]
     return _subspace_orbit_count(M, p, moves, drop_first_col=False)
 
 
@@ -363,7 +401,7 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     """Independent count: orbits marked whole by the full Sp closure.
 
     A subspace not yet seen starts a new orbit, and every element of
-    ``fp.sp_group`` is applied to it, ORBIT_MARK_BLOCK elements at a time,
+    ``sp_group`` is applied to it, ORBIT_MARK_BLOCK elements at a time,
     to mark that orbit seen.  An image that is not an enumerated subspace
     raises, so once every enumerated subspace is seen no further orbit can
     start: the marking stops there, and every orbit but the last gets the
@@ -377,7 +415,7 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     if d == 0:
         return 1
     n = 2 * rho
-    group = fp.sp_group(rho, p)
+    group = sp_group(rho, p)
     subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
     keys = fp._pack_keys(subspaces, p)
     enumerated = np.sort(keys)

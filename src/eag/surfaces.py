@@ -119,11 +119,9 @@ def riemann_hurwitz_genus(group_order: int, sig: Signature) -> Fraction:
 
 
 def ea_genus(spec: EAActionSpec) -> Fraction:
-    """Genus of the C_p^n action: 1 + p^n(rho - 1) + r p^(n-1) (p-1) / 2."""
-    p, n = spec.p, spec.n
-    if n == 0:
-        return riemann_hurwitz_genus(1, spec.sig)
-    return 1 + p ** n * (spec.rho - 1) + Fraction(spec.r * p ** (n - 1) * (p - 1), 2)
+    """Genus of the C_p^n action, for every n >= 0: 1 + p^n(rho - 1) + r p^n (p-1) / 2p."""
+    p, q = spec.p, spec.p ** spec.n
+    return 1 + q * (spec.rho - 1) + Fraction(spec.r * q * (p - 1), 2 * p)
 
 
 def genus_is_admissible(spec: EAActionSpec) -> bool:

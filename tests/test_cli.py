@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eag import cli, grouptable
+from eag import cli, genvec, grouptable, maximality
+from eag.surfaces import EAActionSpec
+
+from table_file import dumps
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -197,6 +201,68 @@ def test_count_unramified_adjudicates_a_huge_genus_at_once(capsys):
     assert payload["unramified_unique_ranks"] == [0, 1, 2 * rho - 1, 2 * rho]
 
 
+def _small_address_space():
+    # the child's own limits, so that a regression fails the test instead of
+    # exhausting the machine's memory or running on
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+    resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+
+
+@pytest.mark.parametrize("command", [["count"], ["unique"], ["maximal"], ["maximal", "--search"]])
+@pytest.mark.parametrize("p", [2, 13])
+@pytest.mark.parametrize("huge", ["n", "rho", "r"])
+def test_huge_sizes_answer_at_once_in_a_fresh_process(command, p, huge):
+    sizes = {"n": 2, "rho": 1, "r": 3, huge: 10 ** 9}
+    argv = [command[0], f"--p={p}", *(f"--{k}={v}" for k, v in sizes.items()), *command[1:]]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "eag.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_small_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert 0 <= done.returncode <= cli.EXIT_CAP, done.stderr
+    assert "Traceback" not in done.stderr
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 1, cpu
+
+
+@pytest.mark.parametrize("digit_limit", [None, 0])
+@pytest.mark.parametrize("huge", ["n", "r"])
+def test_unique_decides_from_the_sizes_first(capsys, monkeypatch, digit_limit, huge):
+    def unbuilt(*args):
+        raise AssertionError("built before the caps")
+
+    # neither the periods nor the genus is built before the caps exit 4
+    monkeypatch.setattr(genvec, "require_admissible_genus", unbuilt)
+    monkeypatch.setattr(EAActionSpec, "sig", property(unbuilt))
+    sizes = {"n": 2, "rho": 1, "r": 3, huge: 4000 if huge == "n" else maximality.WITNESS_INT_CAP + 1}
+    limit = sys.get_int_max_str_digits()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(digit_limit)
+    try:
+        # 13^4000 has 4,456 digits; with Python's limit off, unique keeps 4,300
+        digits = sys.get_int_max_str_digits() or 4300
+        code, out, err = run(["unique", "--p", "13", *(f"--{k}={v}" for k, v in sizes.items())],
+                             capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == cli.EXIT_CAP and out == ""
+    bound = f"limit is {digits} digits" if huge == "n" else f"cap of {maximality.WITNESS_INT_CAP}"
+    assert bound in err
+
+
+def test_unique_below_its_caps_prints_a_long_genus(capsys):
+    # 2^14000 has 4,215 digits, under the limit: the genus is printed in full
+    payload = run_json(["unique", "--p", "2", "--n", "14000", "--rho", "2", "--r", "0"], capsys)
+    assert payload["genus"] == 1 + 2 ** 14000 and payload["unique"] is False
+
+
+def test_a_negative_genus_of_many_digits_exits_2(capsys):
+    # the genus 1 - 2^20000 passes the int-to-str limit, so the message leaves it out
+    code, out, err = run(["maximal", "--p", "2", "--n", "20000", "--rho", "0", "--r", "0"], capsys)
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert "negative genus" in err
+
+
 def test_maximal_with_search(capsys):
     payload = run_json(["maximal", "--p", "3", "--n", "1", "--rho", "2", "--r", "3",
                         "--search"], capsys)
@@ -215,7 +281,7 @@ def test_orbits_catalog_and_file(capsys, tmp_path):
     payload = run_json(["orbits", "--group", "C10", "--sig", "(0;2,5,10)"], capsys)
     assert payload["orbits"] == 1
     path = tmp_path / "c10.tab"
-    path.write_text(grouptable.cyclic(10).dumps(), encoding="utf-8")
+    path.write_text(dumps(grouptable.cyclic(10)), encoding="utf-8")
     payload = run_json(["orbits", "--table", str(path), "--sig", "(0;2,5,10)"],
                        capsys)
     assert payload["orbits"] == 1
@@ -431,7 +497,7 @@ SIGNATURE = st.lists(st.integers(1, 12), min_size=1, max_size=6).map(
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     files = {
-        "c3.tab": grouptable.cyclic(3).dumps(),
+        "c3.tab": dumps(grouptable.cyclic(3)),
         "word.tab": "3\n0 1 2\n1 2 x\n2 0 1\n",
         "short.tab": "3\n0 1 2\n",
         "line.json": json.dumps({"C": [[[1, 0], [1, 0], [1, 0], [1, 0]],

@@ -162,14 +162,14 @@ def test_gl_classes_match_brute_force_conjugacy(n, p):
     (2, 3, 51840),
 ])
 def test_sp_closure_orders(rho, p, order):
-    assert len(fp.group_closure(fp.sp_generators(rho, p), p)) == order
+    assert len(fp.group_closure(orbits.sp_generators(rho, p), p)) == order
 
 
 @pytest.mark.parametrize("rho,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3),
                                    (2, 5), (3, 2), (3, 3), (3, 5)])
 def test_sp_generators_preserve_form(rho, p):
-    J = fp.standard_symplectic_form(rho, p)
-    for g in fp.sp_generators(rho, p):
+    J = orbits.standard_symplectic_form(rho, p)
+    for g in orbits.sp_generators(rho, p):
         assert (g.T @ J @ g % p == J).all()
 
 
@@ -177,7 +177,7 @@ def test_sp_generators_preserve_form(rho, p):
 def test_sp_transitive_on_nonzero_vectors(rho, p):
     # orbit of a unit vector hits every nonzero vector (Witt transitivity);
     # proves the generators do not sit inside a smaller reducible group
-    gens = fp.sp_generators(rho, p)
+    gens = orbits.sp_generators(rho, p)
     start = tuple(np.eye(2 * rho, dtype=np.int64)[0].tolist())
     seen = {start}
     frontier = [start]
@@ -195,15 +195,15 @@ def test_sp_transitive_on_nonzero_vectors(rho, p):
 
 @pytest.mark.parametrize("rho,p", [(1, 3), (1, 5), (2, 2)])
 def test_sp_closure_preserves_form(rho, p):
-    J = fp.standard_symplectic_form(rho, p)
-    group = fp.group_closure(fp.sp_generators(rho, p), p)
+    J = orbits.standard_symplectic_form(rho, p)
+    group = fp.group_closure(orbits.sp_generators(rho, p), p)
     assert ((group.transpose(0, 2, 1) @ J @ group) % p == J).all()
 
 
 def test_group_closure_identity_and_order_independence():
     ident = np.eye(2, dtype=np.int64)
     assert np.array_equal(fp.group_closure([ident], 3), ident[None])
-    gens = fp.sp_generators(1, 3)
+    gens = orbits.sp_generators(1, 3)
     assert np.array_equal(fp.group_closure(gens, 3),
                           fp.group_closure(list(reversed(gens)), 3))
 
@@ -235,7 +235,7 @@ def _closure_by_matmul(gens, p):
     ("sp", 1, 2), ("sp", 1, 3), ("sp", 1, 5), ("sp", 1, 7), ("sp", 2, 2), ("sp", 2, 3),
 ])
 def test_group_closure_matches_matmul_reference(kind, n, p):
-    gens = _gl_generators(n, p) if kind == "gl" else fp.sp_generators(n, p)
+    gens = _gl_generators(n, p) if kind == "gl" else orbits.sp_generators(n, p)
     group = fp.group_closure(gens, p)
     assert group.dtype == np.int64
     assert np.array_equal(group, _closure_by_matmul(gens, p))
@@ -251,7 +251,7 @@ def test_group_closure_keys_beyond_63_bits_raise(n, p):
 def test_group_closure_peak_memory_stays_near_its_result():
     # codes in one byte for Sp(4, 3), decoded once through the code table:
     # no (N, n^2) uint64 temporaries beside the 51,840 x 4 x 4 int64 result
-    gens = fp.sp_generators(2, 3)
+    gens = orbits.sp_generators(2, 3)
     tracemalloc.start()
     try:
         group = fp.group_closure(gens, 3)
@@ -263,9 +263,9 @@ def test_group_closure_peak_memory_stays_near_its_result():
 
 
 def test_cached_groups_are_built_once_and_read_only():
-    group = fp.sp_group(2, 2)
-    assert fp.sp_group(2, 2) is group
-    assert np.array_equal(group, fp.group_closure(fp.sp_generators(2, 2), 2))
+    group = orbits.sp_group(2, 2)
+    assert orbits.sp_group(2, 2) is group
+    assert np.array_equal(group, fp.group_closure(orbits.sp_generators(2, 2), 2))
     with pytest.raises(ValueError):
         group[0, 0, 0] = 1
 

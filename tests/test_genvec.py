@@ -12,6 +12,7 @@ from eag.genvec import (GeneratingVector, build_inequivalent_pair, count_classes
 from eag.surfaces import EAActionSpec, ea_genus
 
 from box_pins import PURE_BOX_COUNTS
+from uniqueness_grid import check_grid
 
 
 def test_validate_examples():
@@ -216,7 +217,7 @@ def _mixed_orbit_count(p, n, rho, r):
         R = np.ascontiguousarray(orbits.batch_rref(batch, p).reshape(len(batch), -1))
         return R.view(np.dtype((np.void, R.shape[1])))[:, 0]
 
-    moves = [sp(g) for g in fp.sp_generators(rho, p)]
+    moves = [sp(g) for g in orbits.sp_generators(rho, p)]
     moves += [swap(c) for c in range(h, h + r - 1)] + [shear]
     return fp.orbit_components(keys(M), (keys(move(M)) for move in moves))[0]
 
@@ -304,6 +305,28 @@ def test_no_pure_vectors_matches_the_bfs():
     assert not genvec.no_pure_vectors(2, 0, 0) and genvec.no_pure_vectors(2, 0, 2)
     assert genvec.no_pure_vectors(3, -1, 0)
     assert genvec.no_pure_vectors(2, 1, 5) and not genvec.no_pure_vectors(3, 1, 5)
+
+
+def test_table_one_agrees_with_the_count_on_a_grid():
+    # p <= 13, k <= 5, r <= 12: far past the pure box; CI runs k <= 8, r <= 16
+    instances, pairs, mismatches = check_grid(5, 12)
+    assert mismatches == []
+    assert (instances, pairs) == (265, 222)
+
+
+@pytest.mark.parametrize("changed,e", [((7, 1, 3), 2), ((2, 3, 5), 1)])
+def test_the_grid_fails_on_a_wrong_table_one_row(monkeypatch, changed, e):
+    # (7, 1, 3) gains a row although e = 2; (2, 3, 5) loses pure-2 although e = 1
+    row = genvec.pure_unique_row
+
+    def wrong_row(p, n, r):
+        if (p, n, r) != changed:
+            return row(p, n, r)
+        return None if row(p, n, r) else "pure-x: p=7, n=1, r=3"
+
+    monkeypatch.setattr(genvec, "pure_unique_row", wrong_row)
+    mismatches = check_grid(3, 5)[2]
+    assert [mismatch[:4] for mismatch in mismatches] == [(*changed, e)]
 
 
 def test_is_unique_action_examples():

@@ -13,6 +13,8 @@ from eag.errors import CapExceededError, PreconditionError
 from eag.fp import _pack_keys, orbit_components
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
+from table_file import dumps
+
 
 def test_table_construction_rejects_bad_tables():
     with pytest.raises(PreconditionError):
@@ -539,9 +541,9 @@ def test_normal_subgroup_signature_examples():
 def test_table_file_roundtrip(tmp_path):
     g = gt.dihedral(5)
     path = tmp_path / "d5.tab"
-    path.write_text(g.dumps(), encoding="utf-8")
+    path.write_text(dumps(g), encoding="utf-8")
     back = gt.GroupTable.loads(path.read_text(encoding="utf-8"))
-    assert back.table == g.table
+    assert np.array_equal(back.array, g.array)
     with pytest.raises(PreconditionError):
         gt.GroupTable.loads("3\n0 1 2\n1 2 0\n")   # wrong entry count
     with pytest.raises(PreconditionError):
@@ -652,3 +654,17 @@ def test_automorphism_candidate_cap_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(gt, "AUTOMORPHISM_CANDIDATE_CAP", 10)
     assert cli.main(["orbits", "--group", "A5", "--sig", "(0;2,3,5)"]) == cli.EXIT_CAP
     assert "candidate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,sig,cap", [
+    ("C2xC2xC2xC2xC2xC2", "(0;2,2,2,2,2,2,2,2)", "order 60"),  # order 64
+    ("C2xC2xC2xC2xC2", "(0;2,2,2,2,2,2)", "candidate"),       # Aut = GL(5, 2)
+    ("C64", "(0;2,2)", "order 60"),                             # no generating tuple
+])
+def test_automorphism_caps_come_before_any_tuple(monkeypatch, capsys, name, sig, cap):
+    def no_tuples(*args):
+        raise AssertionError("tuples enumerated before Aut(G)'s caps")
+
+    monkeypatch.setattr(gt, "_enumerate_tuples", no_tuples)
+    assert cli.main(["orbits", "--group", name, "--sig", sig]) == cli.EXIT_CAP
+    assert cap in capsys.readouterr().err

@@ -10,10 +10,9 @@ The orbit engine they share with production is ``fp.orbit_components``.
 A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
 reach, imports in function bodies included.  What it does not reach must
-be reached from ``KEPT``: the oracles, the Sp(2 rho, p) closure they use,
-the smoothness sampler, and the paper's API that the acceptance criteria
-call.  A definition or a method that only tests call fails the
-walk.
+be reached from ``KEPT``: the oracles, the matrix closure they use, the
+smoothness sampler, and the paper's API that the acceptance criteria call.
+A definition or a method that only tests call fails the walk.
 """
 
 import ast
@@ -36,13 +35,14 @@ KEPT = {
     "orbits.pure_canonical_feasible",
     # the canonical pure count's walk, which the tests check on its own
     "orbits._zero_sum_multisets",
-    # Sp(2 rho, p) and the matrix closure, for the kernel oracles
+    # the matrix closure that gives the kernel oracles Sp(2 rho, p); it stays
+    # in fp, a generic closure that perfbench/tracing.py reads by key
     "fp.group_closure",
-    "fp.sp_generators",
-    "fp.sp_group",
-    "fp.standard_symplectic_form",
     # the benchmark's reference answers filter specs by it
     "surfaces.genus_is_admissible",
+    # the genus of any signature, which acceptance criteria 07 and 11 call;
+    # ea_genus is the closed form of the C_p^n case
+    "surfaces.riemann_hurwitz_genus",
     # the smoothness sampler, a test oracle for the Jacobian certificate; it
     # stays in src/eag because perfbench/tracing.py reads the traced key
     # hyperfermat.sample_and_check_smoothness and raises KeyError without it
@@ -130,7 +130,8 @@ def _definitions(sources):
     keyed "module.Class.name".  It names what a bare name, ``from .module
     import name`` or ``module.name`` after ``from . import module`` refers
     to, wherever in the module the import stands, and ``x.name`` names every
-    method called ``name``.  A class names
+    method called ``name``, unless ``x`` is a module from outside the
+    package (``json.dumps`` names no ``dumps`` of the package).  A class names
     its base classes, decorators and class-level assignments, its dunder
     methods, and the methods that override a base class from outside the
     package (an ``argparse.ArgumentParser`` hook, say), since Python calls
@@ -176,9 +177,11 @@ def _definitions(sources):
                 elif isinstance(sub, ast.Name) and sub.id in imported:
                     out.add(imported[sub.id])
                 elif isinstance(sub, ast.Attribute):
-                    out |= methods.get(sub.attr, set())
-                    if isinstance(sub.value, ast.Name) and sub.value.id in modules:
-                        out.add(f"{modules[sub.value.id]}.{sub.attr}")
+                    owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+                    if owner in modules:
+                        out.add(f"{modules[owner]}.{sub.attr}")
+                    if owner not in foreign:
+                        out |= methods.get(sub.attr, set())
             return out
 
         for name, node in defs.items():
@@ -259,3 +262,21 @@ def test_the_reachability_walk_follows_imports_in_function_bodies():
         "fp": "def rref():\n    return 0\n",
     })
     assert _unreached(refs, ["cli.main"]) == {"engine.only_tests"}
+
+
+def test_the_reachability_walk_reads_foreign_module_attributes_as_theirs():
+    refs = _definitions({
+        "cli": "import itertools\nimport json\nimport numpy as np\nfrom .table import Table\n"
+               "def main():\n"
+               "    t = Table.loads('1')\n"
+               "    return json.dumps([itertools.product(), np.sort(t.rows)])\n",
+        "table": "class Table:\n"
+                 "    @staticmethod\n    def loads(text):\n        return Table()\n"
+                 "    def dumps(self):\n        return ''\n"
+                 "    def product(self):\n        return 0\n"
+                 "    def sort(self):\n        return self\n",
+    })
+    # json.dumps, itertools.product and np.sort are no calls of the package's
+    # methods of those names; Table.loads is
+    assert _unreached(refs, ["cli.main"]) == {
+        "table.Table.dumps", "table.Table.product", "table.Table.sort"}

@@ -458,7 +458,7 @@ def test_kernel_canonical_marking_stops_exactly(monkeypatch, block):
     # block over the 51,840 of Sp(4, 3) takes about 17 s, so block 1 skips it
     instances = [(p, k, rho) for p in (2, 3, 5) for rho in (1, 2)
                  if orbits.kernel_canonical_feasible(p, rho)
-                 and (block > 1 or len(fp.sp_group(rho, p)) <= 720)
+                 and (block > 1 or len(orbits.sp_group(rho, p)) <= 720)
                  for k in range(2 * rho + 1)]
     assert (2, 2, 2) in instances and ((3, 2, 2) in instances) == (block > 1)
     monkeypatch.setattr(orbits, "ORBIT_MARK_BLOCK", block)
