@@ -214,6 +214,8 @@ def _parse_scalar_list(text: str) -> list:
 def cmd_fermat(args, out) -> int:
     if bool(args.w) == bool(args.c_file):
         raise UsageError("provide exactly one of --w or --c-file")
+    if args.n > hyperfermat.AMBIENT_DIMENSION_CAP:
+        raise CapExceededError(f"n = {args.n} passes the cap of {hyperfermat.AMBIENT_DIMENSION_CAP}")
     if args.w:
         w = _parse_scalar_list(args.w)
         if "inf" in w:

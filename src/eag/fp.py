@@ -29,8 +29,22 @@ PRIME_CAP = 13
 #: enumeration.  Runaway searches fail cleanly instead of exhausting memory.
 DEFAULT_ELEMENT_CAP = 10 ** 8
 
+#: Miller-Rabin to the first 13 prime bases is proven below this bound (Sorenson and
+#: Webster, Math. Comp. 86 (2017)); ``is_prime`` raises CapExceededError from it on
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin: with p - 1 = d 2^s and d odd, an odd p passes
+    the base a when a^d = 1 or a^(d 2^j) = -1 mod p for some j < s."""
+    if p >= PRIMALITY_BOUND:
+        raise CapExceededError(f"primality of {p} is decided only below {PRIMALITY_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or p - 1 in (pow(a, d << j, p) for j in range(s)) for a in _BASES)
 
 
 def check_prime(p: int) -> int:
@@ -122,7 +136,7 @@ def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
     CapExceededError when a key would not fit in 63 bits.
     """
     import numpy as np
-    flat = digits.reshape(len(digits), -1)
+    flat = digits.reshape(len(digits), math.prod(digits.shape[1:]))  # also for no items
     nd = flat.shape[1]
     if base ** nd >= 2 ** 63:
         raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")

@@ -3,9 +3,10 @@
 Used for desk-scale verification of results about normal extensions: braid
 moves on genus-0 generating tuples, automorphism groups from the images of
 a generating sequence, and orbit counts of generating vectors as the
-components of a graph with one edge per braid move and one per generator
-of Aut(G).  Subgroups come from one boolean mask closure per tuple, and
-the orbits and the generators of Aut(G) from ``fp.orbit_components``.
+number of components of a graph with one edge per braid move and one per
+generator of Aut(G), with no partition built.  Subgroups come from one
+boolean mask closure per tuple, and the orbit count and the generators of
+Aut(G) from ``fp.orbit_components``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .surfaces import Signature
 AUTOMORPHISM_ORDER_CAP = 60
 #: most candidate image tuples the automorphism search builds
 AUTOMORPHISM_CANDIDATE_CAP = 2 ** 16
-ORBIT_STATE_CAP = 2_000_000
+#: most candidate tuples ``_enumerate_tuples`` may build, and so most states: at
+#: 1.2 to 2.9 us of CPU each and about 100 bytes of peak RSS per state, 6 s and 250 MB
+TUPLE_CANDIDATE_CAP = 2_000_000
 #: most candidate tuples ``_enumerate_tuples`` builds at once
 TUPLE_BLOCK = 2 ** 16
 #: most products (ab)c that one associativity check compares
@@ -314,8 +317,9 @@ def _automorphism_generators(g: GroupTable) -> list[int]:
     return gens
 
 
-def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
-    """All automorphisms, as permutations of element indices, in sorted order.
+def automorphisms(g: GroupTable) -> np.ndarray:
+    """All automorphisms, as an (|Aut|, |G|) array of permutations of element
+    indices, its rows in lexicographic order.
 
     Every tuple of images of a generating sequence, with element orders
     preserved, is one candidate row.  Each element is a fixed word in the
@@ -327,8 +331,6 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
     if g.order > AUTOMORPHISM_ORDER_CAP:
         raise CapExceededError(
             f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}")
-    if g.order == 1:
-        return [(0,)]
     gens = _automorphism_generators(g)
     orders = np.array(g.element_orders)
     choices = [np.flatnonzero(orders == orders[a]) for a in gens]
@@ -359,7 +361,8 @@ def automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
     # all x and every generator a makes f a homomorphism
     for i, a in enumerate(gens):
         keep &= (mapped[:, T[:, a]] == T[mapped, images[:, i, None]]).all(axis=1)
-    return sorted(map(tuple, mapped[keep].tolist()))
+    autos = mapped[keep]
+    return autos[np.lexsort(autos.T[::-1])]  # lexsort's last key is its first
 
 
 def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
@@ -372,11 +375,9 @@ def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
     alpha[beta], for every kept alpha (``orbit_components``); a composite is
     ranked by the bytes of its row.
     """
-    autos = np.array(automorphisms(g), dtype=g.array.dtype)
+    autos = automorphisms(g)  # one byte per entry, so the rows sort bytewise too
     row = np.dtype((np.void, autos.shape[1] * autos.itemsize))
     keys = autos.view(row).ravel()
-    order = np.argsort(keys)  # rows sort bytewise, as the tuples do only for one-byte entries
-    keys = keys[order]
     ranks = np.arange(len(autos))
     gens: list[np.ndarray] = []
     images: list[np.ndarray] = []  # the rank of alpha[beta] for each beta, per kept alpha
@@ -385,7 +386,7 @@ def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
         if count == 1:
             return gens
         gens.append(autos[np.argmax(labels != labels[0])])  # the identity sorts first
-        images.append(order[np.searchsorted(keys, gens[-1][autos].view(row).ravel())])
+        images.append(np.searchsorted(keys, gens[-1][autos].view(row).ravel()))
 
 
 def _arrangements(periods):
@@ -408,8 +409,7 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
     orders and the last is forced: the inverse of their product, kept when
     its order is the last period.  The trailing entries form one block of
     at most TUPLE_BLOCK rows, built once and reused under each choice of the
-    leading ones; each block's survivors pass ``generates_each`` at once,
-    and ORBIT_STATE_CAP is checked after every block.
+    leading ones; each block's survivors pass ``generates_each`` at once.
     """
     r = len(periods)
     T = g.array
@@ -417,7 +417,7 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
     by_order = {o: np.flatnonzero(orders[1:] == o) + 1 for o in set(periods)}
     if r < 2 or not all(len(c) for c in by_order.values()):
         return np.zeros((0, r), dtype=T.dtype)
-    blocks, total = [], 0
+    blocks = []
     for arrangement in _arrangements(periods):
         choices = [by_order[o] for o in arrangement[:-1]]
         split, size = len(choices), 1
@@ -435,33 +435,40 @@ def _enumerate_tuples(g: GroupTable, periods: tuple[int, ...]) -> np.ndarray:
             rows[:, :split] = head
             rows[:, split:-1] = tail[ok]
             rows[:, -1] = last[ok]
-            rows = rows[g.generates_each(rows)]
-            total += len(rows)
-            if total > ORBIT_STATE_CAP:
-                raise CapExceededError(f"tuple enumeration exceeded {ORBIT_STATE_CAP} states")
-            blocks.append(rows)
+            blocks.append(rows[g.generates_each(rows)])
     return np.concatenate(blocks)
 
 
-def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[np.ndarray, ...]:
-    """Orbit partition of valid generating tuples under Aut(G) + braid moves.
+def _candidate_count(g: GroupTable, periods: tuple[int, ...]) -> int:
+    """The candidate tuples of ``_enumerate_tuples``, with no arrangement listed:
+    (r-1)! m_o / prod m_q! arrangements end in the period o, m_q periods being q,
+    and each runs its first r - 1 entries over the elements of their orders."""
+    sizes, mult = collections.Counter(g.element_orders), collections.Counter(periods)
+    if len(periods) < 2 or not all(sizes[o] for o in mult):
+        return 0
+    denominator = math.prod(map(math.factorial, mult.values()))
+    product = math.prod(sizes[q] ** m for q, m in mult.items())
+    return sum(math.factorial(len(periods) - 1) * m // denominator * (product // sizes[o])
+               for o, m in mult.items())
 
-    Each orbit is an (m, r) array of its tuples, in enumeration order, and
-    the orbits are ordered by their least tuple.  Genus-0 signatures only:
-    the braid moves at every position generate the whole induced action
-    there (the cyclic rotation is their composite).  The orbits of a finite
-    group are the components of its Schreier graph on any generating set,
-    so each tuple gets one edge per braid move and one per generator of
-    Aut(G) (``automorphism_group_generators``).  Those generators come
-    first, so Aut(G)'s caps raise before any tuple is built.  Tuples are
-    keyed as base-|G| integers, which must fit in 63 bits.
-    """
+
+def _orbit_graph(g: GroupTable, sig: Signature):
+    """The Schreier graph of Aut(G) + braid moves on the valid generating tuples:
+    the states, an (S, r) array, their base-|G| keys, and the image keys, one
+    array per braid move and per generator of Aut(G), each built when read.
+    Genus 0 only: there the braid moves generate the whole induced action (the
+    cyclic rotation is their composite).  Every cap raises before any tuple is
+    built: Aut(G)'s, then the 63-bit keys, then TUPLE_CANDIDATE_CAP."""
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
     automorphism_gens = automorphism_group_generators(g)
+    r = len(sig.periods)
+    if g.order ** r >= 2 ** 63:
+        raise CapExceededError(f"key of {r} base-{g.order} digits does not pack into 63 bits")
+    if (candidates := _candidate_count(g, sig.periods)) > TUPLE_CANDIDATE_CAP:
+        raise CapExceededError(f"tuple enumeration would build {candidates} candidate tuples, "
+                               f"above the cap {TUPLE_CANDIDATE_CAP}")
     S = _enumerate_tuples(g, sig.periods)
-    if not len(S):
-        return ()
     T, inv = g.array, g.inverse
 
     def braid(i):
@@ -471,15 +478,12 @@ def generating_vector_orbits(g: GroupTable, sig: Signature) -> tuple[np.ndarray,
         moved[:, i - 1], moved[:, i] = b, T[T[inv[b], a], b]
         return moved
 
-    moves = itertools.chain(map(braid, range(1, len(sig.periods))),
-                            (alpha[S] for alpha in automorphism_gens))
-    # a generator: orbit_components reads each image once, so one is held at a time
-    count, labels = orbit_components(_pack_keys(S, g.order),
-                                     (_pack_keys(m, g.order) for m in moves))
-    ends = np.cumsum(np.bincount(labels, minlength=count))[:-1]
-    return tuple(np.split(S[np.argsort(labels, kind="stable")], ends))
+    moves = itertools.chain(map(braid, range(1, r)), (alpha[S] for alpha in automorphism_gens))
+    # map holds no moved tuples once their keys are packed
+    return S, _pack_keys(S, g.order), map(functools.partial(_pack_keys, base=g.order), moves)
 
 
 def count_orbits(g: GroupTable, sig: Signature) -> int:
-    """Number of orbits of valid generating vectors under Aut(G) + braid moves."""
-    return len(generating_vector_orbits(g, sig))
+    """Number of orbits of valid generating vectors under Aut(G) + braid moves:
+    the components of ``_orbit_graph``, 0 when there is no state."""
+    return orbit_components(*_orbit_graph(g, sig)[1:])[0]  # one image held at a time

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eag import cli, genvec, grouptable, maximality
+from eag import cli, fp, genvec, grouptable, hyperfermat, maximality
 from eag.surfaces import EAActionSpec
 
 from table_file import dumps
@@ -223,6 +223,64 @@ def test_huge_sizes_answer_at_once_in_a_fresh_process(command, p, huge):
     assert "Traceback" not in done.stderr
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert cpu < 1, cpu
+
+
+#: 2^89 - 1, a Mersenne prime past the bound below which fp.is_prime decides
+MERSENNE_89 = 2 ** 89 - 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    # 3^39 candidates at the parent, which ran without bound; no key packs
+    (["orbits", "--group", "C2xC4", "--sig", "(0;" + ",".join(["2"] * 40) + ")"], cli.EXIT_CAP),
+    # trial division to 3e13 at the parent
+    (["fermat", f"--p={MERSENNE_89}", "--n=2", "--w=0,1,2"], cli.EXIT_CAP),
+    # trial division to 10^9 at the parent; Miller-Rabin decides it
+    (["fermat", "--p=1000000000000000003", "--n=2", "--w=0,1,2"], cli.EXIT_OK),
+    (["fermat", "--p=3", "--n=10000", "--w=" + ",".join(map(str, range(10001)))], cli.EXIT_CAP),
+])
+def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "eag.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_small_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 1, cpu
+
+
+def test_fermat_rank_cap_comes_before_the_line(capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("line built before the cap")
+
+    monkeypatch.setattr(hyperfermat, "vandermonde_line", unbuilt)
+    monkeypatch.setattr(hyperfermat.LineMatrix, "of", unbuilt)
+    n = hyperfermat.AMBIENT_DIMENSION_CAP + 1
+    for source in ("--w=" + ",".join(map(str, range(n + 1))), "--c-file=line.json"):
+        code, out, err = run(["fermat", "--p", "3", "--n", str(n), source], capsys)
+        assert code == cli.EXIT_CAP and out == "" and f"cap of {n - 1}" in err
+
+
+def test_fermat_at_the_rank_cap_answers(capsys):
+    n = hyperfermat.AMBIENT_DIMENSION_CAP
+    payload = run_json(["fermat", "--p", "3", "--n", str(n),
+                        "--w=" + ",".join(map(str, range(n + 1)))], capsys)
+    assert payload["genus"] == hyperfermat.hyper_fermat_genus(3, n)
+
+
+def test_fermat_tests_primality_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return fp.is_prime(p)
+
+    monkeypatch.setattr(hyperfermat, "is_prime", counted)
+    run_json(["fermat", "--p", "1000000000000000003", "--n", "2", "--w=0,1,2"], capsys)
+    assert calls == [10 ** 18 + 3]
+    code, _, err = run(["fermat", "--p", "1000000000000000001", "--n", "2", "--w=0,1,2"], capsys)
+    assert code == cli.EXIT_PRECONDITION and "not prime" in err
 
 
 @pytest.mark.parametrize("digit_limit", [None, 0])

@@ -82,6 +82,33 @@ def test_prime_gate():
         gl_conjugacy_classes(2, 6)
 
 
+def test_is_prime_matches_a_sieve():
+    sieve = [True] * 100_000
+    sieve[:2] = [False, False]
+    for q in range(2, 317):
+        sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    assert [fp.is_prime(p) for p in range(100_000)] == sieve
+    assert not any(fp.is_prime(p) for p in (-7, -1))
+
+
+def test_is_prime_sees_through_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 1, 4, 7, 9 and 12 prime bases;
+    # the last passes every base up to 37, and 41 exposes it
+    for n in (2047, 3_215_031_751, 341_550_071_728_321, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
+        assert not fp.is_prime(n), n
+    assert fp.is_prime(10 ** 18 + 3) and fp.is_prime(2 ** 61 - 1) and fp.is_prime(2 ** 31 - 1)
+    assert not fp.is_prime(10 ** 18 + 1) and not fp.is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+
+
+def test_is_prime_raises_past_its_bound():
+    assert fp.is_prime(fp.PRIMALITY_BOUND - 1) in (True, False)
+    with pytest.raises(CapExceededError):
+        fp.is_prime(fp.PRIMALITY_BOUND)
+    with pytest.raises(CapExceededError):
+        fp.is_prime(2 ** 89 - 1)
+
+
 @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3)
                                  if fp.gl_order(n, p) <= orbits.CANONICAL_MAX_GROUP])
 def test_gl_by_definition_is_the_closure_of_its_generators(n, p):

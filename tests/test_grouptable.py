@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -71,8 +72,8 @@ def test_element_orders_and_inverses():
 ])
 def test_automorphism_counts(group, count):
     autos = gt.automorphisms(group)
-    assert len(autos) == count
-    for alpha in autos:
+    assert autos.shape == (count, group.order)
+    for alpha in autos.tolist():
         assert alpha[0] == 0
         assert sorted(alpha) == list(range(group.order))
 
@@ -151,16 +152,19 @@ def test_count_orbits_matches_elementary_abelian_counter():
         assert got == want, (p, n, r)
 
 
-def _partition(orbits):
-    """The orbits of ``generating_vector_orbits`` as frozensets of tuples."""
-    return [frozenset(map(tuple, orbit.tolist())) for orbit in orbits]
+def _partition(g, sig):
+    """The orbits as frozensets of tuples, ordered by their least tuple: the
+    states of ``_orbit_graph`` grouped by the labels of the orbit engine."""
+    S, keys, images = gt._orbit_graph(g, sig)
+    count, labels = orbit_components(keys, images)
+    return [frozenset(map(tuple, S[labels == c].tolist())) for c in range(count)]
 
 
 def _naive_orbits(g, sig):
     """Reference partition: a python BFS applying every braid move and every
     automorphism to each enumerated tuple."""
     states = set(map(tuple, gt._enumerate_tuples(g, sig.periods).tolist()))
-    autos = gt.automorphisms(g)
+    autos = gt.automorphisms(g).tolist()
     orbits, seen = [], set()
     for start in sorted(states):
         if start in seen:
@@ -190,7 +194,7 @@ def _naive_orbits(g, sig):
 def test_orbit_partition_matches_naive_bfs(name, sig, count):
     g = gt.by_name(name)
     want = _naive_orbits(g, Signature(0, sig))
-    got = _partition(gt.generating_vector_orbits(g, Signature(0, sig)))
+    got = _partition(g, Signature(0, sig))
     assert len(want) == count
     assert sorted(got, key=min) == want
 
@@ -216,7 +220,7 @@ def _all_automorphism_orbits(g, sig):
     images = [_pack_keys(np.array([gt.braid_move(gt.TableVector(g, tuple(s)), i).elliptic
                                    for s in S.tolist()]), g.order)
               for i in range(1, len(sig.periods))]
-    autos = np.array(gt.automorphisms(g))
+    autos = gt.automorphisms(g)
     images.append(np.min([_pack_keys(alpha[S], g.order) for alpha in autos], axis=0))
     count, labels = orbit_components(_pack_keys(S, g.order), images)
     return [frozenset(map(tuple, S[labels == c].tolist())) for c in range(count)]
@@ -226,32 +230,38 @@ def _all_automorphism_orbits(g, sig):
 def test_generator_edges_match_every_automorphism(name, sig):
     g = gt.by_name(name)
     want = _all_automorphism_orbits(g, Signature(0, sig))
-    assert _partition(gt.generating_vector_orbits(g, Signature(0, sig))) == want
+    assert _partition(g, Signature(0, sig)) == want
 
 
 def test_orbit_sizes_sum_to_the_enumerated_states():
-    # the sum that perfbench's grouptable.states hook takes
+    # the orbits are disjoint and cover the states, which are distinct
     for name, sig in DESK_ORBIT_CASES:
         g = gt.by_name(name)
         states = gt._enumerate_tuples(g, sig)
-        orbits = gt.generating_vector_orbits(g, Signature(0, sig))
+        orbits = _partition(g, Signature(0, sig))
         assert sum(len(orbit) for orbit in orbits) == len(states), name
-        assert all(orbit.shape[1:] == (len(sig),) for orbit in orbits), name
+        assert len(frozenset().union(*orbits)) == len(states), name
+        assert all(len(s) == len(sig) for orbit in orbits for s in orbit), name
 
 
-def test_orbit_partition_holds_no_python_tuples():
-    # 99,120 tuples: the partition as frozensets of tuples peaked at about
-    # 250 bytes per tuple, as arrays it peaks at about 80
+#: peak bytes that count_orbits allocates per state: 82 measured on the call
+#: below (the tuples, their keys, and the orbit engine's arrays for one image)
+BYTES_PER_STATE = 100
+
+
+def test_count_orbits_bytes_per_state():
     g, sig = gt.by_name("C2xC2xC2"), Signature(0, (2,) * 7)
+    # a first call loads and compiles what numpy imports lazily, once
+    assert gt.count_orbits(g, Signature(0, (2,) * 4)) == 1
+    assert len(gt._enumerate_tuples(g, sig.periods)) == 99_120
     tracemalloc.start()
     try:
-        orbits = gt.generating_vector_orbits(g, sig)
+        count = gt.count_orbits(g, sig)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    states = sum(len(orbit) for orbit in orbits)
-    assert (len(orbits), states) == (4, 99_120)
-    assert peak < 120 * states
+    assert count == 4
+    assert peak < BYTES_PER_STATE * 99_120
 
 
 def _closure(perms, n):
@@ -268,10 +278,10 @@ def _closure(perms, n):
                                         | {"C1", "C2xC2xC2xC2", "S3xC3"}))
 def test_automorphism_group_generators_generate_aut(name):
     g = gt.by_name(name)
-    autos = gt.automorphisms(g)
+    autos = set(map(tuple, gt.automorphisms(g).tolist()))
     gens = [tuple(alpha.tolist()) for alpha in gt.automorphism_group_generators(g)]
     assert set(gens) <= set(autos) and len(set(gens)) == len(gens)
-    assert _closure(gens, g.order) == set(autos)
+    assert _closure(gens, g.order) == autos
     if name == "C2xC2xC2xC2":
         assert len(autos) == 20160
 
@@ -286,7 +296,8 @@ def test_count_orbits_c2_to_the_4_by_generator_edges():
 
 
 def test_count_orbits_state_cap(monkeypatch):
-    monkeypatch.setattr(gt, "ORBIT_STATE_CAP", 100)
+    # the candidates bound the states, so the cap on them is the state cap
+    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 100)
     with pytest.raises(CapExceededError):
         gt.count_orbits(gt.by_name("C2xC2xC2"), Signature(0, (2,) * 6))
 
@@ -481,7 +492,7 @@ def test_profile_criterion_matches_explicit_kernels():
     ]:
         epis = _sphere_epimorphisms(k, periods, kind)
         assert epis
-        autos = gt.automorphisms(k)
+        autos = gt.automorphisms(k).tolist()
         for e1 in epis:
             for e2 in epis:
                 profiles_equal = order_profiles_equal_kernels(
@@ -517,7 +528,7 @@ def test_hyperelliptic_actions_form_one_orbit():
     for g, sig in catalog:
         hyper = set(_hyperelliptic_states(g, sig))
         assert hyper, (g, sig)
-        orbits = _partition(gt.generating_vector_orbits(g, sig))
+        orbits = _partition(g, sig)
         touching = [orbit for orbit in orbits if orbit & hyper]
         assert len(touching) == 1, (g, sig)
         # the hyperelliptic states are a union of orbits, hence one full orbit
@@ -591,8 +602,9 @@ def _automorphisms_all_pairs(g):
 @pytest.mark.parametrize("name", ["C2", "C10", "S3", "S4", "A4", "A5", "D4", "D6",
                                   "C2xC4", "C2xC2xC2", "C3xC3"])
 def test_automorphisms_match_all_pairs_oracle(name):
+    # the oracle's list is sorted: the rows come in lexicographic order
     g = gt.by_name(name)
-    assert sorted(gt.automorphisms(g)) == _automorphisms_all_pairs(g)
+    assert list(map(tuple, gt.automorphisms(g).tolist())) == _automorphisms_all_pairs(g)
 
 
 @pytest.mark.parametrize("name", ["S4", "A4", "A5", "D6", "C2xC4", "C2xC2xC2"])
@@ -668,3 +680,51 @@ def test_automorphism_caps_come_before_any_tuple(monkeypatch, capsys, name, sig,
     monkeypatch.setattr(gt, "_enumerate_tuples", no_tuples)
     assert cli.main(["orbits", "--group", name, "--sig", sig]) == cli.EXIT_CAP
     assert cap in capsys.readouterr().err
+
+
+def _listed_candidates(g, periods):
+    """The candidates of ``_enumerate_tuples``, one arrangement at a time."""
+    if len(periods) < 2 or not all(o in g.element_orders for o in periods):
+        return 0
+    return sum(math.prod(g.element_orders.count(o) for o in arrangement[:-1])
+               for arrangement in gt._arrangements(periods))
+
+
+@pytest.mark.parametrize("name,sig", DESK_ORBIT_CASES + [
+    ("A5", (2, 3, 5, 5)), ("A5", (2, 2, 3, 3)), ("S4", (2, 3, 3, 4, 4)), ("C2xC4", (2,) * 12),
+    ("C2xC4", (2, 3, 4)), ("C6", (5, 2, 3)), ("C5", (5,)), ("C1", (2, 2)), ("D4", (4, 2)),
+])
+def test_candidate_count_matches_the_arrangements(name, sig):
+    g = gt.by_name(name)
+    assert gt._candidate_count(g, sig) == _listed_candidates(g, sig)
+
+
+def test_count_orbits_is_0_without_states():
+    # every entry of order 2 in C2xC4 lies in the Klein subgroup
+    assert gt.count_orbits(gt.by_name("C2xC4"), Signature(0, (2,) * 6)) == 0
+    assert gt.count_orbits(gt.by_name("C4"), Signature(0, (2, 4, 4, 4))) == 0
+
+
+@pytest.mark.parametrize("sig,cap", [
+    ((2,) * 15, "candidate tuples"),  # 3^14 candidates
+    ((2,) * 21, "pack"),              # 8^21 = 2^63
+    ((2,) * 40, "pack"),
+])
+def test_tuple_caps_come_before_any_tuple(monkeypatch, capsys, sig, cap):
+    def no_tuples(*args):
+        raise AssertionError("tuples enumerated before the caps")
+
+    monkeypatch.setattr(gt, "_enumerate_tuples", no_tuples)
+    argv = ["orbits", "--group", "C2xC4", "--sig", str(Signature(0, sig)).replace(" ", "")]
+    assert cli.main(argv) == cli.EXIT_CAP
+    assert cap in capsys.readouterr().err
+
+
+def test_count_orbits_at_the_candidate_cap(monkeypatch):
+    # the cap admits a call of exactly TUPLE_CANDIDATE_CAP candidates
+    g, sig = gt.by_name("C2xC2xC2"), Signature(0, (2,) * 7)
+    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 7 ** 6)
+    assert gt.count_orbits(g, sig) == 4
+    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 7 ** 6 - 1)
+    with pytest.raises(CapExceededError, match="candidate"):
+        gt.count_orbits(g, sig)
