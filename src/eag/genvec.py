@@ -285,28 +285,18 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     return [total // characters for total in row]
 
 
-#: M(p, k, t) for t = 0 .. r, the longest row computed so far for each (p, k)
-_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
-    """M(p, k, r): GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors of F_p^k.
+def _burnside_row(p: int, k: int, r: int) -> tuple[int, ...]:
+    """M(p, k, t) for t = 0 .. r: GL(k, p)-orbits of zero-sum t-multisets of nonzero vectors.
 
     Burnside: the class-size-weighted sum of the fixed-multiset counts,
     divided by |GL(k, p)|.  The counts of g for t <= r are read off its
     profile in closed form (``_fixed_multiset_row``), once per profile,
-    weighted by the total size of its classes (``_type_weights``).  One pass
-    gives the whole row M(p, k, 0..r), each entry checked for divisibility;
-    the longest row per (p, k) is kept in ``_ROWS``, and a request past it
-    builds the row again.  The class-sum oracle of ``tests/burnside_walk.py``
-    lists the classes, and shares only ``fp._centraliser_order`` and
-    ``_with_block`` with ``_type_weights``; a cycle walk checks the rows.
+    weighted by the total size of its classes (``_type_weights``), and each
+    entry of the row is checked for divisibility.  The class-sum oracle of
+    ``tests/burnside_walk.py`` lists the classes, and shares only
+    ``fp._centraliser_order`` and ``_with_block`` with ``_type_weights``; a
+    cycle walk checks the rows.
     """
-    if k == 0:
-        return int(r == 0)
-    row = _ROWS.get((p, k), ())
-    if len(row) > r:
-        return row[r]
     totals = [0] * (r + 1)
     for key, size in _type_weights(p, k, r).items():
         totals = [total + size * fixed
@@ -316,7 +306,28 @@ def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
     if bad:
         raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
                              f"multiples of |GL({k}, {p})|")
-    row = _ROWS[(p, k)] = tuple(total // order for total in totals)
+    return tuple(total // order for total in totals)
+
+
+#: M(p, k, t) for t = 0 .. r, the longest row built so far for each (p, k)
+_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
+    """M(p, k, r), read from the row of (p, k) kept in ``_ROWS``.
+
+    A row for t <= r is a prefix of every longer one, so a miss builds
+    ``_burnside_row`` to the largest of r, the box's period cap and twice
+    the kept row's period count.  The cap serves every count the CLI
+    answers with one build per (p, k); the doubling makes an ascending
+    sweep of r build each row O(log r) times.
+    """
+    if k == 0:
+        return int(r == 0)
+    row = _ROWS.get((p, k), ())
+    if len(row) <= r:
+        row = _ROWS[(p, k)] = _burnside_row(
+            p, k, max(r, PURE_BRUTE_MAX_PERIODS, 2 * (len(row) - 1)))
     return row[r]
 
 

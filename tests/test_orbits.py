@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import numpy as np
@@ -244,18 +245,57 @@ def test_large_rows_outside_the_box():
     assert genvec._zero_sum_multiset_orbits(7, 5, 6) == 638
 
 
-def test_pure_box_counts_do_not_depend_on_request_order():
-    # rows are kept per (p, k) and rebuilt for a longer r, in either order
-    saved = dict(genvec._ROWS)
-    try:
-        for reverse in (False, True):
-            genvec._ROWS.clear()
-            for p, k, r, count in sorted(PURE_BOX_COUNTS, key=lambda pin: pin[2],
-                                         reverse=reverse):
-                assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
-    finally:
-        genvec._ROWS.clear()
-        genvec._ROWS.update(saved)
+def test_pure_box_counts_do_not_depend_on_request_order(monkeypatch):
+    # the first request for (p, k) builds its row to the box's period cap,
+    # which holds every r of the box, in either order
+    for reverse in (False, True):
+        monkeypatch.setattr(genvec, "_ROWS", {})
+        for p, k, r, count in sorted(PURE_BOX_COUNTS, key=lambda pin: pin[2], reverse=reverse):
+            assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+
+
+def _count_builds(monkeypatch) -> dict[tuple[int, int], int]:
+    """Empty ``_ROWS`` and count the row builds per (p, k) from here on."""
+    builds: dict[tuple[int, int], int] = {}
+    real = genvec._type_weights
+
+    def counted(p, k, r):
+        builds[p, k] = builds.get((p, k), 0) + 1
+        return real(p, k, r)
+
+    monkeypatch.setattr(genvec, "_ROWS", {})
+    monkeypatch.setattr(genvec, "_type_weights", counted)
+    return builds
+
+
+def test_pure_box_builds_each_row_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    pins = list(PURE_BOX_COUNTS)
+    random.Random(34).shuffle(pins)
+    for p, k, r, count in pins:
+        assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+    assert set(builds) == {(p, j) for p, k, _, _ in pins for j in (k - 1, k) if j}
+    assert set(builds.values()) == {1}
+
+
+def test_ascending_sweep_builds_each_row_at_most_twice(monkeypatch):
+    # past the box's 8 periods a row doubles: r = 9 builds it to 16
+    builds = _count_builds(monkeypatch)
+    for p in (2, 3, 5):
+        for k in range(1, 5):
+            for r in range(17):
+                genvec.count_pure_orbits_burnside(p, k, r)
+    assert builds and max(builds.values()) <= 2, builds
+    assert builds[5, 4] == 2
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (5, 2), (13, 2)])
+def test_shorter_rows_are_prefixes_of_longer_ones(p, k):
+    # the cache serves r from a row built for any R > r; p = 2 has
+    # unipotent blocks of sizes 1, 2 and 4 (Lucas), p = 13 only of size 1
+    longest = genvec._burnside_row(p, k, 16)
+    for r in range(16):
+        assert genvec._burnside_row(p, k, r) == longest[:r + 1], (p, k, r)
 
 
 def test_large_object_dtype_burnside_sum():
@@ -283,40 +323,32 @@ def test_type_sum_class_equation(p):
 
 def test_type_rows_match_the_class_sum():
     # the rows M(p, k, 0..r) of the type sum against the sum over the listed
-    # classes, for every r <= 10 (the row for r = 10 holds every t <= 10)
-    saved = dict(genvec._ROWS)
-    try:
-        for p in (2, 3, 5, 7, 11, 13):
-            for k in (k for k in range(1, 5) if p ** k <= 30_000):
-                want = class_sum_rows(p, k, 10)
-                for r in range(11):
-                    genvec._ROWS.clear()
-                    genvec._zero_sum_multiset_orbits(p, k, r)
-                    assert list(genvec._ROWS[(p, k)]) == want[:r + 1], (p, k, r)
-    finally:
-        genvec._ROWS.clear()
-        genvec._ROWS.update(saved)
+    # classes, each built for its own r <= 10
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in (k for k in range(1, 5) if p ** k <= 30_000):
+            want = class_sum_rows(p, k, 10)
+            for r in range(11):
+                assert list(genvec._burnside_row(p, k, r)) == want[:r + 1], (p, k, r)
 
 
 def test_burnside_divisibility_catches_a_wrong_short_count(monkeypatch):
     # (d, e) = (2, 4) is x^2 + 1 over F_3: one more of it leaves one fewer
     # long quadratic, so the sizes still sum to |GL(2, 3)| and the rows are
-    # wrong at t = 4; one more x + 1 leaves -1 long linear ones
+    # wrong at t = 4; one more x + 1 leaves -1 long linear ones.  The cache
+    # builds to r = 8, where x^2 + 1 is also short and the class equation
+    # fails first, so the row for r = 7 is built directly
     real = genvec._short_types
     assert real(3, 2, 7) == ((1, 1, 1), (1, 2, 1), (2, 4, 1))
-    saved = dict(genvec._ROWS)
-    try:
-        for bumped, match in [((2, 4), r"t = \[4\] are not multiples"),
-                              ((1, 2), "do not sum to its order")]:
-            monkeypatch.setattr(genvec, "_short_types", lambda p, k, r: tuple(
-                (d, e, n + ((d, e) == bumped)) for d, e, n in real(p, k, r)))
-            genvec._ROWS.clear()
-            with pytest.raises(AssertionError, match=match):
-                genvec.count_pure_orbits_burnside(3, 2, 7)
-            assert (3, 2) not in genvec._ROWS
-    finally:
-        genvec._ROWS.clear()
-        genvec._ROWS.update(saved)
+    monkeypatch.setattr(genvec, "_ROWS", {})
+    for bumped, match in [((2, 4), r"t = \[4\] are not multiples"),
+                          ((1, 2), "do not sum to its order")]:
+        monkeypatch.setattr(genvec, "_short_types", lambda p, k, r: tuple(
+            (d, e, n + ((d, e) == bumped)) for d, e, n in real(p, k, r)))
+        with pytest.raises(AssertionError, match=match):
+            genvec._burnside_row(3, 2, 7)
+        with pytest.raises(AssertionError):
+            genvec.count_pure_orbits_burnside(3, 2, 7)
+        assert (3, 2) not in genvec._ROWS
 
 
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):
