@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import genvec, hyperfermat, maximality, tables
-from .errors import CapExceededError, OutOfDomainError, PreconditionError
+from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .surfaces import EAActionSpec, Signature
 
 SCHEMA = "eag/1"
@@ -41,9 +41,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _render(payload: dict, fmt: str) -> str:
-    keys = sorted(payload)
+def _render(payload, fmt: str) -> str:
+    """``payload``, a dict or a function called here to build one, in the format ``fmt``."""
     try:
+        payload = payload() if callable(payload) else payload
+        keys = sorted(payload)
         if fmt == "json":
             return json.dumps(payload, sort_keys=True, indent=2, default=str)
         if fmt == "markdown":
@@ -51,8 +53,9 @@ def _render(payload: dict, fmt: str) -> str:
         if fmt == "csv":
             row = ",".join('"' + str(payload[k]).replace('"', '""') + '"' for k in keys)
             return ",".join(keys) + "\n" + row
-    except ValueError as exc:
-        # an int past Python's int-to-str digit limit, such as a huge genus
+    except (ValueError, OverflowError) as exc:
+        # an int past Python's int-to-str digit limit, such as a huge genus, or a
+        # rational past the float range
         raise CapExceededError(f"payload cannot be printed: {exc}") from exc
     raise UsageError(f"unknown format {fmt!r}")
 
@@ -69,25 +72,14 @@ def _spec(args) -> EAActionSpec:
     return EAActionSpec(args.p, args.n, args.rho, args.r)
 
 
-def _require_printable_unique(spec: EAActionSpec) -> None:
-    """Exit 4, before the periods or the genus is built, if the payload could not be printed.
-
-    It lists no more periods than a witness may hold ints, and the genus, whose modulus
-    is at most p^n (rho + r + 2), must fit the int-to-str digit limit (4,300 if it is off).
-    """
-    if spec.r > maximality.WITNESS_INT_CAP:
-        raise CapExceededError(f"r = {spec.r} periods pass the cap of {maximality.WITNESS_INT_CAP}")
-    limit = sys.get_int_max_str_digits() or 4300
-    # an n past 10^300 passes any limit alone, and would overflow a float
-    digits = int(min(spec.n, 10 ** 300) * math.log10(spec.p) + math.log10(spec.rho + spec.r + 2)) + 1
-    if digits > limit:
-        raise CapExceededError(f"the genus of up to {digits} digits cannot be printed: "
-                               f"the limit is {limit} digits")
-
-
 def cmd_unique(args, out) -> int:
     spec = _spec(args)
-    _require_printable_unique(spec)
+    # before the periods or the genus is built: no more periods than a witness may hold
+    # ints, and no more digits than a genus of modulus at most p^n (rho + r + 2) may have
+    # (an n past 10^300 passes any limit alone, and would overflow a float)
+    require_within("witness ints", spec.r, "r, the periods the payload lists")
+    digits = int(min(spec.n, 10 ** 300) * math.log10(spec.p) + math.log10(spec.rho + spec.r + 2)) + 1
+    require_within("digits", digits, "the digits the genus may have")
     sig = spec.sig
     genus = genvec.require_admissible_genus(spec)
     rules = genvec.unique_action_rules(spec)
@@ -165,7 +157,7 @@ def cmd_tables(args, out) -> int:
         payload = {"schema": SCHEMA, "command": "tables", "which": which,
                    "title": tables.TABLE_TITLES[which],
                    "rows": tables.render_json_rows(which)}
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(_render(payload, "json"), file=out)
     else:
         print(tables.render_markdown(which), file=out, end="")
     return EXIT_OK
@@ -214,8 +206,7 @@ def _parse_scalar_list(text: str) -> list:
 def cmd_fermat(args, out) -> int:
     if bool(args.w) == bool(args.c_file):
         raise UsageError("provide exactly one of --w or --c-file")
-    if args.n > hyperfermat.AMBIENT_DIMENSION_CAP:
-        raise CapExceededError(f"n = {args.n} passes the cap of {hyperfermat.AMBIENT_DIMENSION_CAP}")
+    require_within("ambient dimension", args.n, "n")
     if args.w:
         w = _parse_scalar_list(args.w)
         if "inf" in w:
@@ -241,17 +232,21 @@ def cmd_fermat(args, out) -> int:
         for s in range(args.n - 1):
             residue_checks.append(
                 {"s": s, "residual": float(hyperfermat.residue_identity_check(w, s))})
-    payload = {
-        "schema": SCHEMA, "command": "fermat",
-        "p": args.p, "n": args.n,
-        "C": line.to_json(),
-        "generic": True,
-        "genus": int(spec.genus),
-        "lambdas": [pt.to_json() for pt in branch.points],
-        "pins": [pt.to_json() for pt in branch.pins],
-        "residue_checks": residue_checks,
-        "smoothness": hyperfermat.smoothness_certificate(line),
-    }
+    smoothness = hyperfermat.smoothness_certificate(line)
+
+    def payload():  # built in _render, where a rational past the float range exits 4
+        return {
+            "schema": SCHEMA, "command": "fermat",
+            "p": args.p, "n": args.n,
+            "C": line.to_json(),
+            "generic": True,
+            "genus": int(spec.genus),
+            "lambdas": [pt.to_json() for pt in branch.points],
+            "pins": [pt.to_json() for pt in branch.pins],
+            "residue_checks": residue_checks,
+            "smoothness": smoothness,
+        }
+
     print(_render(payload, args.format), file=out)
     return EXIT_OK
 

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and the feasibility caps.
 
 The CLI maps these onto exit codes: usage errors -> 1, OutOfDomainError -> 2,
-PreconditionError -> 3, CapExceededError -> 4.
+PreconditionError -> 3, CapExceededError -> 4.  Every size cap of the CLI is
+an entry of ``CAPS``, and ``require_within`` is the one check that raises
+CapExceededError for it.
 """
+
+from __future__ import annotations
+
+import math
+import sys
 
 
 class EagError(Exception):
@@ -19,3 +26,37 @@ class PreconditionError(EagError):
 
 class CapExceededError(EagError):
     """An enumeration would exceed the configured feasibility caps."""
+
+
+#: The largest size each cap admits; the README's cap table says what each
+#: bounds, which subcommands reach it and when it is checked.
+CAPS = {
+    "group order": 128,  # of a Cayley table that grouptable builds or reads
+    "automorphism search order": 60,  # of a group whose automorphisms are searched
+    "automorphism candidates": 2 ** 16,  # the candidate image tuples of that search
+    "tuple candidates": 2_000_000,  # and states of eag orbits: some 6 s and 250 MB
+    "key values": 2 ** 63 - 1,  # base^digits of a key that fp._pack_keys packs
+    "permutation degree": 5,  # of the catalog's symmetric and alternating groups
+    "witness ints": 5 * 10 ** 5,  # of a maximality witness, and periods of unique
+    "ambient dimension": 20,  # n of eag fermat, whose minors grow faster than n^5
+    # Miller-Rabin to the first 13 prime bases is proven below this + 1 (Sorenson and
+    # Webster, Math. Comp. 86 (2017))
+    "primality": 3_317_044_064_679_887_385_961_980,
+    "elements": 10 ** 8,  # of a closure, pure-box subspaces, rejected witness row spaces
+    "digits": sys.get_int_max_str_digits() or 4300,  # Python's limit at import, or 4,300
+}
+
+
+def require_within(cap: str, size: int, what: str, limit: int | None = None) -> None:
+    """Raise CapExceededError, naming the cap, its value and ``size``, when
+    ``size`` passes ``CAPS[cap]``.
+
+    ``limit`` stands in for a cap kept outside the table: the enumeration box
+    of ``genvec.check_pure_caps``, which the test oracles share.
+    """
+    value = CAPS[cap] if limit is None else limit
+    if size > value:
+        # past 10^30 a size is shown by a power of ten below it, which no digit limit refuses
+        shown = (size if size < 10 ** 30
+                 else f"at least 10^{int(math.log10(2) * size.bit_length()) - 1}")
+        raise CapExceededError(f"{what}: {shown}, above the {cap} cap of {value}")

@@ -18,28 +18,19 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import CapExceededError, PreconditionError
+from .errors import PreconditionError, require_within
 
 if TYPE_CHECKING:  # the engine and the closure import numpy in their bodies
     import numpy as np
 
 PRIME_CAP = 13
-
-#: Default ceiling on the number of elements held by a closure or orbit
-#: enumeration.  Runaway searches fail cleanly instead of exhausting memory.
-DEFAULT_ELEMENT_CAP = 10 ** 8
-
-#: Miller-Rabin to the first 13 prime bases is proven below this bound (Sorenson and
-#: Webster, Math. Comp. 86 (2017)); ``is_prime`` raises CapExceededError from it on
-PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin: with p - 1 = d 2^s and d odd, an odd p passes
     the base a when a^d = 1 or a^(d 2^j) = -1 mod p for some j < s."""
-    if p >= PRIMALITY_BOUND:
-        raise CapExceededError(f"primality of {p} is decided only below {PRIMALITY_BOUND}")
+    require_within("primality", p, "p tested for primality")
     if p < 2 or any(p % a == 0 for a in _BASES):
         return p in _BASES
     s = ((p - 1) & (1 - p)).bit_length() - 1
@@ -133,13 +124,14 @@ def _pack_keys(digits: np.ndarray, base: int) -> np.ndarray:
 
     Item i is ``digits[i]`` read as base-``base`` digits in C order, most
     significant first, so keys sort like the items do.  Raises
-    CapExceededError when a key would not fit in 63 bits.
+    CapExceededError past the ``key values`` cap, when a key would not fit
+    in 63 bits.
     """
     import numpy as np
     flat = digits.reshape(len(digits), math.prod(digits.shape[1:]))  # also for no items
     nd = flat.shape[1]
-    if base ** nd >= 2 ** 63:
-        raise CapExceededError(f"key of {nd} base-{base} digits does not pack into 63 bits")
+    require_within("key values", base ** nd,
+                   f"the values of a key packed from {nd} base-{base} digits")
     # Horner over the digit columns keeps one uint64 array, not a widened batch
     keys = np.zeros(len(flat), dtype=np.uint64)
     for j in range(nd):
@@ -190,7 +182,7 @@ def group_closure(gens, p: int) -> np.ndarray:
     """Full multiplicative closure of a set of invertible matrices over F_p.
 
     Returns the elements as an (N, n, n) int64 array in lexicographic order.
-    Raises CapExceededError once the closure grows past DEFAULT_ELEMENT_CAP,
+    Raises CapExceededError once the closure grows past the ``elements`` cap,
     or when p^(n^2) >= 2^63 and keys would not fit in 63 bits.
 
     The search runs on codes: a vector v is the code sum_j v_j p^(n-1-j),
@@ -234,7 +226,5 @@ def group_closure(gens, p: int) -> np.ndarray:
         frontier = row_codes(fresh)
         # two sorted runs: the stable sort merges them
         seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
-        if len(seen) > DEFAULT_ELEMENT_CAP:
-            raise CapExceededError(
-                f"matrix closure exceeded the cap of {DEFAULT_ELEMENT_CAP} elements")
+        require_within("elements", len(seen), "the matrix closure's elements")
     return vecs[row_codes(seen)]

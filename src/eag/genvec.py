@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import fp
-from .errors import CapExceededError, OutOfDomainError, PreconditionError
+from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
@@ -118,14 +118,14 @@ def gaussian_binomial(m: int, k: int, p: int) -> int:
 
 
 def check_pure_caps(p: int, k: int, r: int) -> None:
-    if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
-        raise CapExceededError(
-            f"(p={p}, k={k}, r={r}) is outside the enumeration box "
-            f"p in {PURE_BRUTE_PRIMES}, k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
-    est = gaussian_binomial(r - 1, k, p)
-    if est > fp.DEFAULT_ELEMENT_CAP:
-        raise CapExceededError(f"(p={p}, k={k}, r={r}) needs {est} subspaces, "
-                               f"above the cap {fp.DEFAULT_ELEMENT_CAP}")
+    """Raise outside the enumeration box, or past the ``elements`` cap on the
+    subspaces its BFS oracle lists.  p is prime here, so it lies in
+    PURE_BRUTE_PRIMES exactly when it is at most their largest."""
+    spec = f"(p={p}, k={k}, r={r})"
+    require_within("pure box prime", p, f"p of {spec}", limit=PURE_BRUTE_PRIMES[-1])
+    require_within("pure box rank", k, f"k of {spec}", limit=PURE_BRUTE_MAX_RANK)
+    require_within("pure box periods", r, f"r of {spec}", limit=PURE_BRUTE_MAX_PERIODS)
+    require_within("elements", gaussian_binomial(r - 1, k, p), f"the subspaces of {spec}")
 
 
 def _p_part(n: int, p: int) -> int:

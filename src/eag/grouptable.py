@@ -15,20 +15,15 @@ import collections
 import functools
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CAPS, PreconditionError, require_within
 from .fp import _pack_keys, orbit_components
 from .surfaces import Signature
 
-AUTOMORPHISM_ORDER_CAP = 60
-#: most candidate image tuples the automorphism search builds
-AUTOMORPHISM_CANDIDATE_CAP = 2 ** 16
-#: most candidate tuples ``_enumerate_tuples`` may build, and so most states: at
-#: 1.2 to 2.9 us of CPU each and about 100 bytes of peak RSS per state, 6 s and 250 MB
-TUPLE_CANDIDATE_CAP = 2_000_000
 #: most candidate tuples ``_enumerate_tuples`` builds at once
 TUPLE_BLOCK = 2 ** 16
 #: most products (ab)c that one associativity check compares
@@ -129,16 +124,15 @@ class GroupTable:
     def loads(text: str) -> "GroupTable":
         """Parse a table file: the order, then the n^2 entries, row by row.
 
-        Raises CapExceededError above BY_NAME_ORDER_CAP from the order token
-        alone, before the entries are read.
+        Raises CapExceededError past the ``group order`` cap from the order
+        token alone, before the entries are read.
         """
         toks = text.split(maxsplit=1)
         if not toks:
             raise PreconditionError("empty table file")
         try:
             n = int(toks[0])
-            if n > BY_NAME_ORDER_CAP:
-                raise CapExceededError(f"table of order {n} is above the cap {BY_NAME_ORDER_CAP}")
+            require_within("group order", n, "the table's order")
             vals = [int(t) for t in toks[1].split()] if len(toks) > 1 else []
         except ValueError as exc:
             raise PreconditionError(f"table file holds a non-integer token: {exc}") from None
@@ -179,14 +173,12 @@ def _perm_group(perms) -> GroupTable:
 
 
 def symmetric(m: int) -> GroupTable:
-    if m > 5:
-        raise CapExceededError("symmetric groups supported up to degree 5")
+    require_within("permutation degree", m, "the degree of S_m")
     return _perm_group(itertools.permutations(range(m)))
 
 
 def alternating(m: int) -> GroupTable:
-    if m > 5:
-        raise CapExceededError("alternating groups supported up to degree 5")
+    require_within("permutation degree", m, "the degree of A_m")
 
     def sign(p):
         s = 1
@@ -206,13 +198,11 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     return GroupTable(table.reshape(g.order * m, g.order * m).tolist())
 
 
-#: largest group order whose Cayley table ``by_name`` builds or ``GroupTable.loads`` reads
-BY_NAME_ORDER_CAP = 128
-
-
 def _catalog_entry(name: str) -> tuple:
     """(order, constructor, argument) of the catalog group ``name``."""
-    m = int(name[1:]) if name[1:].isdigit() else 0
+    digits, limit = name[1:].lstrip("0"), CAPS["digits"]
+    # int() refuses a number past the digit limit; 10^limit is below it, and past every cap
+    m = (int(digits) if len(digits) <= limit else 10 ** limit) if digits.isdigit() else 0
     if name in ("S3", "S4"):
         return math.factorial(m), symmetric, m
     if name in ("A4", "A5"):
@@ -225,12 +215,11 @@ def _catalog_entry(name: str) -> tuple:
 def by_name(name: str) -> GroupTable:
     """Catalog lookup: C<n>, D<n>, S3, S4, A4, A5, and x-products like C2xC4.
 
-    Raises CapExceededError above BY_NAME_ORDER_CAP before building a table.
+    Raises CapExceededError past the ``group order`` cap before building a table.
     """
     entries = [_catalog_entry(part.strip()) for part in name.split("x")]
-    order = math.prod(order for order, _, _ in entries)
-    if order > BY_NAME_ORDER_CAP:
-        raise CapExceededError(f"{name!r} has order {order}, above the cap {BY_NAME_ORDER_CAP}")
+    require_within("group order", math.prod(order for order, _, _ in entries),
+                   f"the order of {reprlib.repr(name)}")
     return functools.reduce(direct_product, (build(m) for _, build, m in entries))
 
 
@@ -325,20 +314,15 @@ def automorphisms(g: GroupTable) -> np.ndarray:
     preserved, is one candidate row.  Each element is a fixed word in the
     generators, evaluated on all rows at once by table lookups; the rows
     that are bijective homomorphisms are kept.  Raises CapExceededError
-    above AUTOMORPHISM_ORDER_CAP elements, or before any candidate is built
-    when there would be more than AUTOMORPHISM_CANDIDATE_CAP of them.
+    past the ``automorphism search order`` cap, or before any candidate is
+    built past the ``automorphism candidates`` cap.
     """
-    if g.order > AUTOMORPHISM_ORDER_CAP:
-        raise CapExceededError(
-            f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}")
+    require_within("automorphism search order", g.order, "the order of G")
     gens = _automorphism_generators(g)
     orders = np.array(g.element_orders)
     choices = [np.flatnonzero(orders == orders[a]) for a in gens]
-    candidates = math.prod(len(c) for c in choices)
-    if candidates > AUTOMORPHISM_CANDIDATE_CAP:
-        raise CapExceededError(
-            f"automorphism search needs {candidates} candidate images, "
-            f"above the cap {AUTOMORPHISM_CANDIDATE_CAP}")
+    require_within("automorphism candidates", math.prod(len(c) for c in choices),
+                   "the candidate images of Aut(G)'s search")
     T = g.array
     images = _cartesian(choices, T.dtype)
     # mapped[:, x]: the image of x, by its word x = y gens[i] with y reached first
@@ -458,16 +442,14 @@ def _orbit_graph(g: GroupTable, sig: Signature):
     array per braid move and per generator of Aut(G), each built when read.
     Genus 0 only: there the braid moves generate the whole induced action (the
     cyclic rotation is their composite).  Every cap raises before any tuple is
-    built: Aut(G)'s, then the 63-bit keys, then TUPLE_CANDIDATE_CAP."""
+    built: Aut(G)'s, then the ``key values`` and ``tuple candidates`` caps."""
     if sig.orbit_genus != 0:
         raise PreconditionError("orbit counting supports genus-0 signatures only")
     automorphism_gens = automorphism_group_generators(g)
     r = len(sig.periods)
-    if g.order ** r >= 2 ** 63:
-        raise CapExceededError(f"key of {r} base-{g.order} digits does not pack into 63 bits")
-    if (candidates := _candidate_count(g, sig.periods)) > TUPLE_CANDIDATE_CAP:
-        raise CapExceededError(f"tuple enumeration would build {candidates} candidate tuples, "
-                               f"above the cap {TUPLE_CANDIDATE_CAP}")
+    require_within("key values", g.order ** r,
+                   f"the values of a key packed from {r} base-{g.order} digits")
+    require_within("tuple candidates", _candidate_count(g, sig.periods), "the candidate tuples")
     S = _enumerate_tuples(g, sig.periods)
     T, inv = g.array, g.inverse
 

@@ -35,10 +35,6 @@ from .cx import (GaussianRational, Mobius, ProjPoint, cross_det, is_exact_scalar
 from .errors import CapExceededError, PreconditionError
 from .fp import is_prime
 
-#: largest n that ``eag fermat`` takes: its C(n+1, 2) fraction-free minors grow faster
-#: than n^5 (at n = 20, 0.2 s of CPU for w = 0..n, 0.8 s for w of height 200; 3.7 s at 24)
-AMBIENT_DIMENSION_CAP = 20
-
 # The smoothness sampler's constants.  The sampler is a test oracle; it stays
 # in this module because perfbench/tracing.py reads its time under the key
 # hyperfermat.sample_and_check_smoothness.

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 
-from . import fp
-from .errors import CapExceededError, PreconditionError
+from .errors import PreconditionError, require_within
 from .fp import vector_span_rank  # noqa: F401 -- perfbench's tracer tests read it here
-from .genvec import GeneratingVector, is_unique_action, require_admissible_genus
+from .genvec import GeneratingVector, require_admissible_genus, unique_action_rules
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
 
 
@@ -77,17 +76,11 @@ def _frobenius_pairs(p: int, rho: int):
         a += 1
 
 
-#: most ints a witness may hold, checked before any arithmetic: an index-p
-#: extension's overgroup vector has 2 tau + s <= 2 rho + r + 2 entries (the
-#: most at tau = 0) of n + 1 ints.
-WITNESS_INT_CAP = 5 * 10 ** 5
-
-
 def _require_witness_size(spec: EAActionSpec) -> None:
-    size = (spec.n + 1) * (2 * spec.rho + spec.r + 2)
-    if size > WITNESS_INT_CAP:
-        raise CapExceededError(f"a witness of (n + 1)(2 rho + r + 2) = {size} ints "
-                               f"passes the cap of {WITNESS_INT_CAP}")
+    # checked before any arithmetic: an index-p extension's overgroup vector has
+    # 2 tau + s <= 2 rho + r + 2 entries (the most at tau = 0) of n + 1 ints
+    require_within("witness ints", (spec.n + 1) * (2 * spec.rho + spec.r + 2),
+                   "a witness's (n + 1)(2 rho + r + 2) ints")
 
 
 def _verified(spec: EAActionSpec, n_spec: EAActionSpec, vector: GeneratingVector,
@@ -175,7 +168,7 @@ FROBENIUS_CORNER_RULE = (
 def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     """Closed-form maximality verdict for a unique action (genus >= 2).
 
-    Past ``WITNESS_INT_CAP`` it raises CapExceededError at once.
+    Past the ``witness ints`` cap it raises CapExceededError at once.
     Constructions come first: one p = 2 family (r even, n <= 2 rho + r/2)
     and (rho;3^3) with n = 1, each with p | r, then the unramified cyclic
     case for odd p, decided by representability of rho.  Every other unique
@@ -193,7 +186,7 @@ def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
     """
     _require_witness_size(spec)
     require_admissible_genus(spec)
-    if not is_unique_action(spec):
+    if not unique_action_rules(spec):
         raise PreconditionError(f"{spec} is not a unique action; maximality undefined")
     p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
 
@@ -257,8 +250,8 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
     For each candidate overgroup signature, tries every codeword v up to
     symmetry and each row space R through it; the first admissible R is built
     into a witness with v as the last row, so the subgroup is the hyperplane
-    "last coordinate 0".  Raises CapExceededError past ``WITNESS_INT_CAP`` or
-    once the R rejected, over all codewords, pass ``fp.DEFAULT_ELEMENT_CAP``.
+    "last coordinate 0".  Raises CapExceededError past the ``witness ints`` cap,
+    or once the R rejected, over all codewords, pass the ``elements`` cap.
     """
     _require_witness_size(spec)
     sigma = require_admissible_genus(spec)
@@ -277,9 +270,7 @@ def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:
                 if all(any(row[z] for row in rows) for z in range(2 * tau, 2 * tau + ep.m)):
                     return SearchOutcome("found", _row_space_witness(spec, n_spec, [*rows, v]))
                 rejected += 1
-                if rejected > fp.DEFAULT_ELEMENT_CAP:
-                    raise CapExceededError(f"witness search passed the cap of "
-                                           f"{fp.DEFAULT_ELEMENT_CAP} row spaces")
+                require_within("elements", rejected, "the row spaces the witness search rejected")
     return SearchOutcome("none", None)
 
 

@@ -207,6 +207,7 @@ def _cycle_rref(M: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
     """S_r-orbit count of admissible k-subspaces, by BFS over (0 1) and the r-cycle."""
+    fp.check_prime(p)  # the box reads a prime p's membership off its size
     check_pure_caps(p, k, r)
     if k < 1 or k > r - 1:
         return 0

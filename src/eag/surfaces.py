@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_within
 from .fp import check_prime, rref, vector_span_rank
 
 _SIG_RE = re.compile(r"^\(\s*(\d+)\s*;\s*(-|\d+(?:\s*,\s*\d+)*)\s*\)$")
@@ -63,10 +63,11 @@ class Signature:
         m = _SIG_RE.match(text.strip())
         if not m:
             raise PreconditionError(f"cannot parse signature {text!r}")
-        rho = int(m.group(1))
         body = m.group(2)
-        periods = () if body == "-" else tuple(int(t) for t in body.split(","))
-        return Signature(rho, periods)
+        tokens = [m.group(1)] + ([] if body == "-" else [t.strip() for t in body.split(",")])
+        # before int(), which refuses a number past the digit limit with a ValueError
+        require_within("digits", max(map(len, tokens)), "the digits of a signature number")
+        return Signature(int(tokens[0]), tuple(map(int, tokens[1:])))
 
 
 @dataclass(frozen=True)

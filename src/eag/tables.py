@@ -12,7 +12,7 @@ the Burnside and Witt counts, the closed-form classifiers, and (for tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import genvec, maximality
@@ -26,11 +26,6 @@ class TableRow:
     conditions: str
     desk_check: str
     note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"case": self.case, "signature": self.signature,
-                "conditions": self.conditions, "desk_check": self.desk_check,
-                "note": self.note}
 
 
 def _e(p, n, r):
@@ -187,4 +182,4 @@ def render_markdown(which: int) -> str:
 
 
 def render_json_rows(which: int) -> list[dict]:
-    return [row.to_json_dict() for row in TABLES[which]()]
+    return [asdict(row) for row in TABLES[which]()]

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eag import cli, fp, genvec, grouptable, hyperfermat, maximality
+from eag import cli, fp, genvec, grouptable, hyperfermat
+from eag.errors import CAPS
 from eag.surfaces import EAActionSpec
 
 from table_file import dumps
@@ -146,7 +147,7 @@ def test_unique_huge_genus_exit_4(capsys, fmt):
                           "--r", "0", "--format", fmt], capsys)
     assert code == cli.EXIT_CAP
     assert out == ""
-    assert "cannot be printed" in err and "Traceback" not in err
+    assert f"above the digits cap of {CAPS['digits']}" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -237,6 +238,16 @@ MERSENNE_89 = 2 ** 89 - 1
     # trial division to 10^9 at the parent; Miller-Rabin decides it
     (["fermat", "--p=1000000000000000003", "--n=2", "--w=0,1,2"], cli.EXIT_OK),
     (["fermat", "--p=3", "--n=10000", "--w=" + ",".join(map(str, range(10001)))], cli.EXIT_CAP),
+    # numbers past the digit limit, which int() refused with a traceback: in a
+    # signature by the digits cap, in a group name by the group order cap
+    (["orbits", "--group", "A5", "--sig", f"(0;2,3,{'7' * 5000})"], cli.EXIT_CAP),
+    (["orbits", "--group", "A5", "--sig", f"({'1' * 5000};2,3)"], cli.EXIT_CAP),
+    (["orbits", "--group", "C" + "9" * 5000, "--sig", "(0;2,2)"], cli.EXIT_CAP),
+    # rationals past the float range in the payload, which ended in an OverflowError
+    (["fermat", "--p=3", "--n=2", "--w=1e400,2,3"], cli.EXIT_CAP),
+    (["fermat", "--p=3", "--n=2", "--w=1/3,2,3", "--pins=1e400,0,1"], cli.EXIT_CAP),
+    (["fermat", "--p=3", "--n=4", "--w=1e200,2,3,4,5"], cli.EXIT_CAP),  # C holds w^2 = 1e400
+    (["fermat", "--p=3", "--n=2", "--w=1e308,2,3"], cli.EXIT_OK),
 ])
 def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -246,6 +257,7 @@ def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code):
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
+    assert code == cli.EXIT_OK or done.stdout == ""
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert cpu < 1, cpu
 
@@ -256,14 +268,15 @@ def test_fermat_rank_cap_comes_before_the_line(capsys, monkeypatch):
 
     monkeypatch.setattr(hyperfermat, "vandermonde_line", unbuilt)
     monkeypatch.setattr(hyperfermat.LineMatrix, "of", unbuilt)
-    n = hyperfermat.AMBIENT_DIMENSION_CAP + 1
+    n = CAPS["ambient dimension"] + 1
     for source in ("--w=" + ",".join(map(str, range(n + 1))), "--c-file=line.json"):
         code, out, err = run(["fermat", "--p", "3", "--n", str(n), source], capsys)
-        assert code == cli.EXIT_CAP and out == "" and f"cap of {n - 1}" in err
+        assert code == cli.EXIT_CAP and out == ""
+        assert f"n: {n}, above the ambient dimension cap of {n - 1}" in err
 
 
 def test_fermat_at_the_rank_cap_answers(capsys):
-    n = hyperfermat.AMBIENT_DIMENSION_CAP
+    n = CAPS["ambient dimension"]
     payload = run_json(["fermat", "--p", "3", "--n", str(n),
                         "--w=" + ",".join(map(str, range(n + 1)))], capsys)
     assert payload["genus"] == hyperfermat.hyper_fermat_genus(3, n)
@@ -292,20 +305,19 @@ def test_unique_decides_from_the_sizes_first(capsys, monkeypatch, digit_limit, h
     # neither the periods nor the genus is built before the caps exit 4
     monkeypatch.setattr(genvec, "require_admissible_genus", unbuilt)
     monkeypatch.setattr(EAActionSpec, "sig", property(unbuilt))
-    sizes = {"n": 2, "rho": 1, "r": 3, huge: 4000 if huge == "n" else maximality.WITNESS_INT_CAP + 1}
+    sizes = {"n": 2, "rho": 1, "r": 3, huge: 4000 if huge == "n" else CAPS["witness ints"] + 1}
     limit = sys.get_int_max_str_digits()
     if digit_limit is not None:
         sys.set_int_max_str_digits(digit_limit)
     try:
-        # 13^4000 has 4,456 digits; with Python's limit off, unique keeps 4,300
-        digits = sys.get_int_max_str_digits() or 4300
+        # 13^4000 has 4,456 digits; with Python's limit off, unique keeps the digits cap
         code, out, err = run(["unique", "--p", "13", *(f"--{k}={v}" for k, v in sizes.items())],
                              capsys)
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == cli.EXIT_CAP and out == ""
-    bound = f"limit is {digits} digits" if huge == "n" else f"cap of {maximality.WITNESS_INT_CAP}"
-    assert bound in err
+    cap = "digits" if huge == "n" else "witness ints"
+    assert f"above the {cap} cap of {CAPS[cap]}" in err
 
 
 def test_unique_below_its_caps_prints_a_long_genus(capsys):
@@ -355,7 +367,7 @@ def test_orbits_key_too_wide_exit_4(capsys):
     sig = "(0;" + ",".join(["2"] * 64) + ")"
     code, _, err = run(["orbits", "--group", "C2", "--sig", sig], capsys)
     assert code == cli.EXIT_CAP
-    assert "pack" in err
+    assert f"above the key values cap of {CAPS['key values']}" in err
 
 
 def test_tables_match_golden_files(capsys):
@@ -415,7 +427,7 @@ def test_orbits_group_order_cap_exit_4_before_building(capsys):
     start = time.process_time()
     code, out, err = run(["orbits", "--group", "C100000", "--sig", "(0;2,2)"], capsys)
     assert code == cli.EXIT_CAP and out == ""
-    assert f"above the cap {grouptable.BY_NAME_ORDER_CAP}" in err
+    assert f"above the group order cap of {CAPS['group order']}" in err
     assert time.process_time() - start < 1.0
 
 
@@ -427,7 +439,7 @@ def test_orbits_table_order_cap_exit_4_before_reading(capsys, tmp_path):
     start = time.process_time()
     code, out, err = run(["orbits", "--table", str(path), "--sig", "(0;2,2)"], capsys)
     assert code == cli.EXIT_CAP and out == ""
-    assert f"above the cap {grouptable.BY_NAME_ORDER_CAP}" in err
+    assert f"above the group order cap of {CAPS['group order']}" in err
     assert time.process_time() - start < 1.0
 
 

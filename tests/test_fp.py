@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eag import fp, orbits
-from eag.errors import CapExceededError, PreconditionError
+from eag.errors import CAPS, CapExceededError, PreconditionError
 from eag.genvec import GeneratingVector
 
 from burnside_walk import class_matrix, gl_conjugacy_classes
@@ -102,9 +102,9 @@ def test_is_prime_sees_through_strong_pseudoprimes():
 
 
 def test_is_prime_raises_past_its_bound():
-    assert fp.is_prime(fp.PRIMALITY_BOUND - 1) in (True, False)
-    with pytest.raises(CapExceededError):
-        fp.is_prime(fp.PRIMALITY_BOUND)
+    assert fp.is_prime(CAPS["primality"]) in (True, False)
+    with pytest.raises(CapExceededError, match="above the primality cap"):
+        fp.is_prime(CAPS["primality"] + 1)
     with pytest.raises(CapExceededError):
         fp.is_prime(2 ** 89 - 1)
 
@@ -236,8 +236,8 @@ def test_group_closure_identity_and_order_independence():
 
 
 def test_group_closure_cap(monkeypatch):
-    monkeypatch.setattr(fp, "DEFAULT_ELEMENT_CAP", 10)
-    with pytest.raises(CapExceededError):
+    monkeypatch.setitem(CAPS, "elements", 10)
+    with pytest.raises(CapExceededError, match="above the elements cap of 10"):
         fp.group_closure(_gl_generators(2, 3), 3)
 
 
@@ -271,7 +271,7 @@ def test_group_closure_matches_matmul_reference(kind, n, p):
 @pytest.mark.parametrize("n,p", [(8, 2), (6, 5), (5, 7)])
 def test_group_closure_keys_beyond_63_bits_raise(n, p):
     # p^(n^2) >= 2^63 here; the raise comes before any code table is built
-    with pytest.raises(CapExceededError, match="63 bits"):
+    with pytest.raises(CapExceededError, match=f"above the key values cap of {CAPS['key values']}"):
         fp.group_closure(_gl_generators(n, p), p)
 
 

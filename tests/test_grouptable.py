@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eag import cli, genvec, grouptable as gt
-from eag.errors import CapExceededError, PreconditionError
+from eag.errors import CAPS, CapExceededError, PreconditionError
 from eag.fp import _pack_keys, orbit_components
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
@@ -43,10 +43,11 @@ def test_catalog_orders():
 
 
 def test_by_name_caps_the_order_before_building():
-    assert gt.by_name("C2xC2xC4xC4").order == 64 <= gt.BY_NAME_ORDER_CAP
-    assert gt.by_name("D3xS3").order == 36
-    for name in ("C100000", "C2xC100000", "A5xA5", f"C{gt.BY_NAME_ORDER_CAP + 1}"):
-        with pytest.raises(CapExceededError):
+    cap = CAPS["group order"]
+    assert gt.by_name("C2xC2xC4xC4").order == 64 <= cap
+    assert gt.by_name("D3xS3").order == 36 and gt.by_name(f"C{cap}").order == cap
+    for name in ("C100000", "C2xC100000", "A5xA5", f"C{cap + 1}"):
+        with pytest.raises(CapExceededError, match=f"above the group order cap of {cap}"):
             gt.by_name(name)
     for name in ("C0", "D0", "Q8", "S5", "C2x", ""):
         with pytest.raises(PreconditionError):
@@ -297,8 +298,8 @@ def test_count_orbits_c2_to_the_4_by_generator_edges():
 
 def test_count_orbits_state_cap(monkeypatch):
     # the candidates bound the states, so the cap on them is the state cap
-    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 100)
-    with pytest.raises(CapExceededError):
+    monkeypatch.setitem(CAPS, "tuple candidates", 100)
+    with pytest.raises(CapExceededError, match="above the tuple candidates cap of 100"):
         gt.count_orbits(gt.by_name("C2xC2xC2"), Signature(0, (2,) * 6))
 
 
@@ -656,16 +657,18 @@ def test_automorphism_generators_are_cheap():
 def test_automorphism_candidate_cap():
     # Aut(C2^5) = GL(5, 2): 31^5 candidate images of a basis, none built
     start = time.process_time()
-    with pytest.raises(CapExceededError, match="candidate"):
+    cap = CAPS["automorphism candidates"]
+    with pytest.raises(CapExceededError,
+                       match=f"{31 ** 5}, above the automorphism candidates cap of {cap}"):
         gt.automorphisms(elementary_abelian(2, 5))
     assert time.process_time() - start < 2
     assert len(gt.automorphisms(elementary_abelian(2, 4))) == 20160
 
 
 def test_automorphism_candidate_cap_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(gt, "AUTOMORPHISM_CANDIDATE_CAP", 10)
+    monkeypatch.setitem(CAPS, "automorphism candidates", 10)
     assert cli.main(["orbits", "--group", "A5", "--sig", "(0;2,3,5)"]) == cli.EXIT_CAP
-    assert "candidate" in capsys.readouterr().err
+    assert "above the automorphism candidates cap of 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,sig,cap", [
@@ -679,7 +682,8 @@ def test_automorphism_caps_come_before_any_tuple(monkeypatch, capsys, name, sig,
 
     monkeypatch.setattr(gt, "_enumerate_tuples", no_tuples)
     assert cli.main(["orbits", "--group", name, "--sig", sig]) == cli.EXIT_CAP
-    assert cap in capsys.readouterr().err
+    cap = "automorphism candidates" if cap == "candidate" else "automorphism search order"
+    assert f"above the {cap} cap of {CAPS[cap]}" in capsys.readouterr().err
 
 
 def _listed_candidates(g, periods):
@@ -709,6 +713,7 @@ def test_count_orbits_is_0_without_states():
     ((2,) * 15, "candidate tuples"),  # 3^14 candidates
     ((2,) * 21, "pack"),              # 8^21 = 2^63
     ((2,) * 40, "pack"),
+    ((2,) * 20, "candidate tuples"),  # 8^20 = 2^60: the keys pack
 ])
 def test_tuple_caps_come_before_any_tuple(monkeypatch, capsys, sig, cap):
     def no_tuples(*args):
@@ -717,14 +722,16 @@ def test_tuple_caps_come_before_any_tuple(monkeypatch, capsys, sig, cap):
     monkeypatch.setattr(gt, "_enumerate_tuples", no_tuples)
     argv = ["orbits", "--group", "C2xC4", "--sig", str(Signature(0, sig)).replace(" ", "")]
     assert cli.main(argv) == cli.EXIT_CAP
-    assert cap in capsys.readouterr().err
+    err = capsys.readouterr().err
+    name = "key values" if cap == "pack" else "tuple candidates"
+    assert cap in err and f"above the {name} cap of {CAPS[name]}" in err
 
 
 def test_count_orbits_at_the_candidate_cap(monkeypatch):
-    # the cap admits a call of exactly TUPLE_CANDIDATE_CAP candidates
+    # the cap admits a call of exactly as many candidates as its value
     g, sig = gt.by_name("C2xC2xC2"), Signature(0, (2,) * 7)
-    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 7 ** 6)
+    monkeypatch.setitem(CAPS, "tuple candidates", 7 ** 6)
     assert gt.count_orbits(g, sig) == 4
-    monkeypatch.setattr(gt, "TUPLE_CANDIDATE_CAP", 7 ** 6 - 1)
-    with pytest.raises(CapExceededError, match="candidate"):
+    monkeypatch.setitem(CAPS, "tuple candidates", 7 ** 6 - 1)
+    with pytest.raises(CapExceededError, match=f"candidate tuples: {7 ** 6}, above"):
         gt.count_orbits(g, sig)

@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from eag import cli, fp, genvec, maximality as mx, orbits
-from eag.errors import CapExceededError, PreconditionError
+from eag import cli, genvec, maximality as mx, orbits
+from eag.errors import CAPS, CapExceededError, PreconditionError
 from eag.genvec import GeneratingVector, is_unique_action, validate
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
                           subgroup_signature)
@@ -303,11 +303,11 @@ def test_search_cap_exits_4_at_once(monkeypatch, capsys):
     # the row spaces of (0; 2^r) grow about 4x for every 4 added to r, and
     # r = 200 would run for ages; past a low cap the search stops at once,
     # while a search that finds its witness in the first block stays found
-    monkeypatch.setattr(fp, "DEFAULT_ELEMENT_CAP", 4096)
+    monkeypatch.setitem(CAPS, "elements", 4096)
     start = time.process_time()
     code = cli.main(["maximal", "--p", "2", "--n", "1", "--rho", "0", "--r", "200", "--search"])
     assert code == cli.EXIT_CAP
-    assert "cap of 4096 row spaces" in capsys.readouterr().err
+    assert "rejected: 4097, above the elements cap of 4096" in capsys.readouterr().err
     assert time.process_time() - start < 2.0
     with pytest.raises(CapExceededError):
         mx.search_extension_witness(EAActionSpec(2, 1, 0, 200))
@@ -326,7 +326,7 @@ def _witness_from_json(data):
 
 
 def test_search_at_rho_100000_finds_its_witness(capsys):
-    # (n + 1)(2 rho + r + 2) = 400,004 ints, within WITNESS_INT_CAP
+    # (n + 1)(2 rho + r + 2) = 400,004 ints, within the witness ints cap
     spec = EAActionSpec(3, 1, 100_000, 0)
     code = cli.main(["maximal", "--p", "3", "--n", "1", "--rho", "100000", "--r", "0", "--search"])
     assert code == cli.EXIT_OK
@@ -348,7 +348,8 @@ def test_witness_size_cap_exits_4_at_once(argv, capsys):
     start = time.process_time()
     assert cli.main(argv) == cli.EXIT_CAP
     err = capsys.readouterr().err
-    assert err.startswith("feasibility cap exceeded: a witness of (n + 1)(2 rho + r + 2)")
+    assert err.startswith("feasibility cap exceeded: a witness's (n + 1)(2 rho + r + 2) ints")
+    assert f"above the witness ints cap of {CAPS['witness ints']}" in err
     assert "Traceback" not in err
     assert time.process_time() - start < 1.0
 
@@ -356,10 +357,11 @@ def test_witness_size_cap_exits_4_at_once(argv, capsys):
 def test_witness_size_cap_is_the_largest_overgroup_vector():
     # the p = 2 construction reaches the bound (n + 1)(2 rho + r + 2): at
     # the cap both tracks run, and two more branch points pass it
-    spec = EAActionSpec(2, 1, (mx.WITNESS_INT_CAP // 2 - 2) // 2, 0)
-    assert (spec.n + 1) * (2 * spec.rho + 2) == mx.WITNESS_INT_CAP
+    cap = CAPS["witness ints"]
+    spec = EAActionSpec(2, 1, (cap // 2 - 2) // 2, 0)
+    assert (spec.n + 1) * (2 * spec.rho + 2) == cap
     witness = mx.is_maximal(spec).witness
-    assert len(witness.vector.elliptic) * (spec.n + 1) == mx.WITNESS_INT_CAP
+    assert len(witness.vector.elliptic) * (spec.n + 1) == cap
     past = EAActionSpec(2, 1, spec.rho, 2)
     with pytest.raises(CapExceededError):
         mx.is_maximal(past)
