@@ -10,7 +10,6 @@ failure, 4 feasibility cap exceeded.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -20,6 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import genvec, hyperfermat, maximality, tables
+from .cx import GaussianRational
 from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .surfaces import EAActionSpec, Signature
 
@@ -170,32 +170,51 @@ def _read_input(path: str, option: str) -> str:
         raise UsageError(f"cannot read {option} {path!r}: {exc}") from exc
 
 
+def _fraction(text: str) -> Fraction:
+    """A decimal or a/b token read exactly.  Its numerator and denominator
+    have at most its length plus its exponent in digits, and that bound
+    passes the digits cap before Fraction builds 10^exponent."""
+    exponent = text.upper().partition("E")[2].lstrip("+-").replace("_", "").lstrip("0")[:7]
+    # seven exponent digits pass the cap; Fraction reads no token whose exponent is no number
+    require_within("digits", len(text) + (int(exponent) if exponent.isdecimal() else 0),
+                   "the digits of a number")
+    return Fraction(text)
+
+
 def _parse_scalar(tok: str):
+    """"inf", or the token as an exact GaussianRational: a complex token a+bj
+    is two decimals, each read exactly."""
     tok = tok.strip()
     if tok in ("inf", "oo", "infinity"):
         return "inf"
     try:
-        return Fraction(tok)
+        try:
+            return GaussianRational(_fraction(tok))
+        except ValueError:
+            complex(tok)  # the grammar of a+bj and (a+bj), on which the split below relies
+        body = tok.strip("()").strip()
+        if body[-1] not in "jJ":  # a real number in parentheses
+            return GaussianRational(_fraction(body))
+        body = body[:-1]
+        cut = max((i for i, ch in enumerate(body)
+                   if ch in "+-" and body[i - 1:i] not in ("e", "E")), default=0)
+        im = body[cut:]
+        return GaussianRational(_fraction(body[:cut] or "0"),
+                                _fraction(im + "1" if im in ("", "+", "-") else im))
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        z = complex(tok)
-        if cmath.isfinite(z):
-            return z
-    except ValueError:
-        pass
-    raise UsageError(f"{tok!r} is not a finite rational or complex number")
+        raise UsageError(f"{tok!r} is not a finite rational or complex number") from None
 
 
 def _load_c_rows(path: str) -> list:
     try:
-        data = json.loads(_read_input(path, "--c-file"))
-        rows = [[complex(re, im) for re, im in row] for row in data["C"]]
+        data = json.loads(_read_input(path, "--c-file"), parse_float=_fraction, parse_int=_fraction)
+        rows = [[GaussianRational(re, im) for re, im in row] for row in data["C"]]
+        # every number was read by _fraction; NaN, Infinity and other JSON values were not
+        if any(type(part) is not Fraction for row in rows for x in row for part in (x.re, x.im)):
+            raise TypeError("an entry is not a pair of finite numbers")
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(
             f'--c-file must hold {{"C": [[[re, im], ...], ...]}}: {exc!r}') from exc
-    if not all(cmath.isfinite(z) for row in rows for z in row):
-        raise UsageError("--c-file entries must be finite")
     return rows
 
 
@@ -215,6 +234,10 @@ def cmd_fermat(args, out) -> int:
             raise UsageError("--w entries must be pairwise distinct")
         if len(w) != args.n + 1:
             raise UsageError(f"--w needs n+1 = {args.n + 1} entries")
+        # C holds the powers w^(n-2), whose digits the kernel's work grows with
+        digits = max(int(k.bit_length() * math.log10(2)) + 1 for x in w
+                     for part in (x.re, x.im) for k in (part.numerator, part.denominator))
+        require_within("digits", (args.n - 2) * digits, "the digits of the powers of w in C")
         line = hyperfermat.vandermonde_line(w)
         default_pins = tuple(w[:3])
     else:

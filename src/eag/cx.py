@@ -1,21 +1,19 @@
 """Exact Gaussian-rational arithmetic and the projective line.
 
-The curve constructions run over two backends: exact rationals (complex
-numbers with Fraction parts) whenever the input data is rational, and
-floating complex otherwise; a float or complex operand turns exact
-arithmetic complex.  Points at infinity are honest projective pairs, never
-sentinel floats.
+Every curve construction runs on exact rationals: complex numbers with
+Fraction parts.  A float or complex operand is read exactly, as the dyadic
+rational it stores, so no arithmetic here rounds and every zero test is
+exact.  Points at infinity are honest projective pairs, never sentinel
+floats.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-
-#: relative tolerance of every floating zero test on the projective line
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -27,19 +25,22 @@ class GaussianRational:
 
     @staticmethod
     def of(x) -> "GaussianRational":
+        """x exactly: a finite float or complex is the dyadic rational it stores."""
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x))
-        raise PreconditionError(f"cannot coerce {x!r} to an exact complex number")
+        try:
+            if isinstance(x, complex):
+                return GaussianRational(Fraction(x.real), Fraction(x.imag))
+            if isinstance(x, (int, float, Fraction)):
+                return GaussianRational(Fraction(x))
+        except (ValueError, OverflowError):  # a nan or an infinity
+            pass
+        raise PreconditionError(f"cannot read {x!r} as an exact complex number")
 
-    # A float or complex operand makes the result complex.  With rational
-    # input every imaginary part is 0; a real operand pair then takes one
-    # Fraction operation, with the general formula's exact result.
+    # With rational input every imaginary part is 0; a real operand pair then
+    # takes one Fraction operation, with the general formula's exact result.
 
     def __add__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re + o.re)
@@ -53,21 +54,15 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re - o.re)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        if isinstance(other, (float, complex)):
-            return other - complex(self)
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         o = GaussianRational.of(other)
         if not self.im and not o.im:
             return GaussianRational(self.re * o.re)
@@ -77,8 +72,6 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
         o = GaussianRational.of(other)
         if o.is_zero():
             raise ZeroDivisionError("division by exact zero")
@@ -88,8 +81,6 @@ class GaussianRational:
         return self * GaussianRational(o.re / n2, -o.im / n2)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
         return GaussianRational.of(other) / self
 
     def __pow__(self, k: int):
@@ -112,7 +103,12 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Python's numeric hash of re + im j, so that a Gaussian rational equal
+        # to an int, Fraction, float or complex hashes as that number does
+        m = 2 ** sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % m
+        h -= m if h >= m // 2 else 0
+        return -2 if h == -1 else h
 
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -130,76 +126,49 @@ class GaussianRational:
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, GaussianRational))
-
-
-def scalar_is_zero(x, scale: float = 1.0) -> bool:
-    """Whether x is zero: exactly for an exact scalar, else when
-    |x| <= DEFAULT_TOL * max(scale, 1), so the bound never drops below
-    DEFAULT_TOL however small the scale."""
-    if isinstance(x, GaussianRational):
-        return x.is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return abs(x) <= DEFAULT_TOL * max(scale, 1.0)
+ONE = GaussianRational(Fraction(1))
+ZERO = GaussianRational(Fraction(0))
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Point of the projective line as a homogeneous pair (num : den)."""
+    """Point of the projective line as a homogeneous pair (num : den) of
+    Gaussian rationals."""
 
-    num: object
-    den: object
+    num: GaussianRational
+    den: GaussianRational
 
     @staticmethod
     def finite(x) -> "ProjPoint":
-        if is_exact_scalar(x):
-            return ProjPoint(GaussianRational.of(x), GaussianRational.of(1))
-        return ProjPoint(complex(x), complex(1))
+        return ProjPoint(GaussianRational.of(x), ONE)
 
     @staticmethod
     def infinity() -> "ProjPoint":
-        return ProjPoint(GaussianRational.of(1), GaussianRational.of(0))
-
-    @property
-    def exact(self) -> bool:
-        """Whether both coordinates are exact."""
-        return is_exact_scalar(self.num) and is_exact_scalar(self.den)
+        return ProjPoint(ONE, ZERO)
 
     def is_infinity(self) -> bool:
-        if self.exact:
-            return scalar_is_zero(self.den)
-        num, den = abs(complex(self.num)), abs(complex(self.den))
-        return den <= DEFAULT_TOL * max(num, den, 1e-300)
+        return self.den.is_zero()
 
-    def value(self):
+    def value(self) -> GaussianRational:
         """The affine value; undefined at infinity."""
         if self.is_infinity():
             raise PreconditionError("point at infinity has no affine value")
         return self.num / self.den
 
     def same_point(self, other: "ProjPoint") -> bool:
-        cross = self.num * other.den - self.den * other.num
-        if self.exact and other.exact:
-            return scalar_is_zero(cross)
-        scale = (max(abs(complex(self.num)), abs(complex(self.den)))
-                 * max(abs(complex(other.num)), abs(complex(other.den))))
-        return abs(complex(cross)) <= DEFAULT_TOL * max(scale, 1e-300)
+        return cross_det(self, other).is_zero()
 
     def to_json(self):
         if self.is_infinity():
             return "inf"
-        v = complex(self.value())
-        return [v.real, v.imag]
+        v = self.value()
+        return [float(v.re), float(v.im)]
 
     def __str__(self) -> str:
         if self.is_infinity():
             return "inf"
         v = self.value()
-        if isinstance(v, GaussianRational):
-            return str(v.re) if v.im == 0 else repr(v)
-        return f"{complex(v):.6g}"
+        return str(v.re) if v.im == 0 else repr(v)
 
 
 def cross_det(u: ProjPoint, v: ProjPoint):
@@ -235,11 +204,7 @@ class Mobius:
         d10 = cross_det(p1, p0)
         m = Mobius(p0.den * d12, -1 * p0.num * d12,
                    p2.den * d10, -1 * p2.num * d10)
-        det = m.a * m.d - m.b * m.c
-        scale = 1.0
-        if not is_exact_scalar(det):
-            scale = max(*(abs(complex(x)) for x in (m.a, m.b, m.c, m.d)), 1e-300) ** 2
-        if scalar_is_zero(det, scale):
+        if (m.a * m.d - m.b * m.c).is_zero():
             raise PreconditionError("degenerate point triple for a fractional linear map")
         return m
 

@@ -38,7 +38,7 @@ CAPS = {
     "key values": 2 ** 63 - 1,  # base^digits of a key that fp._pack_keys packs
     "permutation degree": 5,  # of the catalog's symmetric and alternating groups
     "witness ints": 5 * 10 ** 5,  # of a maximality witness, and periods of unique
-    "ambient dimension": 20,  # n of eag fermat, whose minors grow faster than n^5
+    "ambient dimension": 20,  # n of eag fermat: one kernel, O(n^3) steps on numbers capped by digits
     # Miller-Rabin to the first 13 prime bases is proven below this + 1 (Sorenson and
     # Webster, Math. Comp. 86 (2017))
     "primality": 3_317_044_064_679_887_385_961_980,

@@ -125,11 +125,13 @@ class GroupTable:
         """Parse a table file: the order, then the n^2 entries, row by row.
 
         Raises CapExceededError past the ``group order`` cap from the order
-        token alone, before the entries are read.
+        token alone, before the entries are read, and past the ``digits`` cap
+        before int() reads that token.
         """
         toks = text.split(maxsplit=1)
         if not toks:
             raise PreconditionError("empty table file")
+        require_within("digits", len(toks[0]), "the digits of the table's order")
         try:
             n = int(toks[0])
             require_within("group order", n, "the table's order")

@@ -6,10 +6,10 @@ signature (0; p^(n+1)); the branch points of the quotient are the
 intersections of T with the coordinate hyperplanes, and their cross-ratio
 coordinates are the moduli of the family.  The line is encoded by an
 (n-1) x (n+1) matrix C with T = {X : CX = 0}.  It is generic iff every
-Pluecker coordinate, a maximal minor of C, is nonzero; each minor is one
-fraction-free elimination, in integers for rational input.  Floating input
-keeps one floor: a minor is zero at most cx.DEFAULT_TOL times its Hadamard
-bound, and that bound is floored at 1.
+Pluecker coordinate, a maximal minor of C, is nonzero.  Every scalar is an
+exact Gaussian rational, and all the Pluecker coordinates come from one
+kernel basis of C, found by one fraction-free elimination in the integers
+or the Gaussian integers, so every zero test is exact.
 
 The curve over a generic line is smooth by the Jacobian criterion
 (Gonzalez-Diez, Hidalgo and Leyton, "Generalized Fermat curves", J. Algebra
@@ -21,18 +21,14 @@ stays here as a test oracle.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import itertools
 import math
-import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .cx import (GaussianRational, Mobius, ProjPoint, cross_det, is_exact_scalar,
-                 scalar_is_zero)
-from .errors import CapExceededError, PreconditionError
+from .cx import GaussianRational, Mobius, ProjPoint, cross_det
+from .errors import CapExceededError, PreconditionError, require_within
 from .fp import is_prime
 
 # The smoothness sampler's constants.  The sampler is a test oracle; it stays
@@ -46,20 +42,12 @@ SAMPLE_CAP = 10_000
 SMOOTHNESS_TOL = 1e-7
 
 
-def _coerce_entries(entries):
-    """Classify input scalars: all-rational data runs exactly, else complex."""
-    flat = list(entries)
-    if all(is_exact_scalar(x) for x in flat):
-        return [GaussianRational.of(x) for x in flat], True
-    return [complex(x) for x in flat], False
-
-
 @dataclass(frozen=True)
 class LineMatrix:
-    """(n-1) x (n+1) matrix whose kernel is a line in projective n-space."""
+    """(n-1) x (n+1) matrix of Gaussian rationals whose kernel is a line in
+    projective n-space."""
 
-    rows: tuple[tuple[object, ...], ...]
-    exact: bool
+    rows: tuple[tuple[GaussianRational, ...], ...]
 
     @staticmethod
     def of(rows) -> "LineMatrix":
@@ -72,20 +60,14 @@ class LineMatrix:
         if width != len(rows) + 2:
             raise PreconditionError(
                 f"line matrix must be (n-1) x (n+1); got {len(rows)} x {width}")
-        flat, exact = _coerce_entries(x for r in rows for x in r)
-        it = iter(flat)
-        coerced = tuple(tuple(next(it) for _ in range(width)) for _ in rows)
-        return LineMatrix(coerced, exact)
+        return LineMatrix(tuple(tuple(map(GaussianRational.of, r)) for r in rows))
 
     @property
     def n(self) -> int:
         return len(self.rows) + 1
 
     def to_json(self):
-        out = []
-        for row in self.rows:
-            out.append([[complex(x).real, complex(x).imag] for x in row])
-        return out
+        return [[[float(x.re), float(x.im)] for x in row] for row in self.rows]
 
 
 def vandermonde_line(w) -> LineMatrix:
@@ -94,108 +76,133 @@ def vandermonde_line(w) -> LineMatrix:
     Deleting any two columns leaves an invertible square Vandermonde matrix,
     so the resulting line is generic.
     """
-    vals, exact = _coerce_entries(w)
+    vals = [GaussianRational.of(x) for x in w]
     n = len(vals) - 1
     if n < 2:
         raise PreconditionError("need at least three parameters")
     for a, b in itertools.combinations(range(n + 1), 2):
         if vals[a] == vals[b]:
             raise PreconditionError(f"parameters {a} and {b} coincide")
-    one = GaussianRational.of(1) if exact else complex(1)
     rows = []
-    power = [one] * (n + 1)
+    power = [GaussianRational.of(1)] * (n + 1)
     for _ in range(n - 1):
         rows.append(tuple(power))
         power = [power[i] * vals[i] for i in range(n + 1)]
-    return LineMatrix(tuple(rows), exact)
+    return LineMatrix(tuple(rows))
 
 
-def _det(m):
-    """Determinant of a square matrix by fraction-free elimination.
+def _integer_cross(a, b, c, d, e):
+    """(ab - cd) / e for integers, the division exact."""
+    return (a * b - c * d) // e
 
-    Bareiss (Math. Comp. 22 (1968) 565-578): each step divides by the
-    previous pivot, and the division is exact, so integer entries stay
-    integers (divided with //) and small-integer floating entries stay
-    exact.  The entries are all ints, all GaussianRationals or all complex;
-    exact entries pivot on the first nonzero entry of a column, complex ones
-    on the entry of largest modulus.
+
+def _gaussian_cross(a, b, c, d, e):
+    """(ab - cd) / e for Gaussian integers as (re, im) pairs, the division exact."""
+    re = a[0] * b[0] - a[1] * b[1] - c[0] * d[0] + c[1] * d[1]
+    im = a[0] * b[1] + a[1] * b[0] - c[0] * d[1] - c[1] * d[0]
+    norm = e[0] * e[0] + e[1] * e[1]
+    return (re * e[0] + im * e[1]) // norm, (im * e[0] - re * e[1]) // norm
+
+
+#: (cross, zero, one) of the integers and of the Gaussian integers
+_INTEGERS = (_integer_cross, 0, 1)
+_GAUSSIAN_INTEGERS = (_gaussian_cross, (0, 0), (1, 0))
+
+
+def _kernel(rows, ring):
+    """A basis u, v of the kernel of an (n-1) x (n+1) matrix over ``ring``,
+    or None when its leading n-1 columns are singular.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
+    (1968) 565-578): each step divides by the previous pivot, and the
+    division is exact, so the entries stay in the ring.  Only the columns
+    right of the pivot are kept up to date.  The rows end as [d I | X], d
+    the last pivot, so u = (X_0, -d, 0) and v = (X_1, 0, -d).
     """
-    m = [list(row) for row in m]
-    div = operator.floordiv if isinstance(m[0][0], int) else operator.truediv
-    floating = isinstance(m[0][0], complex)
-    sign, prev = 1, 1
-    for c in range(len(m)):
-        rest = range(c, len(m))
-        if floating:
-            piv = max(rest, key=lambda i: abs(m[i][c]))
-        else:
-            piv = next((i for i in rest if m[i][c] != 0), c)
-        if m[piv][c] == 0:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        top = m[c]
-        for row in m[c + 1:]:
-            for j in range(c + 1, len(m)):
-                row[j] = div(top[c] * row[j] - row[c] * top[j], prev)
-        prev = top[c]
-    return sign * prev
-
-
-@lru_cache(maxsize=8)
-def _plucker_rows(line: LineMatrix):
-    """The points Q_i where T meets {x_i = 0} and the line's least relative
-    minor, or None if T is not generic.
-
-    Q_i spans the kernel of C without column i, so by Cramer's rule Q_i(j)
-    is, up to the sign of j's place among the other columns, the minor of C
-    with columns i and j deleted: the Pluecker coordinate p_ij of T.  An
-    exact real line first has each row multiplied by the lcm of its
-    denominators, which scales every minor alike, so its minors are
-    integers.  Exact input is generic iff every minor is nonzero.  Floating
-    input counts a minor as zero when its modulus is at most cx.DEFAULT_TOL
-    times the larger of 1 and its Hadamard bound (the product of C's row
-    norms over the kept columns); that floor at 1 makes the verdict depend
-    on the scale of C.  A minor or bound beyond the floating-point range
-    raises PreconditionError.
-
-    The result is the pair (rows, least), rows a tuple of tuples so that no
-    caller can change the cached rows, and least the smallest
-    |minor| / Hadamard bound over the minors of a floating line (None for
-    an exact one).  The genericity test, the branch points and the
-    smoothness certificate all ask for the same line, so it is cached per
-    line.
-    """
-    n, rows = line.n, line.rows
-    if line.exact and not any(x.im for row in rows for x in row):
-        cleared = []
-        for row in rows:
-            lcm = math.lcm(*(x.re.denominator for x in row))
-            cleared.append([int(x.re * lcm) for x in row])
-        rows = cleared
-    scalar = GaussianRational.of if line.exact else complex
-    q = [[scalar(0)] * (n + 1) for _ in range(n + 1)]
-    least = math.inf
-    for i, j in itertools.combinations(range(n + 1), 2):
-        keep = [k for k in range(n + 1) if k not in (i, j)]
-        minor = _det([[row[k] for k in keep] for row in rows])
-        scale = 1.0
-        if not line.exact:
-            for row in rows:
-                norm = math.hypot(*(t for k in keep for t in (row[k].real, row[k].imag)))
-                scale *= max(norm, 1e-300)
-            if not (math.isfinite(scale) and cmath.isfinite(minor)):
-                raise PreconditionError(
-                    f"a minor of C or its Hadamard bound leaves the floating-point "
-                    f"range (moduli up to {sys.float_info.max:.3g}); rescale the rows of C")
-        if scalar_is_zero(minor, scale):
+    cross, zero, one = ring
+    m = [list(row) for row in rows]
+    k = len(m)
+    prev = one
+    for c in range(k):
+        piv = next((i for i in range(c, k) if m[i][c] != zero), None)
+        if piv is None:
             return None
-        if not line.exact:
-            least = min(least, abs(minor) / scale)
-        q[i][j] = scalar((-1) ** (j - 1) * minor)
-        q[j][i] = scalar((-1) ** i * minor)
-    return tuple(map(tuple, q)), None if line.exact else least
+        m[c], m[piv] = m[piv], m[c]
+        top = m[c]
+        for row in m:
+            if row is not top:
+                for j in range(c + 1, k + 2):
+                    row[j] = cross(top[c], row[j], row[c], top[j], prev)
+        prev = top[c]
+    minus_d = cross(zero, zero, prev, one, one)
+    return ([row[k] for row in m] + [minus_d, zero],
+            [row[k + 1] for row in m] + [zero, minus_d])
+
+
+@functools.lru_cache(maxsize=8)
+def _plucker_rows(line: LineMatrix):
+    """The points Q_i where T meets {x_i = 0}, each scaled to a first
+    nonzero coordinate of 1, or None if T is not generic.
+
+    For a kernel basis u, v of C, Q_i = v_i u - u_i v: it lies on T, and its
+    i-th coordinate is 0.  For i < j its j-th coordinate u_j v_i - u_i v_j
+    is, up to one factor common to all i and j and the sign (-1)^(i+j), the
+    minor of C with columns i and j deleted: the Pluecker coordinate p_ij of
+    T; and Q_j(i) = -Q_i(j).  So T is generic iff the n-1 columns that the
+    elimination pivots on, whose minor is one p_ij, are independent and every
+    u_i v_j - u_j v_i is nonzero.
+
+    Each column k of C is first multiplied by the lcm s_k of its
+    denominators, and each row divided by the gcd of its entries, so the
+    kernel, in the integers for a real line and in the Gaussian integers
+    otherwise, is that of C up to the factor s_k of coordinate k.  Scaling
+    columns keeps a Vandermonde line small: its column w_k^j takes the
+    denominator of w_k alone.  The genericity test, the branch points and
+    the smoothness certificate all ask for the same line, so the result is
+    cached per line, as tuples of Gaussian rationals no caller can change.
+    """
+    real = not any(x.im for row in line.rows for x in row)
+    scale = [math.lcm(*(d for x in column for d in (x.re.denominator, x.im.denominator)))
+             for column in zip(*line.rows)]
+    parts = []
+    for row in line.rows:
+        pairs = [(int(x.re * c), int(x.im * c)) for x, c in zip(row, scale)]
+        g = math.gcd(*(t for pair in pairs for t in pair)) or 1
+        parts.append([(re // g, im // g) for re, im in pairs])
+    # the elimination multiplies out its first n-1 columns and only carries the
+    # last two along, so the two columns of the longest entries go last
+    bits = [max(abs(t).bit_length() for row in parts for t in row[k]) + 1
+            for k in range(line.n + 1)]
+    order = sorted(range(line.n + 1), key=bits.__getitem__)
+    # each number it builds is a minor of those n-1 columns, one perhaps swapped
+    # for a later one; by Hadamard's inequality on columns, a column of moduli
+    # below 2^b adds at most b log10(2) + log10(n-1) / 2 digits
+    require_within("digits", int((sum(bits) - bits[order[-2]]) * math.log10(2)
+                                 + (line.n - 1) * math.log10(line.n - 1) / 2) + 1,
+                   "the digits that the minors of C may have")
+    ring = _INTEGERS if real else _GAUSSIAN_INTEGERS
+    cross, zero, one = ring
+    kernel = _kernel([[row[k][0] if real else row[k] for k in order] for row in parts], ring)
+    if kernel is None:
+        return None
+    u, v = ([vec[order.index(k)] for k in range(line.n + 1)] for vec in kernel)
+    q = [[cross(v[i], u[j], u[i], v[j], one) for j in range(line.n + 1)]
+         for i in range(line.n + 1)]
+    if any(q[i][j] == zero for i, j in itertools.combinations(range(line.n + 1), 2)):
+        return None
+    first = [1] + [0] * line.n
+    return tuple(tuple(_ratio(x, row[first[i]], real, scale[j], scale[first[i]])
+                       for j, x in enumerate(row)) for i, row in enumerate(q))
+
+
+def _ratio(x, y, real: bool, a: int = 1, b: int = 1) -> GaussianRational:
+    """xa / (yb) for integers a and b, and x and y integers, or Gaussian
+    integers as (re, im) pairs."""
+    if real:
+        return GaussianRational(Fraction(x * a, y * b))
+    norm = (y[0] * y[0] + y[1] * y[1]) * b
+    return GaussianRational(Fraction((x[0] * y[0] + x[1] * y[1]) * a, norm),
+                            Fraction((x[1] * y[0] - x[0] * y[1]) * a, norm))
 
 
 def is_generic_line(line: LineMatrix) -> bool:
@@ -217,17 +224,11 @@ def smoothness_certificate(line: LineMatrix) -> dict:
     least three coordinates vanish; the at most n-2 others, y_j = x_j^p,
     then solve C y = 0 on independent columns, so y = 0 and x is no point.  By
     the Jacobian criterion the curve is smooth (Gonzalez-Diez, Hidalgo and
-    Leyton, J. Algebra 321 (2009)).  A floating line also reports its least
-    |minor| / Hadamard bound, read off the one elimination of its minors,
-    so that a user sees how close the line came to the genericity floor.
+    Leyton, J. Algebra 321 (2009)).
     """
-    plucker = _plucker_rows(line)
-    if plucker is None:
+    if _plucker_rows(line) is None:
         raise PreconditionError("line is not generic")
-    cert = {"passed": True, "method": "jacobian-criterion"}
-    if not line.exact:
-        cert["least_relative_minor"] = plucker[1]
-    return cert
+    return {"passed": True, "method": "jacobian-criterion"}
 
 
 def hyper_fermat_genus(p: int, n: int) -> Fraction:
@@ -256,11 +257,7 @@ def intersection_points(line: LineMatrix) -> list[list]:
     plucker = _plucker_rows(line)
     if plucker is None:
         raise PreconditionError("line is not generic")
-    out = []
-    for i, row in enumerate(plucker[0]):
-        inv = 1 / row[1 if i == 0 else 0]
-        out.append([x * inv for x in row])
-    return out
+    return [list(row) for row in plucker]
 
 
 def as_proj_point(x) -> ProjPoint:
@@ -295,8 +292,7 @@ def branch_points(line: LineMatrix, pins) -> BranchSet:
     with u_1 = c_2 (lambda_0 - lambda_2) / (d_2 (lambda_2 - lambda_1)); pins
     at infinity are the projective limits of the same formula.
 
-    The source triple (inf, 0, c_2 : d_2) is exact, so the result is exact
-    when the line and the pins are, and floating complex otherwise.
+    Every scalar is exact, and so is the result.
     """
     if len(pins) != 3:
         raise PreconditionError("exactly three pin values are required")
@@ -326,34 +322,46 @@ def residue_identity_check(w, s: int):
 
     The sum of residues of z^s / prod (z - w_k) vanishes for s <= n - 2; at
     s = n - 1 it is generically 1 (the residue at infinity), which callers
-    use as a negative control.  Exact inputs give an exact magnitude.
+    use as a negative control.  The magnitude is exact: the absolute value for
+    real w, and |re| + |im| otherwise.
 
-    Real rational w are scaled once to integers a_j = D w_j, D the lcm of
-    their denominators; term j is then D^(n-1-s) a_j^s / prod_k (a_j - a_k),
-    and the n integer ratios are summed over one running denominator.
+    The w_j are scaled once to integers, or Gaussian integers, a_j = D w_j,
+    D the lcm of their denominators; the sum is then D^(n-1-s) times
+    sum_j a_j^s (Delta / P_j) / Delta, with P_j = prod_{k != j} (a_j - a_k)
+    and Delta the product of all a_j - a_k, j < k, which each P_j divides.
     """
-    vals, exact = _coerce_entries(w)
+    vals = [GaussianRational.of(x) for x in w]
     n = len(vals) - 1
     if s < 0:
         raise PreconditionError("s must be >= 0")
-    if exact and not any(v.im for v in vals):
-        scale = math.lcm(*(v.re.denominator for v in vals[1:]))
-        a = [int(v.re * scale) for v in vals[1:]]
-        num, den = 0, 1
-        for j, aj in enumerate(a):
-            d = math.prod(aj - ak for k, ak in enumerate(a) if k != j)
-            num, den = num * d + aj ** s * den, den * d
-        return abs(Fraction(num, den) * Fraction(scale) ** (n - 1 - s))
-    total = GaussianRational.of(0) if exact else complex(0)
-    for j in range(1, n + 1):
-        term = vals[j] ** s
-        for k in range(1, n + 1):
-            if k != j:
-                term = term / (vals[j] - vals[k])
-        total = total + term
-    if exact:
-        return total.magnitude_l1()
-    return abs(total)
+    real = not any(v.im for v in vals)
+    scale = math.lcm(*(d for v in vals[1:] for d in (v.re.denominator, v.im.denominator)))
+    a = tuple(int(v.re * scale) if real else (int(v.re * scale), int(v.im * scale))
+              for v in vals[1:])
+    cross, zero, one = _INTEGERS if real else _GAUSSIAN_INTEGERS
+    delta, quotients = _residue_denominators(a, real)
+    num = zero
+    for aj, quotient in zip(a, quotients):
+        power = one
+        for _ in range(s):
+            power = cross(power, aj, zero, zero, one)
+        num = cross(num, one, power, quotient, one)  # the sum's negative, of the same magnitude
+    return (_ratio(num, delta, real) * Fraction(scale) ** (n - 1 - s)).magnitude_l1()
+
+
+@functools.lru_cache(maxsize=8)
+def _residue_denominators(a: tuple, real: bool):
+    """Delta and the exact quotients Delta / P_j, which every s of one w shares."""
+    cross, zero, one = _INTEGERS if real else _GAUSSIAN_INTEGERS
+    diff = {(j, k): cross(aj, one, ak, one, one) for j, aj in enumerate(a) for k, ak in enumerate(a)}
+
+    def prod(pairs):
+        return functools.reduce(lambda x, y: cross(x, y, zero, zero, one),
+                                (diff[pair] for pair in pairs), one)
+
+    delta = prod(itertools.combinations(range(len(a)), 2))
+    return delta, [cross(delta, one, zero, zero, prod((j, k) for k in range(len(a)) if k != j))
+                   for j in range(len(a))]
 
 
 def moduli_equivalent(b1: BranchSet, b2: BranchSet) -> bool:

@@ -229,12 +229,13 @@ def test_criterion_08_vandermonde_branch_identity():
         bs = hf.branch_points(hf.vandermonde_line(w), (w[0], w[1], w[2]))
         for pt, wi in zip(bs.points, w):
             assert pt.value() == GaussianRational.of(wi), (w, str(pt))
+        # floats are read exactly, as the dyadic rationals they store
         wf = [float(f) for f in w]
         bsf = hf.branch_points(hf.vandermonde_line(wf), (wf[0], wf[1], wf[2]))
         for pt, wi in zip(bsf.points, wf):
-            assert abs(pt.value() - wi) <= 1e-9 * max(1.0, abs(wi)), (w, pt)
+            assert pt.value() == GaussianRational.of(wi), (w, str(pt))
     _ok(8, "branch parameters of 100 random power-row lines equal the "
-           "defining parameters exactly (rational) and to 1e-9 (floating)")
+           "defining parameters exactly, rational and floating alike")
 
 
 def test_criterion_09_residue_identity():

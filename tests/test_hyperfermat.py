@@ -1,17 +1,19 @@
+import io
 import itertools
 import json
 import math
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from eag import cli, hyperfermat as hf
-from eag.cx import DEFAULT_TOL, GaussianRational, Mobius, ProjPoint
-from eag.errors import CapExceededError, PreconditionError
+from eag.cx import GaussianRational, Mobius, ProjPoint
+from eag.errors import CAPS, CapExceededError, PreconditionError
 from eag.surfaces import Signature, riemann_hurwitz_genus
 
 
@@ -143,10 +145,10 @@ def _exact_entry(rng, gaussian):
 
 
 def test_plucker_rows_are_the_signed_minors_exact():
-    # Q_i(j) is the minor of C without columns i and j, signed by the place
-    # of j among the columns other than i; a real line's rows are first
-    # multiplied by the lcm of their denominators, which scales every minor
-    # by the product of the lcms
+    # for i < j, Q_i(j) is the minor of C without columns i and j times
+    # (-1)^(i+j) and one factor common to all i and j, and Q_j(i) = -Q_i(j);
+    # each row is then scaled to a first nonzero coordinate of 1, so the
+    # signed minors of row i, divided by the one at that coordinate, are Q_i
     rng = random.Random(23)
     seen = set()
     for trial in range(160):
@@ -154,10 +156,6 @@ def test_plucker_rows_are_the_signed_minors_exact():
         n = rng.randint(2, 5)
         rows = [[_exact_entry(rng, gaussian) for _ in range(n + 1)] for _ in range(n - 1)]
         line = hf.LineMatrix.of(rows)
-        scale = 1
-        if not any(x.im for row in line.rows for x in row):
-            for row in line.rows:
-                scale *= math.lcm(*(x.re.denominator for x in row))
         minors = {drop: _leibniz_det(sub)
                   for drop, (_, sub) in zip(itertools.combinations(range(n + 1), 2),
                                             _deletions(line.rows))}
@@ -167,21 +165,39 @@ def test_plucker_rows_are_the_signed_minors_exact():
         if not generic:
             assert plucker is None, rows
             continue
-        q, least = plucker
-        assert least is None  # an exact line has no floating margin
+        signed = [[GaussianRational.of(0)] * (n + 1) for _ in range(n + 1)]
         for (i, j), minor in minors.items():
-            assert q[i][j] == (-1) ** (j - 1) * scale * minor, (rows, i, j)
-            assert q[j][i] == (-1) ** i * scale * minor, (rows, i, j)
-        assert all(q[i][i] == 0 for i in range(n + 1))
+            signed[i][j] = (-1) ** (i + j) * minor
+            signed[j][i] = -1 * signed[i][j]
+        for i, row in enumerate(signed):
+            first = row[1 if i == 0 else 0]
+            assert list(plucker[i]) == [x / first for x in row], (rows, i)
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _exact_det(rows):
+    """Determinant of a square matrix of exact scalars by Gaussian elimination."""
+    m = [[GaussianRational.of(x) for x in row] for row in rows]
+    det = GaussianRational.of(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if not m[i][c].is_zero()), None)
+        if piv is None:
+            return GaussianRational.of(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c]
+        for row in m[c + 1:]:
+            ratio = row[c] / m[c][c]
+            row[c:] = [x - ratio * y for x, y in zip(row[c:], m[c][c:])]
+    return det
+
+
 def test_is_generic_line_matches_minor_oracle_float():
-    # a minor counts as zero below tol times the Hadamard bound of its
-    # deletion: the product of C's row norms over the kept columns; the
-    # scaling puts rounding-size minors of large matrices above tol itself.
-    # Seeds 20, 21 and 24 each hold a line that a Gauss-Jordan reduction of
-    # C misjudged.
+    # floating entries are read exactly, as the dyadic rationals they store,
+    # so the oracle is every exact minor of those rationals; proportional
+    # columns are exact multiples (by -0.5), and every verdict must survive
+    # scaling C by a power of 10 as floats
     for seed in (19, 20, 21, 24):
         rng = np.random.default_rng(seed)
         verdicts = []
@@ -193,14 +209,11 @@ def test_is_generic_line_matches_minor_oracle_float():
                 c[:, rng.integers(n + 1)] = 0
             elif kind == 2:
                 i, j = rng.choice(n + 1, size=2, replace=False)
-                c[:, j] = 0.3 * c[:, i]
+                c[:, j] = -0.5 * c[:, i]
             elif kind == 3:
                 c = rng.integers(-1, 2, size=(n - 1, n + 1)) + 0.5 * np.eye(n - 1, n + 1)
             c = c * 10.0 ** (3 * (trial % 3))
-            want = all(
-                abs(np.linalg.det(np.array(sub))) >
-                DEFAULT_TOL * max(np.prod(np.linalg.norm(np.array(sub), axis=1)), 1.0)
-                for _, sub in _deletions(c.tolist()))
+            want = all(not _exact_det(sub).is_zero() for _, sub in _deletions(c.tolist()))
             assert hf.is_generic_line(hf.LineMatrix.of(c.tolist())) == want, (seed, c)
             verdicts.append(want)
         assert 40 < sum(verdicts) < 160, seed
@@ -215,8 +228,9 @@ def test_is_generic_line_examples():
     assert hf.is_generic_line(hf.LineMatrix.of([[1, 1, 1]]))
     assert not hf.is_generic_line(hf.LineMatrix.of([[1, 1, 0]]))
     assert not hf.is_generic_line(hf.LineMatrix.of([[1, 1, 1, 1], [0, 0, 1, 1]]))
-    # a near-singular floating row: its last 1 x 1 minor is at rounding scale
-    assert not hf.is_generic_line(hf.LineMatrix.of([[1.0, 1.0, 1e-12]]))
+    # read exactly, 1e-12 is a nonzero dyadic rational, so every 1 x 1
+    # minor of this row is nonzero: no tolerance calls it zero
+    assert hf.is_generic_line(hf.LineMatrix.of([[1.0, 1.0, 1e-12]]))
     # every multiple of a line with a zero minor describes the same line
     assert not hf.is_generic_line(hf.LineMatrix.of(SINGULAR_MINOR))
     for k in (1, 1e2, 1e3, 1e6, 1e9):
@@ -304,12 +318,13 @@ def test_branch_points_vandermonde_identity_exact():
 
 
 def test_branch_points_vandermonde_identity_float():
+    # floats are read exactly, so the identity holds exactly for them too
     rng = random.Random(41)
     for n in (3, 4, 5):
         w = [float(f) for f in _rand_fractions(rng, n + 1)]
         bs = hf.branch_points(hf.vandermonde_line(w), (w[0], w[1], w[2]))
         for pt, wi in zip(bs.points, w):
-            assert abs(pt.value() - wi) <= 1e-9 * max(1.0, abs(wi))
+            assert pt.value() == GaussianRational.of(wi)
 
 
 def test_branch_points_infinite_pin_formula():
@@ -424,7 +439,7 @@ def test_residue_identity_float():
         n = rng.randint(2, 6)
         w = [complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(n + 1)]
         for s in range(0, n - 1):
-            assert hf.residue_identity_check(w, s) <= 1e-10
+            assert hf.residue_identity_check(w, s) == 0
 
 
 def _quadruple(lam):
@@ -538,22 +553,32 @@ def test_hyper_fermat_spec_validates():
 
 
 def test_exact_and_floating_points_mix():
-    # a float or complex operand turns exact arithmetic complex, as under
-    # Python's numeric tower a float turns Fraction arithmetic float
+    # a float or complex operand is read exactly, as the dyadic rational it
+    # stores, so the arithmetic stays exact and no zero test has a tolerance
     assert ProjPoint.finite(Fraction(1)).same_point(ProjPoint.finite(1 + 0j))
-    assert not ProjPoint.finite(Fraction(1)).same_point(ProjPoint.finite(1 + 1e-6j))
-    assert ProjPoint.infinity().same_point(ProjPoint(1 + 0j, 0j))
-    with pytest.raises(PreconditionError):
-        GaussianRational.of(1j)
+    assert not ProjPoint.finite(Fraction(1)).same_point(ProjPoint.finite(1 + 1e-300j))
+    assert ProjPoint.infinity().same_point(ProjPoint(GaussianRational.of(1e300),
+                                                     GaussianRational.of(0.0)))
+    assert GaussianRational.of(1.5 - 2j) == GaussianRational(Fraction(3, 2), Fraction(-2))
+    # 0.1 is stored as a dyadic rational near 1/10, and read as that
+    assert GaussianRational.of(0.1) == Fraction(0.1) and GaussianRational.of(0.1) != Fraction(1, 10)
+    assert GaussianRational.of(1) + 0.5 == GaussianRational(Fraction(3, 2))
+    # equal numbers hash alike, whatever their type
+    assert len({GaussianRational.of(2), 2, 2.0, Fraction(2), 2 + 0j}) == 1
+    assert hash(GaussianRational.of(1.5 - 2e300j)) == hash(1.5 - 2e300j)
+    for bad in (float("nan"), float("inf"), complex(1, float("inf")), "1"):
+        with pytest.raises(PreconditionError):
+            GaussianRational.of(bad)
 
 
 def test_branch_points_exact_line_with_complex_pins():
+    # z -> iz carries the pins 1, 2, 3 to i, 2i, 3i, and so 4 to 4i
     mixed = hf.branch_points(hf.vandermonde_line([1, 2, 3, 4]), (1j, 2j, 3j))
-    floating = hf.branch_points(hf.vandermonde_line([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]),
-                                (1j, 2j, 3j))
-    assert not any(pt.exact for pt in mixed.points)
-    for got, want in zip(mixed.points + (mixed.u1,), floating.points + (floating.u1,)):
-        assert abs(got.value() - want.value()) <= 1e-12 * abs(want.value())
+    complex_line = hf.branch_points(hf.vandermonde_line([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]),
+                                    (1j, 2j, 3j))
+    assert mixed == complex_line
+    for pt, want in zip(mixed.points, (1j, 2j, 3j, 4j)):
+        assert pt.value() == GaussianRational.of(want)
 
 
 def _smoothness_by_loop(spec, count, seed, tol=1e-7):
@@ -625,53 +650,34 @@ def test_batched_sampler_matches_loop_reference(monkeypatch, p, w, off_line):
     assert report.max_minor_identity_error == pytest.approx(max_minor, rel=1e-6, abs=1e-9)
 
 
-def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
-    # one elimination per minor, and each of the ten minors of the n = 4
-    # line once, although the genericity test, the branch points and the
-    # smoothness certificate all ask for them
+def _count_kernels(monkeypatch):
     calls = []
-    det = hf._det
-
-    def counted(m):
-        calls.append(m)
-        return det(m)
-
-    monkeypatch.setattr(hf, "_det", counted)
+    kernel = hf._kernel
+    monkeypatch.setattr(hf, "_kernel", lambda rows, ring: calls.append(rows) or kernel(rows, ring))
     hf._plucker_rows.cache_clear()
+    return calls
+
+
+def test_fermat_call_reduces_the_line_once(capsys, monkeypatch):
+    # one kernel per line, which gives every minor of the n = 4 line,
+    # although the genericity test, the branch points and the smoothness
+    # certificate all ask for them
+    calls = _count_kernels(monkeypatch)
     assert cli.main(["fermat", "--p", "5", "--n", "4", "--w=1/2,-3,7/3,0,5"]) == 0
     assert len(json.loads(capsys.readouterr().out)["lambdas"]) == 5
-    assert len(calls) == 10
+    assert len(calls) == 1
     assert hf._plucker_rows.cache_info().misses == 1
 
 
 def test_floating_certificate_reuses_the_one_elimination(capsys, monkeypatch):
-    # the least relative minor of a floating line comes from the same ten
-    # eliminations as the genericity test and the branch points
-    calls = []
-    det = hf._det
-    monkeypatch.setattr(hf, "_det", lambda m: calls.append(m) or det(m))
-    hf._plucker_rows.cache_clear()
+    # a complex line takes the same one kernel, in the Gaussian integers,
+    # and its certificate is the rational line's: no floating margin is left
+    calls = _count_kernels(monkeypatch)
     assert cli.main(["fermat", "--p", "5", "--n", "4", "--w=1j,-3,7/3,0,5"]) == 0
     smoothness = json.loads(capsys.readouterr().out)["smoothness"]
-    assert 0 < smoothness["least_relative_minor"] <= 1
-    assert len(calls) == 10
+    assert smoothness == {"passed": True, "method": "jacobian-criterion"}
+    assert len(calls) == 1 and isinstance(calls[0][0][0], tuple)
     assert hf._plucker_rows.cache_info().misses == 1
-
-
-def test_least_relative_minor_is_the_smallest_minor_over_its_bound():
-    # against numpy: each maximal minor of C over the product of the row
-    # norms of its columns (Hadamard's bound), the least over all minors
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        c = rng.normal(size=(n - 1, n + 1)) + 1j * rng.normal(size=(n - 1, n + 1))
-        want = min(abs(np.linalg.det(sub)) / np.prod(np.linalg.norm(sub, axis=1))
-                   for sub in (np.delete(c, pair, axis=1)
-                               for pair in itertools.combinations(range(n + 1), 2)))
-        cert = hf.smoothness_certificate(hf.LineMatrix.of(c.tolist()))
-        assert cert["least_relative_minor"] == pytest.approx(want, rel=1e-9)
-    exact = hf.smoothness_certificate(hf.vandermonde_line([0, 1, 2, 3]))
-    assert exact["passed"] and "least_relative_minor" not in exact
     with pytest.raises(PreconditionError, match="not generic"):
         hf.smoothness_certificate(hf.LineMatrix.of([[1, 1, 0]]))
 
@@ -731,3 +737,104 @@ def test_fermat_sweep_of_wide_scale_lines(capsys):
         # the sampler oracle agrees with the Jacobian certificate
         spec = hf.HyperFermatSpec(p, n, hf.vandermonde_line(w))
         assert hf.sample_and_check_smoothness(spec).passed, argv
+
+
+def _fermat(argv):
+    """Exit code, stdout and stderr of one in-process eag call; a traceback raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _names_a_cap(err):
+    return "payload cannot be printed" in err or any(f"the {cap} cap of" in err for cap in CAPS)
+
+
+@st.composite
+def _w_argv(draw):
+    """n, and n+1 distinct complex or real --w tokens at scales from 1e-300 to
+    1e300: around one scale for the whole line, or each at its own.  Token i
+    has a mantissa 100 m + i, so that tokens at one scale differ."""
+    n = draw(st.integers(2, 8) if draw(st.integers(0, 3)) < 3
+             else st.integers(9, CAPS["ambient dimension"]))
+    base = draw(st.integers(-300, 300))
+    spread = draw(st.sampled_from([0, 2, 20, 600]))
+
+    def part(i):
+        exponent = max(-300, min(300, base + draw(st.integers(-spread, spread))))
+        return f"{100 * draw(st.integers(-9, 9)) + i}e{exponent}"
+
+    tokens = []
+    for i in range(1, n + 2):
+        re_part, im_part = part(i), part(i)
+        kind = draw(st.sampled_from(["complex", "complex", "real", "imaginary"]))
+        tokens.append({"complex": f"{re_part}{'' if im_part.startswith('-') else '+'}{im_part}j",
+                       "real": re_part, "imaginary": f"{im_part}j"}[kind])
+    assume(len({cli._parse_scalar(t) for t in tokens}) == n + 1)
+    return n, tokens
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_w_argv(), st.sampled_from([3, 5, 7]))
+def test_distinct_w_is_always_generic(w, p):
+    # the Vandermonde theorem: n+1 distinct parameters give a generic line
+    # whose branch parameters, with the default pins, are the parameters
+    n, tokens = w
+    code, out, err = _fermat(["fermat", "--p", str(p), "--n", str(n), "--w=" + ",".join(tokens)])
+    event(f"exit {code}, n {'<= 8' if n <= 8 else '> 8'}")
+    assert code in (cli.EXIT_OK, cli.EXIT_CAP), (tokens, err)
+    if code == cli.EXIT_CAP:
+        assert _names_a_cap(err) and out == "", err
+        return
+    want = [[complex(t).real, complex(t).imag] for t in tokens]
+    assert json.loads(out)["lambdas"] == want, tokens
+
+
+def _c_file_text(rows, row_exponents):
+    """A --c-file whose row i holds the pairs of rows[i] times 10^row_exponents[i]."""
+    return '{"C": [%s]}' % ", ".join(
+        "[" + ", ".join(f"[{x}e{e}, {y}e{e}]" for x, y in row) + "]"
+        for row, e in zip(rows, row_exponents))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+           st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=n + 1,
+                    max_size=n + 1), min_size=n - 1, max_size=n - 1)),
+       st.integers(-12, 12), st.booleans(), st.data())
+def test_scaling_c_or_one_row_keeps_the_verdict(tmp_path_factory, rows, k, one_row, data):
+    # C and any multiple of it, or of one row of it, define the same line:
+    # the same verdict and, when generic, the same branch parameters
+    path = tmp_path_factory.mktemp("lines") / "line.json"
+    runs = []
+    row = data.draw(st.integers(0, len(rows) - 1))
+    for exponents in ([0] * len(rows),
+                      [k if i == row or not one_row else 0 for i in range(len(rows))]):
+        path.write_text(_c_file_text(rows, exponents), encoding="utf-8")
+        code, out, err = _fermat(["fermat", "--p", "3", "--n", str(len(rows) + 1),
+                                  "--c-file", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_PRECONDITION), err
+        runs.append((code, json.loads(out)["lambdas"] if out else err))
+    assert runs[0] == runs[1], (rows, k, one_row, row)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+_DECIMAL = st.builds(lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+                     st.sampled_from(["", "+", "-"]), _DIGITS,
+                     st.one_of(st.just(""), _DIGITS.map(lambda d: "." + d)),
+                     st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                                      st.sampled_from(["", "+", "-"]),
+                                                      st.integers(0, 300))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DECIMAL, _DECIMAL, st.sampled_from(["{}", "{}j", "{}J", "({}j)", "{}+{}j", "{}-{}j",
+                                             "({}+{}j)", " {}-{}J ", "+j", "-j", "j", "{}+j"]))
+def test_each_token_is_read_exactly_and_rounds_to_complex(a, b, shape):
+    token = shape.format(a, b.lstrip("+-"))
+    z = complex(token)
+    assume(math.isfinite(z.real) and math.isfinite(z.imag))
+    got = cli._parse_scalar(token)
+    assert (float(got.re), float(got.im)) == (z.real, z.imag), token

@@ -132,23 +132,31 @@ def gaussian_rationals(draw):
     return GaussianRational(*parts)
 
 
-# parts 0 or of modulus in [1e-6, 1e6]: no quotient overflows to inf
-PARTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+PARTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6),
+                  st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
 FLOATING = st.one_of(PARTS, st.builds(complex, PARTS, PARTS))
 
 
 @given(gaussian_rationals(), FLOATING)
-def test_gaussian_rational_with_floating_operand_is_complex(g, z):
-    c = complex(g)
-    cases = [(g + z, c + z), (z + g, z + c), (g - z, c - z), (z - g, z - c),
-             (g * z, c * z), (z * g, z * c)]
+def test_gaussian_rational_with_floating_operand_is_exact(g, z):
+    # a float or complex operand is read as the dyadic rational it stores,
+    # and the result is the exact value on (re, im) pairs of Fractions
+    a, b = g.re, g.im
+    c, d = Fraction(z.real), Fraction(z.imag)
+    assert GaussianRational.of(z) == GaussianRational(c, d)
+    assert complex(GaussianRational.of(z)) == z
+    cases = [(g + z, (a + c, b + d)), (z + g, (a + c, b + d)),
+             (g - z, (a - c, b - d)), (z - g, (c - a, d - b)),
+             (g * z, (a * c - b * d, a * d + b * c)), (z * g, (a * c - b * d, a * d + b * c))]
     if z != 0:
-        cases.append((g / z, c / z))
-    if c != 0:
-        cases.append((z / g, z / c))
+        n2 = c * c + d * d
+        cases.append((g / z, ((a * c + b * d) / n2, (b * c - a * d) / n2)))
+    if g != 0:
+        n2 = a * a + b * b
+        cases.append((z / g, ((c * a + d * b) / n2, (d * a - c * b) / n2)))
     for got, want in cases:
-        assert isinstance(got, complex)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        assert isinstance(got, GaussianRational)
+        assert (got.re, got.im) == want
 
 
 @given(st.integers(0, 4), st.lists(st.integers(2, 9), max_size=5),
