@@ -42,19 +42,16 @@ CAPS = {
     # Miller-Rabin to the first 13 prime bases is proven below this + 1 (Sorenson and
     # Webster, Math. Comp. 86 (2017))
     "primality": 3_317_044_064_679_887_385_961_980,
-    "elements": 10 ** 8,  # of a closure, pure-box subspaces, rejected witness row spaces
+    "elements": 10 ** 8,  # of a closure, and the row spaces the witness search rejects
+    "burnside steps": 14_000_000,  # of the Burnside rows of one count: e(13, 8, 16) takes 13.7M
     "digits": sys.get_int_max_str_digits() or 4300,  # Python's limit at import, or 4,300
 }
 
 
-def require_within(cap: str, size: int, what: str, limit: int | None = None) -> None:
+def require_within(cap: str, size: int, what: str) -> None:
     """Raise CapExceededError, naming the cap, its value and ``size``, when
-    ``size`` passes ``CAPS[cap]``.
-
-    ``limit`` stands in for a cap kept outside the table: the enumeration box
-    of ``genvec.check_pure_caps``, which the test oracles share.
-    """
-    value = CAPS[cap] if limit is None else limit
+    ``size`` passes ``CAPS[cap]``, the one source of every cap's value."""
+    value = CAPS[cap]
     if size > value:
         # past 10^30 a size is shown by a power of ten below it, which no digit limit refuses
         shown = (size if size < 10 ** 30

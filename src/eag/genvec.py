@@ -15,13 +15,14 @@ class types of GL(k, p) (``count_pure_orbits_burnside``, ``_type_weights``):
 a class's fixed-multiset counts for every t <= r depend only on its
 profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed;
 h is Witt's closed form (``witt_kernel_orbit_count``), and so are the ranks
-with one class (``unramified_adjudication``).  ``check_pure_caps`` bounds
-the box of e, where the numpy oracles of ``eag.orbits`` cross-check it.
+with one class (``unramified_adjudication``).  The ``burnside steps`` cap
+bounds the rows of e; the oracles of ``eag.orbits`` check e in their boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import fp
@@ -95,39 +96,14 @@ def multiset_character(v: GeneratingVector) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: the purely ramified box, Burnside's e and Witt's h
+# closed forms: Burnside's e and Witt's h
 
 
-#: enumeration box of the purely ramified count and oracles
-PURE_BRUTE_PRIMES = (2, 3, 5)
-PURE_BRUTE_MAX_RANK = 4
-PURE_BRUTE_MAX_PERIODS = 8
+#: the fewest periods a row M(p, k, .) is built to: one build serves all small counts
+ROW_MIN_PERIODS = 8
 
 
-def gaussian_binomial(m: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^m."""
-    if k < 0 or k > m:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (m - i) - 1
-        den *= p ** (i + 1) - 1
-    if num % den:
-        raise AssertionError(f"Gaussian binomial [{m} {k}]_{p} is not an integer")
-    return num // den
-
-
-def check_pure_caps(p: int, k: int, r: int) -> None:
-    """Raise outside the enumeration box, or past the ``elements`` cap on the
-    subspaces its BFS oracle lists.  p is prime here, so it lies in
-    PURE_BRUTE_PRIMES exactly when it is at most their largest."""
-    spec = f"(p={p}, k={k}, r={r})"
-    require_within("pure box prime", p, f"p of {spec}", limit=PURE_BRUTE_PRIMES[-1])
-    require_within("pure box rank", k, f"k of {spec}", limit=PURE_BRUTE_MAX_RANK)
-    require_within("pure box periods", r, f"r of {spec}", limit=PURE_BRUTE_MAX_PERIODS)
-    require_within("elements", gaussian_binomial(r - 1, k, p), f"the subspaces of {spec}")
-
-
+@lru_cache(maxsize=None)
 def _p_part(n: int, p: int) -> int:
     """The largest power of p dividing n."""
     return gcd(n, p ** n)
@@ -146,7 +122,7 @@ def _with_block(profile, d: int, e: int, m: int, p: int, r: int) -> tuple:
     dims, unipotent = profile
     dims = tuple(n + d * min(m, _p_part(L, p)) * (L % e == 0) for L, n in enumerate(dims, 1))
     if e == 1:
-        top = max(p ** a for a in range(r) if p ** a <= min(m, r))
+        top = max(p ** a for a in range(min(m, r).bit_length()) if p ** a <= min(m, r))
         unipotent = tuple(sorted(unipotent + (top,)))
     return dims, unipotent
 
@@ -166,7 +142,7 @@ def _short_types(p: int, k: int, r: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(types)
 
 
-def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
+def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dict[tuple, int]:
     """{profile: the total size of the classes of GL(k, p) with it}, with no class listed.
 
     A class maps the monic irreducibles f != x to partitions lambda_f with
@@ -181,7 +157,18 @@ def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
     in z raised to their number by binary powering.  Each division is exact:
     the centraliser orders of blocks of degree D multiply to a divisor of
     |GL(D, p)|, and |GL(D, p)| |GL(k - D, p)| divides |GL(k, p)|.
+
+    The ``burnside steps`` cap bounds the work, checked before any loop over
+    r, before each f's walk and on the final states: r + 1 steps a block
+    added to a profile, (r + 1)^2 a state (``_fixed_multiset_row``).  The
+    rows of one count share it: ``meter[0]`` counts their steps.
     """
+    meter = [0] if meter is None else meter
+    what = f"the steps of the Burnside rows up to (p={p}, k={k}, r={r})"
+    blocks = [0]  # blocks[m]: the parts of the partitions of s <= m, which x - 1 walks first
+    for s in range(1, k + 1):
+        blocks.append(blocks[-1] + sum(map(len, fp._partitions(s, s))))
+        require_within("burnside steps", meter[0] + (r + 1) * (blocks[-1] + r + 1), what)
     order = fp.gl_order(k, p)
 
     def times(a, b):  # series in z, scaled by |GL(k, p)|
@@ -189,8 +176,11 @@ def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
 
     short = _short_types(p, k, r)
     states = {(0, ((0,) * r, ())): order}
+    steps = 0
     for d, e, count in short:
         for _ in range(count):
+            steps += (r + 1) * sum(blocks[(k - D) // d] for D, _ in states)
+            require_within("burnside steps", meter[0] + steps + (r + 1) ** 2 * len(states), what)
             grown = dict(states)  # f may be absent
             for (D, profile), weight in states.items():
                 for s in range(1, (k - D) // d + 1):
@@ -201,6 +191,8 @@ def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
                         grown[D + d * s, key] = grown.get((D + d * s, key), 0) + \
                             weight // fp._centraliser_order(part, p ** d)
             states = grown
+    steps += (r + 1) ** 2 * len(states)
+    require_within("burnside steps", meter[0] + steps, what)
     irreducible = [0] * (k + 1)  # monic irreducibles of degree d, x included (Gauss)
     long = [order] + [0] * k
     for d in range(1, k + 1):
@@ -220,6 +212,7 @@ def _type_weights(p: int, k: int, r: int) -> dict[tuple, int]:
             weights[profile] = weights.get(profile, 0) + weight * long[k - D] // order
     if sum(weights.values()) != order:
         raise AssertionError(f"class sizes of GL({k}, {p}) do not sum to its order")
+    meter[0] += steps
     return weights
 
 
@@ -285,7 +278,7 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     return [total // characters for total in row]
 
 
-def _burnside_row(p: int, k: int, r: int) -> tuple[int, ...]:
+def _burnside_row(p: int, k: int, r: int, meter: list[int] | None = None) -> tuple[int, ...]:
     """M(p, k, t) for t = 0 .. r: GL(k, p)-orbits of zero-sum t-multisets of nonzero vectors.
 
     Burnside: the class-size-weighted sum of the fixed-multiset counts,
@@ -295,10 +288,11 @@ def _burnside_row(p: int, k: int, r: int) -> tuple[int, ...]:
     entry of the row is checked for divisibility.  The class-sum oracle of
     ``tests/burnside_walk.py`` lists the classes, and shares only
     ``fp._centraliser_order`` and ``_with_block`` with ``_type_weights``; a
-    cycle walk checks the rows.
+    cycle walk checks the rows.  ``meter`` is that of ``_type_weights``.
     """
+    weights = _type_weights(p, k, r, meter)  # first: it checks the cost cap before any loop over r
     totals = [0] * (r + 1)
-    for key, size in _type_weights(p, k, r).items():
+    for key, size in weights.items():
         totals = [total + size * fixed
                   for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
     order = fp.gl_order(k, p)
@@ -313,25 +307,30 @@ def _burnside_row(p: int, k: int, r: int) -> tuple[int, ...]:
 _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _zero_sum_multiset_orbits(p: int, k: int, r: int) -> int:
+def _zero_sum_multiset_orbits(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
     """M(p, k, r), read from the row of (p, k) kept in ``_ROWS``.
 
     A row for t <= r is a prefix of every longer one, so a miss builds
-    ``_burnside_row`` to the largest of r, the box's period cap and twice
-    the kept row's period count.  The cap serves every count the CLI
-    answers with one build per (p, k); the doubling makes an ascending
-    sweep of r build each row O(log r) times.
+    ``_burnside_row`` to the largest of r, ROW_MIN_PERIODS and twice the
+    kept row's period count, or to the request where the ``burnside steps``
+    cap refuses that: an ascending sweep of r builds each row O(log r) times.
     """
     if k == 0:
         return int(r == 0)
     row = _ROWS.get((p, k), ())
     if len(row) <= r:
-        row = _ROWS[(p, k)] = _burnside_row(
-            p, k, max(r, PURE_BRUTE_MAX_PERIODS, 2 * (len(row) - 1)))
+        wanted, doubled = max(r, ROW_MIN_PERIODS), 2 * (len(row) - 1)
+        try:
+            row = _burnside_row(p, k, max(wanted, doubled), meter)
+        except CapExceededError:
+            if doubled <= wanted:
+                raise
+            row = _burnside_row(p, k, wanted, meter)
+        _ROWS[(p, k)] = row
     return row[r]
 
 
-def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
+def count_pure_orbits_burnside(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
     """e(p, k, r) = M(p, k, r) - M(p, k - 1, r), both by Burnside.
 
     e counts GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors that
@@ -340,11 +339,12 @@ def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
     M(p, k, r) by their span W of dimension j: GL(k, p) is transitive on the
     j-subspaces, and the stabiliser of W induces all of GL(j, p) on it, so
     the orbits with span of dimension j are e(p, j, r) many, and
-    M(p, k, r) = sum_{j <= k} e(p, j, r).
+    M(p, k, r) = sum_{j <= k} e(p, j, r).  ``meter``: see ``_type_weights``.
     """
     if k < 1 or k > r - 1:
         return 0
-    return _zero_sum_multiset_orbits(p, k, r) - _zero_sum_multiset_orbits(p, k - 1, r)
+    return (_zero_sum_multiset_orbits(p, k, r, meter)
+            - _zero_sum_multiset_orbits(p, k - 1, r, meter))
 
 
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
@@ -367,21 +367,19 @@ def witt_kernel_orbit_count(rho: int, k: int) -> int:
 # class counts
 
 
-def count_pure_classes(p: int, k: int, r: int) -> int:
+def count_pure_classes(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
     """Number of classes of (0; p^r)-generating vectors of C_p^k.
 
-    Counted by ``count_pure_orbits_burnside`` inside the enumeration box of
-    ``check_pure_caps``, where the subspace BFS and the canonical-form
-    oracles of ``eag.orbits`` pin every value.  Conventions: the count is 1 for
-    k = 0 only when r = 0, and 0 for k < 0.
+    Counted by ``count_pure_orbits_burnside`` within the ``burnside steps``
+    cap; the oracles of ``eag.orbits`` pin it inside their boxes.
+    Conventions: the count is 1 for k = 0 only when r = 0, and 0 for k < 0.
     """
     check_prime(p)
     if k < 1:
         return int(k == 0 and r == 0)
     if no_pure_vectors(p, k, r):
         return 0
-    check_pure_caps(p, k, r)
-    return count_pure_orbits_burnside(p, k, r)
+    return count_pure_orbits_burnside(p, k, r, meter)
 
 
 def no_pure_vectors(p: int, j: int, r: int) -> bool:
@@ -488,15 +486,19 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
                                 flags=("no-actions-for-these-parameters",))
     e_used, h_used, engines, total = [], [], set(), 0
-    # a pure rank j = n - k past max(r - 1, 0) has e = 0 (``no_pure_vectors``)
-    for k in range(max(n - max(r - 1, 0), 0), min(n, 2 * rho) + 1):
-        j = n - k
+    meter = [0]  # the rows of every e share one burnside steps cap
+    # j = n - k past max(r - 1, 0) has e = 0 (``no_pure_vectors``); j ascends, so that a
+    # large row of table 1 comes last, and answers in closed form if the cap refuses it
+    for k in reversed(range(max(n - max(r - 1, 0), 0), min(n, 2 * rho) + 1)):
+        j, row = n - k, pure_unique_row(p, n - k, r)
         try:  # e(p, 0, 0) = 1 is a convention and names no engine
-            e, engine = count_pure_classes(p, j, r), "burnside" if j else ""
-        except CapExceededError:
-            if pure_unique_row(p, j, r) is None:
+            e, engine = count_pure_classes(p, j, r, meter), "burnside" if j else ""
+        except CapExceededError:  # past the cost cap, table 1's unique rows still answer
+            if row is None:
                 raise
             e, engine = 1, "closed-form"
+        if j and (e == 1) != (row is not None):
+            raise AssertionError(f"e({p}, {j}, {r}) = {e} contradicts table 1's rows")
         if e == 0:
             continue
         h = count_unramified_classes(p, k, rho)
@@ -506,8 +508,8 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
         engines.update({engine, "witt" if rho else ""})
     method = "+".join(name for name in ("burnside", "closed-form", "witt")
                       if name in engines) or "closed-form"
-    return ClassCountReport(p, n, rho, r, total, method, e_used=tuple(e_used),
-                            h_used=tuple(h_used))
+    return ClassCountReport(p, n, rho, r, total, method, e_used=tuple(reversed(e_used)),
+                            h_used=tuple(reversed(h_used)))
 
 
 # ---------------------------------------------------------------------------

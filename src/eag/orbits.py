@@ -2,9 +2,10 @@
 
 The counts e and h are closed forms in ``eag.genvec``, and no module of
 the package imports this one (``tests/test_oracle_boundary.py``).  The
-oracles run only inside their boxes, ``genvec.check_pure_caps`` and
-``check_unramified_caps`` here, on subspaces that ``_subspace_blocks``
-lists in blocks:
+oracles run only inside their own boxes, ``check_pure_caps`` and
+``check_unramified_caps``, which production does not share: it bounds e by
+the ``burnside steps`` cap of ``errors.CAPS``.  They run on subspaces that
+``_subspace_blocks`` lists in blocks:
 
 * ``count_pure_orbits_bfs``, the orbit engine ``fp.orbit_components`` on
   admissible k-subspaces of the zero-sum hyperplane of F_p^r under S_r
@@ -31,9 +32,21 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from . import fp
-from .genvec import check_pure_caps, gaussian_binomial
 # perfbench reads Witt's count here, as orbits.witt_kernel_orbit_count
 from .genvec import witt_kernel_orbit_count  # noqa: F401
+
+
+def gaussian_binomial(m: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^m."""
+    if k < 0 or k > m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (m - i) - 1
+        den *= p ** (i + 1) - 1
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{m} {k}]_{p} is not an integer")
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +128,7 @@ def _subspace_blocks(p: int, W: np.ndarray, k: int):
 def _enumerate_subspaces(p: int, W: np.ndarray, k: int) -> np.ndarray:
     """Ambient RREFs of all k-subspaces of the row space of ``W = [I_d | X]``.
 
-    The result is uint8 of shape (genvec.gaussian_binomial(d, k, p), k, n).
+    The result is uint8 of shape (gaussian_binomial(d, k, p), k, n).
     Each subspace is C W for its RREF coordinates C, and C W = [C | C X] is
     already in RREF, so nothing is row-reduced; any other ``W`` raises.
     """
@@ -156,6 +169,25 @@ def _subspace_orbit_count(M: np.ndarray, p: int, moves, drop_first_col: bool) ->
 # coordinate (columns of the reduced basis are the tuple entries).  Tuple
 # reordering becomes the S_r action on coordinates, so class counting is
 # orbit counting of admissible subspaces under S_r.
+
+#: enumeration box of the purely ramified BFS oracle
+PURE_BRUTE_PRIMES = (2, 3, 5)
+PURE_BRUTE_MAX_RANK = 4
+PURE_BRUTE_MAX_PERIODS = 8
+PURE_BRUTE_MAX_SUBSPACES = 10 ** 8
+
+
+def check_pure_caps(p: int, k: int, r: int) -> None:
+    """Raise outside the enumeration box, or when the BFS would list more
+    than PURE_BRUTE_MAX_SUBSPACES subspaces of the zero-sum hyperplane."""
+    if p not in PURE_BRUTE_PRIMES or k > PURE_BRUTE_MAX_RANK or r > PURE_BRUTE_MAX_PERIODS:
+        raise CapExceededError(
+            f"(p={p}, k={k}, r={r}) is outside the enumeration box p in {PURE_BRUTE_PRIMES}, "
+            f"k <= {PURE_BRUTE_MAX_RANK}, r <= {PURE_BRUTE_MAX_PERIODS}")
+    subspaces = gaussian_binomial(r - 1, k, p)
+    if subspaces > PURE_BRUTE_MAX_SUBSPACES:
+        raise CapExceededError(
+            f"(p={p}, k={k}, r={r}) needs {subspaces} subspaces, above {PURE_BRUTE_MAX_SUBSPACES}")
 
 
 def _swap01_rref(M: np.ndarray, p: int) -> np.ndarray:
@@ -207,7 +239,7 @@ def _cycle_rref(M: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def count_pure_orbits_bfs(p: int, k: int, r: int) -> int:
     """S_r-orbit count of admissible k-subspaces, by BFS over (0 1) and the r-cycle."""
-    fp.check_prime(p)  # the box reads a prime p's membership off its size
+    fp.check_prime(p)
     check_pure_caps(p, k, r)
     if k < 1 or k > r - 1:
         return 0

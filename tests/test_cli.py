@@ -160,9 +160,12 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_cap_exit_4(capsys):
-    code, _, err = run(["count", "--p", "5", "--n", "3", "--rho", "0", "--r", "8"],
-                       capsys)
-    assert code == cli.EXIT_CAP
+    # the row of 5,000 periods needs (r + 1)^2 steps for its one state alone,
+    # and table 1 names no row for (5, 3, 5000)
+    code, out, err = run(["count", "--p", "5", "--n", "3", "--rho", "0", "--r", "5000"],
+                         capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert f"above the burnside steps cap of {CAPS['burnside steps']}" in err
 
 
 def test_count_reports(capsys):
@@ -172,6 +175,12 @@ def test_count_reports(capsys):
     payload = run_json(["count", "--p", "2", "--n", "1", "--rho", "0", "--r", "1"],
                        capsys)
     assert payload["total"] == 0
+    # past the oracles' box p in {2, 3, 5}, k <= 4, r <= 8, which capped the count
+    for argv, total in [(["--p", "7", "--n", "2", "--rho", "0", "--r", "5"], 39),
+                        (["--p", "13", "--n", "3", "--rho", "0", "--r", "10"], 34_330_061_746_244),
+                        (["--p", "13", "--n", "5", "--rho", "0", "--r", "7"], 332)]:
+        payload = run_json(["count", *argv], capsys)
+        assert (payload["total"], payload["method"]) == (total, "burnside"), argv
     # mixed signatures are genuine counts that agree with `unique`
     for argv in (["--p", "2", "--n", "2", "--rho", "1", "--r", "5"],
                  ["--p", "2", "--n", "1", "--rho", "1", "--r", "4"]):
@@ -265,6 +274,11 @@ MERSENNE_89 = 2 ** 89 - 1
     (["fermat", "--p=3", "--n=2", "--w=1e999999999,2,3"], cli.EXIT_CAP),
     # an order line past the digit limit, by the digits cap before int() reads it
     (["orbits", "--table", "{tmp}/order.tab", "--sig", "(0;2,2)"], cli.EXIT_CAP),
+    # a row past the burnside steps cap, and one of 10^9 periods, refused before any loop
+    # over r; a huge pure-7 row past it still answers in closed form
+    (["count", "--p=5", "--n=3", "--rho=0", "--r=5000"], cli.EXIT_CAP),
+    (["count", "--p=3", "--n=2", "--rho=0", "--r=1000000000"], cli.EXIT_CAP),
+    (["count", "--p=7", "--n=40", "--rho=0", "--r=41"], cli.EXIT_OK),
 ])
 def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code, tmp_path):
     (tmp_path / "order.tab").write_text("9" * 5000 + "\n", encoding="utf-8")
@@ -575,6 +589,11 @@ def _or_junk(valid):
 
 
 SMALL = _or_junk(st.integers(0, 6).map(str))
+# count's sizes at their extremes.  r stays where the burnside steps cap refuses a
+# row from its sizes or its first states (r = 10^3 needs (r + 1)^2 steps a state),
+# so that no example builds a slow row in process
+EXTREME = st.sampled_from(["0", "1"] + [str(10 ** k) for k in range(10)])
+EXTREME_R = st.sampled_from(["0", "1"] + [str(10 ** k) for k in range(3, 10)])
 RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6).map(str)
 GROUP_NAMES = ["C1", "C2", "C3", "C5", "C12", "D1", "D3", "D6", "S3", "A4", "C2xC2",
                "C2xC6", "C3xC3", "C2xC2xC2", "Q8", "Cx"]
@@ -607,7 +626,11 @@ def _argv(paths):
     spec = [("--p", SMALL), ("--n", SMALL), ("--rho", SMALL), ("--r", SMALL)]
 
     def options(draw, command):
-        if command in ("unique", "count", "maximal"):
+        if command == "count":
+            return [("--p", SMALL), ("--n", st.one_of(SMALL, EXTREME)),
+                    ("--rho", st.one_of(SMALL, EXTREME)),
+                    ("--r", st.one_of(SMALL, EXTREME_R))] + fmt
+        if command in ("unique", "maximal"):
             return spec + fmt + ([("--search", None)] if command == "maximal" else [])
         if command == "orbits":
             group = (("--group", _or_junk(st.sampled_from(GROUP_NAMES)))
@@ -648,9 +671,11 @@ def test_cli_fuzz_exit_codes(fuzz_files):
               suppress_health_check=[HealthCheck.too_slow])
     @given(_argv(fuzz_files))
     def check(argv):
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = cli.main(argv)
         assert code in range(5), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
     check()
 

@@ -90,9 +90,9 @@ def test_count_pure_classes_examples():
 
 
 def test_count_pure_max_rank_always_unique():
-    # k = r - 1 stays inside the enumeration box up to r = 5
-    for p in (2, 3, 5):
-        for r in range(2, 6):
+    # k = r - 1, table 1's pure-7 row, counted by Burnside for every p
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in range(2, 7):
             assert count_pure_classes(p, r - 1, r) == 1
 
 
@@ -154,19 +154,25 @@ def test_count_classes_mixed_is_exact():
 
 def test_count_classes_mixed_ingredient_beyond_rank_cap():
     assert count_classes(EAActionSpec(3, 1, 1, 6)).total == 2
-    # only the k = 2 term is nonzero, and its e(3,8,9) is the maximal-rank
-    # ingredient: outside the enumeration box but closed-form (one class)
-    report = count_classes(EAActionSpec(3, 10, 1, 9))
+    # only the k = 2 term is nonzero, and its e(3,40,41) is the maximal-rank
+    # ingredient: past the cost cap but closed-form (one class)
+    report = count_classes(EAActionSpec(3, 42, 1, 41))
     assert report.total == 1
-    assert report.e_used == ((8, 1),) and report.h_used == ((2, 1),)
+    assert report.e_used == ((40, 1),) and report.h_used == ((2, 1),)
     assert report.flags == ()
     assert report.method == "closed-form+witt"
+    # below the cap the same kind of term, e(3,8,9), is counted by Burnside
+    report = count_classes(EAActionSpec(3, 10, 1, 9))
+    assert (report.total, report.e_used, report.method) == (1, ((8, 1),), "burnside+witt")
 
 
 def test_count_classes_pure_and_unramified_payloads():
     report = count_classes(EAActionSpec(3, 1, 0, 6))
     assert (report.total, report.method, report.flags) == (2, "burnside", ())
     report = count_classes(EAActionSpec(3, 6, 0, 7))
+    assert (report.total, report.method, report.flags) == (1, "burnside", ())
+    # past the burnside steps cap, table 1's pure-7 row answers in closed form
+    report = count_classes(EAActionSpec(3, 40, 0, 41))
     assert (report.total, report.method, report.flags) == (1, "closed-form", ())
     report = count_classes(EAActionSpec(2, 3, 2, 0))
     assert (report.total, report.method, report.flags) == (1, "witt", ())
@@ -175,8 +181,9 @@ def test_count_classes_pure_and_unramified_payloads():
     assert (report.total, report.method, report.flags) == (2, "witt", ())
     report = count_classes(EAActionSpec(2, 1, 0, 3))   # r odd over p = 2: no term
     assert (report.total, report.method, report.flags) == (0, "closed-form", ())
-    with pytest.raises(CapExceededError):
-        count_classes(EAActionSpec(5, 3, 0, 9))
+    assert count_classes(EAActionSpec(5, 3, 0, 9)).total == 143_045
+    with pytest.raises(CapExceededError, match="burnside steps cap"):
+        count_classes(EAActionSpec(5, 3, 0, 5000))
 
 
 def _mixed_orbit_count(p, n, rho, r):
@@ -229,7 +236,7 @@ MIXED_BOX = [(p, n, rho, r) for p in (2, 3, 5) for rho in (1, 2) for r in range(
 def test_count_classes_matches_direct_enumeration():
     ran = 0
     for p, n, rho, r in MIXED_BOX:
-        if genvec.gaussian_binomial(2 * rho + r - 1, n, p) > 20_000:
+        if orbits.gaussian_binomial(2 * rho + r - 1, n, p) > 20_000:
             continue
         want = _mixed_orbit_count(p, n, rho, r)
         assert count_classes(EAActionSpec(p, n, rho, r)).total == want, (p, n, rho, r)
@@ -239,14 +246,16 @@ def test_count_classes_matches_direct_enumeration():
 
 def test_count_classes_agrees_with_is_unique_action():
     ran = 0
-    for p, n, rho, r in MIXED_BOX:
+    # the mixed box, and its (n, rho, r) for p in {7, 11, 13}, which no oracle reaches
+    sizes = sorted({spec[1:] for spec in MIXED_BOX})
+    for p, n, rho, r in MIXED_BOX + [(p, *size) for p in (7, 11, 13) for size in sizes]:
         spec = EAActionSpec(p, n, rho, r)
         genus = ea_genus(spec)
         if genus.denominator != 1 or genus < 2:
             continue
         ran += 1
         assert (count_classes(spec).total == 1) == is_unique_action(spec), spec
-    assert ran == 176
+    assert ran == 356
 
 
 #: the printed uniqueness rows (table 2 cases 1-14), each a condition on
@@ -312,6 +321,14 @@ def test_table_one_agrees_with_the_count_on_a_grid():
     instances, pairs, mismatches = check_grid(5, 12)
     assert mismatches == []
     assert (instances, pairs) == (265, 222)
+
+
+def test_count_classes_raises_where_table_one_disagrees(monkeypatch):
+    # e(7, 1, 3) = 2 by Burnside: a table 1 row that names it is contradicted at runtime
+    monkeypatch.setattr(genvec, "pure_unique_row",
+                        lambda p, n, r: "pure-x" if (p, n, r) == (7, 1, 3) else None)
+    with pytest.raises(AssertionError, match=r"e\(7, 1, 3\) = 2 contradicts table 1"):
+        count_classes(EAActionSpec(7, 1, 0, 3))
 
 
 @pytest.mark.parametrize("changed,e", [((7, 1, 3), 2), ((2, 3, 5), 1)])
@@ -394,7 +411,7 @@ def test_build_pair_whole_small_box():
 
 
 def test_pair_larger_primes_and_ranks():
-    # beyond the enumeration box the constructions still validate
+    # past the oracles' boxes the constructions still validate
     for p, n, r in [(7, 1, 3), (7, 1, 8), (11, 1, 12), (7, 2, 9), (11, 3, 6),
                     (13, 4, 7), (7, 1, 15), (13, 1, 14), (11, 1, 23)]:
         v1, v2 = build_inequivalent_pair(p, n, r)
@@ -403,8 +420,10 @@ def test_pair_larger_primes_and_ranks():
 
 
 def test_count_caps_raise():
-    with pytest.raises(CapExceededError):
-        count_pure_classes(7, 2, 5)
+    # a row past the burnside steps cap, before any work: (r + 1)^2 steps for its one row
+    with pytest.raises(CapExceededError, match="above the burnside steps cap"):
+        count_pure_classes(7, 2, 5000)
+    assert count_pure_classes(7, 2, 5) == 39
     # h is Witt's closed form for every p and rho: no cap
     assert count_unramified_classes(5, 2, 4) == 2
     assert count_unramified_classes(13, 5, 9) == genvec.witt_kernel_orbit_count(9, 5)

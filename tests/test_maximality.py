@@ -407,4 +407,4 @@ def test_row_spaces_follow_the_oracle_enumeration(p, tau, l, m, n):
     for v in mx._codewords(p, tau, l, m):
         got = list(mx._row_spaces(p, tau, l + m, n, v))
         assert got == _oracle_row_spaces(p, tau, l + m, n, v), v
-        assert len(got) == genvec.gaussian_binomial(2 * tau + l + m - 2, n, p)
+        assert len(got) == orbits.gaussian_binomial(2 * tau + l + m - 2, n, p)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from eag import fp, genvec, orbits
+from eag import errors, fp, genvec, orbits
 from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
@@ -15,11 +15,11 @@ from burnside_walk import (class_matrix, class_profile, class_sum_rows, fixed_mu
 
 
 def test_gaussian_binomial():
-    assert genvec.gaussian_binomial(4, 2, 2) == 35
-    assert genvec.gaussian_binomial(6, 3, 2) == 1395
-    assert genvec.gaussian_binomial(6, 2, 5) == 508431
-    assert genvec.gaussian_binomial(3, 0, 3) == 1
-    assert genvec.gaussian_binomial(3, 4, 3) == 0
+    assert orbits.gaussian_binomial(4, 2, 2) == 35
+    assert orbits.gaussian_binomial(6, 3, 2) == 1395
+    assert orbits.gaussian_binomial(6, 2, 5) == 508431
+    assert orbits.gaussian_binomial(3, 0, 3) == 1
+    assert orbits.gaussian_binomial(3, 4, 3) == 0
 
 
 def test_batch_rref_matches_exact_rref():
@@ -43,7 +43,7 @@ def test_enumerate_subspaces(p, n, k, basis):
     else:
         W = orbits._zero_sum_hyperplane_basis(p, n + 1)
     M = orbits._enumerate_subspaces(p, W, k)
-    assert M.shape == (genvec.gaussian_binomial(n, k, p), k, W.shape[1])
+    assert M.shape == (orbits.gaussian_binomial(n, k, p), k, W.shape[1])
     assert max(len(b) for b in orbits._subspace_blocks(p, W, k)) <= orbits.SUBSPACE_BLOCK
     assert (orbits.batch_rref(M, p) == M).all()
     keys = fp._pack_keys(M, p)
@@ -96,7 +96,7 @@ def _canonical_instances_outside_the_box():
                 if not orbits.pure_canonical_feasible(p, k, r):
                     continue
                 try:
-                    genvec.check_pure_caps(p, k, r)
+                    orbits.check_pure_caps(p, k, r)
                 except CapExceededError:
                     found.append((p, k, r))
     return found
@@ -246,7 +246,7 @@ def test_large_rows_outside_the_box():
 
 
 def test_pure_box_counts_do_not_depend_on_request_order(monkeypatch):
-    # the first request for (p, k) builds its row to the box's period cap,
+    # the first request for (p, k) builds its row to ROW_MIN_PERIODS,
     # which holds every r of the box, in either order
     for reverse in (False, True):
         monkeypatch.setattr(genvec, "_ROWS", {})
@@ -259,9 +259,9 @@ def _count_builds(monkeypatch) -> dict[tuple[int, int], int]:
     builds: dict[tuple[int, int], int] = {}
     real = genvec._type_weights
 
-    def counted(p, k, r):
+    def counted(p, k, r, meter=None):
         builds[p, k] = builds.get((p, k), 0) + 1
-        return real(p, k, r)
+        return real(p, k, r, meter)
 
     monkeypatch.setattr(genvec, "_ROWS", {})
     monkeypatch.setattr(genvec, "_type_weights", counted)
@@ -279,7 +279,7 @@ def test_pure_box_builds_each_row_once(monkeypatch):
 
 
 def test_ascending_sweep_builds_each_row_at_most_twice(monkeypatch):
-    # past the box's 8 periods a row doubles: r = 9 builds it to 16
+    # past ROW_MIN_PERIODS = 8 a row doubles: r = 9 builds it to 16
     builds = _count_builds(monkeypatch)
     for p in (2, 3, 5):
         for k in range(1, 5):
@@ -287,6 +287,27 @@ def test_ascending_sweep_builds_each_row_at_most_twice(monkeypatch):
                 genvec.count_pure_orbits_burnside(p, k, r)
     assert builds and max(builds.values()) <= 2, builds
     assert builds[5, 4] == 2
+
+
+def test_a_doubled_row_past_the_cap_is_clipped_to_the_request(monkeypatch):
+    # (5, 4) takes 15,740 burnside steps to r = 9 and 49,912 to r = 16, and (5, 3)
+    # 5,570 to r = 9: the count's two rows share the cap
+    lengths = []
+    real = genvec._type_weights
+
+    def recorded(p, k, r, meter=None):
+        lengths.append((k, r))
+        return real(p, k, r, meter)
+
+    monkeypatch.setattr(genvec, "_ROWS", {})
+    monkeypatch.setattr(genvec, "_type_weights", recorded)
+    monkeypatch.setitem(errors.CAPS, "burnside steps", 30_000)
+    assert genvec.count_pure_orbits_burnside(5, 4, 8) == 11_173
+    assert genvec.count_pure_orbits_burnside(5, 4, 9) == 629_870
+    assert [r for k, r in lengths if k == 4] == [8, 16, 9]
+    assert len(genvec._ROWS[5, 4]) == 10
+    with pytest.raises(CapExceededError, match="above the burnside steps cap of 30000"):
+        genvec.count_pure_orbits_burnside(5, 4, 16)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (5, 2), (13, 2)])
@@ -377,7 +398,7 @@ def _closed_form_mismatches():
     for p in (2, 3, 5):
         for r in range(2, 8):
             for k in range(1, r):
-                if genvec.gaussian_binomial(r - 1, k, p) > 20_000:
+                if orbits.gaussian_binomial(r - 1, k, p) > 20_000:
                     continue
                 M = orbits._enumerate_subspaces(p, orbits._zero_sum_hyperplane_basis(p, r), k)
                 M = M[(M != 0).any(axis=1).all(axis=1)]
