@@ -22,8 +22,9 @@ bounds the rows of e; the oracles of ``eag.orbits`` check e in their boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import add, mul
 
 from . import fp
 from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
@@ -152,7 +153,8 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
     Appl. 36 (1981); J. Fulman, J. Group Theory 2 (1999)).  A profile reads
     f only through (deg f, ord f, m) for the parts m, when ord f <= r
     (``_with_block``).  So a dynamic programme over the ``_short_types``,
-    one f at a time, carries (degree D, profile) to |GL(k, p)| sum 1 / prod c;
+    one f at a time, carries (degree D, profile) to |GL(k, p)| sum 1 / prod c
+    (a partition's blocks add to a profile what they add to the zero one);
     the long irreducibles count through their degree alone, as one series
     in z raised to their number by binary powering.  Each division is exact:
     the centraliser orders of blocks of degree D multiply to a divisor of
@@ -175,21 +177,25 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
         return [sum(a[i] * b[j - i] for i in range(j + 1)) // order for j in range(k + 1)]
 
     short = _short_types(p, k, r)
-    states = {(0, ((0,) * r, ())): order}
+    zero = ((0,) * r, ())
+    increments = {(d, e): [(d * s, *reduce(lambda key, m: _with_block(key, d, e, m, p, r), part, zero),
+                            fp._centraliser_order(part, p ** d))  # (degree, dims, unipotent, c)
+                           for s in range(1, k // d + 1) for part in fp._partitions(s, s)]
+                  for d, e, _ in short}
+    states = {(0, zero): order}
     steps = 0
     for d, e, count in short:
         for _ in range(count):
             steps += (r + 1) * sum(blocks[(k - D) // d] for D, _ in states)
             require_within("burnside steps", meter[0] + steps + (r + 1) ** 2 * len(states), what)
             grown = dict(states)  # f may be absent
-            for (D, profile), weight in states.items():
-                for s in range(1, (k - D) // d + 1):
-                    for part in fp._partitions(s, s):
-                        key = profile
-                        for m in part:
-                            key = _with_block(key, d, e, m, p, r)
-                        grown[D + d * s, key] = grown.get((D + d * s, key), 0) + \
-                            weight // fp._centraliser_order(part, p ** d)
+            for (D, (dims, unipotent)), weight in states.items():
+                for degree, inc, tops, centraliser in increments[d, e]:
+                    if D + degree > k:
+                        break
+                    # unipotent or tops is (): x - 1, the one f of order 1, is walked once
+                    key = D + degree, (tuple(map(add, dims, inc)), unipotent + tops)
+                    grown[key] = grown.get(key, 0) + weight // centraliser
             states = grown
     steps += (r + 1) ** 2 * len(states)
     require_within("burnside steps", meter[0] + steps, what)
@@ -216,13 +222,14 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
     return weights
 
 
-def _times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
-    """series * (1 - x^s)^(-n), cut at the length of series, for any integer n."""
-    coefs = [1]  # [x^(js)] (1 - x^s)^(-n) = n (n + 1) ... (n + j - 1) / j!
-    for j in range(1, (len(series) - 1) // s + 1):
-        coefs.append(coefs[-1] * (n + j - 1) // j)
-    return [sum(c * series[t - j * s] for j, c in enumerate(coefs[:t // s + 1]))
-            for t in range(len(series))]
+@lru_cache(maxsize=1)  # the profiles of a row share r
+def _proper_divisors(r: int) -> tuple[tuple[int, ...], ...]:
+    """The proper divisors of each L = 0 .. r, by a sieve."""
+    table = [[] for _ in range(r + 1)]
+    for D in range(1, r // 2 + 1):
+        for L in range(2 * D, r + 1, D):
+            table[L].append(D)
+    return tuple(map(tuple, table))
 
 
 def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
@@ -243,14 +250,18 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     N_L v = (L / D) N_D v for v of exact period D, Moebius over D | L gives
     the c_L cycles of length L with each nonzero phi-sum and the c0_L with
     sum 0 (the zero vector left out), and prod_{j != 0} (1 - zeta^j y) =
-    (1 - y^p) / (1 - y) turns the product into the integer series
-    prod_L (1 - x^L)^(c_L - c0_L) (1 - x^(pL))^(-c_L).  Of the phi,
-    p^#{m <= E} - p^#{m < E} have E(phi) = E > 0.
+    (1 - y^p) / (1 - y) turns the product into the integer series G =
+    prod_L (1 - x^L)^(c_L - c0_L) (1 - x^(pL))^(-c_L) = prod_s (1 - x^s)^(-a_s)
+    (``power``).  Of the phi, p^#{m <= E} - p^#{m < E} have E(phi) = E > 0.
+    G follows the Euler-transform recurrence n g_n = sum_{j <= n} sigma_j g_(n-j),
+    sigma_n = sum_{s | n} s a_s, exact for a_s of either sign (Sloane and
+    Plouffe, *The Encyclopedia of Integer Sequences*, 1995).
     """
     dims, unipotent = profile
+    divisors = _proper_divisors(r)
     exact = [0] * (r + 1)  # vectors of exact period L
     for L in range(1, r + 1):
-        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in range(1, L) if L % D == 0)
+        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in divisors[L])
     row = [0] * (r + 1)
     for E in (0,) + tuple(sorted(set(unipotent))):
         weight = 1 if E == 0 else \
@@ -259,18 +270,19 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
         power = [0] * (r + 1)  # G_phi = prod_s (1 - x^s)^(-power[s])
         for L in range(1, r + 1):
             spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
-            each[L] = spread - sum(each[D] for D in range(1, L)
-                                   if L % D == 0 and (L // D) % p)
+            each[L] = spread - sum(each[D] for D in divisors[L] if (L // D) % p)
             zero = exact[L] - (p - 1) * each[L] - (L == 1)
             if zero % L or each[L] % L:
                 raise AssertionError(f"vectors of period {L} do not form whole cycles")
             power[L] += (zero - each[L]) // L
             if p * L <= r:
                 power[p * L] += each[L] // L
-        series = [1] + [0] * r
-        for s in range(1, r + 1):
-            if power[s]:
-                series = _times_inverse_power(series, s, power[s])
+        sigma = [0] * (r + 1)  # sigma[n] = sum_{s | n} s power[s]
+        for s in (s for s in range(1, r + 1) if power[s]):
+            sigma[s::s] = [total + s * power[s] for total in sigma[s::s]]
+        series = [1]
+        for n in range(1, r + 1):
+            series.append(sum(map(mul, sigma[1:n + 1], reversed(series))) // n)
         row = [total + weight * term for total, term in zip(row, series)]
     characters = p ** len(unipotent)
     if any(total % characters for total in row):
@@ -283,10 +295,11 @@ def _burnside_row(p: int, k: int, r: int, meter: list[int] | None = None) -> tup
 
     Burnside: the class-size-weighted sum of the fixed-multiset counts,
     divided by |GL(k, p)|.  The counts of g for t <= r are read off its
-    profile in closed form (``_fixed_multiset_row``), once per profile,
-    weighted by the total size of its classes (``_type_weights``), and each
-    entry of the row is checked for divisibility.  The class-sum oracle of
-    ``tests/burnside_walk.py`` lists the classes, and shares only
+    profile in closed form (``_fixed_multiset_row``: a product of powers of
+    (1 - x^s), expanded by the Euler-transform recurrence), once per
+    profile, weighted by the total size of its classes (``_type_weights``),
+    and each entry of the row is checked for divisibility.  The class-sum
+    oracle of ``tests/burnside_walk.py`` lists the classes, and shares only
     ``fp._centraliser_order`` and ``_with_block`` with ``_type_weights``; a
     cycle walk checks the rows.  ``meter`` is that of ``_type_weights``.
     """

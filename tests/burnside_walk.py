@@ -11,6 +11,13 @@ with the type sum.
 its profile in closed form.  The cycle walk counts them from the matrices
 instead (``class_matrix`` builds one per class), over the p^k codes of
 F_p^k, and shares no step with it.
+
+Past the walk's box, two oracles check the two loops of the type sum
+against their direct forms: ``product_form_row`` multiplies out each
+character's series factor by factor, where production runs the
+Euler-transform recurrence, and ``part_walk_weights`` adds a partition's
+blocks to every state one part at a time, where production adds each
+partition's increment once.
 """
 
 from functools import lru_cache
@@ -19,7 +26,7 @@ import numpy as np
 
 from eag.errors import PreconditionError
 from eag.fp import _centraliser_order, _partitions, check_prime, gl_order
-from eag.genvec import _fixed_multiset_row, _with_block
+from eag.genvec import _fixed_multiset_row, _p_part, _short_types, _with_block
 from eag.orbits import _multiset_count
 
 
@@ -128,6 +135,107 @@ def class_sum_rows(p: int, k: int, r: int) -> list[int]:
         raise AssertionError(f"class sums for (p={p}, k={k}) at t = {bad} are not "
                              f"multiples of |GL({k}, {p})|")
     return [total // order for total in totals]
+
+
+def character_powers(profile, p: int, r: int) -> list[tuple[int, list[int]]]:
+    """(weight, a) for each E of ``genvec._fixed_multiset_row``'s character sum.
+
+    The characters phi with E(phi) = E, ``weight`` of them, see the series
+    prod_s (1 - x^s)^(-a_s); the cycle counts come from a Moebius sum over
+    the divisors of each L, found by trial division.
+    """
+    dims, unipotent = profile
+    exact = [0] * (r + 1)  # vectors of exact period L
+    for L in range(1, r + 1):
+        exact[L] = p ** dims[L - 1] - sum(exact[D] for D in range(1, L) if L % D == 0)
+    out = []
+    for E in (0,) + tuple(sorted(set(unipotent))):
+        weight = 1 if E == 0 else \
+            p ** sum(m <= E for m in unipotent) - p ** sum(m < E for m in unipotent)
+        each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum
+        power = [0] * (r + 1)
+        for L in range(1, r + 1):
+            spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
+            each[L] = spread - sum(each[D] for D in range(1, L) if L % D == 0 and (L // D) % p)
+            zero = exact[L] - (p - 1) * each[L] - (L == 1)
+            power[L] += (zero - each[L]) // L
+            if p * L <= r:
+                power[p * L] += each[L] // L
+        out.append((weight, power))
+    return out
+
+
+def times_inverse_power(series: list[int], s: int, n: int) -> list[int]:
+    """series * (1 - x^s)^(-n), cut at the length of series, for any integer n."""
+    coefs = [1]  # [x^(js)] (1 - x^s)^(-n) = n (n + 1) ... (n + j - 1) / j!
+    for j in range(1, (len(series) - 1) // s + 1):
+        coefs.append(coefs[-1] * (n + j - 1) // j)
+    return [sum(c * series[t - j * s] for j, c in enumerate(coefs[:t // s + 1]))
+            for t in range(len(series))]
+
+
+def product_form_row(profile, p: int, r: int) -> list[int]:
+    """``genvec._fixed_multiset_row``, each character's series a product of factors.
+
+    Each (1 - x^s)^(-a_s) is multiplied in by ``times_inverse_power``, from
+    its binomial coefficients, in place of the recurrence.
+    """
+    row = [0] * (r + 1)
+    for weight, power in character_powers(profile, p, r):
+        series = [1] + [0] * r
+        for s in range(1, r + 1):
+            if power[s]:
+                series = times_inverse_power(series, s, power[s])
+        row = [total + weight * term for total, term in zip(row, series)]
+    return [total // p ** len(profile[1]) for total in row]
+
+
+def part_walk_weights(p: int, k: int, r: int) -> dict[tuple, int]:
+    """``genvec._type_weights`` with no cap, each block added to each state by ``_with_block``.
+
+    For every state and every partition of every s, the partition's parts
+    enter the state's profile one at a time, where production adds the
+    partition's increment, built once from the zero profile.  The long
+    irreducibles enter as one series in the degree, raised to their number
+    by binary powering.
+    """
+    order = gl_order(k, p)
+
+    def times(a, b):  # series in z, scaled by |GL(k, p)|
+        return [sum(a[i] * b[j - i] for i in range(j + 1)) // order for j in range(k + 1)]
+
+    short = _short_types(p, k, r)
+    states = {(0, ((0,) * r, ())): order}
+    for d, e, count in short:
+        for _ in range(count):
+            grown = dict(states)  # f may be absent
+            for (D, profile), weight in states.items():
+                for s in range(1, (k - D) // d + 1):
+                    for part in _partitions(s, s):
+                        key = profile
+                        for m in part:
+                            key = _with_block(key, d, e, m, p, r)
+                        grown[D + d * s, key] = grown.get((D + d * s, key), 0) + \
+                            weight // _centraliser_order(part, p ** d)
+            states = grown
+    irreducible = [0] * (k + 1)  # monic irreducibles of degree d, x included (Gauss)
+    long = [order] + [0] * k
+    for d in range(1, k + 1):
+        irreducible[d] = (p ** d - sum(j * irreducible[j] for j in range(1, d) if d % j == 0)) // d
+        series = [order] + [0] * k
+        for s in range(1, k // d + 1):
+            for part in _partitions(s, s):
+                series[d * s] += order // _centraliser_order(part, p ** d)
+        count = irreducible[d] - (d == 1) - sum(n for deg, _, n in short if deg == d)
+        while count > 0:
+            if count & 1:
+                long = times(long, series)
+            series, count = times(series, series), count >> 1
+    weights = {}
+    for (D, profile), weight in states.items():
+        if long[k - D]:
+            weights[profile] = weights.get(profile, 0) + weight * long[k - D] // order
+    return weights
 
 
 def class_matrix(blocks, p: int) -> np.ndarray:

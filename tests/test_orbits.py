@@ -10,8 +10,9 @@ from eag.errors import CapExceededError, PreconditionError
 
 from box_pins import PURE_BOX_COUNTS
 import burnside_walk
-from burnside_walk import (class_matrix, class_profile, class_sum_rows, fixed_multiset_rows,
-                           gl_conjugacy_classes)
+from burnside_walk import (character_powers, class_matrix, class_profile, class_sum_rows,
+                           fixed_multiset_rows, gl_conjugacy_classes, part_walk_weights,
+                           product_form_row)
 
 
 def test_gaussian_binomial():
@@ -350,6 +351,28 @@ def test_type_rows_match_the_class_sum():
             want = class_sum_rows(p, k, 10)
             for r in range(11):
                 assert list(genvec._burnside_row(p, k, r)) == want[:r + 1], (p, k, r)
+
+
+# (5, 4, 8) is also checked by the cycle walk; the other three lie past it
+# and past the class-sum oracle (k <= 4)
+TYPE_SUM_ROWS = [(5, 4, 8), (3, 8, 10), (2, 12, 13), (13, 5, 8)]
+
+
+@pytest.mark.parametrize("p,k,r", TYPE_SUM_ROWS)
+def test_series_recurrence_matches_the_product_form(p, k, r):
+    # every profile of the row: the Euler-transform recurrence against the
+    # product of (1 - x^s)^(-a_s) factors, negative a_s included
+    negative = 0
+    for profile in genvec._type_weights(p, k, r):
+        assert genvec._fixed_multiset_row(profile, p, r) == product_form_row(profile, p, r), profile
+        negative += any(a < 0 for _, power in character_powers(profile, p, r) for a in power)
+    assert negative
+
+
+@pytest.mark.parametrize("p,k,r", TYPE_SUM_ROWS)
+def test_type_weights_match_the_part_walk(p, k, r):
+    # one increment per partition against one _with_block per part, key for key
+    assert genvec._type_weights(p, k, r) == part_walk_weights(p, k, r)
 
 
 def test_burnside_divisibility_catches_a_wrong_short_count(monkeypatch):
