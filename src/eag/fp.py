@@ -6,10 +6,10 @@ multiplicative closures enumerable.  A vector is a tuple of ints.  No class
 of GL(n, p) is listed; ``_centraliser_order`` gives their sizes.
 
 ``orbit_components`` is the one orbit engine, under ``grouptable`` and the
-BFS oracles of ``eag.orbits``; ``group_closure``, the matrix-group closure
-that gives those oracles Sp(2 rho, p), dedupes by the same packed keys
-(``_pack_keys``).  These take numpy arrays and import numpy in their
-bodies, so importing this module loads none.
+BFS oracles of ``eag.orbits``; ``group_closure``, the generic matrix-group
+closure the tests check the oracles' Sp and GL against, dedupes by the
+same packed keys (``_pack_keys``).  These take numpy arrays and import
+numpy in their bodies, so importing this module loads none.
 """
 
 from __future__ import annotations

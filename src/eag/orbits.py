@@ -16,21 +16,22 @@ the ``burnside steps`` cap of ``errors.CAPS``.  They run on subspaces that
   under generators of Sp(2 rho, p) (``sp_generators``);
 * canonical-form counts: each unseen object marks its whole orbit under the
   fully enumerated acting group, with no generators and no graph: GL(k, p)
-  by its definition, every matrix of full rank, and Sp(2 rho, p) as the
-  closure ``sp_group`` (``fp.group_closure`` of its generators), built once
-  per group.  The pure count walks
-  only the zero-sum multisets (``_zero_sum_multisets``): the last entry of
-  each is forced by the others.
+  by its definition, every matrix of full rank, and Sp(2 rho, p) by its
+  own, every g with g J g^T = J (``sp_group``), applied in strided blocks;
+  each group is built once.  The pure count walks one array of the
+  zero-sum multisets (``_zero_sum_multisets``), the last entry of each
+  forced by the others, and finds images by their multiplicity keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, require_within
 from . import fp
 # perfbench reads Witt's count here, as orbits.witt_kernel_orbit_count
 from .genvec import witt_kernel_orbit_count  # noqa: F401
@@ -273,64 +274,73 @@ def pure_canonical_feasible(p: int, k: int, r: int) -> bool:
             and _multiset_count(p ** k - 1, r) <= CANONICAL_MAX_RAW)
 
 
+@lru_cache(maxsize=None)
 def _general_linear(k: int, p: int) -> np.ndarray:
-    """GL(k, p) by its definition: the k x k matrices over F_p of full rank, sorted."""
+    """GL(k, p) by its definition, every k x k matrix over F_p of full rank: sorted, read-only."""
     fp.check_prime(p)
     mats = np.arange(p ** (k * k))[:, None] // p ** np.arange(k * k - 1, -1, -1) % p
     mats = mats.reshape(-1, k, k)
-    return mats[batch_rref(mats, p)[:, -1].any(axis=1)]
+    group = mats[batch_rref(mats, p)[:, -1].any(axis=1)]
+    group.flags.writeable = False
+    return group
 
 
-def _zero_sum_multisets(p: int, k: int, r: int):
-    """The r-multisets of nonzero vectors of F_p^k that sum to 0, as sorted codes.
+def _zero_sum_multisets(p: int, k: int, r: int) -> np.ndarray:
+    """The r-multisets of nonzero vectors of F_p^k that sum to 0, as the sorted
+    codes sum_i v_i p^i of their vectors, one per row in lexicographic order.
 
-    Vector v has code sum_i v_i p^i.  Each multiset is a sorted
-    (r - 1)-multiset, its head, followed by minus the head's sum, and is
-    kept only when that last code is at least the head's largest, so each
-    zero-sum multiset comes from one head.  Heads run in lexicographic
-    order, and so do the multisets.  Needs r >= 2.
+    The sorted (r - 1)-multisets, the heads, are built column by column; the
+    last entry, minus a head's sum, is kept when it is at least the head's
+    largest, so each multiset comes from one head.  Needs r >= 2.
     """
     n = p ** k
     digits = p ** np.arange(k)
     vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
-    add = ((vecs[:, None] + vecs[None]) % p @ digits).tolist()
-    minus = (-vecs % p @ digits).tolist()
-    for head in itertools.combinations_with_replacement(range(1, n), r - 1):
-        total = 0
-        for c in head:
-            total = add[total][c]
-        last = minus[total]
-        if last >= head[-1]:  # a zero sum gives last = 0 and fails
-            yield head + (last,)
+    heads = np.arange(1, n, dtype=np.min_scalar_type(n - 1))[:, None]
+    for _ in range(r - 2):  # each head extended by every code from its last one up
+        last = heads[:, -1].astype(np.int64)
+        row = np.repeat(np.arange(len(heads)), n - last)
+        code = last[row] + np.arange(len(row)) - np.searchsorted(row, row)
+        heads = np.column_stack([heads[row], code.astype(heads.dtype)])
+    last = -sum(vecs[column] for column in heads.T) % p @ digits  # 0 for a zero sum: fails
+    keep = last >= heads[:, -1]
+    return np.column_stack([heads[keep], last[keep].astype(heads.dtype)])
 
 
 @lru_cache(maxsize=None)
 def count_pure_orbits_canonical(p: int, k: int, r: int) -> int:
     """Independent count: orbits of vector multisets under GL x S_r.
 
-    Walks the zero-sum multisets of ``_zero_sum_multisets`` in order; one
-    that spans F_p^k and is not yet seen starts a new orbit, and all its
-    images under GL(k, p) are then marked seen.
+    Each multiset of ``_zero_sum_multisets`` not yet seen has its images
+    under GL(k, p) marked seen, and starts an orbit when it spans F_p^k
+    (GL keeps the span).  A key, minus the multiplicities of codes 1, 2, ...
+    as base-(r + 1) digits, absorbs S_r with no sort, rises with the walk,
+    and fits 63 bits where r base-p^k digits may not.
     """
     if k < 1 or k > r - 1:
         return 0
     if not pure_canonical_feasible(p, k, r):
         raise CapExceededError(f"canonical-form count infeasible for (p={p}, k={k}, r={r})")
     n = p ** k
+    require_within("key values", (r + 1) ** (n - 1), f"the keys of {r}-multisets of {n - 1} codes")
     digits = p ** np.arange(k)
     vecs = (np.arange(n)[:, None] // digits) % p  # row c: the vector with code c
-    decode = [tuple(v) for v in vecs.tolist()]
-    # every element g of GL(k, p) as a permutation of the codes: perms[g][c]
-    # is the code of g applied to the column vector with code c
-    perms = (np.einsum("gij,vj->gvi", _general_linear(k, p), vecs) % p @ digits).tolist()
-    # sorting the images absorbs S_r
-    seen = set()
+    weight = np.append(0, (r + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64))
+    # moved[g, c]: the weight of g applied to the column vector with code c
+    moved = weight[np.einsum("gij,vj->gvi", _general_linear(k, p), vecs) % p @ digits]
+    multisets = _zero_sum_multisets(p, k, r)
+    keys = -weight[multisets].sum(axis=1)
+    seen = np.zeros(len(keys), dtype=bool)
     count = 0
-    for multiset in _zero_sum_multisets(p, k, r):
-        if multiset in seen or len(fp.rref([decode[c] for c in set(multiset)], p)) != k:
+    for i in range(len(keys)):
+        if seen[i]:
             continue
-        count += 1
-        seen.update(tuple(sorted(perm[c] for c in multiset)) for perm in perms)
+        images = -moved[:, multisets[i]].sum(axis=1)
+        at = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+        if not (keys[at] == images).all():
+            raise AssertionError("image missing from enumeration")
+        seen[at] = True
+        count += fp.vector_span_rank(vecs[multisets[i]], p) == k
     return count
 
 
@@ -389,10 +399,37 @@ def sp_generators(rho: int, p: int) -> list[np.ndarray]:
     return [(e + np.outer(v, J @ v)) % p for v in directions]
 
 
+def _sp_order(rho: int, p: int) -> int:
+    """p^(rho^2) prod_{i <= rho} (p^(2i) - 1), the number of symplectic bases of F_p^{2 rho}."""
+    return p ** (rho * rho) * math.prod(p ** (2 * i) - 1 for i in range(1, rho + 1))
+
+
 @lru_cache(maxsize=None)
 def sp_group(rho: int, p: int) -> np.ndarray:
-    """Sp(2 rho, p), the ``fp.group_closure`` of ``sp_generators``: built once, read-only."""
-    group = fp.group_closure(sp_generators(rho, p), p)
+    """Sp(2 rho, p) by its definition, each g with g J g^T = J: sorted, read-only.
+
+    Row t of g is each vector code sum_j v_j p^(n-1-j) in increasing order
+    whose pairing with every row i < t is J[i, t], so the group comes out
+    sorted, as ``fp.group_closure`` of ``sp_generators`` lists it.  The
+    ``elements`` cap is checked on the order before any array is built.
+    """
+    fp.check_prime(p)
+    if rho < 1:
+        raise PreconditionError("rho must be >= 1")
+    require_within("elements", _sp_order(rho, p), f"the elements of Sp({2 * rho}, {p})")
+    n, q = 2 * rho, p ** (2 * rho)
+    J = standard_symplectic_form(rho, p)
+    vecs = np.arange(q)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    pairs = {value: vecs @ J @ vecs.T % p == value for value in (0, 1, p - 1)}  # by J's entry
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(q - 1))  # the codes of each partial basis
+    for t in range(n):
+        keep = np.ones((len(rows), q), dtype=bool)
+        for i in range(t):
+            keep &= pairs[J[i, t]][rows[:, i]]
+        partial, code = np.nonzero(keep)
+        rows = np.column_stack([rows[partial], code.astype(rows.dtype)])
+    del keep, partial, code  # the last mask is freed before the decode
+    group = vecs[rows]
     group.flags.writeable = False
     return group
 
@@ -423,19 +460,19 @@ ORBIT_MARK_BLOCK = 2 ** 11
 
 
 def kernel_canonical_feasible(p: int, rho: int) -> bool:
-    order = p ** (rho * rho)
-    for i in range(1, rho + 1):
-        order *= p ** (2 * i) - 1
-    return order <= CANONICAL_SP_MAX_GROUP
+    return _sp_order(rho, p) <= CANONICAL_SP_MAX_GROUP
 
 
 @lru_cache(maxsize=None)
 def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
-    """Independent count: orbits marked whole by the full Sp closure.
+    """Independent count: orbits marked whole by all of Sp(2 rho, p).
 
     A subspace not yet seen starts a new orbit, and every element of
-    ``sp_group`` is applied to it, ORBIT_MARK_BLOCK elements at a time,
-    to mark that orbit seen.  An image that is not an enumerated subspace
+    ``sp_group`` is applied to it to mark that orbit seen, in blocks
+    ``group[b::stride]`` of at most ORBIT_MARK_BLOCK elements that together
+    are the whole group.  The group is sorted, so each first row fills a run
+    of |G| / (p^(2 rho) - 1) elements, and every block meets each run no
+    shorter than the stride.  An image that is not an enumerated subspace
     raises, so once every enumerated subspace is seen no further orbit can
     start: the marking stops there, and every orbit but the last gets the
     whole group.
@@ -445,29 +482,27 @@ def count_kernel_orbits_canonical(p: int, k: int, rho: int) -> int:
     if k < 0 or k > 2 * rho:
         return 0
     d = 2 * rho - k
-    if d == 0:
+    if d == 0 or k == 0:  # the zero subspace, or the whole space
         return 1
     n = 2 * rho
     group = sp_group(rho, p)
+    stride = -(-len(group) // ORBIT_MARK_BLOCK)
     subspaces = _enumerate_subspaces(p, np.eye(n, dtype=np.int64), d)
     keys = fp._pack_keys(subspaces, p)
     enumerated = np.sort(keys)
-    seen = set()
+    seen = np.zeros(len(keys), dtype=bool)
     count = 0
-    for rows, key in zip(subspaces, keys.tolist()):
-        if len(seen) == len(subspaces):
-            break
-        if key in seen:
+    for rows, rank in zip(subspaces.astype(np.int64), np.searchsorted(enumerated, keys)):
+        if seen[rank]:
             continue
         count += 1
-        for start in range(0, len(group), ORBIT_MARK_BLOCK):
-            moved = np.einsum("di,gij->gdj", rows.astype(np.int64),
-                              group[start:start + ORBIT_MARK_BLOCK]) % p
+        for b in range(stride):
+            moved = np.einsum("di,gij->gdj", rows, group[b::stride]) % p
             images = fp._pack_keys(batch_rref(moved, p), p)
             at = np.minimum(np.searchsorted(enumerated, images), len(enumerated) - 1)
             if not (enumerated[at] == images).all():
                 raise AssertionError("image missing from enumeration")
-            seen.update(images.tolist())
-            if len(seen) == len(subspaces):
+            seen[at] = True
+            if seen.all():
                 break
     return count

@@ -118,6 +118,57 @@ def test_gl_by_definition_is_the_closure_of_its_generators(n, p):
     assert np.array_equal(group, fp.group_closure(_gl_generators(n, p), p))
 
 
+@pytest.mark.parametrize("rho,p", [(rho, p) for p in (2, 3, 5, 7, 11, 13) for rho in (1, 2, 3)
+                                   if orbits.kernel_canonical_feasible(p, rho)])
+def test_sp_by_definition_is_the_closure_of_its_generators(rho, p):
+    # the canonical kernel count takes Sp(2 rho, p) as every matrix whose
+    # rows form a symplectic basis; the closure of the transvections is the
+    # same array, element for element and in the same order
+    group = orbits.sp_group(rho, p)
+    J = orbits.standard_symplectic_form(rho, p)
+    order = p ** (rho * rho)
+    for i in range(1, rho + 1):
+        order *= p ** (2 * i) - 1
+    assert group.shape == (order, 2 * rho, 2 * rho) and group.dtype == np.int64
+    assert (group @ J @ group.transpose(0, 2, 1) % p == J).all()
+    assert np.array_equal(group, fp.group_closure(orbits.sp_generators(rho, p), p))
+
+
+def test_sp_group_rejects_a_bad_modulus_or_genus():
+    with pytest.raises(PreconditionError, match="not prime"):
+        orbits.sp_group(1, 4)
+    with pytest.raises(PreconditionError, match="rho must be >= 1"):
+        orbits.sp_group(0, 3)
+
+
+def test_sp_group_cap_raises_before_any_array(monkeypatch):
+    # the cap is checked on the order formula, so past it nothing is built
+    monkeypatch.setitem(CAPS, "elements", 51_839)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="Sp\\(4, 3\\).*above the elements cap"):
+            orbits.sp_group.__wrapped__(2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000  # the pairing table of F_3^4 alone takes 52 kB
+    monkeypatch.setitem(CAPS, "elements", 51_840)
+    assert len(orbits.sp_group.__wrapped__(2, 3)) == 51_840
+
+
+def test_sp_group_peak_memory_stays_near_its_result():
+    # row codes in one byte, and the last row's mask freed before the
+    # decode: little beside the 51,840 x 4 x 4 int64 result
+    tracemalloc.start()
+    try:
+        group = orbits.sp_group.__wrapped__(2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.shape == (51_840, 4, 4)
+    assert peak < 1.3 * group.nbytes
+
+
 @pytest.mark.parametrize("n,p,order", [
     (2, 2, 6),        # (4-1)(4-2)
     (2, 3, 48),       # (9-1)(9-3)
@@ -295,6 +346,10 @@ def test_cached_groups_are_built_once_and_read_only():
     assert np.array_equal(group, fp.group_closure(orbits.sp_generators(2, 2), 2))
     with pytest.raises(ValueError):
         group[0, 0, 0] = 1
+    gl = orbits._general_linear(2, 3)
+    assert orbits._general_linear(2, 3) is gl
+    with pytest.raises(ValueError):
+        gl[0, 0, 0] = 1
 
 
 def test_vector_arithmetic():

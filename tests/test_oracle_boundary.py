@@ -10,8 +10,9 @@ The orbit engine they share with production is ``fp.orbit_components``.
 A walk by name over the definitions of ``src/eag``, module-level ones and
 methods alike, from ``cli.main``, finds every definition the CLI can
 reach, imports in function bodies included.  What it does not reach must
-be reached from ``KEPT``: the oracles, the matrix closure they use, the
-smoothness sampler, and the paper's API that the acceptance criteria call.
+be reached from ``KEPT``: the oracles, the matrix closure that the tests
+check them by, the smoothness sampler, and the paper's API that the
+acceptance criteria call.
 A definition or a method that only tests call fails the walk.
 """
 
@@ -33,10 +34,13 @@ KEPT = {
     "orbits.count_pure_orbits_canonical",
     "orbits.kernel_canonical_feasible",
     "orbits.pure_canonical_feasible",
-    # the canonical pure count's walk, which the tests check on its own
+    # the canonical pure count's array of zero-sum multisets, which the
+    # tests check on its own
     "orbits._zero_sum_multisets",
-    # the matrix closure that gives the kernel oracles Sp(2 rho, p); it stays
-    # in fp, a generic closure that perfbench/tracing.py reads by key
+    # the generic matrix closure, which no oracle calls: Sp(2 rho, p) and
+    # GL(k, p) are listed by their definitions, and the tests check both
+    # against the closure of their generators; perfbench/tracing.py reads
+    # it by key
     "fp.group_closure",
     # the benchmark's reference answers filter specs by it
     "surfaces.genus_is_admissible",

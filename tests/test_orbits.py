@@ -459,7 +459,7 @@ def test_closed_form_oracle_catches_a_wrong_scale(monkeypatch):
 @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (1, 2, 3, 4)
                                  if p ** k <= 25])
 def test_zero_sum_walk_is_the_filtered_multisets(p, k):
-    # the forced-last walk against every r-multiset of nonzero codes, kept
+    # the forced-last array against every r-multiset of nonzero codes, kept
     # when its vectors sum to 0, in lexicographic order
     found = 0
     for r in range(2, 7):
@@ -470,10 +470,29 @@ def test_zero_sum_walk_is_the_filtered_multisets(p, k):
         zero = np.ones(len(multisets), dtype=bool)
         for i in range(k):  # coordinate i of code c is c // p^i mod p
             zero &= (multisets // p ** i % p).sum(axis=1) % p == 0
-        want = list(map(tuple, multisets[zero].tolist()))
-        assert list(orbits._zero_sum_multisets(p, k, r)) == want, (p, k, r)
-        found += len(want)
+        got = orbits._zero_sum_multisets(p, k, r)
+        assert got.shape == (int(zero.sum()), r), (p, k, r)
+        assert np.array_equal(got, multisets[zero]), (p, k, r)
+        found += len(got)
     assert found
+
+
+def test_pure_canonical_catches_an_image_outside_the_walk(monkeypatch):
+    # the zero matrix sends every multiset to zero vectors, which no key has
+    gl = orbits._general_linear(1, 3)
+    monkeypatch.setattr(orbits, "_general_linear",
+                        lambda k, p: np.concatenate([gl, np.zeros((1, 1, 1), dtype=gl.dtype)]))
+    with pytest.raises(AssertionError, match="image missing from enumeration"):
+        orbits.count_pure_orbits_canonical.__wrapped__(3, 1, 4)
+
+
+def test_pure_canonical_keys_fit_past_r_base_q_digits():
+    # the multiplicity keys fit 63 bits where r base-p^k digits would not:
+    # 3^40, 2^64 and 7^23 all pass 2^63
+    for p, k, r in [(3, 1, 40), (2, 1, 64), (7, 1, 23)]:
+        assert (p ** k) ** r >= 2 ** 63 and orbits.pure_canonical_feasible(p, k, r)
+        assert orbits.count_pure_orbits_canonical(p, k, r) == \
+            genvec.count_pure_orbits_burnside(p, k, r), (p, k, r)
 
 
 def test_pure_canonical_agrees_with_bfs():
@@ -531,7 +550,8 @@ def test_kernel_orbits_rho3():
 @pytest.mark.parametrize("block", [1, 97, 10 ** 9])
 def test_kernel_canonical_marking_stops_exactly(monkeypatch, block):
     # every feasible (p, k, rho) with p <= 5 and rho <= 2; one element per
-    # block over the 51,840 of Sp(4, 3) takes about 17 s, so block 1 skips it
+    # block over the 51,840 of Sp(4, 3) takes about 16 s of CPU, so block 1
+    # skips it
     instances = [(p, k, rho) for p in (2, 3, 5) for rho in (1, 2)
                  if orbits.kernel_canonical_feasible(p, rho)
                  and (block > 1 or len(orbits.sp_group(rho, p)) <= 720)
@@ -545,6 +565,37 @@ def test_kernel_canonical_marking_stops_exactly(monkeypatch, block):
                 genvec.witt_kernel_orbit_count(rho, k), (p, k, rho)
     finally:
         orbits.count_kernel_orbits_canonical.cache_clear()
+
+
+def test_kernel_canonical_blocks_are_strided(monkeypatch):
+    # each block group[b::stride] meets every first row: the one orbit of
+    # the 40 lines of F_3^4 is seen in one block, and the first of the two
+    # orbits of planes gets the whole group before the second starts
+    sizes = []
+    batch_rref = orbits.batch_rref
+
+    def counted(mats, p):
+        sizes.append(len(mats))
+        return batch_rref(mats, p)
+
+    monkeypatch.setattr(orbits, "batch_rref", counted)
+    order = len(orbits.sp_group(2, 3))
+    stride = -(-order // orbits.ORBIT_MARK_BLOCK)
+    assert orbits.count_kernel_orbits_canonical.__wrapped__(3, 3, 2) == 1
+    assert len(sizes) == 1 and sizes[0] == len(range(0, order, stride))
+    sizes.clear()
+    assert orbits.count_kernel_orbits_canonical.__wrapped__(3, 2, 2) == 2
+    assert len(sizes) > stride and sum(sizes[:stride]) == order
+    assert max(sizes) <= orbits.ORBIT_MARK_BLOCK
+
+
+def test_kernel_canonical_whole_space_needs_no_group(monkeypatch):
+    # k = 0 leaves the whole space as the one kernel, and k = 2 rho the zero
+    # subspace: neither needs the group
+    monkeypatch.setattr(orbits, "sp_group", None)
+    for p, rho in [(2, 1), (3, 2), (13, 1)]:
+        assert orbits.count_kernel_orbits_canonical.__wrapped__(p, 0, rho) == 1
+        assert orbits.count_kernel_orbits_canonical.__wrapped__(p, 2 * rho, rho) == 1
 
 
 def test_kernel_canonical_catches_an_image_outside_the_enumeration(monkeypatch):
