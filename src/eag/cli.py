@@ -16,10 +16,10 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import genvec, hyperfermat, maximality, tables
-from .cx import GaussianRational
+# each cmd_* imports its own engine in its body: a process loads what its subcommand runs
 from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .surfaces import EAActionSpec, Signature
 
@@ -47,7 +47,7 @@ def _render(payload, fmt: str) -> str:
         payload = payload() if callable(payload) else payload
         keys = sorted(payload)
         if fmt == "json":
-            return json.dumps(payload, sort_keys=True, indent=2, default=str)
+            return _json(payload)
         if fmt == "markdown":
             return "\n".join(f"- **{key}**: {payload[key]}" for key in keys)
         if fmt == "csv":
@@ -58,6 +58,32 @@ def _render(payload, fmt: str) -> str:
         # rational past the float range
         raise CapExceededError(f"payload cannot be printed: {exc}") from exc
     raise UsageError(f"unknown format {fmt!r}")
+
+
+def _json(x, indent: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2, default=str)`` byte for byte, types
+    tried in json's order, without the slow pure-Python encoder that ``indent`` selects."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return {None: "null", True: "true", False: "false"}[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return ("NaN" if x != x else "Infinity" if x == math.inf
+                else "-Infinity" if x == -math.inf else float.__repr__(x))
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(x, dict):
+        for k in x:
+            if not (isinstance(k, (str, int, float)) or k is None):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        items = [encode_basestring_ascii(k if isinstance(k, str) else _json(k)) + ": "
+                 + _json(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    return _json(str(x), indent)
 
 
 def _add_spec_args(sub):
@@ -73,6 +99,7 @@ def _spec(args) -> EAActionSpec:
 
 
 def cmd_unique(args, out) -> int:
+    from . import genvec
     spec = _spec(args)
     # before the periods or the genus is built: no more periods than a witness may hold
     # ints, and no more digits than a genus of modulus at most p^n (rho + r + 2) may have
@@ -94,6 +121,7 @@ def cmd_unique(args, out) -> int:
 
 
 def cmd_count(args, out) -> int:
+    from . import genvec
     spec = _spec(args)
     report = genvec.count_classes(spec)
     payload = {"schema": SCHEMA, "command": "count", **report.to_json_dict()}
@@ -106,6 +134,7 @@ def cmd_count(args, out) -> int:
 
 
 def cmd_maximal(args, out) -> int:
+    from . import maximality
     spec = _spec(args)
     verdict = maximality.is_maximal(spec)
     payload = {"schema": SCHEMA, "command": "maximal", **verdict.to_json_dict()}
@@ -141,6 +170,7 @@ def cmd_orbits(args, out) -> int:
 
 
 def cmd_tables(args, out) -> int:
+    from . import tables
     which = args.which
     if args.write_golden:
         root = Path(args.write_golden)
@@ -184,6 +214,7 @@ def _fraction(text: str) -> Fraction:
 def _parse_scalar(tok: str):
     """"inf", or the token as an exact GaussianRational: a complex token a+bj
     is two decimals, each read exactly."""
+    from .cx import GaussianRational
     tok = tok.strip()
     if tok in ("inf", "oo", "infinity"):
         return "inf"
@@ -206,6 +237,7 @@ def _parse_scalar(tok: str):
 
 
 def _load_c_rows(path: str) -> list:
+    from .cx import GaussianRational
     try:
         data = json.loads(_read_input(path, "--c-file"), parse_float=_fraction, parse_int=_fraction)
         rows = [[GaussianRational(re, im) for re, im in row] for row in data["C"]]
@@ -223,6 +255,7 @@ def _parse_scalar_list(text: str) -> list:
 
 
 def cmd_fermat(args, out) -> int:
+    from . import hyperfermat
     if bool(args.w) == bool(args.c_file):
         raise UsageError("provide exactly one of --w or --c-file")
     require_within("ambient dimension", args.n, "n")

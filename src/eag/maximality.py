@@ -11,7 +11,7 @@ by the test suite, never resolved silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import PreconditionError, require_within
 from .fp import vector_span_rank  # noqa: F401 -- perfbench's tracer tests read it here
@@ -29,7 +29,7 @@ class ExtensionWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "n_spec": asdict(self.n_spec),
+            "n_spec": dict(vars(self.n_spec)),
             "vector": self.vector.to_json_dict(),
             "subgroup_basis": [list(v) for v in self.subgroup_basis],
         }
@@ -43,8 +43,9 @@ class MaximalityVerdict:
     rule: str
 
     def to_json_dict(self) -> dict:
+        # vars of a spec: its four int fields, as asdict gives them without deep copies
         return {
-            "spec": asdict(self.spec),
+            "spec": dict(vars(self.spec)),
             "maximal": self.maximal,
             "witness": self.witness.to_json_dict() if self.witness else None,
             "rule": self.rule,

@@ -563,6 +563,47 @@ def test_json_output_roundtrips(capsys):
     assert {k: payload[k] for k in want} == want
 
 
+#: JSON leaves of every type the payloads hold, and the edge cases of each
+JSON_LEAVES = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600"]),
+    st.booleans(), st.none(), st.integers(), st.integers(min_value=10 ** 40).map(lambda k: -k),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]),
+    st.fractions())
+JSON_TREES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(), kids, max_size=4), st.dictionaries(st.integers(), kids, max_size=3),
+    st.dictionaries(st.tuples(st.integers()), kids, min_size=1, max_size=2)),  # keys json refuses
+    max_leaves=24)
+
+
+def _written(write, tree):
+    try:
+        return write(tree)
+    except TypeError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_json_writer_matches_json_dumps(tree):
+    want = _written(lambda x: json.dumps(x, sort_keys=True, indent=2, default=str), tree)
+    assert _written(cli._json, tree) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_a_payload_past_the_digit_limit_exits_4(capsys, fmt):
+    # 2^14000 has 4,215 digits: under the digits cap, past a lowered int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out, err = run(["unique", "--p", "2", "--n", "14000", "--rho", "2", "--r", "0",
+                              "--format", fmt], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == cli.EXIT_CAP and out == ""
+    assert "payload cannot be printed" in err and "Traceback" not in err
+
+
 def test_markdown_and_csv_formats(capsys):
     code, out, _ = run(["unique", "--p", "2", "--n", "2", "--rho", "1", "--r", "5",
                         "--format", "markdown"], capsys)
@@ -734,8 +775,37 @@ def _python(script, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+#: the engines that eag.cli leaves to the subcommands' bodies
+ENGINES = ("eag.genvec", "eag.maximality", "eag.hyperfermat", "eag.cx", "eag.tables",
+           "eag.grouptable")
+
+
+def _loaded(names):
+    """A script's last line: exit 2 if a module in ``names`` or below it is loaded."""
+    return (f"sys.exit(2 if [m for m in sys.modules for name in {list(names)!r}\n"
+            "                if m == name or m.startswith(name + '.')] else 0)\n")
+
+
 def test_cli_import_loads_no_numpy():
-    done = _python("import sys\nimport eag.cli\nsys.exit(2 if 'numpy' in sys.modules else 0)\n")
+    # nor any engine: each subcommand imports its own in its body
+    done = _python("import sys\nimport eag.cli\n" + _loaded(("numpy", *ENGINES)))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["unique", "--p", "2", "--n", "3", "--rho", "0", "--r", "5"],
+     ("eag.hyperfermat", "eag.cx", "eag.maximality", "eag.tables")),
+    (["fermat", "--p", "5", "--n", "6", "--w=1/2,-3,7/3,0,5,2,-1/4"],
+     ("eag.genvec", "eag.maximality", "eag.tables")),
+    (["orbits", "--group", "A5", "--sig", "(0;2,3,5)"],
+     ("eag.genvec", "eag.maximality", "eag.hyperfermat", "eag.tables")),
+])
+def test_a_subcommand_loads_its_own_engine_alone(argv, unloaded):
+    done = _python("import contextlib, io, json, sys\n"
+                   "from eag import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    if cli.main(json.loads(sys.argv[1])):\n"
+                   "        sys.exit(1)\n" + _loaded(unloaded), json.dumps(argv))
     assert done.returncode == 0, done.stderr
 
 
