@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # each cmd_* imports its own engine in its body: a process loads what its subcommand runs
-from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
+from .errors import CAPS, CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .surfaces import EAActionSpec, Signature
 
 SCHEMA = "eag/1"
@@ -86,11 +86,23 @@ def _json(x, indent: str = "\n") -> str:
     return _json(str(x), indent)
 
 
+def _int(token: str) -> int:
+    """int(token) for an integer option.  A token longer than the digits cap
+    exits 4 by that cap, as a number of --sig does, before int() reads it;
+    on the normal path only its length is compared."""
+    if len(token) > CAPS["digits"]:
+        require_within("digits", len(token), "the digits of an integer option")
+    return int(token)
+
+
+_int.__name__ = "int"  # argparse names the type when int() refuses a token: "invalid int value"
+
+
 def _add_spec_args(sub):
-    sub.add_argument("--p", type=int, required=True, help="prime")
-    sub.add_argument("--n", type=int, required=True, help="rank of the group C_p^n")
-    sub.add_argument("--rho", type=int, required=True, help="orbit genus of the quotient")
-    sub.add_argument("--r", type=int, required=True, help="number of branch points")
+    sub.add_argument("--p", type=_int, required=True, help="prime")
+    sub.add_argument("--n", type=_int, required=True, help="rank of the group C_p^n")
+    sub.add_argument("--rho", type=_int, required=True, help="orbit genus of the quotient")
+    sub.add_argument("--r", type=_int, required=True, help="number of branch points")
     sub.add_argument("--format", default="json", choices=("json", "markdown", "csv"))
 
 
@@ -333,15 +345,15 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_orbits)
 
     s = subs.add_parser("tables", help="render the classification tables")
-    s.add_argument("--which", type=int, choices=(1, 2, 3, 4))
+    s.add_argument("--which", type=_int, choices=(1, 2, 3, 4))
     s.add_argument("--format", default="markdown", choices=("json", "markdown", "csv"))
     s.add_argument("--write-golden", metavar="DIR",
                    help="regenerate the golden CSVs into DIR")
     s.set_defaults(func=cmd_tables)
 
     s = subs.add_parser("fermat", help="construct and verify a hyper-Fermat curve")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--p", type=_int, required=True)
+    s.add_argument("--n", type=_int, required=True)
     s.add_argument("--w", help="comma-separated distinct parameters (rational or complex)")
     s.add_argument("--c-file", help="JSON file with a C matrix ([[re,im],...] rows)")
     s.add_argument("--pins", help="three pin values, e.g. 0,1,inf")

@@ -43,7 +43,7 @@ CAPS = {
     # Webster, Math. Comp. 86 (2017))
     "primality": 3_317_044_064_679_887_385_961_980,
     "elements": 10 ** 8,  # of a closure, and the row spaces the witness search rejects
-    "burnside steps": 14_000_000,  # of the Burnside rows of one count: e(13, 8, 16) takes 13.7M
+    "burnside steps": 14_000_000,  # of the Burnside programme of one count: e(13, 8, 16) takes 8.7M
     "digits": sys.get_int_max_str_digits() or 4300,  # Python's limit at import, or 4,300
 }
 

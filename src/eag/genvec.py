@@ -13,21 +13,26 @@ shears in the mixed case (see ``count_classes``).
 The counts are closed forms in Python ints.  e is a Burnside sum over the
 class types of GL(k, p) (``count_pure_orbits_burnside``, ``_type_weights``):
 a class's fixed-multiset counts for every t <= r depend only on its
-profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed;
-h is Witt's closed form (``witt_kernel_orbit_count``), and so are the ranks
-with one class (``unramified_adjudication``).  The ``burnside steps`` cap
-bounds the rows of e; the oracles of ``eag.orbits`` check e in their boxes.
+profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed.
+One programme serves a count: one walk gives the class types of every rank
+it reads, and each distinct profile's row is built once for all of them
+(``_burnside_rows``).  h is Witt's closed form (``witt_kernel_orbit_count``),
+and so are the ranks with one class (``unramified_adjudication``).  The
+``burnside steps`` cap bounds each count's programme before any row is
+built, from (p, ranks, r) alone (``_multiset_rows``); the oracles of
+``eag.orbits`` check e in their boxes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
 
 from . import fp
-from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
+from .errors import CAPS, CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
@@ -143,8 +148,8 @@ def _short_types(p: int, k: int, r: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(types)
 
 
-def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dict[tuple, int]:
-    """{profile: the total size of the classes of GL(k, p) with it}, with no class listed.
+def _type_weights(p: int, ranks, r: int, built=None) -> tuple[dict[tuple, list[int]], dict]:
+    """{profile: [the total size of the classes of GL(k, p) with it, for k in built]}, and the steps.
 
     A class maps the monic irreducibles f != x to partitions lambda_f with
     sum deg f * |lambda_f| = k and has size |GL(k, p)| / prod_f
@@ -160,17 +165,27 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
     the centraliser orders of blocks of degree D multiply to a divisor of
     |GL(D, p)|, and |GL(D, p)| |GL(k - D, p)| divides |GL(k, p)|.
 
-    The ``burnside steps`` cap bounds the work, checked before any loop over
-    r, before each f's walk and on the final states: r + 1 steps a block
-    added to a profile, (r + 1)^2 a state (``_fixed_multiset_row``).  The
-    rows of one count share it: ``meter[0]`` counts their steps.
+    One walk, to k = max(ranks), serves every rank k' <= k (``built``,
+    default ``ranks``): its states of degree D <= k' are those of GL(k', p),
+    rescaled by |GL(k', p)| / |GL(k, p)| (exact, as prod c divides
+    |GL(D, p)|), and k' reads the long series rescaled to its own order.
+    Each rank's sizes must sum to its order (the class equation).
+
+    The ``burnside steps`` cap bounds the rows of ``ranks``: r + 1 steps a
+    block added to a profile in the walk, and (r + 1)^2 a distinct profile of
+    each rank (``_fixed_multiset_row``).  ``steps[j]`` is rank j's share: the
+    steps of the walk of GL(j, p), its states of degree <= j, and those of
+    its distinct profiles.  The ranks are charged the walk of the top rank
+    and the profiles of each: checked before any loop over r and before each
+    f's blocks (the walk alone), then before any size is summed, so that a
+    refusal costs at most one walk.
     """
-    meter = [0] if meter is None else meter
-    what = f"the steps of the Burnside rows up to (p={p}, k={k}, r={r})"
+    k, built = max(ranks), ranks if built is None else built
+    what = f"the steps of the Burnside rows of ranks {min(ranks)} to {k} at (p={p}, r={r})"
     blocks = [0]  # blocks[m]: the parts of the partitions of s <= m, which x - 1 walks first
     for s in range(1, k + 1):
         blocks.append(blocks[-1] + sum(map(len, fp._partitions(s, s))))
-        require_within("burnside steps", meter[0] + (r + 1) * (blocks[-1] + r + 1), what)
+        require_within("burnside steps", (r + 1) * (blocks[-1] + r + 1), what)
     order = fp.gl_order(k, p)
 
     def times(a, b):  # series in z, scaled by |GL(k, p)|
@@ -183,11 +198,13 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
                            for s in range(1, k // d + 1) for part in fp._partitions(s, s)]
                   for d, e, _ in short}
     states = {(0, zero): order}
-    steps = 0
+    walks = dict.fromkeys(ranks, 0)
     for d, e, count in short:
         for _ in range(count):
-            steps += (r + 1) * sum(blocks[(k - D) // d] for D, _ in states)
-            require_within("burnside steps", meter[0] + steps + (r + 1) ** 2 * len(states), what)
+            degrees = Counter(D for D, _ in states)  # f's blocks fit no state of degree > j - d
+            for j in walks:
+                walks[j] += (r + 1) * sum(n * blocks[(j - D) // d] for D, n in degrees.items() if D <= j)
+            require_within("burnside steps", walks[k], what)
             grown = dict(states)  # f may be absent
             for (D, (dims, unipotent)), weight in states.items():
                 for degree, inc, tops, centraliser in increments[d, e]:
@@ -197,8 +214,6 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
                     key = D + degree, (tuple(map(add, dims, inc)), unipotent + tops)
                     grown[key] = grown.get(key, 0) + weight // centraliser
             states = grown
-    steps += (r + 1) ** 2 * len(states)
-    require_within("burnside steps", meter[0] + steps, what)
     irreducible = [0] * (k + 1)  # monic irreducibles of degree d, x included (Gauss)
     long = [order] + [0] * k
     for d in range(1, k + 1):
@@ -212,24 +227,44 @@ def _type_weights(p: int, k: int, r: int, meter: list[int] | None = None) -> dic
             if count & 1:
                 long = times(long, series)
             series, count = times(series, series), count >> 1
-    weights = {}
-    for (D, profile), weight in states.items():
-        if long[k - D]:  # else no class of GL(k, p) has these short blocks
-            weights[profile] = weights.get(profile, 0) + weight * long[k - D] // order
-    if sum(weights.values()) != order:
-        raise AssertionError(f"class sizes of GL({k}, {p}) do not sum to its order")
-    meter[0] += steps
-    return weights
+    # rank j has a class with the short blocks of a state of degree D <= j iff long[j - D]
+    live = [sum(1 << j for j in ranks if j >= D and long[j - D]) for D in range(k + 1)]
+    masks = {}  # profile -> the ranks with a class of that profile, as bits
+    for D, profile in states:
+        masks[profile] = masks.get(profile, 0) | live[D]
+    tally = Counter(masks.values())
+    steps = {j: (walks[j], (r + 1) ** 2 * sum(n for bits, n in tally.items() if bits >> j & 1))
+             for j in ranks}
+    require_within("burnside steps", walks[k] + sum(rows for _, rows in steps.values()), what)
+    weights, wrong = {}, []
+    for i, j in enumerate(built):
+        scale = fp.gl_order(j, p)
+        own = [c * scale // order for c in long[:j + 1]]  # rank j's series, scaled by |GL(j, p)|
+        total = 0
+        for (D, profile), weight in states.items():
+            if D <= j and own[j - D]:
+                size = weight * scale // order * own[j - D] // scale
+                weights.setdefault(profile, [0] * len(built))[i] += size
+                total += size
+        if total != scale:
+            wrong.append(j)
+    if wrong:
+        raise AssertionError(f"class sizes of GL(k, {p}) do not sum to its order for k in {wrong}")
+    return weights, steps
 
 
-@lru_cache(maxsize=1)  # the profiles of a row share r
-def _proper_divisors(r: int) -> tuple[tuple[int, ...], ...]:
-    """The proper divisors of each L = 0 .. r, by a sieve."""
-    table = [[] for _ in range(r + 1)]
+@lru_cache(maxsize=1)  # the rows of one programme share p and r
+def _row_tables(p: int, r: int) -> tuple[tuple, tuple, tuple]:
+    """For each L = 0 .. r: its p-part, its proper divisors D, and those with p not dividing L / D.
+
+    The divisors come from a sieve.
+    """
+    divisors = [[] for _ in range(r + 1)]
     for D in range(1, r // 2 + 1):
         for L in range(2 * D, r + 1, D):
-            table[L].append(D)
-    return tuple(map(tuple, table))
+            divisors[L].append(D)
+    return (tuple(_p_part(L, p) for L in range(r + 1)), tuple(map(tuple, divisors)),
+            tuple(tuple(D for D in ds if (L // D) % p) for L, ds in enumerate(divisors)))
 
 
 def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
@@ -258,19 +293,20 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     Plouffe, *The Encyclopedia of Integer Sequences*, 1995).
     """
     dims, unipotent = profile
-    divisors = _proper_divisors(r)
+    parts, divisors, coprime = _row_tables(p, r)
     exact = [0] * (r + 1)  # vectors of exact period L
     for L in range(1, r + 1):
         exact[L] = p ** dims[L - 1] - sum(exact[D] for D in divisors[L])
     row = [0] * (r + 1)
+    each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum: none for E = 0
     for E in (0,) + tuple(sorted(set(unipotent))):
         weight = 1 if E == 0 else \
             p ** sum(m <= E for m in unipotent) - p ** sum(m < E for m in unipotent)
-        each = [0] * (r + 1)  # vectors of exact period L with one given nonzero phi-sum
         power = [0] * (r + 1)  # G_phi = prod_s (1 - x^s)^(-power[s])
         for L in range(1, r + 1):
-            spread = p ** (dims[L - 1] - 1) if _p_part(L, p) <= E else 0
-            each[L] = spread - sum(each[D] for D in divisors[L] if (L // D) % p)
+            if E:
+                spread = p ** (dims[L - 1] - 1) if parts[L] <= E else 0
+                each[L] = spread - sum(each[D] for D in coprime[L])
             zero = exact[L] - (p - 1) * each[L] - (L == 1)
             if zero % L or each[L] % L:
                 raise AssertionError(f"vectors of period {L} do not form whole cycles")
@@ -278,8 +314,10 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
             if p * L <= r:
                 power[p * L] += each[L] // L
         sigma = [0] * (r + 1)  # sigma[n] = sum_{s | n} s power[s]
-        for s in (s for s in range(1, r + 1) if power[s]):
-            sigma[s::s] = [total + s * power[s] for total in sigma[s::s]]
+        for s in range(1, r + 1):
+            if power[s]:
+                for n in range(s, r + 1, s):
+                    sigma[n] += s * power[s]
         series = [1]
         for n in range(1, r + 1):
             series.append(sum(map(mul, sigma[1:n + 1], reversed(series))) // n)
@@ -290,60 +328,92 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     return [total // characters for total in row]
 
 
-def _burnside_row(p: int, k: int, r: int, meter: list[int] | None = None) -> tuple[int, ...]:
-    """M(p, k, t) for t = 0 .. r: GL(k, p)-orbits of zero-sum t-multisets of nonzero vectors.
+def _burnside_rows(p: int, ranks, r: int, built=None) -> tuple[dict[int, tuple[int, ...]], dict]:
+    """{k: M(p, k, t) for t = 0 .. r} for k in ``built`` (default ``ranks``), and each rank's steps.
 
-    Burnside: the class-size-weighted sum of the fixed-multiset counts,
-    divided by |GL(k, p)|.  The counts of g for t <= r are read off its
-    profile in closed form (``_fixed_multiset_row``: a product of powers of
-    (1 - x^s), expanded by the Euler-transform recurrence), once per
-    profile, weighted by the total size of its classes (``_type_weights``),
-    and each entry of the row is checked for divisibility.  The class-sum
-    oracle of ``tests/burnside_walk.py`` lists the classes, and shares only
-    ``fp._centraliser_order`` and ``_with_block`` with ``_type_weights``; a
-    cycle walk checks the rows.  ``meter`` is that of ``_type_weights``.
+    M(p, k, t) counts GL(k, p)-orbits of zero-sum t-multisets of nonzero
+    vectors.  Burnside: the class-size-weighted sum of the fixed-multiset
+    counts, divided by |GL(k, p)|.  The counts of g for t <= r are read off
+    its profile in closed form (``_fixed_multiset_row``: a product of powers
+    of (1 - x^s), expanded by the Euler-transform recurrence), once per
+    distinct profile of the ranks, and added into each rank's totals with
+    that rank's class sizes (``_type_weights``, one walk for all ranks); each
+    rank's entries are checked for divisibility by its order.  The class-sum
+    oracle of ``tests/burnside_walk.py`` lists the classes, and its per-rank
+    walk shares only ``fp._centraliser_order``, ``_with_block`` and
+    ``_short_types`` with ``_type_weights``; a cycle walk checks the rows.
     """
-    weights = _type_weights(p, k, r, meter)  # first: it checks the cost cap before any loop over r
-    totals = [0] * (r + 1)
-    for key, size in weights.items():
-        totals = [total + size * fixed
-                  for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
-    order = fp.gl_order(k, p)
-    bad = [t for t in range(r + 1) if totals[t] % order]
+    built = ranks if built is None else built
+    weights, steps = _type_weights(p, ranks, r, built)  # first: it checks the cost cap
+    totals = [[0] * (r + 1) for _ in built]
+    for key, sizes in weights.items():
+        fixed = _fixed_multiset_row(key, p, r)
+        for i, size in enumerate(sizes):
+            if size:
+                totals[i] = [total + size * count for total, count in zip(totals[i], fixed)]
+    orders = [fp.gl_order(k, p) for k in built]
+    bad = {k: ts for k, row, order in zip(built, totals, orders)
+           if (ts := [t for t in range(r + 1) if row[t] % order])}
     if bad:
-        raise AssertionError(f"Burnside sums for (p={p}, k={k}) at t = {bad} are not "
-                             f"multiples of |GL({k}, {p})|")
-    return tuple(total // order for total in totals)
+        raise AssertionError(f"Burnside sums for p={p} at {{k: t}} = {bad} are not "
+                             f"multiples of |GL(k, {p})|")
+    return {k: tuple(total // order for total in row)
+            for k, row, order in zip(built, totals, orders)}, steps
 
 
-#: M(p, k, t) for t = 0 .. r, the longest row built so far for each (p, k)
-_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+#: (p, k) -> (M(p, k, t) for t = 0 .. R, the steps of the walk of GL(k, p) and of its
+#: distinct profiles to R periods): the longest row built so far for each (p, k)
+_ROWS: dict[tuple[int, int], tuple[tuple[int, ...], int, int]] = {}
 
 
-def _zero_sum_multiset_orbits(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
-    """M(p, k, r), read from the row of (p, k) kept in ``_ROWS``.
+def _multiset_rows(p: int, lo: int, hi: int, r: int) -> dict[int, tuple[int, ...]]:
+    """The rows M(p, k, .) for max(lo, 1) <= k <= hi, each to at least r periods.
 
-    A row for t <= r is a prefix of every longer one, so a miss builds
-    ``_burnside_row`` to the largest of r, ROW_MIN_PERIODS and twice the
-    kept row's period count, or to the request where the ``burnside steps``
-    cap refuses that: an ascending sweep of r builds each row O(log r) times.
+    Admission depends on (p, lo, hi, r) alone.  The ranks are charged the
+    walk of GL(hi, p) and each rank's distinct profiles, all to
+    R = max(r, ROW_MIN_PERIODS) periods (``_type_weights``), whatever
+    ``_ROWS`` holds.  A kept row is charged the steps recorded with it, for
+    its R or more periods, and the steps only grow with the periods: so kept
+    rows within the cap are read with no walk, and any other request walks
+    once, building only the rows that ``_ROWS`` lacks.  A row for t <= r is
+    a prefix of every longer one, so a missing row is built to twice the
+    shortest missing kept row's period count where the cap admits that, else
+    to R: an ascending sweep of r builds each row O(log r) times.
     """
-    if k == 0:
-        return int(r == 0)
-    row = _ROWS.get((p, k), ())
-    if len(row) <= r:
-        wanted, doubled = max(r, ROW_MIN_PERIODS), 2 * (len(row) - 1)
-        try:
-            row = _burnside_row(p, k, max(wanted, doubled), meter)
-        except CapExceededError:
-            if doubled <= wanted:
-                raise
-            row = _burnside_row(p, k, wanted, meter)
-        _ROWS[(p, k)] = row
-    return row[r]
+    ranks = range(max(lo, 1), hi + 1)
+    if not ranks:
+        return {}
+    wanted = max(r, ROW_MIN_PERIODS)
+    # the walk's first check, from R alone ((R + 1)(R + 2) for its first block), before any
+    # structure per rank: a count past the cap may read a billion ranks
+    require_within("burnside steps", (wanted + 1) * (wanted + 2),
+                   f"the steps of the Burnside rows of ranks {ranks[0]} to {hi} at (p={p}, r={wanted})")
+    kept = {k: _ROWS.get((p, k), ((), 0, 0)) for k in ranks}
+    missing = [k for k in ranks if len(kept[k][0]) <= r]
+    if missing or kept[hi][1] + sum(rows for _, _, rows in kept.values()) > CAPS["burnside steps"]:
+        doubled = 2 * (min(len(kept[k][0]) for k in missing) - 1) if missing else 0
+        for length in [doubled] * (doubled > wanted) + [wanted]:
+            try:
+                built, steps = _burnside_rows(p, ranks, length, missing)
+            except CapExceededError:
+                if length == wanted:
+                    raise
+            else:
+                break
+        _ROWS.update(((p, k), (row, *steps[k])) for k, row in built.items())
+    return {k: _ROWS[p, k][0] for k in ranks}
 
 
-def count_pure_orbits_burnside(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
+def _pure_counts(p: int, ranks: range, r: int) -> dict[int, int]:
+    """{j: e(p, j, r) = M(p, j, r) - M(p, j - 1, r)} for the ranks j >= 1, ascending: one programme."""
+    if not ranks:
+        return {}
+    rows = _multiset_rows(p, ranks[0] - 1, ranks[-1], r)
+    M = {k: row[r] for k, row in rows.items()} | {0: int(r == 0)}
+    return {j: M[j] - M[j - 1] for j in ranks}
+
+
+def count_pure_orbits_burnside(p: int, k: int, r: int) -> int:
     """e(p, k, r) = M(p, k, r) - M(p, k - 1, r), both by Burnside.
 
     e counts GL(k, p)-orbits of zero-sum r-multisets of nonzero vectors that
@@ -352,12 +422,11 @@ def count_pure_orbits_burnside(p: int, k: int, r: int, meter: list[int] | None =
     M(p, k, r) by their span W of dimension j: GL(k, p) is transitive on the
     j-subspaces, and the stabiliser of W induces all of GL(j, p) on it, so
     the orbits with span of dimension j are e(p, j, r) many, and
-    M(p, k, r) = sum_{j <= k} e(p, j, r).  ``meter``: see ``_type_weights``.
+    M(p, k, r) = sum_{j <= k} e(p, j, r).
     """
     if k < 1 or k > r - 1:
         return 0
-    return (_zero_sum_multiset_orbits(p, k, r, meter)
-            - _zero_sum_multiset_orbits(p, k - 1, r, meter))
+    return _pure_counts(p, range(k, k + 1), r)[k]
 
 
 def witt_kernel_orbit_count(rho: int, k: int) -> int:
@@ -380,7 +449,7 @@ def witt_kernel_orbit_count(rho: int, k: int) -> int:
 # class counts
 
 
-def count_pure_classes(p: int, k: int, r: int, meter: list[int] | None = None) -> int:
+def count_pure_classes(p: int, k: int, r: int) -> int:
     """Number of classes of (0; p^r)-generating vectors of C_p^k.
 
     Counted by ``count_pure_orbits_burnside`` within the ``burnside steps``
@@ -392,7 +461,7 @@ def count_pure_classes(p: int, k: int, r: int, meter: list[int] | None = None) -
         return int(k == 0 and r == 0)
     if no_pure_vectors(p, k, r):
         return 0
-    return count_pure_orbits_burnside(p, k, r, meter)
+    return count_pure_orbits_burnside(p, k, r)
 
 
 def no_pure_vectors(p: int, j: int, r: int) -> bool:
@@ -498,22 +567,29 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
     if no_actions_exist(n, rho, r):
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
                                 flags=("no-actions-for-these-parameters",))
+    # j = n - k past max(r - 1, 0) has e = 0 (``no_pure_vectors``); j ascends.  Ranges, not
+    # lists: a count may name a billion ranks, which the cap refuses from r alone
+    ranks = range(max(n - 2 * rho, 0), min(n, max(r - 1, 0)) + 1)
+    # below r, only j = 0 and (p = 2, j = 1, r odd) lack pure vectors, so the rest is one range
+    pure = range(next((j for j in ranks if j and not no_pure_vectors(p, j, r)), ranks.stop), ranks.stop)
+    closed = range(0)
+    try:  # one Burnside programme serves every e of the count
+        counts = _pure_counts(p, pure, r)
+    except CapExceededError:  # past the cost cap, a top rank that table 1 names still answers
+        if pure_unique_row(p, pure[-1], r) is None:
+            raise
+        closed, counts = pure[-1:], _pure_counts(p, pure[:-1], r)  # the lower ranks, charged afresh
     e_used, h_used, engines, total = [], [], set(), 0
-    meter = [0]  # the rows of every e share one burnside steps cap
-    # j = n - k past max(r - 1, 0) has e = 0 (``no_pure_vectors``); j ascends, so that a
-    # large row of table 1 comes last, and answers in closed form if the cap refuses it
-    for k in reversed(range(max(n - max(r - 1, 0), 0), min(n, 2 * rho) + 1)):
-        j, row = n - k, pure_unique_row(p, n - k, r)
-        try:  # e(p, 0, 0) = 1 is a convention and names no engine
-            e, engine = count_pure_classes(p, j, r, meter), "burnside" if j else ""
-        except CapExceededError:  # past the cost cap, table 1's unique rows still answer
-            if row is None:
-                raise
-            e, engine = 1, "closed-form"
+    for j in ranks:
+        row = pure_unique_row(p, j, r)
+        # e(p, 0, 0) = 1 is a convention and names no engine
+        engine = "closed-form" if j in closed else "burnside" if j else ""
+        e = 1 if j in closed else counts.get(j, int(j == 0 and r == 0))
         if j and (e == 1) != (row is not None):
             raise AssertionError(f"e({p}, {j}, {r}) = {e} contradicts table 1's rows")
         if e == 0:
             continue
+        k = n - j
         h = count_unramified_classes(p, k, rho)
         e_used.append((j, e))
         h_used.append((k, h))

@@ -1,8 +1,9 @@
-"""Oracles for the Burnside sum of ``genvec``: the listed classes of GL(k, p) and a cycle walk.
+"""Oracles for the Burnside sum of ``genvec``: the listed classes of GL(k, p), a per-rank walk and a cycle walk.
 
 ``genvec._type_weights`` gives the total size of the classes of GL(k, p)
-with each profile without listing any class.  ``gl_conjugacy_classes``
-lists them, by a sieve for the irreducible polynomials, and
+with each profile without listing any class, for every rank k up to the
+largest a count reads from one walk.  ``gl_conjugacy_classes`` lists the
+classes, by a sieve for the irreducible polynomials, and
 ``class_sum_rows`` sums over them: it shares only
 ``fp._centraliser_order`` and the per-block formula ``genvec._with_block``
 with the type sum.
@@ -15,8 +16,9 @@ F_p^k, and shares no step with it.
 Past the walk's box, two oracles check the two loops of the type sum
 against their direct forms: ``product_form_row`` multiplies out each
 character's series factor by factor, where production runs the
-Euler-transform recurrence, and ``part_walk_weights`` adds a partition's
-blocks to every state one part at a time, where production adds each
+Euler-transform recurrence, and ``part_walk_weights`` walks GL(k, p)
+alone from the zero state for each rank k, adding a partition's blocks one
+part at a time, where production walks once for every rank and adds each
 partition's increment once.
 """
 
@@ -116,16 +118,11 @@ def class_profile(blocks, p: int, r: int) -> tuple:
     return profile
 
 
-def class_sum_rows(p: int, k: int, r: int) -> list[int]:
-    """M(p, k, t) for t = 0 .. r, by Burnside over the listed classes of GL(k, p).
+def weighted_rows(weights: dict[tuple, int], p: int, k: int, r: int) -> list[int]:
+    """M(p, k, t) for t = 0 .. r: each profile's ``_fixed_multiset_row`` times its classes' size.
 
-    Classes with equal profiles share one ``_fixed_multiset_row``; every
-    entry is checked for divisibility by |GL(k, p)|.
+    Every entry is checked for divisibility by |GL(k, p)|.
     """
-    weights = {}  # profile -> the total size of its classes
-    for size, blocks in gl_conjugacy_classes(k, p):
-        key = class_profile(blocks, p, r)
-        weights[key] = weights.get(key, 0) + size
     totals = [0] * (r + 1)
     for key, size in weights.items():
         totals = [total + size * fixed for total, fixed in zip(totals, _fixed_multiset_row(key, p, r))]
@@ -135,6 +132,18 @@ def class_sum_rows(p: int, k: int, r: int) -> list[int]:
         raise AssertionError(f"class sums for (p={p}, k={k}) at t = {bad} are not "
                              f"multiples of |GL({k}, {p})|")
     return [total // order for total in totals]
+
+
+def class_sum_rows(p: int, k: int, r: int) -> list[int]:
+    """M(p, k, t) for t = 0 .. r, by Burnside over the listed classes of GL(k, p).
+
+    Classes with equal profiles share one ``_fixed_multiset_row``.
+    """
+    weights = {}  # profile -> the total size of its classes
+    for size, blocks in gl_conjugacy_classes(k, p):
+        key = class_profile(blocks, p, r)
+        weights[key] = weights.get(key, 0) + size
+    return weighted_rows(weights, p, k, r)
 
 
 def character_powers(profile, p: int, r: int) -> list[tuple[int, list[int]]]:
@@ -191,13 +200,17 @@ def product_form_row(profile, p: int, r: int) -> list[int]:
 
 
 def part_walk_weights(p: int, k: int, r: int) -> dict[tuple, int]:
-    """``genvec._type_weights`` with no cap, each block added to each state by ``_with_block``.
+    """``genvec._type_weights`` for one rank, with no cap: its own walk, one ``_with_block`` per part.
 
-    For every state and every partition of every s, the partition's parts
-    enter the state's profile one at a time, where production adds the
-    partition's increment, built once from the zero profile.  The long
-    irreducibles enter as one series in the degree, raised to their number
-    by binary powering.
+    The walk that production ran for each rank k on its own, before one walk
+    served every rank of a count.  For every state and every partition of
+    every s, the partition's parts enter the state's profile one at a time,
+    where production adds the partition's increment, built once from the
+    zero profile.  The long irreducibles enter as one series in the degree,
+    raised to their number by binary powering.  The sizes must sum to
+    |GL(k, p)|.  It shares no walk code with production: only
+    ``genvec._with_block``, ``genvec._short_types`` and
+    ``fp._centraliser_order``.
     """
     order = gl_order(k, p)
 
@@ -235,6 +248,8 @@ def part_walk_weights(p: int, k: int, r: int) -> dict[tuple, int]:
     for (D, profile), weight in states.items():
         if long[k - D]:
             weights[profile] = weights.get(profile, 0) + weight * long[k - D] // order
+    if sum(weights.values()) != order:
+        raise AssertionError(f"class sizes of GL({k}, {p}) do not sum to its order")
     return weights
 
 

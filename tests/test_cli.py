@@ -279,6 +279,9 @@ MERSENNE_89 = 2 ** 89 - 1
     (["count", "--p=5", "--n=3", "--rho=0", "--r=5000"], cli.EXIT_CAP),
     (["count", "--p=3", "--n=2", "--rho=0", "--r=1000000000"], cli.EXIT_CAP),
     (["count", "--p=7", "--n=40", "--rho=0", "--r=41"], cli.EXIT_OK),
+    # 10^9 ranks and periods, refused from r alone before any structure per rank (its top
+    # rank is pure-7, so the lower ranks are refused again)
+    (["count", "--p=3", "--n=1000000000", "--rho=1000000000", "--r=1000000000"], cli.EXIT_CAP),
 ])
 def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code, tmp_path):
     (tmp_path / "order.tab").write_text("9" * 5000 + "\n", encoding="utf-8")
@@ -293,6 +296,28 @@ def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code, tm
     assert code == cli.EXIT_OK or done.stdout == ""
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert cpu < 1, cpu
+
+
+def test_integer_options_past_the_digits_cap_exit_4_in_a_fresh_process():
+    # 5,000 digits in an integer option exit 4 by the digits cap, as in a --sig
+    # number, where int() refused them past Python's digit limit (exit 1); a
+    # token int() refuses for what it is keeps argparse's message and exit 1
+    big = "9" * 5000
+    spec = {"--p": "5", "--n": "3", "--rho": "0", "--r": "7"}
+    calls = [["count", *(arg for k, v in {**spec, option: big}.items() for arg in (k, v))]
+             for option in spec]
+    calls += [["tables", "--which", big], ["fermat", "--p", "3", "--n", big, "--w=0,1,2"]]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    for argv in calls + [["count", "--p", "5", "--n", "3", "--rho", "0", "--r", "7x"]]:
+        done = subprocess.run([sys.executable, "-m", "eag.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in done.stderr and done.stdout == "", done.stderr
+        if argv in calls:
+            assert done.returncode == cli.EXIT_CAP, [arg[:8] for arg in argv]
+            assert "the digits of an integer option: 5000, above the digits cap" in done.stderr
+        else:
+            assert done.returncode == cli.EXIT_USAGE
+            assert "argument --r: invalid int value: '7x'" in done.stderr
 
 
 def test_fermat_rank_cap_comes_before_the_line(capsys, monkeypatch):

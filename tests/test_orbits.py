@@ -7,12 +7,14 @@ import pytest
 
 from eag import errors, fp, genvec, orbits
 from eag.errors import CapExceededError, PreconditionError
+from eag.genvec import count_classes
+from eag.surfaces import EAActionSpec
 
 from box_pins import PURE_BOX_COUNTS
 import burnside_walk
 from burnside_walk import (character_powers, class_matrix, class_profile, class_sum_rows,
                            fixed_multiset_rows, gl_conjugacy_classes, part_walk_weights,
-                           product_form_row)
+                           product_form_row, weighted_rows)
 
 
 def test_gaussian_binomial():
@@ -243,7 +245,7 @@ def test_gl_4_13_short_cycle_classes_and_out_of_box_counts():
 def test_large_rows_outside_the_box():
     # each took over 10 s as a cycle walk over the short-cycle subspaces
     assert genvec.count_pure_orbits_burnside(13, 4, 6) == 128
-    assert genvec._zero_sum_multiset_orbits(7, 5, 6) == 638
+    assert genvec._multiset_rows(7, 5, 5, 6)[5][6] == 638
 
 
 def test_pure_box_counts_do_not_depend_on_request_order(monkeypatch):
@@ -255,69 +257,154 @@ def test_pure_box_counts_do_not_depend_on_request_order(monkeypatch):
             assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
 
 
-def _count_builds(monkeypatch) -> dict[tuple[int, int], int]:
-    """Empty ``_ROWS`` and count the row builds per (p, k) from here on."""
-    builds: dict[tuple[int, int], int] = {}
+def _record_walks(monkeypatch) -> list[tuple]:
+    """Empty ``_ROWS`` and record each walk from here on: (p, ranks, r, ranks built)."""
+    walks = []
     real = genvec._type_weights
 
-    def counted(p, k, r, meter=None):
-        builds[p, k] = builds.get((p, k), 0) + 1
-        return real(p, k, r, meter)
+    def recorded(p, ranks, r, built=None):
+        walks.append((p, tuple(ranks), r, tuple(ranks if built is None else built)))
+        return real(p, ranks, r, built)
 
     monkeypatch.setattr(genvec, "_ROWS", {})
-    monkeypatch.setattr(genvec, "_type_weights", counted)
+    monkeypatch.setattr(genvec, "_type_weights", recorded)
+    return walks
+
+
+def _builds(walks) -> dict[tuple[int, int], int]:
+    """How many walks built the row of each (p, k)."""
+    builds: dict[tuple[int, int], int] = {}
+    for p, _, _, built in walks:
+        for k in built:
+            builds[p, k] = builds.get((p, k), 0) + 1
     return builds
 
 
 def test_pure_box_builds_each_row_once(monkeypatch):
-    builds = _count_builds(monkeypatch)
+    # a count walks at most once, and each rank's row is built by one walk
+    walks = _record_walks(monkeypatch)
     pins = list(PURE_BOX_COUNTS)
     random.Random(34).shuffle(pins)
     for p, k, r, count in pins:
+        before = len(walks)
         assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+        assert len(walks) - before <= 1, (p, k, r)
+    builds = _builds(walks)
     assert set(builds) == {(p, j) for p, k, _, _ in pins for j in (k - 1, k) if j}
     assert set(builds.values()) == {1}
 
 
 def test_ascending_sweep_builds_each_row_at_most_twice(monkeypatch):
     # past ROW_MIN_PERIODS = 8 a row doubles: r = 9 builds it to 16
-    builds = _count_builds(monkeypatch)
+    walks = _record_walks(monkeypatch)
     for p in (2, 3, 5):
         for k in range(1, 5):
             for r in range(17):
                 genvec.count_pure_orbits_burnside(p, k, r)
+    builds = _builds(walks)
     assert builds and max(builds.values()) <= 2, builds
     assert builds[5, 4] == 2
 
 
+def test_a_count_takes_one_walk(monkeypatch):
+    # e(5, j, 7) for j = 1 .. 4 reads the rows of ranks 1 .. 4: one walk to
+    # rank 4 builds all four, and the same count again reads them with no walk
+    walks = _record_walks(monkeypatch)
+    report = count_classes(EAActionSpec(5, 4, 2, 7))
+    assert report.e_used == ((4, 268), (3, 789), (2, 204), (1, 6))
+    assert walks == [(5, (1, 2, 3, 4), 8, (1, 2, 3, 4))]
+    assert count_classes(EAActionSpec(5, 4, 2, 7)) == report
+    assert len(walks) == 1
+    # a count whose ranks are kept, but were built by different walks, reads
+    # them with no walk: each row brings the steps recorded with it
+    walks = _record_walks(monkeypatch)
+    for k in (2, 4):
+        genvec.count_pure_orbits_burnside(5, k, 7)
+    assert [built for *_, built in walks] == [(1, 2), (3, 4)]
+    assert genvec.count_pure_orbits_burnside(5, 3, 7) == 789
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("p,r", [(2, 13), (3, 10), (13, 8)])
+def test_each_rank_is_charged_as_its_own_walk(p, r):
+    # the steps one walk records for rank j, its walk and its distinct
+    # profiles, are those of a walk to j alone: admission reads them off kept rows
+    _, steps = genvec._type_weights(p, range(1, 6), r, [])
+    assert steps == {j: genvec._type_weights(p, [j], r, [])[1][j] for j in range(1, 6)}
+
+
 def test_a_doubled_row_past_the_cap_is_clipped_to_the_request(monkeypatch):
-    # (5, 4) takes 15,740 burnside steps to r = 9 and 49,912 to r = 16, and (5, 3)
-    # 5,570 to r = 9: the count's two rows share the cap
-    lengths = []
-    real = genvec._type_weights
-
-    def recorded(p, k, r, meter=None):
-        lengths.append((k, r))
-        return real(p, k, r, meter)
-
-    monkeypatch.setattr(genvec, "_ROWS", {})
-    monkeypatch.setattr(genvec, "_type_weights", recorded)
+    # ranks 3 and 4 of p = 5 take 12,231 burnside steps together to r = 8,
+    # 14,740 to r = 9 and 48,467 to r = 16
+    walks = _record_walks(monkeypatch)
     monkeypatch.setitem(errors.CAPS, "burnside steps", 30_000)
     assert genvec.count_pure_orbits_burnside(5, 4, 8) == 11_173
     assert genvec.count_pure_orbits_burnside(5, 4, 9) == 629_870
-    assert [r for k, r in lengths if k == 4] == [8, 16, 9]
-    assert len(genvec._ROWS[5, 4]) == 10
+    assert [(ranks, r) for _, ranks, r, _ in walks] == [((3, 4), 8), ((3, 4), 16), ((3, 4), 9)]
+    assert len(genvec._ROWS[5, 4][0]) == 10
     with pytest.raises(CapExceededError, match="above the burnside steps cap of 30000"):
         genvec.count_pure_orbits_burnside(5, 4, 16)
+
+
+def test_a_refused_count_builds_no_row(monkeypatch):
+    # (3, 4, 1, 6) reads e(3, j, 6) for j = 2, 3, 4, and table 1 names none of
+    # them: one walk, then exit 4.  (3, 5, 1, 6) reads j = 3, 4, 5, where
+    # e(3, 5, 6) = 1 is table 1's row pure-7: ranks 2 .. 5 take 13,140 steps
+    # to R = 8 periods and ranks 2 .. 4 take 5,778, so under a cap of 5,000 the
+    # retry at the lower ranks is refused too: one walk for each rank set
+    walks = _record_walks(monkeypatch)
+    monkeypatch.setattr(genvec, "_fixed_multiset_row", None)  # a row built would raise TypeError
+    monkeypatch.setitem(errors.CAPS, "burnside steps", 5_000)
+    with pytest.raises(CapExceededError, match="above the burnside steps cap of 5000"):
+        count_classes(EAActionSpec(3, 4, 1, 6))
+    assert [ranks for _, ranks, _, _ in walks] == [(1, 2, 3, 4)]
+    with pytest.raises(CapExceededError, match="above the burnside steps cap of 5000"):
+        count_classes(EAActionSpec(3, 5, 1, 6))
+    assert [ranks for _, ranks, _, _ in walks[1:]] == [(2, 3, 4, 5), (2, 3, 4)]
+    assert genvec._ROWS == {}
+
+
+def test_a_refused_walk_is_not_charged_to_the_retry(monkeypatch):
+    # under a cap of 10,000 ranks 2 .. 5 (13,140 steps) are refused and
+    # ranks 2 .. 4 (5,778) answer alone: the top rank is table 1's
+    walks = _record_walks(monkeypatch)
+    monkeypatch.setitem(errors.CAPS, "burnside steps", 10_000)
+    report = count_classes(EAActionSpec(3, 5, 1, 6))
+    assert (report.total, report.method) == (18, "burnside+closed-form+witt")
+    assert [ranks for _, ranks, _, _ in walks] == [(2, 3, 4, 5), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("cap", [14_000, 15_000, 17_000])
+def test_admission_does_not_depend_on_the_kept_rows(monkeypatch, cap):
+    # count_classes(5, 4, 2, 9) reads ranks 1 .. 4 (16,340 steps to r = 9),
+    # and e(5, 4, 9) ranks 3 and 4 (14,740): under a cap of 15,000 a warm
+    # process, holding the rows of the pure count, charged only ranks 1 and 2
+    monkeypatch.setitem(errors.CAPS, "burnside steps", cap)
+
+    def verdict():
+        try:
+            return count_classes(EAActionSpec(5, 4, 2, 9)).total
+        except CapExceededError:
+            return None
+
+    monkeypatch.setattr(genvec, "_ROWS", {})
+    cold = verdict()
+    monkeypatch.setattr(genvec, "_ROWS", {})
+    try:
+        assert genvec.count_pure_orbits_burnside(5, 4, 9) == 629_870
+    except CapExceededError:
+        assert cap < 14_740
+    assert verdict() == cold
+    assert (cold is None) == (cap < 16_340)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (5, 2), (13, 2)])
 def test_shorter_rows_are_prefixes_of_longer_ones(p, k):
     # the cache serves r from a row built for any R > r; p = 2 has
     # unipotent blocks of sizes 1, 2 and 4 (Lucas), p = 13 only of size 1
-    longest = genvec._burnside_row(p, k, 16)
+    longest = genvec._burnside_rows(p, [k], 16)[0][k]
     for r in range(16):
-        assert genvec._burnside_row(p, k, r) == longest[:r + 1], (p, k, r)
+        assert genvec._burnside_rows(p, [k], r)[0][k] == longest[:r + 1], (p, k, r)
 
 
 def test_large_object_dtype_burnside_sum():
@@ -333,24 +420,35 @@ def test_e_13_5_7_without_class_enumeration():
     assert time.process_time() - start < 1.0
 
 
+def _rank_weights(weights, ranks) -> dict[int, dict[tuple, int]]:
+    """{k: {profile: class size}} for each rank, from ``_type_weights``' sizes by profile."""
+    return {k: {key: sizes[i] for key, sizes in weights.items() if sizes[i]}
+            for i, k in enumerate(ranks)}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_type_sum_class_equation(p):
     # the class sizes, summed type by type, give |GL(k, p)| whatever r
     # makes short: r = 0 leaves every irreducible long
-    for k in range(1, 7):
-        for r in (0, 4, 10):
-            weights = genvec._type_weights(p, k, r)
-            assert sum(weights.values()) == fp.gl_order(k, p), (k, r)
+    for r in (0, 4, 10):
+        weights, _ = genvec._type_weights(p, range(1, 7), r)
+        for k, sizes in _rank_weights(weights, range(1, 7)).items():
+            assert sum(sizes.values()) == fp.gl_order(k, p), (k, r)
 
 
 def test_type_rows_match_the_class_sum():
-    # the rows M(p, k, 0..r) of the type sum against the sum over the listed
-    # classes, each built for its own r <= 10
+    # every rank's weights and rows M(p, k, 0..r), from one walk for all of
+    # them, against the sum over the listed classes and the per-rank walk,
+    # each rank built for its own r <= 10
     for p in (2, 3, 5, 7, 11, 13):
-        for k in (k for k in range(1, 5) if p ** k <= 30_000):
-            want = class_sum_rows(p, k, 10)
-            for r in range(11):
-                assert list(genvec._burnside_row(p, k, r)) == want[:r + 1], (p, k, r)
+        ranks = [k for k in range(1, 5) if p ** k <= 30_000]
+        want = {k: class_sum_rows(p, k, 10) for k in ranks}
+        for r in range(11):
+            weights, _ = genvec._type_weights(p, ranks, r)
+            rows, _ = genvec._burnside_rows(p, ranks, r)
+            for k in ranks:
+                assert _rank_weights(weights, ranks)[k] == part_walk_weights(p, k, r), (p, k, r)
+                assert list(rows[k]) == want[k][:r + 1], (p, k, r)
 
 
 # (5, 4, 8) is also checked by the cycle walk; the other three lie past it
@@ -363,7 +461,7 @@ def test_series_recurrence_matches_the_product_form(p, k, r):
     # every profile of the row: the Euler-transform recurrence against the
     # product of (1 - x^s)^(-a_s) factors, negative a_s included
     negative = 0
-    for profile in genvec._type_weights(p, k, r):
+    for profile in genvec._type_weights(p, [k], r)[0]:
         assert genvec._fixed_multiset_row(profile, p, r) == product_form_row(profile, p, r), profile
         negative += any(a < 0 for _, power in character_powers(profile, p, r) for a in power)
     assert negative
@@ -371,25 +469,34 @@ def test_series_recurrence_matches_the_product_form(p, k, r):
 
 @pytest.mark.parametrize("p,k,r", TYPE_SUM_ROWS)
 def test_type_weights_match_the_part_walk(p, k, r):
-    # one increment per partition against one _with_block per part, key for key
-    assert genvec._type_weights(p, k, r) == part_walk_weights(p, k, r)
+    # every rank up to k from one walk against its own walk, one _with_block
+    # per part, key for key, and each rank's row against the oracle's weights
+    ranks = range(1, k + 1)
+    weights, _ = genvec._type_weights(p, ranks, r)
+    rows, _ = genvec._burnside_rows(p, ranks, r)
+    for j, sizes in _rank_weights(weights, ranks).items():
+        oracle = part_walk_weights(p, j, r)
+        assert sizes == oracle, (p, j, r)
+        assert list(rows[j]) == weighted_rows(oracle, p, j, r), (p, j, r)
 
 
 def test_burnside_divisibility_catches_a_wrong_short_count(monkeypatch):
     # (d, e) = (2, 4) is x^2 + 1 over F_3: one more of it leaves one fewer
-    # long quadratic, so the sizes still sum to |GL(2, 3)| and the rows are
-    # wrong at t = 4; one more x + 1 leaves -1 long linear ones.  The cache
+    # long quadratic, so the sizes still sum to |GL(k, 3)| and the rows are
+    # wrong from t = 4 at every rank k >= 2; one more x + 1 leaves -1 long
+    # linear ones, and the class equation fails at every rank.  The cache
     # builds to r = 8, where x^2 + 1 is also short and the class equation
-    # fails first, so the row for r = 7 is built directly
+    # fails first, so the rows for r = 7 are built directly
     real = genvec._short_types
     assert real(3, 2, 7) == ((1, 1, 1), (1, 2, 1), (2, 4, 1))
     monkeypatch.setattr(genvec, "_ROWS", {})
-    for bumped, match in [((2, 4), r"t = \[4\] are not multiples"),
-                          ((1, 2), "do not sum to its order")]:
+    for bumped, match in [((2, 4), r"\{2: \[4\], 3: \[4, 5, 6, 7\], 4: \[4, 5, 6, 7\]\} are not "
+                                   r"multiples"),
+                          ((1, 2), r"do not sum to its order for k in \[1, 2, 3, 4\]")]:
         monkeypatch.setattr(genvec, "_short_types", lambda p, k, r: tuple(
             (d, e, n + ((d, e) == bumped)) for d, e, n in real(p, k, r)))
         with pytest.raises(AssertionError, match=match):
-            genvec._burnside_row(3, 2, 7)
+            genvec._burnside_rows(3, range(1, 5), 7)
         with pytest.raises(AssertionError):
             genvec.count_pure_orbits_burnside(3, 2, 7)
         assert (3, 2) not in genvec._ROWS
