@@ -279,9 +279,10 @@ def cmd_fermat(args, out) -> int:
             raise UsageError("--w entries must be pairwise distinct")
         if len(w) != args.n + 1:
             raise UsageError(f"--w needs n+1 = {args.n + 1} entries")
-        # C holds the powers w^(n-2), whose digits the kernel's work grows with
-        digits = max(int(k.bit_length() * math.log10(2)) + 1 for x in w
-                     for part in (x.re, x.im) for k in (part.numerator, part.denominator))
+        # C holds the powers w^(n-2), whose digits the kernel's work grows with; with no
+        # entry (n = -1), vandermonde_line refuses the line as it does n = 0 and n = 1
+        digits = max((int(k.bit_length() * math.log10(2)) + 1 for x in w
+                      for part in (x.re, x.im) for k in (part.numerator, part.denominator)), default=0)
         require_within("digits", (args.n - 2) * digits, "the digits of the powers of w in C")
         line = hyperfermat.vandermonde_line(w)
         default_pins = tuple(w[:3])

@@ -15,24 +15,25 @@ class types of GL(k, p) (``count_pure_orbits_burnside``, ``_type_weights``):
 a class's fixed-multiset counts for every t <= r depend only on its
 profile (``_with_block``, ``_fixed_multiset_row``), so no class is listed.
 One programme serves a count: one walk gives the class types of every rank
-it reads, and each distinct profile's row is built once for all of them
-(``_burnside_rows``).  h is Witt's closed form (``witt_kernel_orbit_count``),
-and so are the ranks with one class (``unramified_adjudication``).  The
-``burnside steps`` cap bounds each count's programme before any row is
-built, from (p, ranks, r) alone (``_multiset_rows``); the oracles of
-``eag.orbits`` check e in their boxes.
+it reads, and each distinct profile's row is built once (``_burnside_rows``).
+Two caches keep the results, each keyed by what it computes: the rows of a
+rank set, the longest built so far (``_multiset_rows``), and the row of a
+profile (``_fixed_multiset_row``), which rank sets that overlap share.  h is
+Witt's closed form (``witt_kernel_orbit_count``), and so are the ranks with
+one class (``unramified_adjudication``).  The ``burnside steps`` cap bounds
+each programme before any row is built, from (p, ranks, r) alone; the
+oracles of ``eag.orbits`` check e in their boxes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
 
 from . import fp
-from .errors import CAPS, CapExceededError, OutOfDomainError, PreconditionError, require_within
+from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
@@ -148,8 +149,8 @@ def _short_types(p: int, k: int, r: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(types)
 
 
-def _type_weights(p: int, ranks, r: int, built=None) -> tuple[dict[tuple, list[int]], dict]:
-    """{profile: [the total size of the classes of GL(k, p) with it, for k in built]}, and the steps.
+def _type_weights(p: int, ranks, r: int) -> dict[tuple, list[int]]:
+    """{profile: [the total size of the classes of GL(k, p) with it, for k in ranks]}.
 
     A class maps the monic irreducibles f != x to partitions lambda_f with
     sum deg f * |lambda_f| = k and has size |GL(k, p)| / prod_f
@@ -165,23 +166,20 @@ def _type_weights(p: int, ranks, r: int, built=None) -> tuple[dict[tuple, list[i
     the centraliser orders of blocks of degree D multiply to a divisor of
     |GL(D, p)|, and |GL(D, p)| |GL(k - D, p)| divides |GL(k, p)|.
 
-    One walk, to k = max(ranks), serves every rank k' <= k (``built``,
-    default ``ranks``): its states of degree D <= k' are those of GL(k', p),
-    rescaled by |GL(k', p)| / |GL(k, p)| (exact, as prod c divides
-    |GL(D, p)|), and k' reads the long series rescaled to its own order.
-    Each rank's sizes must sum to its order (the class equation).
+    The ranks ascend.  One walk, to k = ranks[-1], serves every rank k' <= k:
+    its states of degree D <= k' are those of GL(k', p), rescaled by
+    |GL(k', p)| / |GL(k, p)| (exact, as prod c divides |GL(D, p)|), and k'
+    reads the long series rescaled to its own order.  Each rank's sizes must
+    sum to its order (the class equation).
 
     The ``burnside steps`` cap bounds the rows of ``ranks``: r + 1 steps a
-    block added to a profile in the walk, and (r + 1)^2 a distinct profile of
-    each rank (``_fixed_multiset_row``).  ``steps[j]`` is rank j's share: the
-    steps of the walk of GL(j, p), its states of degree <= j, and those of
-    its distinct profiles.  The ranks are charged the walk of the top rank
-    and the profiles of each: checked before any loop over r and before each
-    f's blocks (the walk alone), then before any size is summed, so that a
-    refusal costs at most one walk.
+    block added to a profile in the walk of GL(k, p), and (r + 1)^2 a
+    distinct profile of each rank (``_fixed_multiset_row``).  It is checked
+    before any loop over r and before each f's blocks (the walk alone), then
+    before any size is summed, so that a refusal costs at most one walk.
     """
-    k, built = max(ranks), ranks if built is None else built
-    what = f"the steps of the Burnside rows of ranks {min(ranks)} to {k} at (p={p}, r={r})"
+    k = ranks[-1]  # not max(ranks), which would walk a range of a billion ranks
+    what = f"the steps of the Burnside rows of ranks {ranks[0]} to {k} at (p={p}, r={r})"
     blocks = [0]  # blocks[m]: the parts of the partitions of s <= m, which x - 1 walks first
     for s in range(1, k + 1):
         blocks.append(blocks[-1] + sum(map(len, fp._partitions(s, s))))
@@ -198,13 +196,11 @@ def _type_weights(p: int, ranks, r: int, built=None) -> tuple[dict[tuple, list[i
                            for s in range(1, k // d + 1) for part in fp._partitions(s, s)]
                   for d, e, _ in short}
     states = {(0, zero): order}
-    walks = dict.fromkeys(ranks, 0)
+    walk = 0
     for d, e, count in short:
         for _ in range(count):
-            degrees = Counter(D for D, _ in states)  # f's blocks fit no state of degree > j - d
-            for j in walks:
-                walks[j] += (r + 1) * sum(n * blocks[(j - D) // d] for D, n in degrees.items() if D <= j)
-            require_within("burnside steps", walks[k], what)
+            walk += (r + 1) * sum(blocks[(k - D) // d] for D, _ in states)
+            require_within("burnside steps", walk, what)
             grown = dict(states)  # f may be absent
             for (D, (dims, unipotent)), weight in states.items():
                 for degree, inc, tops, centraliser in increments[d, e]:
@@ -232,25 +228,23 @@ def _type_weights(p: int, ranks, r: int, built=None) -> tuple[dict[tuple, list[i
     masks = {}  # profile -> the ranks with a class of that profile, as bits
     for D, profile in states:
         masks[profile] = masks.get(profile, 0) | live[D]
-    tally = Counter(masks.values())
-    steps = {j: (walks[j], (r + 1) ** 2 * sum(n for bits, n in tally.items() if bits >> j & 1))
-             for j in ranks}
-    require_within("burnside steps", walks[k] + sum(rows for _, rows in steps.values()), what)
-    weights, wrong = {}, []
-    for i, j in enumerate(built):
+    profiles = sum(bits.bit_count() for bits in masks.values())  # each rank's distinct profiles
+    require_within("burnside steps", walk + (r + 1) ** 2 * profiles, what)
+    weights, wrong, square = {}, [], order * order
+    for i, j in enumerate(ranks):
         scale = fp.gl_order(j, p)
-        own = [c * scale // order for c in long[:j + 1]]  # rank j's series, scaled by |GL(j, p)|
         total = 0
         for (D, profile), weight in states.items():
-            if D <= j and own[j - D]:
-                size = weight * scale // order * own[j - D] // scale
-                weights.setdefault(profile, [0] * len(built))[i] += size
+            if D <= j and long[j - D]:
+                # the state and rank j's long series, each rescaled to |GL(j, p)|, over |GL(j, p)|
+                size = weight * long[j - D] * scale // square
+                weights.setdefault(profile, [0] * len(ranks))[i] += size
                 total += size
         if total != scale:
             wrong.append(j)
     if wrong:
         raise AssertionError(f"class sizes of GL(k, {p}) do not sum to its order for k in {wrong}")
-    return weights, steps
+    return weights
 
 
 @lru_cache(maxsize=1)  # the rows of one programme share p and r
@@ -267,7 +261,8 @@ def _row_tables(p: int, r: int) -> tuple[tuple, tuple, tuple]:
             tuple(tuple(D for D in ds if (L // D) % p) for L, ds in enumerate(divisors)))
 
 
-def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
+@lru_cache(maxsize=None)  # programmes of overlapping rank sets share their profiles' rows
+def _fixed_multiset_row(profile, p: int, r: int) -> tuple[int, ...]:
     """Fix_g(t), the zero-sum t-multisets of nonzero vectors fixed by g, for t = 0 .. r.
 
     Read off g's profile (``_with_block``).  A fixed multiset has constant
@@ -325,11 +320,11 @@ def _fixed_multiset_row(profile, p: int, r: int) -> list[int]:
     characters = p ** len(unipotent)
     if any(total % characters for total in row):
         raise AssertionError(f"character sums {row} are not multiples of |F| = {characters}")
-    return [total // characters for total in row]
+    return tuple(total // characters for total in row)
 
 
-def _burnside_rows(p: int, ranks, r: int, built=None) -> tuple[dict[int, tuple[int, ...]], dict]:
-    """{k: M(p, k, t) for t = 0 .. r} for k in ``built`` (default ``ranks``), and each rank's steps.
+def _burnside_rows(p: int, ranks, r: int) -> dict[int, tuple[int, ...]]:
+    """{k: M(p, k, t) for t = 0 .. r} for k in ``ranks``.
 
     M(p, k, t) counts GL(k, p)-orbits of zero-sum t-multisets of nonzero
     vectors.  Burnside: the class-size-weighted sum of the fixed-multiset
@@ -343,65 +338,46 @@ def _burnside_rows(p: int, ranks, r: int, built=None) -> tuple[dict[int, tuple[i
     walk shares only ``fp._centraliser_order``, ``_with_block`` and
     ``_short_types`` with ``_type_weights``; a cycle walk checks the rows.
     """
-    built = ranks if built is None else built
-    weights, steps = _type_weights(p, ranks, r, built)  # first: it checks the cost cap
-    totals = [[0] * (r + 1) for _ in built]
+    weights = _type_weights(p, ranks, r)  # first: it checks the cost cap
+    totals = [[0] * (r + 1) for _ in ranks]
     for key, sizes in weights.items():
         fixed = _fixed_multiset_row(key, p, r)
         for i, size in enumerate(sizes):
             if size:
                 totals[i] = [total + size * count for total, count in zip(totals[i], fixed)]
-    orders = [fp.gl_order(k, p) for k in built]
-    bad = {k: ts for k, row, order in zip(built, totals, orders)
+    orders = [fp.gl_order(k, p) for k in ranks]
+    bad = {k: ts for k, row, order in zip(ranks, totals, orders)
            if (ts := [t for t in range(r + 1) if row[t] % order])}
     if bad:
         raise AssertionError(f"Burnside sums for p={p} at {{k: t}} = {bad} are not "
                              f"multiples of |GL(k, {p})|")
     return {k: tuple(total // order for total in row)
-            for k, row, order in zip(built, totals, orders)}, steps
+            for k, row, order in zip(ranks, totals, orders)}
 
 
-#: (p, k) -> (M(p, k, t) for t = 0 .. R, the steps of the walk of GL(k, p) and of its
-#: distinct profiles to R periods): the longest row built so far for each (p, k)
-_ROWS: dict[tuple[int, int], tuple[tuple[int, ...], int, int]] = {}
+#: (p, lo, hi) -> {k: M(p, k, t) for t = 0 .. R, for lo <= k <= hi}: the rows of that
+#: rank set to the most periods R built so far
+_ROWS: dict[tuple[int, int, int], dict[int, tuple[int, ...]]] = {}
 
 
 def _multiset_rows(p: int, lo: int, hi: int, r: int) -> dict[int, tuple[int, ...]]:
     """The rows M(p, k, .) for max(lo, 1) <= k <= hi, each to at least r periods.
 
-    Admission depends on (p, lo, hi, r) alone.  The ranks are charged the
-    walk of GL(hi, p) and each rank's distinct profiles, all to
-    R = max(r, ROW_MIN_PERIODS) periods (``_type_weights``), whatever
-    ``_ROWS`` holds.  A kept row is charged the steps recorded with it, for
-    its R or more periods, and the steps only grow with the periods: so kept
-    rows within the cap are read with no walk, and any other request walks
-    once, building only the rows that ``_ROWS`` lacks.  A row for t <= r is
-    a prefix of every longer one, so a missing row is built to twice the
-    shortest missing kept row's period count where the cap admits that, else
-    to R: an ascending sweep of r builds each row O(log r) times.
+    A row for t <= r is a prefix of every longer one, so rows that ``_ROWS``
+    keeps for the same ranks to more than r periods answer with no walk.
+    Otherwise one programme builds them to R = max(r, ROW_MIN_PERIODS)
+    periods (``_burnside_rows``) and replaces the kept rows.  Admission
+    depends on (p, lo, hi, r) alone: kept rows were admitted at some R' >= R,
+    and the charge of a programme only grows with its periods.
     """
     ranks = range(max(lo, 1), hi + 1)
     if not ranks:
         return {}
-    wanted = max(r, ROW_MIN_PERIODS)
-    # the walk's first check, from R alone ((R + 1)(R + 2) for its first block), before any
-    # structure per rank: a count past the cap may read a billion ranks
-    require_within("burnside steps", (wanted + 1) * (wanted + 2),
-                   f"the steps of the Burnside rows of ranks {ranks[0]} to {hi} at (p={p}, r={wanted})")
-    kept = {k: _ROWS.get((p, k), ((), 0, 0)) for k in ranks}
-    missing = [k for k in ranks if len(kept[k][0]) <= r]
-    if missing or kept[hi][1] + sum(rows for _, _, rows in kept.values()) > CAPS["burnside steps"]:
-        doubled = 2 * (min(len(kept[k][0]) for k in missing) - 1) if missing else 0
-        for length in [doubled] * (doubled > wanted) + [wanted]:
-            try:
-                built, steps = _burnside_rows(p, ranks, length, missing)
-            except CapExceededError:
-                if length == wanted:
-                    raise
-            else:
-                break
-        _ROWS.update(((p, k), (row, *steps[k])) for k, row in built.items())
-    return {k: _ROWS[p, k][0] for k in ranks}
+    key = p, ranks[0], hi
+    rows = _ROWS.get(key)
+    if rows is None or len(rows[hi]) <= r:
+        rows = _ROWS[key] = _burnside_rows(p, ranks, max(r, ROW_MIN_PERIODS))
+    return rows
 
 
 def _pure_counts(p: int, ranks: range, r: int) -> dict[int, int]:

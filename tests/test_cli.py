@@ -159,6 +159,15 @@ def test_usage_errors_exit_1(capsys):
     assert code == cli.EXIT_USAGE
 
 
+def test_fermat_needs_three_parameters(capsys):
+    # a --w of commas alone names no entry, which n = -1 asked for: a traceback at the
+    # digits bound before the line's own check
+    for n, w in [(-1, ","), (-1, ",,"), (0, "1"), (1, "1,2")]:
+        code, out, err = run(["fermat", "--p", "3", f"--n={n}", f"--w={w}"], capsys)
+        assert (code, out) == (cli.EXIT_PRECONDITION, ""), (n, w)
+        assert "need at least three parameters" in err and "Traceback" not in err
+
+
 def test_cap_exit_4(capsys):
     # the row of 5,000 periods needs (r + 1)^2 steps for its one state alone,
     # and table 1 names no row for (5, 3, 5000)
@@ -706,9 +715,13 @@ def _argv(paths):
             return [("--which", _or_junk(st.integers(1, 4).map(str))),
                     ("--write-golden", st.just(paths[-1]))] + fmt
         if command == "fermat":
-            n = draw(st.integers(1, 6))
-            w = st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True)
-            line = (("--w", _or_junk(w.map(",".join))) if draw(_mostly(4)) else
+            # a line needs n + 1 distinct entries; n below 2, too few or too many entries and
+            # blank ones ("1,,2", or "," with no entry at all) must exit 1 or 3
+            n = draw(st.integers(-1, 6))
+            entries = st.one_of(st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True),
+                                st.lists(RATIONAL, max_size=n + 2, unique=True))
+            w = st.tuples(entries, st.integers(0, 2)).map(lambda t: ",".join(t[0]) + "," * t[1])
+            line = (("--w", _or_junk(w)) if draw(_mostly(4)) else
                     ("--c-file", path))
             return [("--p", SMALL), ("--n", st.just(str(n))), line,
                     ("--pins", _or_junk(st.lists(RATIONAL, min_size=3, max_size=3)

@@ -119,7 +119,7 @@ def _class_reps(k, p):
 
 
 def _class_row(blocks, p, r):
-    return genvec._fixed_multiset_row(class_profile(blocks, p, r), p, r)
+    return list(genvec._fixed_multiset_row(class_profile(blocks, p, r), p, r))
 
 
 def test_fixed_multisets_python_ints_match_int64():
@@ -258,30 +258,28 @@ def test_pure_box_counts_do_not_depend_on_request_order(monkeypatch):
 
 
 def _record_walks(monkeypatch) -> list[tuple]:
-    """Empty ``_ROWS`` and record each walk from here on: (p, ranks, r, ranks built)."""
+    """Empty ``_ROWS`` and record each walk from here on: (p, ranks, r)."""
     walks = []
     real = genvec._type_weights
 
-    def recorded(p, ranks, r, built=None):
-        walks.append((p, tuple(ranks), r, tuple(ranks if built is None else built)))
-        return real(p, ranks, r, built)
+    def recorded(p, ranks, r):
+        walks.append((p, tuple(ranks), r))
+        return real(p, ranks, r)
 
     monkeypatch.setattr(genvec, "_ROWS", {})
     monkeypatch.setattr(genvec, "_type_weights", recorded)
     return walks
 
 
-def _builds(walks) -> dict[tuple[int, int], int]:
-    """How many walks built the row of each (p, k)."""
-    builds: dict[tuple[int, int], int] = {}
-    for p, _, _, built in walks:
-        for k in built:
-            builds[p, k] = builds.get((p, k), 0) + 1
-    return builds
+def _memo_misses() -> int:
+    """The profile rows that ``_fixed_multiset_row`` has built, not read from its memo."""
+    return genvec._fixed_multiset_row.cache_info().misses
 
 
-def test_pure_box_builds_each_row_once(monkeypatch):
-    # a count walks at most once, and each rank's row is built by one walk
+def test_pure_box_walks_each_rank_set_once(monkeypatch):
+    # a count walks at most once, each rank set k - 1 .. k of the box is walked
+    # by one count, and a second pass over the pins takes no walk and builds no
+    # profile's row
     walks = _record_walks(monkeypatch)
     pins = list(PURE_BOX_COUNTS)
     random.Random(34).shuffle(pins)
@@ -289,21 +287,12 @@ def test_pure_box_builds_each_row_once(monkeypatch):
         before = len(walks)
         assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
         assert len(walks) - before <= 1, (p, k, r)
-    builds = _builds(walks)
-    assert set(builds) == {(p, j) for p, k, _, _ in pins for j in (k - 1, k) if j}
-    assert set(builds.values()) == {1}
-
-
-def test_ascending_sweep_builds_each_row_at_most_twice(monkeypatch):
-    # past ROW_MIN_PERIODS = 8 a row doubles: r = 9 builds it to 16
-    walks = _record_walks(monkeypatch)
-    for p in (2, 3, 5):
-        for k in range(1, 5):
-            for r in range(17):
-                genvec.count_pure_orbits_burnside(p, k, r)
-    builds = _builds(walks)
-    assert builds and max(builds.values()) <= 2, builds
-    assert builds[5, 4] == 2
+    sets = [(p, ranks) for p, ranks, _ in walks]
+    assert sorted(sets) == sorted({(p, tuple(range(max(k - 1, 1), k + 1))) for p, k, _, _ in pins})
+    misses = _memo_misses()
+    for p, k, r, count in pins:
+        assert genvec.count_pure_orbits_burnside(p, k, r) == count, (p, k, r)
+    assert len(walks) == len(sets) and _memo_misses() == misses
 
 
 def test_a_count_takes_one_walk(monkeypatch):
@@ -312,38 +301,30 @@ def test_a_count_takes_one_walk(monkeypatch):
     walks = _record_walks(monkeypatch)
     report = count_classes(EAActionSpec(5, 4, 2, 7))
     assert report.e_used == ((4, 268), (3, 789), (2, 204), (1, 6))
-    assert walks == [(5, (1, 2, 3, 4), 8, (1, 2, 3, 4))]
+    assert walks == [(5, (1, 2, 3, 4), 8)]
     assert count_classes(EAActionSpec(5, 4, 2, 7)) == report
     assert len(walks) == 1
-    # a count whose ranks are kept, but were built by different walks, reads
-    # them with no walk: each row brings the steps recorded with it
+    # rank sets that overlap walk once each and share their profiles' rows:
+    # ranks 2 and 3, after ranks 1, 2 and 3, 4, build no row
     walks = _record_walks(monkeypatch)
+    genvec._fixed_multiset_row.cache_clear()
     for k in (2, 4):
         genvec.count_pure_orbits_burnside(5, k, 7)
-    assert [built for *_, built in walks] == [(1, 2), (3, 4)]
+    misses = _memo_misses()
     assert genvec.count_pure_orbits_burnside(5, 3, 7) == 789
-    assert len(walks) == 2
-
-
-@pytest.mark.parametrize("p,r", [(2, 13), (3, 10), (13, 8)])
-def test_each_rank_is_charged_as_its_own_walk(p, r):
-    # the steps one walk records for rank j, its walk and its distinct
-    # profiles, are those of a walk to j alone: admission reads them off kept rows
-    _, steps = genvec._type_weights(p, range(1, 6), r, [])
-    assert steps == {j: genvec._type_weights(p, [j], r, [])[1][j] for j in range(1, 6)}
-
-
-def test_a_doubled_row_past_the_cap_is_clipped_to_the_request(monkeypatch):
-    # ranks 3 and 4 of p = 5 take 12,231 burnside steps together to r = 8,
-    # 14,740 to r = 9 and 48,467 to r = 16
-    walks = _record_walks(monkeypatch)
+    assert [ranks for _, ranks, _ in walks] == [(1, 2), (3, 4), (2, 3)]
+    assert _memo_misses() == misses
+    # kept rows answer no request past their periods: under a cap of 30,000
+    # ranks 3 and 4 take 14,740 steps to r = 9 and 48,467 to r = 16, so their
+    # rows kept to t = 8 answer r = 8, r = 9 rebuilds them to t = 9 alone,
+    # and r = 16 is refused
     monkeypatch.setitem(errors.CAPS, "burnside steps", 30_000)
     assert genvec.count_pure_orbits_burnside(5, 4, 8) == 11_173
     assert genvec.count_pure_orbits_burnside(5, 4, 9) == 629_870
-    assert [(ranks, r) for _, ranks, r, _ in walks] == [((3, 4), 8), ((3, 4), 16), ((3, 4), 9)]
-    assert len(genvec._ROWS[5, 4][0]) == 10
+    assert [(ranks, r) for _, ranks, r in walks[3:]] == [((3, 4), 9)]
     with pytest.raises(CapExceededError, match="above the burnside steps cap of 30000"):
         genvec.count_pure_orbits_burnside(5, 4, 16)
+    assert len(genvec._ROWS[5, 3, 4][4]) == 10
 
 
 def test_a_refused_count_builds_no_row(monkeypatch):
@@ -357,10 +338,10 @@ def test_a_refused_count_builds_no_row(monkeypatch):
     monkeypatch.setitem(errors.CAPS, "burnside steps", 5_000)
     with pytest.raises(CapExceededError, match="above the burnside steps cap of 5000"):
         count_classes(EAActionSpec(3, 4, 1, 6))
-    assert [ranks for _, ranks, _, _ in walks] == [(1, 2, 3, 4)]
+    assert [ranks for _, ranks, _ in walks] == [(1, 2, 3, 4)]
     with pytest.raises(CapExceededError, match="above the burnside steps cap of 5000"):
         count_classes(EAActionSpec(3, 5, 1, 6))
-    assert [ranks for _, ranks, _, _ in walks[1:]] == [(2, 3, 4, 5), (2, 3, 4)]
+    assert [ranks for _, ranks, _ in walks[1:]] == [(2, 3, 4, 5), (2, 3, 4)]
     assert genvec._ROWS == {}
 
 
@@ -371,7 +352,7 @@ def test_a_refused_walk_is_not_charged_to_the_retry(monkeypatch):
     monkeypatch.setitem(errors.CAPS, "burnside steps", 10_000)
     report = count_classes(EAActionSpec(3, 5, 1, 6))
     assert (report.total, report.method) == (18, "burnside+closed-form+witt")
-    assert [ranks for _, ranks, _, _ in walks] == [(2, 3, 4, 5), (2, 3, 4)]
+    assert [ranks for _, ranks, _ in walks] == [(2, 3, 4, 5), (2, 3, 4)]
 
 
 @pytest.mark.parametrize("cap", [14_000, 15_000, 17_000])
@@ -402,9 +383,9 @@ def test_admission_does_not_depend_on_the_kept_rows(monkeypatch, cap):
 def test_shorter_rows_are_prefixes_of_longer_ones(p, k):
     # the cache serves r from a row built for any R > r; p = 2 has
     # unipotent blocks of sizes 1, 2 and 4 (Lucas), p = 13 only of size 1
-    longest = genvec._burnside_rows(p, [k], 16)[0][k]
+    longest = genvec._burnside_rows(p, [k], 16)[k]
     for r in range(16):
-        assert genvec._burnside_rows(p, [k], r)[0][k] == longest[:r + 1], (p, k, r)
+        assert genvec._burnside_rows(p, [k], r)[k] == longest[:r + 1], (p, k, r)
 
 
 def test_large_object_dtype_burnside_sum():
@@ -431,7 +412,7 @@ def test_type_sum_class_equation(p):
     # the class sizes, summed type by type, give |GL(k, p)| whatever r
     # makes short: r = 0 leaves every irreducible long
     for r in (0, 4, 10):
-        weights, _ = genvec._type_weights(p, range(1, 7), r)
+        weights = genvec._type_weights(p, range(1, 7), r)
         for k, sizes in _rank_weights(weights, range(1, 7)).items():
             assert sum(sizes.values()) == fp.gl_order(k, p), (k, r)
 
@@ -444,8 +425,8 @@ def test_type_rows_match_the_class_sum():
         ranks = [k for k in range(1, 5) if p ** k <= 30_000]
         want = {k: class_sum_rows(p, k, 10) for k in ranks}
         for r in range(11):
-            weights, _ = genvec._type_weights(p, ranks, r)
-            rows, _ = genvec._burnside_rows(p, ranks, r)
+            weights = genvec._type_weights(p, ranks, r)
+            rows = genvec._burnside_rows(p, ranks, r)
             for k in ranks:
                 assert _rank_weights(weights, ranks)[k] == part_walk_weights(p, k, r), (p, k, r)
                 assert list(rows[k]) == want[k][:r + 1], (p, k, r)
@@ -461,8 +442,8 @@ def test_series_recurrence_matches_the_product_form(p, k, r):
     # every profile of the row: the Euler-transform recurrence against the
     # product of (1 - x^s)^(-a_s) factors, negative a_s included
     negative = 0
-    for profile in genvec._type_weights(p, [k], r)[0]:
-        assert genvec._fixed_multiset_row(profile, p, r) == product_form_row(profile, p, r), profile
+    for profile in genvec._type_weights(p, [k], r):
+        assert list(genvec._fixed_multiset_row(profile, p, r)) == product_form_row(profile, p, r), profile
         negative += any(a < 0 for _, power in character_powers(profile, p, r) for a in power)
     assert negative
 
@@ -472,8 +453,8 @@ def test_type_weights_match_the_part_walk(p, k, r):
     # every rank up to k from one walk against its own walk, one _with_block
     # per part, key for key, and each rank's row against the oracle's weights
     ranks = range(1, k + 1)
-    weights, _ = genvec._type_weights(p, ranks, r)
-    rows, _ = genvec._burnside_rows(p, ranks, r)
+    weights = genvec._type_weights(p, ranks, r)
+    rows = genvec._burnside_rows(p, ranks, r)
     for j, sizes in _rank_weights(weights, ranks).items():
         oracle = part_walk_weights(p, j, r)
         assert sizes == oracle, (p, j, r)
@@ -499,7 +480,7 @@ def test_burnside_divisibility_catches_a_wrong_short_count(monkeypatch):
             genvec._burnside_rows(3, range(1, 5), 7)
         with pytest.raises(AssertionError):
             genvec.count_pure_orbits_burnside(3, 2, 7)
-        assert (3, 2) not in genvec._ROWS
+        assert genvec._ROWS == {}
 
 
 def test_burnside_divisibility_catches_a_wrong_class_size(monkeypatch):

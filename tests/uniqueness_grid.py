@@ -46,8 +46,8 @@ def check_grid(kmax: int, rmax: int) -> tuple[int, int, list[tuple]]:
     instances, pairs, mismatches = 0, 0, []
     for p in PRIMES:
         for k in range(1, kmax + 1):
-            # r descends, so that each row M(p, k, .) is built once, to rmax: an ascending
-            # sweep would try to double the largest rows past the burnside steps cap at each r
+            # r descends, so that the rows M(p, j, .) of ranks k - 1 and k are built once, to
+            # rmax: an ascending sweep would walk them again at each r past ROW_MIN_PERIODS
             for r in range(rmax, -1, -1):
                 e = genvec.count_pure_orbits_burnside(p, k, r)
                 if genvec.no_pure_vectors(p, k, r):
