@@ -107,7 +107,12 @@ def _add_spec_args(sub):
 
 
 def _spec(args) -> EAActionSpec:
-    return EAActionSpec(args.p, args.n, args.rho, args.r)
+    spec = EAActionSpec(args.p, args.n, args.rho, args.r)
+    # count, unique and maximal refuse the trivial group alike, so none answers what another
+    # refuses; the message names no signature, whose r periods may not fit in memory
+    if spec.n < 1:
+        raise OutOfDomainError(f"C_{spec.p}^0 is the trivial group: C_p^n needs n >= 1")
+    return spec
 
 
 def cmd_unique(args, out) -> int:
@@ -137,7 +142,7 @@ def cmd_count(args, out) -> int:
     spec = _spec(args)
     report = genvec.count_classes(spec)
     payload = {"schema": SCHEMA, "command": "count", **report.to_json_dict()}
-    if spec.r == 0 and spec.n >= 1:
+    if spec.r == 0:
         adj = genvec.unramified_adjudication(spec.p, spec.rho)
         payload["unramified_unique_ranks"] = list(adj.computed_unique_ranks)
         payload["unramified_note"] = adj.note

@@ -10,18 +10,19 @@ floats.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    _fields = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        vars(self).update(re=re, im=im)
 
     @staticmethod
     def of(x) -> "GaussianRational":
@@ -130,13 +131,14 @@ ONE = GaussianRational(Fraction(1))
 ZERO = GaussianRational(Fraction(0))
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Point of the projective line as a homogeneous pair (num : den) of
     Gaussian rationals."""
 
-    num: GaussianRational
-    den: GaussianRational
+    _fields = ("num", "den")
+
+    def __init__(self, num: GaussianRational, den: GaussianRational):
+        vars(self).update(num=num, den=den)
 
     @staticmethod
     def finite(x) -> "ProjPoint":
@@ -175,14 +177,13 @@ def cross_det(u: ProjPoint, v: ProjPoint):
     return u.num * v.den - u.den * v.num
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """Fractional linear map as an invertible 2x2 matrix acting on pairs."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        vars(self).update(a=a, b=b, c=c, d=d)
 
     def apply(self, pt: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * pt.num + self.b * pt.den,

@@ -27,7 +27,6 @@ oracles of ``eag.orbits`` check e in their boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
@@ -35,34 +34,30 @@ from operator import add, mul
 from . import fp
 from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime
+from .record import Record
 from .surfaces import EAActionSpec, ea_genus, validate_vector_for
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(Record):
     """Images of the canonical generators in C_p^n.
 
     Each image is a tuple of n ints in [0, p); the constructor accepts any
     integer sequences (numpy rows included) and reduces them mod p.
     """
 
-    p: int
-    n: int
-    hyperbolic: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    elliptic: tuple[tuple[int, ...], ...]
+    _fields = ("p", "n", "hyperbolic", "elliptic")
 
-    def __post_init__(self):
-        check_prime(self.p)
+    def __init__(self, p: int, n: int, hyperbolic, elliptic):
+        check_prime(p)
 
         def entry(v) -> tuple[int, ...]:
-            v = tuple(int(a) % self.p for a in v)
-            if len(v) != self.n:
+            v = tuple(int(a) % p for a in v)
+            if len(v) != n:
                 raise PreconditionError("vector entries must live in F_p^n")
             return v
 
-        object.__setattr__(self, "hyperbolic",
-                           tuple((entry(a), entry(b)) for a, b in self.hyperbolic))
-        object.__setattr__(self, "elliptic", tuple(entry(c) for c in self.elliptic))
+        vars(self).update(p=p, n=n, hyperbolic=tuple((entry(a), entry(b)) for a, b in hyperbolic),
+                          elliptic=tuple(entry(c) for c in elliptic))
 
     @property
     def rho(self) -> int:
@@ -462,14 +457,13 @@ def count_unramified_classes(p: int, k: int, rho: int) -> int:
     return witt_kernel_orbit_count(rho, k)
 
 
-@dataclass(frozen=True)
-class UnramifiedAdjudication:
-    p: int
-    rho: int
-    computed_unique_ranks: tuple[int, ...]
-    stated_unique_ranks: tuple[int, ...]
-    agrees: bool
-    note: str
+class UnramifiedAdjudication(Record):
+    _fields = ("p", "rho", "computed_unique_ranks", "stated_unique_ranks", "agrees", "note")
+
+    def __init__(self, p: int, rho: int, computed_unique_ranks: tuple[int, ...],
+                 stated_unique_ranks: tuple[int, ...], agrees: bool, note: str):
+        vars(self).update(p=p, rho=rho, computed_unique_ranks=computed_unique_ranks,
+                          stated_unique_ranks=stated_unique_ranks, agrees=agrees, note=note)
 
 
 def unramified_adjudication(p: int, rho: int) -> UnramifiedAdjudication:
@@ -490,21 +484,18 @@ def unramified_adjudication(p: int, rho: int) -> UnramifiedAdjudication:
     return UnramifiedAdjudication(p, rho, computed, stated, agrees, note)
 
 
-@dataclass(frozen=True)
-class ClassCountReport:
+class ClassCountReport(Record):
     """Count of topological classes, with the ingredients that produced it."""
 
-    p: int
-    n: int
-    rho: int
-    r: int
-    total: int
-    # engines of the nonzero terms, "+"-joined in this order: "burnside" (e),
+    # method: the engines of the nonzero terms, "+"-joined in this order: "burnside" (e),
     # "closed-form" (e = 1 by pure_unique_row, or no term), "witt" (h if rho >= 1)
-    method: str
-    e_used: tuple[tuple[int, int], ...] = ()
-    h_used: tuple[tuple[int, int], ...] = ()
-    flags: tuple[str, ...] = ()
+    _fields = ("p", "n", "rho", "r", "total", "method", "e_used", "h_used", "flags")
+
+    def __init__(self, p: int, n: int, rho: int, r: int, total: int, method: str,
+                 e_used: tuple[tuple[int, int], ...] = (), h_used: tuple[tuple[int, int], ...] = (),
+                 flags: tuple[str, ...] = ()):
+        vars(self).update(p=p, n=n, rho=rho, r=r, total=total, method=method,
+                          e_used=e_used, h_used=h_used, flags=flags)
 
     def to_json_dict(self) -> dict:
         return {

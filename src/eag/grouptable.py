@@ -16,12 +16,12 @@ import functools
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CAPS, PreconditionError, require_within
 from .fp import _pack_keys, orbit_components
+from .record import Record
 from .surfaces import Signature
 
 #: most candidate tuples ``_enumerate_tuples`` builds at once
@@ -229,12 +229,13 @@ def by_name(name: str) -> GroupTable:
 # generating tuples and braid moves
 
 
-@dataclass(frozen=True)
-class TableVector:
+class TableVector(Record):
     """Genus-0 generating tuple over a Cayley-table group."""
 
-    group: GroupTable
-    elliptic: tuple[int, ...]
+    _fields = ("group", "elliptic")
+
+    def __init__(self, group: GroupTable, elliptic: tuple[int, ...]):
+        vars(self).update(group=group, elliptic=elliptic)
 
     def periods(self) -> tuple[int, ...]:
         return tuple(self.group.element_orders[c] for c in self.elliptic)

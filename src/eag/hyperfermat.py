@@ -24,12 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cx import GaussianRational, Mobius, ProjPoint, cross_det
 from .errors import CapExceededError, PreconditionError, require_within
 from .fp import is_prime
+from .record import Record
 
 # The smoothness sampler's constants.  The sampler is a test oracle; it stays
 # in this module because perfbench/tracing.py reads its time under the key
@@ -42,12 +42,14 @@ SAMPLE_CAP = 10_000
 SMOOTHNESS_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class LineMatrix:
+class LineMatrix(Record):
     """(n-1) x (n+1) matrix of Gaussian rationals whose kernel is a line in
     projective n-space."""
 
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[GaussianRational, ...], ...]):
+        vars(self).update(rows=rows)
 
     @staticmethod
     def of(rows) -> "LineMatrix":
@@ -269,13 +271,14 @@ def as_proj_point(x) -> ProjPoint:
     return ProjPoint.finite(x)
 
 
-@dataclass(frozen=True)
-class BranchSet:
+class BranchSet(Record):
     """The n+1 branch parameters of the quotient map, the first three being
     the pins, and the u_1 of the closed formula in ``branch_points``."""
 
-    points: tuple[ProjPoint, ...]
-    u1: ProjPoint
+    _fields = ("points", "u1")
+
+    def __init__(self, points: tuple[ProjPoint, ...], u1: ProjPoint):
+        vars(self).update(points=points, u1=u1)
 
     @property
     def pins(self) -> tuple[ProjPoint, ...]:
@@ -394,36 +397,33 @@ def moduli_equivalent(b1: BranchSet, b2: BranchSet) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class HyperFermatSpec:
+class HyperFermatSpec(Record):
     """A hyper-Fermat curve: prime degree, rank, and a generic line."""
 
-    p: int
-    n: int
-    line: LineMatrix
-    genus: Fraction = field(init=False, repr=False, compare=False)
+    _fields = ("p", "n", "line")  # and the genus, derived: equality, hash and repr leave it out
 
-    def __post_init__(self):
+    def __init__(self, p: int, n: int, line: LineMatrix):
         # the genus checks n and p: one primality test per spec
-        object.__setattr__(self, "genus", hyper_fermat_genus(self.p, self.n))
-        if self.line.n != self.n:
-            raise PreconditionError(
-                f"line matrix is for ambient dimension {self.line.n}, not {self.n}")
-        if not is_generic_line(self.line):
+        genus = hyper_fermat_genus(p, n)
+        if line.n != n:
+            raise PreconditionError(f"line matrix is for ambient dimension {line.n}, not {n}")
+        if not is_generic_line(line):
             raise PreconditionError(
                 "line is not generic (some two-column deletion of C is singular)")
+        vars(self).update(p=p, n=n, line=line, genus=genus)
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    p: int
-    n: int
-    samples: int
-    max_equation_residual: float
-    min_jacobian_rank: int
-    max_minor_identity_error: float
-    failures: tuple[str, ...]
-    seed: int
+class SmoothnessReport(Record):
+    _fields = ("p", "n", "samples", "max_equation_residual", "min_jacobian_rank",
+               "max_minor_identity_error", "failures", "seed")
+
+    def __init__(self, p: int, n: int, samples: int, max_equation_residual: float,
+                 min_jacobian_rank: int, max_minor_identity_error: float,
+                 failures: tuple[str, ...], seed: int):
+        vars(self).update(p=p, n=n, samples=samples, max_equation_residual=max_equation_residual,
+                          min_jacobian_rank=min_jacobian_rank,
+                          max_minor_identity_error=max_minor_identity_error,
+                          failures=failures, seed=seed)
 
     @property
     def passed(self) -> bool:

@@ -11,21 +11,22 @@ by the test suite, never resolved silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PreconditionError, require_within
 from .fp import vector_span_rank  # noqa: F401 -- perfbench's tracer tests read it here
 from .genvec import GeneratingVector, require_admissible_genus, unique_action_rules
+from .record import Record
 from .surfaces import EAActionSpec, ea_genus, solve_extension_params, subgroup_signature
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(Record):
     """A concrete index-p extension: overgroup vector plus embedded subgroup."""
 
-    n_spec: EAActionSpec
-    vector: GeneratingVector
-    subgroup_basis: tuple[tuple[int, ...], ...]
+    _fields = ("n_spec", "vector", "subgroup_basis")
+
+    def __init__(self, n_spec: EAActionSpec, vector: GeneratingVector,
+                 subgroup_basis: tuple[tuple[int, ...], ...]):
+        vars(self).update(n_spec=n_spec, vector=vector, subgroup_basis=subgroup_basis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -35,15 +36,15 @@ class ExtensionWitness:
         }
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
-    spec: EAActionSpec
-    maximal: bool
-    witness: ExtensionWitness | None
-    rule: str
+class MaximalityVerdict(Record):
+    _fields = ("spec", "maximal", "witness", "rule")
+
+    def __init__(self, spec: EAActionSpec, maximal: bool, witness: ExtensionWitness | None,
+                 rule: str):
+        vars(self).update(spec=spec, maximal=maximal, witness=witness, rule=rule)
 
     def to_json_dict(self) -> dict:
-        # vars of a spec: its four int fields, as asdict gives them without deep copies
+        # vars of a spec: its four int fields
         return {
             "spec": dict(vars(self.spec)),
             "maximal": self.maximal,
@@ -233,16 +234,17 @@ def is_maximal(spec: EAActionSpec) -> MaximalityVerdict:
 # holding v are U + <v> for the n-subspaces U of a complement of <v> in V.
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of the exhaustive witness search.
 
     status is "found" (witness attached) or "none" (every candidate row
     space enumerated, no witness exists).
     """
 
-    status: str
-    witness: ExtensionWitness | None
+    _fields = ("status", "witness")
+
+    def __init__(self, status: str, witness: ExtensionWitness | None):
+        vars(self).update(status=status, witness=witness)
 
 
 def search_extension_witness(spec: EAActionSpec) -> SearchOutcome:

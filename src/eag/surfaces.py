@@ -10,32 +10,31 @@ errors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, require_within
 from .fp import check_prime, rref, vector_span_rank
+from .record import Record
 
 _SIG_RE = re.compile(r"^\(\s*(\d+)\s*;\s*(-|\d+(?:\s*,\s*\d+)*)\s*\)$")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Orbit genus plus ordered branching periods.
 
     Periods keep their given order for display, but signatures compare and
     hash as multisets: permuting the periods gives the same signature.
     """
 
-    orbit_genus: int
-    periods: tuple[int, ...] = ()
+    _fields = ("orbit_genus", "periods")
 
-    def __post_init__(self):
-        if self.orbit_genus < 0:
+    def __init__(self, orbit_genus: int, periods: tuple[int, ...] = ()):
+        if orbit_genus < 0:
             raise PreconditionError("orbit genus must be >= 0")
-        object.__setattr__(self, "periods", tuple(int(m) for m in self.periods))
-        if any(m < 2 for m in self.periods):
+        periods = tuple(int(m) for m in periods)
+        if any(m < 2 for m in periods):
             raise PreconditionError("branching periods must be >= 2")
+        vars(self).update(orbit_genus=orbit_genus, periods=periods)
 
     @property
     def r(self) -> int:
@@ -70,19 +69,16 @@ class Signature:
         return Signature(int(tokens[0]), tuple(map(int, tokens[1:])))
 
 
-@dataclass(frozen=True)
-class EAActionSpec:
+class EAActionSpec(Record):
     """Parameters of an elementary abelian action: C_p^n with signature (rho; p^r)."""
 
-    p: int
-    n: int
-    rho: int
-    r: int
+    _fields = ("p", "n", "rho", "r")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.n < 0 or self.rho < 0 or self.r < 0:
+    def __init__(self, p: int, n: int, rho: int, r: int):
+        check_prime(p)
+        if n < 0 or rho < 0 or r < 0:
             raise PreconditionError("n, rho, r must all be >= 0")
+        vars(self).update(p=p, n=n, rho=rho, r=r)
 
     @property
     def sig(self) -> Signature:
@@ -92,18 +88,15 @@ class EAActionSpec:
         return f"C_{self.p}^{self.n} acting with {self.sig}"
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class ExtensionParams(Record):
     """Candidate quotient data (tau; p^s) for an index-p overgroup action."""
 
-    tau: int
-    s: int
-    l: int
-    m: int
+    _fields = ("tau", "s", "l", "m")
 
-    def __post_init__(self):
-        if self.s != self.l + self.m:
+    def __init__(self, tau: int, s: int, l: int, m: int):
+        if s != l + m:
             raise PreconditionError("s must equal l + m")
+        vars(self).update(tau=tau, s=s, l=l, m=m)
 
 
 def riemann_hurwitz_genus(group_order: int, sig: Signature) -> Fraction:

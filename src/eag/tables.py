@@ -12,20 +12,20 @@ the Burnside and Witt counts, the closed-form classifiers, and (for tables
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import genvec, maximality
+from .record import Record
 from .surfaces import EAActionSpec
 
 
-@dataclass(frozen=True)
-class TableRow:
-    case: str
-    signature: str
-    conditions: str
-    desk_check: str
-    note: str = ""
+class TableRow(Record):
+    _fields = ("case", "signature", "conditions", "desk_check", "note")
+
+    def __init__(self, case: str, signature: str, conditions: str, desk_check: str,
+                 note: str = ""):
+        vars(self).update(case=case, signature=signature, conditions=conditions,
+                          desk_check=desk_check, note=note)
 
 
 def _e(p, n, r):
@@ -182,4 +182,4 @@ def render_markdown(which: int) -> str:
 
 
 def render_json_rows(which: int) -> list[dict]:
-    return [asdict(row) for row in TABLES[which]()]
+    return [dict(vars(row)) for row in TABLES[which]()]

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import resource
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eag import cli, fp, genvec, grouptable, hyperfermat
 from eag.errors import CAPS
-from eag.surfaces import EAActionSpec
+from eag.surfaces import EAActionSpec, genus_is_admissible
 
 from table_file import dumps
 
@@ -140,6 +141,29 @@ def test_unique_agrees_with_count_beyond_the_printed_rows(capsys):
         "unique: h(k=1)=1, e(j=1)=1 (pure-1: p=2, n=1, r even)"]
 
 
+def test_count_unique_and_maximal_agree_on_every_small_spec(capsys):
+    # count answers 1 exactly where unique answers true, with the same exit code, and
+    # maximal answers a unique action; n = 0, the trivial group, is out of all three's domain
+    answered = 0
+    for p, n, rho, r in itertools.product((2, 3, 5), range(4), range(4), range(6)):
+        if not genus_is_admissible(EAActionSpec(p, n, rho, r)):
+            continue
+        argv = ["--p", str(p), "--n", str(n), "--rho", str(rho), "--r", str(r)]
+        (count, out, err), (unique, out_u, _) = (run(["count", *argv], capsys),
+                                                 run(["unique", *argv], capsys))
+        maximal = run(["maximal", *argv], capsys)[0]
+        assert count == unique, argv
+        if n == 0:
+            assert count == maximal == cli.EXIT_DOMAIN and "needs n >= 1" in err, argv
+            continue
+        assert count == 0, (argv, err)
+        is_unique = json.loads(out_u)["unique"]
+        assert (json.loads(out)["total"] == 1) == is_unique, argv
+        assert maximal == (0 if is_unique else cli.EXIT_PRECONDITION), argv
+        answered += 1
+    assert answered > 100
+
+
 @pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
 def test_unique_huge_genus_exit_4(capsys, fmt):
     # the genus has more digits than Python will turn into a string
@@ -242,6 +266,16 @@ def test_huge_sizes_answer_at_once_in_a_fresh_process(command, p, huge):
     assert "Traceback" not in done.stderr
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert cpu < 1, cpu
+
+
+@pytest.mark.parametrize("command", ["count", "unique", "maximal"])
+def test_the_trivial_group_exits_2_at_once_whatever_its_sizes(command):
+    # the refusal names no signature, whose 10^9 periods would not fit in memory
+    argv = [command, "--p=2", "--n=0", f"--rho={10 ** 9}", f"--r={10 ** 9}"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-m", "eag.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_small_address_space)
+    assert done.returncode == cli.EXIT_DOMAIN and "needs n >= 1" in done.stderr, done.stderr
 
 
 #: 2^89 - 1, a Mersenne prime past the bound below which fp.is_prime decides
@@ -653,22 +687,51 @@ def test_markdown_and_csv_formats(capsys):
 JUNK = ["x", "", "-1", "2.5", "1/0", "nan", "inf", "1j"]
 
 
-def _mostly(true_in=8):
-    """True except one draw in ``true_in`` (shrinks towards True)."""
-    return st.sampled_from([True] * (true_in - 1) + [False])
+@st.composite
+def _shares(draw, *branches):
+    """One of ``branches``, (weight, strategy) pairs, picked by one flat
+    ``st.sampled_from`` over the weights and then drawn: so each branch's share
+    of the draws is its weight over the total, as written."""
+    return draw(draw(st.sampled_from([strategy for weight, strategy in branches
+                                      for _ in range(weight)])))
 
 
-def _or_junk(valid):
-    """Mostly ``valid``; one draw in eight is a malformed token."""
-    return _mostly().flatmap(lambda ok: valid if ok else st.sampled_from(JUNK))
+def _tokens(*groups):
+    """A token of one of ``groups``, (weight, tokens) pairs: the group by its
+    share, as ``_shares`` picks it, and then each of its tokens alike."""
+    return _shares(*((weight, st.sampled_from(tokens)) for weight, tokens in groups))
 
 
-SMALL = _or_junk(st.integers(0, 6).map(str))
-# count's sizes at their extremes.  r stays where the burnside steps cap refuses a
-# row from its sizes or its first states (r = 10^3 needs (r + 1)^2 steps a state),
-# so that no example builds a slow row in process
-EXTREME = st.sampled_from(["0", "1"] + [str(10 ** k) for k in range(10)])
-EXTREME_R = st.sampled_from(["0", "1"] + [str(10 ** k) for k in range(3, 10)])
+def _powers(ks):
+    """10^k for each k, written out: str() refuses an int past the digit limit."""
+    return ["1" + "0" * k for k in ks]
+
+
+SMALL = [str(i) for i in range(7)]
+#: a prime 6 draws in 8, another small number 1 in 8 and junk 1 in 8
+PRIMES = _tokens((6, ["2", "3", "5", "7", "11", "13"]), (1, ["0", "1", "4", "6"]), (1, JUNK))
+FORMATS = _tokens((7, ["json", "markdown", "csv"]), (1, JUNK))
+#: k for 10^k of as many digits as the digits cap admits, and of one and eight more,
+#: which the cap refuses as the token is read
+PAST_DIGITS = (CAPS["digits"] - 1, CAPS["digits"], CAPS["digits"] + 7)
+#: each spec subcommand's integers: a small one 4 draws in 8, an extreme one 3 in
+#: 8 and junk 1 in 8.  The extremes are 0, -1 and powers of ten that the caps refuse
+#: from their size alone, so that no example runs a slow count or search in process:
+#: count's r stays where the burnside steps cap refuses a row from its sizes or its
+#: first states (r = 10^3 needs (r + 1)^2 steps a state); unique's genus digits refuse
+#: an n of 10^5 or more and its witness ints an r of 10^6 or more, and only the digits
+#: of the token itself a rho; maximal's witness ints, (n + 1)(2 rho + r + 2), refuse
+#: any of the three from 10^6 on
+SPEC_INTS = {
+    command: {option: _tokens((4, SMALL), (3, ["0", "-1", *_powers(ks)]), (1, JUNK))
+              for option, ks in extremes.items()}
+    for command, extremes in {
+        "count": {"--n": range(10), "--rho": range(10), "--r": range(3, 10)},
+        "unique": {"--n": (5, 9, 300, *PAST_DIGITS), "--rho": PAST_DIGITS[1:],
+                   "--r": (6, 9, 300, *PAST_DIGITS)},
+        "maximal": {option: (6, 9, 300, *PAST_DIGITS) for option in ("--n", "--rho", "--r")},
+    }.items()
+}
 RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6).map(str)
 GROUP_NAMES = ["C1", "C2", "C3", "C5", "C12", "D1", "D3", "D6", "S3", "A4", "C2xC2",
                "C2xC6", "C3xC3", "C2xC2xC2", "Q8", "Cx"]
@@ -695,66 +758,71 @@ def fuzz_files(tmp_path_factory):
     return [str(root / name) for name in files] + [str(root / "missing"), str(root)]
 
 
-def _argv(paths):
-    fmt = [("--format", _or_junk(st.sampled_from(["json", "markdown", "csv"])))]
-    path = st.sampled_from(paths)
-    spec = [("--p", SMALL), ("--n", SMALL), ("--rho", SMALL), ("--r", SMALL)]
+def _fermat_options(draw, paths):
+    # a line needs n + 1 distinct entries; n below 2, too few or too many entries and
+    # blank ones ("1,,2", or "," with no entry at all) must exit 1 or 3
+    n = draw(st.sampled_from(range(-1, 7)))
+    commas = st.sampled_from(["", ",", ",,"])
+    w = _shares(
+        (4, st.tuples(st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True), commas)),
+        (2, st.tuples(st.lists(RATIONAL, max_size=n + 2, unique=True), commas)),
+        (1, st.tuples(st.just([]), st.sampled_from([",", ",,"]))),
+    ).map(lambda t: ",".join(t[0]) + t[1])
+    pins = st.lists(RATIONAL, min_size=3, max_size=3).map(",".join)
+    line = draw(_shares((6, st.tuples(st.just("--w"), _shares((7, w), (1, st.sampled_from(JUNK))))),
+                        (2, st.tuples(st.just("--c-file"), st.sampled_from(paths)))))
+    return [("--p", PRIMES), ("--n", st.just(str(n))),
+            (line[0], st.just(line[1])),
+            ("--pins", _shares((7, pins), (1, st.sampled_from(JUNK))))]
 
-    def options(draw, command):
-        if command == "count":
-            return [("--p", SMALL), ("--n", st.one_of(SMALL, EXTREME)),
-                    ("--rho", st.one_of(SMALL, EXTREME)),
-                    ("--r", st.one_of(SMALL, EXTREME_R))] + fmt
-        if command in ("unique", "maximal"):
-            return spec + fmt + ([("--search", None)] if command == "maximal" else [])
-        if command == "orbits":
-            group = (("--group", _or_junk(st.sampled_from(GROUP_NAMES)))
-                     if draw(_mostly(4)) else ("--table", path))
-            return [group, ("--sig", _or_junk(SIGNATURE))] + fmt
-        if command == "tables":
-            return [("--which", _or_junk(st.integers(1, 4).map(str))),
-                    ("--write-golden", st.just(paths[-1]))] + fmt
-        if command == "fermat":
-            # a line needs n + 1 distinct entries; n below 2, too few or too many entries and
-            # blank ones ("1,,2", or "," with no entry at all) must exit 1 or 3
-            n = draw(st.integers(-1, 6))
-            entries = st.one_of(st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True),
-                                st.lists(RATIONAL, max_size=n + 2, unique=True))
-            w = st.tuples(entries, st.integers(0, 2)).map(lambda t: ",".join(t[0]) + "," * t[1])
-            line = (("--w", _or_junk(w)) if draw(_mostly(4)) else
-                    ("--c-file", path))
-            return [("--p", SMALL), ("--n", st.just(str(n))), line,
-                    ("--pins", _or_junk(st.lists(RATIONAL, min_size=3, max_size=3)
-                                        .map(",".join)))] + fmt
-        return []
 
-    @st.composite
-    def build(draw):
-        command = draw(st.sampled_from(
-            ["unique", "count", "maximal", "orbits", "tables", "fermat", "bogus"]))
-        argv = [command]
-        for opt, values in options(draw, command):
-            if not draw(_mostly(12)):
-                continue
+def _options(draw, command, paths):
+    """(option, strategy of its value) pairs of one subcommand, None for a flag."""
+    if command in SPEC_INTS:
+        return ([("--p", PRIMES)] + list(SPEC_INTS[command].items())
+                + ([("--search", None)] if command == "maximal" else []))
+    if command == "orbits":
+        group = draw(_shares((3, st.tuples(st.just("--group"),
+                                           _tokens((7, GROUP_NAMES), (1, JUNK)))),
+                             (1, st.tuples(st.just("--table"), st.sampled_from(paths)))))
+        return [(group[0], st.just(group[1])),
+                ("--sig", _shares((7, SIGNATURE), (1, st.sampled_from(JUNK))))]
+    if command == "tables":
+        return [("--which", _tokens((7, ["1", "2", "3", "4"]), (1, JUNK))),
+                ("--write-golden", st.just(paths[-1]))]
+    if command == "fermat":
+        return _fermat_options(draw, paths)
+    return []  # an unknown subcommand
+
+
+@st.composite
+def _argv(draw, command, paths):
+    """argv of one subcommand: each option kept 11 draws in 12, --format with the
+    rest, and one stray token inserted 1 draw in 12."""
+    argv = [command]
+    keep = st.sampled_from([True] * 11 + [False])
+    for opt, values in [*_options(draw, command, paths), ("--format", FORMATS)]:
+        if draw(keep):
             argv.append(opt if values is None else f"{opt}={draw(values)}")
-        if not draw(_mostly(12)):
-            argv.insert(draw(st.integers(0, len(argv))),
-                        draw(st.sampled_from(["--p", "-x", "extra", "--n=1"])))
-        return argv
-
-    return build()
+    if not draw(keep):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--p", "-x", "extra", "--n=1"])))
+    return argv
 
 
-def test_cli_fuzz_exit_codes(fuzz_files):
+@pytest.mark.parametrize("command",
+                         ["unique", "count", "maximal", "orbits", "tables", "fermat", "bogus"])
+def test_cli_fuzz_exit_codes(fuzz_files, command):
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_argv(fuzz_files))
+    @given(_argv(command, fuzz_files))
     def check(argv):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = cli.main(argv)
-        assert code in range(5), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
+        # pytest.fail, not assert, so that the property also checks under python -O
+        if code not in range(5) or "Traceback" in err.getvalue():
+            pytest.fail(f"{argv}: exit {code}\n{err.getvalue()}")
 
     check()
 
@@ -822,6 +890,22 @@ def _loaded(names):
     """A script's last line: exit 2 if a module in ``names`` or below it is loaded."""
     return (f"sys.exit(2 if [m for m in sys.modules for name in {list(names)!r}\n"
             "                if m == name or m.startswith(name + '.')] else 0)\n")
+
+
+def test_no_call_loads_dataclasses_or_inspect():
+    # the records are plain classes: import eag.cli and every numpy-free call leave out
+    # dataclasses and the inspect it imports; numpy loads inspect itself, so an orbits
+    # call is checked for dataclasses alone
+    script = ("import contextlib, io, json, sys\n"
+              "from eag import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    if any([cli.main(argv) for argv in json.loads(sys.argv[1])]):\n"
+              "        sys.exit(1)\n")
+    for calls, unloaded in [([], ("dataclasses", "inspect")),
+                            (NUMPY_FREE_CALLS, ("dataclasses", "inspect")),
+                            ([["orbits", "--group", "A5", "--sig", "(0;2,3,5)"]], ("dataclasses",))]:
+        done = _python(script + _loaded(unloaded), json.dumps(calls))
+        assert done.returncode == 0, (calls, done.stderr)
 
 
 def test_cli_import_loads_no_numpy():
