@@ -210,11 +210,6 @@ def test_the_hyper_fermat_genus_is_no_field():
     assert other == spec and hash(other) == hash(spec)
 
 
-def test_a_gaussian_rational_equals_the_number_it_is():
-    assert GaussianRational(Fraction(3)) == 3 and hash(GaussianRational(Fraction(3))) == hash(3)
-    assert RECORDS["GaussianRational"][0] == complex(0.5, -3)
-
-
 def test_no_module_imports_dataclasses():
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
