@@ -810,12 +810,11 @@ def _argv(draw, command, paths):
     return argv
 
 
-@pytest.mark.parametrize("command",
-                         ["unique", "count", "maximal", "orbits", "tables", "fermat", "bogus"])
-def test_cli_fuzz_exit_codes(fuzz_files, command):
+def _check_exit_codes(command, paths):
+    """One derandomized property of 400 argument vectors of ``command``."""
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_argv(command, fuzz_files))
+    @given(_argv(command, paths))
     def check(argv):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -825,6 +824,13 @@ def test_cli_fuzz_exit_codes(fuzz_files, command):
             pytest.fail(f"{argv}: exit {code}\n{err.getvalue()}")
 
     check()
+
+
+def test_cli_fuzz_exit_codes(fuzz_files):
+    # each subcommand is its own property, so a branch of one subcommand does not
+    # take the draws of another
+    for command in ["unique", "count", "maximal", "orbits", "tables", "fermat", "bogus"]:
+        _check_exit_codes(command, fuzz_files)
 
 
 def test_cli_path_never_imports_scipy():
