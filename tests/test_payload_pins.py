@@ -3,7 +3,8 @@
 Each file under ``tests/data/payloads`` is the exact stdout of one ``eag``
 call, named after its arguments.  The calls cover every witness
 construction of ``eag maximal --search`` (found and none), the markdown
-and csv renderings of a witness, and a few ``eag count`` reports.  To
+and csv renderings of a witness, a few ``eag count`` reports, and at least
+one call of every other subcommand, fermat's float pairs included.  To
 re-record after an intended payload change, write ``cli.main(argv)``'s
 stdout to ``_path(argv)`` for each call and review the diff.
 """
@@ -50,6 +51,19 @@ CALLS = [
     ["count", *_spec_args(2, 2, 1, 3)],
     ["count", *_spec_args(3, 2, 2, 0)],
     ["count", *_spec_args(5, 2, 1, 3), "--format", "csv"],
+    # a verdict alone, with a witness and with none, and a uniqueness answer
+    ["maximal", *_spec_args(2, 3, 1, 2)],
+    ["maximal", *_spec_args(2, 3, 1, 2), "--format", "markdown"],
+    ["maximal", *_spec_args(5, 1, 2, 3), "--format", "markdown"],
+    ["unique", *_spec_args(2, 3, 0, 5)],
+    ["unique", *_spec_args(2, 3, 0, 5), "--format", "csv"],
+    # a table's rows, a catalog orbit count, and the float pairs of fermat: a real
+    # line with a pin at infinity, and a complex one
+    ["tables", "--which", "3", "--format", "json"],
+    ["orbits", "--group", "C10", "--sig", "(0;2,5,10)"],
+    ["fermat", "--p", "3", "--n", "3", "--w=0.5,1,2.5,-3", "--pins=0,1,inf"],
+    ["fermat", "--p", "5", "--n", "3", "--w=1j,2,0.5+1.5j,-1"],
+    ["fermat", "--p", "5", "--n", "3", "--w=1j,2,0.5+1.5j,-1", "--format", "csv"],
 ]
 
 
