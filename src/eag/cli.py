@@ -21,11 +21,11 @@ from pathlib import Path
 
 # each cmd_* imports its own engine in its body: a process loads what its subcommand runs
 from .errors import CAPS, CapExceededError, OutOfDomainError, PreconditionError, require_within
-from .surfaces import EAActionSpec, Signature
+from .record import Record
+from .surfaces import EAActionSpec, Signature, require_nontrivial_group
 
 SCHEMA = "eag/1"
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_PRECONDITION = 3
@@ -41,18 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _render(payload, fmt: str) -> str:
-    """``payload``, a dict or a function called here to build one, in the format ``fmt``."""
+def _render(answer, fmt: str) -> str:
+    """What a subcommand's answer prints: finished text as it is, or a payload, a dict
+    or a function called here to build one, in the format ``fmt`` with one newline."""
+    if isinstance(answer, str):
+        return answer
     try:
-        payload = payload() if callable(payload) else payload
-        keys = sorted(payload)
+        payload = answer() if callable(answer) else answer
         if fmt == "json":
-            return _json(payload)
+            return _json(payload) + "\n"
+        items = sorted(_plain(payload).items())
         if fmt == "markdown":
-            return "\n".join(f"- **{key}**: {payload[key]}" for key in keys)
+            return "".join(f"- **{key}**: {value}\n" for key, value in items)
         if fmt == "csv":
-            row = ",".join('"' + str(payload[k]).replace('"', '""') + '"' for k in keys)
-            return ",".join(keys) + "\n" + row
+            return (",".join(key for key, _ in items) + "\n"
+                    + ",".join('"' + str(value).replace('"', '""') + '"' for _, value in items) + "\n")
     except (ValueError, OverflowError) as exc:
         # an int past Python's int-to-str digit limit, such as a huge genus, or a
         # rational past the float range
@@ -60,9 +63,29 @@ def _render(payload, fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
+def _record_dict(record: Record) -> dict:
+    """A record's payload: its fields by name, or a generating vector's own dict,
+    which adds the derived rho."""
+    return (record.to_json_dict() if hasattr(record, "to_json_dict")
+            else dict(zip(record._fields, record._values())))
+
+
+def _plain(x):
+    """``x`` with every record a dict and every tuple a list, all the way down: the
+    values whose ``str()`` the markdown and csv formats print."""
+    if isinstance(x, Record):
+        x = _record_dict(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
 def _json(x, indent: str = "\n") -> str:
     """``json.dumps(x, sort_keys=True, indent=2, default=str)`` byte for byte, types
-    tried in json's order, without the slow pure-Python encoder that ``indent`` selects."""
+    tried in json's order, without the slow pure-Python encoder that ``indent`` selects;
+    a record is written as its ``_record_dict``."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or x is True or x is False:
@@ -83,6 +106,8 @@ def _json(x, indent: str = "\n") -> str:
         items = [encode_basestring_ascii(k if isinstance(k, str) else _json(k)) + ": "
                  + _json(v, inner) for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(x, Record):
+        return _json(_record_dict(x), indent)
     return _json(str(x), indent)
 
 
@@ -108,14 +133,12 @@ def _add_spec_args(sub):
 
 def _spec(args) -> EAActionSpec:
     spec = EAActionSpec(args.p, args.n, args.rho, args.r)
-    # count, unique and maximal refuse the trivial group alike, so none answers what another
-    # refuses; the message names no signature, whose r periods may not fit in memory
-    if spec.n < 1:
-        raise OutOfDomainError(f"C_{spec.p}^0 is the trivial group: C_p^n needs n >= 1")
+    # count, unique and maximal refuse the trivial group alike, before any cap
+    require_nontrivial_group(spec)
     return spec
 
 
-def cmd_unique(args, out) -> int:
+def cmd_unique(args) -> dict:
     from . import genvec
     spec = _spec(args)
     # before the periods or the genus is built: no more periods than a witness may hold
@@ -127,45 +150,35 @@ def cmd_unique(args, out) -> int:
     sig = spec.sig
     genus = genvec.require_admissible_genus(spec)
     rules = genvec.unique_action_rules(spec)
-    payload = {
+    return {
         "schema": SCHEMA, "command": "unique",
         "p": spec.p, "n": spec.n, "rho": spec.rho, "r": spec.r,
-        "signature": str(sig), "periods": list(sig.periods),
-        "genus": genus, "unique": bool(rules), "rules": list(rules),
+        "signature": str(sig), "periods": sig.periods,
+        "genus": genus, "unique": bool(rules), "rules": rules,
     }
-    print(_render(payload, args.format), file=out)
-    return EXIT_OK
 
 
-def cmd_count(args, out) -> int:
+def cmd_count(args) -> dict:
     from . import genvec
     spec = _spec(args)
-    report = genvec.count_classes(spec)
-    payload = {"schema": SCHEMA, "command": "count", **report.to_json_dict()}
+    payload = {"schema": SCHEMA, "command": "count", **_record_dict(genvec.count_classes(spec))}
     if spec.r == 0:
         adj = genvec.unramified_adjudication(spec.p, spec.rho)
-        payload["unramified_unique_ranks"] = list(adj.computed_unique_ranks)
+        payload["unramified_unique_ranks"] = adj.computed_unique_ranks
         payload["unramified_note"] = adj.note
-    print(_render(payload, args.format), file=out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_maximal(args, out) -> int:
+def cmd_maximal(args) -> dict:
     from . import maximality
     spec = _spec(args)
-    verdict = maximality.is_maximal(spec)
-    payload = {"schema": SCHEMA, "command": "maximal", **verdict.to_json_dict()}
+    payload = {"schema": SCHEMA, "command": "maximal", **_record_dict(maximality.is_maximal(spec))}
     if args.search:
-        outcome = maximality.search_extension_witness(spec)
-        payload["search"] = {
-            "status": outcome.status,
-            "witness": outcome.witness.to_json_dict() if outcome.witness else None,
-        }
-    print(_render(payload, args.format), file=out)
-    return EXIT_OK
+        payload["search"] = maximality.search_extension_witness(spec)
+    return payload
 
 
-def cmd_orbits(args, out) -> int:
+def cmd_orbits(args) -> dict:
     from . import grouptable  # it loads numpy, which no other subcommand needs at once
     if bool(args.group) == bool(args.table):
         raise UsageError("provide exactly one of --group or --table")
@@ -176,17 +189,15 @@ def cmd_orbits(args, out) -> int:
         g = grouptable.GroupTable.loads(_read_input(args.table, "--table"))
         name = str(Path(args.table).name)
     sig = Signature.parse(args.sig)
-    orbits_found = grouptable.count_orbits(g, sig)
-    payload = {
+    return {
         "schema": SCHEMA, "command": "orbits", "group": name,
         "group_order": g.order, "signature": str(sig),
-        "periods": list(sig.periods), "orbits": orbits_found,
+        "periods": sig.periods, "orbits": grouptable.count_orbits(g, sig),
     }
-    print(_render(payload, args.format), file=out)
-    return EXIT_OK
 
 
-def cmd_tables(args, out) -> int:
+def cmd_tables(args):
+    """The table's payload for json, and finished text otherwise."""
     from . import tables
     which = args.which
     if args.write_golden:
@@ -194,20 +205,13 @@ def cmd_tables(args, out) -> int:
         root.mkdir(parents=True, exist_ok=True)
         for w in (1, 2, 3, 4):
             (root / f"table{w}.csv").write_text(tables.render_csv(w), encoding="utf-8")
-        print(f"wrote table1..table4 CSVs to {root}", file=out)
-        return EXIT_OK
+        return f"wrote table1..table4 CSVs to {root}\n"
     if which is None:
         raise UsageError("--which is required unless --write-golden is given")
-    if args.format == "csv":
-        print(tables.render_csv(which), file=out, end="")
-    elif args.format == "json":
-        payload = {"schema": SCHEMA, "command": "tables", "which": which,
-                   "title": tables.TABLE_TITLES[which],
-                   "rows": tables.render_json_rows(which)}
-        print(_render(payload, "json"), file=out)
-    else:
-        print(tables.render_markdown(which), file=out, end="")
-    return EXIT_OK
+    if args.format == "json":
+        return {"schema": SCHEMA, "command": "tables", "which": which,
+                "title": tables.TABLE_TITLES[which], "rows": tables.TABLES[which]()}
+    return (tables.render_csv if args.format == "csv" else tables.render_markdown)(which)
 
 
 def _read_input(path: str, option: str) -> str:
@@ -271,7 +275,8 @@ def _parse_scalar_list(text: str) -> list:
     return [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
 
 
-def cmd_fermat(args, out) -> int:
+def cmd_fermat(args):
+    """The function that builds fermat's payload, called where it is rendered."""
     from . import hyperfermat
     if bool(args.w) == bool(args.c_file):
         raise UsageError("provide exactly one of --w or --c-file")
@@ -308,21 +313,26 @@ def cmd_fermat(args, out) -> int:
                 {"s": s, "residual": float(hyperfermat.residue_identity_check(w, s))})
     smoothness = hyperfermat.smoothness_certificate(line)
 
+    def pair(x):  # a GaussianRational as its two floats
+        return [float(x.re), float(x.im)]
+
+    def point(pt):
+        return "inf" if pt.is_infinity() else pair(pt.value())
+
     def payload():  # built in _render, where a rational past the float range exits 4
         return {
             "schema": SCHEMA, "command": "fermat",
             "p": args.p, "n": args.n,
-            "C": line.to_json(),
+            "C": [[pair(x) for x in row] for row in line.rows],
             "generic": True,
             "genus": int(spec.genus),
-            "lambdas": [pt.to_json() for pt in branch.points],
-            "pins": [pt.to_json() for pt in branch.pins],
+            "lambdas": [point(pt) for pt in branch.points],
+            "pins": [point(pt) for pt in branch.pins],
             "residue_checks": residue_checks,
             "smoothness": smoothness,
         }
 
-    print(_render(payload, args.format), file=out)
-    return EXIT_OK
+    return payload
 
 
 def build_parser() -> _Parser:
@@ -392,14 +402,14 @@ def _parse(argv: list) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        code = args.func(args, sys.stdout)
+        sys.stdout.write(_render(args.func(args), args.format))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader closed the pipe; point stdout at devnull so that the
         # interpreter's flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

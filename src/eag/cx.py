@@ -160,12 +160,6 @@ class ProjPoint(Record):
     def same_point(self, other: "ProjPoint") -> bool:
         return cross_det(self, other).is_zero()
 
-    def to_json(self):
-        if self.is_infinity():
-            return "inf"
-        v = self.value()
-        return [float(v.re), float(v.im)]
-
     def __str__(self) -> str:
         if self.is_infinity():
             return "inf"

@@ -35,7 +35,7 @@ from . import fp
 from .errors import CapExceededError, OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime
 from .record import Record
-from .surfaces import EAActionSpec, ea_genus, validate_vector_for
+from .surfaces import EAActionSpec, ea_genus, require_nontrivial_group, validate_vector_for
 
 
 class GeneratingVector(Record):
@@ -497,15 +497,6 @@ class ClassCountReport(Record):
         vars(self).update(p=p, n=n, rho=rho, r=r, total=total, method=method,
                           e_used=e_used, h_used=h_used, flags=flags)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "rho": self.rho, "r": self.r,
-            "total": self.total, "method": self.method,
-            "e_used": [list(t) for t in self.e_used],
-            "h_used": [list(t) for t in self.h_used],
-            "flags": list(self.flags),
-        }
-
 
 def no_actions_exist(n: int, rho: int, r: int) -> bool:
     """Rank/period bound: the canonical images cannot generate C_p^n.
@@ -530,6 +521,7 @@ def count_classes(spec: EAActionSpec) -> ClassCountReport:
     As h(p,k,0) = [k=0] and e(p,j,0) = [j=0], the same sum is the pure and
     the unramified count.
     """
+    require_nontrivial_group(spec)
     p, n, rho, r = spec.p, spec.n, spec.rho, spec.r
     if no_actions_exist(n, rho, r):
         return ClassCountReport(p, n, rho, r, 0, "closed-form",
@@ -613,6 +605,7 @@ def unique_action_rules(spec: EAActionSpec) -> tuple[str, ...]:
 
 
 def require_admissible_genus(spec: EAActionSpec):
+    require_nontrivial_group(spec)
     g = ea_genus(spec)
     if g.denominator != 1:
         raise OutOfDomainError(

@@ -68,9 +68,6 @@ class LineMatrix(Record):
     def n(self) -> int:
         return len(self.rows) + 1
 
-    def to_json(self):
-        return [[[float(x.re), float(x.im)] for x in row] for row in self.rows]
-
 
 def vandermonde_line(w) -> LineMatrix:
     """Power rows (w_i^j, j = 0..n-2) of n+1 distinct parameters.

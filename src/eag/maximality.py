@@ -28,13 +28,6 @@ class ExtensionWitness(Record):
                  subgroup_basis: tuple[tuple[int, ...], ...]):
         vars(self).update(n_spec=n_spec, vector=vector, subgroup_basis=subgroup_basis)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_spec": dict(vars(self.n_spec)),
-            "vector": self.vector.to_json_dict(),
-            "subgroup_basis": [list(v) for v in self.subgroup_basis],
-        }
-
 
 class MaximalityVerdict(Record):
     _fields = ("spec", "maximal", "witness", "rule")
@@ -42,15 +35,6 @@ class MaximalityVerdict(Record):
     def __init__(self, spec: EAActionSpec, maximal: bool, witness: ExtensionWitness | None,
                  rule: str):
         vars(self).update(spec=spec, maximal=maximal, witness=witness, rule=rule)
-
-    def to_json_dict(self) -> dict:
-        # vars of a spec: its four int fields
-        return {
-            "spec": dict(vars(self.spec)),
-            "maximal": self.maximal,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-            "rule": self.rule,
-        }
 
 
 def frobenius_representable(p: int, rho: int) -> tuple[int, int] | None:

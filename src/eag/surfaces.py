@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import PreconditionError, require_within
+from .errors import OutOfDomainError, PreconditionError, require_within
 from .fp import check_prime, rref, vector_span_rank
 from .record import Record
 
@@ -85,7 +85,15 @@ class EAActionSpec(Record):
         return Signature(self.rho, (self.p,) * self.r)
 
     def __str__(self) -> str:
-        return f"C_{self.p}^{self.n} acting with {self.sig}"
+        # (rho; p^r), not the signature, whose r periods may not fit in memory
+        periods = f"{self.p}^{self.r}" if self.r else "-"
+        return f"C_{self.p}^{self.n} acting with ({self.rho}; {periods})"
+
+
+def require_nontrivial_group(spec: EAActionSpec) -> None:
+    """Refuse n < 1: C_p^0 is the trivial group, outside the classification."""
+    if spec.n < 1:
+        raise OutOfDomainError(f"C_{spec.p}^0 is the trivial group: C_p^n needs n >= 1")
 
 
 class ExtensionParams(Record):

@@ -179,7 +179,3 @@ def render_markdown(which: int) -> str:
         out.append(f"| {row.case} | {row.signature} | {row.conditions} | "
                    f"{row.desk_check} | {row.note} |")
     return "\n".join(out) + "\n"
-
-
-def render_json_rows(which: int) -> list[dict]:
-    return [dict(vars(row)) for row in TABLES[which]()]

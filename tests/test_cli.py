@@ -278,6 +278,17 @@ def test_the_trivial_group_exits_2_at_once_whatever_its_sizes(command):
     assert done.returncode == cli.EXIT_DOMAIN and "needs n >= 1" in done.stderr, done.stderr
 
 
+def test_a_spec_shows_without_its_periods_in_a_fresh_process():
+    # the signature of r = 10^9 periods would not fit in the child's address space
+    script = ("from eag.surfaces import EAActionSpec\n"
+              "print(EAActionSpec(2, 1, 0, 10 ** 9), EAActionSpec(3, 2, 4, 0), sep='\\n')\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_small_address_space)
+    assert done.stdout == ("C_2^1 acting with (0; 2^1000000000)\n"
+                           "C_3^2 acting with (4; -)\n"), done.stderr
+
+
 #: 2^89 - 1, a Mersenne prime past the bound below which fp.is_prime decides
 MERSENNE_89 = 2 ** 89 - 1
 
@@ -288,7 +299,7 @@ MERSENNE_89 = 2 ** 89 - 1
     # trial division to 3e13 at the parent
     (["fermat", f"--p={MERSENNE_89}", "--n=2", "--w=0,1,2"], cli.EXIT_CAP),
     # trial division to 10^9 at the parent; Miller-Rabin decides it
-    (["fermat", "--p=1000000000000000003", "--n=2", "--w=0,1,2"], cli.EXIT_OK),
+    (["fermat", "--p=1000000000000000003", "--n=2", "--w=0,1,2"], 0),
     (["fermat", "--p=3", "--n=10000", "--w=" + ",".join(map(str, range(10001)))], cli.EXIT_CAP),
     # numbers past the digit limit, which int() refused with a traceback: in a
     # signature by the digits cap, in a group name by the group order cap
@@ -299,14 +310,14 @@ MERSENNE_89 = 2 ** 89 - 1
     (["fermat", "--p=3", "--n=2", "--w=1e400,2,3"], cli.EXIT_CAP),
     (["fermat", "--p=3", "--n=2", "--w=1/3,2,3", "--pins=1e400,0,1"], cli.EXIT_CAP),
     (["fermat", "--p=3", "--n=4", "--w=1e200,2,3,4,5"], cli.EXIT_CAP),  # C holds w^2 = 1e400
-    (["fermat", "--p=3", "--n=2", "--w=1e308,2,3"], cli.EXIT_OK),
+    (["fermat", "--p=3", "--n=2", "--w=1e308,2,3"], 0),
     # extreme scales, read exactly: a floating backend said "not generic" or
     # "pins coincide" for some, and overflowed with a traceback for others
-    (["fermat", "--p=3", "--n=2", "--w=1e300j,2,3"], cli.EXIT_OK),
-    (["fermat", "--p=3", "--n=2", "--w=1e160,1e160j,3"], cli.EXIT_OK),
-    (["fermat", "--p=3", "--n=2", "--w=1e-200j,2e-200j,3e-200j"], cli.EXIT_OK),
-    (["fermat", "--p=3", "--n=2", "--w=1,2,3", "--pins=0,1,1e200j"], cli.EXIT_OK),
-    (["fermat", "--p=3", "--n=4", "--w=1e-5j,2e-5j,3e-5j,4e-5j,5e-5j"], cli.EXIT_OK),
+    (["fermat", "--p=3", "--n=2", "--w=1e300j,2,3"], 0),
+    (["fermat", "--p=3", "--n=2", "--w=1e160,1e160j,3"], 0),
+    (["fermat", "--p=3", "--n=2", "--w=1e-200j,2e-200j,3e-200j"], 0),
+    (["fermat", "--p=3", "--n=2", "--w=1,2,3", "--pins=0,1,1e200j"], 0),
+    (["fermat", "--p=3", "--n=4", "--w=1e-5j,2e-5j,3e-5j,4e-5j,5e-5j"], 0),
     # numbers whose digits, or whose powers' digits in C, pass the digits cap
     (["fermat", "--p=3", "--n=20", "--w=1e4300," + ",".join(map(str, range(1, 21)))],
      cli.EXIT_CAP),
@@ -321,7 +332,7 @@ MERSENNE_89 = 2 ** 89 - 1
     # over r; a huge pure-7 row past it still answers in closed form
     (["count", "--p=5", "--n=3", "--rho=0", "--r=5000"], cli.EXIT_CAP),
     (["count", "--p=3", "--n=2", "--rho=0", "--r=1000000000"], cli.EXIT_CAP),
-    (["count", "--p=7", "--n=40", "--rho=0", "--r=41"], cli.EXIT_OK),
+    (["count", "--p=7", "--n=40", "--rho=0", "--r=41"], 0),
     # 10^9 ranks and periods, refused from r alone before any structure per rank (its top
     # rank is pure-7, so the lower ranks are refused again)
     (["count", "--p=3", "--n=1000000000", "--rho=1000000000", "--r=1000000000"], cli.EXIT_CAP),
@@ -336,7 +347,7 @@ def test_orbits_and_fermat_caps_answer_at_once_in_a_fresh_process(argv, code, tm
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
-    assert code == cli.EXIT_OK or done.stdout == ""
+    assert code == 0 or done.stdout == ""
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert cpu < 1, cpu
 
@@ -626,9 +637,13 @@ def test_json_output_roundtrips(capsys):
     payload = run_json(["maximal", "--p", "2", "--n", "1", "--rho", "3", "--r", "2"],
                        capsys)
     from eag.maximality import is_maximal
-    from eag.surfaces import EAActionSpec
-    want = is_maximal(EAActionSpec(2, 1, 3, 2)).to_json_dict()
-    assert {k: payload[k] for k in want} == want
+    verdict = is_maximal(EAActionSpec(2, 1, 3, 2))
+    witness = verdict.witness
+    # a record's payload is its fields by name, tuples as lists; the vector adds its rho
+    assert {k: payload[k] for k in verdict._fields} == {
+        "spec": vars(verdict.spec), "maximal": verdict.maximal, "rule": verdict.rule,
+        "witness": {"n_spec": vars(witness.n_spec), "vector": witness.vector.to_json_dict(),
+                    "subgroup_basis": [list(v) for v in witness.subgroup_basis]}}
 
 
 #: JSON leaves of every type the payloads hold, and the edge cases of each
@@ -816,12 +831,21 @@ def _check_exit_codes(command, paths):
               suppress_health_check=[HealthCheck.too_slow])
     @given(_argv(command, paths))
     def check(argv):
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
         # pytest.fail, not assert, so that the property also checks under python -O
-        if code not in range(5) or "Traceback" in err.getvalue():
-            pytest.fail(f"{argv}: exit {code}\n{err.getvalue()}")
+        if code not in range(5) or "Traceback" in err:
+            pytest.fail(f"{argv}: exit {code}\n{err}")
+        # main's one print site: a success prints whole lines, a refusal nothing
+        if code == 0 and not out.endswith("\n"):
+            pytest.fail(f"{argv}: exit 0 with stdout ending {out[-80:]!r}")
+        if code and out:
+            pytest.fail(f"{argv}: exit {code} after printing {out[:80]!r}")
+        if code == cli.EXIT_CAP and not ("payload cannot be printed" in err
+                                         or any(f"the {cap} cap of" in err for cap in CAPS)):
+            pytest.fail(f"{argv}: exit 4 names no cap\n{err}")
 
     check()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eag import cli, genvec, maximality as mx, orbits
-from eag.errors import CAPS, CapExceededError, PreconditionError
+from eag.errors import CAPS, CapExceededError, OutOfDomainError, PreconditionError
 from eag.genvec import GeneratingVector, is_unique_action, validate
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, solve_extension_params,
                           subgroup_signature)
@@ -32,6 +32,15 @@ def test_frobenius_representable_examples():
         mx.frobenius_representable(2, 5)
     with pytest.raises(PreconditionError):
         mx.frobenius_representable(5, 1)
+
+
+@pytest.mark.parametrize("call", [genvec.count_classes, is_unique_action, mx.is_maximal,
+                                  mx.search_extension_witness])
+def test_the_library_refuses_the_trivial_group(call):
+    # C_2^0 with (2; -) has genus 2, so only n >= 1 keeps it out: count_classes said 1
+    # class by witt, and the search found a witness
+    with pytest.raises(OutOfDomainError, match="needs n >= 1"):
+        call(EAActionSpec(2, 0, 2, 0))
 
 
 def test_known_verdict_examples():
@@ -329,7 +338,7 @@ def test_search_at_rho_100000_finds_its_witness(capsys):
     # (n + 1)(2 rho + r + 2) = 400,004 ints, within the witness ints cap
     spec = EAActionSpec(3, 1, 100_000, 0)
     code = cli.main(["maximal", "--p", "3", "--n", "1", "--rho", "100000", "--r", "0", "--search"])
-    assert code == cli.EXIT_OK
+    assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["search"]["status"] == "found"
     for data in (payload["witness"], payload["search"]["witness"]):
@@ -373,7 +382,7 @@ def test_search_at_rho_1500_is_quick(capsys):
     # the witness is the first row space tried; a dense basis of V
     # (dimension 1,502) would cost seconds
     start = time.process_time()
-    assert cli.main([*_argv(3, 1, 1500, 0), "--search"]) == cli.EXIT_OK
+    assert cli.main([*_argv(3, 1, 1500, 0), "--search"]) == 0
     assert time.process_time() - start < 0.5
     assert json.loads(capsys.readouterr().out)["search"]["status"] == "found"
 

@@ -74,7 +74,7 @@ def _path(argv) -> Path:
 def _stdout(argv) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(argv) == 0
     return buf.getvalue()
 
 
