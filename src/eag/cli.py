@@ -233,11 +233,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _parse_scalar(tok: str):
-    """"inf", or the token as an exact GaussianRational: a complex token a+bj
-    is two decimals, each read exactly."""
+    """"inf" for inf, oo or infinity in any case, or the token as an exact
+    GaussianRational: a complex token a+bj is two decimals, each read exactly."""
     from .cx import GaussianRational
     tok = tok.strip()
-    if tok in ("inf", "oo", "infinity"):
+    if tok.lower() in ("inf", "oo", "infinity"):
         return "inf"
     try:
         try:

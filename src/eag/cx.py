@@ -4,7 +4,9 @@ Every curve construction runs on exact rationals: complex numbers with
 Fraction parts.  A float or complex operand is read exactly, as the dyadic
 rational it stores, so no arithmetic here rounds and every zero test is
 exact.  Points at infinity are honest projective pairs, never sentinel
-floats.
+floats.  A projective pair and a fractional linear map hold Gaussian
+rationals or Python ints alike: their zero tests are truth tests, so a
+caller with integer data runs the same maps on ints.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ class GaussianRational(Record):
 
     def __truediv__(self, other):
         o = GaussianRational.of(other)
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by exact zero")
         if not self.im and not o.im:
             return GaussianRational(self.re / o.re)
-        n2 = o.norm2()
-        return self * GaussianRational(o.re / n2, -o.im / n2)
+        n2 = o.norm2()  # self conj(o) / |o|^2: one division per part
+        return GaussianRational((self.re * o.re + self.im * o.im) / n2,
+                                (self.im * o.re - self.re * o.im) / n2)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
@@ -111,11 +114,11 @@ class GaussianRational(Record):
         h -= m if h >= m // 2 else 0
         return -2 if h == -1 else h
 
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def magnitude_l1(self) -> Fraction:
         return abs(self.re) + abs(self.im)
@@ -133,7 +136,7 @@ ZERO = GaussianRational(Fraction(0))
 
 class ProjPoint(Record):
     """Point of the projective line as a homogeneous pair (num : den) of
-    Gaussian rationals."""
+    Gaussian rationals or ints."""
 
     _fields = ("num", "den")
 
@@ -149,16 +152,16 @@ class ProjPoint(Record):
         return ProjPoint(ONE, ZERO)
 
     def is_infinity(self) -> bool:
-        return self.den.is_zero()
+        return not self.den
 
     def value(self) -> GaussianRational:
         """The affine value; undefined at infinity."""
         if self.is_infinity():
             raise PreconditionError("point at infinity has no affine value")
-        return self.num / self.den
+        return GaussianRational.of(self.num) / self.den
 
     def same_point(self, other: "ProjPoint") -> bool:
-        return cross_det(self, other).is_zero()
+        return not cross_det(self, other)
 
     def __str__(self) -> str:
         if self.is_infinity():
@@ -199,7 +202,7 @@ class Mobius(Record):
         d10 = cross_det(p1, p0)
         m = Mobius(p0.den * d12, -1 * p0.num * d12,
                    p2.den * d10, -1 * p2.num * d10)
-        if (m.a * m.d - m.b * m.c).is_zero():
+        if not m.a * m.d - m.b * m.c:
             raise PreconditionError("degenerate point triple for a fractional linear map")
         return m
 

@@ -6,10 +6,13 @@ signature (0; p^(n+1)); the branch points of the quotient are the
 intersections of T with the coordinate hyperplanes, and their cross-ratio
 coordinates are the moduli of the family.  The line is encoded by an
 (n-1) x (n+1) matrix C with T = {X : CX = 0}.  It is generic iff every
-Pluecker coordinate, a maximal minor of C, is nonzero.  Every scalar is an
-exact Gaussian rational, and all the Pluecker coordinates come from one
-kernel basis of C, found by one fraction-free elimination in the integers
-or the Gaussian integers, so every zero test is exact.
+Pluecker coordinate, a maximal minor of C, is nonzero.  Every scalar is
+exact, and all the Pluecker coordinates come from one kernel basis of C,
+found by one fraction-free elimination in the integers or the Gaussian
+integers, so every zero test is exact.  A LineMatrix keeps that kernel's
+integer data on itself once computed; the branch parameters are computed
+from it on integer projective pairs, each reduced once, and Gaussian
+rationals are built only for what the functions return.
 
 The curve over a generic line is smooth by the Jacobian criterion
 (Gonzalez-Diez, Hidalgo and Leyton, "Generalized Fermat curves", J. Algebra
@@ -26,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cx import GaussianRational, Mobius, ProjPoint, cross_det
+from .cx import ONE, GaussianRational, Mobius, ProjPoint, cross_det
 from .errors import CapExceededError, PreconditionError, require_within
 from .fp import is_prime
 from .record import Record
@@ -67,6 +70,63 @@ class LineMatrix(Record):
     @property
     def n(self) -> int:
         return len(self.rows) + 1
+
+    @functools.cached_property
+    def _plucker(self):
+        """(real, s, q): whether C is real, its column scales s_k and the rows q_i
+        of one kernel, or None if T is not generic.  Computed on first use and
+        kept in the instance's ``__dict__``, outside ``_fields``, as
+        HyperFermatSpec keeps its genus: the genericity test, the branch
+        parameters and the smoothness certificate share it, and nothing hashes
+        the line to find it.
+
+        For a kernel basis u, v of C, Q_i = v_i u - u_i v: it lies on T, and its
+        i-th coordinate is 0.  For i < j its j-th coordinate u_j v_i - u_i v_j
+        is, up to one factor common to all i and j and the sign (-1)^(i+j), the
+        minor of C with columns i and j deleted: the Pluecker coordinate p_ij of
+        T; and Q_j(i) = -Q_i(j).  So T is generic iff the n-1 columns that the
+        elimination pivots on, whose minor is one p_ij, are independent and every
+        u_i v_j - u_j v_i is nonzero.
+
+        Each column k of C is first multiplied by the lcm s_k of its
+        denominators, and each row divided by the gcd of its entries, so the
+        kernel, in the integers for a real line and in the Gaussian integers
+        (as (re, im) pairs) otherwise, is that of C up to the factor s_k of
+        coordinate k: Q_i(j) is q_ij s_j up to a factor of row i.  Scaling
+        columns keeps a Vandermonde line small: its column w_k^j takes the
+        denominator of w_k alone.
+        """
+        real = not any(x.im for row in self.rows for x in row)
+        scale = [math.lcm(*(d for x in column for d in (x.re.denominator, x.im.denominator)))
+                 for column in zip(*self.rows)]
+        parts = []
+        for row in self.rows:
+            pairs = [(x.re.numerator * (c // x.re.denominator),
+                      x.im.numerator * (c // x.im.denominator)) for x, c in zip(row, scale)]
+            g = math.gcd(*(t for pair in pairs for t in pair)) or 1
+            parts.append([(re // g, im // g) for re, im in pairs])
+        # the elimination multiplies out its first n-1 columns and only carries the
+        # last two along, so the two columns of the longest entries go last
+        bits = [max(abs(t).bit_length() for row in parts for t in row[k]) + 1
+                for k in range(self.n + 1)]
+        order = sorted(range(self.n + 1), key=bits.__getitem__)
+        # each number it builds is a minor of those n-1 columns, one perhaps swapped
+        # for a later one; by Hadamard's inequality on columns, a column of moduli
+        # below 2^b adds at most b log10(2) + log10(n-1) / 2 digits
+        require_within("digits", int((sum(bits) - bits[order[-2]]) * math.log10(2)
+                                     + (self.n - 1) * math.log10(self.n - 1) / 2) + 1,
+                       "the digits that the minors of C may have")
+        ring = _INTEGERS if real else _GAUSSIAN_INTEGERS
+        cross, zero, one = ring
+        kernel = _kernel([[row[k][0] if real else row[k] for k in order] for row in parts], ring)
+        if kernel is None:
+            return None
+        u, v = ([vec[order.index(k)] for k in range(self.n + 1)] for vec in kernel)
+        q = [[cross(v[i], u[j], u[i], v[j], one) for j in range(self.n + 1)]
+             for i in range(self.n + 1)]
+        if any(q[i][j] == zero for i, j in itertools.combinations(range(self.n + 1), 2)):
+            return None
+        return real, scale, q
 
 
 def vandermonde_line(w) -> LineMatrix:
@@ -138,62 +198,6 @@ def _kernel(rows, ring):
             [row[k + 1] for row in m] + [zero, minus_d])
 
 
-@functools.lru_cache(maxsize=8)
-def _plucker_rows(line: LineMatrix):
-    """The points Q_i where T meets {x_i = 0}, each scaled to a first
-    nonzero coordinate of 1, or None if T is not generic.
-
-    For a kernel basis u, v of C, Q_i = v_i u - u_i v: it lies on T, and its
-    i-th coordinate is 0.  For i < j its j-th coordinate u_j v_i - u_i v_j
-    is, up to one factor common to all i and j and the sign (-1)^(i+j), the
-    minor of C with columns i and j deleted: the Pluecker coordinate p_ij of
-    T; and Q_j(i) = -Q_i(j).  So T is generic iff the n-1 columns that the
-    elimination pivots on, whose minor is one p_ij, are independent and every
-    u_i v_j - u_j v_i is nonzero.
-
-    Each column k of C is first multiplied by the lcm s_k of its
-    denominators, and each row divided by the gcd of its entries, so the
-    kernel, in the integers for a real line and in the Gaussian integers
-    otherwise, is that of C up to the factor s_k of coordinate k.  Scaling
-    columns keeps a Vandermonde line small: its column w_k^j takes the
-    denominator of w_k alone.  The genericity test, the branch points and
-    the smoothness certificate all ask for the same line, so the result is
-    cached per line, as tuples of Gaussian rationals no caller can change.
-    """
-    real = not any(x.im for row in line.rows for x in row)
-    scale = [math.lcm(*(d for x in column for d in (x.re.denominator, x.im.denominator)))
-             for column in zip(*line.rows)]
-    parts = []
-    for row in line.rows:
-        pairs = [(int(x.re * c), int(x.im * c)) for x, c in zip(row, scale)]
-        g = math.gcd(*(t for pair in pairs for t in pair)) or 1
-        parts.append([(re // g, im // g) for re, im in pairs])
-    # the elimination multiplies out its first n-1 columns and only carries the
-    # last two along, so the two columns of the longest entries go last
-    bits = [max(abs(t).bit_length() for row in parts for t in row[k]) + 1
-            for k in range(line.n + 1)]
-    order = sorted(range(line.n + 1), key=bits.__getitem__)
-    # each number it builds is a minor of those n-1 columns, one perhaps swapped
-    # for a later one; by Hadamard's inequality on columns, a column of moduli
-    # below 2^b adds at most b log10(2) + log10(n-1) / 2 digits
-    require_within("digits", int((sum(bits) - bits[order[-2]]) * math.log10(2)
-                                 + (line.n - 1) * math.log10(line.n - 1) / 2) + 1,
-                   "the digits that the minors of C may have")
-    ring = _INTEGERS if real else _GAUSSIAN_INTEGERS
-    cross, zero, one = ring
-    kernel = _kernel([[row[k][0] if real else row[k] for k in order] for row in parts], ring)
-    if kernel is None:
-        return None
-    u, v = ([vec[order.index(k)] for k in range(line.n + 1)] for vec in kernel)
-    q = [[cross(v[i], u[j], u[i], v[j], one) for j in range(line.n + 1)]
-         for i in range(line.n + 1)]
-    if any(q[i][j] == zero for i, j in itertools.combinations(range(line.n + 1), 2)):
-        return None
-    first = [1] + [0] * line.n
-    return tuple(tuple(_ratio(x, row[first[i]], real, scale[j], scale[first[i]])
-                       for j, x in enumerate(row)) for i, row in enumerate(q))
-
-
 def _ratio(x, y, real: bool, a: int = 1, b: int = 1) -> GaussianRational:
     """xa / (yb) for integers a and b, and x and y integers, or Gaussian
     integers as (re, im) pairs."""
@@ -211,7 +215,7 @@ def is_generic_line(line: LineMatrix) -> bool:
     hyperplanes and lies in none of them: every Pluecker coordinate of T is
     nonzero.
     """
-    return _plucker_rows(line) is not None
+    return line._plucker is not None
 
 
 def smoothness_certificate(line: LineMatrix) -> dict:
@@ -225,7 +229,7 @@ def smoothness_certificate(line: LineMatrix) -> dict:
     the Jacobian criterion the curve is smooth (Gonzalez-Diez, Hidalgo and
     Leyton, J. Algebra 321 (2009)).
     """
-    if _plucker_rows(line) is None:
+    if line._plucker is None:
         raise PreconditionError("line is not generic")
     return {"passed": True, "method": "jacobian-criterion"}
 
@@ -251,19 +255,23 @@ def intersection_points(line: LineMatrix) -> list[list]:
 
     Q_i(j) is, up to sign, the minor of C without columns i and j;
     genericity keeps every coordinate but the i-th nonzero.  Scale is fixed
-    by setting the first nonzero coordinate to 1.
+    by setting the first nonzero coordinate to 1.  The Gaussian rationals are
+    built here, from the integer rows that the line keeps.
     """
-    plucker = _plucker_rows(line)
-    if plucker is None:
+    data = line._plucker
+    if data is None:
         raise PreconditionError("line is not generic")
-    return [list(row) for row in plucker]
+    real, scale, q = data
+    first = [1] + [0] * line.n
+    return [[_ratio(x, row[first[i]], real, scale[j], scale[first[i]]) for j, x in enumerate(row)]
+            for i, row in enumerate(q)]
 
 
 def as_proj_point(x) -> ProjPoint:
     """Coerce a scalar or the string 'inf' onto the projective line."""
     if isinstance(x, ProjPoint):
         return x
-    if isinstance(x, str) and x.strip() in ("inf", "oo", "infinity"):
+    if isinstance(x, str) and x.strip().lower() in ("inf", "oo", "infinity"):
         return ProjPoint.infinity()
     return ProjPoint.finite(x)
 
@@ -292,29 +300,64 @@ def branch_points(line: LineMatrix, pins) -> BranchSet:
     with u_1 = c_2 (lambda_0 - lambda_2) / (d_2 (lambda_2 - lambda_1)); pins
     at infinity are the projective limits of the same formula.
 
+    The map runs on integer projective pairs.  Q_i(j) is q_ij s_j up to a
+    factor of row i (``LineMatrix._plucker``), and Q_0, Q_1 are scaled to
+    Q_0(1) = Q_1(0) = 1, so (c_2 : d_2) is (q_21 s_1 : q_20 s_0) and
+    (Q_1(i) : -Q_0(i)) is (q_1i q_01 s_1 : -q_0i q_10 s_0); a real pin
+    enters as (numerator : denominator), and infinity as (1 : 0); the
+    Gaussian integers of a complex line or pin enter as Gaussian rationals
+    with integer parts.  Each parameter, and u_1, is then reduced once to
+    (lambda : 1) or (1 : 0), so two parameters collide iff they are equal.
     Every scalar is exact, and so is the result.
     """
     if len(pins) != 3:
         raise PreconditionError("exactly three pin values are required")
-    pin_pts = tuple(as_proj_point(x) for x in pins)
+    pin_pts = tuple(map(_integer_pair, pins))
     for a, b in itertools.combinations(pin_pts, 2):
         if a.same_point(b):
             raise PreconditionError("pin values must be pairwise distinct")
-    q = intersection_points(line)
-    c2 = q[2][1] / q[0][1]
-    d2 = q[2][0] / q[1][0]
-    src = (ProjPoint.infinity(), ProjPoint.finite(0), ProjPoint(c2, d2))
-    mob = Mobius.through(src, pin_pts)
-    pts = list(pin_pts)
-    for i in range(3, line.n + 1):
-        pts.append(mob.apply(ProjPoint(q[1][i], -1 * q[0][i])))
-    for a, b in itertools.combinations(pts, 2):
-        if a.same_point(b):
-            raise PreconditionError("branch parameters collide; data is degenerate")
+    data = line._plucker
+    if data is None:
+        raise PreconditionError("line is not generic")
+    real, s, q = data
+
+    def scalar(x, y, k):  # xyk for ring elements x, y and an integer k
+        if real:
+            return x * y * k
+        return GaussianRational(Fraction((x[0] * y[0] - x[1] * y[1]) * k),
+                                Fraction((x[0] * y[1] + x[1] * y[0]) * k))
+
+    one = 1 if real else (1, 0)
+    c2, d2 = scalar(q[2][1], one, s[1]), scalar(q[2][0], one, s[0])
+    mob = Mobius.through((ProjPoint(1, 0), ProjPoint(0, 1), ProjPoint(c2, d2)), pin_pts)
+    pts = [_canonical(pt) for pt in pin_pts]
+    pts += [_canonical(mob.apply(ProjPoint(scalar(q[1][i], q[0][1], s[1]),
+                                           scalar(q[0][i], q[1][0], -s[0]))))
+            for i in range(3, line.n + 1)]
+    if len(set(pts)) < len(pts):
+        raise PreconditionError("branch parameters collide; data is degenerate")
     p0, p1, p2 = pin_pts
-    u1 = ProjPoint(c2 * cross_det(p0, p2) * p1.den,
-                   d2 * cross_det(p2, p1) * p0.den)
-    return BranchSet(tuple(pts), u1)
+    u1 = ProjPoint(c2 * cross_det(p0, p2) * p1.den, d2 * cross_det(p2, p1) * p0.den)
+    return BranchSet(tuple(pts), _canonical(u1))
+
+
+def _integer_pair(x) -> ProjPoint:
+    """A pin as a projective pair over the integers: (numerator : denominator)
+    for a real point, (1 : 0) at infinity, and Gaussian rationals with integer
+    parts for a complex point."""
+    pt = as_proj_point(x)
+    parts = (pt.num.re, pt.num.im, pt.den.re, pt.den.im)
+    scale = math.lcm(*(t.denominator for t in parts))
+    a, b, c, d = (t.numerator * (scale // t.denominator) for t in parts)
+    if b or d:
+        return ProjPoint(GaussianRational(Fraction(a), Fraction(b)),
+                         GaussianRational(Fraction(c), Fraction(d)))
+    return ProjPoint(a, c)
+
+
+def _canonical(pt: ProjPoint) -> ProjPoint:
+    """The same point as (lambda : 1), lambda a Gaussian rational, or as (1 : 0)."""
+    return ProjPoint.infinity() if pt.is_infinity() else ProjPoint(pt.value(), ONE)
 
 
 def residue_identity_check(w, s: int):
@@ -336,7 +379,9 @@ def residue_identity_check(w, s: int):
         raise PreconditionError("s must be >= 0")
     real = not any(v.im for v in vals)
     scale = math.lcm(*(d for v in vals[1:] for d in (v.re.denominator, v.im.denominator)))
-    a = tuple(int(v.re * scale) if real else (int(v.re * scale), int(v.im * scale))
+    a = tuple(v.re.numerator * (scale // v.re.denominator) if real
+              else (v.re.numerator * (scale // v.re.denominator),
+                    v.im.numerator * (scale // v.im.denominator))
               for v in vals[1:])
     cross, zero, one = _INTEGERS if real else _GAUSSIAN_INTEGERS
     delta, quotients = _residue_denominators(a, real)

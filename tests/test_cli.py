@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eag import cli, fp, genvec, grouptable, hyperfermat
-from eag.errors import CAPS
+from eag.errors import CAPS, EagError
 from eag.surfaces import EAActionSpec, genus_is_admissible
 
 from table_file import dumps
@@ -562,6 +562,18 @@ def test_fermat_c_file_and_pins(capsys, tmp_path):
     assert payload["lambdas"][2] == "inf"
 
 
+def test_fermat_reads_the_point_at_infinity_in_any_case(capsys):
+    # as float() reads inf in any case: every spelling prints inf's payload, byte for byte
+    fermat = ["fermat", "--p", "3", "--n", "3", "--w=0.5,1,2.5,-3"]
+    code, want, _ = run(fermat + ["--pins=0,1,inf"], capsys)
+    assert code == 0
+    for spelling in ("INF", "Inf", "Infinity", "OO", " iNfInItY "):
+        assert run(fermat + [f"--pins=0,1,{spelling}"], capsys) == (0, want, "")
+        assert hyperfermat.as_proj_point(spelling).is_infinity()
+    code, out, err = run(["fermat", "--p", "3", "--n", "2", "--w=INF,1,2"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "") and "--w entries must be finite" in err
+
+
 def test_fermat_mixes_rational_and_complex_input(capsys):
     # rational --w with complex --pins: every token is read exactly, so the
     # line of 1,2,3,4 and that of 1+0j,...,4+0j are the same
@@ -773,17 +785,30 @@ def fuzz_files(tmp_path_factory):
     return [str(root / name) for name in files] + [str(root / "missing"), str(root)]
 
 
+#: a complex token a+bj of two-decimal parts, each part within 5
+COMPLEX = st.builds(lambda a, b: f"{a / 100:.2f}{b / 100:+.2f}j",
+                    st.integers(-500, 500), st.integers(-500, 500))
+#: a scalar of --w or --pins: a rational 5 draws in 8, a complex token 2 in 8, and an
+#: extreme 1 in 8: the least subnormal, a tiny imaginary part, a real number in
+#: parentheses, and two that the digits cap refuses from their size (1e400 from its
+#: powers in C or as a float of the payload, 1e999999999 as its token is read)
+SCALAR = _shares((5, RATIONAL), (2, COMPLEX),
+                 (1, st.sampled_from(["(1+0j)", "5e-324", "1e-300j", "1e400", "1e999999999"])))
+#: a pin is also the point at infinity, 1 draw in 8, in any case
+PIN = _shares((7, SCALAR), (1, st.sampled_from(["inf", "INF", "Infinity", "oo"])))
+
+
 def _fermat_options(draw, paths):
     # a line needs n + 1 distinct entries; n below 2, too few or too many entries and
     # blank ones ("1,,2", or "," with no entry at all) must exit 1 or 3
     n = draw(st.sampled_from(range(-1, 7)))
     commas = st.sampled_from(["", ",", ",,"])
     w = _shares(
-        (4, st.tuples(st.lists(RATIONAL, min_size=n + 1, max_size=n + 1, unique=True), commas)),
-        (2, st.tuples(st.lists(RATIONAL, max_size=n + 2, unique=True), commas)),
+        (4, st.tuples(st.lists(SCALAR, min_size=n + 1, max_size=n + 1, unique=True), commas)),
+        (2, st.tuples(st.lists(SCALAR, max_size=n + 2, unique=True), commas)),
         (1, st.tuples(st.just([]), st.sampled_from([",", ",,"]))),
     ).map(lambda t: ",".join(t[0]) + t[1])
-    pins = st.lists(RATIONAL, min_size=3, max_size=3).map(",".join)
+    pins = st.lists(PIN, min_size=3, max_size=3).map(",".join)
     line = draw(_shares((6, st.tuples(st.just("--w"), _shares((7, w), (1, st.sampled_from(JUNK))))),
                         (2, st.tuples(st.just("--c-file"), st.sampled_from(paths)))))
     return [("--p", PRIMES), ("--n", st.just(str(n))),
@@ -825,6 +850,23 @@ def _argv(draw, command, paths):
     return argv
 
 
+def _fermat_must_answer(argv) -> bool:
+    """Whether argv, as parsed, meets every precondition of fermat: --p prime, --w
+    exactly n + 1 >= 3 pairwise-distinct finite values, and --pins, if given, three
+    pairwise-distinct points, all judged on exact values (0.5 and 1/2 coincide).
+    A Vandermonde line of distinct w is generic, and a fractional linear map keeps
+    distinct points apart, so such a call never exits 3."""
+    try:
+        args = cli._parse(argv)
+        w = cli._parse_scalar_list(args.w or "")
+        pins = cli._parse_scalar_list(args.pins) if args.pins else None
+        prime = fp.is_prime(args.p)
+    except (cli.UsageError, EagError):
+        return False
+    return (prime and not args.c_file and len(w) == args.n + 1 >= 3 and "inf" not in w
+            and len(set(w)) == len(w) and (pins is None or len(pins) == len(set(pins)) == 3))
+
+
 def _check_exit_codes(command, paths):
     """One derandomized property of 400 argument vectors of ``command``."""
     @settings(max_examples=400, deadline=None, derandomize=True,
@@ -846,6 +888,8 @@ def _check_exit_codes(command, paths):
         if code == cli.EXIT_CAP and not ("payload cannot be printed" in err
                                          or any(f"the {cap} cap of" in err for cap in CAPS)):
             pytest.fail(f"{argv}: exit 4 names no cap\n{err}")
+        if code == cli.EXIT_PRECONDITION and command == "fermat" and _fermat_must_answer(argv):
+            pytest.fail(f"{argv}: exit 3 on a prime p, distinct finite w and distinct pins\n{err}")
 
     check()
 

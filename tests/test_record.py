@@ -109,7 +109,7 @@ REPRS = {
     "BranchSet": (
         "BranchSet(points=(ProjPoint(num=(0+0i), den=(1+0i)), "
         "ProjPoint(num=(1+0i), den=(1+0i)), ProjPoint(num=(1+0i), den=(0+0i)), "
-        "ProjPoint(num=(-3/2+0i), den=(1/2+0i))), u1=ProjPoint(num=(3/2+0i), den=(1+0i)))"),
+        "ProjPoint(num=(-3+0i), den=(1+0i))), u1=ProjPoint(num=(3/2+0i), den=(1+0i)))"),
     "HyperFermatSpec": ("HyperFermatSpec(p=3, n=3, line=LineMatrix(rows=(((1+0i), (1+0i), "
                         "(1+0i), (1+0i)), ((0+0i), (1+0i), (2+0i), (3+0i)))))"),
     "SmoothnessReport": (
