@@ -36,7 +36,8 @@ class GroupTable:
     Associativity, identity and inverses are all verified at construction,
     so downstream code can trust the table blindly.  ``array`` holds the
     table as a numpy array of the smallest unsigned dtype, and ``inverse``
-    each element's inverse in the same dtype.
+    each element's inverse in the same dtype; both are read-only, as
+    ``by_name`` hands one table to every caller.
     """
 
     def __init__(self, table):
@@ -61,11 +62,24 @@ class GroupTable:
         self.array = T
         self.order = n
         self.inverse = np.argmin(T, axis=1).astype(T.dtype)  # a b = 0, the least entry
+        T.flags.writeable = self.inverse.flags.writeable = False
         orders, power, k = np.zeros(n, dtype=np.int64), elems, 1
         while not orders.all():
             orders[(power == 0) & (orders == 0)] = k
             power, k = T[power, elems], k + 1
         self.element_orders = tuple(orders.tolist())
+
+    # what depends on the group alone, found by the module functions on a first
+    # call and kept; the caps on Aut(G)'s search are checked on every call
+    # (``_search_space``), kept or not
+
+    @functools.cached_property
+    def _automorphism_generators(self) -> tuple[int, ...]:
+        return tuple(_automorphism_generators(self))
+
+    @functools.cached_property
+    def _automorphism_group_generators(self) -> tuple[np.ndarray, ...]:
+        return tuple(_generating_automorphisms(automorphisms(self)))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.array[a, b])
@@ -214,15 +228,23 @@ def _catalog_entry(name: str) -> tuple:
     raise PreconditionError(f"unknown group name {name!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _catalog_group(entries: tuple) -> GroupTable:
+    """The direct product of the parsed catalog ``entries``, built once per process."""
+    return functools.reduce(direct_product, (build(m) for _, build, m in entries))
+
+
 def by_name(name: str) -> GroupTable:
     """Catalog lookup: C<n>, D<n>, S3, S4, A4, A5, and x-products like C2xC4.
 
-    Raises CapExceededError past the ``group order`` cap before building a table.
+    Raises CapExceededError past the ``group order`` cap before building a
+    table.  Names that parse alike (``C2xC2``, ``C02 x C2``) share one
+    read-only table, kept with its Aut(G) generators for later calls.
     """
-    entries = [_catalog_entry(part.strip()) for part in name.split("x")]
+    entries = tuple(_catalog_entry(part.strip()) for part in name.split("x"))
     require_within("group order", math.prod(order for order, _, _ in entries),
                    f"the order of {reprlib.repr(name)}")
-    return functools.reduce(direct_product, (build(m) for _, build, m in entries))
+    return _catalog_group(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +331,23 @@ def _automorphism_generators(g: GroupTable) -> list[int]:
     return gens
 
 
+def _search_space(g: GroupTable):
+    """The generating sequence of Aut(G)'s search and each generator's
+    candidate images, the elements of its order.
+
+    Raises CapExceededError past the ``automorphism search order`` cap
+    before the sequence is sought, and past the ``automorphism candidates``
+    cap; both are checked on every call, the sequence kept on ``g`` or not.
+    """
+    require_within("automorphism search order", g.order, "the order of G")
+    gens = g._automorphism_generators
+    orders = np.array(g.element_orders)
+    choices = [np.flatnonzero(orders == orders[a]) for a in gens]
+    require_within("automorphism candidates", math.prod(len(c) for c in choices),
+                   "the candidate images of Aut(G)'s search")
+    return gens, choices
+
+
 def automorphisms(g: GroupTable) -> np.ndarray:
     """All automorphisms, as an (|Aut|, |G|) array of permutations of element
     indices, its rows in lexicographic order.
@@ -317,15 +356,9 @@ def automorphisms(g: GroupTable) -> np.ndarray:
     preserved, is one candidate row.  Each element is a fixed word in the
     generators, evaluated on all rows at once by table lookups; the rows
     that are bijective homomorphisms are kept.  Raises CapExceededError
-    past the ``automorphism search order`` cap, or before any candidate is
-    built past the ``automorphism candidates`` cap.
+    past the caps of ``_search_space``, before any candidate is built.
     """
-    require_within("automorphism search order", g.order, "the order of G")
-    gens = _automorphism_generators(g)
-    orders = np.array(g.element_orders)
-    choices = [np.flatnonzero(orders == orders[a]) for a in gens]
-    require_within("automorphism candidates", math.prod(len(c) for c in choices),
-                   "the candidate images of Aut(G)'s search")
+    gens, choices = _search_space(g)
     T = g.array
     images = _cartesian(choices, T.dtype)
     # mapped[:, x]: the image of x, by its word x = y gens[i] with y reached first
@@ -353,16 +386,25 @@ def automorphisms(g: GroupTable) -> np.ndarray:
 
 
 def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
-    """A generating set of Aut(G), as permutations of element indices.
+    """A generating set of Aut(G), as read-only permutations of element
+    indices: those of ``_generating_automorphisms``, found on the first call
+    for ``g`` and kept, with the caps of ``_search_space`` checked on every
+    call."""
+    _search_space(g)
+    return list(g._automorphism_group_generators)
 
-    Walks the sorted automorphisms and keeps the first one outside the
-    subgroup that those kept so far generate, until that subgroup is all of
-    Aut(G).  The subgroup is the identity's component of the graph on the
-    ranks of the automorphisms that joins each beta to alpha after beta,
-    alpha[beta], for every kept alpha (``orbit_components``); a composite is
-    ranked by the bytes of its row.
+
+def _generating_automorphisms(autos: np.ndarray) -> list[np.ndarray]:
+    """A generating set of Aut(G), from its automorphisms in sorted order.
+
+    Walks ``autos`` and keeps the first one outside the subgroup that those
+    kept so far generate, until that subgroup is all of Aut(G).  The
+    subgroup is the identity's component of the graph on the ranks of the
+    automorphisms that joins each beta to alpha after beta, alpha[beta], for
+    every kept alpha (``orbit_components``); a composite is ranked by the
+    bytes of its row.
     """
-    autos = automorphisms(g)  # one byte per entry, so the rows sort bytewise too
+    # one byte per entry, so the rows sort bytewise too
     row = np.dtype((np.void, autos.shape[1] * autos.itemsize))
     keys = autos.view(row).ravel()
     ranks = np.arange(len(autos))
@@ -372,7 +414,9 @@ def automorphism_group_generators(g: GroupTable) -> list[np.ndarray]:
         count, labels = orbit_components(ranks, images)
         if count == 1:
             return gens
-        gens.append(autos[np.argmax(labels != labels[0])])  # the identity sorts first
+        # the identity sorts first; a copy, so the kept generator holds no other row
+        gens.append(autos[np.argmax(labels != labels[0])].copy())
+        gens[-1].flags.writeable = False
         images.append(np.searchsorted(keys, gens[-1][autos].view(row).ravel()))
 
 

@@ -150,11 +150,14 @@ def subgroup_signature(n_spec: EAActionSpec, gen_vec, subgroup_basis) -> Signatu
         raise PreconditionError("generating vector is not valid for the overgroup")
     index = p ** (n_spec.n - a_rank)
     # a reduced row is 1 at its pivot and every other row 0 there, so c lies
-    # in A iff c minus c[pivot_i] times row i, summed over i, is 0 mod p
+    # in A iff c minus c[pivot_i] times row i, summed over i, is 0 mod p; that
+    # difference is 0 at every pivot column by construction, so only the free
+    # columns are checked
     pivots = [next(j for j, a in enumerate(row) if a) for row in reduced]
+    free = [k for k in range(n_spec.n) if k not in pivots]
     m = sum(1 for c in gen_vec.elliptic
-            if not any((x - sum(c[j] * row[k] for j, row in zip(pivots, reduced))) % p
-                       for k, x in enumerate(c)))
+            if not any((c[k] - sum(c[j] * row[k] for j, row in zip(pivots, reduced))) % p
+                       for k in free))
     l = n_spec.r - m
     rho_minus_1 = (index * (n_spec.rho - 1)
                    + Fraction(index, 2) * l * (1 - Fraction(1, p)))

@@ -671,6 +671,61 @@ def test_automorphism_candidate_cap_exits_4(monkeypatch, capsys):
     assert "above the automorphism candidates cap of 10" in capsys.readouterr().err
 
 
+def test_caps_hold_with_a_warm_memo(monkeypatch, capsys):
+    # A5's table and Aut(G) generators are kept after one call; every cap is
+    # still checked on the next, and names itself
+    argv = ["orbits", "--group", "A5", "--sig", "(0;2,3,5)"]
+    assert cli.main(argv) == 0 and '"orbits": 1' in capsys.readouterr().out
+    assert "_automorphism_group_generators" in vars(gt.by_name("A5"))
+    for cap, value in [("automorphism candidates", 10), ("automorphism search order", 59),
+                       ("group order", 59)]:
+        with monkeypatch.context() as patch:
+            patch.setitem(CAPS, cap, value)
+            assert cli.main(argv) == cli.EXIT_CAP
+            assert f"above the {cap} cap of {value}" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        test_automorphism_candidate_cap_exits_4(patch, capsys)
+
+
+def test_catalog_names_share_one_read_only_table():
+    g = gt.by_name("C2xC2")
+    assert g is gt.by_name("C02 x C2")
+    size = gt._catalog_group.cache_info().currsize
+    for name in ("C100000", "A5xA5", "Q8", "C2x", f"C{CAPS['group order'] + 1}"):
+        with pytest.raises((CapExceededError, PreconditionError)):
+            gt.by_name(name)
+    assert gt._catalog_group.cache_info().currsize == size
+    for array in (g.array, g.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0
+    # a kept generator of Aut(G) is read-only too, and a fresh list each call
+    gens = gt.automorphism_group_generators(g)
+    gens.clear()
+    alpha = gt.automorphism_group_generators(g)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        alpha[1] = 0
+
+
+def test_desk_orbit_counts_warm_equal_cold():
+    def count(name, sig):
+        return gt.count_orbits(gt.by_name(name), Signature(0, sig))
+
+    cold = []
+    for name, sig in DESK_ORBIT_CASES:
+        gt._catalog_group.cache_clear()
+        assert "_automorphism_group_generators" not in vars(gt.by_name(name))
+        cold.append(count(name, sig))
+    for name, sig in DESK_ORBIT_CASES:
+        count(name, sig)
+    misses = gt._catalog_group.cache_info().misses
+    warm = [count(name, sig) for name, sig in DESK_ORBIT_CASES]
+    # every group was kept, with its Aut(G) generators
+    assert gt._catalog_group.cache_info().misses == misses
+    assert all("_automorphism_group_generators" in vars(gt.by_name(name))
+               for name, _ in DESK_ORBIT_CASES)
+    assert warm == cold
+
+
 @pytest.mark.parametrize("name,sig,cap", [
     ("C2xC2xC2xC2xC2xC2", "(0;2,2,2,2,2,2,2,2)", "order 60"),  # order 64
     ("C2xC2xC2xC2xC2", "(0;2,2,2,2,2,2)", "candidate"),       # Aut = GL(5, 2)

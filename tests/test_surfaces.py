@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from eag.errors import PreconditionError
+from eag.fp import rref
 from eag.genvec import GeneratingVector
 from eag.surfaces import (EAActionSpec, Signature, ea_genus, riemann_hurwitz_genus,
-                          solve_extension_params, subgroup_signature)
+                          solve_extension_params, subgroup_signature, validate_vector_for)
 
 
 def test_riemann_hurwitz_examples():
@@ -97,34 +98,57 @@ def _coset_oracle(n_spec, vec, basis):
     return Signature(int(rho), tuple(periods))
 
 
+def _subgroup_cases(rng):
+    """(spec, vec, basis) for n = 2..5, p in {2, 3, 5, 7} and every rank a of
+    the basis: random unreduced bases, each with a valid generating vector
+    whose elliptic entries lie in the basis's span about half the time."""
+    for p in (2, 3, 5, 7):
+        for n in range(2, 6):
+            def vector():
+                return tuple(rng.randrange(p) for _ in range(n))
+
+            for a in range(1, n + 1):
+                for _ in range(4):
+                    basis = tuple(vector() for _ in range(a))
+                    while len(rref(basis, p)) < a:
+                        basis = tuple(vector() for _ in range(a))
+
+                    def entry():
+                        if rng.random() < 0.5:
+                            return vector()
+                        weights = vector()[:a]
+                        return tuple(sum(w * b[k] for w, b in zip(weights, basis)) % p
+                                     for k in range(n))
+
+                    while True:
+                        rho, r = rng.randint(0, 2), rng.randint(2, 8)
+                        elliptic = [entry() for _ in range(r - 1)]
+                        elliptic.append(tuple(-sum(col) % p for col in zip(*elliptic)))
+                        hyperbolic = tuple((vector(), vector()) for _ in range(rho))
+                        if not all(any(c) for c in elliptic):
+                            continue
+                        spec = EAActionSpec(p, n, rho, r)
+                        vec = GeneratingVector(p, n, hyperbolic=hyperbolic, elliptic=elliptic)
+                        if validate_vector_for(spec, vec):
+                            yield spec, vec, basis
+                            break
+
+
 def test_subgroup_signature_against_coset_oracle():
+    # explicit raises, not assert, so that the comparison also runs under python -O
     rng = random.Random(3)
-    for _ in range(40):
-        p = rng.choice((2, 3))
-        n = 2
-        rho = rng.randint(0, 2)
-        r = rng.randint(2, 6)
-        elliptic = []
-        for _ in range(r - 1):
-            while True:
-                v = (rng.randrange(p), rng.randrange(p))
-                if any(v):
-                    break
-            elliptic.append(v)
-        total = [sum(col) % p for col in zip(*elliptic)]
-        if not any(total):
-            continue
-        elliptic.append([-t for t in total])
-        hyperbolic = tuple(
-            ((rng.randrange(p), rng.randrange(p)), (rng.randrange(p), rng.randrange(p)))
-            for _ in range(rho))
-        vec = GeneratingVector(p, n, hyperbolic=hyperbolic, elliptic=elliptic)
-        spec = EAActionSpec(p, n, rho, r)
-        from eag.surfaces import validate_vector_for
-        if not validate_vector_for(spec, vec):
-            continue
-        basis = ((1, 0),)
-        assert subgroup_signature(spec, vec, basis) == _coset_oracle(spec, vec, basis)
+    cases = inside = entries = 0
+    for spec, vec, basis in _subgroup_cases(rng):
+        got, want = subgroup_signature(spec, vec, basis), _coset_oracle(spec, vec, basis)
+        if got != want:
+            pytest.fail(f"{spec}, {vec}, basis {basis}: {got}, the coset oracle {want}")
+        a = len(basis)
+        cases += 1
+        entries += spec.r
+        inside += sum(len(rref(list(basis) + [c], spec.p)) == a for c in vec.elliptic)
+    # the draws meet entries inside and outside the span, on at least 200 bases
+    if cases < 200 or not 0 < inside < entries:
+        pytest.fail(f"{cases} cases, {inside} of {entries} elliptic entries inside the span")
 
 
 def test_subgroup_signature_genus_two_cover():
